@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps"
 )
 
 // TestCounterSnapshotConsistent asserts Runtime.CounterSnapshot — the
@@ -103,6 +104,73 @@ func TestAdaptWarmStart(t *testing.T) {
 			}
 			if got := cool.ReplayAdaptDecisions(init, rt.Report().Decisions); got != st {
 				t.Fatalf("replay = %+v, want %+v", got, st)
+			}
+		})
+	}
+}
+
+// TestAdaptiveFloor is the adaptive controller's quality gate, on the
+// simulator where cycle counts are exact: every registered app (most
+// locality-optimised variant, default size, P=16) runs a flat-stealing
+// arm, a cluster-only arm and the adaptive controller, the latter twice
+// with the second repetition warm-started from the policy the first
+// learned — so the score covers both the cold run (paying the
+// observation epochs) and the steady state a policy-persisting runtime
+// reaches. The mean adaptive run must reach 0.95x the best static arm on
+// every app and 1.1x on the phase-shifting one, and replaying each
+// repetition's decision trace over its initial policy must reconstruct
+// the controller's final state. Only simulated cycles are compared.
+func TestAdaptiveFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("28 default-size simulator runs")
+	}
+	// Short enough that each phaseflip phase spans several epochs, and
+	// that the first evaluation lands before an app's opening steal
+	// burst has seeded many wrong-cluster subtrees.
+	const procs, epoch, reps = 16, 10_000, 2
+	for _, name := range apps.Names() {
+		app, _ := apps.Lookup(name)
+		variant := app.Variants[len(app.Variants)-1]
+		t.Run(name, func(t *testing.T) {
+			cycles := func(cfg cool.Config) int64 {
+				t.Helper()
+				cfg.Processors = procs
+				res, err := app.RunCfg(cfg, variant, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Cycles
+			}
+			best := cycles(cool.Config{})
+			if c := cycles(cool.Config{Sched: cool.SchedPolicy{ClusterStealingOnly: true}}); c < best {
+				best = c
+			}
+			var warm *cool.AdaptState
+			var sum int64
+			for rep := 0; rep < reps; rep++ {
+				sum += cycles(cool.Config{Adapt: &cool.AdaptPolicy{Epoch: epoch, Start: warm}})
+				rt := lastRuntime
+				// Replay from the runtime's actual starting vector: variants
+				// may force scheduling knobs on top of the passed config,
+				// and a warm start seeds the previous repetition's state.
+				init, okInit := rt.AdaptInitialState()
+				final, okFinal := rt.AdaptState()
+				if !okInit || !okFinal {
+					t.Fatalf("rep %d: adaptive run exposes no controller state", rep)
+				}
+				if got := cool.ReplayAdaptDecisions(init, rt.Report().Decisions); got != final {
+					t.Errorf("rep %d: decision trace replays to %+v, controller ended on %+v", rep, got, final)
+				}
+				warm = &final
+			}
+			ratio := float64(best) / float64(sum/reps)
+			floor := 0.95
+			if name == "phaseflip" {
+				floor = 1.1
+			}
+			if ratio < floor {
+				t.Errorf("adaptive is %.3fx the best static arm (%d vs mean %d cycles), floor %.2f",
+					ratio, best, sum/reps, floor)
 			}
 		})
 	}

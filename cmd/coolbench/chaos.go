@@ -30,8 +30,7 @@ import (
 	"github.com/coolrts/cool/internal/chaos"
 )
 
-// chaosSmallSizes are reduced workloads for the CI smoke job (same
-// spirit as -bench-small).
+// chaosSmallSizes are reduced workloads for the CI smoke job.
 var chaosSmallSizes = map[string]int{
 	"gauss":      48,
 	"ocean":      64,

@@ -18,6 +18,12 @@
 // -exp all runs everything. Results print as aligned ASCII tables;
 // speedups are simulated-cycle ratios against the serial reference, as in
 // the paper.
+//
+// Three further modes have their own flag sets, selected by the first
+// argument: -xcheck (backend differential check, xcheck.go), -chaos
+// (seeded fault campaigns, chaos.go) and -trace (Chrome trace export,
+// tracecmd.go). Performance is judged by `bash benchmark/run.sh`, not
+// here.
 package main
 
 import (
@@ -36,116 +42,115 @@ import (
 )
 
 var (
-	procList = flag.String("procs", "1,2,4,8,16,24,32", "processor counts for speedup figures")
-	missProc = flag.Int("missprocs", 16, "processor count for the cache-miss figures")
-	size     = flag.Int("size", 0, "workload size override (0 = per-app default)")
-	asCSV    = flag.Bool("csv", false, "emit figure data as CSV (for plotting) instead of tables")
+	exp       = flag.String("exp", "all", "experiment id (see command doc)")
+	procList  = flag.String("procs", "1,2,4,8,16,24,32", "processor counts for speedup figures")
+	missProc  = flag.Int("missprocs", 16, "processor count for the cache-miss figures")
+	size      = flag.Int("size", 0, "workload size override (0 = per-app default)")
+	asCSV     = flag.Bool("csv", false, "emit figure data as CSV (for plotting) instead of tables")
+	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	mutexProf = flag.String("mutexprofile", "", "write a mutex-contention profile of the run to this file")
 )
 
-func main() {
-	// The native scalability benchmark suite (see bench_native_sweep.go);
-	// dispatched ahead of the -bench prefix it shares.
-	if len(os.Args) > 1 && strings.HasPrefix(os.Args[1], "-bench-native") {
-		os.Exit(benchNativeMain(os.Args[1:]))
+// modes are the sub-commands with their own flag sets, selected by the
+// prefix of the first argument; anything else is the experiment runner.
+var modes = []struct {
+	prefix string
+	run    func(args []string) int
+}{
+	{"-chaos", chaosMain},
+	{"-xcheck", xcheckMain},
+	{"-trace", traceMain},
+}
+
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run dispatches to a mode and returns the process exit code; nothing
+// below it calls os.Exit, so deferred cleanup (the profile flush) always
+// happens.
+func run(args []string) int {
+	if len(args) > 0 {
+		for _, m := range modes {
+			if strings.HasPrefix(args[0], m.prefix) {
+				return m.run(args)
+			}
+		}
 	}
-	// The elastic worker-pool benchmark (see bench_elastic.go); also
-	// dispatched ahead of the shared -bench prefix.
-	if len(os.Args) > 1 && strings.HasPrefix(os.Args[1], "-bench-elastic") {
-		os.Exit(benchElasticMain(os.Args[1:]))
+	return expMain(args)
+}
+
+// expOrder is the -exp all sequence; experiments maps each id to its
+// runner.
+var expOrder = []string{"table1", "ocean", "locus", "locusmiss", "pancho", "panchomiss", "barnes", "blockcho", "gauss", "queuearray", "stealpolicy", "uniform", "latency", "straggler"}
+
+var experiments = map[string]func() error{
+	"ocean":      func() error { return speedupFigure("F6  Ocean speedup (paper §6.1)", "ocean") },
+	"locus":      func() error { return speedupFigure("F10 LocusRoute speedup (paper Fig. 10)", "locusroute") },
+	"locusmiss":  func() error { return missFigure("F11 LocusRoute cache behaviour (paper Fig. 11)", "locusroute") },
+	"pancho":     func() error { return speedupFigure("F14 Panel Cholesky speedup (paper Fig. 14)", "pancho") },
+	"panchomiss": func() error { return missFigure("F15 Panel Cholesky cache behaviour (paper Fig. 15)", "pancho") },
+	"barnes":     func() error { return speedupFigure("F16a Barnes-Hut speedup (paper Fig. 16)", "barneshut") },
+	"blockcho":   func() error { return speedupFigure("F16b Block Cholesky speedup (paper Fig. 16)", "blockcho") },
+	"gauss": func() error {
+		return speedupFigure("F3  Gaussian elimination affinity ablation (paper Fig. 3)", "gauss")
+	},
+	"table1":      table1,
+	"queuearray":  queueArrayAblation,
+	"stealpolicy": stealPolicyAblation,
+	"uniform":     uniformMachineComparison,
+	"latency":     latencySensitivity,
+	"straggler":   stragglerExperiment,
+}
+
+// expMain is the experiment runner (-exp). An unknown flag — a retired
+// mode's, say — stops in flag parsing with the flag package's "not
+// defined" message and exit code 2.
+func expMain(args []string) int {
+	_ = flag.CommandLine.Parse(args) // ExitOnError: a bad flag exits 2 inside Parse
+	names := expOrder
+	if *exp != "all" {
+		if _, ok := experiments[*exp]; !ok {
+			fmt.Fprintf(os.Stderr, "coolbench: unknown experiment %q (have %s, all)\n", *exp, strings.Join(expOrder, ", "))
+			return 2
+		}
+		names = []string{*exp}
 	}
-	// The serving-layer benchmark (see bench_serve.go); also dispatched
-	// ahead of the shared -bench prefix.
-	if len(os.Args) > 1 && strings.HasPrefix(os.Args[1], "-bench-serve") {
-		os.Exit(benchServeMain(os.Args[1:]))
+	var err error
+	if procCounts, err = parseProcs(*procList); err != nil {
+		fmt.Fprintf(os.Stderr, "coolbench: %v\n", err)
+		return 2
 	}
-	// The adaptive-controller A/B benchmark (see bench_adapt.go); also
-	// dispatched ahead of the shared -bench prefix.
-	if len(os.Args) > 1 && strings.HasPrefix(os.Args[1], "-bench-adapt") {
-		os.Exit(benchAdaptMain(os.Args[1:]))
-	}
-	// The benchmark regression harness has its own flag set (see
-	// bench.go) and short-circuits the experiment machinery.
-	if len(os.Args) > 1 && strings.HasPrefix(os.Args[1], "-bench") {
-		os.Exit(benchMain(os.Args[1:]))
-	}
-	// Likewise the chaos-campaign driver (see chaos.go).
-	if len(os.Args) > 1 && strings.HasPrefix(os.Args[1], "-chaos") {
-		os.Exit(chaosMain(os.Args[1:]))
-	}
-	// The backend differential harness (see xcheck.go).
-	if len(os.Args) > 1 && strings.HasPrefix(os.Args[1], "-xcheck") {
-		os.Exit(xcheckMain(os.Args[1:]))
-	}
-	// The Chrome trace exporter (see tracecmd.go).
-	if len(os.Args) > 1 && strings.HasPrefix(os.Args[1], "-trace") {
-		os.Exit(traceMain(os.Args[1:]))
-	}
-	exp := flag.String("exp", "all", "experiment id (see command doc)")
-	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	mutexProf := flag.String("mutexprofile", "", "write a mutex-contention profile of the run to this file")
-	flag.Parse()
 	stopProfiles, err := startProfiles(*cpuProf, *mutexProf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "coolbench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
 			fmt.Fprintf(os.Stderr, "coolbench: %v\n", err)
 		}
 	}()
-
-	runners := map[string]func() error{
-		"ocean":      func() error { return speedupFigure("F6  Ocean speedup (paper §6.1)", "ocean") },
-		"locus":      func() error { return speedupFigure("F10 LocusRoute speedup (paper Fig. 10)", "locusroute") },
-		"locusmiss":  func() error { return missFigure("F11 LocusRoute cache behaviour (paper Fig. 11)", "locusroute") },
-		"pancho":     func() error { return speedupFigure("F14 Panel Cholesky speedup (paper Fig. 14)", "pancho") },
-		"panchomiss": func() error { return missFigure("F15 Panel Cholesky cache behaviour (paper Fig. 15)", "pancho") },
-		"barnes":     func() error { return speedupFigure("F16a Barnes-Hut speedup (paper Fig. 16)", "barneshut") },
-		"blockcho":   func() error { return speedupFigure("F16b Block Cholesky speedup (paper Fig. 16)", "blockcho") },
-		"gauss": func() error {
-			return speedupFigure("F3  Gaussian elimination affinity ablation (paper Fig. 3)", "gauss")
-		},
-		"table1":      func() error { return table1() },
-		"queuearray":  queueArrayAblation,
-		"stealpolicy": stealPolicyAblation,
-		"uniform":     uniformMachineComparison,
-		"latency":     latencySensitivity,
-		"straggler":   stragglerExperiment,
-	}
-	order := []string{"table1", "ocean", "locus", "locusmiss", "pancho", "panchomiss", "barnes", "blockcho", "gauss", "queuearray", "stealpolicy", "uniform", "latency", "straggler"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			if err := runners[name](); err != nil {
-				fmt.Fprintf(os.Stderr, "coolbench %s: %v\n", name, err)
-				os.Exit(1)
-			}
+	for _, name := range names {
+		if err := experiments[name](); err != nil {
+			fmt.Fprintf(os.Stderr, "coolbench %s: %v\n", name, err)
+			return 1
 		}
-		return
 	}
-	run, ok := runners[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "coolbench: unknown experiment %q (have %s, all)\n", *exp, strings.Join(order, ", "))
-		os.Exit(2)
-	}
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "coolbench: %v\n", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
-func procs() []int {
+// procCounts is -procs as parsed by expMain.
+var procCounts []int
+
+func parseProcs(list string) ([]int, error) {
 	var out []int
-	for _, f := range strings.Split(*procList, ",") {
+	for _, f := range strings.Split(list, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "coolbench: bad -procs entry %q\n", f)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad -procs entry %q", f)
 		}
 		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
 // speedupFigure reproduces one speedup-vs-processors figure: every
@@ -160,7 +165,7 @@ func speedupFigure(title, appName string) error {
 		return err
 	}
 	fig := stats.Figure{Title: title + fmt.Sprintf("   [serial: %d cycles, %s]", ser.Cycles, ser.Verify)}
-	ps := procs()
+	ps := procCounts
 	for _, variant := range app.Variants {
 		s := stats.Series{Name: variant, Procs: ps}
 		for _, p := range ps {

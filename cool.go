@@ -108,13 +108,6 @@ type SchedPolicy struct {
 	// PlaceSetsLeastLoaded places new task-affinity sets on the
 	// least-loaded server instead of round-robin (§4.2).
 	PlaceSetsLeastLoaded bool
-	// MutexQueue (native backend only) selects the pre-deque scheduler:
-	// per-worker queues fully under the worker's mutex, spawns inserted
-	// and woken one at a time. It exists as the in-tree A/B baseline
-	// against the default lock-free Chase-Lev deque scheduler (coolbench
-	// -bench-native-queue=mutex); the simulator has no such split and
-	// ignores the flag.
-	MutexQueue bool
 }
 
 // Config describes the simulated machine and runtime policy.
@@ -488,7 +481,6 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		InvokeN: func(nc *native.Ctx, p any, i int) {
 			p.(func(*Ctx, int))(&Ctx{nc: nc, rt: rt}, i)
 		},
-		MutexQueue:    c.Sched.MutexQueue,
 		TraceCapacity: c.TraceCapacity,
 		Faults:        plan,
 		Retry:         retry,

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the serving job catalog: the registry entries a
-// long-lived deployment (cmd/coolserve, coolbench -bench-serve)
-// exposes as submittable job kinds, each with named size presets. The
-// catalog exists so the serving layer and the benches stop duplicating
-// app wiring — a job submission names (app, size) and the catalog
+// long-lived deployment (cmd/coolserve, the repo benchmark) exposes as
+// submittable job kinds, each with named size presets. The catalog
+// exists so the serving layer and the benchmark stop duplicating app
+// wiring — a job submission names (app, size) and the catalog
 // resolves the variant and workload parameters.
 
 // CatalogEntry describes one servable job kind.

@@ -324,7 +324,7 @@ func RunWith(cfg cool.Config, v Variant, prm Params) (Result, error) {
 }
 
 // RunCustom factors the workload under an explicit scheduling policy
-// (used by the ablation benchmarks: queue-array size, steal policy).
+// (used by the ablation experiments: queue-array size, steal policy).
 func RunCustom(procs int, sched cool.SchedPolicy, distribute bool, prm Params) (Result, error) {
 	return RunConfig(cool.Config{Processors: procs, Sched: sched}, distribute, prm)
 }

@@ -76,14 +76,13 @@ func waitGoroutines(t *testing.T, label string, base int) {
 // drains back to 4 — with zero task loss, zero set splits, exactly-once
 // execution, and the full add/drain timeline in PoolEvents.
 func TestElasticScaleUpDown(t *testing.T) {
-	t.Run("deque", func(t *testing.T) { elasticScaleUpDown(t, nil) })
-	t.Run("mutex", func(t *testing.T) { elasticScaleUpDown(t, mutexMode) })
+	t.Run("deque", elasticScaleUpDown)
 }
 
-func elasticScaleUpDown(t *testing.T, mode func(*Config)) {
+func elasticScaleUpDown(t *testing.T) {
 	const procs, maxProcs = 4, 16
 	const perBurst = 400
-	rt, mon := elasticRuntime(t, procs, maxProcs, mode)
+	rt, mon := elasticRuntime(t, procs, maxProcs, nil)
 	var ran [3 * perBurst]int32
 	pump := func(c *Ctx, burst int) {
 		c.WaitFor(func() {
@@ -177,11 +176,10 @@ func elasticScaleUpDown(t *testing.T, mode func(*Config)) {
 // zero SetSplits, empty queues, settled hints, and no leaked goroutines
 // are the invariants.
 func TestElasticChurnStress(t *testing.T) {
-	t.Run("deque", func(t *testing.T) { elasticChurnStress(t, nil) })
-	t.Run("mutex", func(t *testing.T) { elasticChurnStress(t, mutexMode) })
+	t.Run("deque", elasticChurnStress)
 }
 
-func elasticChurnStress(t *testing.T, mode func(*Config)) {
+func elasticChurnStress(t *testing.T) {
 	const procs, maxProcs = 4, 12
 	const spawners = 12
 	const perSpawner = 120
@@ -193,9 +191,6 @@ func elasticChurnStress(t *testing.T, mode func(*Config)) {
 		rt, mon := elasticRuntime(t, procs, maxProcs, func(cfg *Config) {
 			cfg.Faults = p
 			cfg.InvokeN = func(c *Ctx, payload any, i int) { payload.(func(*Ctx, int))(c, i) }
-			if mode != nil {
-				mode(cfg)
-			}
 		})
 		affs := make([][]core.Affinity, spawners)
 		for i := range affs {

@@ -510,74 +510,57 @@ func (rt *Runtime) retireWith(w *worker, kill bool, reqNS int64) {
 		}
 	}
 	var drained []*task
-	if rt.deque {
-		for q := w.nonEmpty.head; q != nil; q = w.nonEmpty.head {
-			for t := q.pop(); t != nil; t = q.pop() {
-				drained = append(drained, t)
-			}
-			w.nonEmpty.removeQ(q)
-		}
-		for t := w.pinned.pop(); t != nil; t = w.pinned.pop() {
+	for q := w.nonEmpty.head; q != nil; q = w.nonEmpty.head {
+		for t := q.pop(); t != nil; t = q.pop() {
 			drained = append(drained, t)
 		}
-		w.cur = nil
-		// Every writer of the locked-structure hints holds w.mu, so the
-		// bulk reset is safe; queued/stealable/queuedTotal are also moved
-		// by lock-free thieves and so must shrink by exactly what this
-		// drain removed, not be zeroed.
-		w.lockedWork.Store(0)
-		w.setQueued.Store(0)
-		lockedSets := 0
-		for _, t := range drained {
-			if t.class == core.ClassTaskSet {
-				lockedSets++
-			}
+		w.nonEmpty.removeQ(q)
+	}
+	for t := w.pinned.pop(); t != nil; t = w.pinned.pop() {
+		drained = append(drained, t)
+	}
+	w.cur = nil
+	// Every writer of the locked-structure hints holds w.mu, so the bulk
+	// reset is safe; queued/stealable/queuedTotal are also moved by
+	// lock-free thieves and so must shrink by exactly what this drain
+	// removed, not be zeroed.
+	w.lockedWork.Store(0)
+	w.setQueued.Store(0)
+	lockedSets := 0
+	for _, t := range drained {
+		if t.class == core.ClassTaskSet {
+			lockedSets++
 		}
-		w.queued.Add(int64(-len(drained)))
-		w.stealable.Add(int64(-lockedSets))
-		rt.queuedTotal.Add(int64(-len(drained)))
-		w.mu.Unlock()
+	}
+	w.queued.Add(int64(-len(drained)))
+	w.stealable.Add(int64(-lockedSets))
+	rt.queuedTotal.Add(int64(-len(drained)))
+	w.mu.Unlock()
 
-		// The deque drains outside the lock: thieves may still CAS its
-		// top, so each pop unaccounts one task individually. Retirement
-		// runs on w's own goroutine, making popBottom legal and — since
-		// no one else ever pushes this deque — a nil return terminal
-		// (empty, or a thief won the race for the last record).
-		for t := w.deq.popBottom(); t != nil; t = w.deq.popBottom() {
-			w.queued.Add(-1)
+	// The deque drains outside the lock: thieves may still CAS its top,
+	// so each pop unaccounts one task individually. Retirement runs on
+	// w's own goroutine, making popBottom legal and — since no one else
+	// ever pushes this deque — a nil return terminal (empty, or a thief
+	// won the race for the last record).
+	for t := w.deq.popBottom(); t != nil; t = w.deq.popBottom() {
+		w.queued.Add(-1)
+		w.stealable.Add(-1)
+		rt.queuedTotal.Add(-1)
+		drained = append(drained, t)
+	}
+	// The inbox was swapped after the dead bit was published, so a
+	// racing pusher either lands before this swap (drained here) or
+	// observes the bit afterwards and sweeps its own push.
+	for t := w.inbox.swapAll(); t != nil; {
+		next := t.next
+		t.next = nil
+		w.queued.Add(-1)
+		if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
 			w.stealable.Add(-1)
-			rt.queuedTotal.Add(-1)
-			drained = append(drained, t)
 		}
-		// The inbox was swapped after the dead bit was published, so a
-		// racing pusher either lands before this swap (drained here) or
-		// observes the bit afterwards and sweeps its own push.
-		for t := w.inbox.swapAll(); t != nil; {
-			next := t.next
-			t.next = nil
-			w.queued.Add(-1)
-			if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-				w.stealable.Add(-1)
-			}
-			rt.queuedTotal.Add(-1)
-			drained = append(drained, t)
-			t = next
-		}
-	} else {
-		for t := w.plain.pop(); t != nil; t = w.plain.pop() {
-			drained = append(drained, t)
-		}
-		for q := w.nonEmpty.head; q != nil; q = w.nonEmpty.head {
-			for t := q.pop(); t != nil; t = q.pop() {
-				drained = append(drained, t)
-			}
-			w.nonEmpty.removeQ(q)
-		}
-		w.cur = nil
-		w.queued.Store(0)
-		w.stealable.Store(0)
-		rt.queuedTotal.Add(int64(-len(drained)))
-		w.mu.Unlock()
+		rt.queuedTotal.Add(-1)
+		drained = append(drained, t)
+		t = next
 	}
 
 	if rt.aliveWorkers() > 0 {

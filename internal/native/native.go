@@ -64,14 +64,6 @@ type Config struct {
 	// the member's index. Required only if SpawnN is used.
 	InvokeN func(*Ctx, any, int)
 
-	// MutexQueue selects the pre-deque scheduler: every per-worker queue
-	// (including the plain queue) lives under the worker's mutex, and
-	// spawns insert and wake one task at a time. It exists so the
-	// lock-free deque's win stays measurable in-tree (the coolbench
-	// -bench-native-queue=mutex A/B arm); the default is the Chase-Lev
-	// deque plus lock-free inbox.
-	MutexQueue bool
-
 	// TraceCapacity, when positive, bounds the merged scheduler event
 	// trace (timestamps are wall-clock nanoseconds since Run).
 	TraceCapacity int
@@ -180,35 +172,31 @@ type task struct {
 
 // worker is one executor goroutine's scheduling state.
 //
-// In the default deque mode the structures split by who may touch them:
-// deq holds the worker's plain tasks (owner pushes/pops lock-free,
-// thieves CAS), inbox receives every cross-worker insert (and the
-// owner's own pinned/object-bound self-inserts) lock-free, and the
-// mutex guards only the structured queues — the task-affinity slots,
-// the pinned queue, and whole-set moves through the sharded set table.
-// In mutex mode (Config.MutexQueue, the A/B baseline) plain tasks live
-// in the locked plain queue exactly as before the deque rewrite and
-// deq/inbox/pinned stay empty. busyNS/idleNS, events, the freelist, and
-// the scratch slices are owned by the worker's goroutine.
+// The structures split by who may touch them: deq holds the worker's
+// plain tasks (owner pushes/pops lock-free, thieves CAS), inbox
+// receives every cross-worker insert (and the owner's own
+// pinned/object-bound self-inserts) lock-free, and the mutex guards
+// only the structured queues — the task-affinity slots, the pinned
+// queue, and whole-set moves through the sharded set table.
+// busyNS/idleNS, events, the freelist, and the scratch slices are owned
+// by the worker's goroutine.
 type worker struct {
 	id       int
 	mu       sync.Mutex
-	plain    taskQueue // mutex mode only
 	slots    []taskQueue
 	nonEmpty nonEmptyList
 	cur      *taskQueue // slot being drained back to back
-	pinned   taskQueue  // deque mode: ClassProcessor tasks (mu)
+	pinned   taskQueue  // ClassProcessor tasks (mu)
 	queued   atomic.Int64
 
-	deq   chaseLev // deque mode: plain tasks
-	inbox inbox    // deque mode: cross-worker (and structured self) inserts
+	deq   chaseLev // plain tasks
+	inbox inbox    // cross-worker (and structured self) inserts
 
 	// lockedWork counts the tasks in the mutex-guarded structures (slots
 	// plus pinned); take probes the lock only when it is nonzero.
 	// setQueued counts the queued task-affinity set members, so a thief
 	// checks the sets-first steal phase without the victim's lock. Both
-	// are maintained only in deque mode (mutex mode never reads them)
-	// and written only under mu.
+	// are written only under mu.
 	lockedWork atomic.Int64
 	setQueued  atomic.Int64
 
@@ -364,10 +352,6 @@ type Runtime struct {
 	mirror adaptCounters
 	adapt  *adaptRT
 
-	// deque selects the lock-free scheduler (Chase-Lev deques + inboxes,
-	// the default); false is the mutex-queue A/B baseline.
-	deque bool
-
 	start   time.Time
 	elapsed atomic.Int64
 	ran     bool
@@ -461,7 +445,6 @@ func New(cfg Config) (*Runtime, error) {
 	for i := range rt.shards {
 		rt.shards[i].home = make(map[int64]int)
 	}
-	rt.deque = !cfg.MutexQueue
 	rt.workers = make([]*worker, np)
 	var spareMask uint64
 	for i := range rt.workers {
@@ -1073,38 +1056,24 @@ func (rt *Runtime) leastLoaded() int {
 	return best
 }
 
-// pushLocked adds t to w's queues with full accounting. Called with
-// w.mu held; the caller accounts queuedTotal after releasing the lock.
-// In deque mode only structured tasks reach it (sets through placeSet,
-// pinned and object-bound records through the mutex fallback paths);
-// plain tasks ride the deque and inbox instead.
+// pushLocked adds a structured task to w's locked queues with full
+// accounting. Called with w.mu held; the caller accounts queuedTotal
+// after releasing the lock. Only structured tasks reach it (sets through
+// placeSet, pinned and object-bound records through SpawnN's per-target
+// chains); plain tasks ride the deque and inbox instead.
 func (rt *Runtime) pushLocked(w *worker, t *task) {
-	if t.slot >= 0 {
-		q := &w.slots[t.slot]
-		q.push(t)
-		w.nonEmpty.add(q)
-		if rt.deque {
-			w.lockedWork.Add(1)
-			if t.class == core.ClassTaskSet {
-				w.setQueued.Add(1)
-			}
-		}
-	} else if rt.deque && t.class != core.ClassPlain {
-		w.pinned.push(t)
-		w.lockedWork.Add(1)
-	} else {
-		w.plain.push(t)
-	}
+	rt.pushStructLocked(w, t)
 	w.queued.Add(1)
-	if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
+	if t.class == core.ClassTaskSet {
 		w.stealable.Add(1)
 	}
 }
 
-// pushStructLocked routes one inbox-drained record into w's locked
-// structures (w.mu held, deque mode only). Counter-free by design: the
-// record was fully accounted (queued, stealable, queuedTotal) when it
-// was inserted; only the lock-guarded occupancy hints move here.
+// pushStructLocked routes one record into w's locked structures (w.mu
+// held): a slot queue for set members and object-bound tasks, the pinned
+// queue otherwise. It moves only the lock-guarded occupancy hints — an
+// inbox-drained record was fully accounted (queued, stealable,
+// queuedTotal) when it was inserted.
 func (rt *Runtime) pushStructLocked(w *worker, t *task) {
 	if t.slot >= 0 {
 		q := &w.slots[t.slot]
@@ -1203,7 +1172,7 @@ func (rt *Runtime) insert(t *task, actor int) int {
 // sweep; self only enables the owner's lock-free fast path, it is never
 // required for correctness).
 //
-// Deque mode counts, then publishes: the per-worker and machine hints
+// The insert counts, then publishes: the per-worker and machine hints
 // are bumped before the record becomes visible, so any consumer that
 // finds the record also finds counts covering it (consumers decrement
 // after taking). The owner's own plain spawns go straight onto its
@@ -1211,46 +1180,27 @@ func (rt *Runtime) insert(t *task, actor int) int {
 // CAS. A dead target is rerouted up front, and re-checked after the
 // push: the retirement drain publishes the dead bit before sweeping, so
 // a push that raced the sweep re-sweeps the inbox itself.
-//
-// Mutex mode is the pre-deque path: one lock per insert, dead targets
-// rerouted under the target's lock.
 func (rt *Runtime) insertFrom(t *task, ctr *perfmon.Counters, self *worker) int {
-	if rt.deque {
-		for {
-			sv := t.server
-			if rt.dead.Load() != 0 && rt.isDead(sv) {
-				t.server = rt.rerouteTarget(t)
-				continue
-			}
-			w := rt.workers[sv]
-			w.queued.Add(1)
-			if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-				w.stealable.Add(1)
-			}
-			rt.queuedTotal.Add(1)
-			if self == w && t.class == core.ClassPlain {
-				w.deq.pushBottom(t)
-				return sv
-			}
-			w.inbox.push(t)
-			if rt.dead.Load() != 0 && rt.isDead(sv) {
-				rt.sweepInbox(w, ctr)
-			}
-			return sv
-		}
-	}
 	for {
 		sv := t.server
-		w := rt.workers[sv]
-		rt.lockWorkerCtr(w, ctr)
 		if rt.dead.Load() != 0 && rt.isDead(sv) {
-			w.mu.Unlock()
 			t.server = rt.rerouteTarget(t)
 			continue
 		}
-		rt.pushLocked(w, t)
-		w.mu.Unlock()
+		w := rt.workers[sv]
+		w.queued.Add(1)
+		if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
+			w.stealable.Add(1)
+		}
 		rt.queuedTotal.Add(1)
+		if self == w && t.class == core.ClassPlain {
+			w.deq.pushBottom(t)
+			return sv
+		}
+		w.inbox.push(t)
+		if rt.dead.Load() != 0 && rt.isDead(sv) {
+			rt.sweepInbox(w, ctr)
+		}
 		return sv
 	}
 }
@@ -1315,10 +1265,10 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 // payload; member i runs through Config.InvokeN with index i, and get
 // supplies each member's affinity and optional monitor.
 //
-// In deque mode the burst is published as one batch: every record is
-// built and placed first (placement may panic in cfg.Home, and nothing
-// has been accounted or published at that point, so the panic surfaces
-// as a *TaskFailure without leaking live counts), the scope and live
+// The burst is published as one batch: every record is built and placed
+// first (placement may panic in cfg.Home, and nothing has been accounted
+// or published at that point, so the panic surfaces as a *TaskFailure
+// without leaking live counts), the scope and live
 // counters then cover the whole batch before any member becomes visible
 // (a published child could otherwise complete and cross scope.n through
 // zero before its siblings were counted, releasing WaitFor early), and
@@ -1326,10 +1276,6 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 // every child is a plain task on the spawner itself, per-task inserts
 // otherwise — followed by ONE wake decision for the whole burst.
 // SpawnBatches counts these batch publications.
-//
-// Mutex mode spawns the children one at a time, each with its own
-// insert and wake — the pre-deque baseline the A/B harness measures
-// against.
 func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affinity, *Monitor, int8, int64), payload any) {
 	if n <= 0 {
 		return
@@ -1337,13 +1283,6 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 	w := c.w
 	from := w.id
 	ctr := &rt.cfg.Mon.Per[from]
-	if !rt.deque {
-		for i := 0; i < n; i++ {
-			a, mon, prio, dl := get(i)
-			rt.spawn(c, name, a, mon, nil, payload, int32(i), prio, dl)
-		}
-		return
-	}
 	ctr.Spawns += int64(n)
 	ctr.SpawnBatches++
 	batch := w.spawnScratch[:0]
@@ -1483,78 +1422,34 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 
 // take removes the next task for w: local queues first, then stealing.
 //
-// Deque mode runs the common case without any lock: drain the inbox,
-// probe the locked structures only when the lockedWork hint says they
-// hold something, then pop the own deque — a plain spawn-and-run cycle
-// is an inbox emptiness load plus one deque CAS. The dispatch priority
-// mirrors the simulator's (current slot back to back, non-empty list,
-// pinned queue, then the plain deque), which keeps P=1 native schedules
+// The common case runs without any lock: drain the inbox, probe the
+// locked structures only when the lockedWork hint says they hold
+// something, then pop the own deque — a plain spawn-and-run cycle is an
+// inbox emptiness load plus one deque CAS. The dispatch priority mirrors
+// the simulator's (current slot back to back, non-empty list, pinned
+// queue, then the plain deque), which keeps P=1 native schedules
 // token-identical to the simulated ones.
-//
-// Mutex mode is the pre-deque fast path: one lock, skipped when the
-// atomic queued count already reads empty.
 func (rt *Runtime) take(w *worker) *task {
-	if rt.deque {
-		rt.drainInbox(w)
-		if w.lockedWork.Load() > 0 {
-			rt.lockWorker(w, w.id)
-			t := rt.takeLocked(w)
-			w.mu.Unlock()
-			if t != nil {
-				return t
-			}
-		}
-		if t := w.deq.takeTop(); t != nil {
-			rt.noteDequeued(w, 1)
-			rt.noteRemoved(w, t)
-			return t
-		}
-		return rt.steal(w)
-	}
-	if w.queued.Load() > 0 {
+	rt.drainInbox(w)
+	if w.lockedWork.Load() > 0 {
 		rt.lockWorker(w, w.id)
-		t := rt.takeLocal(w)
+		t := rt.takeLocked(w)
 		w.mu.Unlock()
 		if t != nil {
 			return t
 		}
 	}
+	if t := w.deq.takeTop(); t != nil {
+		rt.noteDequeued(w, 1)
+		rt.noteRemoved(w, t)
+		return t
+	}
 	return rt.steal(w)
-}
-
-// takeLocal mirrors the simulator's local dispatch priority: the
-// task-affinity queue being drained back to back, then the non-empty
-// list, then the plain queue. Called with w.mu held (mutex mode).
-func (rt *Runtime) takeLocal(w *worker) *task {
-	if w.cur != nil && !w.cur.empty() {
-		t := w.cur.pop()
-		rt.afterSlotPop(w, w.cur)
-		rt.noteDequeued(w, 1)
-		rt.noteRemoved(w, t)
-		return t
-	}
-	w.cur = nil
-	if q := w.nonEmpty.head; q != nil {
-		t := q.pop()
-		rt.afterSlotPop(w, q)
-		if !q.empty() {
-			w.cur = q
-		}
-		rt.noteDequeued(w, 1)
-		rt.noteRemoved(w, t)
-		return t
-	}
-	if t := w.plain.pop(); t != nil {
-		rt.noteDequeued(w, 1)
-		rt.noteRemoved(w, t)
-		return t
-	}
-	return nil
 }
 
 // takeLocked pops from w's lock-guarded structures in the simulator's
 // priority order: the slot being drained back to back, the non-empty
-// list, then the pinned queue. Called with w.mu held (deque mode).
+// list, then the pinned queue. Called with w.mu held.
 func (rt *Runtime) takeLocked(w *worker) *task {
 	if w.cur != nil && !w.cur.empty() {
 		t := w.cur.pop()
@@ -1580,7 +1475,7 @@ func (rt *Runtime) takeLocked(w *worker) *task {
 }
 
 // noteLockedTaken accounts one task removed from w's locked structures
-// (w.mu held, deque mode).
+// (w.mu held).
 func (rt *Runtime) noteLockedTaken(w *worker, t *task) {
 	w.lockedWork.Add(-1)
 	if t.class == core.ClassTaskSet {
@@ -1689,17 +1584,17 @@ func (rt *Runtime) stealScan(w *worker, ring []int) *task {
 // (reluctantly) one object-bound or pinned task from a backlogged
 // victim.
 //
-// Deque mode orders the probe by cost: the sets-first phase takes the
-// victim's lock only when the setQueued hint says a set is queued; a
-// plain steal is a single CAS on the victim's deque top; the victim's
-// inbox is probed lock-free (swap, keep the oldest plain record, push
-// the rest back); and only the backlog-gated reluctant rules on the
-// locked structures pay for the victim's mutex. Mutex mode
-// (stealFromMutex) is the pre-deque single-lock probe.
+// The probe is ordered by cost: the sets-first phase takes the victim's
+// lock only when the setQueued hint says a set is queued; a plain steal
+// is a single CAS on the victim's deque top; the victim's inbox is
+// probed lock-free (swap, keep the oldest plain record, push the rest
+// back); and only the backlog-gated reluctant rules on the locked
+// structures pay for the victim's mutex. Single-task steals hand the
+// task straight to the thief's goroutine, so the thief's own queues are
+// never touched; only a whole-set move adds the thief's lock (stealSet,
+// in ascending global id order — the deadlock-avoidance protocol every
+// two-worker path follows) plus the one set-table shard involved.
 func (rt *Runtime) stealFrom(v, w *worker) *task {
-	if !rt.deque {
-		return rt.stealFromMutex(v, w)
-	}
 	if rt.pol.StealWholeSets && v.setQueued.Load() > 0 {
 		rt.lockWorker(v, w.id)
 		t := rt.stealSet(v, w)
@@ -1819,73 +1714,13 @@ func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
 				// Would split a set the whole-set pass chose not to move.
 				continue
 			}
-			rt.setSplits.Add(1)
-		}
-		q.remove(head)
-		rt.afterSlotPop(v, q)
-		rt.noteLockedTaken(v, head)
-		return head
-	}
-	return nil
-}
-
-// stealFromMutex is the mutex-mode steal probe.
-//
-// Locking: a probe holds only the victim's queue lock — single-task
-// steals hand the task straight to the thief's goroutine, so the
-// thief's own queues are never touched and the common case (including
-// every failed probe) costs exactly one lock. Only a whole-set move
-// adds the thief's lock (stealSet, in ascending global id order — the
-// deadlock-avoidance protocol every two-worker path follows) plus the
-// one set-table shard involved.
-func (rt *Runtime) stealFromMutex(v, w *worker) *task {
-	rt.lockWorker(v, w.id)
-	defer v.mu.Unlock()
-	if rt.pol.StealWholeSets {
-		if t := rt.stealSet(v, w); t != nil {
-			return t
-		}
-	}
-	// A plain or processor-affinity task: scan past pinned tasks, taking
-	// a pinned head only from a backlogged victim.
-	for t := v.plain.head; t != nil; t = t.next {
-		if t.class == core.ClassProcessor {
-			continue
-		}
-		v.plain.remove(t)
-		rt.noteDequeued(v, 1)
-		rt.noteRemoved(v, t)
-		return t
-	}
-	if t := v.plain.head; t != nil && v.queued.Load() >= 2 {
-		v.plain.remove(t)
-		rt.noteDequeued(v, 1)
-		rt.noteRemoved(v, t)
-		return t
-	}
-	// Last resort: one object-bound (or task-set, if set stealing is
-	// off) task from some slot, only from a backlogged victim.
-	for q := v.nonEmpty.head; q != nil; q = q.nextQ {
-		head := q.head
-		if head == nil {
-			continue
-		}
-		if head.class == core.ClassObjectBound && (!rt.pol.StealObjectBound || v.queued.Load() < 2) {
-			continue
-		}
-		if head.class == core.ClassTaskSet {
-			if rt.pol.StealWholeSets {
-				// Would split a set the whole-set pass chose not to move.
-				continue
-			}
 			// Set stealing is off and the policy fell back to taking one
 			// member: a deliberate split, counted like the simulator's.
 			rt.setSplits.Add(1)
 		}
 		q.remove(head)
 		rt.afterSlotPop(v, q)
-		rt.noteDequeued(v, 1)
-		rt.noteRemoved(v, head)
+		rt.noteLockedTaken(v, head)
 		return head
 	}
 	return nil
@@ -1958,12 +1793,10 @@ func (rt *Runtime) stealSet(v, w *worker) *task {
 		for _, t := range moved {
 			rt.noteRemoved(v, t)
 		}
-		if rt.deque {
-			v.lockedWork.Add(-int64(len(moved)))
-			for _, t := range moved {
-				if t.class == core.ClassTaskSet {
-					v.setQueued.Add(-1)
-				}
+		v.lockedWork.Add(-int64(len(moved)))
+		for _, t := range moved {
+			if t.class == core.ClassTaskSet {
+				v.setQueued.Add(-1)
 			}
 		}
 		sh.mu.Unlock()
@@ -1978,11 +1811,9 @@ func (rt *Runtime) stealSet(v, w *worker) *task {
 				if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
 					w.stealable.Add(1)
 				}
-				if rt.deque {
-					w.lockedWork.Add(1)
-					if t.class == core.ClassTaskSet {
-						w.setQueued.Add(1)
-					}
+				w.lockedWork.Add(1)
+				if t.class == core.ClassTaskSet {
+					w.setQueued.Add(1)
 				}
 			}
 			w.queued.Add(int64(len(moved) - 1))

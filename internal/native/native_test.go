@@ -103,16 +103,12 @@ func TestP1DispatchOrder(t *testing.T) {
 	}
 }
 
-// mutexMode pins a test runtime to the pre-deque mutex-queue scheduler
-// (the A/B baseline), whose structural tests below drive the locked
-// plain queue directly.
-func mutexMode(cfg *Config) { cfg.MutexQueue = true }
-
 // TestWholeSetStealMovesEverything drives stealFrom directly: a victim
 // holding a three-member task-affinity set plus a plain task must lose
-// the whole set in one steal, with the set re-homed to the thief.
+// the whole set in one steal, with the set re-homed to the thief and the
+// plain task on the victim's deque left alone.
 func TestWholeSetStealMovesEverything(t *testing.T) {
-	rt, mon := testRuntime(t, 2, mutexMode)
+	rt, mon := testRuntime(t, 2, nil)
 	v, w := rt.workers[0], rt.workers[1]
 	const obj = int64(4096)
 	slot := rt.slotOf(obj)
@@ -120,8 +116,7 @@ func TestWholeSetStealMovesEverything(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		st := rt.newTask(nil)
 		st.name, st.fn = "set", func(*Ctx) {}
-		st.class, st.server, st.slot, st.affObj = core.ClassTaskSet, 0, slot, obj
-		rt.insert(st, 0)
+		rt.placeSet(st, obj, &mon.Per[0])
 	}
 	pl := rt.newTask(nil)
 	pl.name, pl.fn = "plain", func(*Ctx) {}
@@ -144,19 +139,24 @@ func TestWholeSetStealMovesEverything(t *testing.T) {
 	if v.slots[slot].size != 0 {
 		t.Fatalf("victim still holds %d set members: set split", v.slots[slot].size)
 	}
+	if rt.SetSplits() != 0 {
+		t.Fatalf("SetSplits=%d want 0", rt.SetSplits())
+	}
 	if mon.Per[1].SetSteals != 1 {
 		t.Fatalf("SetSteals=%d want 1", mon.Per[1].SetSteals)
 	}
-	if v.plain.size != 1 {
-		t.Fatalf("victim plain queue disturbed: size=%d want 1", v.plain.size)
+	if v.deq.size() != 1 || !v.inbox.empty() || v.pinned.size != 0 {
+		t.Fatalf("victim plain work disturbed: deq=%d inboxEmpty=%v pinned=%d, want 1, true, 0",
+			v.deq.size(), v.inbox.empty(), v.pinned.size)
 	}
 }
 
-// TestStealSkipsPinnedHead: a processor-affinity task at the head of the
-// plain queue must not be stolen while a free task sits behind it, and a
-// lone pinned task must not be stolen at all.
+// TestStealSkipsPinnedHead: a processor-affinity task queued ahead of a
+// free task must not be stolen while the free task is there to take, and
+// a lone pinned task must not be stolen at all. The owner's own pinned
+// spawn rides its inbox, so this is the inbox probe's gate.
 func TestStealSkipsPinnedHead(t *testing.T) {
-	rt, _ := testRuntime(t, 2, mutexMode)
+	rt, _ := testRuntime(t, 2, nil)
 	v, w := rt.workers[0], rt.workers[1]
 	pin := rt.newTask(nil)
 	pin.name, pin.fn = "pinned", func(*Ctx) {}
@@ -166,6 +166,10 @@ func TestStealSkipsPinnedHead(t *testing.T) {
 	free.name, free.fn = "free", func(*Ctx) {}
 	free.class, free.server = core.ClassPlain, 0
 	rt.insert(free, 0)
+	if v.inbox.empty() || v.deq.size() != 1 {
+		t.Fatalf("setup: inboxEmpty=%v deq=%d, want the pinned task in the inbox and the free one on the deque",
+			v.inbox.empty(), v.deq.size())
+	}
 
 	got := rt.stealFrom(v, w)
 	if got == nil || got.name != "free" {
@@ -176,28 +180,42 @@ func TestStealSkipsPinnedHead(t *testing.T) {
 	if got != nil {
 		t.Fatalf("stole lone pinned task %q", got.name)
 	}
+	if v.inbox.empty() || v.deq.size() != 0 || v.pinned.size != 0 || v.queued.Load() != 1 {
+		t.Fatalf("pinned task not left in the victim's inbox: inboxEmpty=%v deq=%d pinned=%d queued=%d",
+			v.inbox.empty(), v.deq.size(), v.pinned.size, v.queued.Load())
+	}
 }
 
 // TestObjectBoundStolenOnlyFromBacklog: object-affinity tasks move only
-// when the victim has at least two queued tasks.
+// when the victim has at least two queued tasks — checked on the inbox
+// probe (where the owner's own object-bound spawns wait) and again on
+// the locked slot queues after the owner drains.
 func TestObjectBoundStolenOnlyFromBacklog(t *testing.T) {
-	rt, _ := testRuntime(t, 2, mutexMode)
-	v, w := rt.workers[0], rt.workers[1]
-	mk := func(addr int64) {
-		ob := rt.newTask(nil)
-		ob.name, ob.fn = "ob", func(*Ctx) {}
-		ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt.slotOf(addr), addr
-		rt.insert(ob, 0)
-	}
-	mk(64)
-	got := rt.stealFrom(v, w)
-	if got != nil {
-		t.Fatalf("stole object-bound task from a victim with queued=1")
-	}
-	mk(128)
-	got = rt.stealFrom(v, w)
-	if got == nil || got.class != core.ClassObjectBound {
-		t.Fatalf("want an object-bound steal from a backlogged victim, got %v", got)
+	for _, drained := range []bool{false, true} {
+		rt, _ := testRuntime(t, 2, nil)
+		v, w := rt.workers[0], rt.workers[1]
+		mk := func(addr int64) {
+			ob := rt.newTask(nil)
+			ob.name, ob.fn = "ob", func(*Ctx) {}
+			ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt.slotOf(addr), addr
+			rt.insert(ob, 0)
+			if drained {
+				rt.drainInbox(v)
+			}
+		}
+		mk(64)
+		if v.inbox.empty() != drained || (v.lockedWork.Load() == 1) != drained {
+			t.Fatalf("drained=%v: setup left inboxEmpty=%v lockedWork=%d", drained, v.inbox.empty(), v.lockedWork.Load())
+		}
+		got := rt.stealFrom(v, w)
+		if got != nil {
+			t.Fatalf("drained=%v: stole object-bound task from a victim with queued=1", drained)
+		}
+		mk(128)
+		got = rt.stealFrom(v, w)
+		if got == nil || got.class != core.ClassObjectBound {
+			t.Fatalf("drained=%v: want an object-bound steal from a backlogged victim, got %v", drained, got)
+		}
 	}
 }
 

@@ -19,16 +19,14 @@ import (
 // concurrent placement and whole-set stealing: a task lost in the
 // retirement race shows up as a count mismatch, a split set as
 // SetSplits, a residual entry as a non-empty dead queue, and a stale
-// stealable hint as a nonzero counter on a drained worker. The deque
-// arm additionally exercises the retirement drain through the
-// Chase-Lev deque (popBottom) and inbox (swapAll) paths; the mutex arm
-// keeps covering the PR 6 locked drain.
+// stealable hint as a nonzero counter on a drained worker. The
+// retirement drain runs through the locked structures, the Chase-Lev
+// deque (popBottom) and the inbox (swapAll).
 func TestRetireStress(t *testing.T) {
-	t.Run("deque", func(t *testing.T) { retireStress(t, nil) })
-	t.Run("mutex", func(t *testing.T) { retireStress(t, mutexMode) })
+	t.Run("deque", retireStress)
 }
 
-func retireStress(t *testing.T, mode func(*Config)) {
+func retireStress(t *testing.T) {
 	const procs = 12 // three clusters of four
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
@@ -45,9 +43,6 @@ func retireStress(t *testing.T, mode func(*Config)) {
 		}
 		rt, mon := testRuntime(t, procs, func(cfg *Config) {
 			cfg.Faults = p
-			if mode != nil {
-				mode(cfg)
-			}
 		})
 
 		const spawners = 16

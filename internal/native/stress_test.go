@@ -43,18 +43,15 @@ func TestStallBackoffSequence(t *testing.T) {
 }
 
 // assertWorkerQueuesEmpty checks, after a quiesced run, that every
-// queue structure on every worker — mutex-mode plain queue, deque-mode
-// Chase-Lev deque, inbox, and pinned queue, and the affinity slots in
-// both modes — drained completely, and that every lock-free hint
+// queue structure on every worker — Chase-Lev deque, inbox, pinned
+// queue, and the affinity slots — drained completely, and that every
+// lock-free hint
 // (queued, stealable, lockedWork, setQueued) settled back to zero.
 // A residual entry means a task was lost; residual hints mean a
 // counter-maintenance path missed a decrement.
 func assertWorkerQueuesEmpty(t *testing.T, rt *Runtime, label string) {
 	t.Helper()
 	for _, w := range rt.workers {
-		if w.plain.size != 0 {
-			t.Fatalf("%s: worker %d plain queue size %d", label, w.id, w.plain.size)
-		}
 		if n := w.deq.size(); n != 0 {
 			t.Fatalf("%s: worker %d deque size %d", label, w.id, n)
 		}
@@ -88,22 +85,16 @@ func assertWorkerQueuesEmpty(t *testing.T, rt *Runtime, label string) {
 // mid-run. Run under -race with -count=3, it is the torture test for
 // the worker-lock/shard-lock ordering: a missed revalidation in
 // placeSet or a racy whole-set move shows up as a set split, a lost
-// task, or a residual queue entry. Both queue backends take the same
-// hammering: the deque arm drains through the Chase-Lev/inbox paths,
-// the mutex arm through the PR 5 locked queue.
+// task, or a residual queue entry.
 func TestConcurrentSetStealStress(t *testing.T) {
-	t.Run("deque", func(t *testing.T) { concurrentSetStealStress(t, nil) })
-	t.Run("mutex", func(t *testing.T) { concurrentSetStealStress(t, mutexMode) })
+	t.Run("deque", concurrentSetStealStress)
 }
 
-func concurrentSetStealStress(t *testing.T, mode func(*Config)) {
+func concurrentSetStealStress(t *testing.T) {
 	const procs = 12 // three clusters of four
 	for _, seed := range []int64{1, 2, 3} {
 		rt, mon := testRuntime(t, procs, func(cfg *Config) {
 			cfg.Pol.ClusterStealFirst = true
-			if mode != nil {
-				mode(cfg)
-			}
 		})
 		rng := rand.New(rand.NewSource(seed))
 		// Pre-draw every spawn's affinity outside the tasks (the rng is

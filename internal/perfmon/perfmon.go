@@ -35,7 +35,7 @@ type Counters struct {
 	TasksRun     int64 // tasks executed to completion on this processor
 	TasksAtHome  int64 // tasks that ran on their affinity-preferred server
 	Spawns       int64 // tasks created by code running here
-	SpawnBatches int64 // SpawnN bursts published as one batch (native deque backend only)
+	SpawnBatches int64 // SpawnN bursts published as one batch (native backend only)
 	StealTries   int64 // steal probes issued
 	StealsLocal  int64 // successful steals from the local cluster
 	StealsRemote int64 // successful steals from a remote cluster

@@ -27,7 +27,7 @@ type Counters struct {
 	TasksRun     int64
 	TasksAtHome  int64 // tasks that ran on their affinity-preferred server
 	Spawns       int64
-	SpawnBatches int64 // SpawnN bursts published as one batch (native deque backend; zero on the simulator and the mutex-queue A/B arm)
+	SpawnBatches int64 // SpawnN bursts published as one batch (native backend; zero on the simulator)
 	StealTries   int64
 	StealsLocal  int64 // successful same-cluster steals
 	StealsRemote int64

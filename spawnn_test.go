@@ -7,18 +7,15 @@ import (
 	cool "github.com/coolrts/cool"
 )
 
-// spawnNArms lists the three scheduler arms SpawnN must behave
-// identically on: the simulator (where SpawnN is by construction the
-// plain spawn loop), the native deque backend (one batch publish), and
-// the native mutex-queue A/B arm (per-child inserts).
+// spawnNArms lists the two scheduler arms SpawnN must behave identically
+// on: the simulator (where SpawnN is by construction the plain spawn
+// loop) and the native backend (one batch publish onto the deque).
 var spawnNArms = []struct {
-	name  string
-	b     cool.Backend
-	mutex bool
+	name string
+	b    cool.Backend
 }{
-	{"sim", cool.BackendSim, false},
-	{"native-deque", cool.BackendNative, false},
-	{"native-mutex", cool.BackendNative, true},
+	{"sim", cool.BackendSim},
+	{"native-deque", cool.BackendNative},
 }
 
 // TestSpawnNRunsEveryIndex asserts the batched spawn contract on every
@@ -32,7 +29,6 @@ func TestSpawnNRunsEveryIndex(t *testing.T) {
 			rt, err := cool.NewRuntime(cool.Config{
 				Processors: 4,
 				Backend:    arm.b,
-				Sched:      cool.SchedPolicy{MutexQueue: arm.mutex},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -74,12 +70,12 @@ func TestSpawnNRunsEveryIndex(t *testing.T) {
 			if want := int64(n + 3*(n/50)); r.Total.Spawns != want {
 				t.Errorf("Spawns = %d, want %d", r.Total.Spawns, want)
 			}
-			// SpawnBatches is a native-deque-only counter: one per SpawnN
-			// burst there, zero on the simulator and the mutex arm.
+			// SpawnBatches is a native-only counter: one per SpawnN burst
+			// there, zero on the simulator.
 			batches := r.Total.SpawnBatches
-			if arm.b == cool.BackendNative && !arm.mutex {
+			if arm.b == cool.BackendNative {
 				if batches == 0 {
-					t.Error("native deque arm recorded no SpawnBatches")
+					t.Error("native arm recorded no SpawnBatches")
 				}
 			} else if batches != 0 {
 				t.Errorf("%s arm recorded %d SpawnBatches, want 0", arm.name, batches)
@@ -90,8 +86,8 @@ func TestSpawnNRunsEveryIndex(t *testing.T) {
 
 // TestSpawnNOptionsApplied asserts the per-index options callback is
 // honored: processor affinity pins every batch member to its requested
-// processor (stealing disabled so placement is observable), on all
-// three arms.
+// processor (stealing disabled so placement is observable), on both
+// arms.
 func TestSpawnNOptionsApplied(t *testing.T) {
 	const procs = 4
 	for _, arm := range spawnNArms {
@@ -100,7 +96,7 @@ func TestSpawnNOptionsApplied(t *testing.T) {
 			rt, err := cool.NewRuntime(cool.Config{
 				Processors: procs,
 				Backend:    arm.b,
-				Sched:      cool.SchedPolicy{MutexQueue: arm.mutex, NoStealing: true},
+				Sched:      cool.SchedPolicy{NoStealing: true},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -130,7 +126,7 @@ func TestSpawnNOptionsApplied(t *testing.T) {
 
 // TestSpawnNTaskAffinitySets asserts batch members carrying task
 // affinity land in sets without ever splitting one, and that the run's
-// figures agree across the three arms where they are defined to agree
+// figures agree across both arms where they are defined to agree
 // (task counts; the sim arm is the reference semantics).
 func TestSpawnNTaskAffinitySets(t *testing.T) {
 	for _, arm := range spawnNArms {
@@ -139,7 +135,6 @@ func TestSpawnNTaskAffinitySets(t *testing.T) {
 			rt, err := cool.NewRuntime(cool.Config{
 				Processors: 4,
 				Backend:    arm.b,
-				Sched:      cool.SchedPolicy{MutexQueue: arm.mutex},
 			})
 			if err != nil {
 				t.Fatal(err)
