@@ -22,56 +22,24 @@ import (
 // from; the adaptive controller's fanout knob moves it at run time.
 const DefaultWakeFanout = adapt.DefaultWakeFanout
 
-// Default controller epochs, in each backend's clock.
-const (
-	defaultSimAdaptEpoch      = 50_000    // simulated cycles
-	defaultNativeAdaptEpochNS = 1_000_000 // 1ms: five timekeeper ticks
-)
+// defaultSimAdaptEpoch is the simulator's default controller epoch, in
+// simulated cycles (the native backend defaults to 1ms of wall clock,
+// five timekeeper ticks — see native.initAdapt).
+const defaultSimAdaptEpoch = 50_000
 
 // AdaptPolicy configures the online policy controller (Config.Adapt).
-// The zero value selects backend defaults for everything.
-type AdaptPolicy struct {
-	// Epoch is the controller interval: simulated cycles on the
-	// simulator (default 50_000), wall-clock nanoseconds on the native
-	// backend (default 1_000_000).
-	Epoch int64
-	// Hysteresis is how many consecutive epochs a signal must persist
-	// before the controller acts (default 2).
-	Hysteresis int
-	// TraceCapacity bounds the decision trace (default 256).
-	TraceCapacity int
-	// StealFailHigh is the FailedSteals/StealTries ratio above which
-	// cross-cluster stealing is judged not to pay (default 0.75).
-	StealFailHigh float64
-	// MinFanout / MaxFanout bound the wake-fanout knob (defaults 2/32).
-	MinFanout, MaxFanout int
-	// Per-knob opt-outs: disable adapting cluster-only stealing, wake
-	// fanout, steal backoff, or the shed floor.
-	NoCluster, NoWake, NoBackoff, NoShed bool
-	// Start, when non-nil, warm-starts the run: the controller and the
-	// live scheduler begin from this previously learned policy vector
-	// instead of the configuration's defaults. Harvest the vector with
-	// Runtime.AdaptState at the end of one run and pass it to the next —
-	// repeated runs of the same workload then skip the cold observation
-	// epochs. A zero WakeFanout means "keep the backend default".
-	Start *AdaptState
-}
+// The zero value selects backend defaults for everything. Epoch is the
+// controller interval — simulated cycles on the simulator (default
+// 50_000), wall-clock nanoseconds on the native backend (default
+// 1_000_000) — and Start, when non-nil, warm-starts the controller and
+// the live scheduler from a policy vector harvested with
+// Runtime.AdaptState at the end of an earlier run.
+type AdaptPolicy = adapt.Policy
 
-// validate rejects nonsensical controller configurations.
-func (p *AdaptPolicy) validate() error {
-	switch {
-	case p.Epoch < 0:
+// validateAdapt rejects nonsensical controller configurations.
+func validateAdapt(p *AdaptPolicy) error {
+	if p.Epoch < 0 {
 		return fmt.Errorf("cool: Config.Adapt.Epoch must not be negative")
-	case p.Hysteresis < 0:
-		return fmt.Errorf("cool: Config.Adapt.Hysteresis must not be negative")
-	case p.TraceCapacity < 0:
-		return fmt.Errorf("cool: Config.Adapt.TraceCapacity must not be negative")
-	case p.StealFailHigh < 0 || p.StealFailHigh > 1:
-		return fmt.Errorf("cool: Config.Adapt.StealFailHigh must be in [0,1]")
-	case p.MinFanout < 0 || p.MaxFanout < 0:
-		return fmt.Errorf("cool: Config.Adapt fanout bounds must not be negative")
-	case p.MinFanout > 0 && p.MaxFanout > 0 && p.MinFanout > p.MaxFanout:
-		return fmt.Errorf("cool: Config.Adapt.MinFanout %d exceeds MaxFanout %d", p.MinFanout, p.MaxFanout)
 	}
 	if s := p.Start; s != nil {
 		switch {
@@ -86,109 +54,29 @@ func (p *AdaptPolicy) validate() error {
 	return nil
 }
 
-// internal converts the public policy to the controller's, applying
-// the backend's default epoch.
-func (p *AdaptPolicy) internal(defaultEpoch int64) adapt.Policy {
-	ap := adapt.Policy{
-		Epoch:         p.Epoch,
-		Hysteresis:    p.Hysteresis,
-		TraceCap:      p.TraceCapacity,
-		StealFailHigh: p.StealFailHigh,
-		MinFanout:     p.MinFanout,
-		MaxFanout:     p.MaxFanout,
-		NoCluster:     p.NoCluster,
-		NoWake:        p.NoWake,
-		NoBackoff:     p.NoBackoff,
-		NoShed:        p.NoShed,
-	}
-	if p.Start != nil {
-		s := adapt.State(*p.Start)
-		ap.Start = &s
-	}
-	if ap.Epoch <= 0 {
-		ap.Epoch = defaultEpoch
-	}
-	return ap
-}
-
 // CounterSnapshot is one cheap machine-wide counter reading — the
 // controller's input API, exposed for external policy controllers and
 // monitoring. The steal/wake/shed fields are cumulative since the run
-// started; Queued, Parked, and Workers are instantaneous gauges. On
+// started; Queued, Parked, and Workers are instantaneous gauges, and
+// Delta subtracts an earlier reading on the cumulative fields only. On
 // the native backend the cumulative fields read a dedicated atomic
 // mirror bumped only at slow-path sites, so sampling is safe (and
 // cheap) while Run executes; on the single-threaded simulator they sum
 // the perfmon rows.
-type CounterSnapshot struct {
-	StealTries     int64
-	FailedSteals   int64
-	StealsLocal    int64
-	StealsRemote   int64
-	SetSteals      int64
-	TargetedWakes  int64
-	BroadcastWakes int64
-	LockContention int64
-	TasksShed      int64
-	DeadlineMisses int64
-	Completed      int64 // tasks executed (or shed) to completion
-
-	// Memory-system attribution (simulator backend only; zero on the
-	// native backend, which has no simulated memory system). The Stolen*
-	// pair counts only references made while running a task most
-	// recently moved by a cross-cluster steal — the locality rule's
-	// signal.
-	Refs         int64
-	RemoteMisses int64 // non-local misses (remote + dirty)
-	StolenRefs   int64
-	StolenMisses int64
-
-	Queued  int64 // tasks queued machine-wide right now
-	Parked  int64 // workers idle-parked right now
-	Workers int64 // alive workers right now
-
-	// Backlog-concentration gauges: clusters holding queued work, out of
-	// how many exist (simulator backend; zero natively).
-	QueuedClusters int64
-	Clusters       int64
-}
-
-// Delta returns s minus prev on the cumulative fields, keeping s's
-// instantaneous gauges — the epoch-delta view the controller consumes.
-func (s CounterSnapshot) Delta(prev CounterSnapshot) CounterSnapshot {
-	return pubSnapshot(intSnapshot(s).Delta(intSnapshot(prev)))
-}
+type CounterSnapshot = adapt.Snapshot
 
 // AdaptState is the live policy vector the controller drives.
-type AdaptState struct {
-	ClusterOnly  bool
-	WakeFanout   int
-	BackoffShift int // steal backoff scaled by 1<<shift (native only)
-	ShedBias     int // shed high-water divided by 1<<bias (native only)
-}
+type AdaptState = adapt.State
 
 // AdaptAlternative is one counterfactual a decision scored but did not
 // choose.
-type AdaptAlternative struct {
-	Action string
-	Score  float64
-}
+type AdaptAlternative = adapt.Alternative
 
 // AdaptDecision is one recorded policy change: which knob moved, from
 // what to what, the triggering counter delta, and the top-scored
 // alternatives not taken. Folding a run's decisions over its initial
 // state (ReplayAdaptDecisions) reproduces the final policy exactly.
-type AdaptDecision struct {
-	Seq          int    // ordinal within the trace
-	Epoch        int64  // controller epoch at which it was taken
-	Time         int64  // backend clock (cycles or nanoseconds)
-	Knob         string // "cluster", "fanout", "backoff", "shed"
-	Action       string
-	From, To     int64 // knob value before/after (booleans as 0/1)
-	Reason       string
-	Score        float64
-	Alternatives []AdaptAlternative
-	Delta        CounterSnapshot // the epoch delta that triggered it
-}
+type AdaptDecision = adapt.Decision
 
 // AdaptInitialState returns the policy vector an adaptive run starts
 // from under the given configuration — the seed for
@@ -205,17 +93,12 @@ func AdaptInitialState(c Config) AdaptState {
 
 // ReplayAdaptDecisions folds a decision trace over an initial state
 // and returns the final policy vector. For any completed adaptive run
-// whose trace did not overflow TraceCapacity,
+// whose trace did not overflow its 256-decision cap,
 // ReplayAdaptDecisions(AdaptInitialState(cfg), report.Decisions) equals
 // the state Runtime.AdaptState reports — every policy change is
 // reconstructible from the trace.
 func ReplayAdaptDecisions(init AdaptState, ds []AdaptDecision) AdaptState {
-	ids := make([]adapt.Decision, len(ds))
-	for i, d := range ds {
-		ids[i] = adapt.Decision{Knob: d.Knob, To: d.To}
-	}
-	st := adapt.Replay(adapt.State(init), ids)
-	return AdaptState(st)
+	return adapt.Replay(init, ds)
 }
 
 // CounterSnapshot samples the machine-wide scheduling counters. Safe
@@ -224,22 +107,21 @@ func ReplayAdaptDecisions(init AdaptState, ds []AdaptDecision) AdaptState {
 // embedding program that means before Run or after it.
 func (rt *Runtime) CounterSnapshot() CounterSnapshot {
 	if rt.backend == BackendNative {
-		return pubSnapshot(rt.nat.CounterSnapshot())
+		return rt.nat.CounterSnapshot()
 	}
-	return pubSnapshot(rt.simSnapshot())
+	return rt.simSnapshot()
 }
 
 // AdaptState returns the controller's current policy vector, or false
 // when Config.Adapt was not set. Call after Run for a settled view.
 func (rt *Runtime) AdaptState() (AdaptState, bool) {
 	if rt.backend == BackendNative {
-		st, ok := rt.nat.AdaptState()
-		return AdaptState(st), ok
+		return rt.nat.AdaptState()
 	}
 	if rt.adaptCtl == nil {
 		return AdaptState{}, false
 	}
-	return AdaptState(rt.adaptCtl.State()), true
+	return rt.adaptCtl.State(), true
 }
 
 // AdaptInitialState returns the policy vector the controller actually
@@ -249,18 +131,17 @@ func (rt *Runtime) AdaptState() (AdaptState, bool) {
 // an application variant forcing cluster-only stealing).
 func (rt *Runtime) AdaptInitialState() (AdaptState, bool) {
 	if rt.backend == BackendNative {
-		st, ok := rt.nat.AdaptInit()
-		return AdaptState(st), ok
+		return rt.nat.AdaptInit()
 	}
 	if rt.adaptCtl == nil {
 		return AdaptState{}, false
 	}
-	return AdaptState(rt.adaptCtl.Init()), true
+	return rt.adaptCtl.Init(), true
 }
 
 // adaptDecisions returns the run's raw decision trace (nil when
 // Config.Adapt was not set).
-func (rt *Runtime) adaptDecisions() []adapt.Decision {
+func (rt *Runtime) adaptDecisions() []AdaptDecision {
 	if rt.backend == BackendNative {
 		return rt.nat.Decisions()
 	}
@@ -278,7 +159,10 @@ func (rt *Runtime) adaptDecisions() []adapt.Decision {
 // timed parks, no shedding layer); they are recorded in the trace but
 // applied natively only.
 func (rt *Runtime) installAdaptSim(p *AdaptPolicy) {
-	pol := p.internal(defaultSimAdaptEpoch)
+	pol := *p
+	if pol.Epoch <= 0 {
+		pol.Epoch = defaultSimAdaptEpoch
+	}
 	st0 := adapt.State{
 		ClusterOnly: rt.pol.ClusterStealingOnly,
 		WakeFanout:  rt.sched.WakeFanout(),
@@ -342,84 +226,4 @@ func (rt *Runtime) simSnapshot() adapt.Snapshot {
 	s.QueuedClusters = int64(rt.sched.QueuedClusters())
 	s.Clusters = int64(rt.cfg.Clusters())
 	return s
-}
-
-// pubSnapshot / intSnapshot convert between the public and internal
-// snapshot types (identical field sets).
-func pubSnapshot(s adapt.Snapshot) CounterSnapshot {
-	return CounterSnapshot{
-		StealTries:     s.StealTries,
-		FailedSteals:   s.FailedSteals,
-		StealsLocal:    s.StealsLocal,
-		StealsRemote:   s.StealsRemote,
-		SetSteals:      s.SetSteals,
-		TargetedWakes:  s.TargetedWakes,
-		BroadcastWakes: s.BroadcastWakes,
-		LockContention: s.LockContention,
-		TasksShed:      s.TasksShed,
-		DeadlineMisses: s.DeadlineMisses,
-		Completed:      s.Completed,
-		Refs:           s.Refs,
-		RemoteMisses:   s.RemoteMisses,
-		StolenRefs:     s.StolenRefs,
-		StolenMisses:   s.StolenMisses,
-		Queued:         s.Queued,
-		Parked:         s.Parked,
-		Workers:        s.Workers,
-		QueuedClusters: s.QueuedClusters,
-		Clusters:       s.Clusters,
-	}
-}
-
-func intSnapshot(s CounterSnapshot) adapt.Snapshot {
-	return adapt.Snapshot{
-		StealTries:     s.StealTries,
-		FailedSteals:   s.FailedSteals,
-		StealsLocal:    s.StealsLocal,
-		StealsRemote:   s.StealsRemote,
-		SetSteals:      s.SetSteals,
-		TargetedWakes:  s.TargetedWakes,
-		BroadcastWakes: s.BroadcastWakes,
-		LockContention: s.LockContention,
-		TasksShed:      s.TasksShed,
-		DeadlineMisses: s.DeadlineMisses,
-		Completed:      s.Completed,
-		Refs:           s.Refs,
-		RemoteMisses:   s.RemoteMisses,
-		StolenRefs:     s.StolenRefs,
-		StolenMisses:   s.StolenMisses,
-		Queued:         s.Queued,
-		Parked:         s.Parked,
-		Workers:        s.Workers,
-		QueuedClusters: s.QueuedClusters,
-		Clusters:       s.Clusters,
-	}
-}
-
-// pubDecisions converts a raw decision trace to the public form.
-func pubDecisions(ds []adapt.Decision) []AdaptDecision {
-	if len(ds) == 0 {
-		return nil
-	}
-	out := make([]AdaptDecision, len(ds))
-	for i, d := range ds {
-		alts := make([]AdaptAlternative, len(d.Alternatives))
-		for j, a := range d.Alternatives {
-			alts[j] = AdaptAlternative{Action: a.Action, Score: a.Score}
-		}
-		out[i] = AdaptDecision{
-			Seq:          d.Seq,
-			Epoch:        d.Epoch,
-			Time:         d.Time,
-			Knob:         d.Knob,
-			Action:       d.Action,
-			From:         d.From,
-			To:           d.To,
-			Reason:       d.Reason,
-			Score:        d.Score,
-			Alternatives: alts,
-			Delta:        pubSnapshot(d.Delta),
-		}
-	}
-	return out
 }

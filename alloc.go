@@ -140,8 +140,13 @@ func (rt *Runtime) Migrate(addr, size int64, proc int) {
 }
 
 // Home returns the server that the runtime treats as the home processor
-// of the object at addr (COOL's home()).
-func (rt *Runtime) Home(addr int64) int { return rt.homeServer(addr) }
+// of the object at addr (COOL's home()), on either backend. It is also
+// the native scheduler's address-space lookup (native.Config.Home).
+func (rt *Runtime) Home(addr int64) int {
+	rt.spaceMu.RLock()
+	defer rt.spaceMu.RUnlock()
+	return rt.space.HomeProc(addr)
+}
 
 // NewF64 allocates from the local memory of the requesting processor,
 // the COOL default for new.
@@ -174,7 +179,7 @@ func (c *Ctx) Migrate(addr, size int64, proc int) {
 }
 
 // Home returns the home processor of the object at addr (COOL's home()).
-func (c *Ctx) Home(addr int64) int { return c.rt.homeServer(addr) }
+func (c *Ctx) Home(addr int64) int { return c.rt.Home(addr) }
 
 // ReadF64 reads element i of a through the simulated memory hierarchy.
 func (c *Ctx) ReadF64(a *F64, i int) float64 {

@@ -280,7 +280,7 @@ func NewRuntime(c Config) (*Runtime, error) {
 		return nil, fmt.Errorf("cool: Config.Deadline must not be negative")
 	}
 	if c.Adapt != nil {
-		if err := c.Adapt.validate(); err != nil {
+		if err := validateAdapt(c.Adapt); err != nil {
 			return nil, err
 		}
 	}
@@ -338,7 +338,7 @@ func (rt *Runtime) initSim() error {
 		rt.eng.SetDeadline(c.Deadline)
 	}
 	if c.Retry != nil {
-		pol, err := c.Retry.withDefaults()
+		pol, err := retryDefaults(*c.Retry)
 		if err != nil {
 			return err
 		}
@@ -408,16 +408,11 @@ const defaultNativeNoProgressNS = 2_000_000_000
 // system is the host's). When faults or retries are armed, a default
 // no-progress watchdog guards against hangs.
 func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, error) {
-	var retry native.RetryConfig
+	var retry RetryPolicy // zero: retries disabled
 	if c.Retry != nil {
-		p, err := c.Retry.withDefaults()
-		if err != nil {
+		var err error
+		if retry, err = retryDefaults(*c.Retry); err != nil {
 			return nil, err
-		}
-		retry = native.RetryConfig{
-			MaxAttempts:  p.MaxAttempts,
-			BackoffNS:    p.Backoff,
-			MaxBackoffNS: p.MaxBackoff,
 		}
 	}
 	var plan *fault.Plan
@@ -431,26 +426,6 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 	if c.Faults != nil || c.Retry != nil {
 		noProgress = defaultNativeNoProgressNS
 	}
-	var shed *native.ShedConfig
-	if c.Shed != nil {
-		shed = &native.ShedConfig{QueueHighWater: c.Shed.QueueHighWater, RetryShed: c.Shed.RetryShed}
-	}
-	var auto *native.AutoscaleConfig
-	if c.Autoscale != nil {
-		auto = &native.AutoscaleConfig{
-			IntervalNS: c.Autoscale.IntervalNS,
-			HighWater:  c.Autoscale.HighWater,
-			LowWater:   c.Autoscale.LowWater,
-			Min:        c.Autoscale.MinProcs,
-			Max:        c.Autoscale.MaxProcs,
-			Step:       c.Autoscale.Step,
-		}
-	}
-	var apol *adapt.Policy
-	if c.Adapt != nil {
-		p := c.Adapt.internal(defaultNativeAdaptEpochNS)
-		apol = &p
-	}
 	np := mc.Processors
 	if c.MaxProcessors > np {
 		np = c.MaxProcessors // bounds validated by native.New
@@ -463,12 +438,8 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		ClusterSize: mc.ClusterSize,
 		PageSize:    int64(mc.PageSize),
 		Pol:         pol,
-		Home: func(addr int64) int {
-			rt.spaceMu.RLock()
-			defer rt.spaceMu.RUnlock()
-			return rt.space.HomeProc(addr)
-		},
-		Mon: rt.mon,
+		Home:        rt.Home,
+		Mon:         rt.mon,
 		// One adapter shared by every spawn: the user's func value rides
 		// through the task record as the payload (an allocation-free
 		// interface conversion for func types), replacing the per-spawn
@@ -487,9 +458,9 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		DeadlineNS:    c.Deadline,
 		NoProgressNS:  noProgress,
 		MaxProcs:      c.MaxProcessors,
-		Shed:          shed,
-		Autoscale:     auto,
-		Adapt:         apol,
+		Shed:          c.Shed,
+		Autoscale:     c.Autoscale,
+		Adapt:         c.Adapt,
 	})
 	if err != nil {
 		return nil, err
@@ -532,7 +503,7 @@ func (rt *Runtime) Run(main func(*Ctx)) (err error) {
 		}
 	}()
 	if rt.backend == BackendNative {
-		return rt.wrapNativeError(rt.nat.Run(func(nc *native.Ctx) {
+		return rt.wrapRunError(rt.nat.Run(func(nc *native.Ctx) {
 			main(&Ctx{nc: nc, rt: rt})
 		}))
 	}

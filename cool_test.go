@@ -656,32 +656,41 @@ func TestPrefetchDoesNotStealDirtyLines(t *testing.T) {
 }
 
 func TestMultiObjectAffinityPlacesAtBiggestHome(t *testing.T) {
-	rt := newRT(t, 32)
-	big := rt.NewF64Pages(4096, 9)    // 32 KB at proc 9
-	small := rt.NewF64Pages(512, 17)  // 4 KB at proc 17
-	small2 := rt.NewF64Pages(512, 25) // 4 KB at proc 25
-	var ranOn int
-	err := rt.Run(func(ctx *cool.Ctx) {
-		ctx.WaitFor(func() {
-			ctx.Spawn("multi", func(c *cool.Ctx) {
-				ranOn = c.ProcID()
-				c.Compute(1000)
-			},
-				cool.ObjectAffinitySized(small.Base, 512*8),
-				cool.ObjectAffinitySized(big.Base, 4096*8),
-				cool.ObjectAffinitySized(small2.Base, 512*8),
-			)
+	type operand struct{ elems, proc int }
+	for _, tc := range []struct {
+		name string
+		objs []operand
+		want int
+	}{
+		{"largest object", []operand{{512, 17}, {4096, 9}, {512, 25}}, 9},
+		{"bytes sum per home", []operand{{512, 17}, {768, 25}, {512, 17}}, 17},
+		{"tie goes to the first operand", []operand{{512, 25}, {512, 17}}, 25},
+	} {
+		rt := newRT(t, 32)
+		var opts []cool.SpawnOpt
+		for _, ob := range tc.objs {
+			a := rt.NewF64Pages(ob.elems, ob.proc)
+			opts = append(opts, cool.ObjectAffinitySized(a.Base, int64(ob.elems)*8))
+		}
+		var ranOn int
+		err := rt.Run(func(ctx *cool.Ctx) {
+			ctx.WaitFor(func() {
+				ctx.Spawn("multi", func(c *cool.Ctx) {
+					ranOn = c.ProcID()
+					c.Compute(1000)
+				}, opts...)
+			})
 		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ranOn != 9 {
-		t.Fatalf("task ran on %d, want 9 (home of the largest object)", ranOn)
-	}
-	// The other objects were prefetched.
-	if rt.Report().Total.Prefetches == 0 {
-		t.Fatal("secondary objects not prefetched")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranOn != tc.want {
+			t.Fatalf("%s: task ran on %d, want %d", tc.name, ranOn, tc.want)
+		}
+		// The other objects were prefetched.
+		if rt.Report().Total.Prefetches == 0 {
+			t.Fatalf("%s: secondary objects not prefetched", tc.name)
+		}
 	}
 }
 

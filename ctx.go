@@ -403,17 +403,6 @@ func (c *Ctx) spawnNative(name string, fn func(*Ctx), opts []SpawnOpt) {
 	c.nc.SpawnPayload(name, o.aff, nm, fn, o.prio, o.deadline)
 }
 
-// homeServer returns the server treated as the home processor of the
-// object at addr, on either backend.
-func (rt *Runtime) homeServer(addr int64) int {
-	if rt.backend == BackendNative {
-		rt.spaceMu.RLock()
-		defer rt.spaceMu.RUnlock()
-		return rt.space.HomeProc(addr)
-	}
-	return rt.sched.HomeServer(addr)
-}
-
 // newTaskDesc takes a zeroed descriptor off the runtime's free list, or
 // allocates one. Coroutines run one at a time under the engine loop, so
 // the free list needs no locking.
@@ -437,21 +426,25 @@ func (rt *Runtime) freeTaskDesc(td *core.TaskDesc) {
 }
 
 // pickHome returns the index of the object whose home server holds the
-// most affinity-weighted bytes.
+// most affinity-weighted bytes (the first such object on a tie). A spawn
+// names a handful of operands at most, so each one's server total is
+// summed by rescanning the homes found so far instead of through a map.
 func pickHome(rt *Runtime, objs []sizedObj) int {
-	bytesAt := map[int]int64{}
+	var buf [8]int
+	homes := buf[:0]
 	for _, ob := range objs {
-		w := ob.size
-		if w <= 0 {
-			w = 1
-		}
-		bytesAt[rt.homeServer(ob.addr)] += w
+		homes = append(homes, rt.Home(ob.addr))
 	}
 	best, bestBytes := 0, int64(-1)
-	for i, ob := range objs {
-		sv := rt.homeServer(ob.addr)
-		if bytesAt[sv] > bestBytes {
-			best, bestBytes = i, bytesAt[sv]
+	for i, sv := range homes {
+		var bytes int64
+		for j, ob := range objs {
+			if homes[j] == sv {
+				bytes += max(ob.size, 1)
+			}
+		}
+		if bytes > bestBytes {
+			best, bestBytes = i, bytes
 		}
 	}
 	return best

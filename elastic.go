@@ -3,6 +3,8 @@ package cool
 import (
 	"fmt"
 	"sort"
+
+	"github.com/coolrts/cool/internal/native"
 )
 
 // This file is the public surface of elastic worker pools and the SLO
@@ -19,48 +21,20 @@ import (
 // shed task completes for every liveness mechanism (its waitfor scope,
 // Run's termination) without running its body; the drops are counted in
 // Counters.TasksShed and Counters.DeadlineMisses.
-type ShedPolicy struct {
-	// QueueHighWater is the machine-wide backlog per alive worker above
-	// which shedding engages (default 64).
-	QueueHighWater int
-	// RetryShed defers below-priority-floor tasks through the retry
-	// queue (requires Config.Retry) instead of dropping them; tasks
-	// whose retry budget runs out are dropped, never aborted.
-	RetryShed bool
-}
+type ShedPolicy = native.ShedPolicy
 
 // AutoscalePolicy (Config.Autoscale, native backend) runs a threshold
 // autoscaler inside the runtime: each control epoch it compares the
 // queued backlog per alive worker against the watermarks and calls
 // AddWorkers or Retire. Requires Config.MaxProcessors headroom.
-type AutoscalePolicy struct {
-	// IntervalNS is the control epoch length in wall-clock nanoseconds
-	// (default 1ms).
-	IntervalNS int64
-	// HighWater grows the pool when the backlog per alive worker
-	// exceeds it (default 8); LowWater shrinks the pool when the
-	// backlog falls below it while workers sit parked (default 1).
-	HighWater, LowWater int
-	// MinProcs and MaxProcs bound the pool size (defaults: Processors
-	// and MaxProcessors).
-	MinProcs, MaxProcs int
-	// Step is the number of workers added or retired per epoch
-	// (default 1).
-	Step int
-}
+type AutoscalePolicy = native.AutoscalePolicy
 
 // PoolEvent is one worker-pool membership change, in occurrence order:
 // "add" (AddWorkers or the autoscaler grew the pool), "drain" (planned
 // retirement completed; DurationNS carries the request-to-completion
 // latency and Moved the tasks re-homed), or "kill" (a fault-injected
 // FailServer). A healthy fixed-size run reports no events.
-type PoolEvent struct {
-	Kind       string // "add", "drain", "kill"
-	Proc       int    // the worker added or retired
-	TimeNS     int64  // completion time, nanoseconds since Run started
-	DurationNS int64  // drain only: request-to-completion latency
-	Moved      int    // tasks re-homed off the retiring worker
-}
+type PoolEvent = native.PoolEvent
 
 // elasticErr reports an elastic-pool call on the wrong backend.
 func (rt *Runtime) elasticErr(op string) error {
@@ -119,11 +93,7 @@ func (rt *Runtime) PoolEvents() []PoolEvent {
 	if rt.backend != BackendNative {
 		return nil
 	}
-	evs := rt.nat.PoolEvents()
-	out := make([]PoolEvent, len(evs))
-	for i, e := range evs {
-		out[i] = PoolEvent{Kind: e.Kind, Proc: e.Proc, TimeNS: e.TimeNS, DurationNS: e.DurationNS, Moved: e.Moved}
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].TimeNS < out[b].TimeNS })
-	return out
+	evs := rt.nat.PoolEvents() // a copy
+	sort.SliceStable(evs, func(a, b int) bool { return evs[a].TimeNS < evs[b].TimeNS })
+	return evs
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/coolrts/cool/internal/core"
+	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/native"
 	"github.com/coolrts/cool/internal/sim"
 )
@@ -30,22 +31,7 @@ func (e *UnsupportedOnNativeError) Error() string {
 // fault plan injected a panic into it). It carries the task's identity,
 // the processor it was running on, and the simulated time of the
 // failure, so faulted runs can be diagnosed and replayed.
-type TaskPanicError struct {
-	Task     string // task label passed to Spawn ("main" for the root task)
-	Proc     int    // processor the task was running on
-	Time     int64  // simulated cycle of the panic
-	Value    any    // the panic value
-	Stack    string // goroutine stack at the panic
-	Injected bool   // true when planted by a fault plan
-}
-
-func (e *TaskPanicError) Error() string {
-	kind := "panicked"
-	if e.Injected {
-		kind = "panicked (injected fault)"
-	}
-	return fmt.Sprintf("cool: task %q %s on P%d at cycle %d: %v", e.Task, kind, e.Proc, e.Time, e.Value)
-}
+type TaskPanicError = fault.TaskFailure
 
 // WaitEdge is one edge of a deadlock's wait-for graph: a blocked task
 // and the synchronization object it waits on.
@@ -120,17 +106,7 @@ func (e *NoProgressError) Error() string {
 // TaskAbortError is returned by Run when a transient launch failure
 // (a FailTask event or a FlakyProcessor window) struck a task and the
 // retry budget — zero attempts without Config.Retry — was exhausted.
-type TaskAbortError struct {
-	Task     string // task label passed to Spawn
-	Proc     int    // processor whose launch attempt failed last
-	Time     int64  // simulated cycle of the final abort
-	Attempts int    // launch attempts that failed (including the first)
-}
-
-func (e *TaskAbortError) Error() string {
-	return fmt.Sprintf("cool: task %q failed transiently on P%d at cycle %d: retry budget exhausted after %d aborted attempt(s)",
-		e.Task, e.Proc, e.Time, e.Attempts)
-}
+type TaskAbortError = fault.TaskAbort
 
 // DeadlineExceededError is returned by Run when Config.Deadline was set
 // and simulated time passed it with work still outstanding. Unlike
@@ -159,35 +135,23 @@ func (e *DeadlineExceededError) Error() string {
 	return b.String()
 }
 
-// wrapRunError converts engine-level failures into the public typed
-// errors.
+// wrapRunError converts either engine's failures into the public typed
+// errors. *TaskPanicError and *TaskAbortError are declared once
+// (internal/fault) and pass through as they are; the simulator's other
+// three need the scheduler's knowledge of what blocked tasks wait on.
+// On the native backend Time is wall-clock nanoseconds since Run
+// started, every cycle-denominated field (Deadline, CycleLimit) carries
+// the nanosecond quantity the run was configured with, and the fields
+// only the simulator can know — per-processor Clocks and the
+// blocked-task wait-for graph — stay zero.
 func (rt *Runtime) wrapRunError(err error) error {
-	if err == nil {
-		return nil
-	}
 	switch f := err.(type) {
-	case *sim.TaskFailure:
-		return &TaskPanicError{
-			Task:     f.Task,
-			Proc:     f.Proc,
-			Time:     f.Time,
-			Value:    f.Value,
-			Stack:    f.Stack,
-			Injected: f.Injected,
-		}
 	case *sim.DeadlockError:
 		de := &DeadlockError{Time: f.Time}
 		for _, t := range f.Tasks {
 			de.Waits = append(de.Waits, waitEdge(t))
 		}
 		return de
-	case *sim.TaskAbort:
-		return &TaskAbortError{
-			Task:     f.Task,
-			Proc:     f.Proc,
-			Time:     f.Time,
-			Attempts: f.Attempts,
-		}
 	case *sim.DeadlineError:
 		de := &DeadlineExceededError{
 			Deadline:     f.Deadline,
@@ -209,37 +173,6 @@ func (rt *Runtime) wrapRunError(err error) error {
 			BlockedTasks: f.Blocked,
 			Clocks:       f.Clocks,
 			Snapshot:     f.Snapshot,
-		}
-	}
-	return err
-}
-
-// wrapNativeError converts native-runtime failures into the public
-// typed errors. Time is wall-clock nanoseconds since Run started, and
-// every cycle-denominated field (Deadline, CycleLimit) carries the
-// nanosecond quantity the native run was configured with. Fields that
-// only the simulator can know — per-processor Clocks and the
-// blocked-task wait-for graph — stay zero.
-func (rt *Runtime) wrapNativeError(err error) error {
-	if err == nil {
-		return nil
-	}
-	switch f := err.(type) {
-	case *native.TaskFailure:
-		return &TaskPanicError{
-			Task:     f.Task,
-			Proc:     f.Proc,
-			Time:     f.Time,
-			Value:    f.Value,
-			Stack:    f.Stack,
-			Injected: f.Injected,
-		}
-	case *native.TaskAbort:
-		return &TaskAbortError{
-			Task:     f.Task,
-			Proc:     f.Proc,
-			Time:     f.Time,
-			Attempts: f.Attempts,
 		}
 	case *native.DeadlineError:
 		return &DeadlineExceededError{

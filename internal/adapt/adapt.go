@@ -68,82 +68,89 @@ const (
 	stolenRateFloor = 0.02 // absolute stolen-miss rate below which locality is fine
 )
 
-// Policy configures the controller. The zero value (plus a backend
-// default Epoch) is a usable configuration.
+// Policy configures the online policy controller (Config.Adapt). The
+// zero value selects backend defaults for everything. Only Epoch and
+// Start are settable from outside this package; the rule thresholds
+// below have one value in use everywhere and are fields only so that
+// this package's tests can script them.
 type Policy struct {
-	// Epoch is the controller interval. Units are backend-defined:
-	// simulated cycles on the simulator, wall-clock nanoseconds on the
-	// native backend. The controller itself never reads it — the
-	// backend's epoch driver does.
+	// Epoch is the controller interval: simulated cycles on the
+	// simulator (default 50_000), wall-clock nanoseconds on the native
+	// backend (default 1_000_000). The controller itself never reads it
+	// — the backend's epoch driver does.
 	Epoch int64
-	// Hysteresis is how many consecutive epochs a signal must persist
+	// hysteresis is how many consecutive epochs a signal must persist
 	// before the controller acts on it (default 2).
-	Hysteresis int
-	// TraceCap bounds the decision trace (default 256); decisions past
+	hysteresis int
+	// traceCap bounds the decision trace (default 256); decisions past
 	// the cap are applied but not recorded, and counted in Dropped.
-	TraceCap int
-	// StealFailHigh is the FailedSteals/StealTries ratio above which
+	traceCap int
+	// stealFailHigh is the FailedSteals/StealTries ratio above which
 	// cross-cluster stealing is judged not to pay (default 0.75).
-	StealFailHigh float64
-	// MinFanout / MaxFanout bound the wake fanout (defaults 2 / 32).
-	MinFanout, MaxFanout int
-	// TrialFirst is how many rule-quiet epochs pass before the first
+	stealFailHigh float64
+	// minFanout / maxFanout bound the wake fanout (defaults 2 / 32).
+	minFanout, maxFanout int
+	// trialFirst is how many rule-quiet epochs pass before the first
 	// counterfactual trial of the cluster knob (default 4). Successive
 	// trials double the spacing, capped at maxTrialSpacing; a kept
 	// trial resets the ladder so a changed regime is re-challenged
 	// promptly.
-	TrialFirst int
-	// TrialLen is how many epochs a trial runs before its throughput is
+	trialFirst int
+	// trialLen is how many epochs a trial runs before its throughput is
 	// compared against the pre-trial baseline (default 2).
-	TrialLen int
-	// TrialMargin is the relative completed-per-epoch improvement a
+	trialLen int
+	// trialMargin is the relative completed-per-epoch improvement a
 	// trial must show to be kept (default 0.05).
-	TrialMargin float64
-	// NoTrial disables counterfactual trials (rule-driven flips only).
-	NoTrial bool
+	trialMargin float64
+	// noTrial disables counterfactual trials (rule-driven flips only).
+	noTrial bool
 	// Per-knob opt-outs.
-	NoCluster, NoWake, NoBackoff, NoShed bool
-	// Start, when non-nil, is a previously learned policy vector the
-	// backend seeds both the controller and the live scheduler from —
-	// the warm-start hook for callers that persist policy across runs.
+	noCluster, noWake, noBackoff, noShed bool
+	// Start, when non-nil, warm-starts the run: the controller and the
+	// live scheduler begin from this previously learned policy vector
+	// instead of the configuration's defaults. Harvest the vector with
+	// Runtime.AdaptState at the end of one run and pass it to the next —
+	// repeated runs of the same workload then skip the cold observation
+	// epochs. A zero WakeFanout means "keep the backend default".
 	Start *State
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.Hysteresis <= 0 {
-		p.Hysteresis = 2
+	if p.hysteresis <= 0 {
+		p.hysteresis = 2
 	}
-	if p.TraceCap <= 0 {
-		p.TraceCap = 256
+	if p.traceCap <= 0 {
+		p.traceCap = 256
 	}
-	if p.StealFailHigh <= 0 {
-		p.StealFailHigh = 0.75
+	if p.stealFailHigh <= 0 {
+		p.stealFailHigh = 0.75
 	}
-	if p.MinFanout <= 0 {
-		p.MinFanout = 2
+	if p.minFanout <= 0 {
+		p.minFanout = 2
 	}
-	if p.MaxFanout <= 0 {
-		p.MaxFanout = 32
+	if p.maxFanout <= 0 {
+		p.maxFanout = 32
 	}
-	if p.MaxFanout < p.MinFanout {
-		p.MaxFanout = p.MinFanout
+	if p.maxFanout < p.minFanout {
+		p.maxFanout = p.minFanout
 	}
-	if p.TrialFirst <= 0 {
-		p.TrialFirst = 4
+	if p.trialFirst <= 0 {
+		p.trialFirst = 4
 	}
-	if p.TrialLen <= 0 {
-		p.TrialLen = 2
+	if p.trialLen <= 0 {
+		p.trialLen = 2
 	}
-	if p.TrialMargin <= 0 {
-		p.TrialMargin = 0.05
+	if p.trialMargin <= 0 {
+		p.trialMargin = 0.05
 	}
 	return p
 }
 
-// Snapshot is one cumulative counter reading. The steal/wake/shed
-// fields are monotone counters since the start of the run; Queued,
-// Parked and Workers are instantaneous gauges sampled at the same
-// moment. Delta subtracts the counters and keeps the gauges.
+// Snapshot is one cumulative counter reading (public as
+// cool.CounterSnapshot). The steal/wake/shed fields are monotone
+// counters since the start of the run; Queued, Parked and Workers are
+// instantaneous gauges sampled at the same moment. Delta subtracts the
+// counters and keeps the gauges.
 type Snapshot struct {
 	StealTries     int64
 	FailedSteals   int64
@@ -179,7 +186,7 @@ type Snapshot struct {
 }
 
 // Delta returns s minus prev on the monotone counters, keeping s's
-// instantaneous gauges.
+// instantaneous gauges — the epoch-delta view the controller consumes.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	return Snapshot{
 		StealTries:     s.StealTries - prev.StealTries,
@@ -293,7 +300,7 @@ func New(pol Policy, init State) *Controller {
 	if init.WakeFanout <= 0 {
 		init.WakeFanout = DefaultWakeFanout
 	}
-	return &Controller{pol: pol, st: init, initSt: init, nextTrial: pol.TrialFirst}
+	return &Controller{pol: pol, st: init, initSt: init, nextTrial: pol.trialFirst}
 }
 
 // State returns the current policy vector.
@@ -309,7 +316,7 @@ func (c *Controller) Init() State { return c.initSt }
 func (c *Controller) Epochs() int64 { return c.epochN }
 
 // Dropped returns the number of decisions not recorded because the
-// trace hit TraceCap.
+// trace hit traceCap.
 func (c *Controller) Dropped() int64 { return c.dropped }
 
 // Count returns the number of recorded decisions.
@@ -318,11 +325,9 @@ func (c *Controller) Count() int { return len(c.trace) }
 // DecisionAt returns recorded decision i without copying the trace.
 func (c *Controller) DecisionAt(i int) Decision { return c.trace[i] }
 
-// Decisions returns a copy of the decision trace.
+// Decisions returns a copy of the decision trace (nil when empty).
 func (c *Controller) Decisions() []Decision {
-	out := make([]Decision, len(c.trace))
-	copy(out, c.trace)
-	return out
+	return append([]Decision(nil), c.trace...)
 }
 
 // Epoch consumes one cumulative snapshot taken at backend time now and
@@ -333,16 +338,16 @@ func (c *Controller) Epoch(now int64, cum Snapshot) (State, bool) {
 	c.prev = cum
 	c.epochN++
 	changed := false
-	if !c.pol.NoCluster {
+	if !c.pol.noCluster {
 		changed = c.clusterEpoch(now, d) || changed
 	}
-	if !c.pol.NoWake {
+	if !c.pol.noWake {
 		changed = c.fanoutEpoch(now, d) || changed
 	}
-	if !c.pol.NoBackoff {
+	if !c.pol.noBackoff {
 		changed = c.backoffEpoch(now, d) || changed
 	}
-	if !c.pol.NoShed {
+	if !c.pol.noShed {
 		changed = c.shedEpoch(now, d) || changed
 	}
 	return c.st, changed
@@ -365,7 +370,7 @@ func (c *Controller) clusterEpoch(now int64, d Snapshot) bool {
 		// flight and restart the exploration ladder for the new regime.
 		c.trialLeft = 0
 		c.quiet = 0
-		c.nextTrial = c.pol.TrialFirst
+		c.nextTrial = c.pol.trialFirst
 		return true
 	}
 	return c.clusterTrial(now, d)
@@ -388,7 +393,7 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 		// machine-wide probe storm the restriction exists for.
 		remotePaying := d.StealsRemote*20 > tries
 		failSignal := tries >= minTriesPerEpoch && tries >= 4*d.Workers &&
-			fail >= c.pol.StealFailHigh && !remotePaying
+			fail >= c.pol.stealFailHigh && !remotePaying
 
 		// Locality signal: work moved by cross-cluster steals pays at
 		// least double the non-local miss rate of home-placed work — the
@@ -432,7 +437,7 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 		strong := locSignal && stolenRate >= 4*homeRate &&
 			c.locSteals >= 2*minLocSteals &&
 			c.locStolenRefs >= 2*minStolenRefs
-		if c.clusterOn < c.pol.Hysteresis && !strong {
+		if c.clusterOn < c.pol.hysteresis && !strong {
 			return false
 		}
 		epochs := c.clusterOn
@@ -447,7 +452,7 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 		}
 		if failSignal {
 			dec.Reason = fmt.Sprintf("probe fail ratio %.2f >= %.2f over %d tries (%d remote successes) for %d epochs",
-				fail, c.pol.StealFailHigh, tries, d.StealsRemote, epochs)
+				fail, c.pol.stealFailHigh, tries, d.StealsRemote, epochs)
 			dec.Score = fail
 			dec.Alternatives = []Alternative{
 				{Action: "keep flat stealing", Score: 1 - fail},
@@ -483,7 +488,7 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 	// The starvation shape heuristic argues with measured miss rates when
 	// the restriction came from the locality rule; demand a streak twice
 	// as long before overruling quantitative evidence.
-	need := c.pol.Hysteresis
+	need := c.pol.hysteresis
 	if c.onByLocality {
 		need *= 2
 	}
@@ -500,7 +505,7 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 		Time: now, Knob: KnobCluster, Action: "cluster-only off",
 		From: 1, To: 0,
 		Reason: fmt.Sprintf("starvation: %d queued > %d workers with %d parked for %d epochs",
-			d.Queued, d.Workers, d.Parked, c.pol.Hysteresis),
+			d.Queued, d.Workers, d.Parked, c.pol.hysteresis),
 		Score: score,
 		Alternatives: []Alternative{
 			{Action: "stay cluster-only", Score: 1 / (1 + score)},
@@ -532,7 +537,7 @@ func onoff(v bool) string {
 // "succeeds" may still lose to the remote misses it drags behind it),
 // so after enough rule-quiet epochs the controller flips the knob,
 // measures completed-per-epoch for a short window, and keeps the flip
-// only when throughput beats the pre-trial baseline by TrialMargin.
+// only when throughput beats the pre-trial baseline by trialMargin.
 // Trials space out exponentially, so a settled run stops paying for
 // exploration; a kept trial resets the ladder because a regime that
 // just changed once may change again.
@@ -542,7 +547,7 @@ func (c *Controller) clusterTrial(now int64, d Snapshot) bool {
 	// locality rule runs on — there, blind exploration only adds churn
 	// on top of a rule that measures the same thing directly. The same
 	// goes once any rule has moved the knob (ruleOwned).
-	if c.pol.NoTrial || c.ruleOwned || d.Refs > 0 {
+	if c.pol.noTrial || c.ruleOwned || d.Refs > 0 {
 		return false
 	}
 	if c.trialLeft > 0 {
@@ -551,21 +556,21 @@ func (c *Controller) clusterTrial(now int64, d Snapshot) bool {
 		if c.trialLeft > 0 {
 			return false
 		}
-		tput := float64(c.trialSum) / float64(c.pol.TrialLen)
+		tput := float64(c.trialSum) / float64(c.pol.trialLen)
 		c.quiet = 0
 		cur := c.st.ClusterOnly
-		if tput > c.trialPre*(1+c.pol.TrialMargin) {
+		if tput > c.trialPre*(1+c.pol.trialMargin) {
 			// Kept: the trial arm becomes the baseline and the ladder
 			// restarts. From == To — the state already moved at trial
 			// start — so Replay treats this as the no-op it is.
 			c.emaTput = tput
-			c.nextTrial = c.pol.TrialFirst
+			c.nextTrial = c.pol.trialFirst
 			v := b2i(cur)
 			c.record(Decision{
 				Time: now, Knob: KnobCluster, Action: "trial kept cluster-only " + onoff(cur),
 				From: v, To: v,
 				Reason: fmt.Sprintf("trial throughput %.0f/epoch beats pre-trial %.0f by more than %.0f%%",
-					tput, c.trialPre, c.pol.TrialMargin*100),
+					tput, c.trialPre, c.pol.trialMargin*100),
 				Score: ratio(int64(tput), int64(c.trialPre+1)),
 				Alternatives: []Alternative{
 					{Action: "revert to cluster-only " + onoff(!cur), Score: ratio(int64(c.trialPre), int64(tput+1))},
@@ -610,14 +615,14 @@ func (c *Controller) clusterTrial(now int64, d Snapshot) bool {
 	from := c.st.ClusterOnly
 	c.st.ClusterOnly = !from
 	c.trialPre = c.emaTput
-	c.trialLeft = c.pol.TrialLen
+	c.trialLeft = c.pol.trialLen
 	c.trialSum = 0
 	c.quiet = 0
 	c.record(Decision{
 		Time: now, Knob: KnobCluster, Action: "trial cluster-only " + onoff(!from),
 		From: b2i(from), To: b2i(!from),
 		Reason: fmt.Sprintf("counterfactual trial after %d rule-quiet epochs (baseline %.0f completed/epoch, %d-epoch window)",
-			c.nextTrial, c.trialPre, c.pol.TrialLen),
+			c.nextTrial, c.trialPre, c.pol.trialLen),
 		Score: 0.5,
 		Alternatives: []Alternative{
 			{Action: "hold cluster-only " + onoff(from), Score: 0.5},
@@ -654,18 +659,18 @@ func (c *Controller) fanoutEpoch(now int64, d Snapshot) bool {
 	default:
 		c.fanWiden, c.fanNarrow = 0, 0
 	}
-	if c.fanWiden >= c.pol.Hysteresis && fan < c.pol.MaxFanout {
+	if c.fanWiden >= c.pol.hysteresis && fan < c.pol.maxFanout {
 		c.fanWiden = 0
 		to := fan * 2
-		if to > c.pol.MaxFanout {
-			to = c.pol.MaxFanout
+		if to > c.pol.maxFanout {
+			to = c.pol.maxFanout
 		}
 		c.st.WakeFanout = to
 		score := ratio(d.Queued, int64(fan))
 		c.record(Decision{
 			Time: now, Knob: KnobFanout, Action: "widen",
 			From: int64(fan), To: int64(to),
-			Reason: fmt.Sprintf("backlog %d > 2x fanout %d for %d epochs", d.Queued, fan, c.pol.Hysteresis),
+			Reason: fmt.Sprintf("backlog %d > 2x fanout %d for %d epochs", d.Queued, fan, c.pol.hysteresis),
 			Score:  score,
 			Alternatives: []Alternative{
 				{Action: "hold fanout", Score: 1 / (1 + score)},
@@ -675,18 +680,18 @@ func (c *Controller) fanoutEpoch(now int64, d Snapshot) bool {
 		})
 		return true
 	}
-	if c.fanNarrow >= c.pol.Hysteresis && fan > c.pol.MinFanout {
+	if c.fanNarrow >= c.pol.hysteresis && fan > c.pol.minFanout {
 		c.fanNarrow = 0
 		to := fan / 2
-		if to < c.pol.MinFanout {
-			to = c.pol.MinFanout
+		if to < c.pol.minFanout {
+			to = c.pol.minFanout
 		}
 		c.st.WakeFanout = to
 		c.record(Decision{
 			Time: now, Knob: KnobFanout, Action: "narrow",
 			From: int64(fan), To: int64(to),
 			Reason: fmt.Sprintf("backlog %d < fanout %d/2 with no broadcasts for %d epochs",
-				d.Queued, fan, c.pol.Hysteresis),
+				d.Queued, fan, c.pol.hysteresis),
 			Score: 1 - ratio(d.Queued, int64(fan)),
 			Alternatives: []Alternative{
 				{Action: "hold fanout", Score: ratio(d.Queued, int64(fan))},
@@ -715,7 +720,7 @@ func (c *Controller) backoffEpoch(now int64, d Snapshot) bool {
 	default:
 		c.backUp, c.backDown = 0, 0
 	}
-	if c.backUp >= c.pol.Hysteresis && c.st.BackoffShift < maxBackoffShift {
+	if c.backUp >= c.pol.hysteresis && c.st.BackoffShift < maxBackoffShift {
 		c.backUp = 0
 		from := c.st.BackoffShift
 		c.st.BackoffShift++
@@ -723,7 +728,7 @@ func (c *Controller) backoffEpoch(now int64, d Snapshot) bool {
 			Time: now, Knob: KnobBackoff, Action: "backoff up",
 			From: int64(from), To: int64(c.st.BackoffShift),
 			Reason: fmt.Sprintf("probe fail ratio %.2f >= %.2f over %d tries for %d epochs",
-				fail, backoffFailHigh, tries, c.pol.Hysteresis),
+				fail, backoffFailHigh, tries, c.pol.hysteresis),
 			Score: fail,
 			Alternatives: []Alternative{
 				{Action: "hold backoff", Score: 1 - fail},
@@ -732,7 +737,7 @@ func (c *Controller) backoffEpoch(now int64, d Snapshot) bool {
 		})
 		return true
 	}
-	if c.backDown >= c.pol.Hysteresis && c.st.BackoffShift > 0 {
+	if c.backDown >= c.pol.hysteresis && c.st.BackoffShift > 0 {
 		c.backDown = 0
 		from := c.st.BackoffShift
 		c.st.BackoffShift--
@@ -740,7 +745,7 @@ func (c *Controller) backoffEpoch(now int64, d Snapshot) bool {
 			Time: now, Knob: KnobBackoff, Action: "backoff down",
 			From: int64(from), To: int64(c.st.BackoffShift),
 			Reason: fmt.Sprintf("probes paying again (%d tries, fail ratio %.2f) for %d epochs",
-				tries, fail, c.pol.Hysteresis),
+				tries, fail, c.pol.hysteresis),
 			Score: 1 - fail,
 			Alternatives: []Alternative{
 				{Action: "hold backoff", Score: fail},
@@ -767,7 +772,7 @@ func (c *Controller) shedEpoch(now int64, d Snapshot) bool {
 	default:
 		c.shedUp, c.shedDown = 0, 0
 	}
-	if c.shedUp >= c.pol.Hysteresis && c.st.ShedBias < maxShedBias {
+	if c.shedUp >= c.pol.hysteresis && c.st.ShedBias < maxShedBias {
 		c.shedUp = 0
 		from := c.st.ShedBias
 		c.st.ShedBias++
@@ -775,7 +780,7 @@ func (c *Controller) shedEpoch(now int64, d Snapshot) bool {
 			Time: now, Knob: KnobShed, Action: "shed tighten",
 			From: int64(from), To: int64(c.st.ShedBias),
 			Reason: fmt.Sprintf("deadline miss rate %.3f > %.3f (%d misses / %d done) for %d epochs",
-				missRate, missRateHigh, d.DeadlineMisses, d.Completed, c.pol.Hysteresis),
+				missRate, missRateHigh, d.DeadlineMisses, d.Completed, c.pol.hysteresis),
 			Score: missRate,
 			Alternatives: []Alternative{
 				{Action: "hold shed floor", Score: 1 - missRate},
@@ -784,14 +789,14 @@ func (c *Controller) shedEpoch(now int64, d Snapshot) bool {
 		})
 		return true
 	}
-	if c.shedDown >= c.pol.Hysteresis && c.st.ShedBias > 0 {
+	if c.shedDown >= c.pol.hysteresis && c.st.ShedBias > 0 {
 		c.shedDown = 0
 		from := c.st.ShedBias
 		c.st.ShedBias--
 		c.record(Decision{
 			Time: now, Knob: KnobShed, Action: "shed relax",
 			From: int64(from), To: int64(c.st.ShedBias),
-			Reason: fmt.Sprintf("no deadline misses for %d epochs", c.pol.Hysteresis),
+			Reason: fmt.Sprintf("no deadline misses for %d epochs", c.pol.hysteresis),
 			Score:  1,
 			Alternatives: []Alternative{
 				{Action: "hold shed floor", Score: 0},
@@ -803,9 +808,9 @@ func (c *Controller) shedEpoch(now int64, d Snapshot) bool {
 	return false
 }
 
-// record appends a decision to the trace, enforcing TraceCap.
+// record appends a decision to the trace, enforcing traceCap.
 func (c *Controller) record(d Decision) {
-	if len(c.trace) >= c.pol.TraceCap {
+	if len(c.trace) >= c.pol.traceCap {
 		c.dropped++
 		return
 	}

@@ -56,7 +56,7 @@ func starveEpoch() Snapshot {
 // cluster-only on (not one — hysteresis), two starvation epochs flip
 // it back off.
 func TestClusterFlipUnflipSequence(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoWake: true, NoBackoff: true, NoShed: true}, State{})
+	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
 
 	feed(c, []Snapshot{failEpoch()})
 	if c.State().ClusterOnly {
@@ -94,7 +94,7 @@ func TestClusterFlipUnflipSequence(t *testing.T) {
 // of a failing streak resets it: fail, heal, fail never flips at
 // hysteresis 2.
 func TestClusterStreakInterrupted(t *testing.T) {
-	c := New(Policy{Hysteresis: 2}, State{})
+	c := New(Policy{hysteresis: 2}, State{})
 	feed(c, []Snapshot{failEpoch(), healthyEpoch(), failEpoch()})
 	if c.State().ClusterOnly || c.Count() != 0 {
 		t.Fatalf("interrupted streak must not flip; state=%+v trace=%+v", c.State(), c.Decisions())
@@ -105,7 +105,7 @@ func TestClusterStreakInterrupted(t *testing.T) {
 // flip cluster-only while remote steals still pay: 10 remote successes
 // out of 100 tries is real cross-cluster work.
 func TestClusterRemoteSuccessVeto(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoTrial: true}, State{})
+	c := New(Policy{hysteresis: 2, noTrial: true}, State{})
 	veto := Snapshot{StealTries: 100, FailedSteals: 90, StealsRemote: 10, Workers: 8, Completed: 100}
 	feed(c, []Snapshot{veto, veto, veto, veto})
 	if c.State().ClusterOnly {
@@ -114,10 +114,10 @@ func TestClusterRemoteSuccessVeto(t *testing.T) {
 }
 
 // TestFanoutWidenNarrowSequence pins the fanout ladder: sustained
-// backlog doubles the fanout (bounded by MaxFanout), and a sustained
-// quiet stream walks it back down (bounded by MinFanout).
+// backlog doubles the fanout (bounded by maxFanout), and a sustained
+// quiet stream walks it back down (bounded by minFanout).
 func TestFanoutWidenNarrowSequence(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, MaxFanout: 16, NoTrial: true}, State{})
+	c := New(Policy{hysteresis: 2, maxFanout: 16, noTrial: true}, State{})
 	backlog := Snapshot{Queued: 100, Parked: 1, Workers: 8, Completed: 50}
 
 	feed(c, []Snapshot{backlog, backlog})
@@ -126,11 +126,11 @@ func TestFanoutWidenNarrowSequence(t *testing.T) {
 	}
 	feed(c, []Snapshot{backlog, backlog})
 	if got := c.State().WakeFanout; got != 16 {
-		t.Fatalf("fanout after more backlog = %d, want 16 (MaxFanout)", got)
+		t.Fatalf("fanout after more backlog = %d, want 16 (maxFanout)", got)
 	}
 	feed(c, []Snapshot{backlog, backlog})
 	if got := c.State().WakeFanout; got != 16 {
-		t.Fatalf("fanout exceeded MaxFanout: %d", got)
+		t.Fatalf("fanout exceeded maxFanout: %d", got)
 	}
 
 	quiet := Snapshot{Queued: 1, TargetedWakes: 20, Workers: 8, Completed: 50}
@@ -140,7 +140,7 @@ func TestFanoutWidenNarrowSequence(t *testing.T) {
 	}
 	feed(c, []Snapshot{quiet, quiet, quiet, quiet, quiet, quiet})
 	if got := c.State().WakeFanout; got != 2 {
-		t.Fatalf("fanout floor = %d, want MinFanout 2", got)
+		t.Fatalf("fanout floor = %d, want minFanout 2", got)
 	}
 }
 
@@ -149,14 +149,14 @@ func TestFanoutWidenNarrowSequence(t *testing.T) {
 // stream alternating across it every epoch must produce zero
 // decisions.
 func TestFanoutNoOscillationOnBoundary(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoTrial: true}, State{})
+	c := New(Policy{hysteresis: 2, noTrial: true}, State{})
 	onBoundary := Snapshot{Queued: 8, Parked: 1, Workers: 8, Completed: 50} // == 2*fanout(4): neither widen nor narrow
 	feed(c, []Snapshot{onBoundary, onBoundary, onBoundary, onBoundary, onBoundary, onBoundary})
 	if c.Count() != 0 || c.State().WakeFanout != 4 {
 		t.Fatalf("boundary stream moved the fanout: state=%+v trace=%+v", c.State(), c.Decisions())
 	}
 
-	c = New(Policy{Hysteresis: 2, NoTrial: true}, State{})
+	c = New(Policy{hysteresis: 2, noTrial: true}, State{})
 	above := Snapshot{Queued: 20, Parked: 1, Workers: 8, Completed: 50}
 	below := Snapshot{Queued: 0, Workers: 8, Completed: 50}
 	feed(c, []Snapshot{above, below, above, below, above, below, above, below})
@@ -169,7 +169,7 @@ func TestFanoutNoOscillationOnBoundary(t *testing.T) {
 // storms raise the shift to its cap, and probes paying again walk it
 // back to zero.
 func TestBackoffLadder(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoCluster: true}, State{})
+	c := New(Policy{hysteresis: 2, noCluster: true}, State{})
 	storm := Snapshot{StealTries: 200, FailedSteals: 200, Workers: 8, Completed: 10}
 	feed(c, []Snapshot{storm, storm, storm, storm, storm, storm, storm, storm})
 	if got := c.State().BackoffShift; got != maxBackoffShift {
@@ -185,7 +185,7 @@ func TestBackoffLadder(t *testing.T) {
 // TestShedBiasFromMissRate pins the shed knob: a sustained deadline
 // miss rate tightens the floor; miss-free epochs relax it back.
 func TestShedBiasFromMissRate(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoTrial: true}, State{})
+	c := New(Policy{hysteresis: 2, noTrial: true}, State{})
 	missing := Snapshot{Completed: 100, DeadlineMisses: 10, Workers: 8}
 	feed(c, []Snapshot{missing, missing})
 	if got := c.State().ShedBias; got != 1 {
@@ -203,7 +203,7 @@ func TestShedBiasFromMissRate(t *testing.T) {
 // final state exactly, on a stream that moves every knob.
 func TestReplayReconstruction(t *testing.T) {
 	init := State{WakeFanout: 4}
-	c := New(Policy{Hysteresis: 2}, init)
+	c := New(Policy{hysteresis: 2}, init)
 	stream := []Snapshot{
 		failEpoch(), failEpoch(), // cluster on
 		starveEpoch(), starveEpoch(), // cluster off (and fanout widen pressure)
@@ -231,12 +231,12 @@ func TestReplayReconstruction(t *testing.T) {
 // spacing; a later trial whose window clearly beats the baseline is
 // kept. The whole trace, trials included, must replay.
 func TestTrialLadder(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoWake: true, NoBackoff: true, NoShed: true}, State{})
+	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
 	quiet := Snapshot{StealTries: 10, FailedSteals: 5, StealsLocal: 5, Workers: 8, Completed: 100}
 
 	feed(c, []Snapshot{quiet, quiet, quiet})
 	if c.State().ClusterOnly {
-		t.Fatal("trial fired before TrialFirst quiet epochs")
+		t.Fatal("trial fired before trialFirst quiet epochs")
 	}
 	feed(c, []Snapshot{quiet})
 	if !c.State().ClusterOnly {
@@ -272,7 +272,7 @@ func TestTrialLadder(t *testing.T) {
 // idle pool between requests) neither advance the trial clock nor
 // start trials — and move no other knob either.
 func TestTrialIdleEpochsDoNotCount(t *testing.T) {
-	c := New(Policy{Hysteresis: 2}, State{})
+	c := New(Policy{hysteresis: 2}, State{})
 	idle := Snapshot{Workers: 8}
 	feed(c, []Snapshot{idle, idle, idle, idle, idle, idle, idle, idle})
 	if c.Count() != 0 || c.State().ClusterOnly {
@@ -296,7 +296,7 @@ func lossyEpoch() Snapshot {
 // >= 2x the home miss rate flip cluster-only on after hysteresis, and
 // the decision explains itself in miss-rate terms.
 func TestLocalityRuleFlipsClusterOn(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoWake: true, NoBackoff: true, NoShed: true}, State{})
+	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
 	feed(c, []Snapshot{lossyEpoch()})
 	if c.State().ClusterOnly {
 		t.Fatal("locality rule fired after one epoch; hysteresis demands two")
@@ -323,7 +323,7 @@ func TestLocalityRuleFlipsClusterOn(t *testing.T) {
 // the streak would let remotely-stolen tasks seed more wrong-cluster
 // subtrees.
 func TestLocalityStrongEvidenceSkipsHysteresis(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoWake: true, NoBackoff: true, NoShed: true}, State{})
+	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
 	ep := lossyEpoch()
 	ep.StolenMisses = 250 // rate 0.25 vs home 0.028: overwhelming
 	feed(c, []Snapshot{ep})
@@ -338,7 +338,7 @@ func TestLocalityStrongEvidenceSkipsHysteresis(t *testing.T) {
 // whole machine over a handful of steals trades real load balance for
 // noise.
 func TestLocalityTrickleNeverFires(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoTrial: true, NoWake: true, NoBackoff: true, NoShed: true}, State{})
+	c := New(Policy{hysteresis: 2, noTrial: true, noWake: true, noBackoff: true, noShed: true}, State{})
 	steal := Snapshot{
 		StealTries: 4, FailedSteals: 1, StealsLocal: 2, StealsRemote: 1,
 		Refs: 10_000, RemoteMisses: 100, StolenRefs: 90, StolenMisses: 30,
@@ -370,7 +370,7 @@ func TestLocalityRuleGuards(t *testing.T) {
 		{"rate under floor", func(s *Snapshot) { s.RemoteMisses = 15; s.StolenMisses = 15 }},
 	}
 	for _, tc := range cases {
-		c := New(Policy{Hysteresis: 2, NoTrial: true, NoWake: true, NoBackoff: true, NoShed: true}, State{})
+		c := New(Policy{hysteresis: 2, noTrial: true, noWake: true, noBackoff: true, noShed: true}, State{})
 		ep := lossyEpoch()
 		tc.mut(&ep)
 		feed(c, []Snapshot{ep, ep, ep, ep})
@@ -384,7 +384,7 @@ func TestLocalityRuleGuards(t *testing.T) {
 // cluster knob permanently disables counterfactual trials: the rules'
 // signals are bidirectional, so exploration on top of them only churns.
 func TestRuleOwnedStopsTrials(t *testing.T) {
-	c := New(Policy{Hysteresis: 2, NoWake: true, NoBackoff: true, NoShed: true}, State{})
+	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
 	feed(c, []Snapshot{failEpoch(), failEpoch()}) // fail-ratio rule: cluster on
 	if !c.State().ClusterOnly || c.Count() != 1 {
 		t.Fatalf("setup: rule did not flip cluster-only on (trace=%+v)", c.Decisions())
@@ -403,7 +403,7 @@ func TestRuleOwnedStopsTrials(t *testing.T) {
 // TestTraceCap pins that the trace cap applies decisions but stops
 // recording them, counting the overflow.
 func TestTraceCap(t *testing.T) {
-	c := New(Policy{Hysteresis: 1, TraceCap: 1, NoBackoff: true, NoWake: true}, State{})
+	c := New(Policy{hysteresis: 1, traceCap: 1, noBackoff: true, noWake: true}, State{})
 	feed(c, []Snapshot{failEpoch(), starveEpoch()}) // hysteresis 1: flip on, then off
 	if c.Count() != 1 {
 		t.Fatalf("trace length = %d, want capped 1", c.Count())

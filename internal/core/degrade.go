@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"github.com/coolrts/cool/internal/sim"
@@ -18,41 +19,15 @@ import (
 
 // AliveServers returns the number of servers not retired by FailServer.
 func (s *Scheduler) AliveServers() int {
-	n := 0
-	for _, sv := range s.Srv {
-		if !sv.dead {
-			n++
-		}
-	}
-	return n
+	return len(s.Srv) - bits.OnesCount64(uint64(s.dead))
 }
 
 // ServerAlive reports whether server sv has not been retired.
-func (s *Scheduler) ServerAlive(sv int) bool { return !s.Srv[sv].dead }
+func (s *Scheduler) ServerAlive(sv int) bool { return !s.dead.Has(sv) }
 
-// aliveServer maps sv to itself when alive, otherwise deterministically
-// to the nearest surviving server: same-cluster survivors first (they
-// share the dead server's local memory), then increasing processor
-// distance. Returns sv unchanged if no server survives.
-func (s *Scheduler) aliveServer(sv int) int {
-	if !s.Srv[sv].dead {
-		return sv
-	}
-	n := s.Cfg.Processors
-	for d := 1; d < n; d++ {
-		v := (sv + d) % n
-		if !s.Srv[v].dead && s.Cfg.SameCluster(sv, v) {
-			return v
-		}
-	}
-	for d := 1; d < n; d++ {
-		v := (sv + d) % n
-		if !s.Srv[v].dead {
-			return v
-		}
-	}
-	return sv
-}
+// aliveServer maps sv to itself when alive, otherwise to the nearest
+// surviving server (Topo.NearestAlive).
+func (s *Scheduler) aliveServer(sv int) int { return s.topo.NearestAlive(sv, s.dead) }
 
 // spreadAlive returns surviving servers in rotation, for load-balanced
 // redistribution of tasks with no binding affinity.
@@ -61,7 +36,7 @@ func (s *Scheduler) spreadAlive() int {
 	for i := 0; i < n; i++ {
 		v := s.failRR % n
 		s.failRR++
-		if !s.Srv[v].dead {
+		if !s.dead.Has(v) {
 			return v
 		}
 	}
@@ -76,7 +51,7 @@ func (s *Scheduler) spreadAlive() int {
 func (s *Scheduler) failoverTarget(td *TaskDesc) int {
 	switch td.Class {
 	case ClassTaskSet:
-		if h, ok := s.setHome[td.AffObj]; ok && !s.Srv[h].dead {
+		if h := s.liveSetHome(td); h >= 0 {
 			return h
 		}
 		tgt := s.spreadAlive()
@@ -112,10 +87,10 @@ func (s *Scheduler) moveTo(td *TaskDesc, tgt, victim int, now int64) {
 // for an already-dead server (no-op).
 func (s *Scheduler) FailServer(victim int, running *sim.Task, now int64) {
 	sv := s.Srv[victim]
-	if sv.dead {
+	if s.dead.Has(victim) {
 		return
 	}
-	sv.dead = true
+	s.dead |= 1 << uint(victim)
 	s.llDirty = true // victim may have been the least-loaded candidate
 	s.rebuildVictimRings()
 	s.Mon.Per[victim].FaultEvents++
@@ -186,7 +161,7 @@ func (s *Scheduler) Snapshot() string {
 	total := 0
 	for _, sv := range s.Srv {
 		state := ""
-		if sv.dead {
+		if s.dead.Has(sv.id) {
 			state = " dead"
 		}
 		fmt.Fprintf(&b, " P%d:%d%s", sv.id, sv.queued, state)

@@ -29,7 +29,7 @@ func TestFailServerDrainsAndRedistributes(t *testing.T) {
 		all = append(all, mkTask(s, "proc", ClassProcessor, victim, -1, 0))
 	}
 	for i := 0; i < 3; i++ {
-		all = append(all, mkTask(s, "obj", ClassObjectBound, victim, s.slotOf(obj), obj))
+		all = append(all, mkTask(s, "obj", ClassObjectBound, victim, s.topo.SlotOf(obj), obj))
 	}
 	for _, td := range all {
 		s.Enqueue(td, 0)

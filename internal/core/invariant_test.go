@@ -17,7 +17,7 @@ func checkInvariants(s *Scheduler) error {
 	setServers := map[int64]int{} // affinity object -> server of queued members
 	for _, sv := range s.Srv {
 		machineTotal += sv.queued
-		if sv.dead && sv.queued != 0 {
+		if s.dead.Has(sv.id) && sv.queued != 0 {
 			return fmt.Errorf("server %d: dead but %d tasks queued", sv.id, sv.queued)
 		}
 		for i := range sv.slots {
@@ -47,11 +47,11 @@ func checkInvariants(s *Scheduler) error {
 	}
 	if !s.llDirty {
 		b := s.Srv[s.llBest]
-		if b.dead {
+		if s.dead.Has(b.id) {
 			return fmt.Errorf("llBest=%d is dead but llDirty is false", s.llBest)
 		}
 		for _, sv := range s.Srv {
-			if sv.dead {
+			if s.dead.Has(sv.id) {
 				continue
 			}
 			if sv.queued < b.queued || (sv.queued == b.queued && sv.id < b.id) {

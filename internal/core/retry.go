@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/sim"
 	"github.com/coolrts/cool/internal/trace"
 )
@@ -37,7 +38,7 @@ func (s *Scheduler) launchAborted(td *TaskDesc, p *sim.Proc) bool {
 	} else {
 		s.Mon.Per[p.ID].GaveUp++
 		s.Trace.Add(now, p.ID, trace.KindRetry, td.T.Name, -1)
-		s.Eng.FailRun(&sim.TaskAbort{Task: td.T.Name, Proc: p.ID, Time: now, Attempts: td.T.LaunchAborts()})
+		s.Eng.FailRun(&fault.TaskAbort{Task: td.T.Name, Proc: p.ID, Time: now, Attempts: td.T.LaunchAborts()})
 		return true
 	}
 	s.Eng.Redispatch(p)
@@ -51,47 +52,22 @@ func (s *Scheduler) TraceRetry(now int64, proc int, task string, tgt int) {
 }
 
 // RetryTarget picks the server for the next launch attempt of a task
-// whose launch just aborted on failedOn. attempt is the number of
-// attempts already failed; successive retries rotate through different
-// survivors. Placement is affinity-aware:
-//
-//   - task-affinity set members must follow their set's current home so
-//     the set never splits across servers (the whole point of the set);
-//   - object-bound tasks stay in the cluster holding their object's
-//     memory, just on a different processor than the one that failed;
-//   - everything else prefers a server in a different cluster from the
-//     failed processor, on the theory that whatever made it flaky
-//     (thermal, memory pressure) may be cluster-local.
+// whose launch just aborted on failedOn, attempt attempts in: the
+// affinity-aware rotation of Topo.RetryTarget, fed the live home of the
+// task's set.
 func (s *Scheduler) RetryTarget(td *TaskDesc, failedOn, attempt int) int {
-	n := s.Cfg.Processors
-	switch td.Class {
-	case ClassTaskSet:
-		if h, ok := s.setHome[td.AffObj]; ok && !s.Srv[h].dead {
+	return s.topo.RetryTarget(td.Class, td.Server, failedOn, attempt, s.liveSetHome(td), s.dead)
+}
+
+// liveSetHome returns the surviving server hosting td's task-affinity
+// set, or -1 when td is not a set member or the set has no live home.
+func (s *Scheduler) liveSetHome(td *TaskDesc) int {
+	if td.Class == ClassTaskSet {
+		if h, ok := s.setHome[td.AffObj]; ok && !s.dead.Has(h) {
 			return h
 		}
-		return s.aliveServer(failedOn)
-	case ClassObjectBound:
-		home := td.Server
-		for d := 0; d < n; d++ {
-			v := (home + attempt + d) % n
-			if v != failedOn && !s.Srv[v].dead && s.Cfg.SameCluster(home, v) {
-				return v
-			}
-		}
 	}
-	for d := 0; d < n; d++ {
-		v := (failedOn + attempt + d) % n
-		if v != failedOn && !s.Srv[v].dead && !s.Cfg.SameCluster(failedOn, v) {
-			return v
-		}
-	}
-	for d := 0; d < n; d++ {
-		v := (failedOn + attempt + d) % n
-		if v != failedOn && !s.Srv[v].dead {
-			return v
-		}
-	}
-	return s.aliveServer(failedOn)
+	return -1
 }
 
 // EnqueueRetry re-enqueues a transiently failed task on tgt once its
@@ -100,14 +76,12 @@ func (s *Scheduler) RetryTarget(td *TaskDesc, failedOn, attempt int) int {
 // live home (re-homing the set if that died), and a dead target is
 // rerouted like any other placement.
 func (s *Scheduler) EnqueueRetry(td *TaskDesc, tgt int, now int64) {
-	if td.Class == ClassTaskSet {
-		if h, ok := s.setHome[td.AffObj]; ok && !s.Srv[h].dead {
-			tgt = h
-		} else {
-			tgt = s.aliveServer(tgt)
-			s.setHome[td.AffObj] = tgt
-		}
-	} else if s.Srv[tgt].dead {
+	if h := s.liveSetHome(td); h >= 0 {
+		tgt = h
+	} else if td.Class == ClassTaskSet {
+		tgt = s.aliveServer(tgt)
+		s.setHome[td.AffObj] = tgt
+	} else if s.dead.Has(tgt) {
 		tgt = s.reroute(td, tgt)
 	}
 	td.Server = tgt
@@ -130,7 +104,7 @@ func (s *Scheduler) EnqueueRetry(td *TaskDesc, tgt int, now int64) {
 func (s *Scheduler) QueueDepths() []int {
 	out := make([]int, len(s.Srv))
 	for i, sv := range s.Srv {
-		if sv.dead {
+		if s.dead.Has(i) {
 			out[i] = -1
 		} else {
 			out[i] = sv.queued

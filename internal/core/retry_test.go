@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/coolrts/cool/internal/sim"
+	"github.com/coolrts/cool/internal/fault"
 )
 
 func TestRetryTargetPrefersOtherCluster(t *testing.T) {
@@ -48,7 +48,7 @@ func TestRetryTargetKeepsSetOnItsHome(t *testing.T) {
 func TestRetryTargetObjectBoundStaysNearMemory(t *testing.T) {
 	s, space := newSched(t, 8, DefaultPolicy())
 	obj := space.AllocPages(64, 5)
-	td := mkTask(s, "obj", ClassObjectBound, 5, s.slotOf(obj), obj)
+	td := mkTask(s, "obj", ClassObjectBound, 5, s.topo.SlotOf(obj), obj)
 	tgt := s.RetryTarget(td, 5, 1)
 	if tgt == 5 || !s.Cfg.SameCluster(tgt, 5) {
 		t.Fatalf("target = %d, want a different server in the object's cluster", tgt)
@@ -80,9 +80,9 @@ func TestLaunchAbortWithoutHandlerFailsRun(t *testing.T) {
 	s.Eng.InjectTaskAbort("w", 0)
 	s.Enqueue(mkTask(s, "w", ClassPlain, 0, -1, 0), 0)
 	err := s.Eng.Run()
-	var ta *sim.TaskAbort
+	var ta *fault.TaskAbort
 	if !errors.As(err, &ta) {
-		t.Fatalf("err = %v (%T), want *sim.TaskAbort", err, err)
+		t.Fatalf("err = %v (%T), want *fault.TaskAbort", err, err)
 	}
 	if got := s.Mon.Total().GaveUp; got != 1 {
 		t.Fatalf("GaveUp = %d, want 1", got)
@@ -150,7 +150,7 @@ func TestFailServerMidTaskLastAliveInCluster(t *testing.T) {
 	// A task-affinity set homed on the victim, plus plain work.
 	obj := space.AllocPages(64, 4)
 	s.setHome[obj] = 4
-	slot := s.slotOf(obj)
+	slot := s.topo.SlotOf(obj)
 	var set []*TaskDesc
 	for i := 0; i < 3; i++ {
 		td := mkTask(s, "set", ClassTaskSet, 4, slot, obj)

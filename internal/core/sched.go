@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/coolrts/cool/internal/machine"
 	"github.com/coolrts/cool/internal/memsim"
 	"github.com/coolrts/cool/internal/perfmon"
@@ -70,7 +68,6 @@ type server struct {
 	nonEmpty nonEmptyList // non-empty task-affinity queues
 	cur      *taskQueue   // slot currently being drained back-to-back
 	queued   int          // total tasks queued on this server
-	dead     bool         // processor retired by fault injection
 }
 
 // defaultWakeFanout is the number of idle processors a targeted wakeup
@@ -82,24 +79,29 @@ const defaultWakeFanout = 4
 
 // Scheduler implements sim.Dispatcher with the paper's policies.
 type Scheduler struct {
-	Cfg     machine.Config
-	Pol     Policy
-	Eng     *sim.Engine
-	Space   *memsim.Space
-	Mon     *perfmon.Monitor
-	Trace   *trace.Log // nil disables tracing
-	Srv     []*server
+	Cfg   machine.Config
+	Pol   Policy
+	Eng   *sim.Engine
+	Space *memsim.Space
+	Mon   *perfmon.Monitor
+	Trace *trace.Log // nil disables tracing
+	Srv   []*server
+	topo  Topo
+	// home maps an object address to its home server — the processor
+	// named when the page was allocated or last migrated (the paper's
+	// footnote 3: the runtime tracks an object's location directly).
+	// Space.HomeProc, bound once for Topo.Place.
+	home    func(addr int64) int
+	dead    ProcSet       // processors retired by fault injection
 	rr      int           // round-robin cursor (Base mode, AffNone spread)
 	failRR  int           // rotation cursor for failover redistribution
 	setHome map[int64]int // task-affinity set -> server currently hosting it
 
-	// Precomputed victim rings, one per thief, in (thief+d)%P probe
-	// order. Built once at construction and rebuilt only when a
-	// processor fails, so a steal probe walks a ready-made slice instead
-	// of allocating and filtering the victim list per probe.
-	ringCluster [][]int // surviving same-cluster victims
-	ringRemote  [][]int // surviving remote victims
-	ringFlat    [][]int // all surviving victims
+	// Precomputed victim rings, one per thief. Built once at
+	// construction and rebuilt only when a processor fails, so a steal
+	// probe walks a ready-made slice instead of allocating and filtering
+	// the victim list per probe.
+	rings []Rings
 
 	queuedTotal int // tasks queued machine-wide (sum of sv.queued)
 
@@ -134,8 +136,12 @@ func NewScheduler(cfg machine.Config, pol Policy, eng *sim.Engine, space *memsim
 		pol.QueueArraySize = 64
 	}
 	s := &Scheduler{Cfg: cfg, Pol: pol, Eng: eng, Space: space, Mon: mon,
+		topo: Topo{Procs: cfg.Processors, ClusterSize: cfg.ClusterSize,
+			PageSize: int64(cfg.PageSize), QueueArraySize: pol.QueueArraySize},
+		home:    space.HomeProc,
 		setHome: make(map[int64]int), wakeFanout: defaultWakeFanout}
 	s.Srv = make([]*server, cfg.Processors)
+	s.rings = make([]Rings, cfg.Processors)
 	for i := range s.Srv {
 		sv := &server{id: i, slots: make([]taskQueue, pol.QueueArraySize)}
 		for j := range sv.slots {
@@ -149,35 +155,10 @@ func NewScheduler(cfg machine.Config, pol Policy, eng *sim.Engine, space *memsim
 }
 
 // rebuildVictimRings recomputes every thief's probe order. Called at
-// construction and after a processor failure; ring backing arrays are
-// reused across rebuilds.
+// construction and after a processor failure.
 func (s *Scheduler) rebuildVictimRings() {
-	n := s.Cfg.Processors
-	if s.ringFlat == nil {
-		s.ringCluster = make([][]int, n)
-		s.ringRemote = make([][]int, n)
-		s.ringFlat = make([][]int, n)
-		for t := 0; t < n; t++ {
-			s.ringFlat[t] = make([]int, 0, n-1)
-			s.ringCluster[t] = make([]int, 0, s.Cfg.ClusterSize)
-			s.ringRemote[t] = make([]int, 0, n-1)
-		}
-	}
-	for t := 0; t < n; t++ {
-		cl, rem, flat := s.ringCluster[t][:0], s.ringRemote[t][:0], s.ringFlat[t][:0]
-		for d := 1; d < n; d++ {
-			v := (t + d) % n
-			if s.Srv[v].dead {
-				continue
-			}
-			flat = append(flat, v)
-			if s.Cfg.SameCluster(t, v) {
-				cl = append(cl, v)
-			} else {
-				rem = append(rem, v)
-			}
-		}
-		s.ringCluster[t], s.ringRemote[t], s.ringFlat[t] = cl, rem, flat
+	for t := range s.rings {
+		s.rings[t].Build(s.topo, t, s.dead)
 	}
 }
 
@@ -196,11 +177,11 @@ func (s *Scheduler) noteEnqueued(sv *server, n int) {
 func (s *Scheduler) noteDequeued(sv *server, n int) {
 	sv.queued -= n
 	s.queuedTotal -= n
-	if sv.dead || s.llDirty {
+	if s.dead.Has(sv.id) || s.llDirty {
 		return
 	}
 	b := s.Srv[s.llBest]
-	if b.dead {
+	if s.dead.Has(b.id) {
 		s.llDirty = true
 		return
 	}
@@ -209,31 +190,31 @@ func (s *Scheduler) noteDequeued(sv *server, n int) {
 	}
 }
 
-// homeServer maps an object address to its home server: the processor
-// named when the page was allocated or last migrated (the paper's
-// footnote 3 — the runtime tracks an object's location directly).
-func (s *Scheduler) homeServer(addr int64) int {
-	return s.Space.HomeProc(addr)
-}
-
-// HomeServer exposes the home-server mapping (COOL's home() construct).
-func (s *Scheduler) HomeServer(addr int64) int { return s.homeServer(addr) }
-
-// slotOf maps a task-affinity object to its queue index within a server.
-// Mixing the line and page numbers keeps both small same-page objects and
-// page-aligned objects spread across the queue array.
-func (s *Scheduler) slotOf(addr int64) int {
-	h := addr>>6 + addr/int64(s.Cfg.PageSize)
-	return int(h % int64(s.Pol.QueueArraySize))
-}
-
 // Place resolves an affinity specification to (class, server, slot,
-// setObj), implementing Table 1's semantics. If the preferred server
-// has been retired by fault injection, the placement falls over to the
-// nearest surviving server (task-affinity sets re-home as a unit).
+// setObj): Table 1 through Topo.Place, plus the two choices that need
+// the scheduler's own state — Base-mode round-robin, and which server
+// hosts a task-affinity set. A set stays on one server while it is
+// active; distinct sets spread round-robin (or onto the least-loaded
+// server when the policy asks for it). If the preferred server has been
+// retired by fault injection, the placement falls over to the nearest
+// surviving server (task-affinity sets re-home as a unit).
 func (s *Scheduler) Place(a Affinity, spawner int) (Class, int, int, int64) {
-	class, sv, slot, obj := s.place(a, spawner)
-	if s.Srv[sv].dead {
+	if s.Pol.IgnoreHints {
+		return ClassPlain, s.aliveServer(s.nextRR()), -1, 0
+	}
+	class, sv, slot, obj := s.topo.Place(a, spawner, s.home)
+	if class == ClassTaskSet {
+		var ok bool
+		if sv, ok = s.setHome[obj]; !ok {
+			if s.Pol.PlaceSetsLeastLoaded {
+				sv = s.leastLoaded()
+			} else {
+				sv = s.nextRR()
+			}
+			s.setHome[obj] = sv
+		}
+	}
+	if s.dead.Has(sv) {
 		sv = s.aliveServer(sv)
 		if class == ClassTaskSet {
 			s.setHome[obj] = sv
@@ -242,49 +223,11 @@ func (s *Scheduler) Place(a Affinity, spawner int) (Class, int, int, int64) {
 	return class, sv, slot, obj
 }
 
-func (s *Scheduler) place(a Affinity, spawner int) (Class, int, int, int64) {
-	if s.Pol.IgnoreHints {
-		sv := s.rr % s.Cfg.Processors
-		s.rr++
-		return ClassPlain, sv, -1, 0
-	}
-	switch a.Kind {
-	case AffNone:
-		return ClassPlain, spawner, -1, 0
-	case AffDefault, AffSimple:
-		// Cache and memory locality on the one object: collocate with
-		// its home and service back to back via its task-affinity queue.
-		return ClassObjectBound, s.homeServer(a.TaskObj), s.slotOf(a.TaskObj), a.TaskObj
-	case AffTask:
-		// Back-to-back execution matters; the particular processor is a
-		// load-balancing decision. Keep a set on one server while it is
-		// active, spreading distinct sets round-robin (or onto the
-		// least-loaded server when the policy asks for it).
-		sv, ok := s.setHome[a.TaskObj]
-		if !ok {
-			if s.Pol.PlaceSetsLeastLoaded {
-				sv = s.leastLoaded()
-			} else {
-				sv = s.rr % s.Cfg.Processors
-				s.rr++
-			}
-			s.setHome[a.TaskObj] = sv
-		}
-		return ClassTaskSet, sv, s.slotOf(a.TaskObj), a.TaskObj
-	case AffObject:
-		return ClassObjectBound, s.homeServer(a.ObjectObj), s.slotOf(a.ObjectObj), a.ObjectObj
-	case AffTaskObject:
-		// Memory locality on the OBJECT operand, cache reuse grouping on
-		// the TASK operand.
-		return ClassObjectBound, s.homeServer(a.ObjectObj), s.slotOf(a.TaskObj), a.TaskObj
-	case AffProcessor:
-		p := a.Processor % s.Cfg.Processors
-		if p < 0 {
-			p += s.Cfg.Processors
-		}
-		return ClassProcessor, p, -1, 0
-	}
-	panic(fmt.Sprintf("core: unknown affinity kind %d", a.Kind))
+// nextRR advances the round-robin placement cursor.
+func (s *Scheduler) nextRR() int {
+	sv := s.rr % s.Cfg.Processors
+	s.rr++
+	return sv
 }
 
 // leastLoaded returns the surviving server with the fewest queued tasks
@@ -292,12 +235,12 @@ func (s *Scheduler) place(a Affinity, spawner int) (Class, int, int, int64) {
 // maintained candidate; a full rescan happens only after the candidate
 // was invalidated (it gained work or died).
 func (s *Scheduler) leastLoaded() int {
-	if !s.llDirty && !s.Srv[s.llBest].dead {
+	if !s.llDirty && !s.dead.Has(s.llBest) {
 		return s.llBest
 	}
 	best := -1
 	for i, sv := range s.Srv {
-		if sv.dead {
+		if s.dead.Has(i) {
 			continue
 		}
 		if best < 0 || sv.queued < s.Srv[best].queued {
@@ -324,21 +267,20 @@ func (s *Scheduler) SetClusterStealingOnly(on bool) {
 // the set stays together; if the set's recorded home is itself dead, the
 // member re-homes the set and later placements follow it.
 func (s *Scheduler) reroute(td *TaskDesc, from int) int {
-	if td.Class == ClassTaskSet {
-		if h, ok := s.setHome[td.AffObj]; ok && !s.Srv[h].dead {
-			return h
-		}
-		tgt := s.aliveServer(from)
-		s.setHome[td.AffObj] = tgt
-		return tgt
+	if h := s.liveSetHome(td); h >= 0 {
+		return h
 	}
-	return s.aliveServer(from)
+	tgt := s.aliveServer(from)
+	if td.Class == ClassTaskSet {
+		s.setHome[td.AffObj] = tgt
+	}
+	return tgt
 }
 
 // Enqueue places a ready task on its server's queues and wakes idle
 // processors. now is the simulated time the task became available.
 func (s *Scheduler) Enqueue(td *TaskDesc, now int64) {
-	if s.Srv[td.Server].dead {
+	if s.dead.Has(td.Server) {
 		td.Server = s.reroute(td, td.Server)
 	}
 	if td.Class == ClassTaskSet {
@@ -363,7 +305,7 @@ func (s *Scheduler) Enqueue(td *TaskDesc, now int64) {
 // on and wakes idle processors.
 func (s *Scheduler) Resume(td *TaskDesc, now int64) {
 	s.Eng.Unblock(td.T, now)
-	if s.Srv[td.LastProc].dead {
+	if s.dead.Has(td.LastProc) {
 		td.LastProc = s.reroute(td, td.LastProc)
 	}
 	sv := s.Srv[td.LastProc]
@@ -420,7 +362,7 @@ func (s *Scheduler) SetWakeFanout(k int) {
 // non-empty slots, then the plain queue), then stealing.
 func (s *Scheduler) Dispatch(p *sim.Proc) *sim.Task {
 	sv := s.Srv[p.ID]
-	if sv.dead {
+	if s.dead.Has(p.ID) {
 		return nil
 	}
 	lat := s.Cfg.Lat
@@ -488,16 +430,11 @@ func (s *Scheduler) steal(p *sim.Proc, thief *server) *TaskDesc {
 	if s.Pol.DisableStealing {
 		return nil
 	}
-	if s.Pol.ClusterStealFirst || s.Pol.ClusterStealingOnly {
-		if td := s.stealScan(p, thief, s.ringCluster[p.ID]); td != nil {
-			return td
-		}
-		if s.Pol.ClusterStealingOnly {
-			return nil
-		}
-		return s.stealScan(p, thief, s.ringRemote[p.ID])
+	first, second := s.rings[p.ID].Order(s.Pol.ClusterStealFirst, s.Pol.ClusterStealingOnly)
+	if td := s.stealScan(p, thief, first); td != nil {
+		return td
 	}
-	return s.stealScan(p, thief, s.ringFlat[p.ID])
+	return s.stealScan(p, thief, second)
 }
 
 // stealScan probes one precomputed victim ring in order.
@@ -537,21 +474,11 @@ func (s *Scheduler) stealScan(p *sim.Proc, thief *server, ring []int) *TaskDesc 
 	return nil
 }
 
-// victimOrder returns the servers a thief would probe, assembled from the
-// precomputed rings. Same-cluster victims come first when
-// ClusterStealFirst is set; remote victims are omitted when
-// ClusterStealingOnly is set. Servers retired by fault injection are
-// absent from the rings, so the victim list shrinks as processors fail.
+// victimOrder returns the servers a thief would probe, in order.
 // (Diagnostics and tests; the steal path walks the rings directly.)
 func (s *Scheduler) victimOrder(thief int) []int {
-	if s.Pol.ClusterStealFirst || s.Pol.ClusterStealingOnly {
-		order := append([]int(nil), s.ringCluster[thief]...)
-		if !s.Pol.ClusterStealingOnly {
-			order = append(order, s.ringRemote[thief]...)
-		}
-		return order
-	}
-	return append([]int(nil), s.ringFlat[thief]...)
+	first, second := s.rings[thief].Order(s.Pol.ClusterStealFirst, s.Pol.ClusterStealingOnly)
+	return append(append([]int(nil), first...), second...)
 }
 
 // stealFrom takes work from victim v for the thief. Preference order:
@@ -597,9 +524,8 @@ func (s *Scheduler) stealFrom(v, thief *server, thiefID int, remote bool) *TaskD
 	}
 	// A plain or processor-affinity task. Scan past explicitly placed
 	// (processor-affinity) tasks: they should stay put while a freely
-	// stealable task sits behind them. A pinned task itself is taken only
-	// from a backlogged victim — with a single queued task its own server
-	// will service it promptly, and moving it defeats the placement.
+	// stealable task sits behind them. A pinned task itself goes only
+	// through the reluctant gate (Policy.MayStealHead).
 	for td := v.plain.head; td != nil; td = td.next {
 		if td.Class == ClassProcessor {
 			continue
@@ -608,7 +534,7 @@ func (s *Scheduler) stealFrom(v, thief *server, thiefID int, remote bool) *TaskD
 		s.noteDequeued(v, 1)
 		return td
 	}
-	if td := v.plain.head; td != nil && v.queued >= 2 {
+	if td := v.plain.head; td != nil && s.Pol.MayStealHead(td.Class, v.queued) {
 		v.plain.remove(td)
 		s.noteDequeued(v, 1)
 		return td
@@ -619,15 +545,10 @@ func (s *Scheduler) stealFrom(v, thief *server, thiefID int, remote bool) *TaskD
 		return td
 	}
 	// Last resort: one object-bound (or task-set, if set stealing is
-	// off) task from some slot. Object-affinity tasks "should
-	// preferably not be stolen" (§4.2): take one only from a
-	// backlogged victim.
+	// off) task from some slot, through the same gate.
 	for q := v.nonEmpty.head; q != nil; q = q.nextQ {
 		head := q.head
-		if head == nil {
-			continue
-		}
-		if head.Class == ClassObjectBound && (!s.Pol.StealObjectBound || v.queued < 2) {
+		if head == nil || !s.Pol.MayStealHead(head.Class, v.queued) {
 			continue
 		}
 		if head.Class == ClassTaskSet {

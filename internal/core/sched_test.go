@@ -27,13 +27,13 @@ func TestHomeServerIsPlacementProc(t *testing.T) {
 	s, space := newSched(t, 32, DefaultPolicy())
 	for p := 0; p < 32; p++ {
 		addr := space.AllocPages(64, p)
-		if sv := s.HomeServer(addr); sv != p {
+		if sv := s.home(addr); sv != p {
 			t.Fatalf("object placed at %d homed to server %d", p, sv)
 		}
 	}
 	addr := space.AllocPages(4096, 3)
 	space.Migrate(addr, 4096, 17)
-	if sv := s.HomeServer(addr); sv != 17 {
+	if sv := s.home(addr); sv != 17 {
 		t.Fatalf("migrated object homed to %d, want 17", sv)
 	}
 }
@@ -44,7 +44,7 @@ func TestHomeServerSamePageSharesHome(t *testing.T) {
 	base := space.Alloc(64, 2)
 	other := space.Alloc(64, 3) // same cluster arena, may share the page
 	if base/int64(s.Cfg.PageSize) == other/int64(s.Cfg.PageSize) &&
-		s.HomeServer(base) != s.HomeServer(other) {
+		s.home(base) != s.home(other) {
 		t.Fatal("same-page objects homed to different servers")
 	}
 }
@@ -68,7 +68,7 @@ func TestPlaceTable1Semantics(t *testing.T) {
 
 	// Task+Object: server follows the OBJECT operand, slot follows TASK.
 	cl, sv, slot, obj = s.Place(Affinity{Kind: AffTaskObject, TaskObj: src, ObjectObj: dst}, 0)
-	if cl != ClassObjectBound || sv != 21 || slot != s.slotOf(src) || obj != src {
+	if cl != ClassObjectBound || sv != 21 || slot != s.topo.SlotOf(src) || obj != src {
 		t.Fatalf("task+object: class=%v server=%d slot=%d obj=%d", cl, sv, slot, obj)
 	}
 

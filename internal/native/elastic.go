@@ -19,11 +19,11 @@ import (
 //     poolStarted at go-time, poolExited when the loop returns. Run
 //     waits for the run to end (done/stopc), flips joining — which
 //     refuses further growth — and then waits for started == exited.
-//   - Membership epoch: every add/retire bumps rt.epoch. Thieves keep a
-//     pruned copy of their static victim rings and rebuild it when the
-//     epoch moves, so steal scans skip dead slots without per-victim
-//     dead checks. A stale pruned ring is only a transient inefficiency:
-//     the q==0 skip in stealScan keeps correctness.
+//   - Membership epoch: every add/retire bumps rt.epoch. Each thief
+//     rebuilds its own victim rings (core.Rings, dead slots left out)
+//     when the epoch moves, so steal scans skip dead slots without
+//     per-victim dead checks. A stale ring is only a transient
+//     inefficiency: the q==0 skip in stealScan keeps correctness.
 //   - Planned drain: Drain stores a request timestamp in the victim's
 //     drainReq; the victim's own goroutine observes it at its next
 //     top-level dispatch point, finishes nothing mid-task, and retires
@@ -36,27 +36,36 @@ import (
 // worker mutex or set-table shard is ever acquired while holding it,
 // and it is never acquired while holding one of those.
 
-// PoolEvent is one pool-membership change, recorded for Report.
+// PoolEvent is one pool-membership change, recorded for Report (public
+// as cool.PoolEvent).
 type PoolEvent struct {
 	Kind       string // "add", "drain", "kill"
-	Proc       int
-	TimeNS     int64 // completion time, nanoseconds since Run started
-	DurationNS int64 // drain only: request-to-completion latency
-	Moved      int   // tasks re-homed off the retiring worker
+	Proc       int    // the worker added or retired
+	TimeNS     int64  // completion time, nanoseconds since Run started
+	DurationNS int64  // drain only: request-to-completion latency
+	Moved      int    // tasks re-homed off the retiring worker
 }
 
-// AutoscaleConfig runs a threshold autoscaler inside the runtime: each
-// control epoch it compares the machine-wide backlog per alive worker
-// against the watermarks and calls AddWorkers / DrainN. It reads only
-// scheduler atomics (queuedTotal, the parked mask, the dead mask) —
-// never a perfmon row, which belongs to its worker's goroutine.
-type AutoscaleConfig struct {
-	IntervalNS int64 // control epoch length (default 1ms)
-	HighWater  int   // queued tasks per alive worker above which the pool grows (default 8)
-	LowWater   int   // queued tasks per alive worker below which the pool shrinks (default 1)
-	Min        int   // pool size floor (default: the initial Procs)
-	Max        int   // pool size cap (default: MaxProcs)
-	Step       int   // workers added or drained per epoch (default 1)
+// AutoscalePolicy runs a threshold autoscaler inside the runtime (public
+// as cool.AutoscalePolicy): each control epoch it compares the
+// machine-wide backlog per alive worker against the watermarks and calls
+// AddWorkers / DrainN. It reads only scheduler atomics (queuedTotal, the
+// parked mask, the dead mask) — never a perfmon row, which belongs to
+// its worker's goroutine.
+type AutoscalePolicy struct {
+	// IntervalNS is the control epoch length in wall-clock nanoseconds
+	// (default 1ms).
+	IntervalNS int64
+	// HighWater grows the pool when the backlog per alive worker
+	// exceeds it (default 8); LowWater shrinks the pool when the
+	// backlog falls below it while workers sit parked (default 1).
+	HighWater, LowWater int
+	// MinProcs and MaxProcs bound the pool size (defaults: Processors
+	// and MaxProcessors).
+	MinProcs, MaxProcs int
+	// Step is the number of workers added or retired per epoch
+	// (default 1).
+	Step int
 }
 
 // startWorkerLocked starts w's goroutine and counts it in the pool-join
@@ -252,26 +261,6 @@ func (rt *Runtime) PoolEvents() []PoolEvent {
 // PoolSize returns the number of alive (routable) workers.
 func (rt *Runtime) PoolSize() int { return rt.aliveWorkers() }
 
-// pruneRings rebuilds w's dead-slot-free victim ring copies for epoch
-// e. Owner goroutine only; the dead mask may already be newer than e,
-// which only means the next epoch check rebuilds again.
-func (rt *Runtime) pruneRings(w *worker, e int64) {
-	w.ringEpoch = e
-	dead := rt.dead.Load()
-	prune := func(dst, src []int) []int {
-		dst = dst[:0]
-		for _, v := range src {
-			if dead&(1<<uint(v)) == 0 {
-				dst = append(dst, v)
-			}
-		}
-		return dst
-	}
-	w.prCluster = prune(w.prCluster, rt.ringCluster[w.id])
-	w.prRemote = prune(w.prRemote, rt.ringRemote[w.id])
-	w.prFlat = prune(w.prFlat, rt.ringFlat[w.id])
-}
-
 // autoscaler is the optional control goroutine (Config.Autoscale): per
 // control epoch it grows the pool when the backlog per alive worker
 // passes the high watermark and drains workers when the backlog falls
@@ -298,16 +287,16 @@ func (rt *Runtime) autoscaler() {
 			continue
 		}
 		q := rt.queuedTotal.Load()
-		if q > int64(a.HighWater)*int64(alive) && alive < a.Max {
+		if q > int64(a.HighWater)*int64(alive) && alive < a.MaxProcs {
 			n := a.Step
-			if alive+n > a.Max {
-				n = a.Max - alive
+			if alive+n > a.MaxProcs {
+				n = a.MaxProcs - alive
 			}
 			rt.AddWorkers(n)
-		} else if q < int64(a.LowWater)*int64(alive) && alive > a.Min && rt.parked.Load() != 0 {
+		} else if q < int64(a.LowWater)*int64(alive) && alive > a.MinProcs && rt.parked.Load() != 0 {
 			n := a.Step
-			if alive-n < a.Min {
-				n = alive - a.Min
+			if alive-n < a.MinProcs {
+				n = alive - a.MinProcs
 			}
 			rt.DrainN(n)
 		}

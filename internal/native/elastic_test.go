@@ -362,7 +362,7 @@ func TestElasticValidation(t *testing.T) {
 // run normally.
 func TestShedExpiredDeadline(t *testing.T) {
 	rt, mon := testRuntime(t, 2, func(cfg *Config) {
-		cfg.Shed = &ShedConfig{}
+		cfg.Shed = &ShedPolicy{}
 	})
 	const n = 50
 	var ran atomic.Int64
@@ -397,7 +397,7 @@ func TestShedExpiredDeadline(t *testing.T) {
 // overload.
 func TestShedPriorityFloor(t *testing.T) {
 	rt, mon := testRuntime(t, 1, func(cfg *Config) {
-		cfg.Shed = &ShedConfig{QueueHighWater: 1}
+		cfg.Shed = &ShedPolicy{QueueHighWater: 1}
 	})
 	const low, high = 400, 40
 	var ranLow, ranHigh atomic.Int64
@@ -442,8 +442,8 @@ func TestShedPriorityFloor(t *testing.T) {
 // budget suffices.
 func TestShedRetryDefers(t *testing.T) {
 	rt, mon := testRuntime(t, 1, func(cfg *Config) {
-		cfg.Shed = &ShedConfig{QueueHighWater: 1, RetryShed: true}
-		cfg.Retry = RetryConfig{MaxAttempts: 100, BackoffNS: 100_000}
+		cfg.Shed = &ShedPolicy{QueueHighWater: 1, RetryShed: true}
+		cfg.Retry = fault.RetryPolicy{MaxAttempts: 100, Backoff: 100_000}
 	})
 	const n = 200
 	var ran atomic.Int64
@@ -475,7 +475,7 @@ func TestShedRetryDefers(t *testing.T) {
 // as the final pool size.
 func TestAutoscaler(t *testing.T) {
 	rt, _ := elasticRuntime(t, 2, 8, func(cfg *Config) {
-		cfg.Autoscale = &AutoscaleConfig{IntervalNS: 200_000, HighWater: 2, LowWater: 1, Step: 2}
+		cfg.Autoscale = &AutoscalePolicy{IntervalNS: 200_000, HighWater: 2, LowWater: 1, Step: 2}
 	})
 	const n = 600
 	var ran atomic.Int64

@@ -19,8 +19,9 @@ import (
 // fault injection (worker retirement, slowdowns, stalls, flaky windows,
 // injected task panics and transient launch failures), affinity-aware
 // retries with backoff, run deadlines, and a no-progress watchdog. The
-// semantics mirror the simulator's (internal/core/degrade.go and
-// retry.go) with simulated cycles read as wall-clock nanoseconds; the
+// semantics are the simulator's (internal/core/degrade.go and retry.go,
+// with the nearest-survivor and retry-rotation rules shared through
+// core.Topo) and simulated cycles read as wall-clock nanoseconds; the
 // differences are documented in DESIGN.md §9.
 //
 // Concurrency ground rules, extending the protocol of DESIGN.md §10:
@@ -39,48 +40,6 @@ import (
 //     deadline/watchdog stops. It never writes a perfmon row (retries
 //     are counted by the aborting worker; the timekeeper's lock
 //     contention goes to a private scratch row).
-
-// RetryConfig enables transient-failure retries on the native backend.
-// The zero value disables retries: the first aborted launch stops the
-// run with *TaskAbort. Backoffs are wall-clock nanoseconds.
-type RetryConfig struct {
-	MaxAttempts  int   // total launch attempts allowed per spawn (0 = retries disabled)
-	BackoffNS    int64 // delay before the second attempt; doubles per retry
-	MaxBackoffNS int64 // cap on the exponential backoff
-}
-
-// enabled reports whether a retry policy is active.
-func (r RetryConfig) enabled() bool { return r.MaxAttempts > 0 }
-
-// delay returns the backoff before the next attempt when attempts have
-// already failed (attempts >= 1) — the same shape as the public
-// RetryPolicy.delay, in nanoseconds.
-func (r RetryConfig) delay(attempts int) int64 {
-	shift := attempts - 1
-	if shift > 30 {
-		shift = 30
-	}
-	d := r.BackoffNS << uint(shift)
-	if d > r.MaxBackoffNS || d <= 0 {
-		d = r.MaxBackoffNS
-	}
-	return d
-}
-
-// TaskAbort reports a transient launch failure the run could not absorb:
-// no retry policy, or the task's attempt budget ran out. The embedding
-// runtime converts it to its public *TaskAbortError.
-type TaskAbort struct {
-	Task     string
-	Proc     int
-	Time     int64 // nanoseconds since Run started
-	Attempts int
-}
-
-func (a *TaskAbort) Error() string {
-	return fmt.Sprintf("native: task %q launch aborted on P%d at %dns (%d attempt(s) failed, retry budget exhausted)",
-		a.Task, a.Proc, a.Time, a.Attempts)
-}
 
 // DeadlineError reports that wall-clock time passed the configured run
 // deadline with work still outstanding.
@@ -116,13 +75,6 @@ func (e *NoProgressError) Error() string {
 		s += "\n" + e.Snapshot
 	}
 	return s
-}
-
-// InjectedPanic is the panic value used for plan-injected task panics.
-type InjectedPanic struct{ Task string }
-
-func (p InjectedPanic) String() string {
-	return fmt.Sprintf("injected fault: task %q", p.Task)
 }
 
 // stopUnwind is the panic sentinel used to unwind a worker goroutine
@@ -315,39 +267,18 @@ func (rt *Runtime) stop(err error) {
 	})
 }
 
+// deadSet returns the retired (and never-started spare) workers, in the
+// form the shared decisions of internal/core take.
+func (rt *Runtime) deadSet() core.ProcSet { return core.ProcSet(rt.dead.Load()) }
+
 // isDead reports whether worker id has been retired.
-func (rt *Runtime) isDead(id int) bool {
-	return rt.dead.Load()&(1<<uint(id)) != 0
-}
+func (rt *Runtime) isDead(id int) bool { return rt.deadSet().Has(id) }
 
 // aliveWorkers returns the number of workers not retired (spare slots
 // reserved by MaxProcs sit in the dead mask until AddWorkers claims
 // them, so they never count).
 func (rt *Runtime) aliveWorkers() int {
 	return len(rt.workers) - bits.OnesCount64(rt.dead.Load())
-}
-
-// aliveWorker maps sv to itself when alive, otherwise deterministically
-// to a surviving worker — same-cluster survivors first (the preference
-// the simulator's degrade path uses), then increasing worker distance.
-func (rt *Runtime) aliveWorker(sv int) int {
-	if !rt.isDead(sv) {
-		return sv
-	}
-	n := len(rt.workers)
-	for d := 1; d < n; d++ {
-		v := (sv + d) % n
-		if !rt.isDead(v) && rt.sameCluster(sv, v) {
-			return v
-		}
-	}
-	for d := 1; d < n; d++ {
-		v := (sv + d) % n
-		if !rt.isDead(v) {
-			return v
-		}
-	}
-	return sv
 }
 
 // spreadAlive returns surviving workers in rotation, for load-balanced
@@ -368,7 +299,7 @@ func (rt *Runtime) spreadAlive() int {
 // re-home under their shard lock in placeSet instead).
 func (rt *Runtime) rerouteTarget(t *task) int {
 	if t.class == core.ClassObjectBound {
-		return rt.aliveWorker(t.server)
+		return rt.topo.NearestAlive(t.server, rt.deadSet())
 	}
 	return rt.spreadAlive()
 }
@@ -571,7 +502,7 @@ func (rt *Runtime) retireWith(w *worker, kill bool, reqNS int64) {
 				// placeSet revalidates the set's home under its shard lock
 				// and re-homes it off the dead worker; every member chases
 				// the same home, so the set moves whole and never splits.
-				tgt = rt.placeSet(t, t.affObj, ctr)
+				tgt = rt.placeSet(t, ctr)
 			} else {
 				tgt = rt.insertFrom(t, ctr, nil)
 			}
@@ -602,7 +533,7 @@ func (rt *Runtime) retireWith(w *worker, kill bool, reqNS int64) {
 // t on w — a flaky window on w, or a planted FailTask strike. When the
 // launch is struck it either schedules a retry (affinity-aware target,
 // exponential backoff, delivered by the timekeeper) or stops the run
-// with *TaskAbort. Returns true when the task must not run now.
+// with *fault.TaskAbort. Returns true when the task must not run now.
 //
 // Transient aborts strike only here, before the task body has executed
 // a single operation, so a retried launch re-runs a side-effect-free
@@ -632,56 +563,33 @@ func (rt *Runtime) launchAborted(w *worker, t *task) bool {
 	}
 	t.aborts++
 	ctr := &rt.cfg.Mon.Per[w.id]
-	if !rt.retry.enabled() || t.aborts >= rt.retry.MaxAttempts {
+	if t.aborts >= rt.retry.MaxAttempts { // always, when retries are disabled
 		ctr.GaveUp++
 		rt.trace(w, trace.KindRetry, w.id, t.name, -1)
-		rt.stop(&TaskAbort{Task: t.name, Proc: w.id, Time: now, Attempts: t.aborts})
+		rt.stop(&fault.TaskAbort{Task: t.name, Proc: w.id, Time: now, Attempts: t.aborts})
 		return true
 	}
 	ctr.Retries++
-	tgt := rt.retryTarget(t, w.id, t.aborts)
-	rt.trace(w, trace.KindRetry, w.id, t.name, int64(tgt))
-	rt.retries.add(retryItem{due: now + rt.retry.delay(t.aborts), t: t, target: tgt})
+	rt.scheduleRetry(w, t, now)
 	return true
 }
 
-// retryTarget picks the worker for the next launch attempt of a task
-// whose launch just aborted on failedOn — the same affinity-aware
-// policy as the simulator's RetryTarget: set members follow their set's
-// live home so sets never split, object-bound tasks rotate within their
-// object's cluster, everything else prefers a different cluster from
-// the flaky worker. The choice is revalidated against worker deaths at
+// scheduleRetry queues t, whose launch on w just failed for the
+// t.aborts-th time, for another attempt after its backoff: on the
+// affinity-aware target core.Topo.RetryTarget picks, fed the live home
+// of t's set. The choice is revalidated against worker deaths at
 // delivery time.
-func (rt *Runtime) retryTarget(t *task, failedOn, attempt int) int {
-	n := len(rt.workers)
-	switch t.class {
-	case core.ClassTaskSet:
-		if h := rt.setHomeOf(t.affObj); h >= 0 && !rt.isDead(h) {
-			return h
-		}
-		return rt.aliveWorker(failedOn)
-	case core.ClassObjectBound:
-		home := t.server
-		for d := 0; d < n; d++ {
-			v := (home + attempt + d) % n
-			if v != failedOn && !rt.isDead(v) && rt.sameCluster(home, v) {
-				return v
-			}
+func (rt *Runtime) scheduleRetry(w *worker, t *task, now int64) {
+	dead := rt.deadSet()
+	home := -1
+	if t.class == core.ClassTaskSet {
+		if h := rt.setHomeOf(t.affObj); h >= 0 && !dead.Has(h) {
+			home = h
 		}
 	}
-	for d := 0; d < n; d++ {
-		v := (failedOn + attempt + d) % n
-		if v != failedOn && !rt.isDead(v) && !rt.sameCluster(failedOn, v) {
-			return v
-		}
-	}
-	for d := 0; d < n; d++ {
-		v := (failedOn + attempt + d) % n
-		if v != failedOn && !rt.isDead(v) {
-			return v
-		}
-	}
-	return rt.aliveWorker(failedOn)
+	tgt := rt.topo.RetryTarget(t.class, t.server, w.id, t.aborts, home, dead)
+	rt.trace(w, trace.KindRetry, w.id, t.name, int64(tgt))
+	rt.retries.add(retryItem{due: now + rt.retry.Delay(t.aborts), t: t, target: tgt})
 }
 
 // deliverRetry re-enqueues a transiently failed task once its backoff
@@ -690,7 +598,7 @@ func (rt *Runtime) retryTarget(t *task, failedOn, attempt int) int {
 func (rt *Runtime) deliverRetry(it retryItem) {
 	t, tgt := it.t, it.target
 	if t.class == core.ClassTaskSet {
-		tgt = rt.placeSet(t, t.affObj, &rt.tkScratch)
+		tgt = rt.placeSet(t, &rt.tkScratch)
 	} else {
 		if rt.isDead(tgt) {
 			tgt = rt.rerouteTarget(t)

@@ -10,18 +10,18 @@ import (
 	"github.com/coolrts/cool/internal/fault"
 )
 
-// TestRetryDelayShape pins the native backoff to the public
-// RetryPolicy's shape: first retry waits BackoffNS, each further retry
-// doubles, the cap clamps, and huge attempt counts must not overflow.
+// TestRetryDelayShape pins the backoff shape: first retry waits Backoff,
+// each further retry doubles, the cap clamps, and huge attempt counts
+// must not overflow.
 func TestRetryDelayShape(t *testing.T) {
-	r := RetryConfig{MaxAttempts: 10, BackoffNS: 1000, MaxBackoffNS: 8000}
+	r := fault.RetryPolicy{MaxAttempts: 10, Backoff: 1000, MaxBackoff: 8000}
 	want := []int64{1000, 2000, 4000, 8000, 8000}
 	for i, w := range want {
-		if got := r.delay(i + 1); got != w {
+		if got := r.Delay(i + 1); got != w {
 			t.Fatalf("delay(%d) = %d, want %d", i+1, got, w)
 		}
 	}
-	if got := r.delay(1 << 20); got != 8000 {
+	if got := r.Delay(1 << 20); got != 8000 {
 		t.Fatalf("delay(huge) = %d, want cap 8000", got)
 	}
 }
@@ -130,7 +130,7 @@ func TestFlakyWindowRetries(t *testing.T) {
 	p.Flaky(1, 0, 1_000_000) // worker 1 aborts all fresh launches for 1ms
 	rt, mon := testRuntime(t, 2, func(cfg *Config) {
 		cfg.Faults = p
-		cfg.Retry = RetryConfig{MaxAttempts: 1000, BackoffNS: 300_000, MaxBackoffNS: 600_000}
+		cfg.Retry = fault.RetryPolicy{MaxAttempts: 1000, Backoff: 300_000, MaxBackoff: 600_000}
 	})
 	var ran atomic.Int64
 	err := rt.Run(func(c *Ctx) {
@@ -161,7 +161,7 @@ func TestFlakyWindowRetries(t *testing.T) {
 }
 
 // TestInjectedAbortWithoutRetryStopsRun: with no retry policy the first
-// transient abort fails the run with a typed *TaskAbort.
+// transient abort fails the run with a typed *fault.TaskAbort.
 func TestInjectedAbortWithoutRetryStopsRun(t *testing.T) {
 	p := &fault.Plan{}
 	p.FailTask("victim", 0)
@@ -171,9 +171,9 @@ func TestInjectedAbortWithoutRetryStopsRun(t *testing.T) {
 			c.Spawn("victim", core.Affinity{}, nil, func(*Ctx) {})
 		})
 	})
-	var ta *TaskAbort
+	var ta *fault.TaskAbort
 	if !errors.As(err, &ta) {
-		t.Fatalf("Run = %v, want *TaskAbort", err)
+		t.Fatalf("Run = %v, want *fault.TaskAbort", err)
 	}
 	if ta.Task != "victim" || ta.Attempts != 1 {
 		t.Fatalf("TaskAbort = %+v, want Task=victim Attempts=1", ta)
@@ -191,7 +191,7 @@ func TestInjectedAbortWithRetrySucceeds(t *testing.T) {
 	p.FailTask("victim", 0) // two strikes against the same spawn
 	rt, mon := testRuntime(t, 2, func(cfg *Config) {
 		cfg.Faults = p
-		cfg.Retry = RetryConfig{MaxAttempts: 5, BackoffNS: 1000, MaxBackoffNS: 64_000}
+		cfg.Retry = fault.RetryPolicy{MaxAttempts: 5, Backoff: 1000, MaxBackoff: 64_000}
 	})
 	var ran atomic.Int64
 	err := rt.Run(func(c *Ctx) {
@@ -210,23 +210,23 @@ func TestInjectedAbortWithRetrySucceeds(t *testing.T) {
 	}
 }
 
-// TestInjectedPanicIsTyped: a planted panic surfaces as *TaskFailure
+// TestInjectedPanicIsTyped: a planted panic surfaces as *fault.TaskFailure
 // with the Injected marker, never as a retry.
 func TestInjectedPanicIsTyped(t *testing.T) {
 	p := &fault.Plan{}
 	p.PanicTask("boom", 0)
 	rt, _ := testRuntime(t, 2, func(cfg *Config) {
 		cfg.Faults = p
-		cfg.Retry = RetryConfig{MaxAttempts: 5, BackoffNS: 1000, MaxBackoffNS: 64_000}
+		cfg.Retry = fault.RetryPolicy{MaxAttempts: 5, Backoff: 1000, MaxBackoff: 64_000}
 	})
 	err := rt.Run(func(c *Ctx) {
 		c.WaitFor(func() {
 			c.Spawn("boom", core.Affinity{}, nil, func(*Ctx) {})
 		})
 	})
-	var tf *TaskFailure
+	var tf *fault.TaskFailure
 	if !errors.As(err, &tf) {
-		t.Fatalf("Run = %v, want *TaskFailure", err)
+		t.Fatalf("Run = %v, want *fault.TaskFailure", err)
 	}
 	if !tf.Injected || tf.Task != "boom" {
 		t.Fatalf("TaskFailure = %+v, want Injected boom", tf)
@@ -292,7 +292,7 @@ func TestNoProgressWatchdogUnhangsCondWait(t *testing.T) {
 // robustness events.
 func TestArmedRunWithNoFaultsIsClean(t *testing.T) {
 	rt, mon := testRuntime(t, 4, func(cfg *Config) {
-		cfg.Retry = RetryConfig{MaxAttempts: 4, BackoffNS: 1000, MaxBackoffNS: 64_000}
+		cfg.Retry = fault.RetryPolicy{MaxAttempts: 4, Backoff: 1000, MaxBackoff: 64_000}
 		cfg.DeadlineNS = 30_000_000_000
 		cfg.NoProgressNS = 2_000_000_000
 	})

@@ -4,14 +4,16 @@
 // queues with a non-empty list), with whole-set stealing, reluctant
 // object-affinity stealing, and optional cluster-restricted stealing.
 //
-// The package mirrors the simulator scheduler in internal/core queue for
-// queue and steal discipline, but time is wall-clock nanoseconds and
-// synchronization is real (sync.Mutex monitors, channel parking). A
-// single native worker applies the identical dispatch priority as the
-// simulator's server — current task-affinity queue back to back, then
-// the non-empty list, then the plain queue — so a P=1 native run
-// executes tasks in exactly the simulated order, which the differential
-// harness in internal/xcheck exploits.
+// The scheduling decisions — Table 1, the slot hash, victim rings, the
+// reluctant-steal gate, failover and retry targets — are the simulator
+// scheduler's, called from internal/core (policy.go); this package owns
+// the queues, locks and atomics around them. Time is wall-clock
+// nanoseconds and synchronization is real (sync.Mutex monitors, channel
+// parking). A single native worker applies the identical dispatch
+// priority as the simulator's server — current task-affinity queue back
+// to back, then the non-empty list, then the plain queue — so a P=1
+// native run executes tasks in exactly the simulated order, which the
+// differential harness in internal/xcheck exploits.
 package native
 
 import (
@@ -75,9 +77,10 @@ type Config struct {
 	// no memory system to degrade natively.
 	Faults *fault.Plan
 
-	// Retry enables transient-failure recovery (see RetryConfig). The
-	// zero value stops the run on the first aborted launch.
-	Retry RetryConfig
+	// Retry enables transient-failure recovery, with backoffs read as
+	// wall-clock nanoseconds. The zero value (MaxAttempts 0) disables
+	// it: the first aborted launch stops the run with *fault.TaskAbort.
+	Retry fault.RetryPolicy
 
 	// DeadlineNS, when positive, stops runs still live past this many
 	// wall-clock nanoseconds with a *DeadlineError.
@@ -96,13 +99,13 @@ type Config struct {
 
 	// Shed, when non-nil, arms the SLO layer: per-spawn deadlines are
 	// enforced at dispatch and lowest-priority work is shed first under
-	// backlog pressure (see ShedConfig).
-	Shed *ShedConfig
+	// backlog pressure (see ShedPolicy).
+	Shed *ShedPolicy
 
 	// Autoscale, when non-nil, runs the threshold autoscaler, growing
-	// and draining the pool per control epoch (see AutoscaleConfig).
+	// and draining the pool per control epoch (see AutoscalePolicy).
 	// Requires MaxProcs.
-	Autoscale *AutoscaleConfig
+	Autoscale *AutoscalePolicy
 
 	// Adapt, when non-nil, arms the adaptive policy controller: each
 	// Epoch nanoseconds the timekeeper feeds the counter mirror to the
@@ -110,21 +113,6 @@ type Config struct {
 	// (cluster-only stealing, wake fanout, steal backoff, shed bias).
 	// A non-positive Epoch defaults to one millisecond.
 	Adapt *adapt.Policy
-}
-
-// TaskFailure reports a panicked task. The embedding runtime converts it
-// to its public typed error.
-type TaskFailure struct {
-	Task     string
-	Proc     int
-	Time     int64 // nanoseconds since Run started
-	Value    any
-	Stack    string
-	Injected bool // panic planted by a fault plan, not application code
-}
-
-func (f *TaskFailure) Error() string {
-	return fmt.Sprintf("native: task %q panicked on P%d at %dns: %v", f.Task, f.Proc, f.Time, f.Value)
 }
 
 // task is one spawned task record. Records are recycled through the
@@ -154,7 +142,7 @@ type task struct {
 	// SLO fields (WithPriority/WithDeadline spawn options): the
 	// priority class in [0,7] and the absolute wall-clock deadline in
 	// nanoseconds since Run (0 = none). Read at dispatch when a
-	// ShedConfig is armed.
+	// ShedPolicy is armed.
 	prio       int8
 	deadlineNS int64
 
@@ -236,15 +224,13 @@ type worker struct {
 	// drain was requested (0 = none); the worker's own goroutine
 	// observes it at top-level dispatch points and retires. exited
 	// reports the goroutine has fully stopped (flipped under poolMu),
-	// making a dead slot safe to resurrect. ringEpoch and the pr*
-	// slices are the owner-private pruned victim rings, rebuilt when
-	// the membership epoch moves (elastic runs only).
+	// making a dead slot safe to resurrect. rings is the owner-private
+	// victim probe order with dead slots left out, rebuilt when the
+	// membership epoch moves past ringEpoch (see victimRings).
 	drainReq  atomic.Int64
 	exited    atomic.Bool
 	ringEpoch int64
-	prCluster []int
-	prRemote  []int
-	prFlat    []int
+	rings     core.Rings
 
 	// fev is this worker's share of the fault plan (nil without one),
 	// consumed by the worker's own goroutine at dispatch points.
@@ -258,15 +244,9 @@ type worker struct {
 type Runtime struct {
 	cfg     Config
 	pol     core.Policy
+	topo    core.Topo // machine shape over the full capacity, for the shared decisions
 	workers []*worker // sized to capacity (np); slots past Procs start as dead spares
 	np      int       // pool capacity: MaxProcs when elastic, Procs otherwise
-
-	// Static victim rings in (thief+d)%np probe order over the full
-	// capacity, built once. Elastic runs steal through per-worker
-	// pruned copies that are rebuilt when the membership epoch moves.
-	ringCluster [][]int
-	ringRemote  [][]int
-	ringFlat    [][]int
 
 	// shards is the task-affinity set table, split across numSetShards
 	// locks so set placement and whole-set steals of unrelated sets
@@ -307,7 +287,7 @@ type Runtime struct {
 	dead      atomic.Uint64
 	armed     bool
 	inj       *injector
-	retry     RetryConfig
+	retry     fault.RetryPolicy
 	retries   retryQueue
 	completed atomic.Int64 // tasks run to completion (watchdog progress)
 	tkScratch perfmon.Counters
@@ -318,7 +298,7 @@ type Runtime struct {
 
 	// Elastic pool state (see elastic.go). poolMu guards the join
 	// protocol counters, the joining flag, and the PoolEvents timeline;
-	// epoch counts membership changes for the pruned victim rings;
+	// epoch counts membership changes for the per-worker victim rings;
 	// addTimes holds the due times of plan-injected AddWorker events
 	// (consumed by the timekeeper, addIdx is its private cursor).
 	elastic     bool
@@ -338,12 +318,12 @@ type Runtime struct {
 	// SLO state (see shed.go). prioLive counts not-yet-completed tasks
 	// per priority class so the floor controller can find the lowest
 	// live class; maintained only when shed is armed.
-	shed      *ShedConfig
+	shed      *ShedPolicy
 	shedFloor atomic.Int32
 	prioLive  [maxPrio + 1]atomic.Int64
 
 	// Autoscaler (see elastic.go).
-	auto     *AutoscaleConfig
+	auto     *AutoscalePolicy
 	autoDone sync.WaitGroup
 
 	// Adaptive controller (see adapt.go): mirror is the always-on
@@ -387,6 +367,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:       cfg,
 		pol:       pol,
+		topo:      core.Topo{Procs: np, ClusterSize: cfg.ClusterSize, PageSize: cfg.PageSize, QueueArraySize: pol.QueueArraySize},
 		np:        np,
 		shards:    make([]setShard, numSetShards),
 		done:      make(chan struct{}),
@@ -419,17 +400,17 @@ func New(cfg Config) (*Runtime, error) {
 		if a.LowWater <= 0 {
 			a.LowWater = 1
 		}
-		if a.Min <= 0 {
-			a.Min = cfg.Procs
+		if a.MinProcs <= 0 {
+			a.MinProcs = cfg.Procs
 		}
-		if a.Max <= 0 || a.Max > np {
-			a.Max = np
+		if a.MaxProcs <= 0 || a.MaxProcs > np {
+			a.MaxProcs = np
 		}
 		if a.Step <= 0 {
 			a.Step = 1
 		}
-		if a.Min > a.Max {
-			return nil, fmt.Errorf("native: Autoscale Min %d above Max %d", a.Min, a.Max)
+		if a.MinProcs > a.MaxProcs {
+			return nil, fmt.Errorf("native: Autoscale MinProcs %d above MaxProcs %d", a.MinProcs, a.MaxProcs)
 		}
 		rt.auto = &a
 	}
@@ -441,7 +422,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	// The adaptive controller rides the timekeeper, so arming it arms
 	// the monitor goroutine too.
-	rt.armed = cfg.Faults != nil || rt.retry.enabled() || rt.deadlineNS > 0 || rt.noProgressNS > 0 || rt.shed != nil || rt.adapt != nil
+	rt.armed = cfg.Faults != nil || rt.retry.MaxAttempts > 0 || rt.deadlineNS > 0 || rt.noProgressNS > 0 || rt.shed != nil || rt.adapt != nil
 	for i := range rt.shards {
 		rt.shards[i].home = make(map[int64]int)
 	}
@@ -463,40 +444,10 @@ func New(cfg Config) (*Runtime, error) {
 	// Spare slots are born dead: every insert path already reroutes
 	// around dead workers, so the spares need no new special cases.
 	rt.dead.Store(spareMask)
-	rt.buildVictimRings()
 	if cfg.Faults != nil {
 		rt.armFaults(cfg.Faults)
 	}
 	return rt, nil
-}
-
-func (rt *Runtime) sameCluster(p, q int) bool {
-	return p/rt.cfg.ClusterSize == q/rt.cfg.ClusterSize
-}
-
-func (rt *Runtime) buildVictimRings() {
-	n := len(rt.workers)
-	rt.ringCluster = make([][]int, n)
-	rt.ringRemote = make([][]int, n)
-	rt.ringFlat = make([][]int, n)
-	for t := 0; t < n; t++ {
-		for d := 1; d < n; d++ {
-			v := (t + d) % n
-			rt.ringFlat[t] = append(rt.ringFlat[t], v)
-			if rt.sameCluster(t, v) {
-				rt.ringCluster[t] = append(rt.ringCluster[t], v)
-			} else {
-				rt.ringRemote[t] = append(rt.ringRemote[t], v)
-			}
-		}
-	}
-}
-
-// slotOf maps a task-affinity object to its queue index, mixing line and
-// page numbers exactly like the simulator scheduler.
-func (rt *Runtime) slotOf(addr int64) int {
-	h := addr>>6 + addr/rt.cfg.PageSize
-	return int(h % int64(rt.pol.QueueArraySize))
 }
 
 // nowNS returns nanoseconds since Run started.
@@ -528,8 +479,8 @@ func (rt *Runtime) QueuedTasks() int { return int(rt.queuedTotal.Load()) }
 func (rt *Runtime) SetClusterStealingOnly(on bool) { rt.clusterOnly.Store(on) }
 
 // Run executes main as the root task on worker 0 and returns after every
-// task has completed. A panicking task aborts with *TaskFailure (the
-// remaining tasks still drain).
+// task has completed. A panicking task aborts with *fault.TaskFailure
+// (the remaining tasks still drain).
 func (rt *Runtime) Run(main func(*Ctx)) error {
 	if rt.ran {
 		return fmt.Errorf("native: Run called twice")
@@ -906,35 +857,16 @@ func (rt *Runtime) wakeAfterEnqueue(target, from int) {
 	rt.wakePolicy(&rt.cfg.Mon.Per[from])
 }
 
-// place resolves an affinity specification against Table 1's semantics,
-// filling the task's placement fields. Task-affinity sets are resolved
-// and inserted by placeSet, under their set-table shard.
-func (rt *Runtime) place(t *task, a core.Affinity, spawner int) {
-	p := rt.np
+// placeTask fills t's placement fields: round-robin in Base mode, Table
+// 1 (core.Topo.Place) otherwise. A task-affinity set member comes back
+// with server -1; placeSet resolves its home and inserts it, under the
+// set's shard.
+func (rt *Runtime) placeTask(t *task, a core.Affinity, spawner int) {
 	if rt.pol.IgnoreHints {
-		t.class, t.server = core.ClassPlain, int(rt.rr.Add(1)-1)%p
+		t.class, t.server = core.ClassPlain, int(rt.rr.Add(1)-1)%rt.np
 		return
 	}
-	switch a.Kind {
-	case core.AffNone:
-		t.class, t.server = core.ClassPlain, spawner
-	case core.AffDefault, core.AffSimple:
-		t.class, t.server, t.slot, t.affObj = core.ClassObjectBound, rt.cfg.Home(a.TaskObj), rt.slotOf(a.TaskObj), a.TaskObj
-	case core.AffObject:
-		t.class, t.server, t.slot, t.affObj = core.ClassObjectBound, rt.cfg.Home(a.ObjectObj), rt.slotOf(a.ObjectObj), a.ObjectObj
-	case core.AffTaskObject:
-		t.class, t.server, t.slot, t.affObj = core.ClassObjectBound, rt.cfg.Home(a.ObjectObj), rt.slotOf(a.TaskObj), a.TaskObj
-	case core.AffProcessor:
-		sv := a.Processor % p
-		if sv < 0 {
-			sv += p
-		}
-		t.class, t.server = core.ClassProcessor, sv
-	case core.AffTask:
-		panic("native: AffTask placement must go through placeSet")
-	default:
-		panic(fmt.Sprintf("native: unknown affinity kind %d", a.Kind))
-	}
+	t.class, t.server, t.slot, t.affObj = rt.topo.Place(a, spawner, rt.cfg.Home)
 }
 
 // lockWorker acquires w's queue mutex, counting a missed TryLock fast
@@ -957,8 +889,9 @@ func (rt *Runtime) lockWorkerCtr(w *worker, ctr *perfmon.Counters) {
 	w.mu.Lock()
 }
 
-// placeSet places and inserts one task-affinity set member, returning
-// the server it went to. The set's home is resolved under its shard
+// placeSet places and inserts one task-affinity set member (class, slot
+// and set object already filled by placeTask), returning the server it
+// went to. The set's home is resolved under its shard
 // lock; while that lock is held no whole-set steal can re-home the set,
 // so if the home worker's lock can be grabbed without blocking
 // (TryLock — which cannot deadlock even against the worker-before-shard
@@ -977,8 +910,8 @@ func (rt *Runtime) lockWorkerCtr(w *worker, ctr *perfmon.Counters) {
 // the shard lock, and every member chases the same record, so the set
 // moves whole. The dead checks cost one atomic load when no worker has
 // retired.
-func (rt *Runtime) placeSet(t *task, obj int64, ctr *perfmon.Counters) int {
-	t.class, t.slot, t.affObj = core.ClassTaskSet, rt.slotOf(obj), obj
+func (rt *Runtime) placeSet(t *task, ctr *perfmon.Counters) int {
+	obj := t.affObj
 	sh := rt.shardOf(obj)
 	for {
 		sh.lock(rt, ctr)
@@ -1220,7 +1153,7 @@ func (rt *Runtime) insertAndWake(t *task, from int) {
 // Config.Invoke.
 //
 // The scope and live counters are bumped only after placement succeeds:
-// place runs the user-supplied Home callback, and if that panics (e.g.
+// placeTask runs the user-supplied Home callback, and if that panics (e.g.
 // the address lies outside the embedding runtime's space) the counters
 // must not charge a task that was never enqueued — a leaked live count
 // would keep done from ever closing and hang Run instead of returning
@@ -1237,26 +1170,19 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 	if in := rt.inj; in != nil && in.tracked[name] {
 		in.noteSpawn(t) // assigns the per-name index a fault plan targets
 	}
-	if !rt.pol.IgnoreHints && a.Kind == core.AffTask {
-		if t.scope != nil {
-			t.scope.n.Add(1)
-		}
-		rt.live.Add(1)
-		if rt.shed != nil {
-			rt.prioLive[t.prio].Add(1)
-		}
-		server := rt.placeSet(t, a.TaskObj, &rt.cfg.Mon.Per[from]) // t is published after this
-		rt.trace(c.w, trace.KindEnqueue, -1, name, int64(server))
-		rt.wakeAfterEnqueue(server, from)
-		return
-	}
-	rt.place(t, a, from) // may panic in cfg.Home; no accounting yet
+	rt.placeTask(t, a, from) // may panic in cfg.Home; no accounting yet
 	if t.scope != nil {
 		t.scope.n.Add(1)
 	}
 	rt.live.Add(1)
 	if rt.shed != nil {
 		rt.prioLive[t.prio].Add(1)
+	}
+	if t.class == core.ClassTaskSet {
+		server := rt.placeSet(t, &rt.cfg.Mon.Per[from]) // t is published after this
+		rt.trace(c.w, trace.KindEnqueue, -1, name, int64(server))
+		rt.wakeAfterEnqueue(server, from)
+		return
 	}
 	rt.insertAndWake(t, from)
 }
@@ -1267,7 +1193,7 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 //
 // The burst is published as one batch: every record is built and placed
 // first (placement may panic in cfg.Home, and nothing has been accounted
-// or published at that point, so the panic surfaces as a *TaskFailure
+// or published at that point, so the panic surfaces as a *fault.TaskFailure
 // without leaking live counts), the scope and live
 // counters then cover the whole batch before any member becomes visible
 // (a published child could otherwise complete and cross scope.n through
@@ -1299,16 +1225,12 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		if in := rt.inj; in != nil && in.tracked[name] {
 			in.noteSpawn(t)
 		}
-		if !rt.pol.IgnoreHints && a.Kind == core.AffTask {
-			// Set members resolve their home under the shard lock at
-			// publish time (placeSet); mark the class and object now.
-			t.class, t.slot, t.affObj = core.ClassTaskSet, rt.slotOf(a.TaskObj), a.TaskObj
+		// May panic in cfg.Home; nothing accounted yet. Set members
+		// resolve their home under the shard lock at publish time
+		// (placeSet).
+		rt.placeTask(t, a, from)
+		if t.class != core.ClassPlain || t.server != from {
 			allPlainSelf = false
-		} else {
-			rt.place(t, a, from) // may panic in cfg.Home; nothing accounted yet
-			if t.class != core.ClassPlain || t.server != from {
-				allPlainSelf = false
-			}
 		}
 		batch = append(batch, t)
 	}
@@ -1347,7 +1269,7 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		order := w.spawnOrder[:0]
 		for _, t := range batch {
 			if t.class == core.ClassTaskSet {
-				sv := rt.placeSet(t, t.affObj, ctr)
+				sv := rt.placeSet(t, ctr)
 				rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
 				targets |= 1 << uint(sv)
 				continue
@@ -1517,28 +1439,25 @@ func (rt *Runtime) steal(w *worker) *task {
 	if rt.pol.DisableStealing || rt.queuedTotal.Load() == 0 {
 		return nil
 	}
-	cluster, remote, flat := rt.ringCluster[w.id], rt.ringRemote[w.id], rt.ringFlat[w.id]
-	if rt.elastic {
-		// Steal through per-worker pruned ring copies, rebuilt lazily
-		// when the membership epoch moves, so scans skip retired and
-		// spare slots. A momentarily stale copy is only an inefficiency:
-		// the q == 0 skip below keeps dead victims from yielding work.
-		if e := rt.epoch.Load(); e != w.ringEpoch {
-			rt.pruneRings(w, e)
-		}
-		cluster, remote, flat = w.prCluster, w.prRemote, w.prFlat
+	first, second := rt.victimRings(w).Order(rt.pol.ClusterStealFirst, rt.clusterOnly.Load())
+	if t := rt.stealScan(w, first); t != nil {
+		return t
 	}
-	clusterOnly := rt.clusterOnly.Load()
-	if rt.pol.ClusterStealFirst || clusterOnly {
-		if t := rt.stealScan(w, cluster); t != nil {
-			return t
-		}
-		if clusterOnly {
-			return nil
-		}
-		return rt.stealScan(w, remote)
+	return rt.stealScan(w, second)
+}
+
+// victimRings returns w's probe order, rebuilt first if pool membership
+// changed since it was built (once, for a fixed healthy pool). Owner
+// goroutine only. The dead mask read here may already be newer than the
+// epoch, which only means the next call rebuilds again; a momentarily
+// stale ring is only an inefficiency, since stealScan's queued == 0 skip
+// keeps dead victims from yielding work.
+func (rt *Runtime) victimRings(w *worker) *core.Rings {
+	if e := rt.epoch.Load(); e != w.ringEpoch {
+		w.ringEpoch = e
+		w.rings.Build(rt.topo, w.id, rt.deadSet())
 	}
-	return rt.stealScan(w, flat)
+	return &w.rings
 }
 
 // stealScan probes one victim ring in order. A probe that examined a
@@ -1566,7 +1485,7 @@ func (rt *Runtime) stealScan(w *worker, ring []int) *task {
 			rt.mirror.failedSteals.n.Add(1)
 			continue
 		}
-		if rt.sameCluster(w.id, vid) {
+		if rt.topo.SameCluster(w.id, vid) {
 			ctr.StealsLocal++
 			rt.mirror.stealsLocal.n.Add(1)
 		} else {
@@ -1647,10 +1566,10 @@ func (rt *Runtime) stealInbox(v, w *worker) *task {
 			break
 		}
 	}
-	if taken == nil && v.queued.Load() >= 2 {
+	if taken == nil {
+		backlog := int(v.queued.Load())
 		for i := len(buf) - 1; i >= 0; i-- { // oldest permitted structured record
-			c := buf[i].class
-			if c == core.ClassProcessor || (c == core.ClassObjectBound && rt.pol.StealObjectBound) {
+			if rt.pol.MayStealHead(buf[i].class, backlog) {
 				taken = buf[i]
 				buf = append(buf[:i], buf[i+1:]...)
 				break
@@ -1681,12 +1600,11 @@ func (rt *Runtime) stealInbox(v, w *worker) *task {
 	return taken
 }
 
-// stealLockedReluctant applies the backlog-gated steal rules to v's
-// locked structures: the pinned-queue head only from a backlogged
-// victim, an object-bound slot head only when the policy and backlog
-// allow it, and a lone set member only when whole-set stealing is off
-// (a deliberate, counted split). The lock-free gate rejects the common
-// nothing-reluctantly-stealable case without touching v's mutex.
+// stealLockedReluctant applies the reluctant-steal gate
+// (core.Policy.MayStealHead) to v's locked structures: the pinned-queue
+// head, then each slot head; a lone set member it lets through is a
+// deliberate, counted split. The lock-free check first rejects the
+// common nothing-reluctantly-stealable case without touching v's mutex.
 func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
 	if v.lockedWork.Load() == 0 {
 		return nil
@@ -1696,26 +1614,18 @@ func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
 	}
 	rt.lockWorker(v, w.id)
 	defer v.mu.Unlock()
-	if t := v.pinned.head; t != nil && v.queued.Load() >= 2 {
+	backlog := int(v.queued.Load())
+	if t := v.pinned.head; t != nil && rt.pol.MayStealHead(t.class, backlog) {
 		v.pinned.remove(t)
 		rt.noteLockedTaken(v, t)
 		return t
 	}
 	for q := v.nonEmpty.head; q != nil; q = q.nextQ {
 		head := q.head
-		if head == nil {
-			continue
-		}
-		if head.class == core.ClassObjectBound && (!rt.pol.StealObjectBound || v.queued.Load() < 2) {
+		if head == nil || !rt.pol.MayStealHead(head.class, backlog) {
 			continue
 		}
 		if head.class == core.ClassTaskSet {
-			if rt.pol.StealWholeSets {
-				// Would split a set the whole-set pass chose not to move.
-				continue
-			}
-			// Set stealing is off and the policy fell back to taking one
-			// member: a deliberate split, counted like the simulator's.
 			rt.setSplits.Add(1)
 		}
 		q.remove(head)
@@ -1881,8 +1791,8 @@ func (rt *Runtime) execute(c *Ctx, t *task) {
 			// body; the stop already recorded the run's failure.
 			return
 		}
-		_, injected := r.(InjectedPanic)
-		rt.recordFailure(&TaskFailure{
+		_, injected := r.(fault.InjectedPanic)
+		rt.recordFailure(&fault.TaskFailure{
 			Task:     t.name,
 			Proc:     c.w.id,
 			Time:     rt.nowNS(),
@@ -1892,7 +1802,7 @@ func (rt *Runtime) execute(c *Ctx, t *task) {
 		})
 	}()
 	if t.injPanic {
-		panic(InjectedPanic{Task: t.name})
+		panic(fault.InjectedPanic{Task: t.name})
 	}
 	if t.mon != nil {
 		c.Lock(t.mon)
@@ -1949,7 +1859,7 @@ func (c *Ctx) Spawn(name string, a core.Affinity, mon *Monitor, fn func(*Ctx)) {
 // task record. prio is the task's priority class (clamped to [0,7])
 // and deadlineNS, when positive, the absolute run-relative nanosecond
 // after which the task is shed instead of run; both are ignored unless
-// a ShedConfig is armed.
+// a ShedPolicy is armed.
 func (c *Ctx) SpawnPayload(name string, a core.Affinity, mon *Monitor, payload any, prio int8, deadlineNS int64) {
 	c.rt.spawn(c, name, a, mon, nil, payload, -1, prio, deadlineNS)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/coolrts/cool/internal/core"
+	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/perfmon"
 )
 
@@ -111,12 +112,13 @@ func TestWholeSetStealMovesEverything(t *testing.T) {
 	rt, mon := testRuntime(t, 2, nil)
 	v, w := rt.workers[0], rt.workers[1]
 	const obj = int64(4096)
-	slot := rt.slotOf(obj)
+	slot := rt.topo.SlotOf(obj)
 	rt.shardOf(obj).home[obj] = 0
 	for i := 0; i < 3; i++ {
 		st := rt.newTask(nil)
 		st.name, st.fn = "set", func(*Ctx) {}
-		rt.placeSet(st, obj, &mon.Per[0])
+		rt.placeTask(st, core.Affinity{Kind: core.AffTask, TaskObj: obj}, 0)
+		rt.placeSet(st, &mon.Per[0])
 	}
 	pl := rt.newTask(nil)
 	pl.name, pl.fn = "plain", func(*Ctx) {}
@@ -197,7 +199,7 @@ func TestObjectBoundStolenOnlyFromBacklog(t *testing.T) {
 		mk := func(addr int64) {
 			ob := rt.newTask(nil)
 			ob.name, ob.fn = "ob", func(*Ctx) {}
-			ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt.slotOf(addr), addr
+			ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt.topo.SlotOf(addr), addr
 			rt.insert(ob, 0)
 			if drained {
 				rt.drainInbox(v)
@@ -228,13 +230,14 @@ func TestDequeWholeSetSteal(t *testing.T) {
 	rt, mon := testRuntime(t, 2, nil)
 	v, w := rt.workers[0], rt.workers[1]
 	const obj = int64(4096)
-	slot := rt.slotOf(obj)
+	slot := rt.topo.SlotOf(obj)
 	rt.shardOf(obj).home[obj] = 0
 	ctr := &mon.Per[0]
 	for i := 0; i < 3; i++ {
 		st := rt.newTask(nil)
 		st.name, st.fn = "set", func(*Ctx) {}
-		rt.placeSet(st, obj, ctr)
+		rt.placeTask(st, core.Affinity{Kind: core.AffTask, TaskObj: obj}, 0)
+		rt.placeSet(st, ctr)
 	}
 	pl := rt.newTask(nil)
 	pl.name, pl.fn = "plain", func(*Ctx) {}
@@ -329,7 +332,7 @@ func TestDequeStealRules(t *testing.T) {
 	mkOb := func(addr int64) {
 		ob := rt2.newTask(nil)
 		ob.name, ob.fn = "ob", func(*Ctx) {}
-		ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt2.slotOf(addr), addr
+		ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt2.topo.SlotOf(addr), addr
 		rt2.insertFrom(ob, &mon2.Per[1], nil)
 	}
 	mkOb(64)
@@ -407,9 +410,9 @@ func TestPanicBecomesTaskFailure(t *testing.T) {
 			}
 		})
 	})
-	f, ok := err.(*TaskFailure)
+	f, ok := err.(*fault.TaskFailure)
 	if !ok {
-		t.Fatalf("Run returned %v, want *TaskFailure", err)
+		t.Fatalf("Run returned %v, want *fault.TaskFailure", err)
 	}
 	if f.Task != "boom" || f.Value != "kaput" || f.Stack == "" {
 		t.Fatalf("failure = %+v", f)
@@ -452,11 +455,12 @@ func TestCondSignalBroadcast(t *testing.T) {
 	var woken atomic.Int64
 	var wg sync.WaitGroup
 	c := &Ctx{w: rt.workers[0], rt: rt}
-	for i := 0; i < 3; i++ {
+	for i := 1; i <= 3; i++ {
 		wg.Add(1)
+		w := rt.workers[i] // a row each: Lock counts blocks on its caller's perfmon row
 		go func() {
 			defer wg.Done()
-			cc := &Ctx{w: rt.workers[1], rt: rt}
+			cc := &Ctx{w: w, rt: rt}
 			cc.Lock(m)
 			for stage == 0 {
 				cc.Wait(cv, m)
@@ -483,14 +487,15 @@ func TestVictimRings(t *testing.T) {
 	// the cluster, remote ring the rest, both in probe order.
 	wantCluster := []int{2, 3, 0}
 	wantRemote := []int{4, 5, 6, 7}
-	if got := rt.ringCluster[1]; !equalInts(got, wantCluster) {
-		t.Fatalf("ringCluster[1]=%v want %v", got, wantCluster)
+	r := rt.victimRings(rt.workers[1])
+	if got := r.Cluster; !equalInts(got, wantCluster) {
+		t.Fatalf("worker 1 cluster ring=%v want %v", got, wantCluster)
 	}
-	if got := rt.ringRemote[1]; !equalInts(got, wantRemote) {
-		t.Fatalf("ringRemote[1]=%v want %v", got, wantRemote)
+	if got := r.Remote; !equalInts(got, wantRemote) {
+		t.Fatalf("worker 1 remote ring=%v want %v", got, wantRemote)
 	}
-	if got := rt.ringFlat[1]; len(got) != 7 {
-		t.Fatalf("ringFlat[1]=%v want 7 victims", got)
+	if got := r.Flat; len(got) != 7 {
+		t.Fatalf("worker 1 flat ring=%v want 7 victims", got)
 	}
 }
 
@@ -584,9 +589,9 @@ func TestHomePanicFailsRun(t *testing.T) {
 		}()
 		select {
 		case err := <-errCh:
-			var tf *TaskFailure
+			var tf *fault.TaskFailure
 			if !errors.As(err, &tf) {
-				t.Fatalf("procs=%d: Run returned %v, want a *TaskFailure", procs, err)
+				t.Fatalf("procs=%d: Run returned %v, want a *fault.TaskFailure", procs, err)
 			}
 			if !strings.Contains(tf.Error(), "outside any arena") {
 				t.Fatalf("procs=%d: failure %v does not carry the Home panic", procs, tf)

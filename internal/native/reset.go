@@ -10,7 +10,7 @@ import (
 // Reset re-arms a runtime whose previous Run completed cleanly so it
 // can Run again without being rebuilt. The warm structures that make
 // reuse cheaper than New survive: per-worker task-record freelists,
-// the sized scratch slices, the static victim rings, the slot arrays,
+// the sized scratch slices, the victim rings' arrays, the slot arrays,
 // and the shard table's map capacity. Everything the finished run
 // touched — channels, counters, the dead mask, set homes, pool and SLO
 // state, the fault plan's consumed event cursors — returns to its

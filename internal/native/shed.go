@@ -23,15 +23,16 @@ import (
 // scope, the live counter, and the watchdog's progress count — so
 // WaitFor and Run never hang on work the policy dropped.
 
-// ShedConfig arms overload shedding and deadline enforcement.
-type ShedConfig struct {
-	// QueueHighWater is the backlog per alive worker above which the
-	// shed floor starts rising (default 64).
+// ShedPolicy arms overload shedding and deadline enforcement (public as
+// cool.ShedPolicy).
+type ShedPolicy struct {
+	// QueueHighWater is the machine-wide backlog per alive worker above
+	// which shedding engages (default 64).
 	QueueHighWater int
-	// RetryShed defers below-floor tasks through the retry queue
-	// (requires a retry policy) instead of dropping them. Tasks whose
-	// retry budget runs out are dropped, never aborted — shedding must
-	// not stop the run.
+	// RetryShed defers below-priority-floor tasks through the retry
+	// queue (requires Config.Retry) instead of dropping them; tasks
+	// whose retry budget runs out are dropped, never aborted — shedding
+	// must not stop the run.
 	RetryShed bool
 }
 
@@ -51,7 +52,7 @@ func clampPrio(p int8) int8 {
 
 // maybeShed applies the shedding policy to a task about to launch,
 // returning true when the task was shed or deferred and must not run.
-// Runs on w's own goroutine; only called when a ShedConfig is armed.
+// Runs on w's own goroutine; only called when a ShedPolicy is armed.
 func (rt *Runtime) maybeShed(w *worker, t *task) bool {
 	ctr := &rt.cfg.Mon.Per[w.id]
 	if t.deadlineNS > 0 && rt.nowNS() > t.deadlineNS {
@@ -64,12 +65,10 @@ func (rt *Runtime) maybeShed(w *worker, t *task) bool {
 	if floor == 0 || int32(t.prio) >= floor || t.prio >= maxPrio {
 		return false
 	}
-	if rt.shed.RetryShed && rt.retry.enabled() && t.aborts+1 < rt.retry.MaxAttempts {
+	if rt.shed.RetryShed && t.aborts+1 < rt.retry.MaxAttempts {
 		t.aborts++
 		ctr.Retries++
-		tgt := rt.retryTarget(t, w.id, t.aborts)
-		rt.trace(w, trace.KindRetry, w.id, t.name, int64(tgt))
-		rt.retries.add(retryItem{due: rt.nowNS() + rt.retry.delay(t.aborts), t: t, target: tgt})
+		rt.scheduleRetry(w, t, rt.nowNS())
 		return true
 	}
 	rt.shedTask(w, t, ctr)

@@ -4,7 +4,8 @@
 // were serviced) and the runtime (task placement, stealing, locking).
 package perfmon
 
-// Counters is one processor's event counts.
+// Counters is one processor's event counts, or their sum over the
+// machine (public as cool.Counters).
 type Counters struct {
 	// Memory system.
 	Refs          int64 // simulated memory references (cache lines touched)
@@ -68,6 +69,34 @@ type Counters struct {
 // Misses returns the total cache misses serviced by any memory.
 func (c Counters) Misses() int64 {
 	return c.LocalMisses + c.RemoteMisses + c.DirtyMisses
+}
+
+// MissRate returns misses per reference.
+func (c Counters) MissRate() float64 {
+	if c.Refs == 0 {
+		return 0
+	}
+	return float64(c.Misses()) / float64(c.Refs)
+}
+
+// LocalFraction returns the fraction of misses serviced without crossing
+// to a remote cluster (local memory plus same-cluster dirty lines count
+// as local in the cache model's latency charging).
+func (c Counters) LocalFraction() float64 {
+	m := c.Misses()
+	if m == 0 {
+		return 1
+	}
+	return float64(c.LocalMisses) / float64(m)
+}
+
+// HomeFraction returns the fraction of tasks that executed on their
+// affinity-preferred server.
+func (c Counters) HomeFraction() float64 {
+	if c.TasksRun == 0 {
+		return 1
+	}
+	return float64(c.TasksAtHome) / float64(c.TasksRun)
 }
 
 // Add accumulates o into c.

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"testing"
+
+	"github.com/coolrts/cool/internal/fault"
 )
 
 // abortDisp extends the fifo test dispatcher with the launch-abort
@@ -27,7 +29,7 @@ func (d *abortDisp) Dispatch(p *Proc) *Task {
 	}
 	if t.LaunchAborts() > d.max {
 		d.gaveUp = true
-		d.eng.FailRun(&TaskAbort{Task: t.Name, Proc: p.ID, Time: p.Clock, Attempts: t.LaunchAborts()})
+		d.eng.FailRun(&fault.TaskAbort{Task: t.Name, Proc: p.ID, Time: p.Clock, Attempts: t.LaunchAborts()})
 		return nil
 	}
 	d.eng.At(p.Clock+d.backoff, func() { d.add(t) })
@@ -72,9 +74,9 @@ func TestAbortWithoutRetryBudgetFailsRun(t *testing.T) {
 	e.InjectTaskAbort("w", 0)
 	d.add(e.NewTask("w", 0, func(c *Ctx) { c.Charge(100) }))
 	err := e.Run()
-	var ta *TaskAbort
+	var ta *fault.TaskAbort
 	if !errors.As(err, &ta) {
-		t.Fatalf("err = %v (%T), want *TaskAbort", err, err)
+		t.Fatalf("err = %v (%T), want *fault.TaskAbort", err, err)
 	}
 	if ta.Task != "w" || ta.Attempts != 1 {
 		t.Fatalf("abort = %+v, want task w after 1 attempt", ta)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/coolrts/cool/internal/fault"
 )
 
 // fifoDisp is a trivial global-queue dispatcher for engine tests.
@@ -163,9 +165,9 @@ func TestTaskPanicBecomesError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want panic message", err)
 	}
-	var tf *TaskFailure
+	var tf *fault.TaskFailure
 	if !errors.As(err, &tf) {
-		t.Fatalf("err = %T, want *TaskFailure", err)
+		t.Fatalf("err = %T, want *fault.TaskFailure", err)
 	}
 	if tf.Task != "boom" || tf.Proc != 0 || tf.Time != 77 || tf.Injected {
 		t.Fatalf("failure = %+v, want task boom on P0 at t=77, not injected", tf)

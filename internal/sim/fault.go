@@ -5,25 +5,9 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"github.com/coolrts/cool/internal/fault"
 )
-
-// TaskFailure is the structured error produced when a task coroutine
-// panics: the task's identity, where and when (in simulated time) it
-// failed, the panic value, and the stack. Injected marks panics planted
-// by a fault plan rather than raised by application code.
-type TaskFailure struct {
-	Task     string
-	Proc     int
-	Time     int64
-	Value    any
-	Stack    string
-	Injected bool
-}
-
-func (f *TaskFailure) Error() string {
-	return fmt.Sprintf("sim: task %q panicked on P%d at cycle %d: %v\n%s",
-		f.Task, f.Proc, f.Time, f.Value, f.Stack)
-}
 
 // DeadlockError reports tasks blocked forever at the end of a run. The
 // runtime layered above inspects Tasks (and the descriptors hung off
@@ -66,21 +50,6 @@ func (e *WatchdogError) Error() string {
 	return s
 }
 
-// TaskAbort reports a transient launch failure that the run could not
-// absorb: either no retry policy was active, or the task's retry budget
-// was exhausted. Attempts counts the aborted launch attempts.
-type TaskAbort struct {
-	Task     string
-	Proc     int
-	Time     int64
-	Attempts int
-}
-
-func (a *TaskAbort) Error() string {
-	return fmt.Sprintf("sim: task %q launch aborted on P%d at cycle %d (%d attempt(s) failed, retry budget exhausted)",
-		a.Task, a.Proc, a.Time, a.Attempts)
-}
-
 // DeadlineError reports that simulated time passed the configured run
 // deadline with work still outstanding. Unlike the watchdog it is an
 // expected, policy-driven stop: the caller asked for a time budget.
@@ -95,13 +64,6 @@ type DeadlineError struct {
 func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("sim: deadline %d exceeded at t=%d with %d live task(s), %d blocked",
 		e.Deadline, e.Time, e.Live, len(e.Blocked))
-}
-
-// InjectedPanic is the panic value used for plan-injected task panics.
-type InjectedPanic struct{ Task string }
-
-func (p InjectedPanic) String() string {
-	return fmt.Sprintf("injected fault: task %q", p.Task)
 }
 
 // At schedules fn at simulated time t (clamped to now). Fault plans use
@@ -252,7 +214,7 @@ func (e *Engine) noteSpawn(t *Task) {
 	t.spawnIdx = idx
 	if e.panicAt[t.Name][idx] {
 		name := t.Name
-		t.fn = func(*Ctx) { panic(InjectedPanic{Task: name}) }
+		t.fn = func(*Ctx) { panic(fault.InjectedPanic{Task: name}) }
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"testing"
+
+	"github.com/coolrts/cool/internal/fault"
 )
 
 func TestSlowdownMultipliesCharges(t *testing.T) {
@@ -116,9 +118,9 @@ func TestInjectedTaskPanic(t *testing.T) {
 		d.add(e.NewTask("w", 0, func(c *Ctx) { c.Charge(10) }))
 	}
 	err := e.Run()
-	var tf *TaskFailure
+	var tf *fault.TaskFailure
 	if !errors.As(err, &tf) {
-		t.Fatalf("err = %v (%T), want *TaskFailure", err, err)
+		t.Fatalf("err = %v (%T), want *fault.TaskFailure", err, err)
 	}
 	if !tf.Injected || tf.Task != "w" {
 		t.Fatalf("failure = %+v, want injected panic in task w", tf)

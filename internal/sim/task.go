@@ -1,6 +1,10 @@
 package sim
 
-import "runtime/debug"
+import (
+	"runtime/debug"
+
+	"github.com/coolrts/cool/internal/fault"
+)
 
 type status int
 
@@ -81,8 +85,8 @@ func (t *Task) run() {
 				t.done = true
 				return
 			}
-			f := &TaskFailure{Task: t.Name, Value: r, Stack: string(debug.Stack())}
-			if ip, ok := r.(InjectedPanic); ok {
+			f := &fault.TaskFailure{Task: t.Name, Value: r, Stack: string(debug.Stack())}
+			if ip, ok := r.(fault.InjectedPanic); ok {
 				f.Injected = true
 				f.Value = ip.String()
 			}

@@ -3,87 +3,14 @@ package cool
 import (
 	"fmt"
 	"strings"
+
+	"github.com/coolrts/cool/internal/perfmon"
 )
 
 // Counters are the performance-monitor event counts for one processor or
 // aggregated over the machine — the analogue of the DASH hardware
 // performance monitor used for the paper's cache-miss figures.
-type Counters struct {
-	Refs          int64 // cache-line references
-	L1Hits        int64
-	L2Hits        int64
-	LocalMisses   int64 // misses serviced by local cluster memory
-	RemoteMisses  int64 // misses serviced by remote cluster memory
-	DirtyMisses   int64 // misses serviced cache-to-cache from a dirty line
-	Upgrades      int64
-	Invalidations int64
-	Writebacks    int64
-	Prefetches    int64 // prefetch issues (per line)
-	PrefetchFills int64 // prefetches that brought a line in
-
-	MemCycles     int64
-	ComputeCycles int64
-
-	TasksRun     int64
-	TasksAtHome  int64 // tasks that ran on their affinity-preferred server
-	Spawns       int64
-	SpawnBatches int64 // SpawnN bursts published as one batch (native backend; zero on the simulator)
-	StealTries   int64
-	StealsLocal  int64 // successful same-cluster steals
-	StealsRemote int64
-	SetSteals    int64
-	FailedSteals int64 // steal probes that examined a victim and took nothing
-	LockBlocks   int64
-
-	// LockContention counts scheduler-internal lock acquisitions (a
-	// worker's queue mutex, a set-table shard mutex) that missed their
-	// TryLock fast path and had to block. Always zero on the simulator
-	// (it is single-threaded); on the native backend it measures
-	// contention on the decentralized placement/steal locks.
-	LockContention int64
-
-	TargetedWakes  int64 // idle wakeups limited to the first K parked processors
-	BroadcastWakes int64 // idle wakeups that woke every parked processor
-
-	FaultEvents   int64 // injected fault events that struck this processor
-	Redistributed int64 // tasks drained off this (failed) server to survivors
-	Retries       int64 // task launches aborted here and retried elsewhere
-	GaveUp        int64 // launches whose retry budget ran out (fails the run)
-
-	TasksShed      int64 // tasks dropped by the overload-shedding SLO layer
-	DeadlineMisses int64 // tasks shed because their spawn deadline had expired
-}
-
-// Misses returns the total cache misses.
-func (c Counters) Misses() int64 { return c.LocalMisses + c.RemoteMisses + c.DirtyMisses }
-
-// MissRate returns misses per reference.
-func (c Counters) MissRate() float64 {
-	if c.Refs == 0 {
-		return 0
-	}
-	return float64(c.Misses()) / float64(c.Refs)
-}
-
-// LocalFraction returns the fraction of misses serviced without crossing
-// to a remote cluster (local memory plus same-cluster dirty lines count
-// as local in the cache model's latency charging).
-func (c Counters) LocalFraction() float64 {
-	m := c.Misses()
-	if m == 0 {
-		return 1
-	}
-	return float64(c.LocalMisses) / float64(m)
-}
-
-// HomeFraction returns the fraction of tasks that executed on their
-// affinity-preferred server.
-func (c Counters) HomeFraction() float64 {
-	if c.TasksRun == 0 {
-		return 1
-	}
-	return float64(c.TasksAtHome) / float64(c.TasksRun)
-}
+type Counters = perfmon.Counters
 
 // Report summarizes one simulated execution.
 type Report struct {
@@ -133,48 +60,10 @@ func (rt *Runtime) Report() Report {
 		Processors:    rt.cfg.Processors,
 		MaxProcessors: len(rt.mon.Per),
 		SetSplits:     rt.SetSplits(),
-		Per:           make([]Counters, len(rt.mon.Per)),
+		Total:         rt.mon.Total(),
+		Per:           append([]Counters(nil), rt.mon.Per...),
 		PoolEvents:    rt.PoolEvents(),
-		Decisions:     pubDecisions(rt.adaptDecisions()),
-	}
-	for i := range rt.mon.Per {
-		p := rt.mon.Per[i]
-		c := Counters{
-			Refs:           p.Refs,
-			L1Hits:         p.L1Hits,
-			L2Hits:         p.L2Hits,
-			LocalMisses:    p.LocalMisses,
-			RemoteMisses:   p.RemoteMisses,
-			DirtyMisses:    p.DirtyMisses,
-			Upgrades:       p.Upgrades,
-			Invalidations:  p.Invalidations,
-			Writebacks:     p.Writebacks,
-			Prefetches:     p.Prefetches,
-			PrefetchFills:  p.PrefetchFills,
-			MemCycles:      p.MemCycles,
-			ComputeCycles:  p.ComputeCycles,
-			TasksRun:       p.TasksRun,
-			TasksAtHome:    p.TasksAtHome,
-			Spawns:         p.Spawns,
-			SpawnBatches:   p.SpawnBatches,
-			StealTries:     p.StealTries,
-			StealsLocal:    p.StealsLocal,
-			StealsRemote:   p.StealsRemote,
-			SetSteals:      p.SetSteals,
-			FailedSteals:   p.FailedSteals,
-			LockBlocks:     p.LockBlocks,
-			LockContention: p.LockContention,
-			TargetedWakes:  p.TargetedWakes,
-			BroadcastWakes: p.BroadcastWakes,
-			FaultEvents:    p.FaultEvents,
-			Redistributed:  p.Redistributed,
-			Retries:        p.Retries,
-			GaveUp:         p.GaveUp,
-			TasksShed:      p.TasksShed,
-			DeadlineMisses: p.DeadlineMisses,
-		}
-		r.Per[i] = c
-		addCounters(&r.Total, c)
+		Decisions:     rt.adaptDecisions(),
 	}
 	if rt.backend == BackendNative {
 		r.BusyCycles, r.IdleCycles = rt.nat.BusyIdleNanos()
@@ -185,41 +74,6 @@ func (rt *Runtime) Report() Report {
 		r.IdleCycles += p.Idle
 	}
 	return r
-}
-
-func addCounters(dst *Counters, c Counters) {
-	dst.Refs += c.Refs
-	dst.L1Hits += c.L1Hits
-	dst.L2Hits += c.L2Hits
-	dst.LocalMisses += c.LocalMisses
-	dst.RemoteMisses += c.RemoteMisses
-	dst.DirtyMisses += c.DirtyMisses
-	dst.Upgrades += c.Upgrades
-	dst.Invalidations += c.Invalidations
-	dst.Writebacks += c.Writebacks
-	dst.Prefetches += c.Prefetches
-	dst.PrefetchFills += c.PrefetchFills
-	dst.MemCycles += c.MemCycles
-	dst.ComputeCycles += c.ComputeCycles
-	dst.TasksRun += c.TasksRun
-	dst.TasksAtHome += c.TasksAtHome
-	dst.Spawns += c.Spawns
-	dst.SpawnBatches += c.SpawnBatches
-	dst.StealTries += c.StealTries
-	dst.StealsLocal += c.StealsLocal
-	dst.StealsRemote += c.StealsRemote
-	dst.SetSteals += c.SetSteals
-	dst.FailedSteals += c.FailedSteals
-	dst.LockBlocks += c.LockBlocks
-	dst.LockContention += c.LockContention
-	dst.TargetedWakes += c.TargetedWakes
-	dst.BroadcastWakes += c.BroadcastWakes
-	dst.FaultEvents += c.FaultEvents
-	dst.Redistributed += c.Redistributed
-	dst.Retries += c.Retries
-	dst.GaveUp += c.GaveUp
-	dst.TasksShed += c.TasksShed
-	dst.DeadlineMisses += c.DeadlineMisses
 }
 
 // String renders a compact human-readable summary.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/coolrts/cool/internal/core"
+	"github.com/coolrts/cool/internal/fault"
 )
 
 // RetryPolicy governs recovery from transient task-launch failures
@@ -23,19 +24,10 @@ import (
 // injection) strikes mid-body, after side effects may have happened, so
 // it always surfaces as a *TaskPanicError without consuming retry
 // budget.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of launch attempts allowed per
-	// spawn, including the first (0 = default 4).
-	MaxAttempts int
-	// Backoff is the delay in simulated cycles before the second
-	// attempt; each further retry doubles it (0 = default 1000).
-	Backoff int64
-	// MaxBackoff caps the exponential backoff (0 = 64x Backoff).
-	MaxBackoff int64
-}
+type RetryPolicy = fault.RetryPolicy
 
-// withDefaults validates the policy and fills in defaults.
-func (p RetryPolicy) withDefaults() (RetryPolicy, error) {
+// retryDefaults validates the policy and fills in defaults.
+func retryDefaults(p RetryPolicy) (RetryPolicy, error) {
 	if p.MaxAttempts < 0 {
 		return p, fmt.Errorf("cool: Config.Retry.MaxAttempts must not be negative")
 	}
@@ -57,20 +49,6 @@ func (p RetryPolicy) withDefaults() (RetryPolicy, error) {
 	return p, nil
 }
 
-// delay returns the backoff before the next attempt when attempts have
-// already failed (attempts >= 1).
-func (p RetryPolicy) delay(attempts int) int64 {
-	shift := attempts - 1
-	if shift > 30 {
-		shift = 30
-	}
-	d := p.Backoff << uint(shift)
-	if d > p.MaxBackoff || d <= 0 {
-		d = p.MaxBackoff
-	}
-	return d
-}
-
 // installRetry wires the policy into the scheduler's abort hook: count
 // the attempt, pick an affinity-aware target, and schedule the
 // re-enqueue once the backoff has elapsed. The target is revalidated at
@@ -83,7 +61,7 @@ func (rt *Runtime) installRetry(p RetryPolicy) {
 		}
 		tgt := rt.sched.RetryTarget(td, failedOn, attempts)
 		rt.sched.TraceRetry(now, failedOn, td.T.Name, tgt)
-		rt.eng.At(now+p.delay(attempts), func() {
+		rt.eng.At(now+p.Delay(attempts), func() {
 			rt.sched.EnqueueRetry(td, tgt, rt.eng.Now())
 		})
 		return true
