@@ -18,7 +18,6 @@ package native
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -31,11 +30,6 @@ import (
 	"github.com/coolrts/cool/internal/perfmon"
 	"github.com/coolrts/cool/internal/trace"
 )
-
-// wakeFanout is the number of parked workers a targeted wakeup notifies
-// before the machine-wide backlog forces a broadcast (same constant as
-// the simulator scheduler).
-const wakeFanout = 4
 
 // Config describes the native machine: worker count, cluster topology
 // (which steers victim order, not memory), and the scheduling policy.
@@ -607,40 +601,6 @@ func (rt *Runtime) recordFailure(err error) {
 	rt.failMu.Unlock()
 }
 
-// parkRetryLimit is how many consecutive failed takes re-probe
-// immediately while work is queued somewhere; past it the worker
-// concludes the queued work is work it may not take (pinned heads,
-// reluctantly-stolen object-bound tasks) and backs off exponentially
-// instead of spinning on the victims' queue locks — spinning would
-// slow the very workers running those tasks.
-const (
-	parkRetryLimit = 4
-	backoffBase    = 20 * time.Microsecond
-	backoffCap     = time.Millisecond
-)
-
-// stallBackoff returns the timed-park duration for the given
-// consecutive-miss count: the first timed park (misses ==
-// parkRetryLimit) waits backoffBase, each further miss doubles it, and
-// the wait saturates at backoffCap. Short first waits keep the reaction
-// time to freshly stealable work low; the exponential cap keeps a
-// worker staring at genuinely untakeable work from burning the cores
-// running it.
-func stallBackoff(misses int) time.Duration {
-	k := misses - parkRetryLimit
-	switch {
-	case k < 0:
-		k = 0
-	case k >= 6: // backoffBase<<6 already exceeds the cap
-		return backoffCap
-	}
-	d := backoffBase << uint(k)
-	if d > backoffCap {
-		return backoffCap
-	}
-	return d
-}
-
 // loop is one worker's scheduling loop: local queues, stealing, parking.
 // Each iteration is a dispatch point: due fault events apply first (a
 // Fail event retires the worker and exits the loop), and a stopped run
@@ -701,1041 +661,6 @@ func (rt *Runtime) dispatch(w *worker, t *task) {
 		return
 	}
 	rt.runTask(w, t)
-}
-
-// park publishes the worker as idle, rechecks for work (closing the
-// publish/recheck race against enqueuers), and sleeps until woken — or,
-// when unstealable work is backlogged elsewhere, for an exponentially
-// growing backoff.
-func (rt *Runtime) park(w *worker, misses int) {
-	// Drop any stale wake token first: a timed park that expired on its
-	// own, or the early recheck return below, leaves a deposited token
-	// behind, and that token would end the next genuine park instantly —
-	// one spurious park/unpark round-trip. Draining here cannot lose a
-	// wakeup, because every token sender publishes its condition (queue
-	// count, scope count, fault-event index) before depositing, and the
-	// rechecks after setParked observe those conditions afresh.
-	select {
-	case <-w.wake:
-	default:
-	}
-	rt.setParked(w.id, true)
-	defer rt.setParked(w.id, false)
-	queued := rt.queuedTotal.Load() > 0
-	if queued && misses < parkRetryLimit {
-		return // work appeared between the failed take and publishing
-	}
-	start := time.Now()
-	if queued {
-		rt.timedPark(w, rt.stallBackoffRT(misses))
-	} else {
-		select {
-		case <-w.wake:
-		case <-rt.done:
-		case <-rt.stopc:
-		}
-	}
-	w.idleNS += time.Since(start).Nanoseconds()
-}
-
-// timedPark sleeps until a wake token, shutdown, or the deadline d,
-// reusing the worker's timer — a fresh time.After channel per park
-// would allocate on what is a hot path for stalled workers.
-func (rt *Runtime) timedPark(w *worker, d time.Duration) {
-	if w.timer == nil {
-		w.timer = time.NewTimer(d)
-	} else {
-		w.timer.Reset(d)
-	}
-	fired := false
-	select {
-	case <-w.wake:
-	case <-rt.done:
-	case <-rt.stopc:
-	case <-w.timer.C:
-		fired = true
-	}
-	if !fired && !w.timer.Stop() {
-		<-w.timer.C // the timer fired anyway; drain for the next Reset
-	}
-}
-
-func (rt *Runtime) setParked(id int, on bool) {
-	bit := uint64(1) << uint(id)
-	for {
-		old := rt.parked.Load()
-		var next uint64
-		if on {
-			next = old | bit
-		} else {
-			next = old &^ bit
-		}
-		if rt.parked.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// wakeWorker hands worker i a wake token if none is pending, reporting
-// whether one was actually deposited.
-func (rt *Runtime) wakeWorker(i int) bool {
-	select {
-	case rt.workers[i].wake <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// wakeTargets notifies every worker in the bitmask whose parked bit is
-// set — the direct "your queue just got work" notification (the analog
-// of the simulator's NotifyProc), uncounted like the simulator's.
-//
-// A token is deposited only for parked workers, which cannot lose a
-// wakeup: a parking worker publishes its bit before re-reading the
-// queue count, and an enqueuer bumps the queue count before reading the
-// mask (both sequentially consistent atomics) — so either the parker
-// sees the new work and returns, or the enqueuer sees the bit.
-func (rt *Runtime) wakeTargets(targets uint64) {
-	m := targets & rt.parked.Load()
-	for m != 0 {
-		i := bits.TrailingZeros64(m)
-		m &= m - 1
-		rt.wakeWorker(i)
-	}
-}
-
-// wakePolicy applies the two-level wake scheme after work was enqueued:
-// while the machine-wide backlog is shallow only the first wakeFanout
-// parked workers are woken (targeted), falling back to waking every
-// parked worker once queues back up (broadcast). Counters are bumped
-// once per call and only when at least one token was actually
-// deposited — an empty parked mask or all-full token channels wake
-// nobody and count nothing. Attribution is to the enqueueing worker's
-// row (the simulator charges the target server; totals remain
-// comparable, documented in DESIGN.md §9).
-func (rt *Runtime) wakePolicy(ctr *perfmon.Counters) {
-	if rt.pol.DisableStealing {
-		return
-	}
-	mask := rt.parked.Load()
-	if mask == 0 {
-		return
-	}
-	fanout := rt.wakeFanoutNow()
-	broadcast := rt.queuedTotal.Load() > int64(fanout)
-	deposited, attempted := 0, 0
-	for mask != 0 {
-		if !broadcast && attempted >= fanout {
-			break
-		}
-		i := bits.TrailingZeros64(mask)
-		mask &= mask - 1
-		attempted++
-		if rt.wakeWorker(i) {
-			deposited++
-		}
-	}
-	if deposited == 0 {
-		return
-	}
-	if broadcast {
-		ctr.BroadcastWakes++
-		rt.mirror.broadcastWakes.n.Add(1)
-	} else {
-		ctr.TargetedWakes++
-		rt.mirror.targetedWakes.n.Add(1)
-	}
-}
-
-// wakeAfterEnqueue notifies the target worker directly, then applies
-// the machine-wide wake policy — the per-insert composition used by
-// every single-task enqueue path (SpawnN batches call wakeTargets once
-// over the whole target set and wakePolicy once per batch instead).
-func (rt *Runtime) wakeAfterEnqueue(target, from int) {
-	rt.wakeTargets(1 << uint(target))
-	rt.wakePolicy(&rt.cfg.Mon.Per[from])
-}
-
-// placeTask fills t's placement fields: round-robin in Base mode, Table
-// 1 (core.Topo.Place) otherwise. A task-affinity set member comes back
-// with server -1; placeSet resolves its home and inserts it, under the
-// set's shard.
-func (rt *Runtime) placeTask(t *task, a core.Affinity, spawner int) {
-	if rt.pol.IgnoreHints {
-		t.class, t.server = core.ClassPlain, int(rt.rr.Add(1)-1)%rt.np
-		return
-	}
-	t.class, t.server, t.slot, t.affObj = rt.topo.Place(a, spawner, rt.cfg.Home)
-}
-
-// lockWorker acquires w's queue mutex, counting a missed TryLock fast
-// path against the acting worker's row (actor is the id of the worker
-// whose goroutine is running — each row is still written only by its
-// own goroutine).
-func (rt *Runtime) lockWorker(w *worker, actor int) {
-	rt.lockWorkerCtr(w, &rt.cfg.Mon.Per[actor])
-}
-
-// lockWorkerCtr is lockWorker with an explicit contention sink, for
-// callers without a perfmon row of their own (the timekeeper goroutine
-// charges its scratch counters to keep the one-writer-per-row rule).
-func (rt *Runtime) lockWorkerCtr(w *worker, ctr *perfmon.Counters) {
-	if w.mu.TryLock() {
-		return
-	}
-	ctr.LockContention++
-	rt.mirror.lockContention.n.Add(1)
-	w.mu.Lock()
-}
-
-// placeSet places and inserts one task-affinity set member (class, slot
-// and set object already filled by placeTask), returning the server it
-// went to. The set's home is resolved under its shard
-// lock; while that lock is held no whole-set steal can re-home the set,
-// so if the home worker's lock can be grabbed without blocking
-// (TryLock — which cannot deadlock even against the worker-before-shard
-// global order, because it never waits) the insert completes in one
-// shard acquisition. Otherwise the placement falls back to a retry
-// loop that takes the locks in the global order (worker, then shard)
-// and revalidates the home: if a concurrent whole-set steal re-homed
-// the set in between, the placement chases the new home instead of
-// splitting the set.
-//
-// Worker retirement adds one more reason to revalidate: a home may be
-// dead (checked under the shard lock, and re-checked under the home
-// worker's queue lock — the retire protocol publishes the dead bit
-// before draining, so an insert that acquires the queue lock after the
-// drain always sees it). A dead home is re-homed to a survivor under
-// the shard lock, and every member chases the same record, so the set
-// moves whole. The dead checks cost one atomic load when no worker has
-// retired.
-func (rt *Runtime) placeSet(t *task, ctr *perfmon.Counters) int {
-	obj := t.affObj
-	sh := rt.shardOf(obj)
-	for {
-		sh.lock(rt, ctr)
-		sv, ok := sh.home[obj]
-		if !ok {
-			if rt.pol.PlaceSetsLeastLoaded {
-				sv = rt.leastLoaded()
-			} else {
-				sv = int(rt.rr.Add(1)-1) % rt.np
-			}
-		}
-		if rt.dead.Load() != 0 && rt.isDead(sv) {
-			sv = rt.spreadAlive()
-		}
-		sh.home[obj] = sv
-		if w := rt.workers[sv]; w.mu.TryLock() {
-			if rt.dead.Load() == 0 || !rt.isDead(sv) {
-				t.server = sv
-				rt.pushLocked(w, t)
-				w.mu.Unlock()
-				sh.mu.Unlock()
-				rt.queuedTotal.Add(1)
-				return sv
-			}
-			// The home retired between the shard check and the queue
-			// lock; re-home under the still-held shard lock and retry.
-			w.mu.Unlock()
-			sh.home[obj] = rt.spreadAlive()
-			sh.mu.Unlock()
-			continue
-		}
-		ctr.LockContention++
-		rt.mirror.lockContention.n.Add(1)
-		sh.mu.Unlock()
-		for {
-			w := rt.workers[sv]
-			rt.lockWorkerCtr(w, ctr)
-			sh.lock(rt, ctr)
-			dead := rt.dead.Load() != 0 && rt.isDead(sv)
-			if sh.home[obj] == sv && !dead {
-				t.server = sv
-				rt.pushLocked(w, t)
-				sh.mu.Unlock()
-				w.mu.Unlock()
-				rt.queuedTotal.Add(1)
-				return sv
-			}
-			// A concurrent whole-set steal moved the set, or the home
-			// retired; chase the new (live) home.
-			if dead && sh.home[obj] == sv {
-				sh.home[obj] = rt.spreadAlive()
-			}
-			sv = sh.home[obj]
-			sh.mu.Unlock()
-			w.mu.Unlock()
-		}
-	}
-}
-
-// leastLoaded returns the surviving worker with the fewest queued tasks
-// (ties to the lowest id). The per-worker counts are atomics, so the
-// lock-free scan is a consistent-enough snapshot for a load-balancing
-// heuristic.
-func (rt *Runtime) leastLoaded() int {
-	dead := rt.dead.Load()
-	best, bestQ := 0, int64(1)<<62
-	for i, w := range rt.workers {
-		if dead&(1<<uint(i)) != 0 {
-			continue
-		}
-		if q := w.queued.Load(); q < bestQ {
-			best, bestQ = i, q
-		}
-	}
-	return best
-}
-
-// pushLocked adds a structured task to w's locked queues with full
-// accounting. Called with w.mu held; the caller accounts queuedTotal
-// after releasing the lock. Only structured tasks reach it (sets through
-// placeSet, pinned and object-bound records through SpawnN's per-target
-// chains); plain tasks ride the deque and inbox instead.
-func (rt *Runtime) pushLocked(w *worker, t *task) {
-	rt.pushStructLocked(w, t)
-	w.queued.Add(1)
-	if t.class == core.ClassTaskSet {
-		w.stealable.Add(1)
-	}
-}
-
-// pushStructLocked routes one record into w's locked structures (w.mu
-// held): a slot queue for set members and object-bound tasks, the pinned
-// queue otherwise. It moves only the lock-guarded occupancy hints — an
-// inbox-drained record was fully accounted (queued, stealable,
-// queuedTotal) when it was inserted.
-func (rt *Runtime) pushStructLocked(w *worker, t *task) {
-	if t.slot >= 0 {
-		q := &w.slots[t.slot]
-		q.push(t)
-		w.nonEmpty.add(q)
-	} else {
-		w.pinned.push(t)
-	}
-	w.lockedWork.Add(1)
-	if t.class == core.ClassTaskSet {
-		w.setQueued.Add(1)
-	}
-}
-
-// drainInbox moves everything other workers pushed into w's inbox since
-// the last drain into the structures dispatch reads: plain records onto
-// the owner's deque, pinned and object-bound records under the lock.
-// Owner only; the lock is taken at most once and only when a structured
-// record arrived. Inserts already accounted every counter, so the drain
-// moves records without touching queued/stealable/queuedTotal. The
-// swapped chain is newest-first; reversing through inboxScratch
-// restores arrival order.
-func (rt *Runtime) drainInbox(w *worker) {
-	if w.inbox.empty() {
-		return
-	}
-	chain := w.inbox.swapAll()
-	if chain == nil {
-		return
-	}
-	buf := w.inboxScratch[:0]
-	for t := chain; t != nil; t = t.next {
-		buf = append(buf, t)
-	}
-	locked := false
-	for i := len(buf) - 1; i >= 0; i-- {
-		t := buf[i]
-		t.next = nil
-		buf[i] = nil
-		if t.class == core.ClassPlain {
-			w.deq.pushBottom(t)
-			continue
-		}
-		if !locked {
-			rt.lockWorker(w, w.id)
-			locked = true
-		}
-		rt.pushStructLocked(w, t)
-	}
-	if locked {
-		w.mu.Unlock()
-	}
-	w.inboxScratch = buf[:0]
-}
-
-// sweepInbox drains a retired worker's inbox and re-inserts every record
-// on a survivor. Called by the retirement drain and by any pusher that
-// observed the dead bit after its push landed — the swapAll hand-off
-// makes concurrent sweeps safe (each record appears in exactly one swap
-// result), so the sweep is idempotent. The records were accounted
-// against the dead target at insert time; each is unaccounted here and
-// re-accounted by the fresh insert. Rerouting at this point is
-// placement, not redistribution, so Redistributed is not counted (the
-// distinction TestRedistributedCounterThroughReportNative pins down).
-func (rt *Runtime) sweepInbox(w *worker, ctr *perfmon.Counters) {
-	chain := w.inbox.swapAll()
-	moved := false
-	for chain != nil {
-		t := chain
-		chain = chain.next
-		t.next = nil
-		w.queued.Add(-1)
-		if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-			w.stealable.Add(-1)
-		}
-		rt.queuedTotal.Add(-1)
-		t.server = rt.rerouteTarget(t)
-		sv := rt.insertFrom(t, ctr, nil)
-		rt.wakeTargets(1 << uint(sv))
-		moved = true
-	}
-	if moved {
-		rt.wakePolicy(ctr)
-	}
-}
-
-// insert pushes t onto its server's queues, returning the worker it
-// went to. actor is the id of the worker whose goroutine is running.
-func (rt *Runtime) insert(t *task, actor int) int {
-	return rt.insertFrom(t, &rt.cfg.Mon.Per[actor], rt.workers[actor])
-}
-
-// insertFrom is insert with an explicit contention sink and the worker
-// whose goroutine is executing the call (nil when the caller is not a
-// worker goroutine — the timekeeper, a retirement drain, an inbox
-// sweep; self only enables the owner's lock-free fast path, it is never
-// required for correctness).
-//
-// The insert counts, then publishes: the per-worker and machine hints
-// are bumped before the record becomes visible, so any consumer that
-// finds the record also finds counts covering it (consumers decrement
-// after taking). The owner's own plain spawns go straight onto its
-// deque bottom; everything else lands in the target's inbox with one
-// CAS. A dead target is rerouted up front, and re-checked after the
-// push: the retirement drain publishes the dead bit before sweeping, so
-// a push that raced the sweep re-sweeps the inbox itself.
-func (rt *Runtime) insertFrom(t *task, ctr *perfmon.Counters, self *worker) int {
-	for {
-		sv := t.server
-		if rt.dead.Load() != 0 && rt.isDead(sv) {
-			t.server = rt.rerouteTarget(t)
-			continue
-		}
-		w := rt.workers[sv]
-		w.queued.Add(1)
-		if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-			w.stealable.Add(1)
-		}
-		rt.queuedTotal.Add(1)
-		if self == w && t.class == core.ClassPlain {
-			w.deq.pushBottom(t)
-			return sv
-		}
-		w.inbox.push(t)
-		if rt.dead.Load() != 0 && rt.isDead(sv) {
-			rt.sweepInbox(w, ctr)
-		}
-		return sv
-	}
-}
-
-// insertAndWake inserts t and applies the wake policy. The task's name
-// is captured before the insert publishes it: once queued, another
-// worker may steal it, run it, and recycle the record.
-func (rt *Runtime) insertAndWake(t *task, from int) {
-	name := t.name
-	server := rt.insert(t, from)
-	rt.trace(rt.workers[from], trace.KindEnqueue, -1, name, int64(server))
-	rt.wakeAfterEnqueue(server, from)
-}
-
-// spawn creates, places, and enqueues one task on behalf of ctx. Exactly
-// one of fn and payload is non-nil; payload tasks run through
-// Config.Invoke.
-//
-// The scope and live counters are bumped only after placement succeeds:
-// placeTask runs the user-supplied Home callback, and if that panics (e.g.
-// the address lies outside the embedding runtime's space) the counters
-// must not charge a task that was never enqueued — a leaked live count
-// would keep done from ever closing and hang Run instead of returning
-// the recorded failure.
-func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn func(*Ctx), payload any, idx int32, prio int8, deadlineNS int64) {
-	from := c.w.id
-	rt.cfg.Mon.Per[from].Spawns++
-	t := rt.newTask(c.w)
-	t.name, t.fn, t.payload, t.mon, t.idx = name, fn, payload, mon, idx
-	t.scope = c.scope
-	if rt.shed != nil {
-		t.prio, t.deadlineNS = clampPrio(prio), deadlineNS
-	}
-	if in := rt.inj; in != nil && in.tracked[name] {
-		in.noteSpawn(t) // assigns the per-name index a fault plan targets
-	}
-	rt.placeTask(t, a, from) // may panic in cfg.Home; no accounting yet
-	if t.scope != nil {
-		t.scope.n.Add(1)
-	}
-	rt.live.Add(1)
-	if rt.shed != nil {
-		rt.prioLive[t.prio].Add(1)
-	}
-	if t.class == core.ClassTaskSet {
-		server := rt.placeSet(t, &rt.cfg.Mon.Per[from]) // t is published after this
-		rt.trace(c.w, trace.KindEnqueue, -1, name, int64(server))
-		rt.wakeAfterEnqueue(server, from)
-		return
-	}
-	rt.insertAndWake(t, from)
-}
-
-// spawnN creates, places, and enqueues n sibling tasks sharing one
-// payload; member i runs through Config.InvokeN with index i, and get
-// supplies each member's affinity and optional monitor.
-//
-// The burst is published as one batch: every record is built and placed
-// first (placement may panic in cfg.Home, and nothing has been accounted
-// or published at that point, so the panic surfaces as a *fault.TaskFailure
-// without leaking live counts), the scope and live
-// counters then cover the whole batch before any member becomes visible
-// (a published child could otherwise complete and cross scope.n through
-// zero before its siblings were counted, releasing WaitFor early), and
-// finally the batch is published — with one deque bottom store when
-// every child is a plain task on the spawner itself, per-task inserts
-// otherwise — followed by ONE wake decision for the whole burst.
-// SpawnBatches counts these batch publications.
-func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affinity, *Monitor, int8, int64), payload any) {
-	if n <= 0 {
-		return
-	}
-	w := c.w
-	from := w.id
-	ctr := &rt.cfg.Mon.Per[from]
-	ctr.Spawns += int64(n)
-	ctr.SpawnBatches++
-	batch := w.spawnScratch[:0]
-	allPlainSelf := true
-	for i := 0; i < n; i++ {
-		t := rt.newTask(w)
-		t.name, t.payload, t.idx = name, payload, int32(i)
-		t.scope = c.scope
-		a, mon, prio, dl := get(i)
-		t.mon = mon
-		if rt.shed != nil {
-			t.prio, t.deadlineNS = clampPrio(prio), dl
-		}
-		if in := rt.inj; in != nil && in.tracked[name] {
-			in.noteSpawn(t)
-		}
-		// May panic in cfg.Home; nothing accounted yet. Set members
-		// resolve their home under the shard lock at publish time
-		// (placeSet).
-		rt.placeTask(t, a, from)
-		if t.class != core.ClassPlain || t.server != from {
-			allPlainSelf = false
-		}
-		batch = append(batch, t)
-	}
-	if c.scope != nil {
-		c.scope.n.Add(int64(n))
-	}
-	rt.live.Add(int64(n))
-	if rt.shed != nil {
-		for _, t := range batch {
-			rt.prioLive[t.prio].Add(1)
-		}
-	}
-	if allPlainSelf {
-		w.queued.Add(int64(n))
-		w.stealable.Add(int64(n))
-		rt.queuedTotal.Add(int64(n))
-		for range batch {
-			rt.trace(w, trace.KindEnqueue, -1, name, int64(from))
-		}
-		w.deq.pushBottomN(batch)
-	} else {
-		// Mixed batch. Set members resolve through the shard protocol,
-		// the spawner's own plain children ride its deque, and
-		// cross-worker plain children ride the target's inbox. Structured
-		// records (pinned, object-bound) are chained per target and
-		// published under one lock per (batch, target): pushing them
-		// through the inbox instead would leave them invisible to every
-		// steal rule until the owner drains, which turns object-bound-
-		// heavy batches into failed-steal storms on the thieves' side.
-		if w.spawnHeads == nil {
-			w.spawnHeads = make([]*task, rt.np)
-			w.spawnTails = make([]*task, rt.np)
-		}
-		var targets uint64
-		heads, tails := w.spawnHeads, w.spawnTails
-		order := w.spawnOrder[:0]
-		for _, t := range batch {
-			if t.class == core.ClassTaskSet {
-				sv := rt.placeSet(t, ctr)
-				rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
-				targets |= 1 << uint(sv)
-				continue
-			}
-			if t.class == core.ClassPlain {
-				if t.server == from {
-					w.queued.Add(1)
-					w.stealable.Add(1)
-					rt.queuedTotal.Add(1)
-					w.deq.pushBottom(t)
-					rt.trace(w, trace.KindEnqueue, -1, name, int64(from))
-					continue
-				}
-				sv := rt.insertFrom(t, ctr, w)
-				rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
-				targets |= 1 << uint(sv)
-				continue
-			}
-			sv := t.server
-			t.next = nil
-			if heads[sv] == nil {
-				heads[sv] = t
-				order = append(order, sv)
-			} else {
-				tails[sv].next = t
-			}
-			tails[sv] = t
-		}
-		for _, sv := range order {
-			chain := heads[sv]
-			heads[sv], tails[sv] = nil, nil
-			wv := rt.workers[sv]
-			rt.lockWorkerCtr(wv, ctr)
-			if rt.dead.Load() != 0 && rt.isDead(sv) {
-				// Target retired since placement: reroute each record
-				// through the single-insert slow path (which re-homes it).
-				wv.mu.Unlock()
-				for t := chain; t != nil; {
-					next := t.next
-					t.next = nil
-					tsv := rt.insertFrom(t, ctr, w)
-					rt.trace(w, trace.KindEnqueue, -1, name, int64(tsv))
-					targets |= 1 << uint(tsv)
-					t = next
-				}
-				continue
-			}
-			n := int64(0)
-			for t := chain; t != nil; {
-				next := t.next
-				t.next = nil
-				rt.pushLocked(wv, t)
-				n++
-				t = next
-			}
-			wv.mu.Unlock()
-			rt.queuedTotal.Add(n)
-			for i := int64(0); i < n; i++ {
-				rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
-			}
-			targets |= 1 << uint(sv)
-		}
-		w.spawnOrder = order[:0]
-		rt.wakeTargets(targets)
-	}
-	rt.wakePolicy(ctr)
-	for i := range batch {
-		batch[i] = nil
-	}
-	w.spawnScratch = batch[:0]
-}
-
-// take removes the next task for w: local queues first, then stealing.
-//
-// The common case runs without any lock: drain the inbox, probe the
-// locked structures only when the lockedWork hint says they hold
-// something, then pop the own deque — a plain spawn-and-run cycle is an
-// inbox emptiness load plus one deque CAS. The dispatch priority mirrors
-// the simulator's (current slot back to back, non-empty list, pinned
-// queue, then the plain deque), which keeps P=1 native schedules
-// token-identical to the simulated ones.
-func (rt *Runtime) take(w *worker) *task {
-	rt.drainInbox(w)
-	if w.lockedWork.Load() > 0 {
-		rt.lockWorker(w, w.id)
-		t := rt.takeLocked(w)
-		w.mu.Unlock()
-		if t != nil {
-			return t
-		}
-	}
-	if t := w.deq.takeTop(); t != nil {
-		rt.noteDequeued(w, 1)
-		rt.noteRemoved(w, t)
-		return t
-	}
-	return rt.steal(w)
-}
-
-// takeLocked pops from w's lock-guarded structures in the simulator's
-// priority order: the slot being drained back to back, the non-empty
-// list, then the pinned queue. Called with w.mu held.
-func (rt *Runtime) takeLocked(w *worker) *task {
-	if w.cur != nil && !w.cur.empty() {
-		t := w.cur.pop()
-		rt.afterSlotPop(w, w.cur)
-		rt.noteLockedTaken(w, t)
-		return t
-	}
-	w.cur = nil
-	if q := w.nonEmpty.head; q != nil {
-		t := q.pop()
-		rt.afterSlotPop(w, q)
-		if !q.empty() {
-			w.cur = q
-		}
-		rt.noteLockedTaken(w, t)
-		return t
-	}
-	if t := w.pinned.pop(); t != nil {
-		rt.noteLockedTaken(w, t)
-		return t
-	}
-	return nil
-}
-
-// noteLockedTaken accounts one task removed from w's locked structures
-// (w.mu held).
-func (rt *Runtime) noteLockedTaken(w *worker, t *task) {
-	w.lockedWork.Add(-1)
-	if t.class == core.ClassTaskSet {
-		w.setQueued.Add(-1)
-	}
-	rt.noteDequeued(w, 1)
-	rt.noteRemoved(w, t)
-}
-
-func (rt *Runtime) afterSlotPop(w *worker, q *taskQueue) {
-	if q.empty() {
-		w.nonEmpty.removeQ(q)
-		if w.cur == q {
-			w.cur = nil
-		}
-	}
-}
-
-// noteDequeued accounts n tasks removed from w's queues (w.mu held).
-func (rt *Runtime) noteDequeued(w *worker, n int) {
-	w.queued.Add(int64(-n))
-	rt.queuedTotal.Add(int64(-n))
-}
-
-// noteRemoved maintains w's stealable hint for one removed task (w.mu
-// held; pairs with the increment in pushLocked).
-func (rt *Runtime) noteRemoved(w *worker, t *task) {
-	if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-		w.stealable.Add(-1)
-	}
-}
-
-// steal scans victims for work, preferring same-cluster victims when
-// the policy asks for it. There is no global steal lock: concurrent
-// thieves probing different victims proceed in parallel, and each probe
-// synchronizes only with the two workers and (for a set move) the one
-// set-table shard involved.
-func (rt *Runtime) steal(w *worker) *task {
-	if rt.pol.DisableStealing || rt.queuedTotal.Load() == 0 {
-		return nil
-	}
-	first, second := rt.victimRings(w).Order(rt.pol.ClusterStealFirst, rt.clusterOnly.Load())
-	if t := rt.stealScan(w, first); t != nil {
-		return t
-	}
-	return rt.stealScan(w, second)
-}
-
-// victimRings returns w's probe order, rebuilt first if pool membership
-// changed since it was built (once, for a fixed healthy pool). Owner
-// goroutine only. The dead mask read here may already be newer than the
-// epoch, which only means the next call rebuilds again; a momentarily
-// stale ring is only an inefficiency, since stealScan's queued == 0 skip
-// keeps dead victims from yielding work.
-func (rt *Runtime) victimRings(w *worker) *core.Rings {
-	if e := rt.epoch.Load(); e != w.ringEpoch {
-		w.ringEpoch = e
-		w.rings.Build(rt.topo, w.id, rt.deadSet())
-	}
-	return &w.rings
-}
-
-// stealScan probes one victim ring in order. A probe that examined a
-// victim and came back empty-handed — the victim drained meanwhile, or
-// holds only work the steal rules refuse — counts as a failed steal.
-func (rt *Runtime) stealScan(w *worker, ring []int) *task {
-	ctr := &rt.cfg.Mon.Per[w.id]
-	for _, vid := range ring {
-		v := rt.workers[vid]
-		q := v.queued.Load()
-		if q == 0 {
-			continue
-		}
-		if q < 2 && v.stealable.Load() == 0 {
-			// The victim's one queued task is pinned or object-bound;
-			// every steal rule refuses it from a non-backlogged victim,
-			// so the probe (and its lock) would be wasted.
-			continue
-		}
-		ctr.StealTries++
-		rt.mirror.stealTries.n.Add(1)
-		t := rt.stealFrom(v, w)
-		if t == nil {
-			ctr.FailedSteals++
-			rt.mirror.failedSteals.n.Add(1)
-			continue
-		}
-		if rt.topo.SameCluster(w.id, vid) {
-			ctr.StealsLocal++
-			rt.mirror.stealsLocal.n.Add(1)
-		} else {
-			ctr.StealsRemote++
-			rt.mirror.stealsRemote.n.Add(1)
-		}
-		rt.trace(w, trace.KindSteal, w.id, t.name, int64(vid))
-		return t
-	}
-	return nil
-}
-
-// stealFrom takes work from victim v for thief w, with the paper's
-// preference order: a whole task-affinity set, a plain task, and finally
-// (reluctantly) one object-bound or pinned task from a backlogged
-// victim.
-//
-// The probe is ordered by cost: the sets-first phase takes the victim's
-// lock only when the setQueued hint says a set is queued; a plain steal
-// is a single CAS on the victim's deque top; the victim's inbox is
-// probed lock-free (swap, keep the oldest plain record, push the rest
-// back); and only the backlog-gated reluctant rules on the locked
-// structures pay for the victim's mutex. Single-task steals hand the
-// task straight to the thief's goroutine, so the thief's own queues are
-// never touched; only a whole-set move adds the thief's lock (stealSet,
-// in ascending global id order — the deadlock-avoidance protocol every
-// two-worker path follows) plus the one set-table shard involved.
-func (rt *Runtime) stealFrom(v, w *worker) *task {
-	if rt.pol.StealWholeSets && v.setQueued.Load() > 0 {
-		rt.lockWorker(v, w.id)
-		t := rt.stealSet(v, w)
-		v.mu.Unlock()
-		if t != nil {
-			return t
-		}
-	}
-	if t := v.deq.takeTop(); t != nil {
-		rt.noteDequeued(v, 1)
-		rt.noteRemoved(v, t)
-		return t
-	}
-	if t := rt.stealInbox(v, w); t != nil {
-		return t
-	}
-	return rt.stealLockedReluctant(v, w)
-}
-
-// stealInbox probes v's inbox for the oldest stealable record. Pop-one
-// is unsafe on a Treiber stack whose records get recycled (see inbox),
-// so the thief swaps the whole chain, keeps one record, and pushes
-// everything else back in one CAS, preserving relative order.
-//
-// Plain records are always fair game. The pinned and object-bound
-// records an inbox can hold are exactly the work the reluctant steal
-// rules guard behind backlog checks, and riding the inbox grants no
-// license to skip those checks — so they are taken only under the same
-// gates stealLockedReluctant applies to the locked structures (victim
-// backlogged, object-bound only under StealObjectBound). Without this,
-// object-bound-heavy workloads starve thieves into a failed-steal storm
-// whenever the work sits in inboxes the owners haven't drained yet.
-func (rt *Runtime) stealInbox(v, w *worker) *task {
-	if v.inbox.empty() {
-		return nil
-	}
-	chain := v.inbox.swapAll()
-	if chain == nil {
-		return nil
-	}
-	buf := w.inboxScratch[:0]
-	for t := chain; t != nil; t = t.next {
-		buf = append(buf, t)
-	}
-	var taken *task
-	for i := len(buf) - 1; i >= 0; i-- { // chain is newest-first; oldest plain wins
-		if buf[i].class == core.ClassPlain {
-			taken = buf[i]
-			buf = append(buf[:i], buf[i+1:]...)
-			break
-		}
-	}
-	if taken == nil {
-		backlog := int(v.queued.Load())
-		for i := len(buf) - 1; i >= 0; i-- { // oldest permitted structured record
-			if rt.pol.MayStealHead(buf[i].class, backlog) {
-				taken = buf[i]
-				buf = append(buf[:i], buf[i+1:]...)
-				break
-			}
-		}
-	}
-	if len(buf) > 0 {
-		for i := 0; i < len(buf)-1; i++ {
-			buf[i].next = buf[i+1]
-		}
-		v.inbox.pushChain(buf[0], buf[len(buf)-1])
-		if rt.dead.Load() != 0 && rt.isDead(v.id) {
-			// The victim retired while its records were detached; its
-			// drain may have missed them, so sweep them to survivors.
-			rt.sweepInbox(v, &rt.cfg.Mon.Per[w.id])
-		}
-	}
-	for i := range buf {
-		buf[i] = nil
-	}
-	w.inboxScratch = buf[:0]
-	if taken == nil {
-		return nil
-	}
-	taken.next = nil
-	rt.noteDequeued(v, 1)
-	rt.noteRemoved(v, taken)
-	return taken
-}
-
-// stealLockedReluctant applies the reluctant-steal gate
-// (core.Policy.MayStealHead) to v's locked structures: the pinned-queue
-// head, then each slot head; a lone set member it lets through is a
-// deliberate, counted split. The lock-free check first rejects the
-// common nothing-reluctantly-stealable case without touching v's mutex.
-func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
-	if v.lockedWork.Load() == 0 {
-		return nil
-	}
-	if v.queued.Load() < 2 && (rt.pol.StealWholeSets || v.setQueued.Load() == 0) {
-		return nil
-	}
-	rt.lockWorker(v, w.id)
-	defer v.mu.Unlock()
-	backlog := int(v.queued.Load())
-	if t := v.pinned.head; t != nil && rt.pol.MayStealHead(t.class, backlog) {
-		v.pinned.remove(t)
-		rt.noteLockedTaken(v, t)
-		return t
-	}
-	for q := v.nonEmpty.head; q != nil; q = q.nextQ {
-		head := q.head
-		if head == nil || !rt.pol.MayStealHead(head.class, backlog) {
-			continue
-		}
-		if head.class == core.ClassTaskSet {
-			rt.setSplits.Add(1)
-		}
-		q.remove(head)
-		rt.afterSlotPop(v, q)
-		rt.noteLockedTaken(v, head)
-		return head
-	}
-	return nil
-}
-
-// stealSet moves one whole task-affinity set from v to thief w: drain
-// every member, re-home the set under its shard lock, keep the head for
-// the thief to run and queue the rest behind it for back-to-back
-// servicing. Called with v.mu held; returns with v.mu still held.
-//
-// The move needs both worker locks plus the set's shard. A cheap peek
-// under v.mu alone rejects the common no-set-queued case before the
-// thief's lock is ever taken. Acquiring w.mu second is in order when
-// v.id < w.id; out of order it is tried without blocking (TryLock
-// cannot deadlock), and on failure both locks are dropped and retaken
-// in ascending id order — after which the peek is stale and the scan
-// below revalidates everything from scratch.
-func (rt *Runtime) stealSet(v, w *worker) *task {
-	found := false
-	for q := v.nonEmpty.head; q != nil; q = q.nextQ {
-		if h := q.head; h != nil && h.class == core.ClassTaskSet {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil
-	}
-	ctr := &rt.cfg.Mon.Per[w.id]
-	if v.id < w.id {
-		rt.lockWorker(w, w.id)
-	} else if !w.mu.TryLock() {
-		ctr.LockContention++
-		rt.mirror.lockContention.n.Add(1)
-		v.mu.Unlock()
-		rt.lockWorker(w, w.id)
-		rt.lockWorker(v, w.id)
-	}
-	defer w.mu.Unlock()
-	for q := v.nonEmpty.head; q != nil; q = q.nextQ {
-		head := q.head
-		if head == nil || head.class != core.ClassTaskSet {
-			continue
-		}
-		obj := head.affObj
-		sh := rt.shardOf(obj)
-		sh.lock(rt, ctr)
-		// Queued membership at v implies the shard records v as the
-		// set's home (inserts validate under the shard lock, moves
-		// drain the victim before releasing it); assert rather than
-		// assume — a violation would be a split in the making.
-		if sh.home[obj] != v.id {
-			rt.setSplits.Add(1)
-		}
-		sh.home[obj] = w.id
-		moved := w.setScratch[:0]
-		for {
-			t := q.popMatching(obj)
-			if t == nil {
-				break
-			}
-			moved = append(moved, t)
-		}
-		rt.afterSlotPop(v, q)
-		rt.noteDequeued(v, len(moved))
-		// popMatching matches by object, so the move can carry
-		// object-bound tasks naming the set's object along with the set
-		// members; the stealable/setQueued hints count only some
-		// classes, so they are maintained per task.
-		for _, t := range moved {
-			rt.noteRemoved(v, t)
-		}
-		v.lockedWork.Add(-int64(len(moved)))
-		for _, t := range moved {
-			if t.class == core.ClassTaskSet {
-				v.setQueued.Add(-1)
-			}
-		}
-		sh.mu.Unlock()
-		first := moved[0]
-		first.server = w.id
-		if len(moved) > 1 {
-			for _, t := range moved[1:] {
-				t.server = w.id
-				tq := &w.slots[t.slot]
-				tq.push(t)
-				w.nonEmpty.add(tq)
-				if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-					w.stealable.Add(1)
-				}
-				w.lockedWork.Add(1)
-				if t.class == core.ClassTaskSet {
-					w.setQueued.Add(1)
-				}
-			}
-			w.queued.Add(int64(len(moved) - 1))
-			w.cur = &w.slots[first.slot]
-			rt.queuedTotal.Add(int64(len(moved) - 1))
-		}
-		w.setScratch = moved[:0]
-		ctr.SetSteals++
-		rt.mirror.setSteals.n.Add(1)
-		return first
-	}
-	return nil
 }
 
 // runTask executes one task to completion on w, with perfmon and trace
@@ -1845,34 +770,6 @@ func (c *Ctx) ProcID() int { return c.w.id }
 
 // Now returns wall-clock nanoseconds since Run started.
 func (c *Ctx) Now() int64 { return c.rt.nowNS() }
-
-// Spawn creates and enqueues a task with the given affinity; mon, when
-// non-nil, makes it a mutex function on that monitor.
-func (c *Ctx) Spawn(name string, a core.Affinity, mon *Monitor, fn func(*Ctx)) {
-	c.rt.spawn(c, name, a, mon, fn, nil, -1, 0, 0)
-}
-
-// SpawnPayload creates and enqueues a task whose body is Config.Invoke
-// applied to payload. It lets the embedding runtime avoid allocating a
-// per-spawn wrapper closure: the adapter is configured once and the
-// payload (typically the user's func value) rides through the pooled
-// task record. prio is the task's priority class (clamped to [0,7])
-// and deadlineNS, when positive, the absolute run-relative nanosecond
-// after which the task is shed instead of run; both are ignored unless
-// a ShedPolicy is armed.
-func (c *Ctx) SpawnPayload(name string, a core.Affinity, mon *Monitor, payload any, prio int8, deadlineNS int64) {
-	c.rt.spawn(c, name, a, mon, nil, payload, -1, prio, deadlineNS)
-}
-
-// SpawnN creates and enqueues n sibling tasks sharing one payload; the
-// get callback supplies each member's affinity, optional monitor,
-// priority class, and deadline, and member i runs through
-// Config.InvokeN with index i. A burst spawned this way is published
-// as one batch — one deque publish and one wake decision instead of n
-// (see spawnN).
-func (c *Ctx) SpawnN(name string, n int, get func(int) (core.Affinity, *Monitor, int8, int64), payload any) {
-	c.rt.spawnN(c, name, n, get, payload)
-}
 
 // WaitFor runs body and then blocks until every task spawned in its
 // dynamic extent has completed. The waiting worker helps: it executes
