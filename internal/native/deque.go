@@ -2,22 +2,15 @@ package native
 
 import "sync/atomic"
 
-// This file holds the two lock-free structures the native hot path runs
-// on since the Chase-Lev rewrite:
-//
-//   - chaseLev, a work-stealing deque in the style of Chase & Lev
-//     ("Dynamic Circular Work-Stealing Deque", SPAA 2005). Each worker
-//     owns one and keeps its plain (unpinned, unbound) tasks there: the
-//     owner pushes and pops without taking any lock, and a thief removes
-//     a single task with one CAS on the top index.
-//
-//   - inbox, a Treiber stack of task records. Everything another worker
-//     inserts into this worker's queues (cross-worker plain placements,
-//     pinned and object-bound tasks, retried launches) lands here with
-//     one CAS; the owner drains it at its next dispatch point and routes
-//     each record into the right structure. The single-producer rule of
-//     the deque's bottom end is never violated because only the owner
-//     ever touches it.
+// This file holds the one lock-free structure of the native hot path:
+// chaseLev, a work-stealing deque in the style of Chase & Lev ("Dynamic
+// Circular Work-Stealing Deque", SPAA 2005). Each worker owns one and
+// keeps there the plain (unpinned, unbound) tasks its own goroutine
+// spawns: the owner pushes and pops without taking any lock, and a thief
+// removes a single task with one CAS on the top index. Nobody but the
+// owner's goroutine ever pushes, so the single-producer rule of the
+// bottom end holds by construction; every other insert goes under the
+// worker's mutex (insertFrom).
 //
 // Memory-ordering argument (DESIGN.md §12 spells it out in full): Go's
 // sync/atomic operations are sequentially consistent, which is strictly
@@ -50,8 +43,8 @@ func newDequeBuf(capacity int64) *dequeBuf {
 	return &dequeBuf{mask: capacity - 1, s: make([]atomic.Pointer[task], capacity)}
 }
 
-func (b *dequeBuf) get(i int64) *task     { return b.s[i&b.mask].Load() }
-func (b *dequeBuf) put(i int64, t *task)  { b.s[i&b.mask].Store(t) }
+func (b *dequeBuf) get(i int64) *task    { return b.s[i&b.mask].Load() }
+func (b *dequeBuf) put(i int64, t *task) { b.s[i&b.mask].Store(t) }
 
 // chaseLev is the per-worker work-stealing deque. The live window is
 // [top, bottom); top only grows (steals and FIFO owner takes), bottom is
@@ -164,50 +157,4 @@ func (d *chaseLev) popBottom() *task {
 		return t
 	}
 	return t
-}
-
-// inbox is the per-worker Treiber stack of cross-inserted task records,
-// linked through the task's intrusive next pointer (a record is never in
-// an inbox and a queue or freelist at once). push is one CAS; the
-// consumers take the whole chain with one atomic swap.
-//
-// Consumption is swapAll-only, never pop-one: popping a single node
-// would have to read head.next on a record a concurrent swapAll may
-// already have drained, executed, and recycled. Swapping the entire
-// chain hands each record to exactly one consumer, which then owns every
-// link in it.
-type inbox struct {
-	head atomic.Pointer[task]
-}
-
-func (in *inbox) empty() bool { return in.head.Load() == nil }
-
-// push adds t on top of the stack (newest first).
-func (in *inbox) push(t *task) {
-	for {
-		h := in.head.Load()
-		t.next = h
-		if in.head.CompareAndSwap(h, t) {
-			return
-		}
-	}
-}
-
-// pushChain pushes an already linked chain (first is the newest end,
-// last the oldest; last's next is overwritten) with one CAS — used by a
-// thief returning the records a steal probe refused, preserving their
-// relative order for the owner's eventual drain.
-func (in *inbox) pushChain(first, last *task) {
-	for {
-		h := in.head.Load()
-		last.next = h
-		if in.head.CompareAndSwap(h, first) {
-			return
-		}
-	}
-}
-
-// swapAll detaches and returns the whole chain (newest first), or nil.
-func (in *inbox) swapAll() *task {
-	return in.head.Swap(nil)
 }

@@ -152,52 +152,3 @@ func TestDequeConcurrentSteals(t *testing.T) {
 		t.Fatalf("deque size after drain = %d", got)
 	}
 }
-
-// TestInboxOrder pins the Treiber-stack inbox contract: swapAll
-// returns a chain linked newest-first (the drain reverses it back to
-// arrival order), pushChain preserves the relative order of a chain a
-// thief pushes back, and empty() tracks the head.
-func TestInboxOrder(t *testing.T) {
-	var in inbox
-	if !in.empty() {
-		t.Fatal("fresh inbox not empty")
-	}
-	ts := []*task{{idx: 0}, {idx: 1}, {idx: 2}}
-	for _, tk := range ts {
-		in.push(tk)
-	}
-	if in.empty() {
-		t.Fatal("inbox empty after pushes")
-	}
-	head := in.swapAll()
-	if !in.empty() {
-		t.Fatal("inbox not empty after swapAll")
-	}
-	// Chain is newest-first: 2, 1, 0.
-	for want := 2; want >= 0; want-- {
-		if head == nil || head.idx != int32(want) {
-			t.Fatalf("swapAll chain: want idx %d, got %v", want, head)
-		}
-		head = head.next
-	}
-
-	// pushChain keeps the pushed chain contiguous and ahead of older
-	// content, exactly as stealInbox's pushback relies on.
-	older := &task{idx: 10}
-	in.push(older)
-	a, b := &task{idx: 20}, &task{idx: 21}
-	a.next = b
-	b.next = nil
-	in.pushChain(a, b)
-	got := in.swapAll()
-	wantIdx := []int32{20, 21, 10}
-	for _, w := range wantIdx {
-		if got == nil || got.idx != w {
-			t.Fatalf("pushChain order: want idx %d, got %v", w, got)
-		}
-		got = got.next
-	}
-	if got != nil {
-		t.Fatalf("pushChain: trailing tasks after chain")
-	}
-}

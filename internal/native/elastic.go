@@ -1,9 +1,6 @@
 package native
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // This file makes the worker pool elastic: workers can be added and
 // retired mid-run without losing or splitting work.
@@ -47,14 +44,14 @@ type PoolEvent struct {
 }
 
 // AutoscalePolicy runs a threshold autoscaler inside the runtime (public
-// as cool.AutoscalePolicy): each control epoch it compares the
-// machine-wide backlog per alive worker against the watermarks and calls
+// as cool.AutoscalePolicy): each control epoch the timekeeper compares
+// the machine-wide backlog per worker against the watermarks and calls
 // AddWorkers / DrainN. It reads only scheduler atomics (queuedTotal, the
 // parked mask, the dead mask) — never a perfmon row, which belongs to
 // its worker's goroutine.
 type AutoscalePolicy struct {
 	// IntervalNS is the control epoch length in wall-clock nanoseconds
-	// (default 1ms).
+	// (default 1ms), rounded up to the timekeeper's tick.
 	IntervalNS int64
 	// HighWater grows the pool when the backlog per alive worker
 	// exceeds it (default 8); LowWater shrinks the pool when the
@@ -209,13 +206,7 @@ func (rt *Runtime) drainLocked(ids []int) error {
 		}
 		req[id] = true
 	}
-	pending := 0
-	for id, w := range rt.workers {
-		if !rt.isDead(id) && w.drainReq.Load() != 0 {
-			pending++
-		}
-	}
-	if rt.aliveWorkers()-pending-len(ids) < 1 {
+	if rt.stayingWorkers()-len(ids) < 1 {
 		return fmt.Errorf("native: Drain of %d worker(s) would leave the pool empty", len(ids))
 	}
 	now := rt.nowNS()
@@ -227,6 +218,22 @@ func (rt *Runtime) drainLocked(ids []int) error {
 		rt.wakeWorker(id) // a parked victim must notice the request
 	}
 	return nil
+}
+
+// stayingWorkers counts the alive workers nobody has asked to retire:
+// the pool size once every pending drain completes. A worker asked to
+// drain stays alive until it reaches its next top-level dispatch point,
+// so sizing decisions made from the alive count alone would retire too
+// many. One dead-mask snapshot keeps the two terms consistent.
+func (rt *Runtime) stayingWorkers() int {
+	dead := rt.deadSet()
+	n := 0
+	for id, w := range rt.workers {
+		if !dead.Has(id) && w.drainReq.Load() == 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // drainRequested is the per-iteration check in the worker loop: a
@@ -261,44 +268,36 @@ func (rt *Runtime) PoolEvents() []PoolEvent {
 // PoolSize returns the number of alive (routable) workers.
 func (rt *Runtime) PoolSize() int { return rt.aliveWorkers() }
 
-// autoscaler is the optional control goroutine (Config.Autoscale): per
-// control epoch it grows the pool when the backlog per alive worker
-// passes the high watermark and drains workers when the backlog falls
-// below the low watermark while some workers sit parked. Errors from
+// autoscaleTick is the timekeeper's per-tick autoscaler check
+// (Config.Autoscale): when the control epoch boundary has passed it
+// grows the pool if the backlog per staying worker passes the high
+// watermark, and drains workers if the backlog falls below the low
+// watermark while some workers sit parked. Errors from
 // AddWorkers/DrainN (capacity exhausted, survivor rule) are deliberate
-// no-ops — the autoscaler is best-effort by design.
-func (rt *Runtime) autoscaler() {
-	defer rt.autoDone.Done()
+// no-ops — the autoscaler is best-effort by design. Runs only on the
+// timekeeper goroutine.
+func (rt *Runtime) autoscaleTick(now int64) {
 	a := rt.auto
-	tick := time.NewTicker(time.Duration(a.IntervalNS))
-	defer tick.Stop()
-	for {
-		select {
-		case <-rt.done:
-			return
-		case <-rt.stopc:
-			return
-		case <-rt.idleExit:
-			return
-		case <-tick.C:
+	if now < rt.autoNextNS {
+		return
+	}
+	rt.autoNextNS = now + a.IntervalNS
+	size := rt.stayingWorkers()
+	if size == 0 {
+		return
+	}
+	q := rt.queuedTotal.Load()
+	if q > int64(a.HighWater)*int64(size) && size < a.MaxProcs {
+		n := a.Step
+		if size+n > a.MaxProcs {
+			n = a.MaxProcs - size
 		}
-		alive := rt.aliveWorkers()
-		if alive == 0 {
-			continue
+		rt.AddWorkers(n)
+	} else if q < int64(a.LowWater)*int64(size) && size > a.MinProcs && rt.parked.Load() != 0 {
+		n := a.Step
+		if size-n < a.MinProcs {
+			n = size - a.MinProcs
 		}
-		q := rt.queuedTotal.Load()
-		if q > int64(a.HighWater)*int64(alive) && alive < a.MaxProcs {
-			n := a.Step
-			if alive+n > a.MaxProcs {
-				n = a.MaxProcs - alive
-			}
-			rt.AddWorkers(n)
-		} else if q < int64(a.LowWater)*int64(alive) && alive > a.MinProcs && rt.parked.Load() != 0 {
-			n := a.Step
-			if alive-n < a.MinProcs {
-				n = alive - a.MinProcs
-			}
-			rt.DrainN(n)
-		}
+		rt.DrainN(n)
 	}
 }

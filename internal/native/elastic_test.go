@@ -40,16 +40,21 @@ func elasticRuntime(t *testing.T, procs, maxProcs int, mut func(*Config)) (*Runt
 }
 
 // waitPoolSize blocks until the alive-worker count reaches want —
-// drains complete asynchronously on the victims' own goroutines.
-func waitPoolSize(t *testing.T, rt *Runtime, want int) {
+// drains complete asynchronously on the victims' own goroutines — and
+// reports whether it got there. It is called from task bodies, that is
+// on worker goroutines, where t.Fatalf's Goexit would skip workerExited
+// and turn the failure into a hung Run: the caller returns instead.
+func waitPoolSize(t *testing.T, rt *Runtime, want int) bool {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for rt.PoolSize() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool size stuck at %d, want %d", rt.PoolSize(), want)
+			t.Errorf("pool size stuck at %d, want %d", rt.PoolSize(), want)
+			return false
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
+	return true
 }
 
 // waitGoroutines polls until the process goroutine count settles back
@@ -118,7 +123,9 @@ func elasticScaleUpDown(t *testing.T) {
 			t.Errorf("DrainN: %v", err)
 			return
 		}
-		waitPoolSize(t, rt, procs)
+		if !waitPoolSize(t, rt, procs) {
+			return
+		}
 		pump(c, 2) // back at the initial size
 	})
 	if err != nil {
@@ -345,7 +352,9 @@ func TestElasticValidation(t *testing.T) {
 		if err := rt.Drain(0); err == nil {
 			t.Error("Drain leaving zero undrained workers succeeded")
 		}
-		waitPoolSize(t, rt, 1)
+		if !waitPoolSize(t, rt, 1) {
+			return
+		}
 		// The freed slot is a spare again: growth brings it back.
 		if ids, err := rt.AddWorkers(1); err != nil || len(ids) != 1 {
 			t.Errorf("AddWorkers after drain: ids=%v err=%v", ids, err)
@@ -495,6 +504,9 @@ func TestAutoscaler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	if t.Failed() {
+		return
+	}
 	if ran.Load() != n {
 		t.Fatalf("ran %d of %d tasks", ran.Load(), n)
 	}
@@ -517,6 +529,51 @@ func TestAutoscaler(t *testing.T) {
 		t.Fatalf("SetSplits=%d want 0", rt.SetSplits())
 	}
 	assertWorkerQueuesEmpty(t, rt, "autoscaler")
+}
+
+// TestAutoscalerFloorCountsPendingDrains steps the shrink rule by hand
+// with a drain outstanding: a worker asked to retire last epoch is still
+// alive, and counting it would take the pool below MinProcs.
+func TestAutoscalerFloorCountsPendingDrains(t *testing.T) {
+	rt, _ := elasticRuntime(t, 3, 4, func(cfg *Config) {
+		cfg.Autoscale = &AutoscalePolicy{MinProcs: 2}
+	})
+	rt.start = time.Now()
+	rt.running = true     // no goroutines: Drain only checks the flag
+	rt.setParked(0, true) // the shrink rule wants an idle worker
+	rt.autoscaleTick(1)   // empty queues, 3 > MinProcs: asks worker 2 to go
+	if rt.workers[2].drainReq.Load() == 0 {
+		t.Fatal("first epoch requested no drain from an idle 3-worker pool with MinProcs 2")
+	}
+	rt.autoscaleTick(1 + rt.auto.IntervalNS) // worker 2 has not retired yet
+	if rt.workers[1].drainReq.Load() != 0 || rt.workers[0].drainReq.Load() != 0 {
+		t.Fatalf("second epoch drained below MinProcs: drainReq = %d, %d, %d",
+			rt.workers[0].drainReq.Load(), rt.workers[1].drainReq.Load(), rt.workers[2].drainReq.Load())
+	}
+}
+
+// TestParkSeesDrainRequest is the drain-versus-park race made
+// deterministic: the request and its one wake token arrive after the
+// loop's top-of-iteration check, park drops the token on entry, and must
+// still return on the request alone.
+func TestParkSeesDrainRequest(t *testing.T) {
+	rt, _ := elasticRuntime(t, 2, 4, nil)
+	rt.start = time.Now()
+	rt.running = true
+	t.Cleanup(func() { close(rt.done) }) // releases park if it did sleep
+	if err := rt.Drain(1); err != nil {
+		t.Fatalf("Drain(1): %v", err)
+	}
+	returned := make(chan struct{})
+	go func() {
+		rt.park(rt.workers[1], 1)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("park slept through a pending drain request")
+	}
 }
 
 // TestFixedPoolReportsNoPoolEvents pins the healthy-run baseline: a

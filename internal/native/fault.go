@@ -414,10 +414,9 @@ func (rt *Runtime) sleep(w *worker, d time.Duration) {
 // a slow path that revalidates the bit — so once the lock is taken here
 // there is no window in which a set can be re-homed ONTO w or stolen
 // half-accounted off it, which is what keeps SetSplits at zero through
-// retirement. The lock-free inbox keeps the older ordering argument:
-// the bit is published (under the lock) before the inbox swap below, so
-// a racing pusher either lands before the swap and is drained here, or
-// re-checks the bit after its push and sweeps its own record.
+// retirement. Every other insert (insertFrom, SpawnN's chains) re-checks
+// the bit under this same lock, so it either lands before the drain and
+// is swept up here, or sees the bit and reroutes.
 //
 // The drain must not hold w.mu while inserting into survivors: a thief
 // concurrently whole-set-stealing via the in-order lock path could hold
@@ -457,14 +456,14 @@ func (rt *Runtime) retireWith(w *worker, kill bool, reqNS int64) {
 	// removed, not be zeroed.
 	w.lockedWork.Store(0)
 	w.setQueued.Store(0)
-	lockedSets := 0
+	freely := 0
 	for _, t := range drained {
-		if t.class == core.ClassTaskSet {
-			lockedSets++
+		if freelyStealable(t) {
+			freely++
 		}
 	}
 	w.queued.Add(int64(-len(drained)))
-	w.stealable.Add(int64(-lockedSets))
+	w.stealable.Add(int64(-freely))
 	rt.queuedTotal.Add(int64(-len(drained)))
 	w.mu.Unlock()
 
@@ -478,20 +477,6 @@ func (rt *Runtime) retireWith(w *worker, kill bool, reqNS int64) {
 		w.stealable.Add(-1)
 		rt.queuedTotal.Add(-1)
 		drained = append(drained, t)
-	}
-	// The inbox was swapped after the dead bit was published, so a
-	// racing pusher either lands before this swap (drained here) or
-	// observes the bit afterwards and sweeps its own push.
-	for t := w.inbox.swapAll(); t != nil; {
-		next := t.next
-		t.next = nil
-		w.queued.Add(-1)
-		if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-			w.stealable.Add(-1)
-		}
-		rt.queuedTotal.Add(-1)
-		drained = append(drained, t)
-		t = next
 	}
 
 	if rt.aliveWorkers() > 0 {
@@ -648,20 +633,25 @@ func (rt *Runtime) snapshot() string {
 // enough resolution without burning a core.
 const timekeeperTick = 200 * time.Microsecond
 
-// timekeeper is the run's monitor goroutine, started by Run when
-// faults, retries, a deadline, or the watchdog are armed. It delivers
-// due retries, wakes workers that have due timed fault events (so an
-// idle worker still retires on schedule), and stops over-budget or hung
-// runs with the typed deadline/no-progress errors. It exits when the
-// run drains or stops.
+// timekeeper is the run's one control goroutine, started by Run when
+// anything time-driven is armed (faults, retries, a deadline, the
+// watchdog, shedding, the adaptive controller, the autoscaler). Per tick
+// it delivers due retries, applies due plan adds, runs the shed-floor,
+// adaptive and autoscaler steps, wakes workers that have due timed fault
+// events (so an idle worker still retires on schedule), and stops
+// over-budget or hung runs with the typed deadline/no-progress errors.
+// It exits when the run drains, stops, or loses its last worker.
 func (rt *Runtime) timekeeper() {
 	defer rt.tkDone.Done()
 	tick := time.NewTicker(timekeeperTick)
 	defer tick.Stop()
+	// First adaptive and autoscaler epochs a full interval from now, not
+	// at the first tick.
 	if rt.adapt != nil {
-		// First adaptive epoch a full interval from now, not at the
-		// first tick.
 		rt.adapt.nextNS = rt.nowNS() + rt.adapt.pol.Epoch
+	}
+	if rt.auto != nil {
+		rt.autoNextNS = rt.nowNS() + rt.auto.IntervalNS
 	}
 	var lastCompleted int64
 	lastProgress := time.Now()
@@ -671,6 +661,8 @@ func (rt *Runtime) timekeeper() {
 			return
 		case <-rt.stopc:
 			return
+		case <-rt.idleExit:
+			return // the pool emptied; Run is returning
 		case <-tick.C:
 		}
 		now := rt.nowNS()
@@ -692,6 +684,9 @@ func (rt *Runtime) timekeeper() {
 		}
 		if rt.adapt != nil {
 			rt.adaptTick(now)
+		}
+		if rt.auto != nil {
+			rt.autoscaleTick(now)
 		}
 		// Wake workers whose next timed fault event is due: a parked
 		// worker applies its events at the top of its loop.

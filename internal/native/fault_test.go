@@ -108,9 +108,9 @@ func TestRetireDrainsAndSurvives(t *testing.T) {
 		t.Fatalf("SetSplits = %d, want 0", rt.SetSplits())
 	}
 	w := rt.workers[1]
-	if w.deq.size() != 0 || !w.inbox.empty() || w.pinned.size != 0 || w.queued.Load() != 0 || w.stealable.Load() != 0 {
-		t.Fatalf("dead worker queues not empty: deq=%d inboxEmpty=%v pinned=%d queued=%d stealable=%d",
-			w.deq.size(), w.inbox.empty(), w.pinned.size, w.queued.Load(), w.stealable.Load())
+	if w.deq.size() != 0 || w.pinned.size != 0 || w.queued.Load() != 0 || w.stealable.Load() != 0 {
+		t.Fatalf("dead worker queues not empty: deq=%d pinned=%d queued=%d stealable=%d",
+			w.deq.size(), w.pinned.size, w.queued.Load(), w.stealable.Load())
 	}
 	for s := range w.slots {
 		if w.slots[s].size != 0 {

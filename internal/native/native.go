@@ -146,7 +146,7 @@ type task struct {
 	ctx Ctx
 
 	// Intrusive links: next/prev/q while in a locked taskQueue, next
-	// alone while riding an inbox chain or a worker freelist (a record
+	// alone while riding a SpawnN chain or a worker freelist (a record
 	// is in at most one of those states at a time).
 	next, prev *task
 	q          *taskQueue
@@ -154,25 +154,23 @@ type task struct {
 
 // worker is one executor goroutine's scheduling state.
 //
-// The structures split by who may touch them: deq holds the worker's
-// plain tasks (owner pushes/pops lock-free, thieves CAS), inbox
-// receives every cross-worker insert (and the owner's own
-// pinned/object-bound self-inserts) lock-free, and the mutex guards
-// only the structured queues — the task-affinity slots, the pinned
-// queue, and whole-set moves through the sharded set table.
-// busyNS/idleNS, events, the freelist, and the scratch slices are owned
-// by the worker's goroutine.
+// The structures split by who may touch them: deq holds the plain tasks
+// the worker's own goroutine spawned (owner pushes/pops lock-free,
+// thieves CAS), and the mutex guards everything else — the
+// task-affinity slots, the locked plain queue, and whole-set moves
+// through the sharded set table. Any goroutine may insert under the
+// mutex; only the owner pushes the deque. busyNS/idleNS, events, the
+// freelist, and the scratch slices are owned by the worker's goroutine.
 type worker struct {
 	id       int
 	mu       sync.Mutex
 	slots    []taskQueue
 	nonEmpty nonEmptyList
 	cur      *taskQueue // slot being drained back to back
-	pinned   taskQueue  // ClassProcessor tasks (mu)
+	pinned   taskQueue  // locked plain queue: pinned tasks, and plain ones other goroutines inserted (mu)
 	queued   atomic.Int64
 
-	deq   chaseLev // plain tasks
-	inbox inbox    // cross-worker (and structured self) inserts
+	deq chaseLev // the owner's own plain spawns
 
 	// lockedWork counts the tasks in the mutex-guarded structures (slots
 	// plus pinned); take probes the lock only when it is nonzero.
@@ -201,11 +199,10 @@ type worker struct {
 	free  *task
 	freeN int
 
-	// Reused scratch slices owned by the worker's goroutine: inbox drains
-	// reverse the swapped chain here, SpawnN builds its batch here and
-	// chains structured cross-worker records per target (spawnHeads and
-	// spawnTails are lazily sized to Procs on first mixed batch).
-	inboxScratch []*task
+	// Reused scratch slices owned by the worker's goroutine: SpawnN
+	// builds its batch here and chains the records bound for locked
+	// queues per target (spawnHeads and spawnTails are lazily sized to
+	// Procs on first mixed batch).
 	spawnScratch []*task
 	spawnHeads   []*task
 	spawnTails   []*task
@@ -316,9 +313,10 @@ type Runtime struct {
 	shedFloor atomic.Int32
 	prioLive  [maxPrio + 1]atomic.Int64
 
-	// Autoscaler (see elastic.go).
-	auto     *AutoscalePolicy
-	autoDone sync.WaitGroup
+	// Autoscaler (see elastic.go): the policy with its defaults filled
+	// in, and the next control epoch's boundary (timekeeper-private).
+	auto       *AutoscalePolicy
+	autoNextNS int64
 
 	// Adaptive controller (see adapt.go): mirror is the always-on
 	// machine-wide atomic copy of the slow-path counters; adapt is the
@@ -359,15 +357,11 @@ func New(cfg Config) (*Runtime, error) {
 		pol.QueueArraySize = 64
 	}
 	rt := &Runtime{
-		cfg:       cfg,
-		pol:       pol,
-		topo:      core.Topo{Procs: np, ClusterSize: cfg.ClusterSize, PageSize: cfg.PageSize, QueueArraySize: pol.QueueArraySize},
-		np:        np,
-		shards:    make([]setShard, numSetShards),
-		done:      make(chan struct{}),
-		stopc:     make(chan struct{}),
-		allExited: make(chan struct{}),
-		idleExit:  make(chan struct{}),
+		cfg:    cfg,
+		pol:    pol,
+		topo:   core.Topo{Procs: np, ClusterSize: cfg.ClusterSize, PageSize: cfg.PageSize, QueueArraySize: pol.QueueArraySize},
+		np:     np,
+		shards: make([]setShard, numSetShards),
 	}
 	rt.elastic = cfg.MaxProcs > 0
 	rt.retry = cfg.Retry
@@ -408,20 +402,13 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		rt.auto = &a
 	}
-	// Policy default first: a warm-started adaptive controller
-	// (initAdapt) overrides it from its Start vector.
-	rt.clusterOnly.Store(pol.ClusterStealingOnly)
-	if cfg.Adapt != nil {
-		rt.initAdapt(*cfg.Adapt)
-	}
-	// The adaptive controller rides the timekeeper, so arming it arms
-	// the monitor goroutine too.
-	rt.armed = cfg.Faults != nil || rt.retry.MaxAttempts > 0 || rt.deadlineNS > 0 || rt.noProgressNS > 0 || rt.shed != nil || rt.adapt != nil
+	// The shed floor, the adaptive controller and the autoscaler ride the
+	// timekeeper, so arming one arms the monitor goroutine too.
+	rt.armed = cfg.Faults != nil || rt.retry.MaxAttempts > 0 || rt.deadlineNS > 0 || rt.noProgressNS > 0 || rt.shed != nil || cfg.Adapt != nil || rt.auto != nil
 	for i := range rt.shards {
 		rt.shards[i].home = make(map[int64]int)
 	}
 	rt.workers = make([]*worker, np)
-	var spareMask uint64
 	for i := range rt.workers {
 		w := &worker{id: i, slots: make([]taskQueue, pol.QueueArraySize), wake: make(chan struct{}, 1)}
 		for j := range w.slots {
@@ -429,18 +416,9 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		w.deq.init()
 		w.exited.Store(true) // no goroutine yet; AddWorkers may claim the slot
-		w.ringEpoch = -1
 		rt.workers[i] = w
-		if i >= cfg.Procs {
-			spareMask |= 1 << uint(i)
-		}
 	}
-	// Spare slots are born dead: every insert path already reroutes
-	// around dead workers, so the spares need no new special cases.
-	rt.dead.Store(spareMask)
-	if cfg.Faults != nil {
-		rt.armFaults(cfg.Faults)
-	}
+	rt.rearm()
 	return rt, nil
 }
 
@@ -503,10 +481,6 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 		rt.startWorkerLocked(rt.workers[i])
 	}
 	rt.poolMu.Unlock()
-	if rt.auto != nil {
-		rt.autoDone.Add(1)
-		go rt.autoscaler()
-	}
 	select {
 	case <-rt.done:
 	case <-rt.stopc:
@@ -520,7 +494,6 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 	}
 	rt.poolMu.Unlock()
 	<-rt.allExited
-	rt.autoDone.Wait()
 	rt.tkDone.Wait()
 	rt.elapsed.Store(time.Since(rt.start).Nanoseconds())
 	rt.failMu.Lock()
@@ -582,7 +555,7 @@ func (rt *Runtime) newTask(w *worker) *task {
 // freeTask recycles t onto w's freelist. Called only by the worker that
 // just executed t (runTask), so the record has no other referent: a
 // thief that once held it gave up ownership when it handed the task to
-// dispatch, and inbox chains never contain a running task.
+// dispatch.
 func (rt *Runtime) freeTask(w *worker, t *task) {
 	if w == nil || w.freeN >= freeListCap {
 		return

@@ -147,16 +147,15 @@ func TestWholeSetStealMovesEverything(t *testing.T) {
 	if mon.Per[1].SetSteals != 1 {
 		t.Fatalf("SetSteals=%d want 1", mon.Per[1].SetSteals)
 	}
-	if v.deq.size() != 1 || !v.inbox.empty() || v.pinned.size != 0 {
-		t.Fatalf("victim plain work disturbed: deq=%d inboxEmpty=%v pinned=%d, want 1, true, 0",
-			v.deq.size(), v.inbox.empty(), v.pinned.size)
+	if v.deq.size() != 1 || v.pinned.size != 0 {
+		t.Fatalf("victim plain work disturbed: deq=%d pinned=%d, want 1, 0", v.deq.size(), v.pinned.size)
 	}
 }
 
 // TestStealSkipsPinnedHead: a processor-affinity task queued ahead of a
 // free task must not be stolen while the free task is there to take, and
 // a lone pinned task must not be stolen at all. The owner's own pinned
-// spawn rides its inbox, so this is the inbox probe's gate.
+// spawn goes into its locked plain queue and its free one onto its deque.
 func TestStealSkipsPinnedHead(t *testing.T) {
 	rt, _ := testRuntime(t, 2, nil)
 	v, w := rt.workers[0], rt.workers[1]
@@ -168,9 +167,9 @@ func TestStealSkipsPinnedHead(t *testing.T) {
 	free.name, free.fn = "free", func(*Ctx) {}
 	free.class, free.server = core.ClassPlain, 0
 	rt.insert(free, 0)
-	if v.inbox.empty() || v.deq.size() != 1 {
-		t.Fatalf("setup: inboxEmpty=%v deq=%d, want the pinned task in the inbox and the free one on the deque",
-			v.inbox.empty(), v.deq.size())
+	if v.pinned.size != 1 || v.deq.size() != 1 {
+		t.Fatalf("setup: pinned=%d deq=%d, want the pinned task in the locked queue and the free one on the deque",
+			v.pinned.size, v.deq.size())
 	}
 
 	got := rt.stealFrom(v, w)
@@ -182,42 +181,36 @@ func TestStealSkipsPinnedHead(t *testing.T) {
 	if got != nil {
 		t.Fatalf("stole lone pinned task %q", got.name)
 	}
-	if v.inbox.empty() || v.deq.size() != 0 || v.pinned.size != 0 || v.queued.Load() != 1 {
-		t.Fatalf("pinned task not left in the victim's inbox: inboxEmpty=%v deq=%d pinned=%d queued=%d",
-			v.inbox.empty(), v.deq.size(), v.pinned.size, v.queued.Load())
+	if v.deq.size() != 0 || v.pinned.size != 1 || v.queued.Load() != 1 {
+		t.Fatalf("pinned task not left in the victim's locked queue: deq=%d pinned=%d queued=%d",
+			v.deq.size(), v.pinned.size, v.queued.Load())
 	}
 }
 
 // TestObjectBoundStolenOnlyFromBacklog: object-affinity tasks move only
-// when the victim has at least two queued tasks — checked on the inbox
-// probe (where the owner's own object-bound spawns wait) and again on
-// the locked slot queues after the owner drains.
+// when the victim has at least two queued tasks. The owner's own
+// object-bound spawns go straight into its locked slot queues.
 func TestObjectBoundStolenOnlyFromBacklog(t *testing.T) {
-	for _, drained := range []bool{false, true} {
-		rt, _ := testRuntime(t, 2, nil)
-		v, w := rt.workers[0], rt.workers[1]
-		mk := func(addr int64) {
-			ob := rt.newTask(nil)
-			ob.name, ob.fn = "ob", func(*Ctx) {}
-			ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt.topo.SlotOf(addr), addr
-			rt.insert(ob, 0)
-			if drained {
-				rt.drainInbox(v)
-			}
-		}
-		mk(64)
-		if v.inbox.empty() != drained || (v.lockedWork.Load() == 1) != drained {
-			t.Fatalf("drained=%v: setup left inboxEmpty=%v lockedWork=%d", drained, v.inbox.empty(), v.lockedWork.Load())
-		}
-		got := rt.stealFrom(v, w)
-		if got != nil {
-			t.Fatalf("drained=%v: stole object-bound task from a victim with queued=1", drained)
-		}
-		mk(128)
-		got = rt.stealFrom(v, w)
-		if got == nil || got.class != core.ClassObjectBound {
-			t.Fatalf("drained=%v: want an object-bound steal from a backlogged victim, got %v", drained, got)
-		}
+	rt, _ := testRuntime(t, 2, nil)
+	v, w := rt.workers[0], rt.workers[1]
+	mk := func(addr int64) {
+		ob := rt.newTask(nil)
+		ob.name, ob.fn = "ob", func(*Ctx) {}
+		ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt.topo.SlotOf(addr), addr
+		rt.insert(ob, 0)
+	}
+	mk(64)
+	if v.lockedWork.Load() != 1 || v.stealable.Load() != 0 {
+		t.Fatalf("setup left lockedWork=%d stealable=%d, want 1 and 0", v.lockedWork.Load(), v.stealable.Load())
+	}
+	got := rt.stealFrom(v, w)
+	if got != nil {
+		t.Fatalf("stole object-bound task from a victim with queued=1")
+	}
+	mk(128)
+	got = rt.stealFrom(v, w)
+	if got == nil || got.class != core.ClassObjectBound {
+		t.Fatalf("want an object-bound steal from a backlogged victim, got %v", got)
 	}
 }
 
@@ -281,9 +274,10 @@ func TestDequeWholeSetSteal(t *testing.T) {
 	}
 }
 
-// TestDequeStealRules covers the deque scheduler's reluctant phases:
-// only plain records may leave a victim's inbox, pinned tasks are
-// stolen from the locked pinned queue only when the victim is
+// TestDequeStealRules covers the single-task rules on the locked queues,
+// which is where every record another goroutine inserts lands: a plain
+// one joins the locked plain queue and is stolen freely from behind a
+// pinned head, pinned tasks are stolen only when the victim is
 // backlogged, and object-bound tasks only under the same backlog rule.
 func TestDequeStealRules(t *testing.T) {
 	rt, mon := testRuntime(t, 2, nil)
@@ -293,35 +287,33 @@ func TestDequeStealRules(t *testing.T) {
 		pin := rt.newTask(nil)
 		pin.name, pin.fn = name, func(*Ctx) {}
 		pin.class, pin.server = core.ClassProcessor, 0
-		rt.insertFrom(pin, ctr, nil) // cross-worker: lands in v's inbox
+		rt.insertFrom(pin, ctr, nil) // not v's goroutine: under v's lock
 	}
 	mkPin("pin1")
 	free := rt.newTask(nil)
 	free.name, free.fn = "free", func(*Ctx) {}
 	free.class, free.server = core.ClassPlain, 0
 	rt.insertFrom(free, ctr, nil)
+	if v.pinned.size != 2 || v.deq.size() != 0 || v.lockedWork.Load() != 2 || v.stealable.Load() != 1 {
+		t.Fatalf("setup: pinned=%d deq=%d lockedWork=%d stealable=%d, want both records in the locked plain queue, one stealable",
+			v.pinned.size, v.deq.size(), v.lockedWork.Load(), v.stealable.Load())
+	}
 
-	// The inbox probe must take the plain record and leave the pinned one.
+	// The scan must pass the pinned head and take the plain record.
 	got := rt.stealFrom(v, w)
 	if got == nil || got.name != "free" {
-		t.Fatalf("stole %v, want the free task from the inbox", got)
+		t.Fatalf("stole %v, want the free task behind the pinned head", got)
 	}
-	// A lone pinned record is not stealable — from the inbox or after the
-	// owner drains it into the pinned queue.
-	if got = rt.stealFrom(v, w); got != nil {
-		t.Fatalf("stole lone pinned inbox record %q", got.name)
+	if v.pinned.size != 1 || v.lockedWork.Load() != 1 || v.queued.Load() != 1 || v.stealable.Load() != 0 {
+		t.Fatalf("after the free steal: pinned=%d lockedWork=%d queued=%d stealable=%d, want 1, 1, 1, 0",
+			v.pinned.size, v.lockedWork.Load(), v.queued.Load(), v.stealable.Load())
 	}
-	rt.drainInbox(v)
-	if v.pinned.size != 1 || v.lockedWork.Load() != 1 {
-		t.Fatalf("drainInbox left pinned=%d lockedWork=%d, want 1 and 1",
-			v.pinned.size, v.lockedWork.Load())
-	}
+	// A lone pinned record is not stealable.
 	if got = rt.stealFrom(v, w); got != nil {
 		t.Fatalf("stole lone pinned task %q", got.name)
 	}
 	// Backlogged (queued=2): the pinned head may move.
 	mkPin("pin2")
-	rt.drainInbox(v)
 	if got = rt.stealFrom(v, w); got == nil || got.class != core.ClassProcessor {
 		t.Fatalf("want a pinned steal from a backlogged victim, got %v", got)
 	}
@@ -336,12 +328,10 @@ func TestDequeStealRules(t *testing.T) {
 		rt2.insertFrom(ob, &mon2.Per[1], nil)
 	}
 	mkOb(64)
-	rt2.drainInbox(v2)
 	if got := rt2.stealFrom(v2, w2); got != nil {
 		t.Fatalf("stole object-bound task from a victim with queued=1")
 	}
 	mkOb(128)
-	rt2.drainInbox(v2)
 	if got := rt2.stealFrom(v2, w2); got == nil || got.class != core.ClassObjectBound {
 		t.Fatalf("want an object-bound steal from a backlogged victim, got %v", got)
 	}

@@ -3,9 +3,9 @@ package native
 // taskQueue is a FIFO of native task records (intrusive doubly-linked),
 // mirroring the simulator scheduler's queue structure: an array of
 // task-affinity queues whose non-empty members are linked in a
-// doubly-linked list, plus the pinned queue (plain tasks ride the
-// lock-free chaseLev deque in deque.go instead). All access is guarded
-// by the owning worker's mutex.
+// doubly-linked list, plus the plain queue (a worker's own plain spawns
+// go onto the lock-free chaseLev deque in deque.go instead). All access
+// is guarded by the owning worker's mutex.
 type taskQueue struct {
 	head, tail *task
 	size       int

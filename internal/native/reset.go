@@ -39,14 +39,22 @@ func (rt *Runtime) Reset() error {
 		return fmt.Errorf("native: Reset with %d task(s) still live", l)
 	}
 
-	// Run has already joined every worker goroutine (allExited), the
-	// timekeeper, and the autoscaler. The one straggler possible is a
-	// worker goroutine between closing allExited and releasing poolMu
-	// in workerExited — holding poolMu for the whole reset orders every
-	// store here after that last release, so plain stores are race-free.
+	// Run has already joined every worker goroutine (allExited) and the
+	// timekeeper. The one straggler possible is a worker goroutine
+	// between closing allExited and releasing poolMu in workerExited —
+	// holding poolMu for the whole re-arm orders every store there after
+	// that last release, so plain stores are race-free.
 	rt.poolMu.Lock()
 	defer rt.poolMu.Unlock()
+	rt.rearm()
+	return nil
+}
 
+// rearm puts every piece of per-run state at its start-of-run value. New
+// calls it on the structures it just allocated and Reset on the ones a
+// finished run left behind, which is what makes a reset runtime equal a
+// fresh one by construction.
+func (rt *Runtime) rearm() {
 	rt.done = make(chan struct{})
 	rt.doneOnce = sync.Once{}
 	rt.stopc = make(chan struct{})
@@ -62,17 +70,20 @@ func (rt *Runtime) Reset() error {
 	rt.completed.Store(0)
 	rt.elapsed.Store(0)
 	rt.epoch.Store(0)
-	rt.clusterOnly.Store(rt.pol.ClusterStealingOnly)
 
-	// Adaptive state restarts from scratch: the counter mirror zeroes
-	// and the controller is rebuilt at its initial policy vector.
+	// Policy default first: a warm-started adaptive controller
+	// (initAdapt) overrides it from its Start vector. Adaptive state
+	// starts from scratch: the counter mirror zeroes and the controller
+	// is built at its initial policy vector.
+	rt.clusterOnly.Store(rt.pol.ClusterStealingOnly)
 	rt.mirror.reset()
-	if rt.adapt != nil {
-		rt.initAdapt(rt.adapt.pol)
+	if rt.cfg.Adapt != nil {
+		rt.initAdapt(*rt.cfg.Adapt)
 	}
 
-	// Retired workers resurrect; spare slots reserved by MaxProcs go
-	// back to being dead until AddWorkers claims them.
+	// Spare slots reserved by MaxProcs are dead until AddWorkers claims
+	// them (every insert path already reroutes around dead workers, so
+	// the spares need no special cases); everyone else is alive.
 	var spareMask uint64
 	for i := rt.cfg.Procs; i < rt.np; i++ {
 		spareMask |= 1 << uint(i)
@@ -105,9 +116,9 @@ func (rt *Runtime) Reset() error {
 	rt.retries.mu.Unlock()
 	rt.tkScratch = perfmon.Counters{}
 
-	// Re-arm the fault plan from scratch: armFaults rebuilds the
-	// per-worker event state (consumed cursors, flaky hit marks, slow
-	// windows), the injector's spawn sequence numbers, and addTimes.
+	// Arm the fault plan from scratch: armFaults builds the per-worker
+	// event state (consumed cursors, flaky hit marks, slow windows), the
+	// injector's spawn sequence numbers, and addTimes.
 	rt.addTimes = rt.addTimes[:0]
 	rt.inj = nil
 	for _, w := range rt.workers {
@@ -137,5 +148,4 @@ func (rt *Runtime) Reset() error {
 	}
 
 	rt.ran = false
-	return nil
 }

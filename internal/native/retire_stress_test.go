@@ -20,8 +20,8 @@ import (
 // retirement race shows up as a count mismatch, a split set as
 // SetSplits, a residual entry as a non-empty dead queue, and a stale
 // stealable hint as a nonzero counter on a drained worker. The
-// retirement drain runs through the locked structures, the Chase-Lev
-// deque (popBottom) and the inbox (swapAll).
+// retirement drain runs through the locked structures and the Chase-Lev
+// deque (popBottom).
 func TestRetireStress(t *testing.T) {
 	t.Run("deque", retireStress)
 }

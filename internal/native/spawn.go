@@ -56,8 +56,8 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 // (a published child could otherwise complete and cross scope.n through
 // zero before its siblings were counted, releasing WaitFor early), and
 // finally the batch is published — with one deque bottom store when
-// every child is a plain task on the spawner itself, per-task inserts
-// otherwise — followed by ONE wake decision for the whole burst.
+// every child is a plain task on the spawner itself, one locked push per
+// target otherwise — followed by ONE wake decision for the whole burst.
 // SpawnBatches counts these batch publications.
 func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affinity, *Monitor, int8, int64), payload any) {
 	if n <= 0 {
@@ -109,14 +109,10 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		}
 		w.deq.pushBottomN(batch)
 	} else {
-		// Mixed batch. Set members resolve through the shard protocol,
-		// the spawner's own plain children ride its deque, and
-		// cross-worker plain children ride the target's inbox. Structured
-		// records (pinned, object-bound) are chained per target and
-		// published under one lock per (batch, target): pushing them
-		// through the inbox instead would leave them invisible to every
-		// steal rule until the owner drains, which turns object-bound-
-		// heavy batches into failed-steal storms on the thieves' side.
+		// Mixed batch. Set members resolve through the shard protocol and
+		// the spawner's own plain children ride its deque. Everything else
+		// is chained per target and published under one lock per (batch,
+		// target), where every steal rule sees it at once.
 		if w.spawnHeads == nil {
 			w.spawnHeads = make([]*task, rt.np)
 			w.spawnTails = make([]*task, rt.np)
@@ -131,18 +127,9 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 				targets |= 1 << uint(sv)
 				continue
 			}
-			if t.class == core.ClassPlain {
-				if t.server == from {
-					w.queued.Add(1)
-					w.stealable.Add(1)
-					rt.queuedTotal.Add(1)
-					w.deq.pushBottom(t)
-					rt.trace(w, trace.KindEnqueue, -1, name, int64(from))
-					continue
-				}
-				sv := rt.insertFrom(t, ctr, w)
+			if t.class == core.ClassPlain && t.server == from {
+				sv := rt.insertFrom(t, ctr, w) // own deque, no lock
 				rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
-				targets |= 1 << uint(sv)
 				continue
 			}
 			sv := t.server

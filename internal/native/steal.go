@@ -80,14 +80,14 @@ func (rt *Runtime) stealScan(w *worker, ring []int) *task {
 //
 // The probe is ordered by cost: the sets-first phase takes the victim's
 // lock only when the setQueued hint says a set is queued; a plain steal
-// is a single CAS on the victim's deque top; the victim's inbox is
-// probed lock-free (swap, keep the oldest plain record, push the rest
-// back); and only the backlog-gated reluctant rules on the locked
-// structures pay for the victim's mutex. Single-task steals hand the
-// task straight to the thief's goroutine, so the thief's own queues are
-// never touched; only a whole-set move adds the thief's lock (stealSet,
-// in ascending global id order — the deadlock-avoidance protocol every
-// two-worker path follows) plus the one set-table shard involved.
+// off the victim's deque is a single CAS on its top; and only what is
+// left — plain records other goroutines inserted and the backlog-gated
+// reluctant rules — pays for the victim's mutex. Single-task steals hand
+// the task straight to the thief's goroutine, so the thief's own queues
+// are never touched; only a whole-set move adds the thief's lock
+// (stealSet, in ascending global id order — the deadlock-avoidance
+// protocol every two-worker path follows) plus the one set-table shard
+// involved.
 func (rt *Runtime) stealFrom(v, w *worker) *task {
 	if rt.pol.StealWholeSets && v.setQueued.Load() > 0 {
 		rt.lockWorker(v, w.id)
@@ -102,93 +102,38 @@ func (rt *Runtime) stealFrom(v, w *worker) *task {
 		rt.noteRemoved(v, t)
 		return t
 	}
-	if t := rt.stealInbox(v, w); t != nil {
-		return t
-	}
-	return rt.stealLockedReluctant(v, w)
+	return rt.stealLocked(v, w)
 }
 
-// stealInbox probes v's inbox for the oldest stealable record. Pop-one
-// is unsafe on a Treiber stack whose records get recycled (see inbox),
-// so the thief swaps the whole chain, keeps one record, and pushes
-// everything else back in one CAS, preserving relative order.
-//
-// Plain records are always fair game. The pinned and object-bound
-// records an inbox can hold are exactly the work the reluctant steal
-// rules guard behind backlog checks, and riding the inbox grants no
-// license to skip those checks — so they are taken only under the same
-// gates stealLockedReluctant applies to the locked structures (victim
-// backlogged, object-bound only under StealObjectBound). Without this,
-// object-bound-heavy workloads starve thieves into a failed-steal storm
-// whenever the work sits in inboxes the owners haven't drained yet.
-func (rt *Runtime) stealInbox(v, w *worker) *task {
-	if v.inbox.empty() {
-		return nil
-	}
-	chain := v.inbox.swapAll()
-	if chain == nil {
-		return nil
-	}
-	buf := w.inboxScratch[:0]
-	for t := chain; t != nil; t = t.next {
-		buf = append(buf, t)
-	}
-	var taken *task
-	for i := len(buf) - 1; i >= 0; i-- { // chain is newest-first; oldest plain wins
-		if buf[i].class == core.ClassPlain {
-			taken = buf[i]
-			buf = append(buf[:i], buf[i+1:]...)
-			break
-		}
-	}
-	if taken == nil {
-		backlog := int(v.queued.Load())
-		for i := len(buf) - 1; i >= 0; i-- { // oldest permitted structured record
-			if rt.pol.MayStealHead(buf[i].class, backlog) {
-				taken = buf[i]
-				buf = append(buf[:i], buf[i+1:]...)
-				break
-			}
-		}
-	}
-	if len(buf) > 0 {
-		for i := 0; i < len(buf)-1; i++ {
-			buf[i].next = buf[i+1]
-		}
-		v.inbox.pushChain(buf[0], buf[len(buf)-1])
-		if rt.dead.Load() != 0 && rt.isDead(v.id) {
-			// The victim retired while its records were detached; its
-			// drain may have missed them, so sweep them to survivors.
-			rt.sweepInbox(v, &rt.cfg.Mon.Per[w.id])
-		}
-	}
-	for i := range buf {
-		buf[i] = nil
-	}
-	w.inboxScratch = buf[:0]
-	if taken == nil {
-		return nil
-	}
-	taken.next = nil
-	rt.noteDequeued(v, 1)
-	rt.noteRemoved(v, taken)
-	return taken
-}
-
-// stealLockedReluctant applies the reluctant-steal gate
-// (core.Policy.MayStealHead) to v's locked structures: the pinned-queue
-// head, then each slot head; a lone set member it lets through is a
-// deliberate, counted split. The lock-free check first rejects the
-// common nothing-reluctantly-stealable case without touching v's mutex.
-func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
+// stealLocked applies the simulator's single-task rules (core
+// Scheduler.stealFrom) to v's locked structures: scan the locked plain
+// queue past pinned tasks for a freely stealable plain record, then put
+// the reluctant-steal gate (core.Policy.MayStealHead) to that queue's
+// head and to each slot head; a lone set member the gate lets through is
+// a deliberate, counted split. The lock-free check first rejects the
+// common nothing-stealable case — the victim's one queued task is pinned
+// or object-bound — without touching v's mutex.
+func (rt *Runtime) stealLocked(v, w *worker) *task {
 	if v.lockedWork.Load() == 0 {
 		return nil
 	}
-	if v.queued.Load() < 2 && (rt.pol.StealWholeSets || v.setQueued.Load() == 0) {
+	if v.queued.Load() < 2 && v.stealable.Load() == 0 {
 		return nil
 	}
 	rt.lockWorker(v, w.id)
 	defer v.mu.Unlock()
+	// stealable never undercounts (inserts count before they publish,
+	// takers decrement after), so zero under the lock means no plain
+	// record here and spares the walk past a long run of pinned tasks.
+	if v.stealable.Load() > 0 {
+		for t := v.pinned.head; t != nil; t = t.next {
+			if t.class == core.ClassPlain {
+				v.pinned.remove(t)
+				rt.noteLockedTaken(v, t)
+				return t
+			}
+		}
+	}
 	backlog := int(v.queued.Load())
 	if t := v.pinned.head; t != nil && rt.pol.MayStealHead(t.class, backlog) {
 		v.pinned.remove(t)
@@ -293,7 +238,7 @@ func (rt *Runtime) stealSet(v, w *worker) *task {
 				tq := &w.slots[t.slot]
 				tq.push(t)
 				w.nonEmpty.add(tq)
-				if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
+				if freelyStealable(t) {
 					w.stealable.Add(1)
 				}
 				w.lockedWork.Add(1)

@@ -6,25 +6,12 @@ import (
 	"github.com/coolrts/cool/internal/trace"
 )
 
-// pushLocked adds a structured task to w's locked queues with full
-// accounting. Called with w.mu held; the caller accounts queuedTotal
-// after releasing the lock. Only structured tasks reach it (sets through
-// placeSet, pinned and object-bound records through SpawnN's per-target
-// chains); plain tasks ride the deque and inbox instead.
+// pushLocked adds a task to w's locked queues with full accounting: a
+// slot queue for set members and object-bound tasks, the locked plain
+// queue (w.pinned) for pinned tasks and for plain records another
+// goroutine inserted. Called with w.mu held; the caller accounts
+// queuedTotal after releasing the lock.
 func (rt *Runtime) pushLocked(w *worker, t *task) {
-	rt.pushStructLocked(w, t)
-	w.queued.Add(1)
-	if t.class == core.ClassTaskSet {
-		w.stealable.Add(1)
-	}
-}
-
-// pushStructLocked routes one record into w's locked structures (w.mu
-// held): a slot queue for set members and object-bound tasks, the pinned
-// queue otherwise. It moves only the lock-guarded occupancy hints — an
-// inbox-drained record was fully accounted (queued, stealable,
-// queuedTotal) when it was inserted.
-func (rt *Runtime) pushStructLocked(w *worker, t *task) {
 	if t.slot >= 0 {
 		q := &w.slots[t.slot]
 		q.push(t)
@@ -33,81 +20,19 @@ func (rt *Runtime) pushStructLocked(w *worker, t *task) {
 		w.pinned.push(t)
 	}
 	w.lockedWork.Add(1)
+	w.queued.Add(1)
 	if t.class == core.ClassTaskSet {
 		w.setQueued.Add(1)
 	}
+	if freelyStealable(t) {
+		w.stealable.Add(1)
+	}
 }
 
-// drainInbox moves everything other workers pushed into w's inbox since
-// the last drain into the structures dispatch reads: plain records onto
-// the owner's deque, pinned and object-bound records under the lock.
-// Owner only; the lock is taken at most once and only when a structured
-// record arrived. Inserts already accounted every counter, so the drain
-// moves records without touching queued/stealable/queuedTotal. The
-// swapped chain is newest-first; reversing through inboxScratch
-// restores arrival order.
-func (rt *Runtime) drainInbox(w *worker) {
-	if w.inbox.empty() {
-		return
-	}
-	chain := w.inbox.swapAll()
-	if chain == nil {
-		return
-	}
-	buf := w.inboxScratch[:0]
-	for t := chain; t != nil; t = t.next {
-		buf = append(buf, t)
-	}
-	locked := false
-	for i := len(buf) - 1; i >= 0; i-- {
-		t := buf[i]
-		t.next = nil
-		buf[i] = nil
-		if t.class == core.ClassPlain {
-			w.deq.pushBottom(t)
-			continue
-		}
-		if !locked {
-			rt.lockWorker(w, w.id)
-			locked = true
-		}
-		rt.pushStructLocked(w, t)
-	}
-	if locked {
-		w.mu.Unlock()
-	}
-	w.inboxScratch = buf[:0]
-}
-
-// sweepInbox drains a retired worker's inbox and re-inserts every record
-// on a survivor. Called by the retirement drain and by any pusher that
-// observed the dead bit after its push landed — the swapAll hand-off
-// makes concurrent sweeps safe (each record appears in exactly one swap
-// result), so the sweep is idempotent. The records were accounted
-// against the dead target at insert time; each is unaccounted here and
-// re-accounted by the fresh insert. Rerouting at this point is
-// placement, not redistribution, so Redistributed is not counted (the
-// distinction TestRedistributedCounterThroughReportNative pins down).
-func (rt *Runtime) sweepInbox(w *worker, ctr *perfmon.Counters) {
-	chain := w.inbox.swapAll()
-	moved := false
-	for chain != nil {
-		t := chain
-		chain = chain.next
-		t.next = nil
-		w.queued.Add(-1)
-		if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-			w.stealable.Add(-1)
-		}
-		rt.queuedTotal.Add(-1)
-		t.server = rt.rerouteTarget(t)
-		sv := rt.insertFrom(t, ctr, nil)
-		rt.wakeTargets(1 << uint(sv))
-		moved = true
-	}
-	if moved {
-		rt.wakePolicy(ctr)
-	}
+// freelyStealable reports whether any thief may take t outright — the
+// tasks a worker's stealable hint counts.
+func freelyStealable(t *task) bool {
+	return t.class == core.ClassPlain || t.class == core.ClassTaskSet
 }
 
 // insert pushes t onto its server's queues, returning the worker it
@@ -118,18 +43,19 @@ func (rt *Runtime) insert(t *task, actor int) int {
 
 // insertFrom is insert with an explicit contention sink and the worker
 // whose goroutine is executing the call (nil when the caller is not a
-// worker goroutine — the timekeeper, a retirement drain, an inbox
-// sweep; self only enables the owner's lock-free fast path, it is never
-// required for correctness).
+// worker goroutine — the timekeeper, a retirement drain; self only
+// enables the owner's lock-free fast path, it is never required for
+// correctness).
 //
-// The insert counts, then publishes: the per-worker and machine hints
-// are bumped before the record becomes visible, so any consumer that
-// finds the record also finds counts covering it (consumers decrement
-// after taking). The owner's own plain spawns go straight onto its
-// deque bottom; everything else lands in the target's inbox with one
-// CAS. A dead target is rerouted up front, and re-checked after the
-// push: the retirement drain publishes the dead bit before sweeping, so
-// a push that raced the sweep re-sweeps the inbox itself.
+// There are two ways in. The owner's own plain spawns go onto its deque
+// bottom, counted before the publishing store so a thief that finds the
+// record also finds counts covering it. Everything else — structured
+// records from anyone, plain records from another goroutine — goes under
+// the target's lock, where the dead bit is authoritative: the retire
+// protocol publishes it under that same lock before draining, so an
+// insert that gets the lock first is drained with the rest, and one that
+// gets it later sees the bit and reroutes. The check before the lock
+// only spares a dead target's mutex.
 func (rt *Runtime) insertFrom(t *task, ctr *perfmon.Counters, self *worker) int {
 	for {
 		sv := t.server
@@ -138,19 +64,22 @@ func (rt *Runtime) insertFrom(t *task, ctr *perfmon.Counters, self *worker) int 
 			continue
 		}
 		w := rt.workers[sv]
-		w.queued.Add(1)
-		if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
-			w.stealable.Add(1)
-		}
-		rt.queuedTotal.Add(1)
 		if self == w && t.class == core.ClassPlain {
+			w.queued.Add(1)
+			w.stealable.Add(1)
+			rt.queuedTotal.Add(1)
 			w.deq.pushBottom(t)
 			return sv
 		}
-		w.inbox.push(t)
+		rt.lockWorkerCtr(w, ctr)
 		if rt.dead.Load() != 0 && rt.isDead(sv) {
-			rt.sweepInbox(w, ctr)
+			w.mu.Unlock()
+			t.server = rt.rerouteTarget(t)
+			continue
 		}
+		rt.pushLocked(w, t)
+		w.mu.Unlock()
+		rt.queuedTotal.Add(1)
 		return sv
 	}
 }
@@ -167,15 +96,14 @@ func (rt *Runtime) insertAndWake(t *task, from int) {
 
 // take removes the next task for w: local queues first, then stealing.
 //
-// The common case runs without any lock: drain the inbox, probe the
-// locked structures only when the lockedWork hint says they hold
-// something, then pop the own deque — a plain spawn-and-run cycle is an
-// inbox emptiness load plus one deque CAS. The dispatch priority mirrors
-// the simulator's (current slot back to back, non-empty list, pinned
-// queue, then the plain deque), which keeps P=1 native schedules
-// token-identical to the simulated ones.
+// The common case runs without any lock: probe the locked structures
+// only when the lockedWork hint says they hold something, then pop the
+// own deque — a plain spawn-and-run cycle is one hint load plus one
+// deque CAS. The dispatch priority mirrors the simulator's (current slot
+// back to back, non-empty list, locked plain queue, then the deque),
+// which keeps P=1 native schedules token-identical to the simulated
+// ones.
 func (rt *Runtime) take(w *worker) *task {
-	rt.drainInbox(w)
 	if w.lockedWork.Load() > 0 {
 		rt.lockWorker(w, w.id)
 		t := rt.takeLocked(w)
@@ -194,7 +122,7 @@ func (rt *Runtime) take(w *worker) *task {
 
 // takeLocked pops from w's lock-guarded structures in the simulator's
 // priority order: the slot being drained back to back, the non-empty
-// list, then the pinned queue. Called with w.mu held.
+// list, then the locked plain queue. Called with w.mu held.
 func (rt *Runtime) takeLocked(w *worker) *task {
 	if w.cur != nil && !w.cur.empty() {
 		t := w.cur.pop()
@@ -248,7 +176,7 @@ func (rt *Runtime) noteDequeued(w *worker, n int) {
 // noteRemoved maintains w's stealable hint for one removed task (w.mu
 // held; pairs with the increment in pushLocked).
 func (rt *Runtime) noteRemoved(w *worker, t *task) {
-	if t.class == core.ClassPlain || t.class == core.ClassTaskSet {
+	if freelyStealable(t) {
 		w.stealable.Add(-1)
 	}
 }
