@@ -2,14 +2,14 @@ package cool
 
 // This file is the public surface of the adaptive-affinity controller
 // (internal/adapt): Config.Adapt arms a per-epoch online controller
-// that reads a counter-delta snapshot and adjusts the live scheduling
-// policy — cluster-only stealing, wake fanout, steal backoff, and the
-// shed floor — with hysteresis. On the simulator the epoch driver is a
-// self-rescheduling event at fixed simulated-cycle boundaries, so
-// adaptive runs stay bit-deterministic; on the native backend the
-// timekeeper goroutine drives epochs off wall-clock ticks. Every
-// policy change is recorded as a BLIS-style decision trace queryable
-// via Report.Decisions and rendered by the Chrome trace exporter.
+// that reads a counter-delta snapshot and turns cluster-only stealing
+// — the paper's one run-time scheduling choice — on or off, with
+// hysteresis. On the simulator the epoch driver is a self-rescheduling
+// event at fixed simulated-cycle boundaries, so adaptive runs stay
+// bit-deterministic; on the native backend the timekeeper goroutine
+// drives epochs off wall-clock ticks. Every policy change is recorded
+// as a BLIS-style decision trace queryable via Report.Decisions and
+// rendered by the Chrome trace exporter.
 
 import (
 	"fmt"
@@ -17,10 +17,6 @@ import (
 	"github.com/coolrts/cool/internal/adapt"
 	"github.com/coolrts/cool/internal/trace"
 )
-
-// DefaultWakeFanout is the targeted-wake width both backends start
-// from; the adaptive controller's fanout knob moves it at run time.
-const DefaultWakeFanout = adapt.DefaultWakeFanout
 
 // defaultSimAdaptEpoch is the simulator's default controller epoch, in
 // simulated cycles (the native backend defaults to 1ms of wall clock,
@@ -32,24 +28,14 @@ const defaultSimAdaptEpoch = 50_000
 // controller interval — simulated cycles on the simulator (default
 // 50_000), wall-clock nanoseconds on the native backend (default
 // 1_000_000) — and Start, when non-nil, warm-starts the controller and
-// the live scheduler from a policy vector harvested with
-// Runtime.AdaptState at the end of an earlier run.
+// the live scheduler from a policy harvested with Runtime.AdaptState
+// at the end of an earlier run.
 type AdaptPolicy = adapt.Policy
 
 // validateAdapt rejects nonsensical controller configurations.
 func validateAdapt(p *AdaptPolicy) error {
 	if p.Epoch < 0 {
 		return fmt.Errorf("cool: Config.Adapt.Epoch must not be negative")
-	}
-	if s := p.Start; s != nil {
-		switch {
-		case s.WakeFanout < 0:
-			return fmt.Errorf("cool: Config.Adapt.Start.WakeFanout must not be negative")
-		case s.BackoffShift < 0 || s.BackoffShift > 3:
-			return fmt.Errorf("cool: Config.Adapt.Start.BackoffShift must be in [0,3]")
-		case s.ShedBias < 0 || s.ShedBias > 3:
-			return fmt.Errorf("cool: Config.Adapt.Start.ShedBias must be in [0,3]")
-		}
 	}
 	return nil
 }
@@ -65,38 +51,25 @@ func validateAdapt(p *AdaptPolicy) error {
 // the perfmon rows.
 type CounterSnapshot = adapt.Snapshot
 
-// AdaptState is the live policy vector the controller drives.
+// AdaptState is the live policy the controller drives: whether
+// stealing is restricted to the thief's own cluster.
 type AdaptState = adapt.State
 
 // AdaptAlternative is one counterfactual a decision scored but did not
 // choose.
 type AdaptAlternative = adapt.Alternative
 
-// AdaptDecision is one recorded policy change: which knob moved, from
-// what to what, the triggering counter delta, and the top-scored
-// alternatives not taken. Folding a run's decisions over its initial
-// state (ReplayAdaptDecisions) reproduces the final policy exactly.
+// AdaptDecision is one recorded policy change: the knob, from what to
+// what, the triggering counter delta, and the scored alternative not
+// taken. Folding a run's decisions over its initial state
+// (ReplayAdaptDecisions) reproduces the final policy exactly.
 type AdaptDecision = adapt.Decision
 
-// AdaptInitialState returns the policy vector an adaptive run starts
-// from under the given configuration — the seed for
-// ReplayAdaptDecisions. Note that application variants may layer
-// scheduling overrides on top of a base configuration; when replaying
-// a run you observed, prefer Runtime.AdaptInitialState, which reports
-// the controller's actual starting vector.
-func AdaptInitialState(c Config) AdaptState {
-	return AdaptState{
-		ClusterOnly: c.Sched.ClusterStealingOnly,
-		WakeFanout:  DefaultWakeFanout,
-	}
-}
-
 // ReplayAdaptDecisions folds a decision trace over an initial state
-// and returns the final policy vector. For any completed adaptive run
-// whose trace did not overflow its 256-decision cap,
-// ReplayAdaptDecisions(AdaptInitialState(cfg), report.Decisions) equals
-// the state Runtime.AdaptState reports — every policy change is
-// reconstructible from the trace.
+// and returns the final policy. For any completed adaptive run whose
+// trace did not overflow its 256-decision cap, folding report.Decisions
+// over Runtime.AdaptInitialState equals the state Runtime.AdaptState
+// reports — every policy change is reconstructible from the trace.
 func ReplayAdaptDecisions(init AdaptState, ds []AdaptDecision) AdaptState {
 	return adapt.Replay(init, ds)
 }
@@ -112,7 +85,7 @@ func (rt *Runtime) CounterSnapshot() CounterSnapshot {
 	return rt.simSnapshot()
 }
 
-// AdaptState returns the controller's current policy vector, or false
+// AdaptState returns the controller's current policy, or false
 // when Config.Adapt was not set. Call after Run for a settled view.
 func (rt *Runtime) AdaptState() (AdaptState, bool) {
 	if rt.backend == BackendNative {
@@ -124,7 +97,7 @@ func (rt *Runtime) AdaptState() (AdaptState, bool) {
 	return rt.adaptCtl.State(), true
 }
 
-// AdaptInitialState returns the policy vector the controller actually
+// AdaptInitialState returns the policy the controller actually
 // started from, or false when Config.Adapt was not set. This is the
 // correct seed for ReplayAdaptDecisions even when the runtime's
 // effective policy differs from the base configuration (for example,
@@ -155,25 +128,16 @@ func (rt *Runtime) adaptDecisions() []AdaptDecision {
 // self-rescheduling engine event steps it at fixed simulated-cycle
 // boundaries, so an adaptive sim run is exactly as deterministic as a
 // static one. The event stops rescheduling itself once the run has
-// drained. Backoff and shed decisions have no simulator mechanism (no
-// timed parks, no shedding layer); they are recorded in the trace but
-// applied natively only.
+// drained.
 func (rt *Runtime) installAdaptSim(p *AdaptPolicy) {
 	pol := *p
 	if pol.Epoch <= 0 {
 		pol.Epoch = defaultSimAdaptEpoch
 	}
-	st0 := adapt.State{
-		ClusterOnly: rt.pol.ClusterStealingOnly,
-		WakeFanout:  rt.sched.WakeFanout(),
-	}
+	st0 := adapt.State{ClusterOnly: rt.pol.ClusterStealingOnly}
 	if pol.Start != nil {
 		st0 = *pol.Start
-		if st0.WakeFanout <= 0 {
-			st0.WakeFanout = rt.sched.WakeFanout()
-		}
 		rt.sched.SetClusterStealingOnly(st0.ClusterOnly)
-		rt.sched.SetWakeFanout(st0.WakeFanout)
 	}
 	ctl := adapt.New(pol, st0)
 	rt.adaptCtl = ctl
@@ -187,7 +151,6 @@ func (rt *Runtime) installAdaptSim(p *AdaptPolicy) {
 		st, changed := ctl.Epoch(now, rt.simSnapshot())
 		if changed {
 			rt.sched.SetClusterStealingOnly(st.ClusterOnly)
-			rt.sched.SetWakeFanout(st.WakeFanout)
 			for n := ctl.Count(); seen < n; seen++ {
 				d := ctl.DecisionAt(seen)
 				rt.sched.Trace.Add(now, -1, trace.KindAdapt, d.Knob+" "+d.Action, d.To)

@@ -76,7 +76,7 @@ func TestCounterSnapshotConsistent(t *testing.T) {
 // vectors equal the warm state, and the empty decision trace replays to
 // it.
 func TestAdaptWarmStart(t *testing.T) {
-	warm := cool.AdaptState{ClusterOnly: true, WakeFanout: 8}
+	warm := cool.AdaptState{ClusterOnly: true}
 	for _, be := range backends {
 		be := be
 		t.Run(be.name, func(t *testing.T) {
@@ -116,10 +116,12 @@ func TestAdaptWarmStart(t *testing.T) {
 // with the second repetition warm-started from the policy the first
 // learned — so the score covers both the cold run (paying the
 // observation epochs) and the steady state a policy-persisting runtime
-// reaches. The mean adaptive run must reach 0.95x the best static arm on
-// every app and 1.1x on the phase-shifting one, and replaying each
-// repetition's decision trace over its initial policy must reconstruct
-// the controller's final state. Only simulated cycles are compared.
+// reaches. The mean adaptive run must reach 0.995x the best static arm
+// on every app and 1.25x on the phase-shifting one (measured minimum
+// 0.9990 on barneshut, 1.2960 on phaseflip — EXPERIMENTS AD1), and
+// replaying each repetition's decision trace over its initial policy
+// must reconstruct the controller's final state. Only simulated cycles
+// are compared; the per-app ratio and decision counts are logged.
 func TestAdaptiveFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("28 default-size simulator runs")
@@ -147,6 +149,7 @@ func TestAdaptiveFloor(t *testing.T) {
 			}
 			var warm *cool.AdaptState
 			var sum int64
+			var decisions [reps]int
 			for rep := 0; rep < reps; rep++ {
 				sum += cycles(cool.Config{Adapt: &cool.AdaptPolicy{Epoch: epoch, Start: warm}})
 				rt := lastRuntime
@@ -158,19 +161,22 @@ func TestAdaptiveFloor(t *testing.T) {
 				if !okInit || !okFinal {
 					t.Fatalf("rep %d: adaptive run exposes no controller state", rep)
 				}
-				if got := cool.ReplayAdaptDecisions(init, rt.Report().Decisions); got != final {
+				ds := rt.Report().Decisions
+				if got := cool.ReplayAdaptDecisions(init, ds); got != final {
 					t.Errorf("rep %d: decision trace replays to %+v, controller ended on %+v", rep, got, final)
 				}
+				decisions[rep] = len(ds)
 				warm = &final
 			}
 			ratio := float64(best) / float64(sum/reps)
-			floor := 0.95
+			floor := 0.995
 			if name == "phaseflip" {
-				floor = 1.1
+				floor = 1.25
 			}
+			t.Logf("best static / mean adaptive = %.4f (%d vs %d cycles), decisions per rep (cold first) %v",
+				ratio, best, sum/reps, decisions)
 			if ratio < floor {
-				t.Errorf("adaptive is %.3fx the best static arm (%d vs mean %d cycles), floor %.2f",
-					ratio, best, sum/reps, floor)
+				t.Errorf("adaptive is %.4fx the best static arm, floor %.3f", ratio, floor)
 			}
 		})
 	}

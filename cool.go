@@ -173,9 +173,9 @@ type Config struct {
 	Autoscale *AutoscalePolicy
 	// Adapt, when non-nil, arms the adaptive-affinity controller on
 	// either backend: each epoch it reads the machine-wide counter
-	// deltas and adjusts cluster-only stealing, wake fanout, steal
-	// backoff, and the shed floor, recording every change as a
-	// decision trace (see AdaptPolicy, Report.Decisions).
+	// deltas and turns cluster-only stealing on or off, recording
+	// every change as a decision trace (see AdaptPolicy,
+	// Report.Decisions).
 	Adapt *AdaptPolicy
 }
 

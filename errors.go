@@ -6,7 +6,6 @@ import (
 
 	"github.com/coolrts/cool/internal/core"
 	"github.com/coolrts/cool/internal/fault"
-	"github.com/coolrts/cool/internal/native"
 	"github.com/coolrts/cool/internal/sim"
 )
 
@@ -35,28 +34,7 @@ type TaskPanicError = fault.TaskFailure
 
 // WaitEdge is one edge of a deadlock's wait-for graph: a blocked task
 // and the synchronization object it waits on.
-type WaitEdge struct {
-	Task    string // blocked task's label
-	On      string // "monitor", "condition", or "scope"
-	Object  int64  // monitor's object address (0 when none)
-	Holder  string // task holding the monitor ("" when none/unknown)
-	Pending int    // outstanding tasks in the scope (scope edges only)
-}
-
-func (w WaitEdge) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "task %q waits on %s", w.Task, w.On)
-	if w.On == "monitor" && w.Object != 0 {
-		fmt.Fprintf(&b, "@%#x", w.Object)
-	}
-	if w.Holder != "" {
-		fmt.Fprintf(&b, " held by %q", w.Holder)
-	}
-	if w.On == "scope" {
-		fmt.Fprintf(&b, " (%d task(s) outstanding)", w.Pending)
-	}
-	return b.String()
-}
+type WaitEdge = fault.WaitEdge
 
 // DeadlockError is returned by Run when tasks remain blocked forever.
 // Waits lists each blocked task with the monitor, condition variable, or
@@ -82,26 +60,7 @@ func (e *DeadlockError) Error() string {
 // completed for the watchdog window (armed automatically when faults or
 // retries are configured) while tasks remained live. It carries a clock
 // and queue snapshot instead of letting the run spin (or hang) forever.
-type NoProgressError struct {
-	// CycleLimit is the limit that fired: Config.CycleLimit in
-	// simulated cycles, or the native watchdog window in wall-clock
-	// nanoseconds.
-	CycleLimit   int64
-	Time         int64   // simulated cycle the watchdog fired
-	LiveTasks    int     // tasks not yet run to completion
-	BlockedTasks int     // tasks parked on synchronization
-	Clocks       []int64 // per-processor clocks at the stop
-	Snapshot     string  // scheduler queue state
-}
-
-func (e *NoProgressError) Error() string {
-	s := fmt.Sprintf("cool: no progress: cycle limit %d exceeded at t=%d with %d live task(s), %d blocked",
-		e.CycleLimit, e.Time, e.LiveTasks, e.BlockedTasks)
-	if e.Snapshot != "" {
-		s += "\n  " + e.Snapshot
-	}
-	return s
-}
+type NoProgressError = fault.NoProgress
 
 // TaskAbortError is returned by Run when a transient launch failure
 // (a FailTask event or a FlakyProcessor window) struck a task and the
@@ -114,36 +73,18 @@ type TaskAbortError = fault.TaskAbort
 // deadline is a hard budget on an otherwise healthy run, so the error
 // carries a progress snapshot: per-server queue depths and the blocked
 // tasks with what they wait on.
-type DeadlineExceededError struct {
-	Deadline     int64
-	Time         int64      // simulated cycle the run stopped
-	LiveTasks    int        // tasks not yet run to completion
-	BlockedTasks int        // tasks parked on synchronization
-	Clocks       []int64    // per-processor clocks at the stop
-	QueueDepths  []int      // queued tasks per server (-1 = dead server)
-	Waits        []WaitEdge // wait-for edges of the blocked tasks
-}
+type DeadlineExceededError = fault.DeadlineExceeded
 
-func (e *DeadlineExceededError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cool: deadline %d exceeded at t=%d with %d live task(s), %d blocked; queues=%v",
-		e.Deadline, e.Time, e.LiveTasks, e.BlockedTasks, e.QueueDepths)
-	for _, w := range e.Waits {
-		b.WriteString("\n  ")
-		b.WriteString(w.String())
-	}
-	return b.String()
-}
-
-// wrapRunError converts either engine's failures into the public typed
-// errors. *TaskPanicError and *TaskAbortError are declared once
-// (internal/fault) and pass through as they are; the simulator's other
-// three need the scheduler's knowledge of what blocked tasks wait on.
-// On the native backend Time is wall-clock nanoseconds since Run
-// started, every cycle-denominated field (Deadline, CycleLimit) carries
-// the nanosecond quantity the run was configured with, and the fields
-// only the simulator can know — per-processor Clocks and the
-// blocked-task wait-for graph — stay zero.
+// wrapRunError converts the simulator's failures into the public typed
+// errors. *TaskPanicError and *TaskAbortError from either engine, and
+// the native timekeeper's *DeadlineExceededError and *NoProgressError,
+// are declared once (internal/fault) and pass through as they are; the
+// simulator's three stops need the scheduler's knowledge of what
+// blocked tasks wait on. On the native backend Time is wall-clock
+// nanoseconds since Run started, every cycle-denominated field
+// (Deadline, CycleLimit) carries the nanosecond quantity the run was
+// configured with, and the fields only the simulator can know —
+// per-processor Clocks and the blocked-task wait-for graph — stay zero.
 func (rt *Runtime) wrapRunError(err error) error {
 	switch f := err.(type) {
 	case *sim.DeadlockError:
@@ -173,20 +114,6 @@ func (rt *Runtime) wrapRunError(err error) error {
 			BlockedTasks: f.Blocked,
 			Clocks:       f.Clocks,
 			Snapshot:     f.Snapshot,
-		}
-	case *native.DeadlineError:
-		return &DeadlineExceededError{
-			Deadline:    f.DeadlineNS,
-			Time:        f.Time,
-			LiveTasks:   f.Live,
-			QueueDepths: f.QueueDepths,
-		}
-	case *native.NoProgressError:
-		return &NoProgressError{
-			CycleLimit: f.WindowNS,
-			Time:       f.Time,
-			LiveTasks:  f.Live,
-			Snapshot:   f.Snapshot,
 		}
 	}
 	return err

@@ -1,7 +1,7 @@
 // Package adapt is the online scheduling-policy controller: a small,
 // dependency-free decision engine that turns per-epoch counter deltas
-// into adjustments of the runtime's live policy vector — cluster-only
-// stealing, wake fanout, steal-backoff scale, and the shed-floor bias.
+// into the one run-time scheduling choice the paper has — whether
+// stealing is restricted to the thief's own cluster.
 //
 // The controller is backend-agnostic and deliberately pure: the
 // deterministic simulator and the native runtime feed it cumulative
@@ -11,52 +11,31 @@
 // bit-stable and lets the hysteresis rules be unit-tested with
 // scripted counter streams.
 //
-// Rules handle the regimes with a crisp counter signature: probe-fail
-// storms, starvation under a restriction, backlog vs wake width, and —
-// when the backend attributes memory references to stolen work — the
-// locality regime itself, where cross-cluster steals "succeed" but the
-// stolen tasks pay a non-local miss rate far above what home-placed
-// work pays. For backends without that attribution the controller
-// falls back to counterfactual trials: when the rules have been quiet
-// for a while it briefly flips the cluster knob, compares
-// completed-tasks-per-epoch against the pre-trial baseline, and keeps
-// or reverts the flip. Successive trials back off exponentially, and
-// the first rule firing on the knob disables trials outright — a knob
-// the rules can see does not need blind exploration.
+// Three rules move the knob, each on a crisp counter signature: a
+// probe-fail storm turns the restriction on, so does the locality
+// regime — cross-cluster steals "succeed" but the stolen tasks pay a
+// non-local miss rate far above what home-placed work pays, visible
+// where the backend attributes memory references to stolen work — and
+// starvation under the restriction turns it back off.
 //
 // Every state change is recorded as a BLIS-style decision trace entry:
 // the knob, the action taken, the triggering counter delta, a score,
-// and the top scored alternatives that were NOT taken. Replay folds a
-// trace over the initial state and must land exactly on the
-// controller's final state — the reconstruction property the bench
-// harness asserts for every adaptive run.
+// and the scored alternative that was NOT taken. Replay folds a trace
+// over the initial state and must land exactly on the controller's
+// final state — the reconstruction property TestAdaptiveFloor asserts
+// for every adaptive run.
 package adapt
 
 import "fmt"
 
-// DefaultWakeFanout is the fanout both backends use when no controller
-// is installed; it is the controller's initial fanout as well.
-const DefaultWakeFanout = 4
+// KnobCluster is the knob name in Decision entries: cluster-only
+// stealing on/off.
+const KnobCluster = "cluster"
 
-// Knob names used in Decision entries (and Replay).
-const (
-	KnobCluster = "cluster" // cluster-only stealing on/off
-	KnobFanout  = "fanout"  // wake fanout width
-	KnobBackoff = "backoff" // steal-backoff scale (power of two)
-	KnobShed    = "shed"    // shed-floor bias (power of two)
-)
-
-// Internal rule bounds that are deliberately not Policy knobs: they
-// shape second-order behaviour and tuning them per-run has never been
-// needed.
+// Rule bounds with one value in use everywhere.
 const (
 	minTriesPerEpoch = 8    // below this many probes a fail ratio is noise
-	maxBackoffShift  = 3    // at most 8x the base steal backoff
-	maxShedBias      = 3    // shed floor tightened at most 8x
-	backoffFailHigh  = 0.90 // probe-fail ratio that raises the backoff
-	backoffFailLow   = 0.50 // probe-fail ratio that lowers it again
-	missRateHigh     = 0.05 // deadline-miss rate that tightens the shed floor
-	maxTrialSpacing  = 128  // trial back-off ladder cap, in quiet epochs
+	stealFailHigh    = 0.75 // FailedSteals/StealTries above which cross-cluster stealing is judged not to pay
 
 	// Locality-rule guards: below these accumulated volumes a stolen-work
 	// miss rate is statistical noise, and a rate below the floor is not
@@ -70,9 +49,9 @@ const (
 
 // Policy configures the online policy controller (Config.Adapt). The
 // zero value selects backend defaults for everything. Only Epoch and
-// Start are settable from outside this package; the rule thresholds
-// below have one value in use everywhere and are fields only so that
-// this package's tests can script them.
+// Start are settable from outside this package; hysteresis and
+// traceCap are fields only so that this package's tests can script
+// them.
 type Policy struct {
 	// Epoch is the controller interval: simulated cycles on the
 	// simulator (default 50_000), wall-clock nanoseconds on the native
@@ -85,33 +64,11 @@ type Policy struct {
 	// traceCap bounds the decision trace (default 256); decisions past
 	// the cap are applied but not recorded, and counted in Dropped.
 	traceCap int
-	// stealFailHigh is the FailedSteals/StealTries ratio above which
-	// cross-cluster stealing is judged not to pay (default 0.75).
-	stealFailHigh float64
-	// minFanout / maxFanout bound the wake fanout (defaults 2 / 32).
-	minFanout, maxFanout int
-	// trialFirst is how many rule-quiet epochs pass before the first
-	// counterfactual trial of the cluster knob (default 4). Successive
-	// trials double the spacing, capped at maxTrialSpacing; a kept
-	// trial resets the ladder so a changed regime is re-challenged
-	// promptly.
-	trialFirst int
-	// trialLen is how many epochs a trial runs before its throughput is
-	// compared against the pre-trial baseline (default 2).
-	trialLen int
-	// trialMargin is the relative completed-per-epoch improvement a
-	// trial must show to be kept (default 0.05).
-	trialMargin float64
-	// noTrial disables counterfactual trials (rule-driven flips only).
-	noTrial bool
-	// Per-knob opt-outs.
-	noCluster, noWake, noBackoff, noShed bool
 	// Start, when non-nil, warm-starts the run: the controller and the
-	// live scheduler begin from this previously learned policy vector
-	// instead of the configuration's defaults. Harvest the vector with
-	// Runtime.AdaptState at the end of one run and pass it to the next —
-	// repeated runs of the same workload then skip the cold observation
-	// epochs. A zero WakeFanout means "keep the backend default".
+	// live scheduler begin from this previously learned policy instead
+	// of the configuration's default. Harvest it with Runtime.AdaptState
+	// at the end of one run and pass it to the next — repeated runs of
+	// the same workload then skip the cold observation epochs.
 	Start *State
 }
 
@@ -121,27 +78,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.traceCap <= 0 {
 		p.traceCap = 256
-	}
-	if p.stealFailHigh <= 0 {
-		p.stealFailHigh = 0.75
-	}
-	if p.minFanout <= 0 {
-		p.minFanout = 2
-	}
-	if p.maxFanout <= 0 {
-		p.maxFanout = 32
-	}
-	if p.maxFanout < p.minFanout {
-		p.maxFanout = p.minFanout
-	}
-	if p.trialFirst <= 0 {
-		p.trialFirst = 4
-	}
-	if p.trialLen <= 0 {
-		p.trialLen = 2
-	}
-	if p.trialMargin <= 0 {
-		p.trialMargin = 0.05
 	}
 	return p
 }
@@ -212,12 +148,9 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	}
 }
 
-// State is the live policy vector the controller drives.
+// State is the live policy the controller drives.
 type State struct {
-	ClusterOnly  bool
-	WakeFanout   int
-	BackoffShift int // steal backoff scaled by 1<<shift (native only)
-	ShedBias     int // shed high-water divided by 1<<bias (native only)
+	ClusterOnly bool
 }
 
 // Alternative is one counterfactual the controller scored but did not
@@ -234,12 +167,12 @@ type Decision struct {
 	Seq          int    // ordinal within the trace
 	Epoch        int64  // controller epoch ordinal at which it was taken
 	Time         int64  // backend clock (cycles or nanoseconds)
-	Knob         string // KnobCluster, KnobFanout, KnobBackoff, KnobShed
+	Knob         string // KnobCluster
 	Action       string
 	From, To     int64
 	Reason       string        // triggering counters, human-readable
 	Score        float64       // signal strength behind the chosen action
-	Alternatives []Alternative // top-k counterfactuals, best first
+	Alternatives []Alternative // counterfactuals not taken, best first
 	Delta        Snapshot      // the epoch's counter delta that triggered it
 }
 
@@ -255,15 +188,8 @@ type Controller struct {
 	trace   []Decision
 	dropped int64
 
-	// Consecutive-epoch signal streaks, one pair per knob.
+	// Consecutive-epoch signal streaks.
 	clusterOn, clusterOff int
-
-	// ruleOwned is set the first time a counter rule moves the cluster
-	// knob. From then on the rules own it and counterfactual trials stop:
-	// the rules' signals are bidirectional (locality/probe-fail to turn
-	// it on, starvation to turn it off), so blind exploration can only
-	// add churn on top of them.
-	ruleOwned bool
 
 	// onByLocality records whether the current cluster-only restriction
 	// was imposed by the locality rule (measured miss rates) rather than
@@ -279,34 +205,18 @@ type Controller struct {
 	// turns the steal guard into a rate floor.
 	locSteals, locStolenRefs, locStolenMisses int64
 	locRefs, locMisses, locEpochs             int64
-	fanWiden, fanNarrow                       int
-	backUp, backDown                          int
-	shedUp, shedDown                          int
-
-	// Counterfactual-trial state for the cluster knob.
-	emaTput   float64 // completed-per-epoch baseline, recency-weighted
-	emaOK     bool
-	quiet     int     // active epochs since the cluster knob last moved
-	nextTrial int     // quiet-epoch threshold for the next trial
-	trialLeft int     // >0 while a trial window is being measured
-	trialSum  int64   // completed during the trial window
-	trialPre  float64 // baseline the trial must beat
 }
 
 // New creates a controller starting from init (the runtime's
-// configured policy). A non-positive init fanout becomes the default.
+// configured policy).
 func New(pol Policy, init State) *Controller {
-	pol = pol.withDefaults()
-	if init.WakeFanout <= 0 {
-		init.WakeFanout = DefaultWakeFanout
-	}
-	return &Controller{pol: pol, st: init, initSt: init, nextTrial: pol.trialFirst}
+	return &Controller{pol: pol.withDefaults(), st: init, initSt: init}
 }
 
-// State returns the current policy vector.
+// State returns the current policy.
 func (c *Controller) State() State { return c.st }
 
-// Init returns the policy vector the controller started from — the
+// Init returns the policy the controller started from — the
 // seed for Replay. It reflects the runtime's effective configured
 // policy at arm time, which variant-level scheduling overrides make
 // different from what the base configuration alone would predict.
@@ -331,25 +241,13 @@ func (c *Controller) Decisions() []Decision {
 }
 
 // Epoch consumes one cumulative snapshot taken at backend time now and
-// returns the (possibly updated) policy vector plus whether anything
-// changed this epoch.
+// returns the (possibly updated) policy plus whether it changed this
+// epoch.
 func (c *Controller) Epoch(now int64, cum Snapshot) (State, bool) {
 	d := cum.Delta(c.prev)
 	c.prev = cum
 	c.epochN++
-	changed := false
-	if !c.pol.noCluster {
-		changed = c.clusterEpoch(now, d) || changed
-	}
-	if !c.pol.noWake {
-		changed = c.fanoutEpoch(now, d) || changed
-	}
-	if !c.pol.noBackoff {
-		changed = c.backoffEpoch(now, d) || changed
-	}
-	if !c.pol.noShed {
-		changed = c.shedEpoch(now, d) || changed
-	}
+	changed := c.clusterRules(now, d)
 	return c.st, changed
 }
 
@@ -359,21 +257,6 @@ func ratio(n, d int64) float64 {
 		return 0
 	}
 	return float64(n) / float64(d)
-}
-
-// clusterEpoch drives the cluster knob: crisp counter rules first,
-// and when those have been quiet, exponentially-spaced counterfactual
-// trials that measure what the rules cannot (locality value).
-func (c *Controller) clusterEpoch(now int64, d Snapshot) bool {
-	if c.clusterRules(now, d) {
-		// A rule moved the knob on a strong signal: abandon any trial in
-		// flight and restart the exploration ladder for the new regime.
-		c.trialLeft = 0
-		c.quiet = 0
-		c.nextTrial = c.pol.trialFirst
-		return true
-	}
-	return c.clusterTrial(now, d)
 }
 
 // clusterRules flips cluster-only stealing ON when steal probes keep
@@ -393,7 +276,7 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 		// machine-wide probe storm the restriction exists for.
 		remotePaying := d.StealsRemote*20 > tries
 		failSignal := tries >= minTriesPerEpoch && tries >= 4*d.Workers &&
-			fail >= c.pol.stealFailHigh && !remotePaying
+			fail >= stealFailHigh && !remotePaying
 
 		// Locality signal: work moved by cross-cluster steals pays at
 		// least double the non-local miss rate of home-placed work — the
@@ -443,7 +326,6 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 		epochs := c.clusterOn
 		c.clusterOn = 0
 		c.st.ClusterOnly = true
-		c.ruleOwned = true
 		c.onByLocality = !failSignal
 		dec := Decision{
 			Time: now, Knob: KnobCluster, Action: "cluster-only on",
@@ -452,11 +334,10 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 		}
 		if failSignal {
 			dec.Reason = fmt.Sprintf("probe fail ratio %.2f >= %.2f over %d tries (%d remote successes) for %d epochs",
-				fail, c.pol.stealFailHigh, tries, d.StealsRemote, epochs)
+				fail, stealFailHigh, tries, d.StealsRemote, epochs)
 			dec.Score = fail
 			dec.Alternatives = []Alternative{
 				{Action: "keep flat stealing", Score: 1 - fail},
-				{Action: "raise steal backoff only", Score: fail / 2},
 			}
 		} else {
 			dec.Reason = fmt.Sprintf("stolen-work miss rate %.3f >= 2x home rate %.3f over %d stolen refs (%d remote steals) for %d epochs",
@@ -464,7 +345,6 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 			dec.Score = ratio(int64(stolenRate*1000), int64(homeRate*1000)+1)
 			dec.Alternatives = []Alternative{
 				{Action: "keep flat stealing", Score: 1},
-				{Action: "raise steal backoff only", Score: 0.5},
 			}
 		}
 		c.record(dec)
@@ -497,7 +377,6 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 	}
 	c.clusterOff = 0
 	c.st.ClusterOnly = false
-	c.ruleOwned = true
 	c.onByLocality = false
 	c.resetLocality()
 	score := ratio(d.Queued, d.Workers)
@@ -509,7 +388,6 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 		Score: score,
 		Alternatives: []Alternative{
 			{Action: "stay cluster-only", Score: 1 / (1 + score)},
-			{Action: "widen wake fanout only", Score: score / 2},
 		},
 		Delta: d,
 	})
@@ -522,290 +400,6 @@ func (c *Controller) clusterRules(now int64, d Snapshot) bool {
 func (c *Controller) resetLocality() {
 	c.locSteals, c.locStolenRefs, c.locStolenMisses = 0, 0, 0
 	c.locRefs, c.locMisses, c.locEpochs = 0, 0, 0
-}
-
-// onoff renders a cluster knob value for decision actions.
-func onoff(v bool) string {
-	if v {
-		return "on"
-	}
-	return "off"
-}
-
-// clusterTrial is the counterfactual arm of the cluster knob: probe
-// statistics cannot price locality (a cross-cluster steal that
-// "succeeds" may still lose to the remote misses it drags behind it),
-// so after enough rule-quiet epochs the controller flips the knob,
-// measures completed-per-epoch for a short window, and keeps the flip
-// only when throughput beats the pre-trial baseline by trialMargin.
-// Trials space out exponentially, so a settled run stops paying for
-// exploration; a kept trial resets the ladder because a regime that
-// just changed once may change again.
-func (c *Controller) clusterTrial(now int64, d Snapshot) bool {
-	// Trials exist for backends that cannot see locality. A backend
-	// reporting memory references has the stolen-work attribution the
-	// locality rule runs on — there, blind exploration only adds churn
-	// on top of a rule that measures the same thing directly. The same
-	// goes once any rule has moved the knob (ruleOwned).
-	if c.pol.noTrial || c.ruleOwned || d.Refs > 0 {
-		return false
-	}
-	if c.trialLeft > 0 {
-		c.trialSum += d.Completed
-		c.trialLeft--
-		if c.trialLeft > 0 {
-			return false
-		}
-		tput := float64(c.trialSum) / float64(c.pol.trialLen)
-		c.quiet = 0
-		cur := c.st.ClusterOnly
-		if tput > c.trialPre*(1+c.pol.trialMargin) {
-			// Kept: the trial arm becomes the baseline and the ladder
-			// restarts. From == To — the state already moved at trial
-			// start — so Replay treats this as the no-op it is.
-			c.emaTput = tput
-			c.nextTrial = c.pol.trialFirst
-			v := b2i(cur)
-			c.record(Decision{
-				Time: now, Knob: KnobCluster, Action: "trial kept cluster-only " + onoff(cur),
-				From: v, To: v,
-				Reason: fmt.Sprintf("trial throughput %.0f/epoch beats pre-trial %.0f by more than %.0f%%",
-					tput, c.trialPre, c.pol.trialMargin*100),
-				Score: ratio(int64(tput), int64(c.trialPre+1)),
-				Alternatives: []Alternative{
-					{Action: "revert to cluster-only " + onoff(!cur), Score: ratio(int64(c.trialPre), int64(tput+1))},
-				},
-				Delta: d,
-			})
-			return true
-		}
-		c.st.ClusterOnly = !cur
-		if c.nextTrial < maxTrialSpacing {
-			c.nextTrial *= 2
-		}
-		c.record(Decision{
-			Time: now, Knob: KnobCluster, Action: "trial reverted cluster-only " + onoff(!cur),
-			From: b2i(cur), To: b2i(!cur),
-			Reason: fmt.Sprintf("trial throughput %.0f/epoch did not beat pre-trial %.0f; next trial after %d quiet epochs",
-				tput, c.trialPre, c.nextTrial),
-			Score: ratio(int64(c.trialPre), int64(tput+1)),
-			Alternatives: []Alternative{
-				{Action: "keep cluster-only " + onoff(cur), Score: ratio(int64(tput), int64(c.trialPre+1))},
-			},
-			Delta: d,
-		})
-		return true
-	}
-	// No trial in flight. Only active epochs count as quiet time and
-	// feed the baseline — an idle runtime (a warm pool between
-	// requests) must not trial-flip on zero-throughput noise.
-	if d.Completed == 0 {
-		return false
-	}
-	if !c.emaOK {
-		c.emaTput = float64(d.Completed)
-		c.emaOK = true
-	} else {
-		c.emaTput = (c.emaTput + float64(d.Completed)) / 2
-	}
-	c.quiet++
-	if c.quiet < c.nextTrial {
-		return false
-	}
-	from := c.st.ClusterOnly
-	c.st.ClusterOnly = !from
-	c.trialPre = c.emaTput
-	c.trialLeft = c.pol.trialLen
-	c.trialSum = 0
-	c.quiet = 0
-	c.record(Decision{
-		Time: now, Knob: KnobCluster, Action: "trial cluster-only " + onoff(!from),
-		From: b2i(from), To: b2i(!from),
-		Reason: fmt.Sprintf("counterfactual trial after %d rule-quiet epochs (baseline %.0f completed/epoch, %d-epoch window)",
-			c.nextTrial, c.trialPre, c.pol.trialLen),
-		Score: 0.5,
-		Alternatives: []Alternative{
-			{Action: "hold cluster-only " + onoff(from), Score: 0.5},
-		},
-		Delta: d,
-	})
-	return true
-}
-
-// b2i encodes a knob boolean for Decision.From/To.
-func b2i(v bool) int64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// fanoutEpoch widens the wake fanout toward broadcast while the
-// machine-wide backlog outruns it, and narrows it back once targeted
-// wakes suffice. The dead band between the two thresholds is what
-// keeps a boundary stream from oscillating.
-func (c *Controller) fanoutEpoch(now int64, d Snapshot) bool {
-	fan := c.st.WakeFanout
-	switch {
-	// Widening only matters when someone is parked to wake; a backlog
-	// with every worker already running is a throughput limit, and a
-	// wider fanout just adds wake dispatches to it.
-	case d.Queued > int64(2*fan) && d.Parked > 0:
-		c.fanWiden++
-		c.fanNarrow = 0
-	case d.TargetedWakes > 0 && d.Queued*2 < int64(fan) && d.BroadcastWakes == 0:
-		c.fanNarrow++
-		c.fanWiden = 0
-	default:
-		c.fanWiden, c.fanNarrow = 0, 0
-	}
-	if c.fanWiden >= c.pol.hysteresis && fan < c.pol.maxFanout {
-		c.fanWiden = 0
-		to := fan * 2
-		if to > c.pol.maxFanout {
-			to = c.pol.maxFanout
-		}
-		c.st.WakeFanout = to
-		score := ratio(d.Queued, int64(fan))
-		c.record(Decision{
-			Time: now, Knob: KnobFanout, Action: "widen",
-			From: int64(fan), To: int64(to),
-			Reason: fmt.Sprintf("backlog %d > 2x fanout %d for %d epochs", d.Queued, fan, c.pol.hysteresis),
-			Score:  score,
-			Alternatives: []Alternative{
-				{Action: "hold fanout", Score: 1 / (1 + score)},
-				{Action: "broadcast always", Score: score / 2},
-			},
-			Delta: d,
-		})
-		return true
-	}
-	if c.fanNarrow >= c.pol.hysteresis && fan > c.pol.minFanout {
-		c.fanNarrow = 0
-		to := fan / 2
-		if to < c.pol.minFanout {
-			to = c.pol.minFanout
-		}
-		c.st.WakeFanout = to
-		c.record(Decision{
-			Time: now, Knob: KnobFanout, Action: "narrow",
-			From: int64(fan), To: int64(to),
-			Reason: fmt.Sprintf("backlog %d < fanout %d/2 with no broadcasts for %d epochs",
-				d.Queued, fan, c.pol.hysteresis),
-			Score: 1 - ratio(d.Queued, int64(fan)),
-			Alternatives: []Alternative{
-				{Action: "hold fanout", Score: ratio(d.Queued, int64(fan))},
-			},
-			Delta: d,
-		})
-		return true
-	}
-	return false
-}
-
-// backoffEpoch scales the steal-backoff base from the probe failure
-// rate: thieves that almost never find work should nap longer between
-// scans (less coherence traffic on victims' queue words), and return
-// to the base pace as soon as probes start paying again.
-func (c *Controller) backoffEpoch(now int64, d Snapshot) bool {
-	tries := d.StealTries
-	fail := ratio(d.FailedSteals, tries)
-	switch {
-	case tries >= 4*minTriesPerEpoch && fail >= backoffFailHigh:
-		c.backUp++
-		c.backDown = 0
-	case c.st.BackoffShift > 0 && (tries < minTriesPerEpoch || fail <= backoffFailLow):
-		c.backDown++
-		c.backUp = 0
-	default:
-		c.backUp, c.backDown = 0, 0
-	}
-	if c.backUp >= c.pol.hysteresis && c.st.BackoffShift < maxBackoffShift {
-		c.backUp = 0
-		from := c.st.BackoffShift
-		c.st.BackoffShift++
-		c.record(Decision{
-			Time: now, Knob: KnobBackoff, Action: "backoff up",
-			From: int64(from), To: int64(c.st.BackoffShift),
-			Reason: fmt.Sprintf("probe fail ratio %.2f >= %.2f over %d tries for %d epochs",
-				fail, backoffFailHigh, tries, c.pol.hysteresis),
-			Score: fail,
-			Alternatives: []Alternative{
-				{Action: "hold backoff", Score: 1 - fail},
-			},
-			Delta: d,
-		})
-		return true
-	}
-	if c.backDown >= c.pol.hysteresis && c.st.BackoffShift > 0 {
-		c.backDown = 0
-		from := c.st.BackoffShift
-		c.st.BackoffShift--
-		c.record(Decision{
-			Time: now, Knob: KnobBackoff, Action: "backoff down",
-			From: int64(from), To: int64(c.st.BackoffShift),
-			Reason: fmt.Sprintf("probes paying again (%d tries, fail ratio %.2f) for %d epochs",
-				tries, fail, c.pol.hysteresis),
-			Score: 1 - fail,
-			Alternatives: []Alternative{
-				{Action: "hold backoff", Score: fail},
-			},
-			Delta: d,
-		})
-		return true
-	}
-	return false
-}
-
-// shedEpoch nudges the shed floor from the deadline-miss rate: a
-// sustained miss rate tightens the floor (sheds low-priority work
-// earlier), and a miss-free epoch streak relaxes it back.
-func (c *Controller) shedEpoch(now int64, d Snapshot) bool {
-	missRate := ratio(d.DeadlineMisses, d.Completed)
-	switch {
-	case d.Completed >= 2*minTriesPerEpoch && missRate > missRateHigh:
-		c.shedUp++
-		c.shedDown = 0
-	case c.st.ShedBias > 0 && d.DeadlineMisses == 0:
-		c.shedDown++
-		c.shedUp = 0
-	default:
-		c.shedUp, c.shedDown = 0, 0
-	}
-	if c.shedUp >= c.pol.hysteresis && c.st.ShedBias < maxShedBias {
-		c.shedUp = 0
-		from := c.st.ShedBias
-		c.st.ShedBias++
-		c.record(Decision{
-			Time: now, Knob: KnobShed, Action: "shed tighten",
-			From: int64(from), To: int64(c.st.ShedBias),
-			Reason: fmt.Sprintf("deadline miss rate %.3f > %.3f (%d misses / %d done) for %d epochs",
-				missRate, missRateHigh, d.DeadlineMisses, d.Completed, c.pol.hysteresis),
-			Score: missRate,
-			Alternatives: []Alternative{
-				{Action: "hold shed floor", Score: 1 - missRate},
-			},
-			Delta: d,
-		})
-		return true
-	}
-	if c.shedDown >= c.pol.hysteresis && c.st.ShedBias > 0 {
-		c.shedDown = 0
-		from := c.st.ShedBias
-		c.st.ShedBias--
-		c.record(Decision{
-			Time: now, Knob: KnobShed, Action: "shed relax",
-			From: int64(from), To: int64(c.st.ShedBias),
-			Reason: fmt.Sprintf("no deadline misses for %d epochs", c.pol.hysteresis),
-			Score:  1,
-			Alternatives: []Alternative{
-				{Action: "hold shed floor", Score: 0},
-			},
-			Delta: d,
-		})
-		return true
-	}
-	return false
 }
 
 // record appends a decision to the trace, enforcing traceCap.
@@ -826,15 +420,8 @@ func (c *Controller) record(d Decision) {
 func Replay(init State, ds []Decision) State {
 	st := init
 	for _, d := range ds {
-		switch d.Knob {
-		case KnobCluster:
+		if d.Knob == KnobCluster {
 			st.ClusterOnly = d.To != 0
-		case KnobFanout:
-			st.WakeFanout = int(d.To)
-		case KnobBackoff:
-			st.BackoffShift = int(d.To)
-		case KnobShed:
-			st.ShedBias = int(d.To)
 		}
 	}
 	return st

@@ -56,7 +56,7 @@ func starveEpoch() Snapshot {
 // cluster-only on (not one — hysteresis), two starvation epochs flip
 // it back off.
 func TestClusterFlipUnflipSequence(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
+	c := New(Policy{hysteresis: 2}, State{})
 
 	feed(c, []Snapshot{failEpoch()})
 	if c.State().ClusterOnly {
@@ -105,7 +105,7 @@ func TestClusterStreakInterrupted(t *testing.T) {
 // flip cluster-only while remote steals still pay: 10 remote successes
 // out of 100 tries is real cross-cluster work.
 func TestClusterRemoteSuccessVeto(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noTrial: true}, State{})
+	c := New(Policy{hysteresis: 2}, State{})
 	veto := Snapshot{StealTries: 100, FailedSteals: 90, StealsRemote: 10, Workers: 8, Completed: 100}
 	feed(c, []Snapshot{veto, veto, veto, veto})
 	if c.State().ClusterOnly {
@@ -113,105 +113,17 @@ func TestClusterRemoteSuccessVeto(t *testing.T) {
 	}
 }
 
-// TestFanoutWidenNarrowSequence pins the fanout ladder: sustained
-// backlog doubles the fanout (bounded by maxFanout), and a sustained
-// quiet stream walks it back down (bounded by minFanout).
-func TestFanoutWidenNarrowSequence(t *testing.T) {
-	c := New(Policy{hysteresis: 2, maxFanout: 16, noTrial: true}, State{})
-	backlog := Snapshot{Queued: 100, Parked: 1, Workers: 8, Completed: 50}
-
-	feed(c, []Snapshot{backlog, backlog})
-	if got := c.State().WakeFanout; got != 8 {
-		t.Fatalf("fanout after sustained backlog = %d, want 8", got)
-	}
-	feed(c, []Snapshot{backlog, backlog})
-	if got := c.State().WakeFanout; got != 16 {
-		t.Fatalf("fanout after more backlog = %d, want 16 (maxFanout)", got)
-	}
-	feed(c, []Snapshot{backlog, backlog})
-	if got := c.State().WakeFanout; got != 16 {
-		t.Fatalf("fanout exceeded maxFanout: %d", got)
-	}
-
-	quiet := Snapshot{Queued: 1, TargetedWakes: 20, Workers: 8, Completed: 50}
-	feed(c, []Snapshot{quiet, quiet})
-	if got := c.State().WakeFanout; got != 8 {
-		t.Fatalf("fanout after quiet stream = %d, want 8", got)
-	}
-	feed(c, []Snapshot{quiet, quiet, quiet, quiet, quiet, quiet})
-	if got := c.State().WakeFanout; got != 2 {
-		t.Fatalf("fanout floor = %d, want minFanout 2", got)
-	}
-}
-
-// TestFanoutNoOscillationOnBoundary pins the dead band: a stream
-// sitting exactly on the widen boundary (Queued == 2*fanout) and a
-// stream alternating across it every epoch must produce zero
-// decisions.
-func TestFanoutNoOscillationOnBoundary(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noTrial: true}, State{})
-	onBoundary := Snapshot{Queued: 8, Parked: 1, Workers: 8, Completed: 50} // == 2*fanout(4): neither widen nor narrow
-	feed(c, []Snapshot{onBoundary, onBoundary, onBoundary, onBoundary, onBoundary, onBoundary})
-	if c.Count() != 0 || c.State().WakeFanout != 4 {
-		t.Fatalf("boundary stream moved the fanout: state=%+v trace=%+v", c.State(), c.Decisions())
-	}
-
-	c = New(Policy{hysteresis: 2, noTrial: true}, State{})
-	above := Snapshot{Queued: 20, Parked: 1, Workers: 8, Completed: 50}
-	below := Snapshot{Queued: 0, Workers: 8, Completed: 50}
-	feed(c, []Snapshot{above, below, above, below, above, below, above, below})
-	if c.Count() != 0 || c.State().WakeFanout != 4 {
-		t.Fatalf("alternating stream oscillated: state=%+v trace=%+v", c.State(), c.Decisions())
-	}
-}
-
-// TestBackoffLadder pins the backoff knob: sustained all-fail probe
-// storms raise the shift to its cap, and probes paying again walk it
-// back to zero.
-func TestBackoffLadder(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noCluster: true}, State{})
-	storm := Snapshot{StealTries: 200, FailedSteals: 200, Workers: 8, Completed: 10}
-	feed(c, []Snapshot{storm, storm, storm, storm, storm, storm, storm, storm})
-	if got := c.State().BackoffShift; got != maxBackoffShift {
-		t.Fatalf("backoff shift after sustained storm = %d, want cap %d", got, maxBackoffShift)
-	}
-	paying := Snapshot{StealTries: 100, FailedSteals: 20, StealsLocal: 80, Workers: 8, Completed: 100}
-	feed(c, []Snapshot{paying, paying, paying, paying, paying, paying})
-	if got := c.State().BackoffShift; got != 0 {
-		t.Fatalf("backoff shift after probes pay again = %d, want 0", got)
-	}
-}
-
-// TestShedBiasFromMissRate pins the shed knob: a sustained deadline
-// miss rate tightens the floor; miss-free epochs relax it back.
-func TestShedBiasFromMissRate(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noTrial: true}, State{})
-	missing := Snapshot{Completed: 100, DeadlineMisses: 10, Workers: 8}
-	feed(c, []Snapshot{missing, missing})
-	if got := c.State().ShedBias; got != 1 {
-		t.Fatalf("shed bias after sustained misses = %d, want 1", got)
-	}
-	clean := Snapshot{Completed: 100, Workers: 8}
-	feed(c, []Snapshot{clean, clean})
-	if got := c.State().ShedBias; got != 0 {
-		t.Fatalf("shed bias after clean epochs = %d, want 0", got)
-	}
-}
-
 // TestReplayReconstruction pins the BLIS property: folding the
 // decision trace over the initial state reproduces the controller's
-// final state exactly, on a stream that moves every knob.
+// final state exactly, on a stream that moves the knob three times.
 func TestReplayReconstruction(t *testing.T) {
-	init := State{WakeFanout: 4}
+	init := State{}
 	c := New(Policy{hysteresis: 2}, init)
+	storm := Snapshot{StealTries: 200, FailedSteals: 200, Workers: 8, Completed: 100}
 	stream := []Snapshot{
 		failEpoch(), failEpoch(), // cluster on
-		starveEpoch(), starveEpoch(), // cluster off (and fanout widen pressure)
-		{Queued: 100, Parked: 1, Workers: 8, Completed: 100}, {Queued: 100, Parked: 1, Workers: 8, Completed: 100}, // widen
-		{StealTries: 200, FailedSteals: 200, Workers: 8, Completed: 100},
-		{StealTries: 200, FailedSteals: 200, Workers: 8, Completed: 100}, // backoff up (+cluster pressure)
-		{Completed: 100, DeadlineMisses: 50, Workers: 8},
-		{Completed: 100, DeadlineMisses: 50, Workers: 8}, // shed tighten
+		starveEpoch(), starveEpoch(), // cluster off
+		storm, storm, // cluster on again
 	}
 	final := feed(c, stream)
 	if c.Count() == 0 {
@@ -222,61 +134,6 @@ func TestReplayReconstruction(t *testing.T) {
 	}
 	if got := Replay(init, c.Decisions()); got != final {
 		t.Fatalf("Replay(init, trace) = %+v, controller state = %+v", got, final)
-	}
-}
-
-// TestTrialLadder pins the counterfactual-trial machinery: four
-// rule-quiet epochs start a trial that flips cluster-only on; a trial
-// window with no throughput gain reverts the flip and doubles the
-// spacing; a later trial whose window clearly beats the baseline is
-// kept. The whole trace, trials included, must replay.
-func TestTrialLadder(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
-	quiet := Snapshot{StealTries: 10, FailedSteals: 5, StealsLocal: 5, Workers: 8, Completed: 100}
-
-	feed(c, []Snapshot{quiet, quiet, quiet})
-	if c.State().ClusterOnly {
-		t.Fatal("trial fired before trialFirst quiet epochs")
-	}
-	feed(c, []Snapshot{quiet})
-	if !c.State().ClusterOnly {
-		t.Fatal("fourth rule-quiet epoch must start a cluster-only trial")
-	}
-	feed(c, []Snapshot{quiet, quiet}) // trial window: throughput unchanged
-	if c.State().ClusterOnly {
-		t.Fatal("a trial with no throughput gain must revert")
-	}
-
-	// The ladder doubled: the next trial needs eight quiet epochs.
-	feed(c, []Snapshot{quiet, quiet, quiet, quiet, quiet, quiet, quiet})
-	if c.State().ClusterOnly {
-		t.Fatal("trial restarted before the doubled spacing elapsed")
-	}
-	feed(c, []Snapshot{quiet})
-	if !c.State().ClusterOnly {
-		t.Fatal("second trial due after eight quiet epochs")
-	}
-	better := quiet
-	better.Completed = 200
-	feed(c, []Snapshot{better, better}) // trial window: 2x throughput
-	if !c.State().ClusterOnly {
-		t.Fatal("a trial that doubles throughput must be kept")
-	}
-
-	if got := Replay(State{WakeFanout: DefaultWakeFanout}, c.Decisions()); got != c.State() {
-		t.Fatalf("Replay over the trial trace = %+v, controller state = %+v", got, c.State())
-	}
-}
-
-// TestTrialIdleEpochsDoNotCount pins that zero-throughput epochs (an
-// idle pool between requests) neither advance the trial clock nor
-// start trials — and move no other knob either.
-func TestTrialIdleEpochsDoNotCount(t *testing.T) {
-	c := New(Policy{hysteresis: 2}, State{})
-	idle := Snapshot{Workers: 8}
-	feed(c, []Snapshot{idle, idle, idle, idle, idle, idle, idle, idle})
-	if c.Count() != 0 || c.State().ClusterOnly {
-		t.Fatalf("idle epochs must not move any knob: state=%+v trace=%+v", c.State(), c.Decisions())
 	}
 }
 
@@ -296,7 +153,7 @@ func lossyEpoch() Snapshot {
 // >= 2x the home miss rate flip cluster-only on after hysteresis, and
 // the decision explains itself in miss-rate terms.
 func TestLocalityRuleFlipsClusterOn(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
+	c := New(Policy{hysteresis: 2}, State{})
 	feed(c, []Snapshot{lossyEpoch()})
 	if c.State().ClusterOnly {
 		t.Fatal("locality rule fired after one epoch; hysteresis demands two")
@@ -323,7 +180,7 @@ func TestLocalityRuleFlipsClusterOn(t *testing.T) {
 // the streak would let remotely-stolen tasks seed more wrong-cluster
 // subtrees.
 func TestLocalityStrongEvidenceSkipsHysteresis(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
+	c := New(Policy{hysteresis: 2}, State{})
 	ep := lossyEpoch()
 	ep.StolenMisses = 250 // rate 0.25 vs home 0.028: overwhelming
 	feed(c, []Snapshot{ep})
@@ -338,7 +195,7 @@ func TestLocalityStrongEvidenceSkipsHysteresis(t *testing.T) {
 // whole machine over a handful of steals trades real load balance for
 // noise.
 func TestLocalityTrickleNeverFires(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noTrial: true, noWake: true, noBackoff: true, noShed: true}, State{})
+	c := New(Policy{hysteresis: 2}, State{})
 	steal := Snapshot{
 		StealTries: 4, FailedSteals: 1, StealsLocal: 2, StealsRemote: 1,
 		Refs: 10_000, RemoteMisses: 100, StolenRefs: 90, StolenMisses: 30,
@@ -370,7 +227,7 @@ func TestLocalityRuleGuards(t *testing.T) {
 		{"rate under floor", func(s *Snapshot) { s.RemoteMisses = 15; s.StolenMisses = 15 }},
 	}
 	for _, tc := range cases {
-		c := New(Policy{hysteresis: 2, noTrial: true, noWake: true, noBackoff: true, noShed: true}, State{})
+		c := New(Policy{hysteresis: 2}, State{})
 		ep := lossyEpoch()
 		tc.mut(&ep)
 		feed(c, []Snapshot{ep, ep, ep, ep})
@@ -380,30 +237,10 @@ func TestLocalityRuleGuards(t *testing.T) {
 	}
 }
 
-// TestRuleOwnedStopsTrials pins that the first rule firing on the
-// cluster knob permanently disables counterfactual trials: the rules'
-// signals are bidirectional, so exploration on top of them only churns.
-func TestRuleOwnedStopsTrials(t *testing.T) {
-	c := New(Policy{hysteresis: 2, noWake: true, noBackoff: true, noShed: true}, State{})
-	feed(c, []Snapshot{failEpoch(), failEpoch()}) // fail-ratio rule: cluster on
-	if !c.State().ClusterOnly || c.Count() != 1 {
-		t.Fatalf("setup: rule did not flip cluster-only on (trace=%+v)", c.Decisions())
-	}
-	quiet := Snapshot{StealTries: 10, FailedSteals: 5, StealsLocal: 5, Workers: 8, Completed: 100}
-	stream := make([]Snapshot, 20)
-	for i := range stream {
-		stream[i] = quiet
-	}
-	feed(c, stream)
-	if c.Count() != 1 || !c.State().ClusterOnly {
-		t.Fatalf("trials ran after a rule owned the knob: state=%+v trace=%+v", c.State(), c.Decisions())
-	}
-}
-
 // TestTraceCap pins that the trace cap applies decisions but stops
 // recording them, counting the overflow.
 func TestTraceCap(t *testing.T) {
-	c := New(Policy{hysteresis: 1, traceCap: 1, noBackoff: true, noWake: true}, State{})
+	c := New(Policy{hysteresis: 1, traceCap: 1}, State{})
 	feed(c, []Snapshot{failEpoch(), starveEpoch()}) // hysteresis 1: flip on, then off
 	if c.Count() != 1 {
 		t.Fatalf("trace length = %d, want capped 1", c.Count())

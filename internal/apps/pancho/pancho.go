@@ -372,12 +372,20 @@ func RunOnPrep(rt *cool.Runtime, v Variant, prm Params, prep *Prep) (Result, err
 
 func runPrepared(rt *cool.Runtime, distribute bool, prep *Prep) (Result, error) {
 	ap := buildPrep(rt, prep, distribute)
+	// The initially ready panels are collected before the first spawn:
+	// once a complete task exists, its updates decrement remaining[]
+	// concurrently, and a panel whose count reached zero that way has
+	// already been completed by the update that zeroed it.
+	var ready []int
+	for _, p := range ap.ps.Panels {
+		if ap.remaining[p.ID] == 0 {
+			ready = append(ready, p.ID)
+		}
+	}
 	err := rt.Run(func(ctx *cool.Ctx) {
 		ctx.WaitFor(func() {
-			for _, p := range ap.ps.Panels {
-				if ap.remaining[p.ID] == 0 {
-					ap.spawnComplete(ctx, p.ID)
-				}
+			for _, d := range ready {
+				ap.spawnComplete(ctx, d)
 			}
 		})
 	})

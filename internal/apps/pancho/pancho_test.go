@@ -1,6 +1,11 @@
 package pancho
 
-import "testing"
+import (
+	"testing"
+
+	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/sparse"
+)
 
 func small() Params { return Params{Grid: 12, MaxPanel: 4} }
 
@@ -102,5 +107,44 @@ func TestVariantString(t *testing.T) {
 		if v.String() != want {
 			t.Fatalf("%d.String() = %q", v, v.String())
 		}
+	}
+}
+
+// TestPanelCompletedOnce pins the seeding order of runPrepared on a
+// panel set built to expose it: column 0 couples only to the last
+// column, every column between is an isolated leaf, one column per
+// panel. While main is still spawning the leaves' complete tasks,
+// panel 0 completes and its single update zeroes the last panel's
+// countdown — a seeding loop that reads the live countdown then
+// completes that panel a second time (deterministically, on the
+// simulator) and the factor fails verification.
+func TestPanelCompletedOnce(t *testing.T) {
+	const n = 32
+	a := &sparse.Sym{N: n, ColPtr: []int32{0, 2}, RowIdx: []int32{0, n - 1}, Val: []float64{4, -1}}
+	for j := int32(1); j < n; j++ {
+		a.RowIdx = append(a.RowIdx, j)
+		a.Val = append(a.Val, 4)
+		a.ColPtr = append(a.ColPtr, int32(len(a.RowIdx)))
+	}
+	if err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+	ps := sparse.BuildPanelSet(sparse.Analyze(a), 1, 0)
+	dsts, nupd := ps.Deps()
+	ref, err := sparse.Cholesky(a, ps.S)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cool.NewRuntime(cool.Config{Processors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runPrepared(rt, true, &Prep{a: a, ps: ps, dsts: dsts, nupd: nupd, ref: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// main + one complete per panel + the one update.
+	if want := int64(n + 2); res.Tasks != want {
+		t.Fatalf("ran %d tasks, want %d", res.Tasks, want)
 	}
 }

@@ -86,10 +86,11 @@ func TestAdaptiveFlipsBothWays(t *testing.T) {
 	}
 	// Every decision must reconstruct the final state.
 	st, ok := rt.AdaptState()
-	if !ok {
+	init, okInit := rt.AdaptInitialState()
+	if !ok || !okInit {
 		t.Fatal("AdaptState reports no controller")
 	}
-	if got := cool.ReplayAdaptDecisions(cool.AdaptInitialState(cfg), r.Report.Decisions); got != st {
+	if got := cool.ReplayAdaptDecisions(init, r.Report.Decisions); got != st {
 		t.Errorf("replayed state %+v != final state %+v", got, st)
 	}
 }

@@ -5,6 +5,7 @@ package apps
 
 import (
 	"fmt"
+	"strings"
 
 	cool "github.com/coolrts/cool"
 	"github.com/coolrts/cool/internal/apps/barneshut"
@@ -21,6 +22,42 @@ type Result struct {
 	Cycles int64
 	Report cool.Report
 	Verify string // human-readable correctness evidence
+}
+
+// ScheduleTokens lists, per app, Verify tokens whose values legitimately
+// depend on execution order and so may differ between schedules at P>1
+// (or once faults perturb a schedule): the router's cost depends on the
+// order wires observe each other's congestion — its consistency flag
+// still must match — and the linear-algebra residuals shift at rounding
+// level (~1e-15) with FP accumulation order; both Cholesky apps gate
+// real corruption internally against the serial reference at 1e-9.
+// Every other token must match exactly, and on the simulator, or at P=1
+// where both backends execute the identical serial order, so must these.
+var ScheduleTokens = map[string]map[string]bool{
+	"locusroute": {"cost": true},
+	"pancho":     {"residual": true, "maxdiff": true},
+	"blockcho":   {"maxdiff": true},
+}
+
+// DiffVerify compares two key=value Verify strings token for token,
+// skipping ignored keys (nil: compare everything); it describes the
+// first difference, or returns "" when the results are differentially
+// identical.
+func DiffVerify(want, got string, ignore map[string]bool) string {
+	a, b := strings.Fields(want), strings.Fields(got)
+	if len(a) != len(b) {
+		return fmt.Sprintf("verify shape differs: %q vs %q", want, got)
+	}
+	for i := range a {
+		key, _, _ := strings.Cut(a[i], "=")
+		if ignore[key] {
+			continue
+		}
+		if a[i] != b[i] {
+			return fmt.Sprintf("%s: want %q, got %q", key, a[i], b[i])
+		}
+	}
+	return ""
 }
 
 // App is one registered application.

@@ -19,7 +19,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	cool "github.com/coolrts/cool"
 	"github.com/coolrts/cool/internal/apps"
@@ -35,21 +34,6 @@ var taskNames = map[string][]string{
 	"barneshut":  {"forces", "advance"},
 	"gauss":      {"update"},
 	"phaseflip":  {"chain", "ping", "wave"},
-}
-
-// ignoreTokens lists, per app, Verify tokens whose values legitimately
-// depend on scheduling order and so may differ once faults perturb the
-// schedule. Every other token must match the fault-free run exactly.
-var ignoreTokens = map[string]map[string]bool{
-	// The router's total cost depends on the order wires are routed,
-	// which fault-induced rebalancing perturbs; the consistency flag
-	// (routing table vs occupancy) still must match.
-	"locusroute": {"cost": true},
-	// Cholesky residual/maxdiff shift at rounding level (~1e-15) when a
-	// perturbed schedule changes FP accumulation order; both apps gate
-	// real corruption internally against the serial reference at 1e-9.
-	"pancho":   {"residual": true, "maxdiff": true},
-	"blockcho": {"maxdiff": true},
 }
 
 // Campaign is one seeded chaos experiment against one application. The
@@ -219,7 +203,7 @@ func (o *Oracle) Run(app apps.App, c Campaign) Outcome {
 		}
 		return Outcome{Unexpected, err.Error()}
 	}
-	if d := diffVerify(refRun.verify, res.Verify, ignoreTokens[c.App]); d != "" {
+	if d := apps.DiffVerify(refRun.verify, res.Verify, apps.ScheduleTokens[c.App]); d != "" {
 		return Outcome{Mismatch, d}
 	}
 	if res.Report.Total.TasksRun != refRun.tasks {
@@ -227,26 +211,6 @@ func (o *Oracle) Run(app apps.App, c Campaign) Outcome {
 			res.Report.Total.TasksRun, refRun.tasks)}
 	}
 	return Outcome{OK, ""}
-}
-
-// diffVerify compares two key=value Verify strings token for token,
-// skipping ignored keys; it describes the first difference, or returns
-// "" when the results are differentially identical.
-func diffVerify(want, got string, ignore map[string]bool) string {
-	a, b := strings.Fields(want), strings.Fields(got)
-	if len(a) != len(b) {
-		return fmt.Sprintf("verify shape differs: %q vs %q", want, got)
-	}
-	for i := range a {
-		key, _, _ := strings.Cut(a[i], "=")
-		if ignore[key] {
-			continue
-		}
-		if a[i] != b[i] {
-			return fmt.Sprintf("%s: fault-free %q, faulted %q", key, a[i], b[i])
-		}
-	}
-	return ""
 }
 
 // Shrink greedily minimizes a failing campaign: repeatedly drop any

@@ -105,12 +105,6 @@ type Scheduler struct {
 
 	queuedTotal int // tasks queued machine-wide (sum of sv.queued)
 
-	// wakeFanout is the targeted-wake width (see defaultWakeFanout).
-	// Runtime-mutable: the adaptive controller widens it toward
-	// broadcast under backlog and narrows it back when targeted wakes
-	// suffice. Single-threaded like everything else here.
-	wakeFanout int
-
 	// setSplits counts task-affinity set members enqueued or stolen away
 	// from their set's recorded home. Must stay zero under the default
 	// whole-set-stealing policy; only the NoSetStealing fallback (taking
@@ -139,7 +133,7 @@ func NewScheduler(cfg machine.Config, pol Policy, eng *sim.Engine, space *memsim
 		topo: Topo{Procs: cfg.Processors, ClusterSize: cfg.ClusterSize,
 			PageSize: int64(cfg.PageSize), QueueArraySize: pol.QueueArraySize},
 		home:    space.HomeProc,
-		setHome: make(map[int64]int), wakeFanout: defaultWakeFanout}
+		setHome: make(map[int64]int)}
 	s.Srv = make([]*server, cfg.Processors)
 	s.rings = make([]Rings, cfg.Processors)
 	for i := range s.Srv {
@@ -318,14 +312,14 @@ func (s *Scheduler) Resume(td *TaskDesc, now int64) {
 // wake notifies the preferred server immediately and idle thieves after
 // the idle-poll delay, so a task's home server gets first crack at it
 // before thieves do. While the machine-wide backlog is shallow only the
-// first wakeFanout idle processors are woken (a full broadcast would
-// wake every parked processor to race for at most a handful of tasks);
-// once queues back up the wake falls back to broadcast. Counters record
-// only wakes that reached a parked processor other than the home server
-// — the home server's direct notify is the uncounted NotifyProc, so an
-// idle-free machine (or a lone processor waking itself) counts nothing,
-// matching the native backend's token-deposit accounting (there the
-// direct target's token slot is already full when the policy runs).
+// first defaultWakeFanout idle processors are woken (a full broadcast
+// would wake every parked processor to race for at most a handful of
+// tasks); once queues back up the wake falls back to broadcast. Counters
+// record only wakes that reached a parked processor other than the home
+// server — the home server's direct notify is the uncounted NotifyProc,
+// so an idle-free machine (or a lone processor waking itself) counts
+// nothing, matching the native backend's token-deposit accounting (there
+// the direct target's token slot is already full when the policy runs).
 func (s *Scheduler) wake(server int, now int64) {
 	self := 0
 	if s.Eng.Procs[server].Parked() {
@@ -336,25 +330,13 @@ func (s *Scheduler) wake(server int, now int64) {
 		return
 	}
 	t := now + s.Cfg.Lat.IdlePoll
-	if s.queuedTotal > s.wakeFanout {
+	if s.queuedTotal > defaultWakeFanout {
 		if s.Eng.NotifyWork(t) > self {
 			s.Mon.Per[server].BroadcastWakes++
 		}
-	} else if s.Eng.NotifyIdle(t, s.wakeFanout) > self {
+	} else if s.Eng.NotifyIdle(t, defaultWakeFanout) > self {
 		s.Mon.Per[server].TargetedWakes++
 	}
-}
-
-// WakeFanout returns the current targeted-wake width.
-func (s *Scheduler) WakeFanout() int { return s.wakeFanout }
-
-// SetWakeFanout changes the targeted-wake width at run time (the
-// adaptive controller's wake knob). Widths below 1 clamp to 1.
-func (s *Scheduler) SetWakeFanout(k int) {
-	if k < 1 {
-		k = 1
-	}
-	s.wakeFanout = k
 }
 
 // Dispatch implements sim.Dispatcher: local queues first (continuations,

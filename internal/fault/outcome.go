@@ -1,12 +1,15 @@
 package fault
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // This file declares, once, what both engines report when a fault (or a
-// plain application panic) ends a task: the two error shapes Run returns
-// as-is through the public API, the panic value a plan plants, and the
-// retry policy that decides whether a transient abort is an error at
-// all.
+// plain application panic) ends a task or a stop ends the run: the
+// error shapes Run returns as-is through the public API, the panic
+// value a plan plants, and the retry policy that decides whether a
+// transient abort is an error at all.
 
 // TaskFailure reports a task whose body panicked (or had a panic planted
 // by a fault plan): public as cool.TaskPanicError.
@@ -40,6 +43,83 @@ type TaskAbort struct {
 func (e *TaskAbort) Error() string {
 	return fmt.Sprintf("cool: task %q failed transiently on P%d at cycle %d: retry budget exhausted after %d aborted attempt(s)",
 		e.Task, e.Proc, e.Time, e.Attempts)
+}
+
+// WaitEdge is one edge of a deadlock's wait-for graph: a blocked task
+// and the synchronization object it waits on (public as cool.WaitEdge).
+type WaitEdge struct {
+	Task    string // blocked task's label
+	On      string // "monitor", "condition", or "scope"
+	Object  int64  // monitor's object address (0 when none)
+	Holder  string // task holding the monitor ("" when none/unknown)
+	Pending int    // outstanding tasks in the scope (scope edges only)
+}
+
+func (w WaitEdge) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "task %q waits on %s", w.Task, w.On)
+	if w.On == "monitor" && w.Object != 0 {
+		fmt.Fprintf(&b, "@%#x", w.Object)
+	}
+	if w.Holder != "" {
+		fmt.Fprintf(&b, " held by %q", w.Holder)
+	}
+	if w.On == "scope" {
+		fmt.Fprintf(&b, " (%d task(s) outstanding)", w.Pending)
+	}
+	return b.String()
+}
+
+// NoProgress reports that the no-progress watchdog fired with work
+// still outstanding: public as cool.NoProgressError. The native
+// timekeeper constructs it directly (nanoseconds for cycles; no
+// BlockedTasks, no Clocks); the facade builds it from the simulator's
+// watchdog error.
+type NoProgress struct {
+	// CycleLimit is the limit that fired: Config.CycleLimit in
+	// simulated cycles, or the native watchdog window in wall-clock
+	// nanoseconds.
+	CycleLimit   int64
+	Time         int64   // simulated cycle the watchdog fired
+	LiveTasks    int     // tasks not yet run to completion
+	BlockedTasks int     // tasks parked on synchronization
+	Clocks       []int64 // per-processor clocks at the stop
+	Snapshot     string  // scheduler queue state
+}
+
+func (e *NoProgress) Error() string {
+	s := fmt.Sprintf("cool: no progress: cycle limit %d exceeded at t=%d with %d live task(s), %d blocked",
+		e.CycleLimit, e.Time, e.LiveTasks, e.BlockedTasks)
+	if e.Snapshot != "" {
+		s += "\n  " + e.Snapshot
+	}
+	return s
+}
+
+// DeadlineExceeded reports that time passed the configured run deadline
+// with work still outstanding: public as cool.DeadlineExceededError.
+// The native timekeeper constructs it directly (nanoseconds for cycles;
+// no Clocks, no wait-for graph); the facade builds it from the
+// simulator's deadline error, which carries *sim.Task.
+type DeadlineExceeded struct {
+	Deadline     int64
+	Time         int64      // simulated cycle the run stopped
+	LiveTasks    int        // tasks not yet run to completion
+	BlockedTasks int        // tasks parked on synchronization
+	Clocks       []int64    // per-processor clocks at the stop
+	QueueDepths  []int      // queued tasks per server (-1 = dead server)
+	Waits        []WaitEdge // wait-for edges of the blocked tasks
+}
+
+func (e *DeadlineExceeded) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cool: deadline %d exceeded at t=%d with %d live task(s), %d blocked; queues=%v",
+		e.Deadline, e.Time, e.LiveTasks, e.BlockedTasks, e.QueueDepths)
+	for _, w := range e.Waits {
+		b.WriteString("\n  ")
+		b.WriteString(w.String())
+	}
+	return b.String()
 }
 
 // InjectedPanic is the panic value used for plan-injected task panics.

@@ -11,8 +11,9 @@ import (
 
 // This file is the native side of the adaptive-affinity controller: a
 // machine-wide atomic counter mirror the timekeeper samples each epoch,
-// a packed policy word the hot paths read, and the epoch step that runs
-// the pure controller (internal/adapt) and applies its decisions.
+// and the epoch step that runs the pure controller (internal/adapt) and
+// stores its one decision — cluster-only stealing — into the
+// clusterOnly atomic.Bool the steal path already reads.
 //
 // The perfmon rows obey a strict one-writer-per-row rule, so the
 // timekeeper cannot sum them while workers run. Instead, every
@@ -21,12 +22,6 @@ import (
 // the mirror. Those sites already pay a lock, CAS, or channel
 // operation, so one more uncontended atomic add does not change their
 // cost class, and the uncontended task fast path is untouched.
-//
-// Policy flows the other way through two words: the existing
-// clusterOnly atomic.Bool, and a packed uint64 carrying the wake
-// fanout, the steal-backoff shift, and the shed-floor bias. Hot paths
-// gate on `rt.adapt != nil` (one predictable branch) before touching
-// the word, so non-adaptive runs pay nothing new.
 
 // adaptCounters is the machine-wide mirror of the slow-path scheduler
 // counters, readable at any time from any goroutine. Always maintained
@@ -68,77 +63,25 @@ func (m *adaptCounters) reset() {
 // by the timekeeper goroutine while the run executes; Run's
 // tkDone.Wait() orders them before any post-Run accessor.
 type adaptRT struct {
-	pol    adapt.Policy
 	ctl    *adapt.Controller
-	policy atomic.Int64 // packed fanout | shift<<16 | bias<<24
-	nextNS int64        // next epoch boundary (timekeeper-private)
-	seen   int          // decisions already exported as trace events
+	epoch  int64 // controller interval, ns
+	nextNS int64 // next epoch boundary (timekeeper-private)
+	seen   int   // decisions already exported as trace events
 	events []trace.Event
-}
-
-const (
-	adaptFanoutMask = 0xffff
-	adaptShiftPos   = 16
-	adaptBiasPos    = 24
-)
-
-func packAdaptPolicy(fanout, shift, bias int) int64 {
-	return int64(fanout&adaptFanoutMask) | int64(shift&0xff)<<adaptShiftPos | int64(bias&0xff)<<adaptBiasPos
 }
 
 // initAdapt builds the controller harness at New (and again at Reset).
 func (rt *Runtime) initAdapt(pol adapt.Policy) {
-	if pol.Epoch <= 0 {
-		pol.Epoch = int64(time.Millisecond)
+	epoch := pol.Epoch
+	if epoch <= 0 {
+		epoch = int64(time.Millisecond)
 	}
-	a := &adaptRT{pol: pol}
-	st0 := adapt.State{
-		ClusterOnly: rt.pol.ClusterStealingOnly,
-		WakeFanout:  wakeFanout,
-	}
+	st0 := adapt.State{ClusterOnly: rt.pol.ClusterStealingOnly}
 	if pol.Start != nil {
 		st0 = *pol.Start
-		if st0.WakeFanout <= 0 {
-			st0.WakeFanout = wakeFanout
-		}
 		rt.clusterOnly.Store(st0.ClusterOnly)
 	}
-	a.ctl = adapt.New(pol, st0)
-	a.policy.Store(packAdaptPolicy(st0.WakeFanout, st0.BackoffShift, st0.ShedBias))
-	rt.adapt = a
-}
-
-// wakeFanoutNow is the live wake-fanout knob: the static constant on
-// non-adaptive runs, the controller's current setting otherwise.
-func (rt *Runtime) wakeFanoutNow() int {
-	if rt.adapt == nil {
-		return wakeFanout
-	}
-	return int(rt.adapt.policy.Load() & adaptFanoutMask)
-}
-
-// stallBackoffRT is stallBackoff with the controller's backoff shift
-// applied: each shift step doubles the timed-park ladder (base and
-// cap), calming probe storms the controller observed. Shift is bounded
-// by the controller (≤3), so the stretched cap stays ≤ 8ms.
-func (rt *Runtime) stallBackoffRT(misses int) time.Duration {
-	d := stallBackoff(misses)
-	if rt.adapt != nil {
-		if s := rt.adapt.policy.Load() >> adaptShiftPos & 0xff; s > 0 {
-			d <<= uint(s)
-		}
-	}
-	return d
-}
-
-// shedBiasNow returns the controller's shed-floor bias: each step
-// halves the backlog high-water, making the floor rise earlier when
-// deadline misses were observed.
-func (rt *Runtime) shedBiasNow() int64 {
-	if rt.adapt == nil {
-		return 0
-	}
-	return rt.adapt.policy.Load() >> adaptBiasPos & 0xff
+	rt.adapt = &adaptRT{ctl: adapt.New(pol, st0), epoch: epoch}
 }
 
 // CounterSnapshot returns the machine-wide scheduler counters: the
@@ -172,7 +115,7 @@ func (rt *Runtime) Decisions() []adapt.Decision {
 	return rt.adapt.ctl.Decisions()
 }
 
-// AdaptState returns the controller's current policy vector, or false
+// AdaptState returns the controller's current policy, or false
 // when Config.Adapt was not set. Call after Run.
 func (rt *Runtime) AdaptState() (adapt.State, bool) {
 	if rt.adapt == nil {
@@ -181,7 +124,7 @@ func (rt *Runtime) AdaptState() (adapt.State, bool) {
 	return rt.adapt.ctl.State(), true
 }
 
-// AdaptInit returns the policy vector the controller started from, or
+// AdaptInit returns the policy the controller started from, or
 // false when Config.Adapt was not set — the seed for replaying the
 // decision trace.
 func (rt *Runtime) AdaptInit() (adapt.State, bool) {
@@ -193,20 +136,19 @@ func (rt *Runtime) AdaptInit() (adapt.State, bool) {
 
 // adaptTick is the timekeeper's per-tick check: when the epoch
 // boundary has passed, run one controller epoch over the mirror
-// snapshot and apply any decisions to the live policy words. Runs only
-// on the timekeeper goroutine.
+// snapshot and apply its decision to the live clusterOnly word. Runs
+// only on the timekeeper goroutine.
 func (rt *Runtime) adaptTick(now int64) {
 	a := rt.adapt
 	if now < a.nextNS {
 		return
 	}
-	a.nextNS = now + a.pol.Epoch
+	a.nextNS = now + a.epoch
 	st, changed := a.ctl.Epoch(now, rt.CounterSnapshot())
 	if !changed {
 		return
 	}
 	rt.clusterOnly.Store(st.ClusterOnly)
-	a.policy.Store(packAdaptPolicy(st.WakeFanout, st.BackoffShift, st.ShedBias))
 	if rt.cfg.TraceCapacity > 0 {
 		for n := a.ctl.Count(); a.seen < n; a.seen++ {
 			if len(a.events) >= rt.cfg.TraceCapacity {

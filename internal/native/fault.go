@@ -41,42 +41,6 @@ import (
 //     are counted by the aborting worker; the timekeeper's lock
 //     contention goes to a private scratch row).
 
-// DeadlineError reports that wall-clock time passed the configured run
-// deadline with work still outstanding.
-type DeadlineError struct {
-	DeadlineNS  int64
-	Time        int64 // nanoseconds since Run started
-	Live        int   // tasks not yet run to completion
-	QueueDepths []int // queued tasks per worker (-1 = retired worker)
-}
-
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("native: deadline %dns exceeded at %dns with %d live task(s); queues=%v",
-		e.DeadlineNS, e.Time, e.Live, e.QueueDepths)
-}
-
-// NoProgressError reports that no task completed for a full watchdog
-// window while work was still outstanding — the native analogue of the
-// simulator's cycle-limit watchdog, guarding chaos campaigns against
-// scheduler-level hangs (a lost task would otherwise park every worker
-// forever).
-type NoProgressError struct {
-	WindowNS    int64
-	Time        int64 // nanoseconds since Run started
-	Live        int   // tasks not yet run to completion
-	QueueDepths []int // queued tasks per worker (-1 = retired worker)
-	Snapshot    string
-}
-
-func (e *NoProgressError) Error() string {
-	s := fmt.Sprintf("native: no progress: no task completed for %dns (at %dns, %d live task(s))",
-		e.WindowNS, e.Time, e.Live)
-	if e.Snapshot != "" {
-		s += "\n" + e.Snapshot
-	}
-	return s
-}
-
 // stopUnwind is the panic sentinel used to unwind a worker goroutine
 // blocked inside a task body (waitfor helping loop, condition wait)
 // when the run is stopped by a deadline, watchdog, or retry exhaustion.
@@ -648,7 +612,7 @@ func (rt *Runtime) timekeeper() {
 	// First adaptive and autoscaler epochs a full interval from now, not
 	// at the first tick.
 	if rt.adapt != nil {
-		rt.adapt.nextNS = rt.nowNS() + rt.adapt.pol.Epoch
+		rt.adapt.nextNS = rt.nowNS() + rt.adapt.epoch
 	}
 	if rt.auto != nil {
 		rt.autoNextNS = rt.nowNS() + rt.auto.IntervalNS
@@ -700,10 +664,10 @@ func (rt *Runtime) timekeeper() {
 			}
 		}
 		if rt.deadlineNS > 0 && now >= rt.deadlineNS && rt.live.Load() > 0 {
-			rt.stop(&DeadlineError{
-				DeadlineNS:  rt.deadlineNS,
+			rt.stop(&fault.DeadlineExceeded{
+				Deadline:    rt.deadlineNS,
 				Time:        now,
-				Live:        int(rt.live.Load()),
+				LiveTasks:   int(rt.live.Load()),
 				QueueDepths: rt.queueDepths(),
 			})
 			return
@@ -713,12 +677,11 @@ func (rt *Runtime) timekeeper() {
 				lastCompleted = c
 				lastProgress = time.Now()
 			} else if time.Since(lastProgress).Nanoseconds() >= rt.noProgressNS && rt.live.Load() > 0 {
-				rt.stop(&NoProgressError{
-					WindowNS:    rt.noProgressNS,
-					Time:        now,
-					Live:        int(rt.live.Load()),
-					QueueDepths: rt.queueDepths(),
-					Snapshot:    rt.snapshot(),
+				rt.stop(&fault.NoProgress{
+					CycleLimit: rt.noProgressNS,
+					Time:       now,
+					LiveTasks:  int(rt.live.Load()),
+					Snapshot:   rt.snapshot(),
 				})
 				return
 			}

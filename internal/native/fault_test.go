@@ -234,7 +234,7 @@ func TestInjectedPanicIsTyped(t *testing.T) {
 }
 
 // TestDeadlineStopsRun: a run that cannot finish inside the wall-clock
-// deadline returns a typed *DeadlineError instead of running on.
+// deadline returns a typed *fault.DeadlineExceeded instead of running on.
 func TestDeadlineStopsRun(t *testing.T) {
 	rt, _ := testRuntime(t, 2, func(cfg *Config) { cfg.DeadlineNS = 500_000 })
 	err := rt.Run(func(c *Ctx) {
@@ -246,12 +246,12 @@ func TestDeadlineStopsRun(t *testing.T) {
 			}
 		})
 	})
-	var de *DeadlineError
+	var de *fault.DeadlineExceeded
 	if !errors.As(err, &de) {
-		t.Fatalf("Run = %v, want *DeadlineError", err)
+		t.Fatalf("Run = %v, want *fault.DeadlineExceeded", err)
 	}
-	if de.DeadlineNS != 500_000 || de.Time < 500_000 {
-		t.Fatalf("DeadlineError = %+v, want DeadlineNS=500000 and Time >= it", de)
+	if de.Deadline != 500_000 || de.Time < 500_000 {
+		t.Fatalf("DeadlineExceeded = %+v, want Deadline=500000 and Time >= it", de)
 	}
 	if len(de.QueueDepths) != 2 {
 		t.Fatalf("QueueDepths = %v, want 2 entries", de.QueueDepths)
@@ -260,7 +260,7 @@ func TestDeadlineStopsRun(t *testing.T) {
 
 // TestNoProgressWatchdogUnhangsCondWait: a task parked forever on a
 // condition variable would hang Run; the watchdog must stop the run
-// with a typed *NoProgressError carrying a queue snapshot, and the
+// with a typed *fault.NoProgress carrying a queue snapshot, and the
 // blocked worker must unwind.
 func TestNoProgressWatchdogUnhangsCondWait(t *testing.T) {
 	rt, _ := testRuntime(t, 2, func(cfg *Config) { cfg.NoProgressNS = 5_000_000 })
@@ -275,15 +275,15 @@ func TestNoProgressWatchdogUnhangsCondWait(t *testing.T) {
 			})
 		})
 	})
-	var np *NoProgressError
+	var np *fault.NoProgress
 	if !errors.As(err, &np) {
-		t.Fatalf("Run = %v, want *NoProgressError", err)
+		t.Fatalf("Run = %v, want *fault.NoProgress", err)
 	}
-	if np.WindowNS != 5_000_000 || np.Live == 0 {
-		t.Fatalf("NoProgressError = %+v, want WindowNS=5000000 and live tasks", np)
+	if np.CycleLimit != 5_000_000 || np.LiveTasks == 0 {
+		t.Fatalf("NoProgress = %+v, want CycleLimit=5000000 and live tasks", np)
 	}
 	if np.Snapshot == "" {
-		t.Fatalf("NoProgressError carries no queue snapshot")
+		t.Fatalf("NoProgress carries no queue snapshot")
 	}
 }
 

@@ -77,12 +77,15 @@ type Config struct {
 	Retry fault.RetryPolicy
 
 	// DeadlineNS, when positive, stops runs still live past this many
-	// wall-clock nanoseconds with a *DeadlineError.
+	// wall-clock nanoseconds with a *fault.DeadlineExceeded.
 	DeadlineNS int64
 
 	// NoProgressNS, when positive, arms the watchdog: a run in which no
 	// task completes for this long while work is outstanding stops with
-	// a *NoProgressError instead of hanging.
+	// a *fault.NoProgress instead of hanging — the native analogue of
+	// the simulator's cycle-limit watchdog, guarding chaos campaigns
+	// against scheduler-level hangs (a lost task would otherwise park
+	// every worker forever).
 	NoProgressNS int64
 
 	// MaxProcs, when above Procs, makes the pool elastic: worker slots
@@ -103,8 +106,8 @@ type Config struct {
 
 	// Adapt, when non-nil, arms the adaptive policy controller: each
 	// Epoch nanoseconds the timekeeper feeds the counter mirror to the
-	// pure controller and applies its decisions to the live policy
-	// (cluster-only stealing, wake fanout, steal backoff, shed bias).
+	// pure controller and applies its decision — cluster-only stealing
+	// on or off — to the live policy.
 	// A non-positive Epoch defaults to one millisecond.
 	Adapt *adapt.Policy
 }

@@ -74,7 +74,7 @@ func (rt *Runtime) park(w *worker, misses int) {
 	}
 	start := time.Now()
 	if queued {
-		rt.timedPark(w, rt.stallBackoffRT(misses))
+		rt.timedPark(w, stallBackoff(misses))
 	} else {
 		select {
 		case <-w.wake:
@@ -169,11 +169,10 @@ func (rt *Runtime) wakePolicy(ctr *perfmon.Counters) {
 	if mask == 0 {
 		return
 	}
-	fanout := rt.wakeFanoutNow()
-	broadcast := rt.queuedTotal.Load() > int64(fanout)
+	broadcast := rt.queuedTotal.Load() > wakeFanout
 	deposited, attempted := 0, 0
 	for mask != 0 {
-		if !broadcast && attempted >= fanout {
+		if !broadcast && attempted >= wakeFanout {
 			break
 		}
 		i := bits.TrailingZeros64(mask)

@@ -99,10 +99,6 @@ func (rt *Runtime) shedTask(w *worker, t *task, ctr *perfmon.Counters) {
 func (rt *Runtime) shedControl() {
 	sc := rt.shed
 	high := int64(sc.QueueHighWater) * int64(rt.aliveWorkers())
-	// The adaptive controller's shed bias halves the high-water per
-	// step when deadline misses were observed, raising the floor
-	// earlier.
-	high >>= uint(rt.shedBiasNow())
 	if high <= 0 {
 		return
 	}

@@ -81,7 +81,7 @@ func (rt *Runtime) waitScope(c *Ctx, sc *scope) {
 			// instead of spinning, doubling the nap each miss (see
 			// parkRetryLimit and stallBackoff).
 			start := time.Now()
-			rt.timedPark(w, rt.stallBackoffRT(misses))
+			rt.timedPark(w, stallBackoff(misses))
 			w.idleNS += time.Since(start).Nanoseconds()
 		case sc.n.Load() != 0:
 			start := time.Now()

@@ -48,18 +48,6 @@ var smallSizes = map[string]int{
 	"phaseflip":  80,
 }
 
-// scheduleTokens lists, per app, Verify tokens whose values legitimately
-// depend on execution order and so may differ between schedules at P>1:
-// the router's cost depends on the order wires observe each other's
-// congestion, and the linear-algebra residuals shift at rounding level
-// (~1e-15) with FP accumulation order. At P=1 both backends execute the
-// identical serial order, so every token must match exactly.
-var scheduleTokens = map[string]map[string]bool{
-	"locusroute": {"cost": true},
-	"pancho":     {"residual": true, "maxdiff": true},
-	"blockcho":   {"maxdiff": true},
-}
-
 // Run executes the sweep and returns an error describing every failed
 // cell (nil when all cells pass).
 func Run(opts Options) error {
@@ -202,7 +190,7 @@ func checkCell(app apps.App, variant string, procs, size int) []string {
 	if ref.Report.SetSplits != 0 {
 		msgs = append(msgs, fmt.Sprintf("sim reference: %d set splits", ref.Report.SetSplits))
 	}
-	ignore := scheduleTokens[app.Name]
+	ignore := apps.ScheduleTokens[app.Name]
 	if procs == 1 {
 		ignore = nil // serial order is identical on both backends
 	}
@@ -211,7 +199,7 @@ func checkCell(app apps.App, variant string, procs, size int) []string {
 			msgs = append(msgs, label+": "+err.Error())
 			return
 		}
-		if d := diffVerify(ref.Verify, res.Verify, ignore); d != "" {
+		if d := apps.DiffVerify(ref.Verify, res.Verify, ignore); d != "" {
 			msgs = append(msgs, label+": "+d)
 		}
 		if got, want := res.Report.Total.TasksRun, ref.Report.Total.TasksRun; got != want {
@@ -254,7 +242,7 @@ func checkCell(app apps.App, variant string, procs, size int) []string {
 	check("native slo-armed", res, err)
 	// An adaptive sim run: the online controller armed with a short
 	// epoch so it decides many times per cell. The controller may only
-	// change the schedule (steal scope, wake fanout), never results, so
+	// change the schedule (steal scope), never results, so
 	// every non-schedule token must still match the reference — and the
 	// run is fully deterministic like any other simulator run.
 	res, err = app.RunCfg(cool.Config{
@@ -267,25 +255,4 @@ func checkCell(app apps.App, variant string, procs, size int) []string {
 			res.Report.Total.TasksShed, res.Report.Total.DeadlineMisses))
 	}
 	return msgs
-}
-
-// diffVerify compares two key=value Verify strings token for token,
-// skipping ignored keys; it describes the first difference, or returns
-// "" when the results are differentially identical. (Same contract as
-// the chaos harness's comparator.)
-func diffVerify(want, got string, ignore map[string]bool) string {
-	a, b := strings.Fields(want), strings.Fields(got)
-	if len(a) != len(b) {
-		return fmt.Sprintf("verify shape differs: %q vs %q", want, got)
-	}
-	for i := range a {
-		key, _, _ := strings.Cut(a[i], "=")
-		if ignore[key] {
-			continue
-		}
-		if a[i] != b[i] {
-			return fmt.Sprintf("%s: want %q, got %q", key, a[i], b[i])
-		}
-	}
-	return ""
 }

@@ -3,6 +3,8 @@ package xcheck
 import (
 	"strings"
 	"testing"
+
+	"github.com/coolrts/cool/internal/apps"
 )
 
 // TestSmallSweep cross-checks every app at smoke sizes on one and two
@@ -37,7 +39,7 @@ func TestDiffVerify(t *testing.T) {
 		{"a=1 b=2", "a=1", nil, false},
 	}
 	for i, tc := range cases {
-		if got := diffVerify(tc.want, tc.got, tc.ignore); (got == "") != tc.same {
+		if got := apps.DiffVerify(tc.want, tc.got, tc.ignore); (got == "") != tc.same {
 			t.Errorf("case %d: diff = %q, want same=%v", i, got, tc.same)
 		}
 	}

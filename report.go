@@ -35,7 +35,7 @@ type Report struct {
 	PoolEvents []PoolEvent
 	// Decisions is the adaptive controller's decision trace in the
 	// order the policy changes were taken; empty unless Config.Adapt
-	// was set. Folding it over AdaptInitialState with
+	// was set. Folding it over Runtime.AdaptInitialState with
 	// ReplayAdaptDecisions reconstructs the final policy exactly.
 	Decisions []AdaptDecision
 }
