@@ -1,3 +1,3 @@
 module github.com/coolrts/cool
 
-go 1.22
+go 1.23

@@ -95,6 +95,7 @@ type System struct {
 	lineShift uint
 	procs     []procCache
 	dir       map[int64]*dirEntry
+	dirSlab   []dirEntry // unused tail of the newest chunk; see newDirEntry
 	space     *memsim.Space
 	mon       *perfmon.Monitor
 
@@ -135,6 +136,21 @@ func New(cfg machine.Config, space *memsim.Space, mon *perfmon.Monitor) *System 
 		}
 	}
 	return s
+}
+
+// dirChunk is how many directory entries one slab allocation holds.
+const dirChunk = 256
+
+// newDirEntry returns a zeroed directory entry for a line touched for the
+// first time. Entries live as long as the System, so they are carved from
+// chunked slabs rather than allocated one per line.
+func (s *System) newDirEntry() *dirEntry {
+	if len(s.dirSlab) == 0 {
+		s.dirSlab = make([]dirEntry, dirChunk)
+	}
+	d := &s.dirSlab[0]
+	s.dirSlab = s.dirSlab[1:]
+	return d
 }
 
 // Access simulates processor p touching [addr, addr+size) starting at
@@ -184,7 +200,7 @@ func (s *System) Prefetch(p int, now int64, addr, size int64) int64 {
 		s.memQueue(s.space.HomeCluster(line<<s.lineShift), now+cycles)
 		d := s.dir[line]
 		if d == nil {
-			d = &dirEntry{}
+			d = s.newDirEntry()
 			s.dir[line] = d
 		}
 		d.sharers |= 1 << uint(p)
@@ -281,7 +297,7 @@ func (s *System) miss(p int, at int64, line int64, write bool) int64 {
 	}
 
 	if d == nil {
-		d = &dirEntry{}
+		d = s.newDirEntry()
 		s.dir[line] = d
 	}
 	var st state
@@ -352,12 +368,13 @@ func (s *System) upgrade(p int, line int64) int64 {
 	d := s.dir[line]
 	if d != nil {
 		s.invalidateSharers(p, line, d)
-		d.sharers = 1 << uint(p)
-		d.owner = int8(p)
-		d.dirty = true
 	} else {
-		s.dir[line] = &dirEntry{sharers: 1 << uint(p), owner: int8(p), dirty: true}
+		d = s.newDirEntry()
+		s.dir[line] = d
 	}
+	d.sharers = 1 << uint(p)
+	d.owner = int8(p)
+	d.dirty = true
 	return s.cfg.Lat.Upgrade
 }
 

@@ -1,8 +1,12 @@
 // Package sim implements a deterministic execution-driven simulation
-// engine. Application code runs as coroutines (one goroutine resumed at a
-// time by a single engine loop), charging simulated cycles to per-processor
-// clocks. The engine interleaves processors in virtual-time order at a
-// configurable quantum, so a run is fully reproducible for a given seed.
+// engine. Application code runs as coroutines, charging simulated cycles
+// to per-processor clocks: a single engine loop switches directly into one
+// task body at a time (iter.Pull, no channel and no trip through the Go
+// scheduler) and gets control back when the body yields. The coroutines
+// are pooled, so a run creates as many as it has tasks in flight at once,
+// not one per task. The engine interleaves processors in virtual-time
+// order at a configurable quantum, so a run is fully reproducible for a
+// given seed.
 //
 // The engine knows nothing about scheduling policy: when a processor is
 // idle it asks a Dispatcher for the next task. The COOL runtime supplies
@@ -64,7 +68,8 @@ type Engine struct {
 
 	liveTasks int
 	blocked   map[*Task]struct{}
-	tasks     []*Task // every task created, for leak-free teardown
+	coros     []*coro // every coroutine created, for leak-free teardown
+	coroFree  []*coro // those with no task, parked between bodies
 	started   bool
 	failure   error
 
@@ -322,16 +327,27 @@ func (e *Engine) runOn(p *Proc, t *Task, wasParked bool) {
 	e.resume(p, t)
 }
 
-// resume hands control to the task's coroutine and processes its yield.
+// resume switches to the task's coroutine and processes its yield. A
+// task gets a coroutine from the pool on its first resume and gives it
+// back when its body ends.
 func (e *Engine) resume(p *Proc, t *Task) {
 	start := p.Clock
-	var st status
 	if !t.startedCoro {
 		t.startedCoro = true
-		go t.run()
+		if n := len(e.coroFree); n > 0 {
+			t.co = e.coroFree[n-1]
+			e.coroFree = e.coroFree[:n-1]
+		} else {
+			t.co = newCoro()
+			e.coros = append(e.coros, t.co)
+		}
+		t.co.task = t
 	}
-	t.resumeCh <- struct{}{}
-	st = <-t.statusCh
+	st, _ := t.co.next()
+	if st == statusDone || st == statusFailed {
+		e.coroFree = append(e.coroFree, t.co)
+		t.co.task, t.co = nil, nil
+	}
 	p.Busy += p.Clock - start
 	switch st {
 	case statusSlice:
@@ -419,14 +435,13 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// killRemaining terminates every started-but-unfinished coroutine —
-// blocked, queued, or detached from a failed processor — so no
-// goroutines leak after a failed, deadlocked, or watchdogged run.
+// killRemaining stops every coroutine the engine created — idle in the
+// pool, or parked inside a body that is blocked, queued, or detached from
+// a failed processor — and waits for each to exit, so no goroutine
+// outlives a run, however it ended.
 func (e *Engine) killRemaining() {
-	for _, t := range e.tasks {
-		if t.startedCoro && !t.done {
-			t.kill()
-		}
+	for _, co := range e.coros {
+		co.stop()
 	}
 	for _, p := range e.Procs {
 		p.cur = nil

@@ -3,12 +3,12 @@ package sim
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
 // TestNoGoroutineLeakAfterDeadlock verifies that parked coroutines are
-// killed when a run ends abnormally, so repeated failed simulations do
-// not accumulate goroutines.
+// killed when a run ends abnormally. Teardown is synchronous, so every
+// goroutine a run started is gone by the time Run returns (the count may
+// still fall below the baseline as an earlier test's runner exits).
 func TestNoGoroutineLeakAfterDeadlock(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
@@ -24,16 +24,10 @@ func TestNoGoroutineLeakAfterDeadlock(t *testing.T) {
 		if err := e.Run(); err == nil {
 			t.Fatal("expected deadlock")
 		}
-	}
-	// Give killed goroutines a moment to exit.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+5 {
-			return
+		if got := runtime.NumGoroutine(); got > baseline {
+			t.Fatalf("run %d: goroutines %d after Run, want at most %d", i, got, baseline)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("goroutines grew from %d to %d", baseline, runtime.NumGoroutine())
 }
 
 // TestNoGoroutineLeakAfterPanic verifies the same for failing tasks.
@@ -54,15 +48,10 @@ func TestNoGoroutineLeakAfterPanic(t *testing.T) {
 		if err := e.Run(); err == nil {
 			t.Fatal("expected failure")
 		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+5 {
-			return
+		if got := runtime.NumGoroutine(); got > baseline {
+			t.Fatalf("run %d: goroutines %d after Run, want at most %d", i, got, baseline)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("goroutines grew from %d to %d", baseline, runtime.NumGoroutine())
 }
 
 // TestSyncPointOrdersEvents verifies that a task running ahead within its

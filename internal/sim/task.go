@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"iter"
 	"runtime/debug"
 
 	"github.com/coolrts/cool/internal/fault"
@@ -34,13 +35,11 @@ type Task struct {
 	StolenRemote bool
 
 	fn  func(*Ctx)
-	ctx *Ctx
+	ctx Ctx
 	err error
 
-	resumeCh    chan struct{}
-	statusCh    chan status
+	co          *coro // the coroutine running the body, from first resume to done/failed
 	startedCoro bool
-	killed      bool
 	done        bool
 
 	// Fault-injection state (see fault.go).
@@ -56,18 +55,12 @@ func (t *Task) LaunchAborts() int { return t.aborts }
 // NewTask creates a task that becomes runnable no earlier than readyAt.
 // The task does not run until a Dispatcher hands it to a processor.
 func (e *Engine) NewTask(name string, readyAt int64, fn func(*Ctx)) *Task {
-	t := &Task{
-		Name:     name,
-		fn:       fn,
-		resumeCh: make(chan struct{}),
-		statusCh: make(chan status),
-	}
+	t := &Task{Name: name, fn: fn}
 	if e.panicAt != nil || e.abortAt != nil {
 		e.noteSpawn(t)
 	}
-	t.ctx = &Ctx{eng: e, task: t, readyAt: readyAt}
+	t.ctx = Ctx{eng: e, task: t, readyAt: readyAt}
 	e.liveTasks++
-	e.tasks = append(e.tasks, t)
 	return t
 }
 
@@ -76,45 +69,60 @@ func (e *Engine) NewTask(name string, readyAt int64, fn func(*Ctx)) *Task {
 // NotifyProc) so an idle processor picks it up.
 func (e *Engine) Unblock(t *Task, at int64) { e.unblock(t, at) }
 
-// run is the coroutine body. It waits for the first resume, executes the
-// task function, and reports completion or failure.
-func (t *Task) run() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinelType); ok {
-				t.done = true
-				return
-			}
-			f := &fault.TaskFailure{Task: t.Name, Value: r, Stack: string(debug.Stack())}
-			if ip, ok := r.(fault.InjectedPanic); ok {
-				f.Injected = true
-				f.Value = ip.String()
-			}
-			if p := t.ctx.proc; p != nil {
-				f.Proc = p.ID
-				f.Time = p.Clock
-			}
-			t.err = f
-			t.done = true
-			t.statusCh <- statusFailed
-		}
-	}()
-	<-t.resumeCh
-	if t.killed {
-		panic(killSentinel)
-	}
-	t.fn(t.ctx)
-	t.done = true
-	t.statusCh <- statusDone
+// coro is a pooled coroutine: one iter.Pull goroutine that runs task
+// bodies one after another. The engine hands it a task and calls next,
+// which switches directly to the body; the body's yields, and the
+// done/failed status that ends it, come back as next's result. Between
+// tasks the coroutine sits on the engine's free list, parked in loop.
+type coro struct {
+	task  *Task
+	yield func(status) bool
+	next  func() (status, bool)
+	stop  func() // ends the goroutine, unwinding a parked body; returns once it has exited
 }
 
-// kill terminates a parked coroutine (leak prevention after deadlock).
-func (t *Task) kill() {
-	if t.done || !t.startedCoro {
-		return
+func newCoro() *coro {
+	co := &coro{}
+	co.next, co.stop = iter.Pull(co.loop)
+	return co
+}
+
+// loop runs the task the engine assigned before each resume, reports how
+// it ended, and parks until the next one. It returns only through stop.
+func (co *coro) loop(yield func(status) bool) {
+	co.yield = yield
+	for {
+		st, ok := co.run()
+		if !ok || !yield(st) {
+			return
+		}
 	}
-	t.killed = true
-	t.resumeCh <- struct{}{}
+}
+
+// run executes the assigned task's body and reports completion or
+// failure; ok is false when stop unwound the body instead.
+func (co *coro) run() (st status, ok bool) {
+	t := co.task
+	defer func() {
+		t.done = true
+		r := recover()
+		if _, killed := r.(killSentinelType); r == nil || killed {
+			return
+		}
+		f := &fault.TaskFailure{Task: t.Name, Value: r, Stack: string(debug.Stack())}
+		if ip, injected := r.(fault.InjectedPanic); injected {
+			f.Injected = true
+			f.Value = ip.String()
+		}
+		if p := t.ctx.proc; p != nil {
+			f.Proc = p.ID
+			f.Time = p.Clock
+		}
+		t.err = f
+		st, ok = statusFailed, true
+	}()
+	t.fn(&t.ctx)
+	return statusDone, true
 }
 
 // Ctx is the execution context handed to a running task. All simulated
@@ -171,10 +179,10 @@ func (c *Ctx) SyncPoint() {
 	}
 }
 
+// yield switches back to the engine; it returns when the engine resumes
+// the task, and unwinds the body if the engine stopped it instead.
 func (c *Ctx) yield(st status) {
-	c.task.statusCh <- st
-	<-c.task.resumeCh
-	if c.task.killed {
+	if !c.task.co.yield(st) {
 		panic(killSentinel)
 	}
 }
