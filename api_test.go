@@ -161,42 +161,6 @@ func TestDynamicClusterStealingFlag(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedSetPlacement(t *testing.T) {
-	rt, err := cool.NewRuntime(cool.Config{
-		Processors: 4,
-		Sched:      cool.SchedPolicy{PlaceSetsLeastLoaded: true, NoStealing: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs := make([]*cool.F64, 4)
-	for i := range objs {
-		objs[i] = rt.NewF64Pages(64, 0)
-	}
-	procs := map[int]bool{}
-	err = rt.Run(func(ctx *cool.Ctx) {
-		ctx.WaitFor(func() {
-			for s := 0; s < 4; s++ {
-				obj := objs[s]
-				for k := 0; k < 3; k++ {
-					ctx.Spawn("set", func(c *cool.Ctx) {
-						procs[c.ProcID()] = true
-						c.Compute(8000)
-					}, cool.TaskAffinity(obj.Base))
-				}
-			}
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Four sets across four processors: least-loaded placement must use
-	// every processor even without stealing.
-	if len(procs) != 4 {
-		t.Fatalf("least-loaded placement used %d processors, want 4", len(procs))
-	}
-}
-
 func TestRecursiveLockIsAnError(t *testing.T) {
 	rt := newRT(t, 2)
 	mon := rt.NewMonitor(0)

@@ -30,17 +30,6 @@ import (
 	"github.com/coolrts/cool/internal/chaos"
 )
 
-// chaosSmallSizes are reduced workloads for the CI smoke job.
-var chaosSmallSizes = map[string]int{
-	"gauss":      48,
-	"ocean":      64,
-	"pancho":     20,
-	"locusroute": 6,
-	"blockcho":   64,
-	"barneshut":  128,
-	"phaseflip":  60,
-}
-
 func chaosMain(args []string) int {
 	fs := flag.NewFlagSet("coolbench -chaos", flag.ExitOnError)
 	_ = fs.Bool("chaos", true, "chaos-campaign mode (this flag)")
@@ -78,7 +67,7 @@ func chaosMain(args []string) int {
 		}
 		size := 0
 		if *small {
-			size = chaosSmallSizes[app.Name]
+			size = app.Sizes["smoke"]
 		}
 		tally := map[chaos.Verdict]int{}
 		for i := 0; i < *campaigns; i++ {

@@ -35,8 +35,6 @@ import (
 
 	cool "github.com/coolrts/cool"
 	"github.com/coolrts/cool/internal/apps"
-	"github.com/coolrts/cool/internal/apps/gauss"
-	"github.com/coolrts/cool/internal/apps/pancho"
 	"github.com/coolrts/cool/internal/machine"
 	"github.com/coolrts/cool/internal/stats"
 )
@@ -153,12 +151,24 @@ func parseProcs(list string) ([]int, error) {
 	return out, nil
 }
 
+// lookup resolves an experiment's application in the registry; every
+// run below goes through it, the ablations with their own cool.Config
+// (queue-array size, steal policy, machine, fault plan) under the
+// matching variant name.
+func lookup(name string) (apps.App, error) {
+	app, ok := apps.Lookup(name)
+	if !ok {
+		return app, fmt.Errorf("unknown app %s (have %v)", name, apps.Names())
+	}
+	return app, nil
+}
+
 // speedupFigure reproduces one speedup-vs-processors figure: every
 // program variant against the serial reference.
 func speedupFigure(title, appName string) error {
-	app, ok := apps.Lookup(appName)
-	if !ok {
-		return fmt.Errorf("unknown app %s", appName)
+	app, err := lookup(appName)
+	if err != nil {
+		return err
 	}
 	ser, err := app.RunSerial(*size)
 	if err != nil {
@@ -171,7 +181,7 @@ func speedupFigure(title, appName string) error {
 		for _, p := range ps {
 			res, err := app.Run(p, variant, *size)
 			if err != nil {
-				return fmt.Errorf("%s/%s P=%d: %w", appName, variant, p, err)
+				return err
 			}
 			s.Speedup = append(s.Speedup, float64(ser.Cycles)/float64(res.Cycles))
 		}
@@ -196,9 +206,9 @@ func speedupFigure(title, appName string) error {
 // missFigure reproduces one cache-behaviour bar chart: per variant, the
 // miss count and where misses were serviced, at a fixed processor count.
 func missFigure(title, appName string) error {
-	app, ok := apps.Lookup(appName)
-	if !ok {
-		return fmt.Errorf("unknown app %s", appName)
+	app, err := lookup(appName)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("%s   [P=%d]\n", title, *missProc)
 	header := []string{"variant", "refs", "misses", "rate", "local", "remote", "dirty", "localFrac", "atHome"}
@@ -206,7 +216,7 @@ func missFigure(title, appName string) error {
 	for _, variant := range app.Variants {
 		res, err := app.Run(*missProc, variant, *size)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", appName, variant, err)
+			return err
 		}
 		t := res.Report.Total
 		rows = append(rows, []string{
@@ -248,18 +258,18 @@ func table1() error {
 // (paper §5: collisions are minimized by a suitably large array).
 func queueArrayAblation() error {
 	fmt.Println("A1  Task-affinity queue array size (Panel Cholesky, Distr+Aff)")
-	prm := pancho.DefaultParams()
-	if *size > 0 {
-		prm.Grid = *size
+	pancho, err := lookup("pancho")
+	if err != nil {
+		return err
 	}
-	ser, err := pancho.RunSerial(prm)
+	ser, err := pancho.RunSerial(*size)
 	if err != nil {
 		return err
 	}
 	header := []string{"queueArraySize", "cycles", "speedup(P=16)"}
 	var rows [][]string
 	for _, qs := range []int{1, 4, 16, 64, 256} {
-		res, err := pancho.RunCustom(16, cool.SchedPolicy{QueueArraySize: qs}, true, prm)
+		res, err := pancho.RunCfg(cool.Config{Processors: 16, Sched: cool.SchedPolicy{QueueArraySize: qs}}, "Distr+Aff", *size)
 		if err != nil {
 			return err
 		}
@@ -281,33 +291,35 @@ func queueArrayAblation() error {
 // shrinks — quantifying how much of the benefit is NUMA-specific.
 func uniformMachineComparison() error {
 	fmt.Println("R1  Affinity gains: clustered DASH vs uniform bus machine (Gauss, P=16)")
+	gauss, err := lookup("gauss")
+	if err != nil {
+		return err
+	}
 	header := []string{"machine", "variant", "cycles", "speedup", "gain over Base"}
 	var rows [][]string
 	for _, uniform := range []bool{false, true} {
 		name := "DASH (clusters)"
+		serCfg, cfg := cool.Config{}, cool.Config{Processors: 16}
 		if uniform {
 			name = "uniform bus"
+			bus1, bus16 := machine.UniformBus(1), machine.UniformBus(16)
+			serCfg.Machine, cfg.Machine = &bus1, &bus16
 		}
-		prm := gauss.DefaultParams()
-		if *size > 0 {
-			prm.N = *size
-		}
-		prm.Uniform = uniform
-		ser, err := gauss.RunSerial(prm)
+		ser, err := gauss.RunCfg(serCfg, apps.Serial, *size)
 		if err != nil {
 			return err
 		}
 		var baseCycles int64
-		for _, v := range gauss.Variants {
-			res, err := gauss.Run(16, v, prm)
+		for i, v := range gauss.Variants {
+			res, err := gauss.RunCfg(cfg, v, *size)
 			if err != nil {
 				return err
 			}
-			if v == gauss.Base {
-				baseCycles = res.Cycles
+			if i == 0 {
+				baseCycles = res.Cycles // Base
 			}
 			rows = append(rows, []string{
-				name, v.String(),
+				name, v,
 				fmt.Sprintf("%d", res.Cycles),
 				fmt.Sprintf("%.2f", float64(ser.Cycles)/float64(res.Cycles)),
 				fmt.Sprintf("%.2fx", float64(baseCycles)/float64(res.Cycles)),
@@ -324,9 +336,9 @@ func uniformMachineComparison() error {
 // scheduling: the Distr+Aff gain over Base should grow with the ratio.
 func latencySensitivity() error {
 	fmt.Println("S1  Sensitivity to the remote:local latency ratio (Panel Cholesky, P=16)")
-	prm := pancho.DefaultParams()
-	if *size > 0 {
-		prm.Grid = *size
+	pancho, err := lookup("pancho")
+	if err != nil {
+		return err
 	}
 	header := []string{"remote latency", "ratio", "Base cycles", "Distr+Aff cycles", "affinity gain"}
 	var rows [][]string
@@ -334,11 +346,11 @@ func latencySensitivity() error {
 		mc := machine.DASH(16)
 		mc.Lat.RemoteMem = remote
 		mc.Lat.RemoteDirty = remote + 35
-		base, err := pancho.RunConfig(cool.Config{Machine: &mc, Sched: cool.SchedPolicy{IgnoreHints: true}}, false, prm)
+		base, err := pancho.RunCfg(cool.Config{Machine: &mc}, "Base", *size)
 		if err != nil {
 			return err
 		}
-		aff, err := pancho.RunConfig(cool.Config{Machine: &mc}, true, prm)
+		aff, err := pancho.RunCfg(cool.Config{Machine: &mc}, "Distr+Aff", *size)
 		if err != nil {
 			return err
 		}
@@ -362,25 +374,16 @@ func latencySensitivity() error {
 // straggler's backlog and absorb the failed server's redistributed queue.
 func stragglerExperiment() error {
 	fmt.Println("R2  Straggler and processor-failure tolerance (Panel Cholesky, P=16)")
-	prm := pancho.DefaultParams()
-	if *size > 0 {
-		prm.Grid = *size
-	}
-	variants := []struct {
-		name       string
-		sched      cool.SchedPolicy
-		distribute bool
-	}{
-		{"Base", cool.SchedPolicy{IgnoreHints: true}, false},
-		{"Distr+Aff", cool.SchedPolicy{}, true},
-		{"Distr+Aff+ClusterStealing", cool.SchedPolicy{ClusterStealingOnly: true}, true},
+	pancho, err := lookup("pancho")
+	if err != nil {
+		return err
 	}
 	header := []string{"variant", "fault", "cycles", "slowdown", "steals", "redistributed"}
 	var rows [][]string
-	for _, v := range variants {
-		healthy, err := pancho.RunConfig(cool.Config{Processors: 16, Sched: v.sched}, v.distribute, prm)
+	for _, v := range []string{"Base", "Distr+Aff", "Distr+Aff+ClusterStealing"} {
+		healthy, err := pancho.Run(16, v, *size)
 		if err != nil {
-			return fmt.Errorf("straggler %s healthy: %w", v.name, err)
+			return fmt.Errorf("healthy: %w", err)
 		}
 		faults := []struct {
 			name string
@@ -391,13 +394,13 @@ func stragglerExperiment() error {
 			{"P5 fails at 25%", cool.NewFaultPlan().FailProcessor(5, healthy.Cycles/4)},
 		}
 		for _, f := range faults {
-			res, err := pancho.RunConfig(cool.Config{Processors: 16, Sched: v.sched, Faults: f.plan}, v.distribute, prm)
+			res, err := pancho.RunCfg(cool.Config{Processors: 16, Faults: f.plan}, v, *size)
 			if err != nil {
-				return fmt.Errorf("straggler %s/%s: %w", v.name, f.name, err)
+				return fmt.Errorf("%s: %w", f.name, err)
 			}
 			t := res.Report.Total
 			rows = append(rows, []string{
-				v.name, f.name,
+				v, f.name,
 				fmt.Sprintf("%d", res.Cycles),
 				fmt.Sprintf("%.2fx", float64(res.Cycles)/float64(healthy.Cycles)),
 				fmt.Sprintf("%d", t.StealsLocal+t.StealsRemote),
@@ -412,11 +415,11 @@ func stragglerExperiment() error {
 // stealPolicyAblation compares the stealing policies discussed in §4.2.
 func stealPolicyAblation() error {
 	fmt.Println("A2  Steal policy (Panel Cholesky, Distr+Aff, P=16)")
-	prm := pancho.DefaultParams()
-	if *size > 0 {
-		prm.Grid = *size
+	pancho, err := lookup("pancho")
+	if err != nil {
+		return err
 	}
-	ser, err := pancho.RunSerial(prm)
+	ser, err := pancho.RunSerial(*size)
 	if err != nil {
 		return err
 	}
@@ -434,7 +437,7 @@ func stealPolicyAblation() error {
 	header := []string{"policy", "cycles", "speedup(P=16)", "steals", "setSteals"}
 	var rows [][]string
 	for _, pc := range policies {
-		res, err := pancho.RunCustom(16, pc.pol, true, prm)
+		res, err := pancho.RunCfg(cool.Config{Processors: 16, Sched: pc.pol}, "Distr+Aff", *size)
 		if err != nil {
 			return err
 		}

@@ -105,9 +105,6 @@ type SchedPolicy struct {
 	NoObjectBoundStealing bool
 	// NoStealing disables work stealing entirely (ablation).
 	NoStealing bool
-	// PlaceSetsLeastLoaded places new task-affinity sets on the
-	// least-loaded server instead of round-robin (§4.2).
-	PlaceSetsLeastLoaded bool
 }
 
 // Config describes the simulated machine and runtime policy.
@@ -297,7 +294,6 @@ func NewRuntime(c Config) (*Runtime, error) {
 	pol.StealWholeSets = !c.Sched.NoSetStealing
 	pol.StealObjectBound = !c.Sched.NoObjectBoundStealing
 	pol.DisableStealing = c.Sched.NoStealing
-	pol.PlaceSetsLeastLoaded = c.Sched.PlaceSetsLeastLoaded
 
 	if c.Backend == BackendNative {
 		rt, err := newNativeRuntime(c, mc, pol)
@@ -477,6 +473,9 @@ func (rt *Runtime) Processors() int { return rt.cfg.Processors }
 
 // Clusters returns the number of clusters (memory modules).
 func (rt *Runtime) Clusters() int { return rt.cfg.Clusters() }
+
+// Sched returns the scheduling policy the runtime was constructed with.
+func (rt *Runtime) Sched() SchedPolicy { return rt.pub.Sched }
 
 // MachineConfig returns a copy of the simulated machine description.
 func (rt *Runtime) MachineConfig() machine.Config { return rt.cfg }

@@ -15,31 +15,42 @@ import (
 	"sort"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
-// Variant selects the program version of Figure 16.
+// Variant indexes the program versions of Figure 16.
 type Variant int
 
 const (
-	// Base: body blocks in one memory, hints ignored.
 	Base Variant = iota
-	// AffDistr: blocks distributed, group tasks with object affinity.
 	AffDistr
 )
 
-// String names the variant.
-func (v Variant) String() string {
-	switch v {
-	case Base:
-		return "Base"
-	case AffDistr:
-		return "Affinity+Distr"
-	}
-	return "unknown"
+// Variants are the program versions in order.
+var Variants = []harness.Variant{
+	// Body blocks in one memory, hints ignored.
+	{Name: "Base", IgnoreHints: true},
+	// Blocks distributed, group tasks with object affinity.
+	{Name: "Affinity+Distr", Distribute: true},
 }
 
-// Variants lists the program versions in order.
-var Variants = []Variant{Base, AffDistr}
+func (v Variant) String() string { return Variants[v].Name }
+
+// Program declares barneshut to the registry.
+var Program = harness.Program{
+	Name:      "barneshut",
+	Rows:      Variants,
+	Served:    int(AffDistr),
+	Sizes:     map[string]int{"smoke": 128, "small": 256, "medium": 1024, "large": 2048},
+	TaskNames: []string{"forces", "advance"},
+	Sized: func(size int) harness.Workload {
+		p := DefaultParams()
+		if size > 0 {
+			p.Bodies = size
+		}
+		return p
+	},
+}
 
 // Params sizes the workload.
 type Params struct {
@@ -76,14 +87,6 @@ func (p Params) normalize() (Params, error) {
 	return p, nil
 }
 
-// Result carries timing and correctness evidence.
-type Result struct {
-	Cycles   int64
-	Report   cool.Report
-	Checksum float64 // bitwise-comparable position digest
-	Tasks    int64
-}
-
 const (
 	fieldsPerBody = 10 // x y z m vx vy vz ax ay az
 	nodeStride    = 16 // floats per tree-node record (two cache lines)
@@ -106,6 +109,15 @@ type app struct {
 	groups []*cool.F64 // per-group body blocks
 	tree   *cool.F64   // node records in simulated memory
 	nodes  []node
+}
+
+// Build validates the parameters and lays the bodies out as version v asks.
+func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
+	p, err := p.normalize()
+	if err != nil {
+		return nil, err
+	}
+	return build(rt, p, Variants[v].Distribute), nil
 }
 
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
@@ -367,87 +379,27 @@ func (ap *app) step(ctx *cool.Ctx, parallel bool) {
 	})
 }
 
-func (ap *app) checksum() float64 {
+// Main runs the timesteps with parallel force and advance phases.
+func (ap *app) Main(ctx *cool.Ctx) {
+	for s := 0; s < ap.prm.Steps; s++ {
+		ap.step(ctx, true)
+	}
+}
+
+// Serial executes the identical computation in the main task.
+func (ap *app) Serial(ctx *cool.Ctx) {
+	for s := 0; s < ap.prm.Steps; s++ {
+		ap.step(ctx, false)
+	}
+}
+
+// Finish digests the final positions.
+func (ap *app) Finish() (harness.Evidence, error) {
 	var s float64
 	for _, g := range ap.groups {
 		for i := 0; i < g.Len(); i += fieldsPerBody {
 			s += g.Data[i] + 2*g.Data[i+1] + 3*g.Data[i+2]
 		}
 	}
-	return s
-}
-
-// Run executes the simulation under the given variant.
-func Run(procs int, v Variant, prm Params) (Result, error) {
-	return RunWith(cool.Config{Processors: procs}, v, prm)
-}
-
-// RunWith executes the simulation under an explicit base configuration
-// (fault plans, retry policy, deadline); the variant's scheduling knobs
-// are applied on top.
-func RunWith(cfg cool.Config, v Variant, prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	if v == Base {
-		cfg.Sched.IgnoreHints = true
-	}
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOn(rt, v, prm)
-}
-
-// RunOn runs the simulation steps on an existing runtime that has not
-// run yet (fresh from NewRuntime or Reset) — the serving layer's
-// warm-reuse entry point. Base's IgnoreHints knob cannot be applied to
-// an already-built runtime; its bodies stay undistributed either way.
-func RunOn(rt *cool.Runtime, v Variant, prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm, v == AffDistr)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for s := 0; s < prm.Steps; s++ {
-			ap.step(ctx, true)
-		}
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("barneshut %v: %w", v, err)
-	}
-	return Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Checksum: ap.checksum(),
-		Tasks:    rt.Report().Total.TasksRun,
-	}, nil
-}
-
-// RunSerial executes the identical computation in the main task.
-func RunSerial(prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	rt, err := cool.NewRuntime(cool.Config{Processors: 1})
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm, false)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for s := 0; s < prm.Steps; s++ {
-			ap.step(ctx, false)
-		}
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("barneshut serial: %w", err)
-	}
-	return Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Checksum: ap.checksum(),
-	}, nil
+	return harness.Checksum(s), nil
 }

@@ -13,31 +13,43 @@ import (
 	"math"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
-// Variant selects the program version of Figure 16.
+// Variant indexes the program versions of Figure 16.
 type Variant int
 
 const (
-	// Base: blocks in one memory, hints ignored.
 	Base Variant = iota
-	// AffDistr: blocks distributed, affinity hints honoured.
 	AffDistr
 )
 
-// String names the variant.
-func (v Variant) String() string {
-	switch v {
-	case Base:
-		return "Base"
-	case AffDistr:
-		return "Affinity+Distr"
-	}
-	return "unknown"
+// Variants are the program versions in order.
+var Variants = []harness.Variant{
+	// Blocks in one memory, hints ignored.
+	{Name: "Base", IgnoreHints: true},
+	// Blocks distributed, affinity hints honoured.
+	{Name: "Affinity+Distr", Distribute: true},
 }
 
-// Variants lists the program versions in order.
-var Variants = []Variant{Base, AffDistr}
+func (v Variant) String() string { return Variants[v].Name }
+
+// Program declares blockcho to the registry.
+var Program = harness.Program{
+	Name:           "blockcho",
+	Rows:           Variants,
+	Served:         int(AffDistr),
+	Sizes:          map[string]int{"smoke": 64, "small": 128, "medium": 256, "large": 384},
+	ScheduleTokens: map[string]bool{"maxdiff": true},
+	TaskNames:      []string{"potrf", "trsm", "gemm", "notify"},
+	Sized: func(size int) harness.Workload {
+		p := DefaultParams()
+		if size > 0 {
+			p.N = size
+		}
+		return p
+	},
+}
 
 // Params sizes the workload.
 type Params struct {
@@ -62,13 +74,17 @@ func (p Params) normalize() (Params, error) {
 	return p, nil
 }
 
-// Result carries timing and correctness evidence.
+// Result is the correctness evidence of one run.
 type Result struct {
-	Cycles  int64
-	Report  cool.Report
 	MaxDiff float64 // vs the unblocked host reference factor
 	Blocks  int
-	Tasks   int64
+}
+
+func (r Result) Verify(serial bool) string {
+	if serial {
+		return fmt.Sprintf("maxdiff=%.2e", r.MaxDiff)
+	}
+	return fmt.Sprintf("maxdiff=%.2e blocks=%d", r.MaxDiff, r.Blocks)
 }
 
 type app struct {
@@ -83,6 +99,15 @@ type app struct {
 
 // blockIdx packs lower-triangular block coordinates (i >= j).
 func (ap *app) blockIdx(i, j int) int { return i*(i+1)/2 + j }
+
+// Build validates the parameters and lays the blocks out as version v asks.
+func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
+	p, err := p.normalize()
+	if err != nil {
+		return nil, err
+	}
+	return build(rt, p, Variants[v].Distribute), nil
+}
 
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
 	nb := prm.N / prm.B
@@ -304,83 +329,32 @@ func (ap *app) spawnGemm(ctx *cool.Ctx, i, j, k int) {
 	)
 }
 
-// Run factors the workload on procs processors under the given variant.
-func Run(procs int, v Variant, prm Params) (Result, error) {
-	return RunWith(cool.Config{Processors: procs}, v, prm)
-}
-
-// RunWith factors the workload under an explicit base configuration
-// (fault plans, retry policy, deadline); the variant's scheduling knobs
-// are applied on top.
-func RunWith(cfg cool.Config, v Variant, prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	if v == Base {
-		cfg.Sched.IgnoreHints = true
-	}
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOn(rt, v, prm)
-}
-
-// RunOn factors the workload on an existing runtime that has not run
-// yet (fresh from NewRuntime or Reset) — the serving layer's
-// warm-reuse entry point. Base's IgnoreHints knob cannot be applied to
-// an already-built runtime; its blocks stay undistributed either way.
-func RunOn(rt *cool.Runtime, v Variant, prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm, v == AffDistr)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		ctx.WaitFor(func() {
-			ap.spawnPotrf(ctx, 0)
-		})
+// Main starts the factorization at the first diagonal block; every other
+// task is released by the counters.
+func (ap *app) Main(ctx *cool.Ctx) {
+	ctx.WaitFor(func() {
+		ap.spawnPotrf(ctx, 0)
 	})
-	if err != nil {
-		return Result{}, fmt.Errorf("blockcho %v: %w", v, err)
-	}
-	return ap.finish(rt)
 }
 
-// RunSerial performs the same blocked factorization sequentially.
-func RunSerial(prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	rt, err := cool.NewRuntime(cool.Config{Processors: 1})
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm, false)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for k := 0; k < ap.nb; k++ {
-			ap.potrf(ctx, k)
-			for i := k + 1; i < ap.nb; i++ {
-				ap.trsm(ctx, i, k)
-			}
-			for j := k + 1; j < ap.nb; j++ {
-				for i := j; i < ap.nb; i++ {
-					ap.gemm(ctx, i, j, k)
-				}
+// Serial performs the same blocked factorization sequentially.
+func (ap *app) Serial(ctx *cool.Ctx) {
+	for k := 0; k < ap.nb; k++ {
+		ap.potrf(ctx, k)
+		for i := k + 1; i < ap.nb; i++ {
+			ap.trsm(ctx, i, k)
+		}
+		for j := k + 1; j < ap.nb; j++ {
+			for i := j; i < ap.nb; i++ {
+				ap.gemm(ctx, i, j, k)
 			}
 		}
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("blockcho serial: %w", err)
 	}
-	return ap.finish(rt)
 }
 
-// finish compares the blocked factor against an unblocked host-side
+// Finish compares the blocked factor against an unblocked host-side
 // Cholesky of the same matrix.
-func (ap *app) finish(rt *cool.Runtime) (Result, error) {
+func (ap *app) Finish() (harness.Evidence, error) {
 	n, b := ap.prm.N, ap.prm.B
 	ref := make([]float64, n*n)
 	for r := 0; r < n; r++ {
@@ -417,15 +391,8 @@ func (ap *app) finish(rt *cool.Runtime) (Result, error) {
 			}
 		}
 	}
-	res := Result{
-		Cycles:  rt.ElapsedCycles(),
-		Report:  rt.Report(),
-		MaxDiff: maxDiff,
-		Blocks:  len(ap.blks),
-		Tasks:   rt.Report().Total.TasksRun,
-	}
 	if maxDiff > 1e-8 {
-		return res, fmt.Errorf("blockcho: factor differs from reference by %g", maxDiff)
+		return nil, fmt.Errorf("blockcho: factor differs from reference by %g", maxDiff)
 	}
-	return res, nil
+	return Result{MaxDiff: maxDiff, Blocks: len(ap.blks)}, nil
 }

@@ -1,11 +1,41 @@
 package blockcho
 
-import "testing"
+import (
+	"testing"
+
+	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
+)
+
+type evidence = Result // embedded under its own name beside harness.Result
+
+// result is what the assertions read: the harness's uniform result plus
+// the app's evidence.
+type result struct {
+	harness.Result
+	evidence
+	Tasks int64
+}
+
+// runCfg goes through the one runner, as the registry does.
+func runCfg(cfg cool.Config, variant string, prm Params) (result, error) {
+	r, err := Program.Run(variant, prm, cfg, nil, nil)
+	if err != nil {
+		return result{}, err
+	}
+	return result{r, r.Evidence.(Result), r.Report.Total.TasksRun}, nil
+}
+
+func run(procs int, v Variant, prm Params) (result, error) {
+	return runCfg(cool.Config{Processors: procs}, v.String(), prm)
+}
+
+func runSerial(prm Params) (result, error) { return runCfg(cool.Config{}, harness.Serial, prm) }
 
 func small() Params { return Params{N: 96, B: 16} }
 
 func TestSerialFactors(t *testing.T) {
-	res, err := RunSerial(small())
+	res, err := runSerial(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,9 +48,10 @@ func TestSerialFactors(t *testing.T) {
 }
 
 func TestParallelCorrectAllVariants(t *testing.T) {
-	for _, v := range Variants {
+	for i := range Variants {
+		v := Variant(i)
 		for _, procs := range []int{1, 4, 8} {
-			res, err := Run(procs, v, small())
+			res, err := run(procs, v, small())
 			if err != nil {
 				t.Fatalf("%v/%d: %v", v, procs, err)
 			}
@@ -34,11 +65,11 @@ func TestParallelCorrectAllVariants(t *testing.T) {
 
 func TestParallelSpeedup(t *testing.T) {
 	p := Params{N: 256, B: 32}
-	ser, err := RunSerial(p)
+	ser, err := runSerial(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(8, AffDistr, p)
+	par, err := run(8, AffDistr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +80,11 @@ func TestParallelSpeedup(t *testing.T) {
 
 func TestAffinityNotWorseThanBase(t *testing.T) {
 	p := Params{N: 256, B: 32}
-	base, err := Run(16, Base, p)
+	base, err := run(16, Base, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff, err := Run(16, AffDistr, p)
+	aff, err := run(16, AffDistr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +94,17 @@ func TestAffinityNotWorseThanBase(t *testing.T) {
 }
 
 func TestBadParams(t *testing.T) {
-	if _, err := RunSerial(Params{N: 100, B: 32}); err == nil {
+	if _, err := runSerial(Params{N: 100, B: 32}); err == nil {
 		t.Fatal("indivisible N accepted")
 	}
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Run(4, AffDistr, small())
+	a, err := run(4, AffDistr, small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(4, AffDistr, small())
+	b, err := run(4, AffDistr, small())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,71 +7,60 @@ import (
 	cool "github.com/coolrts/cool"
 )
 
-// This file is the serving job catalog: the registry entries a
-// long-lived deployment (cmd/coolserve, the repo benchmark) exposes as
-// submittable job kinds, each with named size presets. The catalog
-// exists so the serving layer and the benchmark stop duplicating app
-// wiring — a job submission names (app, size) and the catalog
-// resolves the variant and workload parameters.
+// This file is the serving view of the registry: what a long-lived
+// deployment (cmd/coolserve, the repo benchmark) exposes as submittable
+// job kinds. A job submission names (app, size preset); the app's
+// declaration supplies the served variant and the workload size.
 
 // CatalogEntry describes one servable job kind.
 type CatalogEntry struct {
 	App string
 	// Variant is the program version a serving deployment runs: the
-	// app's full-affinity variant, whose hints work on a warm runtime
-	// (config-level variant knobs such as IgnoreHints cannot change
-	// after NewRuntime, so Base-style variants are not served).
+	// app's full-affinity variant, which sets no construction-time knob
+	// and so runs as declared on a warm runtime.
 	Variant string
-	// Sizes maps the preset names ("small", "medium", "large") to the
-	// app-specific size integer Run/RunOn take. Presets respect each
-	// app's divisibility constraints (ocean N%32, barneshut Bodies%64,
-	// blockcho N%32).
+	// Sizes maps the preset names to the app-specific size integer
+	// Run/RunOn take.
 	Sizes map[string]int
-}
-
-// catalog is keyed by app name. Small presets are sized so an e2e test
-// can stream hundreds of jobs through warm native runtimes in seconds.
-var catalog = map[string]CatalogEntry{
-	"pancho":     {App: "pancho", Variant: "Distr+Aff", Sizes: map[string]int{"small": 32, "medium": 64, "large": 96}},
-	"ocean":      {App: "ocean", Variant: "Distr+Aff", Sizes: map[string]int{"small": 64, "medium": 128, "large": 192}},
-	"locusroute": {App: "locusroute", Variant: "Affinity+ObjectDistr", Sizes: map[string]int{"small": 6, "medium": 12, "large": 24}},
-	"blockcho":   {App: "blockcho", Variant: "Affinity+Distr", Sizes: map[string]int{"small": 128, "medium": 256, "large": 384}},
-	"barneshut":  {App: "barneshut", Variant: "Affinity+Distr", Sizes: map[string]int{"small": 256, "medium": 1024, "large": 2048}},
-	"gauss":      {App: "gauss", Variant: "Task+Object", Sizes: map[string]int{"small": 48, "medium": 96, "large": 192}},
-	"phaseflip":  {App: "phaseflip", Variant: "Phases", Sizes: map[string]int{"small": 120, "medium": 300, "large": 600}},
 }
 
 // CatalogNames lists the servable job kinds, sorted.
 func CatalogNames() []string {
-	out := make([]string, 0, len(catalog))
-	for name := range catalog {
-		out = append(out, name)
-	}
+	out := Names()
 	sort.Strings(out)
 	return out
 }
 
 // CatalogLookup finds a servable job kind by app name.
 func CatalogLookup(app string) (CatalogEntry, bool) {
-	e, ok := catalog[app]
-	return e, ok
+	a, ok := Lookup(app)
+	if !ok {
+		return CatalogEntry{}, false
+	}
+	return CatalogEntry{App: a.Name, Variant: a.Variants[a.Served], Sizes: a.Sizes}, true
 }
 
 // CatalogSize resolves a preset name ("" means "small") to the
 // app-specific size integer.
 func CatalogSize(app, size string) (int, error) {
-	e, ok := catalog[app]
+	_, n, err := catalogJob(app, size)
+	return n, err
+}
+
+// catalogJob resolves one (app, size preset) submission.
+func catalogJob(app, size string) (App, int, error) {
+	a, ok := Lookup(app)
 	if !ok {
-		return 0, fmt.Errorf("apps: no servable job kind %q (have %v)", app, CatalogNames())
+		return App{}, 0, fmt.Errorf("apps: no servable job kind %q (have %v)", app, CatalogNames())
 	}
 	if size == "" {
 		size = "small"
 	}
-	n, ok := e.Sizes[size]
+	n, ok := a.Sizes[size]
 	if !ok {
-		return 0, fmt.Errorf("apps: %s has no size preset %q (have small, medium, large)", app, size)
+		return App{}, 0, fmt.Errorf("apps: %s has no size preset %q (have small, medium, large)", app, size)
 	}
-	return n, nil
+	return a, n, nil
 }
 
 // RunCatalogOn executes one catalog job on an existing runtime that
@@ -86,12 +75,8 @@ func RunCatalogOn(rt *cool.Runtime, app, size string) (Result, error) {
 // callers use it to skip residency bookkeeping for apps that have
 // nothing to keep resident.
 func CatalogHasPrepare(app string) bool {
-	e, ok := catalog[app]
-	if !ok {
-		return false
-	}
-	a, ok := Lookup(e.App)
-	return ok && a.Prepare != nil
+	a, ok := Lookup(app)
+	return ok && a.prepares
 }
 
 // PrepareCatalog runs a catalog job kind's analyze phase and returns
@@ -100,20 +85,9 @@ func CatalogHasPrepare(app string) bool {
 // may cache it and replay any number of (app, size) jobs through
 // RunCatalogPrepared.
 func PrepareCatalog(app, size string) (any, error) {
-	e, ok := catalog[app]
-	if !ok {
-		return nil, fmt.Errorf("apps: no servable job kind %q (have %v)", app, CatalogNames())
-	}
-	n, err := CatalogSize(app, size)
+	a, n, err := catalogJob(app, size)
 	if err != nil {
 		return nil, err
-	}
-	a, ok := Lookup(e.App)
-	if !ok {
-		return nil, fmt.Errorf("apps: catalog entry %q names unregistered app %q", app, e.App)
-	}
-	if a.Prepare == nil {
-		return nil, nil
 	}
 	return a.Prepare(n)
 }
@@ -122,20 +96,9 @@ func PrepareCatalog(app, size string) (any, error) {
 // PrepareCatalog for the same (app, size) when non-nil; a nil prep runs
 // the analyze phase inline.
 func RunCatalogPrepared(rt *cool.Runtime, app, size string, prep any) (Result, error) {
-	e, ok := catalog[app]
-	if !ok {
-		return Result{}, fmt.Errorf("apps: no servable job kind %q (have %v)", app, CatalogNames())
-	}
-	n, err := CatalogSize(app, size)
+	a, n, err := catalogJob(app, size)
 	if err != nil {
 		return Result{}, err
 	}
-	a, ok := Lookup(e.App)
-	if !ok {
-		return Result{}, fmt.Errorf("apps: catalog entry %q names unregistered app %q", app, e.App)
-	}
-	if prep != nil && a.RunOnPrepared != nil {
-		return a.RunOnPrepared(rt, e.Variant, n, prep)
-	}
-	return a.RunOn(rt, e.Variant, n)
+	return a.RunOnPrepared(rt, a.Variants[a.Served], n, prep)
 }

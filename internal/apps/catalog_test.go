@@ -48,8 +48,8 @@ func TestCatalogCoversEveryApp(t *testing.T) {
 // backend: the simulator repeats byte for byte, two native P=4 runs
 // may differ on the app's schedule-dependent tokens.
 func scheduleIgnore(backend cool.Backend, app string) map[string]bool {
-	if backend == cool.BackendNative {
-		return ScheduleTokens[app]
+	if a, ok := Lookup(app); ok && backend == cool.BackendNative {
+		return a.ScheduleTokens
 	}
 	return nil
 }

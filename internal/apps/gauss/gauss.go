@@ -14,67 +14,68 @@ import (
 	"math"
 
 	cool "github.com/coolrts/cool"
-	"github.com/coolrts/cool/internal/machine"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
-// Variant selects the affinity ablation.
+// Variant indexes the affinity ablation's points.
 type Variant int
 
 const (
-	// Base: hints ignored, columns in one memory.
 	Base Variant = iota
-	// ObjectOnly: OBJECT affinity on the destination column only.
 	ObjectOnly
-	// TaskObject: the paper's full hint pair (Figure 3).
 	TaskObject
 )
 
-// String names the variant.
-func (v Variant) String() string {
-	switch v {
-	case Base:
-		return "Base"
-	case ObjectOnly:
-		return "Object"
-	case TaskObject:
-		return "Task+Object"
-	}
-	return "unknown"
+// Variants are the ablation points in order.
+var Variants = []harness.Variant{
+	// Hints ignored, columns in one memory.
+	{Name: "Base", IgnoreHints: true},
+	// OBJECT affinity on the destination column only.
+	{Name: "Object", Distribute: true},
+	// The paper's full hint pair (Figure 3).
+	{Name: "Task+Object", Distribute: true},
 }
 
-// Variants lists the ablation points in order.
-var Variants = []Variant{Base, ObjectOnly, TaskObject}
+func (v Variant) String() string { return Variants[v].Name }
+
+// Program declares gauss to the registry.
+var Program = harness.Program{
+	Name:      "gauss",
+	Rows:      Variants,
+	Served:    int(TaskObject),
+	Sizes:     map[string]int{"smoke": 48, "small": 48, "medium": 96, "large": 192},
+	TaskNames: []string{"update"},
+	Sized: func(size int) harness.Workload {
+		p := DefaultParams()
+		if size > 0 {
+			p.N = size
+		}
+		return p
+	},
+}
 
 // Params sizes the workload.
 type Params struct {
 	N int // matrix dimension
-	// Uniform selects a bus-based uniform-memory machine instead of the
-	// clustered DASH model (the related-work comparison of §7: on such a
-	// machine affinity can only pay through cache reuse).
-	Uniform bool
 }
 
 // DefaultParams returns the standard workload.
 func DefaultParams() Params { return Params{N: 256} }
 
-func (p Params) normalize() Params {
+type app struct {
+	prm  Params
+	v    Variant // which hints Main passes
+	cols []*cool.F64
+}
+
+// Build lays the columns out as version v asks.
+func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
 	if p.N <= 0 {
 		p.N = DefaultParams().N
 	}
-	return p
-}
-
-// Result carries timing and correctness evidence.
-type Result struct {
-	Cycles   int64
-	Report   cool.Report
-	Checksum float64 // bitwise-comparable digest of the factored matrix
-	Tasks    int64
-}
-
-type app struct {
-	prm  Params
-	cols []*cool.F64
+	ap := build(rt, p, Variants[v].Distribute)
+	ap.v = Variant(v)
+	return ap, nil
 }
 
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
@@ -113,9 +114,9 @@ func (ap *app) update(ctx *cool.Ctx, j, k int) {
 	ctx.Compute(int64(2 * (n - k)))
 }
 
-// run performs the elimination: one barrier-separated step per pivot
+// Main performs the elimination: one barrier-separated step per pivot
 // column, with an update task per remaining column.
-func (ap *app) run(ctx *cool.Ctx, v Variant) {
+func (ap *app) Main(ctx *cool.Ctx) {
 	n := ap.prm.N
 	optBuf := make([]cool.SpawnOpt, 2)
 	for k := 0; k < n-1; k++ {
@@ -126,7 +127,7 @@ func (ap *app) run(ctx *cool.Ctx, v Variant) {
 				ap.update(c, k+1+i, k)
 			}, func(i int) []cool.SpawnOpt {
 				dst := ap.cols[k+1+i]
-				switch v {
+				switch ap.v {
 				case ObjectOnly:
 					optBuf[0] = cool.ObjectAffinity(dst.Base)
 					return optBuf[:1]
@@ -141,103 +142,25 @@ func (ap *app) run(ctx *cool.Ctx, v Variant) {
 	}
 }
 
-func (ap *app) checksum() float64 {
+// Serial performs the identical elimination in the main task.
+func (ap *app) Serial(ctx *cool.Ctx) {
+	for k := 0; k < ap.prm.N-1; k++ {
+		for j := k + 1; j < ap.prm.N; j++ {
+			ap.update(ctx, j, k)
+		}
+	}
+}
+
+// Finish rejects a non-finite factor and digests the rest.
+func (ap *app) Finish() (harness.Evidence, error) {
 	var s float64
 	for j, col := range ap.cols {
 		for i, v := range col.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("gauss: non-finite value in column %d", j)
+			}
 			s += v * float64((i+2*j)%17)
 		}
 	}
-	return s
-}
-
-func (ap *app) validate() error {
-	for j, col := range ap.cols {
-		for _, v := range col.Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("gauss: non-finite value in column %d", j)
-			}
-		}
-	}
-	return nil
-}
-
-// Run executes the elimination under the given variant.
-func Run(procs int, v Variant, prm Params) (Result, error) {
-	return RunWith(cool.Config{Processors: procs}, v, prm)
-}
-
-// RunWith executes the elimination under an explicit base configuration
-// (fault plans, retry policy, deadline); the variant's scheduling knobs
-// are applied on top.
-func RunWith(cfg cool.Config, v Variant, prm Params) (Result, error) {
-	prm = prm.normalize()
-	if prm.Uniform {
-		mc := machine.UniformBus(cfg.Processors)
-		cfg.Machine = &mc
-	}
-	if v == Base {
-		cfg.Sched.IgnoreHints = true
-	}
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOn(rt, v, prm)
-}
-
-// RunOn executes the elimination on an existing runtime that has not
-// run yet (fresh from NewRuntime or Reset) — the serving layer's
-// warm-reuse entry point. Config-level variant knobs (Base's
-// IgnoreHints, Params.Uniform) cannot be applied to an already-built
-// runtime; Base still runs without locality because its spawns carry
-// no affinity options and its columns are not distributed.
-func RunOn(rt *cool.Runtime, v Variant, prm Params) (Result, error) {
-	prm = prm.normalize()
-	ap := build(rt, prm, v != Base)
-	if err := rt.Run(func(ctx *cool.Ctx) { ap.run(ctx, v) }); err != nil {
-		return Result{}, fmt.Errorf("gauss %v: %w", v, err)
-	}
-	if err := ap.validate(); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Checksum: ap.checksum(),
-		Tasks:    rt.Report().Total.TasksRun,
-	}, nil
-}
-
-// RunSerial performs the identical elimination in the main task.
-func RunSerial(prm Params) (Result, error) {
-	prm = prm.normalize()
-	cfg := cool.Config{Processors: 1}
-	if prm.Uniform {
-		mc := machine.UniformBus(1)
-		cfg.Machine = &mc
-	}
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm, false)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for k := 0; k < prm.N-1; k++ {
-			for j := k + 1; j < prm.N; j++ {
-				ap.update(ctx, j, k)
-			}
-		}
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("gauss serial: %w", err)
-	}
-	if err := ap.validate(); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Checksum: ap.checksum(),
-	}, nil
+	return harness.Checksum(s), nil
 }

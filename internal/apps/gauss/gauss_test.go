@@ -1,11 +1,39 @@
 package gauss
 
-import "testing"
+import (
+	"testing"
+
+	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
+)
+
+// result is what the assertions read: the harness's uniform result plus
+// the app's evidence.
+type result struct {
+	harness.Result
+	Checksum float64
+	Tasks    int64
+}
+
+// runCfg goes through the one runner, as the registry does.
+func runCfg(cfg cool.Config, variant string, prm Params) (result, error) {
+	r, err := Program.Run(variant, prm, cfg, nil, nil)
+	if err != nil {
+		return result{}, err
+	}
+	return result{r, float64(r.Evidence.(harness.Checksum)), r.Report.Total.TasksRun}, nil
+}
+
+func run(procs int, v Variant, prm Params) (result, error) {
+	return runCfg(cool.Config{Processors: procs}, v.String(), prm)
+}
+
+func runSerial(prm Params) (result, error) { return runCfg(cool.Config{}, harness.Serial, prm) }
 
 func small() Params { return Params{N: 48} }
 
 func TestSerialRuns(t *testing.T) {
-	res, err := RunSerial(small())
+	res, err := runSerial(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,13 +45,14 @@ func TestSerialRuns(t *testing.T) {
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	// Steps are barrier-separated and each update owns its destination
 	// column, so results must be bitwise identical to serial.
-	ser, err := RunSerial(small())
+	ser, err := runSerial(small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range Variants {
+	for i := range Variants {
+		v := Variant(i)
 		for _, procs := range []int{1, 4, 8} {
-			res, err := Run(procs, v, small())
+			res, err := run(procs, v, small())
 			if err != nil {
 				t.Fatalf("%v/%d: %v", v, procs, err)
 			}
@@ -36,7 +65,7 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 
 func TestTaskCount(t *testing.T) {
 	p := small()
-	res, err := Run(4, TaskObject, p)
+	res, err := run(4, TaskObject, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +77,11 @@ func TestTaskCount(t *testing.T) {
 
 func TestAffinitySpeedsUp(t *testing.T) {
 	p := Params{N: 128}
-	base, err := Run(8, Base, p)
+	base, err := run(8, Base, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(8, TaskObject, p)
+	full, err := run(8, TaskObject, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +91,11 @@ func TestAffinitySpeedsUp(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Run(4, TaskObject, small())
+	a, err := run(4, TaskObject, small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(4, TaskObject, small())
+	b, err := run(4, TaskObject, small())
 	if err != nil {
 		t.Fatal(err)
 	}

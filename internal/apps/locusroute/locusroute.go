@@ -18,36 +18,47 @@ import (
 	"math/rand"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
-// Variant selects the program version of Figure 10.
+// Variant indexes the program versions of Figure 10.
 type Variant int
 
 const (
-	// Base: wire tasks scheduled round-robin without regard for locality.
 	Base Variant = iota
-	// Affinity: processor affinity by the wire's CostArray region.
 	Affinity
-	// AffinityDistr: Affinity plus physical distribution of the
-	// CostArray regions across the processors' memories.
 	AffinityDistr
 )
 
-// String names the variant as in the figure legend.
-func (v Variant) String() string {
-	switch v {
-	case Base:
-		return "Base"
-	case Affinity:
-		return "Affinity"
-	case AffinityDistr:
-		return "Affinity+ObjectDistr"
-	}
-	return "unknown"
+// Variants are the program versions in order.
+var Variants = []harness.Variant{
+	// Wire tasks scheduled round-robin without regard for locality.
+	{Name: "Base", IgnoreHints: true},
+	// Processor affinity by the wire's CostArray region.
+	{Name: "Affinity"},
+	// Affinity plus physical distribution of the CostArray regions
+	// across the processors' memories.
+	{Name: "Affinity+ObjectDistr", Distribute: true},
 }
 
-// Variants lists the program versions in order.
-var Variants = []Variant{Base, Affinity, AffinityDistr}
+func (v Variant) String() string { return Variants[v].Name }
+
+// Program declares locusroute to the registry.
+var Program = harness.Program{
+	Name:           "locusroute",
+	Rows:           Variants,
+	Served:         int(AffinityDistr),
+	Sizes:          map[string]int{"smoke": 6, "small": 6, "medium": 12, "large": 24},
+	ScheduleTokens: map[string]bool{"cost": true},
+	TaskNames:      []string{"route"},
+	Sized: func(size int) harness.Workload {
+		p := DefaultParams()
+		if size > 0 {
+			p.WiresPer = size
+		}
+		return p
+	},
+}
 
 // Params sizes the synthetic circuit.
 type Params struct {
@@ -100,18 +111,23 @@ type wire struct {
 	horizFirst     bool // which L-shape is laid
 }
 
-// Result carries timing, correctness evidence and the routing quality.
+// Result is the correctness evidence of one run and its routing quality.
 type Result struct {
-	Cycles     int64
-	Report     cool.Report
 	TotalCost  int64 // sum over cells of h²+v² (congestion metric)
 	Wires      int
 	Consistent bool // CostArray rebuilt from final routes matches
-	Tasks      int64
+}
+
+func (r Result) Verify(serial bool) string {
+	if serial {
+		return fmt.Sprintf("consistent=%v cost=%d", r.Consistent, r.TotalCost)
+	}
+	return fmt.Sprintf("consistent=%v cost=%d wires=%d", r.Consistent, r.TotalCost, r.Wires)
 }
 
 type app struct {
 	prm   Params
+	procs int       // wire tasks go to region mod procs
 	cost  *cool.I64 // column-major: cell (x,y) = (x*H+y)*2 { +0: h, +1: v }
 	wires []wire
 }
@@ -138,8 +154,17 @@ func generate(prm Params) []wire {
 	return wires
 }
 
+// Build validates the parameters and lays the CostArray out as version v asks.
+func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
+	p, err := p.normalize()
+	if err != nil {
+		return nil, err
+	}
+	return build(rt, p, Variants[v].Distribute), nil
+}
+
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
-	a := &app{prm: prm, wires: generate(prm)}
+	a := &app{prm: prm, procs: rt.Processors(), wires: generate(prm)}
 	a.cost = rt.NewI64Pages(prm.W*prm.H*2, 0)
 	if distribute {
 		strip := prm.W / prm.Regions
@@ -230,92 +255,33 @@ func (ap *app) route(ctx *cool.Ctx, w *wire) {
 	ap.lay(ctx, w, +1)
 }
 
-// iteration routes every wire once inside a waitfor.
-func (ap *app) iteration(ctx *cool.Ctx, procs int) {
-	optBuf := make([]cool.SpawnOpt, 1)
-	ctx.WaitFor(func() {
-		ctx.SpawnN("route", len(ap.wires), func(c *cool.Ctx, i int) {
-			ap.route(c, &ap.wires[i])
-		}, func(i int) []cool.SpawnOpt {
-			optBuf[0] = cool.OnProcessor(ap.region(&ap.wires[i]) % procs)
-			return optBuf
+// Main routes every wire once per iteration, each inside a waitfor.
+func (ap *app) Main(ctx *cool.Ctx) {
+	for it := 0; it < ap.prm.Iterations; it++ {
+		optBuf := make([]cool.SpawnOpt, 1)
+		ctx.WaitFor(func() {
+			ctx.SpawnN("route", len(ap.wires), func(c *cool.Ctx, i int) {
+				ap.route(c, &ap.wires[i])
+			}, func(i int) []cool.SpawnOpt {
+				optBuf[0] = cool.OnProcessor(ap.region(&ap.wires[i]) % ap.procs)
+				return optBuf
+			})
 		})
-	})
+	}
 }
 
-// Run executes the router under the given variant.
-func Run(procs int, v Variant, prm Params) (Result, error) {
-	return RunWith(cool.Config{Processors: procs}, v, prm)
-}
-
-// RunWith executes the router under an explicit base configuration
-// (fault plans, retry policy, deadline); the variant's scheduling knobs
-// are applied on top.
-func RunWith(cfg cool.Config, v Variant, prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	if v == Base {
-		cfg.Sched.IgnoreHints = true
-	}
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOn(rt, v, prm)
-}
-
-// RunOn routes the workload on an existing runtime that has not run
-// yet (fresh from NewRuntime or Reset) — the serving layer's
-// warm-reuse entry point. Base's IgnoreHints knob cannot be applied to
-// an already-built runtime; its spawns carry no affinity options
-// either way.
-func RunOn(rt *cool.Runtime, v Variant, prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	procs := rt.Processors()
-	ap := build(rt, prm, v == AffinityDistr)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for it := 0; it < prm.Iterations; it++ {
-			ap.iteration(ctx, procs)
+// Serial routes all wires sequentially in the main task.
+func (ap *app) Serial(ctx *cool.Ctx) {
+	for it := 0; it < ap.prm.Iterations; it++ {
+		for i := range ap.wires {
+			ap.route(ctx, &ap.wires[i])
 		}
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("locusroute %v: %w", v, err)
 	}
-	return ap.finish(rt), nil
 }
 
-// RunSerial routes all wires sequentially in the main task.
-func RunSerial(prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	rt, err := cool.NewRuntime(cool.Config{Processors: 1})
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm, false)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for it := 0; it < prm.Iterations; it++ {
-			for i := range ap.wires {
-				ap.route(ctx, &ap.wires[i])
-			}
-		}
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("locusroute serial: %w", err)
-	}
-	return ap.finish(rt), nil
-}
-
-// finish verifies that the incremental CostArray equals one rebuilt from
-// the final routes, and computes the congestion metric.
-func (ap *app) finish(rt *cool.Runtime) Result {
+// Finish checks the incremental CostArray against one rebuilt from the
+// final routes, and computes the congestion metric.
+func (ap *app) Finish() (harness.Evidence, error) {
 	rebuilt := make([]int64, len(ap.cost.Data))
 	for i := range ap.wires {
 		w := &ap.wires[i]
@@ -342,12 +308,5 @@ func (ap *app) finish(rt *cool.Runtime) Result {
 		h, v := ap.cost.Data[i], ap.cost.Data[i+1]
 		total += h*h + v*v
 	}
-	return Result{
-		Cycles:     rt.ElapsedCycles(),
-		Report:     rt.Report(),
-		TotalCost:  total,
-		Wires:      len(ap.wires),
-		Consistent: consistent,
-		Tasks:      rt.Report().Total.TasksRun,
-	}
+	return Result{TotalCost: total, Wires: len(ap.wires), Consistent: consistent}, nil
 }

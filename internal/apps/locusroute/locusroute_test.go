@@ -1,13 +1,43 @@
 package locusroute
 
-import "testing"
+import (
+	"testing"
+
+	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
+)
+
+type evidence = Result // embedded under its own name beside harness.Result
+
+// result is what the assertions read: the harness's uniform result plus
+// the app's evidence.
+type result struct {
+	harness.Result
+	evidence
+	Tasks int64
+}
+
+// runCfg goes through the one runner, as the registry does.
+func runCfg(cfg cool.Config, variant string, prm Params) (result, error) {
+	r, err := Program.Run(variant, prm, cfg, nil, nil)
+	if err != nil {
+		return result{}, err
+	}
+	return result{r, r.Evidence.(Result), r.Report.Total.TasksRun}, nil
+}
+
+func run(procs int, v Variant, prm Params) (result, error) {
+	return runCfg(cool.Config{Processors: procs}, v.String(), prm)
+}
+
+func runSerial(prm Params) (result, error) { return runCfg(cool.Config{}, harness.Serial, prm) }
 
 func small() Params {
 	return Params{W: 128, H: 32, Regions: 8, WiresPer: 12, CrossFrac: 0.1, Iterations: 2, Seed: 3}
 }
 
 func TestSerialConsistent(t *testing.T) {
-	res, err := RunSerial(small())
+	res, err := runSerial(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,9 +50,10 @@ func TestSerialConsistent(t *testing.T) {
 }
 
 func TestAllVariantsConsistent(t *testing.T) {
-	for _, v := range Variants {
+	for i := range Variants {
+		v := Variant(i)
 		for _, procs := range []int{1, 4, 8} {
-			res, err := Run(procs, v, small())
+			res, err := run(procs, v, small())
 			if err != nil {
 				t.Fatalf("%v/%d: %v", v, procs, err)
 			}
@@ -41,7 +72,7 @@ func TestAffinityKeepsTasksAtHome(t *testing.T) {
 	// processor under affinity scheduling.
 	p := DefaultParams()
 	p.WiresPer = 24
-	res, err := Run(8, Affinity, p)
+	res, err := run(8, Affinity, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +86,11 @@ func TestAffinityReducesMisses(t *testing.T) {
 	// substantially versus round-robin.
 	p := DefaultParams()
 	p.WiresPer = 24
-	base, err := Run(8, Base, p)
+	base, err := run(8, Base, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff, err := Run(8, Affinity, p)
+	aff, err := run(8, Affinity, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +105,11 @@ func TestObjectDistrRaisesLocalFraction(t *testing.T) {
 	// miss count roughly unchanged but services more misses locally.
 	p := DefaultParams()
 	p.WiresPer = 24
-	aff, err := Run(8, Affinity, p)
+	aff, err := run(8, Affinity, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	distr, err := Run(8, AffinityDistr, p)
+	distr, err := run(8, AffinityDistr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +120,17 @@ func TestObjectDistrRaisesLocalFraction(t *testing.T) {
 }
 
 func TestBadParams(t *testing.T) {
-	if _, err := RunSerial(Params{W: 100, Regions: 16, H: 32, WiresPer: 4, Iterations: 1, Seed: 1}); err == nil {
+	if _, err := runSerial(Params{W: 100, Regions: 16, H: 32, WiresPer: 4, Iterations: 1, Seed: 1}); err == nil {
 		t.Fatal("W not divisible by Regions accepted")
 	}
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Run(4, Affinity, small())
+	a, err := run(4, Affinity, small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(4, Affinity, small())
+	b, err := run(4, Affinity, small())
 	if err != nil {
 		t.Fatal(err)
 	}

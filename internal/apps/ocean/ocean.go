@@ -12,35 +12,45 @@ import (
 	"fmt"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
-// Variant selects the program version.
+// Variant indexes the program versions.
 type Variant int
 
 const (
-	// Base: regions undistributed (one memory), hints ignored.
 	Base Variant = iota
-	// Distr: regions distributed round-robin, hints still ignored.
 	Distr
-	// DistrAff: distribution plus default region affinity (Figure 5).
 	DistrAff
 )
 
-// String names the variant.
-func (v Variant) String() string {
-	switch v {
-	case Base:
-		return "Base"
-	case Distr:
-		return "Distr"
-	case DistrAff:
-		return "Distr+Aff"
-	}
-	return "unknown"
+// Variants are the program versions in order.
+var Variants = []harness.Variant{
+	// Regions undistributed (one memory), hints ignored.
+	{Name: "Base", IgnoreHints: true},
+	// Regions distributed round-robin, hints still ignored.
+	{Name: "Distr", IgnoreHints: true, Distribute: true},
+	// Distribution plus default region affinity (Figure 5).
+	{Name: "Distr+Aff", Distribute: true},
 }
 
-// Variants lists the program versions in order.
-var Variants = []Variant{Base, Distr, DistrAff}
+func (v Variant) String() string { return Variants[v].Name }
+
+// Program declares ocean to the registry.
+var Program = harness.Program{
+	Name:      "ocean",
+	Rows:      Variants,
+	Served:    int(DistrAff),
+	Sizes:     map[string]int{"smoke": 64, "small": 64, "medium": 128, "large": 192},
+	TaskNames: []string{"laplace", "accumulate"},
+	Sized: func(size int) harness.Workload {
+		p := DefaultParams()
+		if size > 0 {
+			p.N = size
+		}
+		return p
+	},
+}
 
 // Params sizes the workload.
 type Params struct {
@@ -76,17 +86,18 @@ func (p Params) normalize() (Params, error) {
 	return p, nil
 }
 
-// Result carries timing and correctness evidence.
-type Result struct {
-	Cycles   int64
-	Report   cool.Report
-	Checksum float64
-	Tasks    int64
-}
-
 type app struct {
 	prm   Params
 	grids []*cool.F64
+}
+
+// Build validates the parameters and lays the grids out as version v asks.
+func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
+	p, err := p.normalize()
+	if err != nil {
+		return nil, err
+	}
+	return build(rt, p, Variants[v].Distribute), nil
 }
 
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
@@ -169,9 +180,9 @@ func (ap *app) gridOp(ctx *cool.Ctx, name string, dstGrid int, body func(c *cool
 	})
 }
 
-// run executes the timestep pipeline: a chain of stencil ops through the
+// Main executes the timestep pipeline: a chain of stencil ops through the
 // grids followed by an inter-grid accumulation, all barrier-separated.
-func (ap *app) run(ctx *cool.Ctx) {
+func (ap *app) Main(ctx *cool.Ctx) {
 	for s := 0; s < ap.prm.Steps; s++ {
 		for g := 1; g < ap.prm.Grids; g++ {
 			src, dst := ap.grids[g-1], ap.grids[g]
@@ -187,8 +198,8 @@ func (ap *app) run(ctx *cool.Ctx) {
 	}
 }
 
-// runSerial performs the identical computation in the main task.
-func (ap *app) runSerial(ctx *cool.Ctx) {
+// Serial performs the identical computation in the main task.
+func (ap *app) Serial(ctx *cool.Ctx) {
 	for s := 0; s < ap.prm.Steps; s++ {
 		for g := 1; g < ap.prm.Grids; g++ {
 			for r := 0; r < ap.prm.Regions; r++ {
@@ -201,78 +212,13 @@ func (ap *app) runSerial(ctx *cool.Ctx) {
 	}
 }
 
-func (ap *app) checksum() float64 {
+// Finish digests every grid.
+func (ap *app) Finish() (harness.Evidence, error) {
 	var sum float64
 	for _, g := range ap.grids {
 		for _, v := range g.Data {
 			sum += v
 		}
 	}
-	return sum
-}
-
-// Run executes the workload under the given variant.
-func Run(procs int, v Variant, prm Params) (Result, error) {
-	return RunWith(cool.Config{Processors: procs}, v, prm)
-}
-
-// RunWith executes the workload under an explicit base configuration
-// (fault plans, retry policy, deadline); the variant's scheduling knobs
-// are applied on top.
-func RunWith(cfg cool.Config, v Variant, prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	if v != DistrAff {
-		cfg.Sched.IgnoreHints = true
-	}
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOn(rt, v, prm)
-}
-
-// RunOn executes the solver on an existing runtime that has not run yet
-// (fresh from NewRuntime or Reset) — the serving layer's warm-reuse
-// entry point. The IgnoreHints knob the non-affine variants would set
-// at config time cannot be applied to an already-built runtime, so
-// their hints are honoured here; DistrAff is unaffected.
-func RunOn(rt *cool.Runtime, v Variant, prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm, v != Base)
-	if err := rt.Run(ap.run); err != nil {
-		return Result{}, fmt.Errorf("ocean %v: %w", v, err)
-	}
-	return Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Checksum: ap.checksum(),
-		Tasks:    rt.Report().Total.TasksRun,
-	}, nil
-}
-
-// RunSerial executes the serial reference on one processor.
-func RunSerial(prm Params) (Result, error) {
-	prm, err := prm.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	rt, err := cool.NewRuntime(cool.Config{Processors: 1})
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm, false)
-	if err := rt.Run(ap.runSerial); err != nil {
-		return Result{}, fmt.Errorf("ocean serial: %w", err)
-	}
-	return Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Checksum: ap.checksum(),
-	}, nil
+	return harness.Checksum(sum), nil
 }

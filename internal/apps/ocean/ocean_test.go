@@ -1,11 +1,39 @@
 package ocean
 
-import "testing"
+import (
+	"testing"
+
+	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
+)
+
+// result is what the assertions read: the harness's uniform result plus
+// the app's evidence.
+type result struct {
+	harness.Result
+	Checksum float64
+	Tasks    int64
+}
+
+// runCfg goes through the one runner, as the registry does.
+func runCfg(cfg cool.Config, variant string, prm Params) (result, error) {
+	r, err := Program.Run(variant, prm, cfg, nil, nil)
+	if err != nil {
+		return result{}, err
+	}
+	return result{r, float64(r.Evidence.(harness.Checksum)), r.Report.Total.TasksRun}, nil
+}
+
+func run(procs int, v Variant, prm Params) (result, error) {
+	return runCfg(cool.Config{Processors: procs}, v.String(), prm)
+}
+
+func runSerial(prm Params) (result, error) { return runCfg(cool.Config{}, harness.Serial, prm) }
 
 func small() Params { return Params{N: 64, Regions: 8, Grids: 3, Steps: 2} }
 
 func TestSerialRuns(t *testing.T) {
-	res, err := RunSerial(small())
+	res, err := runSerial(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,13 +46,14 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 	// Stencils read one grid and write another with a barrier between
 	// operations, so the parallel result must match the serial result
 	// exactly, for every variant and processor count.
-	ser, err := RunSerial(small())
+	ser, err := runSerial(small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range Variants {
+	for i := range Variants {
+		v := Variant(i)
 		for _, procs := range []int{1, 4, 8} {
-			res, err := Run(procs, v, small())
+			res, err := run(procs, v, small())
 			if err != nil {
 				t.Fatalf("%v/%d: %v", v, procs, err)
 			}
@@ -37,7 +66,7 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 
 func TestRegionTasksSpawned(t *testing.T) {
 	p := small()
-	res, err := Run(4, DistrAff, p)
+	res, err := run(4, DistrAff, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +78,11 @@ func TestRegionTasksSpawned(t *testing.T) {
 
 func TestDistrAffImprovesLocality(t *testing.T) {
 	p := Params{N: 128, Regions: 16, Grids: 4, Steps: 2}
-	base, err := Run(8, Base, p)
+	base, err := run(8, Base, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff, err := Run(8, DistrAff, p)
+	aff, err := run(8, DistrAff, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +98,11 @@ func TestDistrAffImprovesLocality(t *testing.T) {
 
 func TestParallelSpeedup(t *testing.T) {
 	p := Params{N: 128, Regions: 16, Grids: 4, Steps: 2}
-	ser, err := RunSerial(p)
+	ser, err := runSerial(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(8, DistrAff, p)
+	par, err := run(8, DistrAff, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,20 +113,20 @@ func TestParallelSpeedup(t *testing.T) {
 }
 
 func TestBadParamsRejected(t *testing.T) {
-	if _, err := RunSerial(Params{N: 65, Regions: 8, Grids: 3, Steps: 1}); err == nil {
+	if _, err := runSerial(Params{N: 65, Regions: 8, Grids: 3, Steps: 1}); err == nil {
 		t.Fatal("indivisible N accepted")
 	}
-	if _, err := RunSerial(Params{N: 64, Regions: 8, Grids: 1, Steps: 1}); err == nil {
+	if _, err := runSerial(Params{N: 64, Regions: 8, Grids: 1, Steps: 1}); err == nil {
 		t.Fatal("single grid accepted")
 	}
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Run(4, DistrAff, small())
+	a, err := run(4, DistrAff, small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(4, DistrAff, small())
+	b, err := run(4, DistrAff, small())
 	if err != nil {
 		t.Fatal(err)
 	}

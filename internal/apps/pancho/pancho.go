@@ -18,40 +18,51 @@ import (
 	"sort"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 	"github.com/coolrts/cool/internal/sparse"
 )
 
-// Variant selects the program version of Figure 14.
+// Variant indexes the program versions of Figure 14.
 type Variant int
 
 const (
-	// Base: all panels in one memory, scheduling ignores hints.
 	Base Variant = iota
-	// Distr: panels distributed round-robin, scheduling ignores hints.
 	Distr
-	// DistrAff: distribution plus affinity scheduling.
 	DistrAff
-	// DistrAffCluster: DistrAff with stealing restricted to the cluster.
 	DistrAffCluster
 )
 
-// String names the variant as in the paper's figure legend.
-func (v Variant) String() string {
-	switch v {
-	case Base:
-		return "Base"
-	case Distr:
-		return "Distr"
-	case DistrAff:
-		return "Distr+Aff"
-	case DistrAffCluster:
-		return "Distr+Aff+ClusterStealing"
-	}
-	return "unknown"
+// Variants are the figure's program versions in order, named as in its
+// legend.
+var Variants = []harness.Variant{
+	// All panels in one memory, scheduling ignores hints.
+	{Name: "Base", IgnoreHints: true},
+	// Panels distributed round-robin, scheduling ignores hints.
+	{Name: "Distr", IgnoreHints: true, Distribute: true},
+	// Distribution plus affinity scheduling.
+	{Name: "Distr+Aff", Distribute: true},
+	// Distr+Aff with stealing restricted to the cluster.
+	{Name: "Distr+Aff+ClusterStealing", Distribute: true, ClusterStealingOnly: true},
 }
 
-// Variants lists the figure's program versions in order.
-var Variants = []Variant{Base, Distr, DistrAff, DistrAffCluster}
+func (v Variant) String() string { return Variants[v].Name }
+
+// Program declares pancho to the registry.
+var Program = harness.Program{
+	Name:           "pancho",
+	Rows:           Variants,
+	Served:         int(DistrAff),
+	Sizes:          map[string]int{"smoke": 20, "small": 32, "medium": 64, "large": 96},
+	ScheduleTokens: map[string]bool{"residual": true, "maxdiff": true},
+	TaskNames:      []string{"update", "complete"},
+	Sized: func(size int) harness.Workload {
+		p := DefaultParams()
+		if size > 0 {
+			p.Grid = size
+		}
+		return p
+	},
+}
 
 // Params sizes the workload.
 type Params struct {
@@ -79,19 +90,23 @@ func (p Params) normalize() Params {
 	return p
 }
 
-// Result carries timing, counters and correctness evidence for one run.
+// Result is the correctness evidence of one run.
 type Result struct {
-	Cycles   int64
-	Report   cool.Report
 	Residual float64 // ‖LLᵀx − Ax‖∞ / ‖Ax‖∞
 	MaxDiff  float64 // vs the serial reference factor
 	Panels   int
-	Tasks    int64
+}
+
+func (r Result) Verify(serial bool) string {
+	if serial {
+		return fmt.Sprintf("residual=%.2e", r.Residual)
+	}
+	return fmt.Sprintf("residual=%.2e maxdiff=%.2e panels=%d", r.Residual, r.MaxDiff, r.Panels)
 }
 
 // app is the per-run state shared by the tasks.
 type app struct {
-	rt        *cool.Runtime
+	prep      *Prep
 	ps        *sparse.PanelSet
 	dsts      [][]int32
 	remaining []int32
@@ -116,12 +131,9 @@ type Prep struct {
 	ref  *sparse.Factor
 }
 
-// Params reports the (normalized) workload this Prep was built for.
-func (p *Prep) Params() Params { return p.prm }
-
 // Prepare runs the analyze phase: everything a factorization needs that
 // depends only on the workload parameters, not on the runtime.
-func Prepare(prm Params) (*Prep, error) {
+func (prm Params) Prepare() (any, error) {
 	prm = prm.normalize()
 	a := sparse.GridLaplacianND(prm.Grid)
 	symb := sparse.Analyze(a)
@@ -134,22 +146,33 @@ func Prepare(prm Params) (*Prep, error) {
 	return &Prep{prm: prm, a: a, ps: ps, dsts: dsts, nupd: nupd, ref: ref}, nil
 }
 
-// build prepares the matrix, panel partition and simulated-memory layout.
-func build(rt *cool.Runtime, prm Params, distribute bool) (*app, *sparse.Sym) {
-	prep, err := Prepare(prm)
-	if err != nil {
-		panic(err) // Cholesky of the grid Laplacian cannot fail: it is SPD
+// Build lays the workload out as version v asks, reusing a handle from
+// Prepare when the caller kept one (the serving layer's resident-space
+// fast path) and running the analyze phase inline otherwise.
+func (prm Params) Build(rt *cool.Runtime, v int, prep any) (harness.Instance, error) {
+	if prep == nil {
+		var err error
+		if prep, err = prm.Prepare(); err != nil {
+			return nil, err
+		}
 	}
-	return buildPrep(rt, prep, distribute), prep.a
+	pp, ok := prep.(*Prep)
+	if !ok {
+		return nil, fmt.Errorf("pancho: prepared handle has type %T, want *pancho.Prep", prep)
+	}
+	if pp.prm != prm.normalize() {
+		return nil, fmt.Errorf("pancho: prep built for %+v, job wants %+v", pp.prm, prm.normalize())
+	}
+	return build(rt, pp, Variants[v].Distribute), nil
 }
 
-// buildPrep lays a prepared workload out in the runtime's memory. The
-// Prep is shared and stays read-only: only the update countdown is
-// copied per run.
-func buildPrep(rt *cool.Runtime, prep *Prep, distribute bool) *app {
+// build lays a prepared workload out in the runtime's memory. The Prep
+// is shared and stays read-only: only the update countdown is copied
+// per run.
+func build(rt *cool.Runtime, prep *Prep, distribute bool) *app {
 	ps := prep.ps
 	ap := &app{
-		rt:        rt,
+		prep:      prep,
 		ps:        ps,
 		dsts:      prep.dsts,
 		remaining: append([]int32(nil), prep.nupd...),
@@ -304,76 +327,11 @@ func (ap *app) spawnUpdate(ctx *cool.Ctx, dst, src int) {
 	)
 }
 
-// Run factors the workload on procs processors under the given variant
-// and verifies the factor against the serial reference.
-func Run(procs int, v Variant, prm Params) (Result, error) {
-	return RunWith(cool.Config{Processors: procs}, v, prm)
-}
-
-// RunWith factors the workload under an explicit base configuration
-// (fault plans, retry policy, deadline); the variant's scheduling knobs
-// are applied on top.
-func RunWith(cfg cool.Config, v Variant, prm Params) (Result, error) {
-	switch v {
-	case Base, Distr:
-		cfg.Sched.IgnoreHints = true
-	case DistrAffCluster:
-		cfg.Sched.ClusterStealingOnly = true
-	}
-	return RunConfig(cfg, v != Base, prm)
-}
-
-// RunCustom factors the workload under an explicit scheduling policy
-// (used by the ablation experiments: queue-array size, steal policy).
-func RunCustom(procs int, sched cool.SchedPolicy, distribute bool, prm Params) (Result, error) {
-	return RunConfig(cool.Config{Processors: procs, Sched: sched}, distribute, prm)
-}
-
-// RunConfig factors the workload under a fully explicit runtime
-// configuration (used by the machine-sensitivity experiments).
-func RunConfig(cfg cool.Config, distribute bool, prm Params) (Result, error) {
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return runBuilt(rt, distribute, prm)
-}
-
-// RunOn factors the workload on an existing runtime that has not run
-// yet (fresh from NewRuntime or Reset) — the serving layer's
-// warm-reuse entry point. The config-level variant knobs (IgnoreHints
-// for Base/Distr, ClusterStealingOnly for DistrAffCluster) cannot be
-// applied to an already-built runtime; panel distribution and the
-// affinity hints still follow the variant.
-func RunOn(rt *cool.Runtime, v Variant, prm Params) (Result, error) {
-	return runBuilt(rt, v != Base, prm)
-}
-
-func runBuilt(rt *cool.Runtime, distribute bool, prm Params) (Result, error) {
-	prep, err := Prepare(prm)
-	if err != nil {
-		return Result{}, err
-	}
-	return runPrepared(rt, distribute, prep)
-}
-
-// RunOnPrep factors like RunOn but reuses prep's analyze phase — the
-// serving layer's resident-space fast path. prm must match the
-// parameters prep was built for.
-func RunOnPrep(rt *cool.Runtime, v Variant, prm Params, prep *Prep) (Result, error) {
-	if prep == nil {
-		return RunOn(rt, v, prm)
-	}
-	if prep.prm != prm.normalize() {
-		return Result{}, fmt.Errorf("pancho: prep built for %+v, job wants %+v", prep.prm, prm.normalize())
-	}
-	return runPrepared(rt, v != Base, prep)
-}
-
-func runPrepared(rt *cool.Runtime, distribute bool, prep *Prep) (Result, error) {
-	ap := buildPrep(rt, prep, distribute)
-	// The initially ready panels are collected before the first spawn:
-	// once a complete task exists, its updates decrement remaining[]
+// Main seeds the initially ready panels and waits for the update DAG to
+// drain inside one waitfor.
+func (ap *app) Main(ctx *cool.Ctx) {
+	// The ready panels are collected before the first spawn: once a
+	// complete task exists, its updates decrement remaining[]
 	// concurrently, and a panel whose count reached zero that way has
 	// already been completed by the update that zeroed it.
 	var ready []int
@@ -382,45 +340,26 @@ func runPrepared(rt *cool.Runtime, distribute bool, prep *Prep) (Result, error) 
 			ready = append(ready, p.ID)
 		}
 	}
-	err := rt.Run(func(ctx *cool.Ctx) {
-		ctx.WaitFor(func() {
-			for _, d := range ready {
-				ap.spawnComplete(ctx, d)
-			}
-		})
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("pancho custom: %w", err)
-	}
-	return ap.finish(prep.a, rt, prep.ref)
-}
-
-// RunSerial factors the same workload in a single task on one processor:
-// the speedup denominator (no task creation or synchronization cost).
-func RunSerial(prm Params) (Result, error) {
-	rt, err := cool.NewRuntime(cool.Config{Processors: 1})
-	if err != nil {
-		return Result{}, err
-	}
-	ap, a := build(rt, prm, false)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for d := range ap.ps.Panels {
-			ap.complete(ctx, d)
-			for _, dst := range ap.dsts[d] {
-				ap.applyUpdate(ctx, int(dst), d)
-			}
+	ctx.WaitFor(func() {
+		for _, d := range ready {
+			ap.spawnComplete(ctx, d)
 		}
 	})
-	if err != nil {
-		return Result{}, fmt.Errorf("pancho serial: %w", err)
-	}
-	return ap.finish(a, rt, nil)
 }
 
-// finish extracts the factor's true entries and verifies them against
-// the serial reference — ref when the caller prepared one, computed
-// fresh otherwise.
-func (ap *app) finish(a *sparse.Sym, rt *cool.Runtime, ref *sparse.Factor) (Result, error) {
+// Serial factors the same workload in a single task on one processor.
+func (ap *app) Serial(ctx *cool.Ctx) {
+	for d := range ap.ps.Panels {
+		ap.complete(ctx, d)
+		for _, dst := range ap.dsts[d] {
+			ap.applyUpdate(ctx, int(dst), d)
+		}
+	}
+}
+
+// Finish extracts the factor's true entries and verifies them against
+// the prepared serial reference.
+func (ap *app) Finish() (harness.Evidence, error) {
 	ps := ap.ps
 	symb := ps.S
 	f := &sparse.Factor{S: symb, Val: make([]float64, symb.LNNZ())}
@@ -432,31 +371,21 @@ func (ap *app) finish(a *sparse.Sym, rt *cool.Runtime, ref *sparse.Factor) (Resu
 		for q, r := range symb.LCol(j) {
 			pos := ps.RowPos(p, j, r)
 			if pos < 0 {
-				return Result{}, fmt.Errorf("pancho: true entry (%d,%d) missing from stored structure", r, j)
+				return nil, fmt.Errorf("pancho: true entry (%d,%d) missing from stored structure", r, j)
 			}
 			f.Val[base+int64(q)] = ap.arrs[pid].Data[off+pos]
 		}
 	}
 	res := Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Residual: sparse.ResidualNorm(a, f),
+		Residual: sparse.ResidualNorm(ap.prep.a, f),
+		MaxDiff:  sparse.MaxDiff(ap.prep.ref, f),
 		Panels:   len(ps.Panels),
-		Tasks:    rt.Report().Total.TasksRun,
 	}
-	if ref == nil {
-		var err error
-		ref, err = sparse.Cholesky(a, symb)
-		if err != nil {
-			return res, err
-		}
-	}
-	res.MaxDiff = sparse.MaxDiff(ref, f)
 	if res.Residual > 1e-9 {
-		return res, fmt.Errorf("pancho: residual %g too large", res.Residual)
+		return nil, fmt.Errorf("pancho: residual %g too large", res.Residual)
 	}
 	if res.MaxDiff > 1e-9 {
-		return res, fmt.Errorf("pancho: factor differs from serial reference by %g", res.MaxDiff)
+		return nil, fmt.Errorf("pancho: factor differs from serial reference by %g", res.MaxDiff)
 	}
 	return res, nil
 }
@@ -468,16 +397,12 @@ func PaddingZero(prm Params) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ap, _ := build(rt, prm, false)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for d := range ap.ps.Panels {
-			ap.complete(ctx, d)
-			for _, dst := range ap.dsts[d] {
-				ap.applyUpdate(ctx, int(dst), d)
-			}
-		}
-	})
+	inst, err := prm.Build(rt, int(Base), nil)
 	if err != nil {
+		return false, err
+	}
+	ap := inst.(*app)
+	if err := rt.Run(ap.Serial); err != nil {
 		return false, err
 	}
 	ps := ap.ps

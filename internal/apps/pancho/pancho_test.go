@@ -4,13 +4,39 @@ import (
 	"testing"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 	"github.com/coolrts/cool/internal/sparse"
 )
+
+type evidence = Result // embedded under its own name beside harness.Result
+
+// result is what the assertions read: the harness's uniform result plus
+// the app's evidence.
+type result struct {
+	harness.Result
+	evidence
+	Tasks int64
+}
+
+// runCfg goes through the one runner, as the registry does.
+func runCfg(cfg cool.Config, variant string, prm Params) (result, error) {
+	r, err := Program.Run(variant, prm, cfg, nil, nil)
+	if err != nil {
+		return result{}, err
+	}
+	return result{r, r.Evidence.(Result), r.Report.Total.TasksRun}, nil
+}
+
+func run(procs int, v Variant, prm Params) (result, error) {
+	return runCfg(cool.Config{Processors: procs}, v.String(), prm)
+}
+
+func runSerial(prm Params) (result, error) { return runCfg(cool.Config{}, harness.Serial, prm) }
 
 func small() Params { return Params{Grid: 12, MaxPanel: 4} }
 
 func TestSerialFactors(t *testing.T) {
-	res, err := RunSerial(small())
+	res, err := runSerial(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +52,10 @@ func TestSerialFactors(t *testing.T) {
 }
 
 func TestAllVariantsCorrect(t *testing.T) {
-	for _, v := range Variants {
+	for i := range Variants {
+		v := Variant(i)
 		for _, procs := range []int{1, 4, 8} {
-			res, err := Run(procs, v, small())
+			res, err := run(procs, v, small())
 			if err != nil {
 				t.Fatalf("%v procs=%d: %v", v, procs, err)
 			}
@@ -42,11 +69,11 @@ func TestAllVariantsCorrect(t *testing.T) {
 func TestParallelBeatsSerialElapsed(t *testing.T) {
 	// Needs a workload big enough to amortize task overheads.
 	p := Params{Grid: 64, MaxPanel: 16, RelaxFill: 0.8}
-	ser, err := RunSerial(p)
+	ser, err := runSerial(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(8, DistrAff, p)
+	par, err := run(8, DistrAff, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +84,11 @@ func TestParallelBeatsSerialElapsed(t *testing.T) {
 
 func TestAffinityImprovesOnBase(t *testing.T) {
 	p := Params{Grid: 16, MaxPanel: 8}
-	base, err := Run(8, Base, p)
+	base, err := run(8, Base, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff, err := Run(8, DistrAff, p)
+	aff, err := run(8, DistrAff, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +100,11 @@ func TestAffinityImprovesOnBase(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Run(4, DistrAff, small())
+	a, err := run(4, DistrAff, small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(4, DistrAff, small())
+	b, err := run(4, DistrAff, small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +137,7 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
-// TestPanelCompletedOnce pins the seeding order of runPrepared on a
+// TestPanelCompletedOnce pins the seeding order of Main on a
 // panel set built to expose it: column 0 couples only to the last
 // column, every column between is an isolated leaf, one column per
 // panel. While main is still spawning the leaves' complete tasks,
@@ -135,16 +162,14 @@ func TestPanelCompletedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := cool.NewRuntime(cool.Config{Processors: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runPrepared(rt, true, &Prep{a: a, ps: ps, dsts: dsts, nupd: nupd, ref: ref})
+	prm := small().normalize() // only names the hand-built handle
+	prep := &Prep{prm: prm, a: a, ps: ps, dsts: dsts, nupd: nupd, ref: ref}
+	res, err := Program.Run(DistrAff.String(), prm, cool.Config{Processors: 4}, nil, prep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// main + one complete per panel + the one update.
-	if want := int64(n + 2); res.Tasks != want {
-		t.Fatalf("ran %d tasks, want %d", res.Tasks, want)
+	if got, want := res.Report.Total.TasksRun, int64(n+2); got != want {
+		t.Fatalf("ran %d tasks, want %d", got, want)
 	}
 }

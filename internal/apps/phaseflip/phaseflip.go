@@ -37,32 +37,44 @@ import (
 	"math"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
-// Variant selects the affinity ablation.
+// Variant indexes the affinity ablation's points.
 type Variant int
 
 const (
-	// Base: hints ignored — tasks placed round-robin, no phase contrast.
 	Base Variant = iota
-	// Phases: the object-affinity version whose two phases want
-	// opposite stealing policies.
 	Phases
 )
 
-// String names the variant.
-func (v Variant) String() string {
-	switch v {
-	case Base:
-		return "Base"
-	case Phases:
-		return "Phases"
-	}
-	return "unknown"
+// Variants are the ablation points in order.
+var Variants = []harness.Variant{
+	// Hints ignored — tasks placed round-robin, no phase contrast.
+	{Name: "Base", IgnoreHints: true},
+	// The object-affinity version whose two phases want opposite
+	// stealing policies.
+	{Name: "Phases"},
 }
 
-// Variants lists the ablation points in order.
-var Variants = []Variant{Base, Phases}
+func (v Variant) String() string { return Variants[v].Name }
+
+// Program declares phaseflip to the registry.
+var Program = harness.Program{
+	Name:      "phaseflip",
+	Rows:      Variants,
+	Served:    int(Phases),
+	Sizes:     map[string]int{"smoke": 60, "small": 120, "medium": 300, "large": 600},
+	TaskNames: []string{"chain", "ping", "wave"},
+	Sized: func(size int) harness.Workload {
+		p := DefaultParams()
+		if size > 0 {
+			p.Steps = size
+			p.Wave = 0 // re-derived from Steps by normalize
+		}
+		return p
+	},
+}
 
 // Work per task body, in simulated cycles. A chain step and a
 // ping-pong link are the same length; each pair bounces Steps times,
@@ -121,28 +133,22 @@ func (p Params) turns() int {
 	return t
 }
 
-// Result carries timing and correctness evidence.
-type Result struct {
-	Cycles   int64
-	Report   cool.Report
-	Checksum float64
-	Tasks    int64
-}
-
 type app struct {
 	prm  Params
+	v    Variant     // Phases passes the object-affinity hints, Base none
 	objs []*cool.F64 // one accumulator cell per chain, homed on its server
 	pong []*cool.F64 // two cells per pair (flat: pair*2+side), each homed on its side
 	wave *cool.F64   // one cell per wave task, disjoint writes
 }
 
-// build allocates the chain accumulators (one per cluster-0 server),
+// Build allocates the chain accumulators (one per cluster-0 server),
 // the ping-pong cells (pair p bounces between processors 4+2p and
 // 5+2p), and the wave buffer. All placements wrap modulo the machine
 // size, so on smaller machines the shapes share servers while the
 // data writes — and so the checksum — stay identical.
-func build(rt *cool.Runtime, prm Params) *app {
-	ap := &app{prm: prm}
+func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
+	prm := p.normalize()
+	ap := &app{prm: prm, v: Variant(v)}
 	ap.objs = make([]*cool.F64, chainCount)
 	for c := range ap.objs {
 		ap.objs[c] = rt.NewF64Pages(1, c%rt.Processors())
@@ -152,23 +158,23 @@ func build(rt *cool.Runtime, prm Params) *app {
 		ap.pong[i] = rt.NewF64Pages(1, (chainCount+i)%rt.Processors())
 	}
 	ap.wave = rt.NewF64Pages(prm.Wave, 0)
-	return ap
+	return ap, nil
 }
 
 // chainStep is one phase-A link: spawn the successor first (it parks
 // as the server's lone queued task for this whole body), then work.
-func (ap *app) chainStep(ctx *cool.Ctx, v Variant, c, step, round int) {
+func (ap *app) chainStep(ctx *cool.Ctx, c, step, round int) {
 	if step+1 < ap.prm.Steps {
-		ap.spawnLink(ctx, v, c, step+1, round)
+		ap.spawnLink(ctx, c, step+1, round)
 	}
 	d := ctx.WriteF64Range(ap.objs[c], 0, 1)
 	d[0] += float64((step*31+c*17+round)%13) - 6
 	ctx.Compute(chainWork)
 }
 
-func (ap *app) spawnLink(ctx *cool.Ctx, v Variant, c, step, round int) {
-	body := func(cc *cool.Ctx) { ap.chainStep(cc, v, c, step, round) }
-	if v == Phases {
+func (ap *app) spawnLink(ctx *cool.Ctx, c, step, round int) {
+	body := func(cc *cool.Ctx) { ap.chainStep(cc, c, step, round) }
+	if ap.v == Phases {
 		ctx.Spawn("chain", body, cool.ObjectAffinity(ap.objs[c].Base))
 		return
 	}
@@ -179,18 +185,18 @@ func (ap *app) spawnLink(ctx *cool.Ctx, v Variant, c, step, round int) {
 // then spawn the next bounce on the partner side at the END of the
 // body, so the partner's server sits empty — and its processor idle,
 // soaking up chain wakes — for the whole duration of this link.
-func (ap *app) pingStep(ctx *cool.Ctx, v Variant, pair, turn, round int) {
+func (ap *app) pingStep(ctx *cool.Ctx, pair, turn, round int) {
 	d := ctx.WriteF64Range(ap.pong[pair*2+turn%2], 0, 1)
 	d[0] += float64((turn*19+pair*7+round)%17) - 8
 	ctx.Compute(pingWork)
 	if turn+1 < ap.prm.turns() {
-		ap.spawnBounce(ctx, v, pair, turn+1, round)
+		ap.spawnBounce(ctx, pair, turn+1, round)
 	}
 }
 
-func (ap *app) spawnBounce(ctx *cool.Ctx, v Variant, pair, turn, round int) {
-	body := func(cc *cool.Ctx) { ap.pingStep(cc, v, pair, turn, round) }
-	if v == Phases {
+func (ap *app) spawnBounce(ctx *cool.Ctx, pair, turn, round int) {
+	body := func(cc *cool.Ctx) { ap.pingStep(cc, pair, turn, round) }
+	if ap.v == Phases {
 		ctx.Spawn("ping", body, cool.ObjectAffinity(ap.pong[pair*2+turn%2].Base))
 		return
 	}
@@ -204,9 +210,9 @@ func (ap *app) waveTask(ctx *cool.Ctx, i, round int) {
 	ctx.Compute(waveWork)
 }
 
-// run alternates the two phases. Each phase is a barrier: the policy
+// Main alternates the two phases. Each phase is a barrier: the policy
 // signal the controller sees is pure (all-A, then all-B).
-func (ap *app) run(ctx *cool.Ctx, v Variant) {
+func (ap *app) Main(ctx *cool.Ctx) {
 	n := ap.prm.Wave
 	optBuf := make([]cool.SpawnOpt, 1)
 	for round := 0; round < ap.prm.Rounds; round++ {
@@ -215,10 +221,10 @@ func (ap *app) run(ctx *cool.Ctx, v Variant) {
 		// ping-pong pairs on the rest of the machine.
 		ctx.WaitFor(func() {
 			for c := 0; c < chainCount; c++ {
-				ap.spawnLink(ctx, v, c, 0, round)
+				ap.spawnLink(ctx, c, 0, round)
 			}
 			for pair := 0; pair < pairCount; pair++ {
-				ap.spawnBounce(ctx, v, pair, 0, round)
+				ap.spawnBounce(ctx, pair, 0, round)
 			}
 		})
 		// Phase B: a deep object-bound backlog on the chain servers.
@@ -226,7 +232,7 @@ func (ap *app) run(ctx *cool.Ctx, v Variant) {
 			ctx.SpawnN("wave", n, func(cc *cool.Ctx, i int) {
 				ap.waveTask(cc, i, round)
 			}, func(i int) []cool.SpawnOpt {
-				if v != Phases {
+				if ap.v != Phases {
 					return nil
 				}
 				optBuf[0] = cool.ObjectAffinity(ap.objs[i%chainCount].Base)
@@ -236,9 +242,36 @@ func (ap *app) run(ctx *cool.Ctx, v Variant) {
 	}
 }
 
-func (ap *app) checksum() float64 {
+// Serial performs the identical work in the main task.
+func (ap *app) Serial(ctx *cool.Ctx) {
+	for round := 0; round < ap.prm.Rounds; round++ {
+		for c := 0; c < chainCount; c++ {
+			for step := 0; step < ap.prm.Steps; step++ {
+				d := ctx.WriteF64Range(ap.objs[c], 0, 1)
+				d[0] += float64((step*31+c*17+round)%13) - 6
+				ctx.Compute(chainWork)
+			}
+		}
+		for pair := 0; pair < pairCount; pair++ {
+			for turn := 0; turn < ap.prm.turns(); turn++ {
+				d := ctx.WriteF64Range(ap.pong[pair*2+turn%2], 0, 1)
+				d[0] += float64((turn*19+pair*7+round)%17) - 8
+				ctx.Compute(pingWork)
+			}
+		}
+		for i := 0; i < ap.prm.Wave; i++ {
+			ap.waveTask(ctx, i, round)
+		}
+	}
+}
+
+// Finish rejects a non-finite chain accumulator and digests every cell.
+func (ap *app) Finish() (harness.Evidence, error) {
 	var s float64
 	for c, o := range ap.objs {
+		if math.IsNaN(o.Data[0]) || math.IsInf(o.Data[0], 0) {
+			return nil, fmt.Errorf("phaseflip: non-finite chain accumulator %d", c)
+		}
 		s += o.Data[0] * float64(c+1)
 	}
 	for i, o := range ap.pong {
@@ -247,91 +280,5 @@ func (ap *app) checksum() float64 {
 	for i, v := range ap.wave.Data {
 		s += v * float64(i%23+1)
 	}
-	return s
-}
-
-func (ap *app) validate() error {
-	for c, o := range ap.objs {
-		if math.IsNaN(o.Data[0]) || math.IsInf(o.Data[0], 0) {
-			return fmt.Errorf("phaseflip: non-finite chain accumulator %d", c)
-		}
-	}
-	return nil
-}
-
-// Run executes the workload under the given variant.
-func Run(procs int, v Variant, prm Params) (Result, error) {
-	return RunWith(cool.Config{Processors: procs}, v, prm)
-}
-
-// RunWith executes the workload under an explicit base configuration;
-// the variant's scheduling knobs are applied on top.
-func RunWith(cfg cool.Config, v Variant, prm Params) (Result, error) {
-	if v == Base {
-		cfg.Sched.IgnoreHints = true
-	}
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOn(rt, v, prm)
-}
-
-// RunOn executes the workload on an existing runtime that has not run
-// yet. Base still runs without locality here: its spawns carry no
-// affinity options.
-func RunOn(rt *cool.Runtime, v Variant, prm Params) (Result, error) {
-	prm = prm.normalize()
-	ap := build(rt, prm)
-	if err := rt.Run(func(ctx *cool.Ctx) { ap.run(ctx, v) }); err != nil {
-		return Result{}, fmt.Errorf("phaseflip %v: %w", v, err)
-	}
-	if err := ap.validate(); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Checksum: ap.checksum(),
-		Tasks:    rt.Report().Total.TasksRun,
-	}, nil
-}
-
-// RunSerial performs the identical work in the main task.
-func RunSerial(prm Params) (Result, error) {
-	prm = prm.normalize()
-	rt, err := cool.NewRuntime(cool.Config{Processors: 1})
-	if err != nil {
-		return Result{}, err
-	}
-	ap := build(rt, prm)
-	err = rt.Run(func(ctx *cool.Ctx) {
-		for round := 0; round < prm.Rounds; round++ {
-			for c := 0; c < chainCount; c++ {
-				for step := 0; step < prm.Steps; step++ {
-					d := ctx.WriteF64Range(ap.objs[c], 0, 1)
-					d[0] += float64((step*31+c*17+round)%13) - 6
-					ctx.Compute(chainWork)
-				}
-			}
-			for pair := 0; pair < pairCount; pair++ {
-				for turn := 0; turn < prm.turns(); turn++ {
-					d := ctx.WriteF64Range(ap.pong[pair*2+turn%2], 0, 1)
-					d[0] += float64((turn*19+pair*7+round)%17) - 8
-					ctx.Compute(pingWork)
-				}
-			}
-			for i := 0; i < prm.Wave; i++ {
-				ap.waveTask(ctx, i, round)
-			}
-		}
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("phaseflip serial: %w", err)
-	}
-	return Result{
-		Cycles:   rt.ElapsedCycles(),
-		Report:   rt.Report(),
-		Checksum: ap.checksum(),
-	}, nil
+	return harness.Checksum(s), nil
 }

@@ -4,20 +4,45 @@ import (
 	"testing"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
+
+// result is what the assertions read: the harness's uniform result plus
+// the app's evidence.
+type result struct {
+	harness.Result
+	Checksum float64
+	Tasks    int64
+}
+
+// runCfg goes through the one runner, as the registry does.
+func runCfg(cfg cool.Config, variant string, prm Params) (result, error) {
+	r, err := Program.Run(variant, prm, cfg, nil, nil)
+	if err != nil {
+		return result{}, err
+	}
+	return result{r, float64(r.Evidence.(harness.Checksum)), r.Report.Total.TasksRun}, nil
+}
+
+func run(procs int, v Variant, prm Params) (result, error) {
+	return runCfg(cool.Config{Processors: procs}, v.String(), prm)
+}
+
+func runSerial(prm Params) (result, error) { return runCfg(cool.Config{}, harness.Serial, prm) }
 
 // TestChecksumMatchesSerial pins the workload's determinism: the same
 // checksum from the serial reference and from parallel runs of both
 // variants at several machine sizes.
 func TestChecksumMatchesSerial(t *testing.T) {
 	prm := Params{Steps: 40, Wave: 32, Rounds: 2}
-	ref, err := RunSerial(prm)
+	ref, err := runSerial(prm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 4, 16} {
-		for _, v := range Variants {
-			r, err := Run(procs, v, prm)
+		for i := range Variants {
+			v := Variant(i)
+			r, err := run(procs, v, prm)
 			if err != nil {
 				t.Fatalf("P=%d %v: %v", procs, v, err)
 			}
@@ -38,7 +63,7 @@ func TestPhasesPreferOppositePolicies(t *testing.T) {
 		t.Helper()
 		cfg := cool.Config{Processors: procs}
 		cfg.Sched.ClusterStealingOnly = clusterOnly
-		r, err := RunWith(cfg, Phases, prm)
+		r, err := runCfg(cfg, Phases.String(), prm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +91,7 @@ func TestAdaptiveFlipsBothWays(t *testing.T) {
 	var rt *cool.Runtime
 	restore := cool.CaptureRuntime(func(r *cool.Runtime) { rt = r })
 	defer restore()
-	r, err := RunWith(cfg, Phases, Params{Steps: 600, Wave: 768, Rounds: 2})
+	r, err := runCfg(cfg, Phases.String(), Params{Steps: 600, Wave: 768, Rounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package apps
 import (
 	"strings"
 	"testing"
+
+	cool "github.com/coolrts/cool"
 )
 
 // tinySizes keep the end-to-end registry runs fast.
@@ -70,6 +72,86 @@ func TestRegistryRejectsUnknownVariant(t *testing.T) {
 		_, err := app.Run(2, "NoSuchVariant", tinySizes[name])
 		if err == nil || !strings.Contains(err.Error(), "variant") {
 			t.Fatalf("%s accepted bogus variant (err=%v)", name, err)
+		}
+	}
+}
+
+// TestRunOnRefusesADroppedKnob: a variant whose row sets a
+// construction-time knob cannot run on a runtime built without it. The
+// parent ran ocean Distr here with its hints honoured — Distr+Aff's
+// cycle count — and reported no error.
+func TestRunOnRefusesADroppedKnob(t *testing.T) {
+	app, _ := Lookup("ocean")
+	rt, err := cool.NewRuntime(cool.Config{Processors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = app.RunOn(rt, "Distr", tinySizes["ocean"])
+	if err == nil || !strings.Contains(err.Error(), "ocean/Distr") || !strings.Contains(err.Error(), "RunCfg") {
+		t.Fatalf("RunOn(default runtime, Distr) = %v, want an error naming ocean/Distr and RunCfg", err)
+	}
+	// The refusal left the runtime unused: the served variant still runs on it.
+	if _, err := app.RunOn(rt, "Distr+Aff", tinySizes["ocean"]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColdAndWarmRunTheSameProgram: for every app × variant on the
+// simulator, RunCfg and RunOn on a runtime built with the variant's
+// knobs are the same run, cycle for cycle; the declared names are the
+// ones that resolve; and what does not belong is rejected by both doors.
+func TestColdAndWarmRunTheSameProgram(t *testing.T) {
+	cfg := cool.Config{Processors: 4}
+	for _, name := range Names() {
+		app, _ := Lookup(name)
+		size := tinySizes[name]
+		if len(app.Variants) != len(app.Rows) {
+			t.Fatalf("%s: %d variant names for %d rows", name, len(app.Variants), len(app.Rows))
+		}
+		for i, variant := range app.Variants {
+			row := app.Rows[i]
+			if row.Name != variant {
+				t.Fatalf("%s: variant %d is %q, its row says %q", name, i, variant, row.Name)
+			}
+			cold, err := app.RunCfg(cfg, variant, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built := cfg
+			built.Sched.IgnoreHints, built.Sched.ClusterStealingOnly = row.IgnoreHints, row.ClusterStealingOnly
+			rt, err := cool.NewRuntime(built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := app.RunOn(rt, variant, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Cycles != warm.Cycles || cold.Verify != warm.Verify {
+				t.Errorf("%s/%s: RunCfg %d cycles %q, RunOn %d cycles %q",
+					name, variant, cold.Cycles, cold.Verify, warm.Cycles, warm.Verify)
+			}
+		}
+		rt, err := cool.NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.RunOn(rt, "NoSuchVariant", size); err == nil || !strings.Contains(err.Error(), `no variant "NoSuchVariant"`) {
+			t.Errorf("%s: RunOn accepted a bogus variant (err=%v)", name, err)
+		}
+		if !CatalogHasPrepare(name) {
+			continue
+		}
+		served := app.Variants[app.Served]
+		if _, err := app.RunOnPrepared(rt, served, size, "bogus"); err == nil {
+			t.Errorf("%s: a foreign Prepare handle was accepted", name)
+		}
+		other, err := app.Prepare(size + 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.RunOnPrepared(rt, served, size, other); err == nil {
+			t.Errorf("%s: a handle prepared for another size was accepted", name)
 		}
 	}
 }

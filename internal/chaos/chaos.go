@@ -24,18 +24,6 @@ import (
 	"github.com/coolrts/cool/internal/apps"
 )
 
-// taskNames lists each app's spawn labels — the targets for transient
-// FailTask events in generated plans.
-var taskNames = map[string][]string{
-	"pancho":     {"update", "complete"},
-	"ocean":      {"laplace", "accumulate"},
-	"locusroute": {"route"},
-	"blockcho":   {"potrf", "trsm", "gemm", "notify"},
-	"barneshut":  {"forces", "advance"},
-	"gauss":      {"update"},
-	"phaseflip":  {"chain", "ping", "wave"},
-}
-
 // Campaign is one seeded chaos experiment against one application. The
 // plan is a pure function of the seed, so campaigns replay exactly.
 type Campaign struct {
@@ -75,7 +63,7 @@ func NewCampaign(app apps.App, seed int64, procs, size int) Campaign {
 	}
 	clusters := (procs + 3) / 4
 	n := 2 + int(seed%5)
-	c.Plan = cool.RandomChaosPlan(seed, procs, clusters, n, taskNames[app.Name])
+	c.Plan = cool.RandomChaosPlan(seed, procs, clusters, n, app.TaskNames)
 	// Generous budget: a flaky processor sits idle (its launches abort)
 	// and keeps stealing retried work back, so the exponential backoff
 	// must be able to outlast the longest flaky window.
@@ -91,7 +79,7 @@ func NewChurnCampaign(app apps.App, seed int64, procs, size int) Campaign {
 	c := NewCampaign(app, seed, procs, size)
 	clusters := (procs + 3) / 4
 	n := 2 + int(seed%5)
-	c.Plan = cool.RandomChaosChurnPlan(seed, procs, clusters, n, taskNames[app.Name])
+	c.Plan = cool.RandomChaosChurnPlan(seed, procs, clusters, n, app.TaskNames)
 	c.Backend = cool.BackendNative
 	c.Churn = true
 	return c
@@ -203,7 +191,7 @@ func (o *Oracle) Run(app apps.App, c Campaign) Outcome {
 		}
 		return Outcome{Unexpected, err.Error()}
 	}
-	if d := apps.DiffVerify(refRun.verify, res.Verify, apps.ScheduleTokens[c.App]); d != "" {
+	if d := apps.DiffVerify(refRun.verify, res.Verify, app.ScheduleTokens); d != "" {
 		return Outcome{Mismatch, d}
 	}
 	if res.Report.Total.TasksRun != refRun.tasks {

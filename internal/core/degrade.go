@@ -91,7 +91,6 @@ func (s *Scheduler) FailServer(victim int, running *sim.Task, now int64) {
 		return
 	}
 	s.dead |= 1 << uint(victim)
-	s.llDirty = true // victim may have been the least-loaded candidate
 	s.rebuildVictimRings()
 	s.Mon.Per[victim].FaultEvents++
 	s.Trace.Add(now, victim, trace.KindFault, "proc-fail", 0)

@@ -123,10 +123,6 @@ func TestPlacementAvoidsDeadServers(t *testing.T) {
 	if _, sv, _, _ := s.Place(Affinity{Kind: AffObject, ObjectObj: obj}, 0); !s.ServerAlive(sv) || !s.Cfg.SameCluster(sv, 3) {
 		t.Fatalf("object placement chose %d, want same-cluster survivor", sv)
 	}
-	s.FailServer(0, nil, 0)
-	if sv := s.leastLoaded(); !s.ServerAlive(sv) {
-		t.Fatalf("leastLoaded chose dead server %d", sv)
-	}
 }
 
 func TestSnapshotMarksDeadServers(t *testing.T) {

@@ -40,12 +40,6 @@ type Policy struct {
 	// DisableStealing turns off work stealing entirely (tasks only run
 	// on the server they were placed on) — an ablation knob.
 	DisableStealing bool
-
-	// PlaceSetsLeastLoaded places a new task-affinity set on the server
-	// with the fewest queued tasks instead of round-robin (§4.2: "the
-	// particular processor can be chosen based on load balancing
-	// considerations").
-	PlaceSetsLeastLoaded bool
 }
 
 // DefaultPolicy returns the runtime's default scheduling policy.
@@ -114,14 +108,6 @@ type Scheduler struct {
 	// onAbort is the runtime's retry hook for transiently failed task
 	// launches (see retry.go). nil means any abort fails the run.
 	onAbort func(td *TaskDesc, failedOn int, now int64) bool
-
-	// Lazily-repaired least-loaded tracking: llBest is the lowest-id
-	// server with the fewest queued tasks unless llDirty, in which case
-	// the next leastLoaded query rescans. Dequeues repair the candidate
-	// in O(1); only an enqueue on the current best (or its death) can
-	// invalidate it.
-	llBest  int
-	llDirty bool
 }
 
 // NewScheduler wires a scheduler to an engine.
@@ -160,36 +146,19 @@ func (s *Scheduler) rebuildVictimRings() {
 func (s *Scheduler) noteEnqueued(sv *server, n int) {
 	sv.queued += n
 	s.queuedTotal += n
-	if sv.id == s.llBest {
-		s.llDirty = true // the least-loaded candidate got more loaded
-	}
 }
 
-// noteDequeued accounts n tasks removed from sv's queues and repairs the
-// least-loaded candidate: a shrinking server can only displace the
-// current best, never invalidate another.
+// noteDequeued accounts n tasks removed from sv's queues.
 func (s *Scheduler) noteDequeued(sv *server, n int) {
 	sv.queued -= n
 	s.queuedTotal -= n
-	if s.dead.Has(sv.id) || s.llDirty {
-		return
-	}
-	b := s.Srv[s.llBest]
-	if s.dead.Has(b.id) {
-		s.llDirty = true
-		return
-	}
-	if sv.queued < b.queued || (sv.queued == b.queued && sv.id < b.id) {
-		s.llBest = sv.id
-	}
 }
 
 // Place resolves an affinity specification to (class, server, slot,
 // setObj): Table 1 through Topo.Place, plus the two choices that need
 // the scheduler's own state — Base-mode round-robin, and which server
 // hosts a task-affinity set. A set stays on one server while it is
-// active; distinct sets spread round-robin (or onto the least-loaded
-// server when the policy asks for it). If the preferred server has been
+// active; distinct sets spread round-robin. If the preferred server has been
 // retired by fault injection, the placement falls over to the nearest
 // surviving server (task-affinity sets re-home as a unit).
 func (s *Scheduler) Place(a Affinity, spawner int) (Class, int, int, int64) {
@@ -200,11 +169,7 @@ func (s *Scheduler) Place(a Affinity, spawner int) (Class, int, int, int64) {
 	if class == ClassTaskSet {
 		var ok bool
 		if sv, ok = s.setHome[obj]; !ok {
-			if s.Pol.PlaceSetsLeastLoaded {
-				sv = s.leastLoaded()
-			} else {
-				sv = s.nextRR()
-			}
+			sv = s.nextRR()
 			s.setHome[obj] = sv
 		}
 	}
@@ -222,30 +187,6 @@ func (s *Scheduler) nextRR() int {
 	sv := s.rr % s.Cfg.Processors
 	s.rr++
 	return sv
-}
-
-// leastLoaded returns the surviving server with the fewest queued tasks
-// (ties go to the lowest id). The common case reads the incrementally
-// maintained candidate; a full rescan happens only after the candidate
-// was invalidated (it gained work or died).
-func (s *Scheduler) leastLoaded() int {
-	if !s.llDirty && !s.dead.Has(s.llBest) {
-		return s.llBest
-	}
-	best := -1
-	for i, sv := range s.Srv {
-		if s.dead.Has(i) {
-			continue
-		}
-		if best < 0 || sv.queued < s.Srv[best].queued {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	s.llBest, s.llDirty = best, false
-	return best
 }
 
 // SetClusterStealingOnly flips the cluster-stealing restriction at run

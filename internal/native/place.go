@@ -65,11 +65,7 @@ func (rt *Runtime) placeSet(t *task, ctr *perfmon.Counters) int {
 		sh.lock(rt, ctr)
 		sv, ok := sh.home[obj]
 		if !ok {
-			if rt.pol.PlaceSetsLeastLoaded {
-				sv = rt.leastLoaded()
-			} else {
-				sv = int(rt.rr.Add(1)-1) % rt.np
-			}
+			sv = int(rt.rr.Add(1)-1) % rt.np
 		}
 		if rt.dead.Load() != 0 && rt.isDead(sv) {
 			sv = rt.spreadAlive()
@@ -117,22 +113,4 @@ func (rt *Runtime) placeSet(t *task, ctr *perfmon.Counters) int {
 			w.mu.Unlock()
 		}
 	}
-}
-
-// leastLoaded returns the surviving worker with the fewest queued tasks
-// (ties to the lowest id). The per-worker counts are atomics, so the
-// lock-free scan is a consistent-enough snapshot for a load-balancing
-// heuristic.
-func (rt *Runtime) leastLoaded() int {
-	dead := rt.dead.Load()
-	best, bestQ := 0, int64(1)<<62
-	for i, w := range rt.workers {
-		if dead&(1<<uint(i)) != 0 {
-			continue
-		}
-		if q := w.queued.Load(); q < bestQ {
-			best, bestQ = i, q
-		}
-	}
-	return best
 }

@@ -1,8 +1,9 @@
 // Package xcheck is the differential cross-validation harness: it runs
 // every registered application on both execution backends and fails if
-// they disagree. Each (app, variant, processor-count) cell runs four
-// times — a simulator reference, a simulator run under a different steal
-// seed, and two native runs — and every run must match the reference
+// they disagree. Each (app, variant, processor-count) cell runs seven
+// times — a simulator reference, then a simulator run under a different
+// steal seed, two plain native runs, two armed ones and an adaptive
+// simulator run — and every run must match the reference
 // token for token (schedule-dependent tokens excepted at P>1), run the
 // same number of tasks, and keep task-affinity sets whole.
 //
@@ -35,19 +36,6 @@ type Options struct {
 	Out io.Writer
 }
 
-// smallSizes are the smoke workloads (apps constrain their own sizes:
-// blockcho needs a multiple of its 32-wide block, locusroute's size is
-// wires per region).
-var smallSizes = map[string]int{
-	"pancho":     24,
-	"ocean":      64,
-	"locusroute": 8,
-	"blockcho":   128,
-	"barneshut":  256,
-	"gauss":      64,
-	"phaseflip":  80,
-}
-
 // Run executes the sweep and returns an error describing every failed
 // cell (nil when all cells pass).
 func Run(opts Options) error {
@@ -71,7 +59,7 @@ func Run(opts Options) error {
 		}
 		size := 0
 		if opts.Small {
-			size = smallSizes[name]
+			size = app.Sizes["smoke"]
 		}
 		// The Base variant and the most optimized one bracket the
 		// scheduling-policy space; the middle variants add no new
@@ -179,8 +167,8 @@ func checkSLOCell(procs int) []string {
 }
 
 // checkCell runs one (app, variant, procs) cell: a simulator reference,
-// then a seed-perturbed simulator run and two native runs, each compared
-// against the reference.
+// then a seed-perturbed simulator run, native runs plain and armed, and
+// an adaptive simulator run, each compared against the reference.
 func checkCell(app apps.App, variant string, procs, size int) []string {
 	ref, err := app.RunCfg(cool.Config{Processors: procs}, variant, size)
 	if err != nil {
@@ -190,69 +178,78 @@ func checkCell(app apps.App, variant string, procs, size int) []string {
 	if ref.Report.SetSplits != 0 {
 		msgs = append(msgs, fmt.Sprintf("sim reference: %d set splits", ref.Report.SetSplits))
 	}
-	ignore := apps.ScheduleTokens[app.Name]
+	ignore := app.ScheduleTokens
 	if procs == 1 {
 		ignore = nil // serial order is identical on both backends
 	}
-	check := func(label string, res apps.Result, err error) {
+	native := cool.Config{Processors: procs, Backend: cool.BackendNative}
+	arms := []struct {
+		label string
+		cfg   cool.Config
+	}{
+		// A different steal seed perturbs victim choice but must not change
+		// results beyond the declared schedule-dependent tokens.
+		{"sim seed=7", cool.Config{Processors: procs, Seed: 7}},
+		// Two native runs: real goroutine interleavings differ run to run,
+		// so one passing run is weaker evidence than two.
+		{"native run 1", native},
+		{"native run 2", native},
+		// An armed native run: retries enabled and a generous deadline.
+		// With no faults injected neither can fire, so the robustness
+		// machinery (timekeeper goroutine, dispatch-point checks) must not
+		// perturb results — this is the overhead path's semantic check.
+		{"native armed", cool.Config{
+			Processors: procs,
+			Backend:    cool.BackendNative,
+			Retry:      &cool.RetryPolicy{},
+			Deadline:   30_000_000_000, // 30s wall clock: far beyond any cell
+		}},
+		// An SLO-armed native run: shedding enabled with an unreachable
+		// watermark, so the dispatch-time shed hook and the timekeeper's
+		// floor controller execute on every task without ever firing — the
+		// overhead path of the SLO layer must not perturb results either.
+		{"native slo-armed", cool.Config{
+			Processors: procs,
+			Backend:    cool.BackendNative,
+			Shed:       &cool.ShedPolicy{QueueHighWater: 1 << 20},
+		}},
+		// An adaptive sim run: the online controller armed with a short
+		// epoch so it decides many times per cell. The controller may only
+		// change the schedule (steal scope), never results, so every
+		// non-schedule token must still match the reference — and the run
+		// is fully deterministic like any other simulator run.
+		{"sim adaptive", cool.Config{Processors: procs, Adapt: &cool.AdaptPolicy{Epoch: 10_000}}},
+	}
+	for _, arm := range arms {
+		res, err := app.RunCfg(arm.cfg, variant, size)
 		if err != nil {
-			msgs = append(msgs, label+": "+err.Error())
-			return
+			msgs = append(msgs, arm.label+": "+err.Error())
+			continue
 		}
-		if d := apps.DiffVerify(ref.Verify, res.Verify, ignore); d != "" {
-			msgs = append(msgs, label+": "+d)
-		}
-		if got, want := res.Report.Total.TasksRun, ref.Report.Total.TasksRun; got != want {
-			msgs = append(msgs, fmt.Sprintf("%s: ran %d tasks, reference ran %d", label, got, want))
-		}
-		if res.Report.SetSplits != 0 {
-			msgs = append(msgs, fmt.Sprintf("%s: %d set splits", label, res.Report.SetSplits))
+		for _, m := range check(ref, res, ignore) {
+			msgs = append(msgs, arm.label+": "+m)
 		}
 	}
-	// A different steal seed perturbs victim choice but must not change
-	// results beyond the declared schedule-dependent tokens.
-	res, err := app.RunCfg(cool.Config{Processors: procs, Seed: 7}, variant, size)
-	check("sim seed=7", res, err)
-	// Two native runs: real goroutine interleavings differ run to run,
-	// so one passing run is weaker evidence than two.
-	for i := 1; i <= 2; i++ {
-		res, err := app.RunCfg(cool.Config{Processors: procs, Backend: cool.BackendNative}, variant, size)
-		check(fmt.Sprintf("native run %d", i), res, err)
+	return msgs
+}
+
+// check compares one arm's result against the cell's reference: the
+// Verify tokens outside ignore, the task count, whole task-affinity
+// sets, and — every arm runs unloaded — nothing shed and no deadline
+// missed.
+func check(ref, res apps.Result, ignore map[string]bool) []string {
+	var msgs []string
+	if d := apps.DiffVerify(ref.Verify, res.Verify, ignore); d != "" {
+		msgs = append(msgs, d)
 	}
-	// An armed native run: retries enabled and a generous deadline.
-	// With no faults injected neither can fire, so the robustness
-	// machinery (timekeeper goroutine, dispatch-point checks) must not
-	// perturb results — this is the overhead path's semantic check.
-	res, err = app.RunCfg(cool.Config{
-		Processors: procs,
-		Backend:    cool.BackendNative,
-		Retry:      &cool.RetryPolicy{},
-		Deadline:   30_000_000_000, // 30s wall clock: far beyond any cell
-	}, variant, size)
-	check("native armed", res, err)
-	// An SLO-armed native run: shedding enabled with an unreachable
-	// watermark, so the dispatch-time shed hook and the timekeeper's
-	// floor controller execute on every task without ever firing — the
-	// overhead path of the SLO layer must not perturb results either.
-	res, err = app.RunCfg(cool.Config{
-		Processors: procs,
-		Backend:    cool.BackendNative,
-		Shed:       &cool.ShedPolicy{QueueHighWater: 1 << 20},
-	}, variant, size)
-	check("native slo-armed", res, err)
-	// An adaptive sim run: the online controller armed with a short
-	// epoch so it decides many times per cell. The controller may only
-	// change the schedule (steal scope), never results, so
-	// every non-schedule token must still match the reference — and the
-	// run is fully deterministic like any other simulator run.
-	res, err = app.RunCfg(cool.Config{
-		Processors: procs,
-		Adapt:      &cool.AdaptPolicy{Epoch: 10_000},
-	}, variant, size)
-	check("sim adaptive", res, err)
-	if err == nil && (res.Report.Total.TasksShed != 0 || res.Report.Total.DeadlineMisses != 0) {
-		msgs = append(msgs, fmt.Sprintf("native slo-armed: shed %d tasks, %d deadline misses on an unloaded run",
-			res.Report.Total.TasksShed, res.Report.Total.DeadlineMisses))
+	if got, want := res.Report.Total.TasksRun, ref.Report.Total.TasksRun; got != want {
+		msgs = append(msgs, fmt.Sprintf("ran %d tasks, reference ran %d", got, want))
+	}
+	if res.Report.SetSplits != 0 {
+		msgs = append(msgs, fmt.Sprintf("%d set splits", res.Report.SetSplits))
+	}
+	if t := res.Report.Total; t.TasksShed != 0 || t.DeadlineMisses != 0 {
+		msgs = append(msgs, fmt.Sprintf("shed %d tasks, %d deadline misses on an unloaded run", t.TasksShed, t.DeadlineMisses))
 	}
 	return msgs
 }
