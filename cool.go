@@ -441,12 +441,12 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		// interface conversion for func types), replacing the per-spawn
 		// wrapper closure the facade used to allocate.
 		Invoke: func(nc *native.Ctx, p any) {
-			p.(func(*Ctx))(&Ctx{nc: nc, rt: rt})
+			p.(func(*Ctx))(rt.nativeCtx(nc))
 		},
 		// InvokeN is Invoke for SpawnN batches: the shared payload is the
 		// user's fn(ctx, i) func value, applied to the member index.
 		InvokeN: func(nc *native.Ctx, p any, i int) {
-			p.(func(*Ctx, int))(&Ctx{nc: nc, rt: rt}, i)
+			p.(func(*Ctx, int))(rt.nativeCtx(nc), i)
 		},
 		TraceCapacity: c.TraceCapacity,
 		Faults:        plan,
@@ -463,6 +463,28 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 	}
 	rt.nat = nat
 	return rt, nil
+}
+
+// nativeCtx returns the facade context of the native task running in nc.
+// It lives in the pooled task record's facade slot: made by the first
+// task that runs in the record and reused in place by every later one,
+// so running a task allocates nothing. Each record has its own, so tasks
+// nested on one worker by a helping WaitFor never share one.
+func (rt *Runtime) nativeCtx(nc *native.Ctx) *Ctx {
+	if c, ok := nc.Facade().(*Ctx); ok {
+		return c
+	}
+	return rt.newNativeCtx(nc)
+}
+
+// newNativeCtx is nativeCtx's once-per-record allocation, kept out of
+// line so the per-task adapters inline only the reuse path.
+//
+//go:noinline
+func (rt *Runtime) newNativeCtx(nc *native.Ctx) *Ctx {
+	c := &Ctx{nc: nc, rt: rt}
+	nc.SetFacade(c)
+	return c
 }
 
 // Backend returns the execution engine this runtime uses.

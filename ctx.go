@@ -13,6 +13,10 @@ import (
 // scheduler instead: spawning, affinity placement, and monitors behave
 // identically, while the memory-system charges (Access, Prefetch) are
 // no-ops because the real machine's caches do the work.
+//
+// A Ctx is valid only during the task body it was passed to, on both
+// engines: do not keep it, or use it from another task or goroutine.
+// (The native backend reuses it in place for a later task.)
 type Ctx struct {
 	sc    *sim.Ctx    // sim backend only
 	nc    *native.Ctx // native backend only
@@ -82,17 +86,42 @@ func (c *Ctx) Access(addr, size int64, write bool) {
 	c.sc.Charge(cyc)
 }
 
-// spawnOptions accumulates the affinity specification of one spawn.
-// objs aliases objsBuf until a spawn names more than two objects, so the
-// common one-object case costs no heap allocation on the spawn path.
+// spawnOptions accumulates the affinity specification of one spawn. It
+// lives on the spawner's stack: the first two OBJECT operands are kept in
+// objBuf by value, and only a spawn naming a third copies them all into
+// the heap slice objSpill (a slice into objBuf stored in the struct itself
+// would make every spawn's options escape).
 type spawnOptions struct {
 	aff      core.Affinity
 	mutex    *Monitor
-	prio     int8       // priority class [0,7] (WithPriority)
-	prioSet  bool       // an explicit WithPriority beats the job default
-	deadline int64      // absolute deadline (WithDeadline), 0 = none
-	objs     []sizedObj // OBJECT affinity operands (one or several)
-	objsBuf  [2]sizedObj
+	prio     int8  // priority class [0,7] (WithPriority)
+	prioSet  bool  // an explicit WithPriority beats the job default
+	deadline int64 // absolute deadline (WithDeadline), 0 = none
+	nObj     int   // OBJECT affinity operands named so far
+	objBuf   [2]sizedObj
+	objSpill []sizedObj // every operand in order, once there are three or more
+}
+
+// objs returns the OBJECT affinity operands in the order they were named
+// (the §4.1 prefetch order).
+func (o *spawnOptions) objs() []sizedObj {
+	if o.objSpill != nil {
+		return o.objSpill
+	}
+	return o.objBuf[:o.nObj]
+}
+
+// addObj appends one OBJECT affinity operand.
+func (o *spawnOptions) addObj(ob sizedObj) {
+	switch {
+	case o.nObj < len(o.objBuf):
+		o.objBuf[o.nObj] = ob
+	case o.objSpill == nil:
+		o.objSpill = []sizedObj{o.objBuf[0], o.objBuf[1], ob}
+	default:
+		o.objSpill = append(o.objSpill, ob)
+	}
+	o.nObj++
 }
 
 // sizedObj is one OBJECT affinity operand with an optional size used to
@@ -146,10 +175,7 @@ func (op SpawnOpt) apply(o *spawnOptions) {
 			o.aff.Kind = core.AffTaskObject
 		}
 	case optObjectSized:
-		if o.objs == nil {
-			o.objs = o.objsBuf[:0]
-		}
-		o.objs = append(o.objs, sizedObj{addr: op.addr, size: op.size})
+		o.addObj(sizedObj{addr: op.addr, size: op.size})
 		o.aff.ObjectObj = op.addr
 		switch o.aff.Kind {
 		case core.AffNone, core.AffSimple:
@@ -260,10 +286,11 @@ func (c *Ctx) Spawn(name string, fn func(*Ctx), opts ...SpawnOpt) {
 	// Multiple OBJECT operands: place at the server homing the most
 	// bytes; the rest are prefetched when the task starts (§4.1).
 	var prefetch []sizedObj
-	if len(o.objs) > 1 {
-		best := pickHome(rt, o.objs)
-		o.aff.ObjectObj = o.objs[best].addr
-		for i, ob := range o.objs {
+	if o.nObj > 1 {
+		objs := o.objs()
+		best := pickHome(rt, objs)
+		o.aff.ObjectObj = objs[best].addr
+		for i, ob := range objs {
 			if i != best {
 				prefetch = append(prefetch, ob)
 			}
@@ -369,8 +396,9 @@ func (c *Ctx) spawnNNative(name string, n int, fn func(*Ctx, int), opts func(i i
 				opt.apply(&o)
 			}
 		}
-		if len(o.objs) > 1 {
-			o.aff.ObjectObj = o.objs[pickHome(rt, o.objs)].addr
+		if o.nObj > 1 {
+			objs := o.objs()
+			o.aff.ObjectObj = objs[pickHome(rt, objs)].addr
 		}
 		rt.applyJobSLO(&o)
 		var nm *native.Monitor
@@ -392,8 +420,9 @@ func (c *Ctx) spawnNative(name string, fn func(*Ctx), opts []SpawnOpt) {
 		opt.apply(&o)
 	}
 	rt := c.rt
-	if len(o.objs) > 1 {
-		o.aff.ObjectObj = o.objs[pickHome(rt, o.objs)].addr
+	if o.nObj > 1 {
+		objs := o.objs()
+		o.aff.ObjectObj = objs[pickHome(rt, objs)].addr
 	}
 	rt.applyJobSLO(&o)
 	var nm *native.Monitor

@@ -145,7 +145,8 @@ type task struct {
 
 	// ctx is the execution context handed to the task body, embedded in
 	// the pooled record so running a task allocates nothing. It is valid
-	// only while the task executes on its worker.
+	// only while the task executes on its worker; its facade slot
+	// survives freeTask (see Ctx.Facade).
 	ctx Ctx
 
 	// Intrusive links: next/prev/q while in a locked taskQueue, next
@@ -198,7 +199,8 @@ type worker struct {
 
 	// free is the worker's task-record freelist (linked through t.next),
 	// touched only by the worker's own goroutine: records are recycled by
-	// runTask and handed out by spawns issued from tasks running here.
+	// runTask and handed out by spawns issued from tasks running here;
+	// whole lists move between workers through Runtime.spare.
 	free  *task
 	freeN int
 
@@ -264,6 +266,12 @@ type Runtime struct {
 
 	clusterOnly atomic.Bool // dynamic cluster-stealing flag
 	setSplits   atomic.Int64
+
+	// spare holds full worker freelists (chains of exactly freeListCap
+	// zeroed records, as *task heads) on their way from a worker that
+	// frees more records than it spawns to one that spawns more than it
+	// frees (see freeTask).
+	spare sync.Pool
 
 	failMu sync.Mutex
 	fail   error
@@ -524,28 +532,40 @@ func (rt *Runtime) TraceEvents() []trace.Event {
 	return all
 }
 
+// tracing reports whether the scheduler event trace is on.
+func (rt *Runtime) tracing() bool { return rt.cfg.TraceCapacity > 0 }
+
 // trace records one event into the worker's private buffer (merged and
 // sorted by TraceEvents). Each worker writes only its own buffer, so
 // recording needs no locking.
 func (rt *Runtime) trace(w *worker, kind trace.Kind, proc int, name string, arg int64) {
-	if rt.cfg.TraceCapacity <= 0 || len(w.events) >= rt.cfg.TraceCapacity {
+	if !rt.tracing() || len(w.events) >= rt.cfg.TraceCapacity {
 		return
 	}
 	w.events = append(w.events, trace.Event{Time: rt.nowNS(), Proc: int32(proc), Kind: kind, Task: name, Arg: arg})
 }
 
-// freeListCap bounds a worker's task-record freelist; records past it go
-// to the garbage collector.
+// freeListCap bounds a worker's task-record freelist. A worker whose list
+// is full hands the whole list to Runtime.spare, where a worker whose
+// list ran dry picks it up.
 const freeListCap = 256
 
 // newTask returns a zeroed task record with the sentinel placement
 // fields set. With a worker (its own goroutine — spawns and retries
 // issued from a running task) the record comes from that worker's
-// freelist without any synchronization; w == nil (the root task, tests)
-// heap-allocates.
+// freelist without any synchronization, refilled with a whole list from
+// rt.spare when empty; w == nil (the root task, tests) and an empty
+// spare pool heap-allocate.
 func (rt *Runtime) newTask(w *worker) *task {
-	if w != nil && w.free != nil {
-		t := w.free
+	if w == nil {
+		return &task{slot: -1, idx: -1}
+	}
+	if w.free == nil {
+		if h, _ := rt.spare.Get().(*task); h != nil {
+			w.free, w.freeN = h, freeListCap
+		}
+	}
+	if t := w.free; t != nil {
 		w.free = t.next
 		w.freeN--
 		t.next = nil
@@ -558,12 +578,22 @@ func (rt *Runtime) newTask(w *worker) *task {
 // freeTask recycles t onto w's freelist. Called only by the worker that
 // just executed t (runTask), so the record has no other referent: a
 // thief that once held it gave up ownership when it handed the task to
-// dispatch.
+// dispatch. The facade slot survives (see Ctx.Facade).
+//
+// Records flow from the worker that spawns a task to the one that runs
+// it, so a worker that runs more than it spawns (a thief, or the target
+// of pinned spawns) fills its list while the spawner's runs dry. A full
+// list therefore goes to rt.spare whole — one pool operation per
+// freeListCap records — rather than its overflow to the collector.
 func (rt *Runtime) freeTask(w *worker, t *task) {
-	if w == nil || w.freeN >= freeListCap {
+	if w == nil {
 		return
 	}
-	*t = task{}
+	if w.freeN >= freeListCap {
+		rt.spare.Put(w.free)
+		w.free, w.freeN = nil, 0
+	}
+	*t = task{ctx: Ctx{facade: t.ctx.facade}}
 	t.next = w.free
 	w.free = t
 	w.freeN++
@@ -649,7 +679,7 @@ func (rt *Runtime) runTask(w *worker, t *task) {
 		ctr.TasksAtHome++
 	}
 	rt.trace(w, trace.KindRun, w.id, t.name, 0)
-	t.ctx = Ctx{w: w, rt: rt, scope: t.scope}
+	t.ctx = Ctx{w: w, rt: rt, scope: t.scope, facade: t.ctx.facade}
 	c := &t.ctx
 	var startNS int64
 	if w.fev != nil {
@@ -739,7 +769,22 @@ type Ctx struct {
 	// task, so a stop-unwind out of a Cond.Wait (which releases the
 	// monitor) can tell execute's deferred unlock to stand down.
 	heldMon *Monitor
+
+	// facade is the embedding runtime's own per-task context, kept with
+	// the pooled record across freeTask (see Facade).
+	facade any
 }
+
+// Facade returns the value last stored by SetFacade on this context, or
+// nil. The context is embedded in a pooled task record and the slot
+// survives the record's recycling, so an embedding runtime can build its
+// own per-task context once per record and reuse it for every later task
+// that runs in the record — without allocating per task and without two
+// tasks nested on one worker ever sharing it.
+func (c *Ctx) Facade() any { return c.facade }
+
+// SetFacade stores the embedding runtime's per-task context (see Facade).
+func (c *Ctx) SetFacade(v any) { c.facade = v }
 
 // ProcID returns the executing worker.
 func (c *Ctx) ProcID() int { return c.w.id }

@@ -104,8 +104,10 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		w.queued.Add(int64(n))
 		w.stealable.Add(int64(n))
 		rt.queuedTotal.Add(int64(n))
-		for range batch {
-			rt.trace(w, trace.KindEnqueue, -1, name, int64(from))
+		if rt.tracing() {
+			for range batch {
+				rt.trace(w, trace.KindEnqueue, -1, name, int64(from))
+			}
 		}
 		w.deq.pushBottomN(batch)
 	} else {
@@ -161,18 +163,20 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 				}
 				continue
 			}
-			n := int64(0)
+			var counts lockedCounts
 			for t := chain; t != nil; {
 				next := t.next
 				t.next = nil
-				rt.pushLocked(wv, t)
-				n++
+				counts.link(wv, t)
 				t = next
 			}
+			counts.apply(wv)
 			wv.mu.Unlock()
-			rt.queuedTotal.Add(n)
-			for i := int64(0); i < n; i++ {
-				rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
+			rt.queuedTotal.Add(counts.n)
+			if rt.tracing() {
+				for range counts.n {
+					rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
+				}
 			}
 			targets |= 1 << uint(sv)
 		}

@@ -119,12 +119,14 @@ func (p *pool) loop(e *entry) {
 
 		e.rt.SetJobSLO(j.Req.Priority, j.Req.DeadlineNS)
 		verify, err := p.runner(e.rt, j, e.res)
+		// Counted before finish wakes the job's waiters, so a waiter
+		// reading Report afterwards always sees its job completed.
+		e.completed.Add(1)
 		if err != nil {
 			j.finish(JobFailed, "", err.Error(), p.now())
 		} else {
 			j.finish(JobDone, verify, "", p.now())
 		}
-		e.completed.Add(1)
 
 		// Re-arm for the next job: warm Reset normally, full rebuild
 		// when the run left the runtime unrecoverable.
