@@ -47,7 +47,8 @@ func TestCtxAllocators(t *testing.T) {
 				// Default allocation is local to the requesting
 				// processor's cluster.
 				f := c.NewF64(64)
-				if cl := rt.MachineConfig().ClusterOf(rt.Home(f.Base)); cl != c.Cluster() {
+				mc := rt.MachineConfig()
+				if cl := mc.ClusterOf(rt.Home(f.Base)); cl != c.Cluster() {
 					t.Errorf("local alloc homed in cluster %d, proc in %d", cl, c.Cluster())
 				}
 				i := c.NewI64(64)

@@ -25,67 +25,101 @@ const (
 	modified
 )
 
-// way is one cache line slot.
-type way struct {
-	tag   int64 // line address (addr >> lineShift), -1 when invalid
-	state state
-	used  int64 // LRU timestamp
-}
-
-// level is one set-associative cache level.
+// level is one set-associative cache level, stored as three parallel
+// arrays indexed by slot: way i of set s is slot s*assoc+i. An invalid
+// way holds tag -1 (lines are never negative), so a lookup is a plain
+// tag compare and a victim search tests tag < 0; drop keeps the tag and
+// the state in step.
 type level struct {
-	sets  int
-	assoc int
-	ways  []way // sets*assoc entries
+	setMask int64
+	assoc   int
+	tags    []int64 // line address (addr >> lineShift), -1 when invalid
+	state   []state
+	used    []int64 // LRU timestamp
 }
 
-func newLevel(g machine.CacheGeometry, lineSize int) *level {
+// newLevels builds one level of geometry g for each of procs processors,
+// carving all of them from one allocation per array.
+func newLevels(g machine.CacheGeometry, lineSize, procs int) []level {
 	sets := g.Size / (g.Assoc * lineSize)
-	l := &level{sets: sets, assoc: g.Assoc, ways: make([]way, sets*g.Assoc)}
-	for i := range l.ways {
-		l.ways[i].tag = -1
+	n := sets * g.Assoc
+	tags := make([]int64, procs*n)
+	for i := range tags {
+		tags[i] = -1
 	}
-	return l
+	st, used := make([]state, procs*n), make([]int64, procs*n)
+	ls := make([]level, procs)
+	for p := range ls {
+		lo, hi := p*n, (p+1)*n
+		ls[p] = level{
+			setMask: int64(sets - 1),
+			assoc:   g.Assoc,
+			tags:    tags[lo:hi:hi],
+			state:   st[lo:hi:hi],
+			used:    used[lo:hi:hi],
+		}
+	}
+	return ls
 }
 
-// lookup returns the way index holding line, or -1.
+// lookup returns the slot holding line, or -1.
 func (l *level) lookup(line int64) int {
-	set := int(line&int64(l.sets-1)) * l.assoc
-	for i := set; i < set+l.assoc; i++ {
-		if l.ways[i].tag == line && l.ways[i].state != invalid {
-			return i
+	set := int(line&l.setMask) * l.assoc
+	for i, t := range l.tags[set : set+l.assoc] {
+		if t == line {
+			return set + i
 		}
 	}
 	return -1
 }
 
-// victim returns the way index to fill for line (an invalid way if any,
-// else the LRU way).
+// victim returns the slot to fill for line (an invalid way if any, else
+// the LRU way).
 func (l *level) victim(line int64) int {
-	set := int(line&int64(l.sets-1)) * l.assoc
+	set := int(line&l.setMask) * l.assoc
 	best := set
 	for i := set; i < set+l.assoc; i++ {
-		if l.ways[i].state == invalid {
+		if l.tags[i] < 0 {
 			return i
 		}
-		if l.ways[i].used < l.ways[best].used {
+		if l.used[i] < l.used[best] {
 			best = i
 		}
 	}
 	return best
 }
 
+// fill installs line in slot i.
+func (l *level) fill(i int, line int64, st state, tick int64) {
+	l.tags[i] = line
+	l.state[i] = st
+	l.used[i] = tick
+}
+
+// drop invalidates slot i.
+func (l *level) drop(i int) {
+	l.tags[i] = -1
+	l.state[i] = invalid
+}
+
 // dirEntry is the directory state for one line: which caches hold it and
-// whether one of them holds it modified.
+// whether one of them holds it modified. The zero entry is a line no
+// cache holds.
 type dirEntry struct {
 	sharers uint64 // bitmask over processors
 	owner   int8   // valid when dirty
 	dirty   bool
 }
 
+// dirPageShift sizes a directory page: 1<<dirPageShift consecutive lines
+// (32 KB of address space at 64-byte lines).
+const dirPageShift = 9
+
+type dirPage [1 << dirPageShift]dirEntry
+
 // procCache is one processor's private hierarchy.
 type procCache struct {
-	l1, l2 *level
+	l1, l2 level
 	tick   int64
 }
 
@@ -94,10 +128,14 @@ type System struct {
 	cfg       machine.Config
 	lineShift uint
 	procs     []procCache
-	dir       map[int64]*dirEntry
-	dirSlab   []dirEntry // unused tail of the newest chunk; see newDirEntry
 	space     *memsim.Space
 	mon       *perfmon.Monitor
+
+	// dir is the directory, a dense table per memory arena indexed by
+	// the line's offset in the arena (arenas are bump-allocated, so
+	// touched lines are dense). Pages are allocated on first touch and
+	// never move, so an entry pointer stays valid across later touches.
+	dir [][]*dirPage
 
 	// mems models each cluster memory module as a FIFO server: misses
 	// arrive, the queue drains one miss per MemOccupancy cycles, and a
@@ -123,34 +161,35 @@ func New(cfg machine.Config, space *memsim.Space, mon *perfmon.Monitor) *System 
 	s := &System{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
-		dir:       make(map[int64]*dirEntry),
 		space:     space,
 		mon:       mon,
 	}
+	s.dir = make([][]*dirPage, cfg.Clusters())
 	s.mems = make([]memModule, cfg.Clusters())
+	l1 := newLevels(cfg.L1, cfg.LineSize, cfg.Processors)
+	l2 := newLevels(cfg.L2, cfg.LineSize, cfg.Processors)
 	s.procs = make([]procCache, cfg.Processors)
 	for i := range s.procs {
-		s.procs[i] = procCache{
-			l1: newLevel(cfg.L1, cfg.LineSize),
-			l2: newLevel(cfg.L2, cfg.LineSize),
-		}
+		s.procs[i] = procCache{l1: l1[i], l2: l2[i]}
 	}
 	return s
 }
 
-// dirChunk is how many directory entries one slab allocation holds.
-const dirChunk = 256
-
-// newDirEntry returns a zeroed directory entry for a line touched for the
-// first time. Entries live as long as the System, so they are carved from
-// chunked slabs rather than allocated one per line.
-func (s *System) newDirEntry() *dirEntry {
-	if len(s.dirSlab) == 0 {
-		s.dirSlab = make([]dirEntry, dirChunk)
+// entry returns line's directory entry, allocating its page on first
+// touch.
+func (s *System) entry(line int64) *dirEntry {
+	c, off := s.space.ArenaOffset(line << s.lineShift)
+	off >>= s.lineShift
+	pages := s.dir[c]
+	pg := int(off >> dirPageShift)
+	for len(pages) <= pg {
+		pages = append(pages, nil)
+		s.dir[c] = pages
 	}
-	d := &s.dirSlab[0]
-	s.dirSlab = s.dirSlab[1:]
-	return d
+	if pages[pg] == nil {
+		pages[pg] = new(dirPage)
+	}
+	return &pages[pg][off&(1<<dirPageShift-1)]
 }
 
 // Access simulates processor p touching [addr, addr+size) starting at
@@ -193,16 +232,12 @@ func (s *System) Prefetch(p int, now int64, addr, size int64) int64 {
 		if pc.l2.lookup(line) >= 0 || pc.l1.lookup(line) >= 0 {
 			continue
 		}
-		if d := s.dir[line]; d != nil && d.dirty {
+		d := s.entry(line)
+		if d.dirty {
 			continue // non-binding: leave dirty lines alone
 		}
 		pc.tick++
 		s.memQueue(s.space.HomeCluster(line<<s.lineShift), now+cycles)
-		d := s.dir[line]
-		if d == nil {
-			d = s.newDirEntry()
-			s.dir[line] = d
-		}
 		d.sharers |= 1 << uint(p)
 		s.fillL2(p, line, shared)
 		s.fillL1(p, line, shared)
@@ -218,12 +253,12 @@ func (s *System) accessLine(p int, at int64, line int64, write bool) int64 {
 	pc.tick++
 	ctr := &s.mon.Per[p]
 	ctr.Refs++
-	lat := s.cfg.Lat
+	lat := &s.cfg.Lat
 
 	// First-level cache.
 	if i := pc.l1.lookup(line); i >= 0 {
-		pc.l1.ways[i].used = pc.tick
-		if !write || pc.l1.ways[i].state == modified {
+		pc.l1.used[i] = pc.tick
+		if !write || pc.l1.state[i] == modified {
 			ctr.L1Hits++
 			return lat.L1Hit
 		}
@@ -236,8 +271,8 @@ func (s *System) accessLine(p int, at int64, line int64, write bool) int64 {
 
 	// Second-level cache.
 	if i := pc.l2.lookup(line); i >= 0 {
-		pc.l2.ways[i].used = pc.tick
-		st := pc.l2.ways[i].state
+		pc.l2.used[i] = pc.tick
+		st := pc.l2.state[i]
 		var cyc int64
 		if write && st != modified {
 			cyc = s.upgrade(p, line)
@@ -245,7 +280,7 @@ func (s *System) accessLine(p int, at int64, line int64, write bool) int64 {
 			st = modified
 		}
 		s.fillL1(p, line, st)
-		pc.l2.ways[i].state = st
+		pc.l2.state[i] = st
 		ctr.L2Hits++
 		return lat.L2Hit + cyc
 	}
@@ -259,14 +294,14 @@ func (s *System) accessLine(p int, at int64, line int64, write bool) int64 {
 // module.
 func (s *System) miss(p int, at int64, line int64, write bool) int64 {
 	ctr := &s.mon.Per[p]
-	lat := s.cfg.Lat
+	lat := &s.cfg.Lat
 	myCluster := s.cfg.ClusterOf(p)
 	homeCluster := s.space.HomeCluster(line << s.lineShift)
 
-	d := s.dir[line]
+	d := s.entry(line)
 	var cycles int64
 	switch {
-	case d != nil && d.dirty && int(d.owner) != p:
+	case d.dirty && int(d.owner) != p:
 		// Serviced cache-to-cache from the dirty owner. The transfer
 		// occupies the owner's cluster resources (its bus/directory),
 		// so it queues there like a memory-serviced miss.
@@ -296,10 +331,6 @@ func (s *System) miss(p int, at int64, line int64, write bool) int64 {
 		ctr.RemoteMisses++
 	}
 
-	if d == nil {
-		d = s.newDirEntry()
-		s.dir[line] = d
-	}
 	var st state
 	if write {
 		// Exclusive: invalidate all other sharers.
@@ -365,13 +396,8 @@ func (s *System) factorOf(cluster int) int64 {
 // upgrade obtains exclusive ownership of a line this processor already
 // holds shared. Returns the extra latency.
 func (s *System) upgrade(p int, line int64) int64 {
-	d := s.dir[line]
-	if d != nil {
-		s.invalidateSharers(p, line, d)
-	} else {
-		d = s.newDirEntry()
-		s.dir[line] = d
-	}
+	d := s.entry(line)
+	s.invalidateSharers(p, line, d)
 	d.sharers = 1 << uint(p)
 	d.owner = int8(p)
 	d.dirty = true
@@ -393,10 +419,10 @@ func (s *System) invalidateSharers(p int, line int64, d *dirEntry) {
 func (s *System) invalidateIn(q int, line int64) {
 	pc := &s.procs[q]
 	if i := pc.l1.lookup(line); i >= 0 {
-		pc.l1.ways[i].state = invalid
+		pc.l1.drop(i)
 	}
 	if i := pc.l2.lookup(line); i >= 0 {
-		pc.l2.ways[i].state = invalid
+		pc.l2.drop(i)
 	}
 	s.mon.Per[q].Invalidations++
 }
@@ -404,34 +430,30 @@ func (s *System) invalidateIn(q int, line int64) {
 // downgradeIn demotes a modified line in q's caches to shared.
 func (s *System) downgradeIn(q int, line int64) {
 	pc := &s.procs[q]
-	if i := pc.l1.lookup(line); i >= 0 && pc.l1.ways[i].state == modified {
-		pc.l1.ways[i].state = shared
+	if i := pc.l1.lookup(line); i >= 0 && pc.l1.state[i] == modified {
+		pc.l1.state[i] = shared
 	}
-	if i := pc.l2.lookup(line); i >= 0 && pc.l2.ways[i].state == modified {
-		pc.l2.ways[i].state = shared
+	if i := pc.l2.lookup(line); i >= 0 && pc.l2.state[i] == modified {
+		pc.l2.state[i] = shared
 	}
 }
 
 // setState updates line's state in both levels of p's hierarchy.
 func (s *System) setState(pc *procCache, line int64, st state) {
 	if i := pc.l1.lookup(line); i >= 0 {
-		pc.l1.ways[i].state = st
+		pc.l1.state[i] = st
 	}
 	if i := pc.l2.lookup(line); i >= 0 {
-		pc.l2.ways[i].state = st
+		pc.l2.state[i] = st
 	}
 }
 
 // fillL1 inserts line into p's L1, evicting the LRU way.
 func (s *System) fillL1(p int, line int64, st state) {
 	pc := &s.procs[p]
-	v := pc.l1.victim(line)
-	w := &pc.l1.ways[v]
 	// L1 is inclusive in L2: evicted L1 lines stay in L2, so no directory
 	// action is needed here.
-	w.tag = line
-	w.state = st
-	w.used = pc.tick
+	pc.l1.fill(pc.l1.victim(line), line, st, pc.tick)
 }
 
 // fillL2 inserts line into p's L2, evicting the LRU way (with
@@ -440,13 +462,10 @@ func (s *System) fillL1(p int, line int64, st state) {
 func (s *System) fillL2(p int, line int64, st state) {
 	pc := &s.procs[p]
 	v := pc.l2.victim(line)
-	w := &pc.l2.ways[v]
-	if w.state != invalid && w.tag != line {
-		s.evictLine(p, w.tag, w.state)
+	if old := pc.l2.tags[v]; old >= 0 && old != line {
+		s.evictLine(p, old, pc.l2.state[v])
 	}
-	w.tag = line
-	w.state = st
-	w.used = pc.tick
+	pc.l2.fill(v, line, st, pc.tick)
 }
 
 // evictLine handles a line leaving p's L2: back-invalidate L1, write back
@@ -454,18 +473,17 @@ func (s *System) fillL2(p int, line int64, st state) {
 func (s *System) evictLine(p int, line int64, st state) {
 	pc := &s.procs[p]
 	if i := pc.l1.lookup(line); i >= 0 {
-		pc.l1.ways[i].state = invalid
+		pc.l1.drop(i)
 	}
 	if st == modified {
 		s.mon.Per[p].Writebacks++
 	}
-	if d, ok := s.dir[line]; ok {
-		d.sharers &^= 1 << uint(p)
-		if d.dirty && int(d.owner) == p {
-			d.dirty = false
-		}
-		if d.sharers == 0 {
-			delete(s.dir, line)
-		}
+	d := s.entry(line)
+	d.sharers &^= 1 << uint(p)
+	if d.dirty && int(d.owner) == p {
+		d.dirty = false
+	}
+	if d.sharers == 0 {
+		*d = dirEntry{} // zero is absent
 	}
 }

@@ -1,60 +1,104 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// checkInclusion verifies L1 ⊆ L2 for one processor.
-func checkInclusion(s *System, p int) bool {
-	pc := &s.procs[p]
-	for _, w := range pc.l1.ways {
-		if w.state == invalid {
-			continue
+// checkTags verifies one level's layout invariants: a way is invalid
+// exactly when its tag is -1, every valid tag sits in its own set, and
+// no line occupies two ways.
+func checkTags(l *level) bool {
+	for i, tag := range l.tags {
+		if (tag < 0) != (l.state[i] == invalid) || tag < -1 {
+			return false
 		}
-		if pc.l2.lookup(w.tag) < 0 {
+		if tag >= 0 && (int(tag&l.setMask) != i/l.assoc || l.lookup(tag) != i) {
 			return false
 		}
 	}
 	return true
 }
 
-// checkDirectory verifies that directory sharer bits agree with cache
-// contents: every sharer bit corresponds to a resident line, and every
-// resident line has its sharer bit set.
-func checkDirectory(s *System) bool {
-	for line, d := range s.dir {
-		for p := 0; p < s.cfg.Processors; p++ {
-			bit := d.sharers&(1<<uint(p)) != 0
-			resident := s.procs[p].l2.lookup(line) >= 0
-			if bit != resident {
-				return false
-			}
-		}
-		if d.dirty {
-			if d.sharers&(1<<uint(d.owner)) == 0 {
-				return false
-			}
-			i := s.procs[d.owner].l2.lookup(line)
-			if i < 0 || s.procs[d.owner].l2.ways[i].state != modified {
-				return false
-			}
-		}
+// checkInclusion verifies L1 ⊆ L2 for one processor, and both levels'
+// tag invariants.
+func checkInclusion(s *System, p int) bool {
+	pc := &s.procs[p]
+	if !checkTags(&pc.l1) || !checkTags(&pc.l2) {
+		return false
 	}
-	// Every resident line must have a directory entry with its bit.
-	for p := 0; p < s.cfg.Processors; p++ {
-		for _, w := range s.procs[p].l2.ways {
-			if w.state == invalid {
-				continue
-			}
-			d := s.dir[w.tag]
-			if d == nil || d.sharers&(1<<uint(p)) == 0 {
-				return false
-			}
+	for _, tag := range pc.l1.tags {
+		if tag >= 0 && pc.l2.lookup(tag) < 0 {
+			return false
 		}
 	}
 	return true
+}
+
+// forEachEntry calls f on every entry of every allocated directory page.
+func forEachEntry(s *System, f func(d dirEntry)) {
+	for _, pages := range s.dir {
+		for _, pg := range pages {
+			if pg == nil {
+				continue
+			}
+			for _, d := range pg {
+				f(d)
+			}
+		}
+	}
+}
+
+// checkDirectory verifies that directory sharer bits agree with cache
+// contents: every sharer bit corresponds to a resident line, and every
+// resident line has its sharer bit set; a dirty entry's owner holds the
+// line modified, and a modified line is its entry's dirty owner; an entry
+// no cache shares is the zero entry.
+//
+// Entries are indexed by arena offset, so the walk over resident lines
+// checks each one against its entry, and counts close the other
+// direction: resident lines map one-to-one onto the sharer bits they
+// check (checkTags rules out a line resident twice in one cache), so
+// equal totals leave no bit without a resident line and no dirty entry
+// without its modified owner.
+func checkDirectory(s *System) bool {
+	var resident, owned int
+	for p := 0; p < s.cfg.Processors; p++ {
+		l2 := &s.procs[p].l2
+		if !checkTags(l2) {
+			return false
+		}
+		for i, tag := range l2.tags {
+			if tag < 0 {
+				continue
+			}
+			d := s.entry(tag)
+			if d.sharers&(1<<uint(p)) == 0 {
+				return false
+			}
+			resident++
+			own := d.dirty && int(d.owner) == p
+			if own != (l2.state[i] == modified) {
+				return false
+			}
+			if own {
+				owned++
+			}
+		}
+	}
+	var sharerBits, dirty int
+	ok := true
+	forEachEntry(s, func(d dirEntry) {
+		sharerBits += bits.OnesCount64(d.sharers)
+		if d.dirty {
+			dirty++
+			ok = ok && d.sharers&(1<<uint(d.owner)) != 0
+		}
+		ok = ok && (d.sharers != 0 || d == dirEntry{})
+	})
+	return ok && sharerBits == resident && dirty == owned
 }
 
 // checkSingleWriter verifies that a modified line exists in exactly one
@@ -62,9 +106,10 @@ func checkDirectory(s *System) bool {
 func checkSingleWriter(s *System) bool {
 	owners := map[int64]int{}
 	for p := 0; p < s.cfg.Processors; p++ {
-		for _, w := range s.procs[p].l2.ways {
-			if w.state == modified {
-				owners[w.tag]++
+		l2 := &s.procs[p].l2
+		for i, st := range l2.state {
+			if st == modified {
+				owners[l2.tags[i]]++
 			}
 		}
 	}

@@ -288,7 +288,7 @@ func (s *Scheduler) Dispatch(p *sim.Proc) *sim.Task {
 	if s.dead.Has(p.ID) {
 		return nil
 	}
-	lat := s.Cfg.Lat
+	lat := &s.Cfg.Lat
 
 	if td := s.takeLocal(sv); td != nil {
 		p.Clock += lat.Dispatch
@@ -363,7 +363,7 @@ func (s *Scheduler) steal(p *sim.Proc, thief *server) *TaskDesc {
 // stealScan probes one precomputed victim ring in order.
 func (s *Scheduler) stealScan(p *sim.Proc, thief *server, ring []int) *TaskDesc {
 	ctr := &s.Mon.Per[p.ID]
-	lat := s.Cfg.Lat
+	lat := &s.Cfg.Lat
 	for _, vid := range ring {
 		v := s.Srv[vid]
 		if v.queued == 0 {

@@ -163,18 +163,20 @@ func (c Config) Validate() error {
 }
 
 // Clusters returns the number of clusters in the machine. A partial final
-// cluster counts as one cluster.
-func (c Config) Clusters() int {
+// cluster counts as one cluster. The topology helpers take a pointer: the
+// cache model and the scheduler call them per miss and per steal probe,
+// and a value receiver would copy the whole Config each time.
+func (c *Config) Clusters() int {
 	return (c.Processors + c.ClusterSize - 1) / c.ClusterSize
 }
 
 // ClusterOf returns the cluster that processor p belongs to.
-func (c Config) ClusterOf(p int) int {
+func (c *Config) ClusterOf(p int) int {
 	return p / c.ClusterSize
 }
 
 // SameCluster reports whether processors p and q share a cluster (and
 // therefore a local memory).
-func (c Config) SameCluster(p, q int) bool {
+func (c *Config) SameCluster(p, q int) bool {
 	return c.ClusterOf(p) == c.ClusterOf(q)
 }

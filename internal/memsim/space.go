@@ -121,12 +121,21 @@ func (s *Space) AllocPages(size int64, proc int) int64 {
 	return base
 }
 
+// ArenaOffset maps addr to (arena cluster, byte offset within that
+// arena). Arenas are bump-allocated from their start, so offsets are
+// dense: tables indexed by them (the page tables here, the cache model's
+// directory) stay compact. It panics on an address outside every arena.
+func (s *Space) ArenaOffset(addr int64) (int, int64) {
+	c := s.arenaCluster(addr)
+	return c, addr - int64(c+1)<<arenaShift
+}
+
 // pageOffset maps addr to (arena cluster, page offset within that
 // arena). Every allocation lives inside a single arena, so a span's
 // pages share one table.
 func (s *Space) pageOffset(addr int64) (int, int64) {
-	c := s.arenaCluster(addr)
-	return c, (addr >> s.pageShift) - int64(c+1)<<(arenaShift-s.pageShift)
+	c, off := s.ArenaOffset(addr)
+	return c, off >> s.pageShift
 }
 
 // growTable extends cluster c's page table to cover offset off,

@@ -113,6 +113,24 @@ func TestMigratePreservesHomeUnderComposition(t *testing.T) {
 	}
 }
 
+func TestArenaOffsetIsDensePerCluster(t *testing.T) {
+	// Each cluster's allocations map to its own arena, at small offsets
+	// that grow with the bump pointer: the property dense tables rely on.
+	s := newSpace(t, 8)
+	a0, b0 := s.Alloc(64, 0), s.Alloc(64, 1)
+	a1 := s.AllocPages(64, 4)
+	c, offA := s.ArenaOffset(a0)
+	if c != 0 || offA <= 0 || offA > 2*s.PageSize() {
+		t.Fatalf("ArenaOffset(first alloc) = (%d, %d)", c, offA)
+	}
+	if c, off := s.ArenaOffset(b0); c != 0 || off != offA+b0-a0 {
+		t.Fatalf("ArenaOffset(second alloc) = (%d, %d), want (0, %d)", c, off, offA+b0-a0)
+	}
+	if c, off := s.ArenaOffset(a1); c != 1 || off != offA {
+		t.Fatalf("ArenaOffset(cluster 1 alloc) = (%d, %d), want (1, %d)", c, off, offA)
+	}
+}
+
 func TestZeroAddressNeverAllocated(t *testing.T) {
 	s := newSpace(t, 8)
 	for i := 0; i < 10; i++ {
