@@ -6,7 +6,7 @@
 //	coolbench -xcheck                             full matrix, P=1,2,4,8,16
 //	coolbench -xcheck -xcheck-procs 1,2,4         subset of machine sizes
 //	coolbench -xcheck -xcheck-apps gauss,ocean    subset of apps
-//	coolbench -xcheck -xcheck-small               reduced workloads (CI)
+//	coolbench -xcheck -xcheck-small               reduced workloads, 50 plain native runs per cell (CI)
 package main
 
 import (
@@ -24,12 +24,17 @@ func xcheckMain(args []string) int {
 	_ = fs.Bool("xcheck", true, "backend differential mode (this flag)")
 	procsFlag := fs.String("xcheck-procs", "1,2,4,8,16", "comma-separated processor counts")
 	appsFlag := fs.String("xcheck-apps", "", "comma-separated app subset (default: all registered)")
-	small := fs.Bool("xcheck-small", false, "use reduced workload sizes (CI smoke)")
+	small := fs.Bool("xcheck-small", false, "use reduced workload sizes and run the plain native arm 50 times per cell (CI smoke)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	opts := xcheck.Options{Small: *small, Out: os.Stdout}
+	if *small {
+		// Small cells are cheap, so the CI smoke spends its time on many
+		// native interleavings per cell instead.
+		opts.NativeRuns = 50
+	}
 	for _, f := range strings.Split(*procsFlag, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n <= 0 {

@@ -196,8 +196,9 @@ func build(rt *cool.Runtime, prep *Prep, distribute bool) *app {
 		pid := int(ps.Owner[j])
 		p := ps.Panels[pid]
 		off := int(ps.ColPtr[j] - ps.PanelOff(p))
+		cur := 0
 		for q, r := range arows {
-			pos := ps.RowPos(p, j, r)
+			pos := storedPos(ps, p, j, r, &cur)
 			if pos < 0 {
 				panic("pancho: A entry outside stored structure")
 			}
@@ -205,6 +206,23 @@ func build(rt *cool.Runtime, prep *Prep, distribute bool) *app {
 		}
 	}
 	return ap
+}
+
+// storedPos returns the position of row r in stored column j of panel p,
+// or -1 if r is not stored. The rows of one column must be asked for in
+// increasing order, all at or below j: *cur walks p's Below rows forward.
+func storedPos(ps *sparse.PanelSet, p sparse.Panel, j int, r int32, cur *int) int {
+	if int(r) < p.End {
+		return int(r) - j
+	}
+	below := ps.Below[p.ID]
+	for *cur < len(below) && below[*cur] < r {
+		*cur++
+	}
+	if *cur == len(below) || below[*cur] != r {
+		return -1
+	}
+	return p.End - j + *cur
 }
 
 // colOff returns the offset of column j within its panel's value array.
@@ -263,41 +281,55 @@ func (ap *app) applyUpdate(ctx *cool.Ctx, dst, src int) {
 	if lo == hi {
 		return
 	}
+	// Source rows below dst's panel land in dst's Below rows, at the same
+	// positions in every column of both panels: merge once, skipping
+	// padded source rows dst does not store (their value is 0).
+	var buf [256]rowPair
+	tail := buf[:0]
+	for u, q := hi, 0; u < len(sBelow); u++ {
+		r := sBelow[u]
+		for q < len(dBelow) && dBelow[q] < r {
+			q++
+		}
+		if q < len(dBelow) && dBelow[q] == r {
+			tail = append(tail, rowPair{src: int32(u - hi), dst: int32(q)})
+		}
+	}
 	for k := sp.Start; k < sp.End; k++ {
 		off := ap.colOff(src, k)
 		belowStart := sp.End - k // position of sBelow[0] in column k
+		sCol := sArr.Data[off+belowStart : off+belowStart+len(sBelow)]
+		sTail := sCol[hi:]
 		// Read the below segment of the source column once per column.
 		ctx.Access(sArr.Addr(off+belowStart+lo), int64(len(sBelow)-lo)*8, false)
 		for t := lo; t < hi; t++ {
 			j := int(sBelow[t])
-			mult := sArr.Data[off+belowStart+t]
+			mult := sCol[t]
 			doff := ap.colOff(dst, j)
 			// Rows still inside dst's column range: direct positions.
-			u := t
-			for ; u < hi; u++ {
-				r := int(sBelow[u])
-				dArr.Data[doff+r-j] -= mult * sArr.Data[off+belowStart+u]
+			for u := t; u < hi; u++ {
+				dArr.Data[doff+int(sBelow[u])-j] -= mult * sCol[u]
 			}
-			// Rows below dst's panel: merge into dst's Below (skipping
-			// padded source rows dst does not store; their value is 0).
+			// Rows below dst's panel: the hoisted scatter.
 			base2 := doff + (dp.End - j)
-			q := 0
+			d := dArr.Data[base2:]
+			for _, pr := range tail {
+				d[pr.dst] -= mult * sTail[pr.src]
+			}
 			last := base2
-			for ; u < len(sBelow); u++ {
-				r := sBelow[u]
-				for q < len(dBelow) && dBelow[q] < r {
-					q++
-				}
-				if q < len(dBelow) && dBelow[q] == r {
-					dArr.Data[base2+q] -= mult * sArr.Data[off+belowStart+u]
-					last = base2 + q
-				}
+			if len(tail) > 0 {
+				last += int(tail[len(tail)-1].dst)
 			}
 			ctx.Access(dArr.Addr(doff), int64(last-doff+1)*8, true)
 			ctx.Compute(int64(2 * (len(sBelow) - t)))
 		}
 	}
 }
+
+// rowPair maps a source row below the destination panel (an index into
+// the source's Below rows past the destination's range) to its position
+// in the destination's Below rows.
+type rowPair struct{ src, dst int32 }
 
 // spawnComplete launches CompletePanel(d) with default affinity for the
 // panel; the completed panel then produces its updates.
@@ -368,8 +400,9 @@ func (ap *app) Finish() (harness.Evidence, error) {
 		p := ps.Panels[pid]
 		off := ap.colOff(pid, j)
 		base := symb.LColPtr[j]
+		cur := 0
 		for q, r := range symb.LCol(j) {
-			pos := ps.RowPos(p, j, r)
+			pos := storedPos(ps, p, j, r, &cur)
 			if pos < 0 {
 				return nil, fmt.Errorf("pancho: true entry (%d,%d) missing from stored structure", r, j)
 			}

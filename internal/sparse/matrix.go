@@ -61,7 +61,8 @@ func (a *Sym) Check() error {
 // the paper's Cholesky codes exploit.
 func GridLaplacian(k int) *Sym {
 	n := k * k
-	a := &Sym{N: n, ColPtr: make([]int32, n+1)}
+	nnz := n + 2*k*(k-1) // the diagonal plus each grid edge once
+	a := &Sym{N: n, ColPtr: make([]int32, n+1), RowIdx: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
 	idx := func(x, y int) int32 { return int32(x*k + y) }
 	for x := 0; x < k; x++ {
 		for y := 0; y < k; y++ {

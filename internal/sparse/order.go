@@ -52,36 +52,46 @@ func Permute(a *Sym, perm []int32) *Sym {
 	for newI, old := range perm {
 		inv[old] = int32(newI)
 	}
-	// Gather entries per new column.
-	type entry struct {
-		row int32
-		val float64
+	// lower maps A's entry (i, j) to its lower-triangle position in PAPᵀ.
+	lower := func(i, j int32) (row, col int32) {
+		ni, nj := inv[i], inv[j]
+		if ni < nj {
+			return nj, ni
+		}
+		return ni, nj
 	}
-	cols := make([][]entry, n)
+	// Count each new column's entries, then fill one backing array.
+	out := &Sym{N: n, ColPtr: make([]int32, n+1), RowIdx: make([]int32, a.NNZ()), Val: make([]float64, a.NNZ())}
+	for j := 0; j < n; j++ {
+		rows, _ := a.Col(j)
+		for _, i := range rows {
+			_, nj := lower(i, int32(j))
+			out.ColPtr[nj+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		out.ColPtr[j+1] += out.ColPtr[j]
+	}
+	next := append([]int32(nil), out.ColPtr[:n]...)
 	for j := 0; j < n; j++ {
 		rows, vals := a.Col(j)
 		for p, i := range rows {
-			ni, nj := inv[i], inv[j]
-			if ni < nj {
-				ni, nj = nj, ni // keep lower triangle
-			}
-			cols[nj] = append(cols[nj], entry{ni, vals[p]})
+			ni, nj := lower(i, int32(j))
+			out.RowIdx[next[nj]] = ni
+			out.Val[next[nj]] = vals[p]
+			next[nj]++
 		}
 	}
-	out := &Sym{N: n, ColPtr: make([]int32, n+1)}
+	// Insertion sort each column, rows and values together; columns are
+	// short and their rows distinct.
 	for j := 0; j < n; j++ {
-		es := cols[j]
-		// Insertion sort; columns are short.
-		for i := 1; i < len(es); i++ {
-			for q := i; q > 0 && es[q].row < es[q-1].row; q-- {
-				es[q], es[q-1] = es[q-1], es[q]
+		rows, vals := out.Col(j)
+		for i := 1; i < len(rows); i++ {
+			for q := i; q > 0 && rows[q] < rows[q-1]; q-- {
+				rows[q], rows[q-1] = rows[q-1], rows[q]
+				vals[q], vals[q-1] = vals[q-1], vals[q]
 			}
 		}
-		for _, e := range es {
-			out.RowIdx = append(out.RowIdx, e.row)
-			out.Val = append(out.Val, e.val)
-		}
-		out.ColPtr[j+1] = int32(len(out.RowIdx))
 	}
 	return out
 }

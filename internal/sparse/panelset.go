@@ -30,13 +30,17 @@ func BuildPanelSet(s *Symb, maxWidth int, relaxFill float64) *PanelSet {
 		start, end int
 		below      []int32
 		size       int64
+		at         int // offset of below in arena, or -1 for a view of L
 	}
+	// A strict panel's Below rows are a view of its first column in L; a
+	// merged panel's live in arena, which is a stack like merged itself:
+	// a rejected merge is rolled back, an accepted one moves its rows down
+	// over the two panels it consumed. The survivors are copied into one
+	// backing array at the end.
 	belowOf := func(p Panel) []int32 {
 		rows := s.LCol(p.Start)
 		i := sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= p.End })
-		out := make([]int32, len(rows)-i)
-		copy(out, rows[i:])
-		return out
+		return rows[i:len(rows):len(rows)]
 	}
 	sizeOf := func(start, end int, below []int32) int64 {
 		w := int64(end - start)
@@ -44,9 +48,10 @@ func BuildPanelSet(s *Symb, maxWidth int, relaxFill float64) *PanelSet {
 	}
 
 	var merged []work
+	var arena []int32
 	for _, p := range strict {
 		b := belowOf(p)
-		cur := work{p.Start, p.End, b, sizeOf(p.Start, p.End, b)}
+		cur := work{p.Start, p.End, b, sizeOf(p.Start, p.End, b), -1}
 		for len(merged) > 0 {
 			prev := merged[len(merged)-1]
 			if cur.end-prev.start > maxWidth {
@@ -54,22 +59,45 @@ func BuildPanelSet(s *Symb, maxWidth int, relaxFill float64) *PanelSet {
 			}
 			// Structure of the merged panel: previous panel's below rows
 			// outside the absorbed column range, unioned with ours.
-			nb := unionBeyond(prev.below, cur.below, cur.end)
+			at := len(arena)
+			arena = unionBeyond(arena, prev.below, cur.below, cur.end)
 			truth := prev.size + cur.size
-			ns := sizeOf(prev.start, cur.end, nb)
+			ns := sizeOf(prev.start, cur.end, arena[at:])
 			if float64(ns-truth) > relaxFill*float64(truth) {
+				arena = arena[:at]
 				break
 			}
-			cur = work{prev.start, cur.end, nb, ns}
+			base := at
+			if cur.at >= 0 {
+				base = cur.at
+			}
+			if prev.at >= 0 {
+				base = prev.at
+			}
+			arena = arena[:base+copy(arena[base:], arena[at:])]
+			cur = work{prev.start, cur.end, arena[base:len(arena):len(arena)], ns, base}
 			merged = merged[:len(merged)-1]
 		}
 		merged = append(merged, cur)
 	}
 
-	ps := &PanelSet{S: s, Owner: make([]int32, s.N), ColPtr: make([]int64, s.N+1)}
+	ps := &PanelSet{
+		S:      s,
+		Panels: make([]Panel, len(merged)),
+		Below:  make([][]int32, len(merged)),
+		Owner:  make([]int32, s.N),
+		ColPtr: make([]int64, s.N+1),
+	}
+	total := 0
+	for _, w := range merged {
+		total += len(w.below)
+	}
+	flat := make([]int32, 0, total)
 	for id, w := range merged {
-		ps.Panels = append(ps.Panels, Panel{ID: id, Start: w.start, End: w.end})
-		ps.Below = append(ps.Below, w.below)
+		ps.Panels[id] = Panel{ID: id, Start: w.start, End: w.end}
+		at := len(flat)
+		flat = append(flat, w.below...)
+		ps.Below[id] = flat[at:len(flat):len(flat)]
 		for j := w.start; j < w.end; j++ {
 			ps.Owner[j] = int32(id)
 			ps.ColPtr[j+1] = ps.ColPtr[j] + int64(w.end-j+len(w.below))
@@ -78,27 +106,27 @@ func BuildPanelSet(s *Symb, maxWidth int, relaxFill float64) *PanelSet {
 	return ps
 }
 
-// unionBeyond returns sorted union of a's entries >= cut with all of b.
-func unionBeyond(a, b []int32, cut int) []int32 {
+// unionBeyond appends to dst the sorted union of a's entries >= cut with
+// all of b.
+func unionBeyond(dst, a, b []int32, cut int) []int32 {
 	i := sort.Search(len(a), func(i int) bool { return int(a[i]) >= cut })
 	a = a[i:]
-	out := make([]int32, 0, len(a)+len(b))
 	x, y := 0, 0
 	for x < len(a) || y < len(b) {
 		switch {
 		case y == len(b) || (x < len(a) && a[x] < b[y]):
-			out = append(out, a[x])
+			dst = append(dst, a[x])
 			x++
 		case x == len(a) || b[y] < a[x]:
-			out = append(out, b[y])
+			dst = append(dst, b[y])
 			y++
 		default:
-			out = append(out, a[x])
+			dst = append(dst, a[x])
 			x++
 			y++
 		}
 	}
-	return out
+	return dst
 }
 
 // StoredNNZ returns the total stored entries (true entries plus padding).
@@ -134,16 +162,23 @@ func (ps *PanelSet) Deps() (dsts [][]int32, nupd []int32) {
 	n := len(ps.Panels)
 	dsts = make([][]int32, n)
 	nupd = make([]int32, n)
+	// One backing array: panel id's destinations are flat[at[id]:at[id+1]].
+	var flat []int32
+	at := make([]int, n+1)
 	for id := range ps.Panels {
 		last := int32(-1)
 		for _, r := range ps.Below[id] {
 			d := ps.Owner[r]
 			if d != last {
-				dsts[id] = append(dsts[id], d)
+				flat = append(flat, d)
 				nupd[d]++
 				last = d
 			}
 		}
+		at[id+1] = len(flat)
+	}
+	for id := range dsts {
+		dsts[id] = flat[at[id]:at[id+1]:at[id+1]]
 	}
 	return dsts, nupd
 }

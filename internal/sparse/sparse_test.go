@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -98,6 +99,59 @@ func TestAnalyzeStructureClosure(t *testing.T) {
 				if !set[r] {
 					t.Fatalf("closure violated: L[%d][%d]!=0 but row %d of col %d not in col %d", i, k, r, k, i)
 				}
+			}
+		}
+	}
+}
+
+// TestAnalyzeMatchesDenseElimination checks L's structure and the
+// elimination tree exactly against symbolic elimination on a dense
+// boolean matrix: eliminating column k fills (i, j) for every pair of
+// its rows i >= j > k, and parent(j) is column j's first row below j.
+func TestAnalyzeMatchesDenseElimination(t *testing.T) {
+	mats := []*Sym{GridLaplacian(6), GridLaplacianND(7), GridLaplacianND(8)}
+	for seed := int64(1); seed <= 4; seed++ {
+		mats = append(mats, RandomSPD(60, 3, seed))
+	}
+	for m, a := range mats {
+		n := a.N
+		dense := make([][]bool, n) // dense[j][i]: L(i, j) != 0
+		for j := range dense {
+			dense[j] = make([]bool, n)
+			rows, _ := a.Col(j)
+			for _, i := range rows {
+				dense[j][i] = true
+			}
+		}
+		for k := 0; k < n; k++ {
+			for j := k + 1; j < n; j++ {
+				if !dense[k][j] {
+					continue
+				}
+				for i := j; i < n; i++ {
+					if dense[k][i] {
+						dense[j][i] = true
+					}
+				}
+			}
+		}
+		s := Analyze(a)
+		for j := 0; j < n; j++ {
+			var want []int32
+			for i := j; i < n; i++ {
+				if dense[j][i] {
+					want = append(want, int32(i))
+				}
+			}
+			if !slices.Equal(s.LCol(j), want) {
+				t.Fatalf("matrix %d column %d: structure %v, want %v", m, j, s.LCol(j), want)
+			}
+			parent := int32(-1)
+			if len(want) > 1 {
+				parent = want[1]
+			}
+			if s.Parent[j] != parent {
+				t.Fatalf("matrix %d: parent[%d] = %d, want %d", m, j, s.Parent[j], parent)
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 // Package xcheck is the differential cross-validation harness: it runs
 // every registered application on both execution backends and fails if
-// they disagree. Each (app, variant, processor-count) cell runs seven
-// times — a simulator reference, then a simulator run under a different
-// steal seed, two plain native runs, two armed ones and an adaptive
-// simulator run — and every run must match the reference
+// they disagree. Each (app, variant, processor-count) cell runs a
+// simulator reference, then a simulator run under a different steal
+// seed, Options.NativeRuns plain native runs, two armed ones and an
+// adaptive simulator run — and every run must match the reference
 // token for token (schedule-dependent tokens excepted at P>1), run the
 // same number of tasks, and keep task-affinity sets whole.
 //
@@ -32,6 +32,10 @@ type Options struct {
 	Small bool
 	// Apps restricts the sweep to the named applications (default: all).
 	Apps []string
+	// NativeRuns is how many times each cell runs the plain native arm
+	// (default 2). Real goroutine interleavings differ run to run, and a
+	// bug that shows once in a few dozen runs needs a count to match.
+	NativeRuns int
 	// Out receives one "ok"/"FAIL" line per cell (default: discard).
 	Out io.Writer
 }
@@ -46,6 +50,10 @@ func Run(opts Options) error {
 	out := opts.Out
 	if out == nil {
 		out = io.Discard
+	}
+	nativeRuns := opts.NativeRuns
+	if nativeRuns <= 0 {
+		nativeRuns = 2
 	}
 	names := opts.Apps
 	if len(names) == 0 {
@@ -71,7 +79,7 @@ func Run(opts Options) error {
 		for _, variant := range variants {
 			for _, p := range procs {
 				cell := fmt.Sprintf("%s %s P=%d", name, variant, p)
-				if msgs := checkCell(app, variant, p, size); len(msgs) > 0 {
+				if msgs := checkCell(app, variant, p, size, nativeRuns); len(msgs) > 0 {
 					for _, m := range msgs {
 						failures = append(failures, cell+": "+m)
 					}
@@ -167,9 +175,10 @@ func checkSLOCell(procs int) []string {
 }
 
 // checkCell runs one (app, variant, procs) cell: a simulator reference,
-// then a seed-perturbed simulator run, native runs plain and armed, and
-// an adaptive simulator run, each compared against the reference.
-func checkCell(app apps.App, variant string, procs, size int) []string {
+// then a seed-perturbed simulator run, nativeRuns plain native runs, the
+// armed native runs, and an adaptive simulator run, each compared
+// against the reference.
+func checkCell(app apps.App, variant string, procs, size, nativeRuns int) []string {
 	ref, err := app.RunCfg(cool.Config{Processors: procs}, variant, size)
 	if err != nil {
 		return []string{"sim reference: " + err.Error()}
@@ -182,18 +191,19 @@ func checkCell(app apps.App, variant string, procs, size int) []string {
 	if procs == 1 {
 		ignore = nil // serial order is identical on both backends
 	}
-	native := cool.Config{Processors: procs, Backend: cool.BackendNative}
-	arms := []struct {
+	type arm struct {
 		label string
 		cfg   cool.Config
-	}{
-		// A different steal seed perturbs victim choice but must not change
-		// results beyond the declared schedule-dependent tokens.
-		{"sim seed=7", cool.Config{Processors: procs, Seed: 7}},
-		// Two native runs: real goroutine interleavings differ run to run,
-		// so one passing run is weaker evidence than two.
-		{"native run 1", native},
-		{"native run 2", native},
+	}
+	// A different steal seed perturbs victim choice but must not change
+	// results beyond the declared schedule-dependent tokens.
+	arms := []arm{{"sim seed=7", cool.Config{Processors: procs, Seed: 7}}}
+	// Plain native runs: real goroutine interleavings differ run to run,
+	// so one passing run is weak evidence.
+	for i := 1; i <= nativeRuns; i++ {
+		arms = append(arms, arm{fmt.Sprintf("native run %d", i), cool.Config{Processors: procs, Backend: cool.BackendNative}})
+	}
+	arms = append(arms, []arm{
 		// An armed native run: retries enabled and a generous deadline.
 		// With no faults injected neither can fire, so the robustness
 		// machinery (timekeeper goroutine, dispatch-point checks) must not
@@ -219,7 +229,7 @@ func checkCell(app apps.App, variant string, procs, size int) []string {
 		// non-schedule token must still match the reference — and the run
 		// is fully deterministic like any other simulator run.
 		{"sim adaptive", cool.Config{Processors: procs, Adapt: &cool.AdaptPolicy{Epoch: 10_000}}},
-	}
+	}...)
 	for _, arm := range arms {
 		res, err := app.RunCfg(arm.cfg, variant, size)
 		if err != nil {
