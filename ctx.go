@@ -54,11 +54,23 @@ func (c *Ctx) Now() int64 {
 // native backend the work-unit count still accumulates in the
 // ComputeCycles counter (so utilization figures stay meaningful) but no
 // time passes — the real computation is the time.
+//
+// The native path is inlined at every call site: it adds to the running
+// worker's row through the pointer its task context carries.
 func (c *Ctx) Compute(cycles int64) {
-	c.rt.mon.Per[c.ProcID()].ComputeCycles += cycles
 	if c.nc != nil {
+		c.nc.Counters().ComputeCycles += cycles
 		return
 	}
+	c.computeSim(cycles)
+}
+
+// computeSim is Compute's simulator path, kept out of line so Compute
+// itself stays within the inlining budget.
+//
+//go:noinline
+func (c *Ctx) computeSim(cycles int64) {
+	c.rt.mon.Per[c.sc.Proc().ID].ComputeCycles += cycles
 	c.sc.Charge(cycles)
 }
 
@@ -66,12 +78,17 @@ func (c *Ctx) Compute(cycles int64) {
 // latency of whichever level of the memory hierarchy services it. On the
 // native backend this is a no-op: the host memory system services the
 // program's real loads and stores, and the simulated cache counters stay
-// zero.
+// zero. The no-op is inlined at every call site; the simulation is not.
 func (c *Ctx) Access(addr, size int64, write bool) {
 	if c.nc != nil {
 		return
 	}
-	p := c.ProcID()
+	c.accessSim(addr, size, write)
+}
+
+// accessSim is Access's simulator path.
+func (c *Ctx) accessSim(addr, size int64, write bool) {
+	p := c.sc.Proc().ID
 	row := &c.rt.mon.Per[p]
 	refs, miss := row.Refs, row.RemoteMisses+row.DirtyMisses
 	cyc := c.rt.caches.Access(p, c.sc.Now(), addr, size, write)

@@ -282,41 +282,42 @@ func (ap *app) force(ctx *cool.Ctx, bi int) (float64, float64, float64) {
 	const eps2 = 1e-4
 	var ax, ay, az float64
 	theta2 := ap.prm.Theta * ap.prm.Theta
+	nodes := ap.nodes
 
-	var walk func(n int)
-	walk = func(n int) {
-		nd := &ap.nodes[n]
+	// Pre-order walk on an explicit stack. Children are pushed in reverse
+	// so they pop in index order, visiting nodes in the order a recursive
+	// walk would. The tree is at most 61 levels deep and each opened cell
+	// leaves at most 7 siblings waiting, so the stack never exceeds
+	// 7·61+1 = 428 entries and the buffer keeps it off the heap.
+	var buf [512]int32
+	stack := append(buf[:0], 0)
+	for len(stack) > 0 {
+		n := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		nd := &nodes[n]
 		ctx.Access(ap.tree.Addr(n*nodeStride), 64, false)
 		dx, dy, dz := nd.mx-x, nd.my-y, nd.mz-z
 		d2 := dx*dx + dy*dy + dz*dz + eps2
 		ctx.Compute(16)
 		if nd.leaf {
 			if nd.body == bi || nd.mass == 0 {
-				return
+				continue
 			}
-			inv := 1 / (d2 * math.Sqrt(d2))
-			ax += nd.mass * dx * inv
-			ay += nd.mass * dy * inv
-			az += nd.mass * dz * inv
-			ctx.Compute(12)
-			return
-		}
-		size := nd.half * 2
-		if size*size < theta2*d2 {
-			inv := 1 / (d2 * math.Sqrt(d2))
-			ax += nd.mass * dx * inv
-			ay += nd.mass * dy * inv
-			az += nd.mass * dz * inv
-			ctx.Compute(12)
-			return
-		}
-		for _, c := range nd.children {
-			if c != 0 {
-				walk(c)
+		} else if size := nd.half * 2; !(size*size < theta2*d2) {
+			// Too close to approximate: open the cell.
+			for c := len(nd.children) - 1; c >= 0; c-- {
+				if ch := nd.children[c]; ch != 0 {
+					stack = append(stack, int32(ch))
+				}
 			}
+			continue
 		}
+		inv := 1 / (d2 * math.Sqrt(d2))
+		ax += nd.mass * dx * inv
+		ay += nd.mass * dy * inv
+		az += nd.mass * dz * inv
+		ctx.Compute(12)
 	}
-	walk(0)
 	return ax, ay, az
 }
 

@@ -130,3 +130,28 @@ func BenchmarkRunPrepared(b *testing.B) {
 		}
 	}
 }
+
+// TestFinishFailsOnNaN plants a NaN in the first panel's diagonal entry
+// of a correct factor: a NaN compares false with everything, so gates on
+// residual > tol and maxdiff > tol would both pass it.
+func TestFinishFailsOnNaN(t *testing.T) {
+	prm := Params{Grid: 20}.normalize()
+	rt, err := cool.NewRuntime(cool.Config{Processors: 1, Backend: cool.BackendNative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := prm.Build(rt, int(DistrAff), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(inst.Main); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.Finish(); err != nil {
+		t.Fatalf("clean factor: %v", err)
+	}
+	inst.(*app).arrs[0].Data[0] = math.NaN()
+	if ev, err := inst.Finish(); err == nil {
+		t.Fatalf("a NaN factor passed: %s", ev.Verify(false))
+	}
+}

@@ -414,10 +414,11 @@ func (ap *app) Finish() (harness.Evidence, error) {
 		MaxDiff:  sparse.MaxDiff(ap.prep.ref, f),
 		Panels:   len(ps.Panels),
 	}
-	if res.Residual > 1e-9 {
+	// Written to fail on NaN, which compares false with everything.
+	if !(res.Residual <= 1e-9) {
 		return nil, fmt.Errorf("pancho: residual %g too large", res.Residual)
 	}
-	if res.MaxDiff > 1e-9 {
+	if !(res.MaxDiff <= 1e-9) {
 		return nil, fmt.Errorf("pancho: factor differs from serial reference by %g", res.MaxDiff)
 	}
 	return res, nil

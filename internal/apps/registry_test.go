@@ -155,3 +155,27 @@ func TestColdAndWarmRunTheSameProgram(t *testing.T) {
 		}
 	}
 }
+
+// TestNativeCountsTheSimulatorsWork: the ComputeCycles counter is the
+// native backend's record of the work the program declared, so every app
+// at its smoke preset must report the same total on both backends, at
+// P=1 and at P=2.
+func TestNativeCountsTheSimulatorsWork(t *testing.T) {
+	for _, name := range Names() {
+		app, _ := Lookup(name)
+		served := app.Variants[app.Served]
+		for _, procs := range []int{1, 2} {
+			var compute [2]int64
+			for i, b := range []cool.Backend{cool.BackendSim, cool.BackendNative} {
+				res, err := app.RunCfg(cool.Config{Processors: procs, Backend: b}, served, app.Sizes["smoke"])
+				if err != nil {
+					t.Fatalf("%s P=%d %v: %v", name, procs, b, err)
+				}
+				compute[i] = res.Report.Total.ComputeCycles
+			}
+			if compute[0] == 0 || compute[0] != compute[1] {
+				t.Errorf("%s P=%d: ComputeCycles sim %d, native %d", name, procs, compute[0], compute[1])
+			}
+		}
+	}
+}

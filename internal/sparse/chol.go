@@ -140,7 +140,9 @@ func (f *Factor) Solve(b []float64) []float64 {
 }
 
 // ResidualNorm returns ‖L Lᵀ x − A x‖∞ / ‖A x‖∞ for a fixed probe vector,
-// a cheap certificate that the factorization is correct.
+// a cheap certificate that the factorization is correct. It is NaN when
+// any entry of the residual is, so a tolerance gate must be written to
+// fail on NaN.
 func ResidualNorm(a *Sym, f *Factor) float64 {
 	x := make([]float64, a.N)
 	for i := range x {
@@ -150,8 +152,8 @@ func ResidualNorm(a *Sym, f *Factor) float64 {
 	got := f.MulVec(x)
 	var num, den float64
 	for i := range want {
-		if d := math.Abs(got[i] - want[i]); d > num {
-			num = d
+		if d := math.Abs(got[i] - want[i]); d > num || math.IsNaN(d) {
+			num = d // a NaN sticks: nothing compares greater
 		}
 		if d := math.Abs(want[i]); d > den {
 			den = d
@@ -164,12 +166,12 @@ func ResidualNorm(a *Sym, f *Factor) float64 {
 }
 
 // MaxDiff returns the largest absolute difference between two factors on
-// the same structure.
+// the same structure, or NaN when any difference is NaN.
 func MaxDiff(a, b *Factor) float64 {
 	var m float64
 	for i := range a.Val {
-		if d := math.Abs(a.Val[i] - b.Val[i]); d > m {
-			m = d
+		if d := math.Abs(a.Val[i] - b.Val[i]); d > m || math.IsNaN(d) {
+			m = d // a NaN sticks: nothing compares greater
 		}
 	}
 	return m

@@ -309,3 +309,23 @@ func TestFactorValuesFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNFactorMeasuresNaN: a NaN entry in a factor makes both
+// certificates NaN rather than leaving the running maximum at the
+// largest finite difference.
+func TestNaNFactorMeasuresNaN(t *testing.T) {
+	a := GridLaplacian(4)
+	s := Analyze(a)
+	ref, err := Cholesky(a, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Factor{S: s, Val: slices.Clone(ref.Val)}
+	f.Val[1] = math.NaN()
+	if d := MaxDiff(ref, f); !math.IsNaN(d) {
+		t.Errorf("MaxDiff = %g, want NaN", d)
+	}
+	if r := ResidualNorm(a, f); !math.IsNaN(r) {
+		t.Errorf("ResidualNorm = %g, want NaN", r)
+	}
+}
