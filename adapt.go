@@ -1,15 +1,15 @@
 package cool
 
 // This file is the public surface of the adaptive-affinity controller
-// (internal/adapt): Config.Adapt arms a per-epoch online controller
-// that reads a counter-delta snapshot and turns cluster-only stealing
-// — the paper's one run-time scheduling choice — on or off, with
-// hysteresis. On the simulator the epoch driver is a self-rescheduling
-// event at fixed simulated-cycle boundaries, so adaptive runs stay
-// bit-deterministic; on the native backend the timekeeper goroutine
-// drives epochs off wall-clock ticks. Every policy change is recorded
+// (internal/adapt), which runs on the simulator only: Config.Adapt arms
+// a per-epoch online controller that reads a counter-delta snapshot and
+// turns cluster-only stealing — the paper's one run-time scheduling
+// choice — on or off, with hysteresis. The epoch driver is a
+// self-rescheduling event at fixed simulated-cycle boundaries, so
+// adaptive runs stay bit-deterministic. Every policy change is recorded
 // as a BLIS-style decision trace queryable via Report.Decisions and
-// rendered by the Chrome trace exporter.
+// rendered by the Chrome trace exporter. Native programs set the knob
+// themselves with Ctx.SetClusterStealingOnly.
 
 import (
 	"fmt"
@@ -18,18 +18,15 @@ import (
 	"github.com/coolrts/cool/internal/trace"
 )
 
-// defaultSimAdaptEpoch is the simulator's default controller epoch, in
-// simulated cycles (the native backend defaults to 1ms of wall clock,
-// five timekeeper ticks — see native.initAdapt).
+// defaultSimAdaptEpoch is the default controller epoch, in simulated
+// cycles.
 const defaultSimAdaptEpoch = 50_000
 
-// AdaptPolicy configures the online policy controller (Config.Adapt).
-// The zero value selects backend defaults for everything. Epoch is the
-// controller interval — simulated cycles on the simulator (default
-// 50_000), wall-clock nanoseconds on the native backend (default
-// 1_000_000) — and Start, when non-nil, warm-starts the controller and
-// the live scheduler from a policy harvested with Runtime.AdaptState
-// at the end of an earlier run.
+// AdaptPolicy configures the online policy controller (Config.Adapt,
+// simulator only). The zero value selects the defaults. Epoch is the
+// controller interval in simulated cycles (default 50_000), and Start,
+// when non-nil, warm-starts the controller and the live scheduler from a
+// policy harvested with Runtime.AdaptState at the end of an earlier run.
 type AdaptPolicy = adapt.Policy
 
 // validateAdapt rejects nonsensical controller configurations.
@@ -40,15 +37,11 @@ func validateAdapt(p *AdaptPolicy) error {
 	return nil
 }
 
-// CounterSnapshot is one cheap machine-wide counter reading — the
-// controller's input API, exposed for external policy controllers and
-// monitoring. The steal/wake/shed fields are cumulative since the run
-// started; Queued, Parked, and Workers are instantaneous gauges, and
-// Delta subtracts an earlier reading on the cumulative fields only. On
-// the native backend the cumulative fields read a dedicated atomic
-// mirror bumped only at slow-path sites, so sampling is safe (and
-// cheap) while Run executes; on the single-threaded simulator they sum
-// the perfmon rows.
+// CounterSnapshot is one machine-wide counter reading — the controller's
+// input API, exposed for external policy controllers and monitoring.
+// The steal/wake/shed fields are cumulative since the run started;
+// Queued, Parked, and Workers are instantaneous gauges, and Delta
+// subtracts an earlier reading on the cumulative fields only.
 type CounterSnapshot = adapt.Snapshot
 
 // AdaptState is the live policy the controller drives: whether
@@ -74,23 +67,48 @@ func ReplayAdaptDecisions(init AdaptState, ds []AdaptDecision) AdaptState {
 	return adapt.Replay(init, ds)
 }
 
-// CounterSnapshot samples the machine-wide scheduling counters. Safe
-// to call at any time on the native backend (the cumulative fields
-// read atomics); on the simulator call it between events — from the
-// embedding program that means before Run or after it.
+// CounterSnapshot sums the per-processor counter rows into one
+// machine-wide reading and adds the backend's queue, park and pool
+// gauges. Call it after Run: while a native run executes, each row
+// belongs to its worker's goroutine. (The simulator's epoch driver calls
+// it between events, which is equally safe.)
 func (rt *Runtime) CounterSnapshot() CounterSnapshot {
-	if rt.backend == BackendNative {
-		return rt.nat.CounterSnapshot()
+	var s adapt.Snapshot
+	for i := range rt.mon.Per {
+		p := &rt.mon.Per[i]
+		s.StealTries += p.StealTries
+		s.FailedSteals += p.FailedSteals
+		s.StealsLocal += p.StealsLocal
+		s.StealsRemote += p.StealsRemote
+		s.SetSteals += p.SetSteals
+		s.TargetedWakes += p.TargetedWakes
+		s.BroadcastWakes += p.BroadcastWakes
+		s.LockContention += p.LockContention
+		s.TasksShed += p.TasksShed
+		s.DeadlineMisses += p.DeadlineMisses
+		s.Completed += p.TasksRun + p.TasksShed
+		s.Refs += p.Refs
+		s.RemoteMisses += p.RemoteMisses + p.DirtyMisses
+		s.StolenRefs += p.StolenRefs
+		s.StolenMisses += p.StolenMisses
 	}
-	return rt.simSnapshot()
+	if rt.backend == BackendNative {
+		s.Queued = int64(rt.nat.QueuedTasks())
+		s.Parked = int64(rt.nat.ParkedWorkers())
+		s.Workers = int64(rt.nat.PoolSize())
+		return s
+	}
+	s.Queued = int64(rt.sched.QueuedTasks())
+	s.Parked = int64(rt.eng.ParkedCount())
+	s.Workers = int64(rt.cfg.Processors)
+	s.QueuedClusters = int64(rt.sched.QueuedClusters())
+	s.Clusters = int64(rt.cfg.Clusters())
+	return s
 }
 
 // AdaptState returns the controller's current policy, or false
 // when Config.Adapt was not set. Call after Run for a settled view.
 func (rt *Runtime) AdaptState() (AdaptState, bool) {
-	if rt.backend == BackendNative {
-		return rt.nat.AdaptState()
-	}
 	if rt.adaptCtl == nil {
 		return AdaptState{}, false
 	}
@@ -103,9 +121,6 @@ func (rt *Runtime) AdaptState() (AdaptState, bool) {
 // effective policy differs from the base configuration (for example,
 // an application variant forcing cluster-only stealing).
 func (rt *Runtime) AdaptInitialState() (AdaptState, bool) {
-	if rt.backend == BackendNative {
-		return rt.nat.AdaptInit()
-	}
 	if rt.adaptCtl == nil {
 		return AdaptState{}, false
 	}
@@ -115,20 +130,16 @@ func (rt *Runtime) AdaptInitialState() (AdaptState, bool) {
 // adaptDecisions returns the run's raw decision trace (nil when
 // Config.Adapt was not set).
 func (rt *Runtime) adaptDecisions() []AdaptDecision {
-	if rt.backend == BackendNative {
-		return rt.nat.Decisions()
-	}
 	if rt.adaptCtl == nil {
 		return nil
 	}
 	return rt.adaptCtl.Decisions()
 }
 
-// installAdaptSim arms the controller on the simulator: a
-// self-rescheduling engine event steps it at fixed simulated-cycle
-// boundaries, so an adaptive sim run is exactly as deterministic as a
-// static one. The event stops rescheduling itself once the run has
-// drained.
+// installAdaptSim arms the controller: a self-rescheduling engine event
+// steps it at fixed simulated-cycle boundaries, so an adaptive run is
+// exactly as deterministic as a static one. The event stops
+// rescheduling itself once the run has drained.
 func (rt *Runtime) installAdaptSim(p *AdaptPolicy) {
 	pol := *p
 	if pol.Epoch <= 0 {
@@ -148,7 +159,7 @@ func (rt *Runtime) installAdaptSim(p *AdaptPolicy) {
 			return
 		}
 		now := rt.eng.Now()
-		st, changed := ctl.Epoch(now, rt.simSnapshot())
+		st, changed := ctl.Epoch(now, rt.CounterSnapshot())
 		if changed {
 			rt.sched.SetClusterStealingOnly(st.ClusterOnly)
 			for n := ctl.Count(); seen < n; seen++ {
@@ -159,34 +170,4 @@ func (rt *Runtime) installAdaptSim(p *AdaptPolicy) {
 		rt.eng.At(now+pol.Epoch, step)
 	}
 	rt.eng.At(pol.Epoch, step)
-}
-
-// simSnapshot sums the simulator's perfmon rows into one controller
-// snapshot. Single-threaded like everything in the sim stack.
-func (rt *Runtime) simSnapshot() adapt.Snapshot {
-	var s adapt.Snapshot
-	for i := range rt.mon.Per {
-		p := &rt.mon.Per[i]
-		s.StealTries += p.StealTries
-		s.FailedSteals += p.FailedSteals
-		s.StealsLocal += p.StealsLocal
-		s.StealsRemote += p.StealsRemote
-		s.SetSteals += p.SetSteals
-		s.TargetedWakes += p.TargetedWakes
-		s.BroadcastWakes += p.BroadcastWakes
-		s.LockContention += p.LockContention
-		s.TasksShed += p.TasksShed
-		s.DeadlineMisses += p.DeadlineMisses
-		s.Completed += p.TasksRun
-		s.Refs += p.Refs
-		s.RemoteMisses += p.RemoteMisses + p.DirtyMisses
-		s.StolenRefs += p.StolenRefs
-		s.StolenMisses += p.StolenMisses
-	}
-	s.Queued = int64(rt.sched.QueuedTasks())
-	s.Parked = int64(rt.eng.ParkedCount())
-	s.Workers = int64(rt.cfg.Processors)
-	s.QueuedClusters = int64(rt.sched.QueuedClusters())
-	s.Clusters = int64(rt.cfg.Clusters())
-	return s
 }

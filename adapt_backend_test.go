@@ -8,12 +8,11 @@ import (
 )
 
 // TestCounterSnapshotConsistent asserts Runtime.CounterSnapshot — the
-// adaptive controller's cheap counter-read API — reports the same
-// quantities as the full perfmon Report on both backends after a run:
-// the cumulative columns match the summed per-processor rows exactly
-// (on the native backend they come from a separate atomic mirror bumped
-// at the same sites), Completed covers every executed task, and the
-// queue/park gauges read zero on a drained machine.
+// adaptive controller's counter-read API — reports the same quantities
+// as the full perfmon Report on both backends after a run: the
+// cumulative columns match the summed per-processor rows exactly,
+// Completed covers every executed or shed task, the queue gauge reads
+// zero on a drained machine, and the pool gauge reads the worker count.
 func TestCounterSnapshotConsistent(t *testing.T) {
 	const procs, tasks = 4, 300
 	for _, be := range backends {
@@ -71,41 +70,34 @@ func TestCounterSnapshotConsistent(t *testing.T) {
 	}
 }
 
-// TestAdaptWarmStart asserts AdaptPolicy.Start seeds the controller on
-// both backends: the initial and (with no epochs elapsing) final policy
-// vectors equal the warm state, and the empty decision trace replays to
-// it.
+// TestAdaptWarmStart asserts AdaptPolicy.Start seeds the controller:
+// the initial and (with no epochs elapsing) final policy vectors equal
+// the warm state, and the empty decision trace replays to it.
 func TestAdaptWarmStart(t *testing.T) {
 	warm := cool.AdaptState{ClusterOnly: true}
-	for _, be := range backends {
-		be := be
-		t.Run(be.name, func(t *testing.T) {
-			rt, err := cool.NewRuntime(cool.Config{
-				Processors: 4,
-				Backend:    be.b,
-				Adapt:      &cool.AdaptPolicy{Epoch: 1 << 40, Start: &warm},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := rt.NewI64(1, 0)
-			if err := rt.Run(func(ctx *cool.Ctx) {
-				ctx.Spawn("task", func(c *cool.Ctx) { c.AddI64(done, 0, 1) })
-			}); err != nil {
-				t.Fatal(err)
-			}
-			init, ok := rt.AdaptInitialState()
-			if !ok || init != warm {
-				t.Fatalf("AdaptInitialState = %+v, %v; want warm state %+v", init, ok, warm)
-			}
-			st, ok := rt.AdaptState()
-			if !ok || st != warm {
-				t.Fatalf("AdaptState = %+v, %v; want warm state %+v", st, ok, warm)
-			}
-			if got := cool.ReplayAdaptDecisions(init, rt.Report().Decisions); got != st {
-				t.Fatalf("replay = %+v, want %+v", got, st)
-			}
-		})
+	rt, err := cool.NewRuntime(cool.Config{
+		Processors: 4,
+		Adapt:      &cool.AdaptPolicy{Epoch: 1 << 40, Start: &warm},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := rt.NewI64(1, 0)
+	if err := rt.Run(func(ctx *cool.Ctx) {
+		ctx.Spawn("task", func(c *cool.Ctx) { c.AddI64(done, 0, 1) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	init, ok := rt.AdaptInitialState()
+	if !ok || init != warm {
+		t.Fatalf("AdaptInitialState = %+v, %v; want warm state %+v", init, ok, warm)
+	}
+	st, ok := rt.AdaptState()
+	if !ok || st != warm {
+		t.Fatalf("AdaptState = %+v, %v; want warm state %+v", st, ok, warm)
+	}
+	if got := cool.ReplayAdaptDecisions(init, rt.Report().Decisions); got != st {
+		t.Fatalf("replay = %+v, want %+v", got, st)
 	}
 }
 

@@ -17,6 +17,7 @@
 //	                                              (AddWorker/Drain events)
 //	coolbench -chaos -chaos-adapt                 adaptive affinity controller
 //	                                              armed on every faulted run
+//	                                              (simulator only)
 package main
 
 import (
@@ -40,13 +41,17 @@ func chaosMain(args []string) int {
 	small := fs.Bool("chaos-small", false, "use reduced workload sizes (CI smoke)")
 	nativeFlag := fs.Bool("chaos-native", false, "run campaigns on the native goroutine backend (plan times read as nanoseconds)")
 	churn := fs.Bool("chaos-churn", false, "include elastic pool churn (AddWorker/Drain) in generated plans; requires -chaos-native")
-	adapt := fs.Bool("chaos-adapt", false, "arm the adaptive affinity controller on every faulted run (reference stays static)")
+	adapt := fs.Bool("chaos-adapt", false, "arm the adaptive affinity controller on every faulted run (reference stays static); simulator only")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	backend := cool.BackendSim
 	if *nativeFlag {
 		backend = cool.BackendNative
+	}
+	if *adapt && (*nativeFlag || *churn) {
+		fmt.Fprintln(os.Stderr, "coolbench -chaos: -chaos-adapt runs on the simulator only (drop -chaos-native and -chaos-churn)")
+		return 2
 	}
 	if *churn && !*nativeFlag {
 		fmt.Fprintln(os.Stderr, "coolbench -chaos: -chaos-churn requires -chaos-native (the simulator has no worker pool)")

@@ -62,14 +62,19 @@ func TestUnknownModeFlagIsRejected(t *testing.T) {
 }
 
 // TestModeDispatch: each surviving mode is reached through the table (an
-// unknown app is each mode's cheapest exit), and a bad -exp or -procs
-// stops with exit 2 before any work.
+// unknown app is each mode's cheapest exit), and a bad -exp or -procs,
+// or a chaos flag combination the backends cannot run, stops with exit 2
+// before any work.
 func TestModeDispatch(t *testing.T) {
 	for _, tc := range []struct {
 		args, want string
 		code       int
 	}{
 		{"-chaos -chaos-apps nosuch", "coolbench -chaos: unknown app", 2},
+		{"-chaos -chaos-churn", "-chaos-churn requires -chaos-native", 2},
+		{"-chaos -chaos-native -chaos-adapt", "-chaos-adapt runs on the simulator only", 2},
+		{"-chaos -chaos-native -chaos-churn -chaos-adapt", "-chaos-adapt runs on the simulator only", 2},
+		{"-chaos -chaos-churn -chaos-adapt", "-chaos-adapt runs on the simulator only", 2},
 		{"-xcheck -xcheck-apps nosuch", "coolbench -xcheck:", 1},
 		{"-trace -trace-out /dev/null -trace-app nosuch", "coolbench -trace: unknown app", 2},
 		{"-exp nosuch", "unknown experiment", 2},

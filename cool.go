@@ -67,7 +67,7 @@ const (
 	// no-progress watchdog run natively with every cycle quantity read
 	// as wall-clock nanoseconds (DegradeMemory events are ignored — the
 	// memory system is real). Only the options that require the
-	// simulated machine itself (Machine, CycleLimit, Quantum) are
+	// simulated machine itself (Machine, CycleLimit, Quantum, Adapt) are
 	// rejected with *UnsupportedOnNativeError.
 	BackendNative
 )
@@ -156,23 +156,19 @@ type Config struct {
 	// MaxProcessors (native backend only), when positive, reserves
 	// spare worker capacity in [Processors, 64]: the pool starts at
 	// Processors workers and can grow to MaxProcessors mid-run via
-	// Runtime.AddWorkers or the autoscaler, and shrink back via
-	// Runtime.Retire. Zero keeps the pool fixed.
+	// Runtime.AddWorkers, and shrink back via Runtime.Retire. Zero keeps
+	// the pool fixed.
 	MaxProcessors int
 	// Shed (native backend only), when non-nil, arms the SLO layer:
 	// WithPriority/WithDeadline spawn options are enforced at dispatch,
 	// and overload sheds the lowest-priority tasks first (see
 	// ShedPolicy).
 	Shed *ShedPolicy
-	// Autoscale (native backend only), when non-nil, grows and shrinks
-	// the pool between watermarks each control epoch (see
-	// AutoscalePolicy). Requires MaxProcessors headroom.
-	Autoscale *AutoscalePolicy
-	// Adapt, when non-nil, arms the adaptive-affinity controller on
-	// either backend: each epoch it reads the machine-wide counter
-	// deltas and turns cluster-only stealing on or off, recording
-	// every change as a decision trace (see AdaptPolicy,
-	// Report.Decisions).
+	// Adapt (simulator only), when non-nil, arms the adaptive-affinity
+	// controller: each epoch it reads the machine-wide counter deltas
+	// and turns cluster-only stealing on or off, recording every change
+	// as a decision trace (see AdaptPolicy, Report.Decisions). Native
+	// programs set the knob with Ctx.SetClusterStealingOnly.
 	Adapt *AdaptPolicy
 }
 
@@ -190,7 +186,7 @@ type Runtime struct {
 	nat     *native.Runtime // native backend only
 	mon     *perfmon.Monitor
 	// adaptCtl is the sim backend's adaptive controller (nil unless
-	// Config.Adapt is set; the native backend owns its own instance).
+	// Config.Adapt is set).
 	adaptCtl *adapt.Controller
 	ran      bool
 	tdFree   []*core.TaskDesc // recycled task descriptors (see ctx.go)
@@ -236,8 +232,6 @@ func NewRuntime(c Config) (*Runtime, error) {
 			return nil, fmt.Errorf("cool: Config.MaxProcessors requires Backend: BackendNative")
 		case c.Shed != nil:
 			return nil, fmt.Errorf("cool: Config.Shed requires Backend: BackendNative")
-		case c.Autoscale != nil:
-			return nil, fmt.Errorf("cool: Config.Autoscale requires Backend: BackendNative")
 		}
 	}
 	var mc machine.Config
@@ -379,6 +373,8 @@ func nativeUnsupported(c Config) error {
 		return &UnsupportedOnNativeError{Option: "CycleLimit"}
 	case c.Quantum > 0:
 		return &UnsupportedOnNativeError{Option: "Quantum"}
+	case c.Adapt != nil:
+		return &UnsupportedOnNativeError{Option: "Adapt"}
 	}
 	return nil
 }
@@ -455,8 +451,6 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		NoProgressNS:  noProgress,
 		MaxProcs:      c.MaxProcessors,
 		Shed:          c.Shed,
-		Autoscale:     c.Autoscale,
-		Adapt:         c.Adapt,
 	})
 	if err != nil {
 		return nil, err

@@ -11,9 +11,8 @@ import (
 // layer on the native backend: live pool growth (AddWorkers), planned
 // worker retirement (Retire / RetireWorkers — a clean drain, distinct
 // from a fault-injected kill), the pool-membership timeline reported
-// after the run (PoolEvent), overload shedding (ShedPolicy, with
-// per-spawn WithPriority / WithDeadline options), and the threshold
-// autoscaler (AutoscalePolicy).
+// after the run (PoolEvent), and overload shedding (ShedPolicy, with
+// per-spawn WithPriority / WithDeadline options).
 
 // ShedPolicy arms the native backend's SLO layer (Config.Shed):
 // per-spawn priorities and deadlines are enforced at dispatch, and
@@ -23,17 +22,11 @@ import (
 // Counters.TasksShed and Counters.DeadlineMisses.
 type ShedPolicy = native.ShedPolicy
 
-// AutoscalePolicy (Config.Autoscale, native backend) runs a threshold
-// autoscaler inside the runtime: each control epoch it compares the
-// queued backlog per alive worker against the watermarks and calls
-// AddWorkers or Retire. Requires Config.MaxProcessors headroom.
-type AutoscalePolicy = native.AutoscalePolicy
-
 // PoolEvent is one worker-pool membership change, in occurrence order:
-// "add" (AddWorkers or the autoscaler grew the pool), "drain" (planned
-// retirement completed; DurationNS carries the request-to-completion
-// latency and Moved the tasks re-homed), or "kill" (a fault-injected
-// FailServer). A healthy fixed-size run reports no events.
+// "add" (AddWorkers or a plan's AddWorker event grew the pool), "drain"
+// (planned retirement completed; DurationNS carries the
+// request-to-completion latency and Moved the tasks re-homed), or
+// "kill" (a fault-injected FailServer). A healthy fixed-size run reports no events.
 type PoolEvent = native.PoolEvent
 
 // elasticErr reports an elastic-pool call on the wrong backend.

@@ -20,7 +20,6 @@ func TestElasticConfigRejectedOnSim(t *testing.T) {
 	}{
 		{"maxprocs", cool.Config{Processors: 2, MaxProcessors: 4}, "MaxProcessors"},
 		{"shed", cool.Config{Processors: 2, Shed: &cool.ShedPolicy{}}, "Shed"},
-		{"autoscale", cool.Config{Processors: 2, Autoscale: &cool.AutoscalePolicy{}}, "Autoscale"},
 	}
 	for _, tc := range cases {
 		if _, err := cool.NewRuntime(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -3,13 +3,11 @@
 // into the one run-time scheduling choice the paper has — whether
 // stealing is restricted to the thief's own cluster.
 //
-// The controller is backend-agnostic and deliberately pure: the
-// deterministic simulator and the native runtime feed it cumulative
-// counter snapshots at their own epoch boundaries (a simulated-cycle
-// interval there, timekeeper ticks here) and apply the returned state
-// through their own mechanisms. Purity is what keeps the sim runs
-// bit-stable and lets the hysteresis rules be unit-tested with
-// scripted counter streams.
+// The controller is deliberately pure: the deterministic simulator feeds
+// it cumulative counter snapshots at fixed simulated-cycle epoch
+// boundaries and applies the returned state to its scheduler. Purity is
+// what keeps the sim runs bit-stable and lets the hysteresis rules be
+// unit-tested with scripted counter streams.
 //
 // Three rules move the knob, each on a crisp counter signature: a
 // probe-fail storm turns the restriction on, so does the locality
@@ -48,15 +46,13 @@ const (
 )
 
 // Policy configures the online policy controller (Config.Adapt). The
-// zero value selects backend defaults for everything. Only Epoch and
-// Start are settable from outside this package; hysteresis and
-// traceCap are fields only so that this package's tests can script
-// them.
+// zero value selects the defaults for everything. Only Epoch and Start
+// are settable from outside this package; hysteresis and traceCap are
+// fields only so that this package's tests can script them.
 type Policy struct {
-	// Epoch is the controller interval: simulated cycles on the
-	// simulator (default 50_000), wall-clock nanoseconds on the native
-	// backend (default 1_000_000). The controller itself never reads it
-	// — the backend's epoch driver does.
+	// Epoch is the controller interval in simulated cycles (default
+	// 50_000). The controller itself never reads it — the simulator's
+	// epoch driver does.
 	Epoch int64
 	// hysteresis is how many consecutive epochs a signal must persist
 	// before the controller acts on it (default 2).
@@ -166,7 +162,7 @@ type Alternative struct {
 type Decision struct {
 	Seq          int    // ordinal within the trace
 	Epoch        int64  // controller epoch ordinal at which it was taken
-	Time         int64  // backend clock (cycles or nanoseconds)
+	Time         int64  // simulated cycle at which it was taken
 	Knob         string // KnobCluster
 	Action       string
 	From, To     int64
@@ -177,8 +173,8 @@ type Decision struct {
 }
 
 // Controller holds the hysteresis state machine. Not safe for
-// concurrent use: exactly one goroutine (the sim event loop or the
-// native timekeeper) calls Epoch; readers use Decisions after the run.
+// concurrent use: the sim event loop alone calls Epoch; readers use
+// Decisions after the run.
 type Controller struct {
 	pol     Policy
 	st      State

@@ -46,7 +46,7 @@ type Campaign struct {
 	// Adapt arms the adaptive affinity controller on the faulted run
 	// (the fault-free reference stays static). The controller may only
 	// reshape the schedule, so every differential invariant must hold
-	// with it flipping policy mid-campaign.
+	// with it flipping policy mid-campaign. Simulator only.
 	Adapt bool
 }
 

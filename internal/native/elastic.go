@@ -43,28 +43,6 @@ type PoolEvent struct {
 	Moved      int    // tasks re-homed off the retiring worker
 }
 
-// AutoscalePolicy runs a threshold autoscaler inside the runtime (public
-// as cool.AutoscalePolicy): each control epoch the timekeeper compares
-// the machine-wide backlog per worker against the watermarks and calls
-// AddWorkers / DrainN. It reads only scheduler atomics (queuedTotal, the
-// parked mask, the dead mask) — never a perfmon row, which belongs to
-// its worker's goroutine.
-type AutoscalePolicy struct {
-	// IntervalNS is the control epoch length in wall-clock nanoseconds
-	// (default 1ms), rounded up to the timekeeper's tick.
-	IntervalNS int64
-	// HighWater grows the pool when the backlog per alive worker
-	// exceeds it (default 8); LowWater shrinks the pool when the
-	// backlog falls below it while workers sit parked (default 1).
-	HighWater, LowWater int
-	// MinProcs and MaxProcs bound the pool size (defaults: Processors
-	// and MaxProcessors).
-	MinProcs, MaxProcs int
-	// Step is the number of workers added or retired per epoch
-	// (default 1).
-	Step int
-}
-
 // startWorkerLocked starts w's goroutine and counts it in the pool-join
 // protocol. poolMu held.
 func (rt *Runtime) startWorkerLocked(w *worker) {
@@ -223,8 +201,9 @@ func (rt *Runtime) drainLocked(ids []int) error {
 // stayingWorkers counts the alive workers nobody has asked to retire:
 // the pool size once every pending drain completes. A worker asked to
 // drain stays alive until it reaches its next top-level dispatch point,
-// so sizing decisions made from the alive count alone would retire too
-// many. One dead-mask snapshot keeps the two terms consistent.
+// so a survivor check against the alive count alone would let
+// back-to-back drains empty the pool. One dead-mask snapshot keeps the
+// two terms consistent.
 func (rt *Runtime) stayingWorkers() int {
 	dead := rt.deadSet()
 	n := 0
@@ -267,37 +246,3 @@ func (rt *Runtime) PoolEvents() []PoolEvent {
 
 // PoolSize returns the number of alive (routable) workers.
 func (rt *Runtime) PoolSize() int { return rt.aliveWorkers() }
-
-// autoscaleTick is the timekeeper's per-tick autoscaler check
-// (Config.Autoscale): when the control epoch boundary has passed it
-// grows the pool if the backlog per staying worker passes the high
-// watermark, and drains workers if the backlog falls below the low
-// watermark while some workers sit parked. Errors from
-// AddWorkers/DrainN (capacity exhausted, survivor rule) are deliberate
-// no-ops — the autoscaler is best-effort by design. Runs only on the
-// timekeeper goroutine.
-func (rt *Runtime) autoscaleTick(now int64) {
-	a := rt.auto
-	if now < rt.autoNextNS {
-		return
-	}
-	rt.autoNextNS = now + a.IntervalNS
-	size := rt.stayingWorkers()
-	if size == 0 {
-		return
-	}
-	q := rt.queuedTotal.Load()
-	if q > int64(a.HighWater)*int64(size) && size < a.MaxProcs {
-		n := a.Step
-		if size+n > a.MaxProcs {
-			n = a.MaxProcs - size
-		}
-		rt.AddWorkers(n)
-	} else if q < int64(a.LowWater)*int64(size) && size > a.MinProcs && rt.parked.Load() != 0 {
-		n := a.Step
-		if size-n < a.MinProcs {
-			n = size - a.MinProcs
-		}
-		rt.DrainN(n)
-	}
-}

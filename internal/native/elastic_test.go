@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -478,77 +479,27 @@ func TestShedRetryDefers(t *testing.T) {
 	}
 }
 
-// TestAutoscaler arms the threshold controller on a 2-worker pool with
-// 8 slots: a burst of slow tasks must grow the pool, and the post-burst
-// idle must drain it back to the floor — both visible as PoolEvents and
-// as the final pool size.
-func TestAutoscaler(t *testing.T) {
-	rt, _ := elasticRuntime(t, 2, 8, func(cfg *Config) {
-		cfg.Autoscale = &AutoscalePolicy{IntervalNS: 200_000, HighWater: 2, LowWater: 1, Step: 2}
-	})
-	const n = 600
-	var ran atomic.Int64
-	err := rt.Run(func(c *Ctx) {
-		c.WaitFor(func() {
-			for i := 0; i < n; i++ {
-				c.Spawn("slow", core.Affinity{}, nil, func(*Ctx) {
-					ran.Add(1)
-					time.Sleep(50 * time.Microsecond)
-				})
-			}
-		})
-		// Backlog is gone; the low watermark should now drain the pool
-		// back to its floor (the initial Procs).
-		waitPoolSize(t, rt, 2)
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if t.Failed() {
-		return
-	}
-	if ran.Load() != n {
-		t.Fatalf("ran %d of %d tasks", ran.Load(), n)
-	}
-	adds, drains := 0, 0
-	for _, ev := range rt.PoolEvents() {
-		switch ev.Kind {
-		case "add":
-			adds++
-		case "drain":
-			drains++
-		}
-	}
-	if adds == 0 {
-		t.Fatal("autoscaler never grew the pool under backlog")
-	}
-	if drains == 0 {
-		t.Fatal("autoscaler never drained the pool after the backlog cleared")
-	}
-	if rt.SetSplits() != 0 {
-		t.Fatalf("SetSplits=%d want 0", rt.SetSplits())
-	}
-	assertWorkerQueuesEmpty(t, rt, "autoscaler")
-}
-
-// TestAutoscalerFloorCountsPendingDrains steps the shrink rule by hand
-// with a drain outstanding: a worker asked to retire last epoch is still
-// alive, and counting it would take the pool below MinProcs.
-func TestAutoscalerFloorCountsPendingDrains(t *testing.T) {
-	rt, _ := elasticRuntime(t, 3, 4, func(cfg *Config) {
-		cfg.Autoscale = &AutoscalePolicy{MinProcs: 2}
-	})
+// TestDrainFloorCountsPendingDrains checks the survivor rule with drains
+// outstanding: workers asked to retire are still alive until their next
+// dispatch point, and counting them would let a later Drain empty the
+// pool.
+func TestDrainFloorCountsPendingDrains(t *testing.T) {
+	rt, _ := elasticRuntime(t, 3, 4, nil)
 	rt.start = time.Now()
-	rt.running = true     // no goroutines: Drain only checks the flag
-	rt.setParked(0, true) // the shrink rule wants an idle worker
-	rt.autoscaleTick(1)   // empty queues, 3 > MinProcs: asks worker 2 to go
-	if rt.workers[2].drainReq.Load() == 0 {
-		t.Fatal("first epoch requested no drain from an idle 3-worker pool with MinProcs 2")
+	rt.running = true // no goroutines: Drain only checks the flag
+	ids, err := rt.DrainN(2)
+	if err != nil {
+		t.Fatalf("DrainN(2) on a 3-worker pool: %v", err)
 	}
-	rt.autoscaleTick(1 + rt.auto.IntervalNS) // worker 2 has not retired yet
-	if rt.workers[1].drainReq.Load() != 0 || rt.workers[0].drainReq.Load() != 0 {
-		t.Fatalf("second epoch drained below MinProcs: drainReq = %d, %d, %d",
-			rt.workers[0].drainReq.Load(), rt.workers[1].drainReq.Load(), rt.workers[2].drainReq.Load())
+	if len(ids) != 2 || ids[0] != 2 || ids[1] != 1 {
+		t.Fatalf("DrainN(2) chose %v, want [2 1]", ids)
+	}
+	err = rt.Drain(0) // workers 1 and 2 have not retired yet
+	if err == nil || !strings.Contains(err.Error(), "would leave the pool empty") {
+		t.Fatalf("Drain(0) with 1 and 2 still draining = %v, want the empty-pool refusal", err)
+	}
+	if rt.isDead(1) || rt.isDead(2) {
+		t.Fatal("draining workers retired without a goroutine to observe the request")
 	}
 }
 

@@ -599,24 +599,15 @@ const timekeeperTick = 200 * time.Microsecond
 
 // timekeeper is the run's one control goroutine, started by Run when
 // anything time-driven is armed (faults, retries, a deadline, the
-// watchdog, shedding, the adaptive controller, the autoscaler). Per tick
-// it delivers due retries, applies due plan adds, runs the shed-floor,
-// adaptive and autoscaler steps, wakes workers that have due timed fault
-// events (so an idle worker still retires on schedule), and stops
+// watchdog, shedding). Per tick it delivers due retries, applies due
+// plan adds, runs the shed-floor step, wakes workers that have due timed
+// fault events (so an idle worker still retires on schedule), and stops
 // over-budget or hung runs with the typed deadline/no-progress errors.
 // It exits when the run drains, stops, or loses its last worker.
 func (rt *Runtime) timekeeper() {
 	defer rt.tkDone.Done()
 	tick := time.NewTicker(timekeeperTick)
 	defer tick.Stop()
-	// First adaptive and autoscaler epochs a full interval from now, not
-	// at the first tick.
-	if rt.adapt != nil {
-		rt.adapt.nextNS = rt.nowNS() + rt.adapt.epoch
-	}
-	if rt.auto != nil {
-		rt.autoNextNS = rt.nowNS() + rt.auto.IntervalNS
-	}
 	var lastCompleted int64
 	lastProgress := time.Now()
 	for {
@@ -645,12 +636,6 @@ func (rt *Runtime) timekeeper() {
 		}
 		if rt.shed != nil {
 			rt.shedControl()
-		}
-		if rt.adapt != nil {
-			rt.adaptTick(now)
-		}
-		if rt.auto != nil {
-			rt.autoscaleTick(now)
 		}
 		// Wake workers whose next timed fault event is due: a parked
 		// worker applies its events at the top of its loop.

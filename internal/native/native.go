@@ -18,13 +18,13 @@ package native
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/coolrts/cool/internal/adapt"
 	"github.com/coolrts/cool/internal/core"
 	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/perfmon"
@@ -98,18 +98,6 @@ type Config struct {
 	// enforced at dispatch and lowest-priority work is shed first under
 	// backlog pressure (see ShedPolicy).
 	Shed *ShedPolicy
-
-	// Autoscale, when non-nil, runs the threshold autoscaler, growing
-	// and draining the pool per control epoch (see AutoscalePolicy).
-	// Requires MaxProcs.
-	Autoscale *AutoscalePolicy
-
-	// Adapt, when non-nil, arms the adaptive policy controller: each
-	// Epoch nanoseconds the timekeeper feeds the counter mirror to the
-	// pure controller and applies its decision — cluster-only stealing
-	// on or off — to the live policy.
-	// A non-positive Epoch defaults to one millisecond.
-	Adapt *adapt.Policy
 }
 
 // task is one spawned task record. Records are recycled through the
@@ -291,7 +279,7 @@ type Runtime struct {
 	inj       *injector
 	retry     fault.RetryPolicy
 	retries   retryQueue
-	completed atomic.Int64 // tasks run to completion (watchdog progress)
+	completed atomic.Int64 // tasks run or shed to completion, counted only when armed (watchdog progress)
 	tkScratch perfmon.Counters
 	tkDone    sync.WaitGroup
 
@@ -323,17 +311,6 @@ type Runtime struct {
 	shed      *ShedPolicy
 	shedFloor atomic.Int32
 	prioLive  [maxPrio + 1]atomic.Int64
-
-	// Autoscaler (see elastic.go): the policy with its defaults filled
-	// in, and the next control epoch's boundary (timekeeper-private).
-	auto       *AutoscalePolicy
-	autoNextNS int64
-
-	// Adaptive controller (see adapt.go): mirror is the always-on
-	// machine-wide atomic copy of the slow-path counters; adapt is the
-	// per-run controller harness, nil unless Config.Adapt was set.
-	mirror adaptCounters
-	adapt  *adaptRT
 
 	start   time.Time
 	elapsed atomic.Int64
@@ -385,37 +362,9 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		rt.shed = &sc
 	}
-	if cfg.Autoscale != nil {
-		if !rt.elastic {
-			return nil, fmt.Errorf("native: Autoscale requires spare capacity (MaxProcs)")
-		}
-		a := *cfg.Autoscale
-		if a.IntervalNS <= 0 {
-			a.IntervalNS = int64(time.Millisecond)
-		}
-		if a.HighWater <= 0 {
-			a.HighWater = 8
-		}
-		if a.LowWater <= 0 {
-			a.LowWater = 1
-		}
-		if a.MinProcs <= 0 {
-			a.MinProcs = cfg.Procs
-		}
-		if a.MaxProcs <= 0 || a.MaxProcs > np {
-			a.MaxProcs = np
-		}
-		if a.Step <= 0 {
-			a.Step = 1
-		}
-		if a.MinProcs > a.MaxProcs {
-			return nil, fmt.Errorf("native: Autoscale MinProcs %d above MaxProcs %d", a.MinProcs, a.MaxProcs)
-		}
-		rt.auto = &a
-	}
-	// The shed floor, the adaptive controller and the autoscaler ride the
-	// timekeeper, so arming one arms the monitor goroutine too.
-	rt.armed = cfg.Faults != nil || rt.retry.MaxAttempts > 0 || rt.deadlineNS > 0 || rt.noProgressNS > 0 || rt.shed != nil || cfg.Adapt != nil || rt.auto != nil
+	// The shed floor rides the timekeeper, so arming it arms the monitor
+	// goroutine too.
+	rt.armed = cfg.Faults != nil || rt.retry.MaxAttempts > 0 || rt.deadlineNS > 0 || rt.noProgressNS > 0 || rt.shed != nil
 	for i := range rt.shards {
 		rt.shards[i].home = make(map[int64]int)
 	}
@@ -456,6 +405,9 @@ func (rt *Runtime) SetSplits() int64 { return rt.setSplits.Load() }
 
 // QueuedTasks returns the tasks currently enqueued machine-wide.
 func (rt *Runtime) QueuedTasks() int { return int(rt.queuedTotal.Load()) }
+
+// ParkedWorkers returns the workers currently idle-parked.
+func (rt *Runtime) ParkedWorkers() int { return bits.OnesCount64(rt.parked.Load()) }
 
 // SetClusterStealingOnly flips the cluster-stealing restriction at run
 // time (the paper's dynamically manipulated runtime flag, §6.3).
@@ -521,9 +473,6 @@ func (rt *Runtime) TraceEvents() []trace.Event {
 	var all []trace.Event
 	for _, w := range rt.workers {
 		all = append(all, w.events...)
-	}
-	if rt.adapt != nil {
-		all = append(all, rt.adapt.events...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
 	if rt.cfg.TraceCapacity > 0 && len(all) > rt.cfg.TraceCapacity {
@@ -702,10 +651,9 @@ func (rt *Runtime) runTask(w *worker, t *task) {
 		rt.prioLive[t.prio].Add(-1)
 	}
 	rt.freeTask(w, t)
-	// Unconditional (not gated on armed): CounterSnapshot reports it as
-	// Completed on every run, and the live counter on the next line
-	// already pays a shared atomic here.
-	rt.completed.Add(1)
+	if rt.armed {
+		rt.completed.Add(1)
+	}
 	if rt.live.Add(-1) == 0 {
 		rt.doneOnce.Do(func() { close(rt.done) })
 	}

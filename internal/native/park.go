@@ -187,10 +187,8 @@ func (rt *Runtime) wakePolicy(ctr *perfmon.Counters) {
 	}
 	if broadcast {
 		ctr.BroadcastWakes++
-		rt.mirror.broadcastWakes.n.Add(1)
 	} else {
 		ctr.TargetedWakes++
-		rt.mirror.targetedWakes.n.Add(1)
 	}
 }
 

@@ -33,7 +33,6 @@ func (rt *Runtime) lockWorkerCtr(w *worker, ctr *perfmon.Counters) {
 		return
 	}
 	ctr.LockContention++
-	rt.mirror.lockContention.n.Add(1)
 	w.mu.Lock()
 }
 
@@ -62,7 +61,7 @@ func (rt *Runtime) placeSet(t *task, ctr *perfmon.Counters) int {
 	obj := t.affObj
 	sh := rt.shardOf(obj)
 	for {
-		sh.lock(rt, ctr)
+		sh.lock(ctr)
 		sv, ok := sh.home[obj]
 		if !ok {
 			sv = int(rt.rr.Add(1)-1) % rt.np
@@ -88,12 +87,11 @@ func (rt *Runtime) placeSet(t *task, ctr *perfmon.Counters) int {
 			continue
 		}
 		ctr.LockContention++
-		rt.mirror.lockContention.n.Add(1)
 		sh.mu.Unlock()
 		for {
 			w := rt.workers[sv]
 			rt.lockWorkerCtr(w, ctr)
-			sh.lock(rt, ctr)
+			sh.lock(ctr)
 			dead := rt.dead.Load() != 0 && rt.isDead(sv)
 			if sh.home[obj] == sv && !dead {
 				t.server = sv

@@ -71,15 +71,7 @@ func (rt *Runtime) rearm() {
 	rt.elapsed.Store(0)
 	rt.epoch.Store(0)
 
-	// Policy default first: a warm-started adaptive controller
-	// (initAdapt) overrides it from its Start vector. Adaptive state
-	// starts from scratch: the counter mirror zeroes and the controller
-	// is built at its initial policy vector.
 	rt.clusterOnly.Store(rt.pol.ClusterStealingOnly)
-	rt.mirror.reset()
-	if rt.cfg.Adapt != nil {
-		rt.initAdapt(*rt.cfg.Adapt)
-	}
 
 	// Spare slots reserved by MaxProcs are dead until AddWorkers claims
 	// them (every insert path already reroutes around dead workers, so

@@ -29,13 +29,12 @@ type setShard struct {
 }
 
 // lock acquires the shard, counting a missed TryLock fast path against
-// the acting worker's row (and the machine-wide adaptive mirror).
-func (sh *setShard) lock(rt *Runtime, ctr *perfmon.Counters) {
+// the acting worker's row.
+func (sh *setShard) lock(ctr *perfmon.Counters) {
 	if sh.mu.TryLock() {
 		return
 	}
 	ctr.LockContention++
-	rt.mirror.lockContention.n.Add(1)
 	sh.mu.Lock()
 }
 

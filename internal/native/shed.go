@@ -57,7 +57,6 @@ func (rt *Runtime) maybeShed(w *worker, t *task) bool {
 	ctr := &rt.cfg.Mon.Per[w.id]
 	if t.deadlineNS > 0 && rt.nowNS() > t.deadlineNS {
 		ctr.DeadlineMisses++
-		rt.mirror.deadlineMisses.n.Add(1)
 		rt.shedTask(w, t, ctr)
 		return true
 	}
@@ -80,7 +79,6 @@ func (rt *Runtime) maybeShed(w *worker, t *task) bool {
 // and watchdog counters move exactly as a run-to-completion would.
 func (rt *Runtime) shedTask(w *worker, t *task, ctr *perfmon.Counters) {
 	ctr.TasksShed++
-	rt.mirror.tasksShed.n.Add(1)
 	rt.trace(w, trace.KindShed, w.id, t.name, int64(t.prio))
 	rt.prioLive[t.prio].Add(-1)
 	if t.scope != nil {

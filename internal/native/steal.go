@@ -53,19 +53,15 @@ func (rt *Runtime) stealScan(w *worker, ring []int) *task {
 			continue
 		}
 		ctr.StealTries++
-		rt.mirror.stealTries.n.Add(1)
 		t := rt.stealFrom(v, w)
 		if t == nil {
 			ctr.FailedSteals++
-			rt.mirror.failedSteals.n.Add(1)
 			continue
 		}
 		if rt.topo.SameCluster(w.id, vid) {
 			ctr.StealsLocal++
-			rt.mirror.stealsLocal.n.Add(1)
 		} else {
 			ctr.StealsRemote++
-			rt.mirror.stealsRemote.n.Add(1)
 		}
 		rt.trace(w, trace.KindSteal, w.id, t.name, int64(vid))
 		return t
@@ -184,7 +180,6 @@ func (rt *Runtime) stealSet(v, w *worker) *task {
 		rt.lockWorker(w, w.id)
 	} else if !w.mu.TryLock() {
 		ctr.LockContention++
-		rt.mirror.lockContention.n.Add(1)
 		v.mu.Unlock()
 		rt.lockWorker(w, w.id)
 		rt.lockWorker(v, w.id)
@@ -197,7 +192,7 @@ func (rt *Runtime) stealSet(v, w *worker) *task {
 		}
 		obj := head.affObj
 		sh := rt.shardOf(obj)
-		sh.lock(rt, ctr)
+		sh.lock(ctr)
 		// Queued membership at v implies the shard records v as the
 		// set's home (inserts validate under the shard lock, moves
 		// drain the victim before releasing it); assert rather than
@@ -252,7 +247,6 @@ func (rt *Runtime) stealSet(v, w *worker) *task {
 		}
 		w.setScratch = moved[:0]
 		ctr.SetSteals++
-		rt.mirror.setSteals.n.Add(1)
 		return first
 	}
 	return nil
