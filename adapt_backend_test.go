@@ -72,33 +72,37 @@ func TestCounterSnapshotConsistent(t *testing.T) {
 
 // TestAdaptWarmStart asserts AdaptPolicy.Start seeds the controller:
 // the initial and (with no epochs elapsing) final policy vectors equal
-// the warm state, and the empty decision trace replays to it.
+// the warm state, and the empty decision trace replays to it. Adapt is
+// simulator-only, so the one subtest pins BackendSim.
 func TestAdaptWarmStart(t *testing.T) {
 	warm := cool.AdaptState{ClusterOnly: true}
-	rt, err := cool.NewRuntime(cool.Config{
-		Processors: 4,
-		Adapt:      &cool.AdaptPolicy{Epoch: 1 << 40, Start: &warm},
+	t.Run("sim", func(t *testing.T) {
+		rt, err := cool.NewRuntime(cool.Config{
+			Processors: 4,
+			Backend:    cool.BackendSim,
+			Adapt:      &cool.AdaptPolicy{Epoch: 1 << 40, Start: &warm},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := rt.NewI64(1, 0)
+		if err := rt.Run(func(ctx *cool.Ctx) {
+			ctx.Spawn("task", func(c *cool.Ctx) { c.AddI64(done, 0, 1) })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		init, ok := rt.AdaptInitialState()
+		if !ok || init != warm {
+			t.Fatalf("AdaptInitialState = %+v, %v; want warm state %+v", init, ok, warm)
+		}
+		st, ok := rt.AdaptState()
+		if !ok || st != warm {
+			t.Fatalf("AdaptState = %+v, %v; want warm state %+v", st, ok, warm)
+		}
+		if got := cool.ReplayAdaptDecisions(init, rt.Report().Decisions); got != st {
+			t.Fatalf("replay = %+v, want %+v", got, st)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := rt.NewI64(1, 0)
-	if err := rt.Run(func(ctx *cool.Ctx) {
-		ctx.Spawn("task", func(c *cool.Ctx) { c.AddI64(done, 0, 1) })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	init, ok := rt.AdaptInitialState()
-	if !ok || init != warm {
-		t.Fatalf("AdaptInitialState = %+v, %v; want warm state %+v", init, ok, warm)
-	}
-	st, ok := rt.AdaptState()
-	if !ok || st != warm {
-		t.Fatalf("AdaptState = %+v, %v; want warm state %+v", st, ok, warm)
-	}
-	if got := cool.ReplayAdaptDecisions(init, rt.Report().Decisions); got != st {
-		t.Fatalf("replay = %+v, want %+v", got, st)
-	}
 }
 
 // TestAdaptiveFloor is the adaptive controller's quality gate, on the
