@@ -1,10 +1,57 @@
 package ocean
 
 import (
+	"fmt"
 	"testing"
 
 	cool "github.com/coolrts/cool"
 )
+
+// TestOceanInitGolden checks every element of every grid against the
+// initial-state formula, at the catalog sizes and at grids shorter than
+// the formula's 97-element period and exactly a multiple of it.
+func TestOceanInitGolden(t *testing.T) {
+	for _, n := range []int{64, 128, 192, 5, 97} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			rt, err := cool.NewRuntime(cool.Config{Processors: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ap := build(rt, Params{N: n, Regions: 1, Grids: 8, Steps: 1}, false)
+			for g, grid := range ap.grids {
+				if len(grid.Data) != n*n {
+					t.Fatalf("grid %d has %d elements, want %d", g, len(grid.Data), n*n)
+				}
+				for i, v := range grid.Data {
+					if want := float64((i*31+g*17)%97) / 97; v != want {
+						t.Fatalf("grid %d element %d = %v, want %v", g, i, v, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuild is ocean's set-up at the serving catalog's large preset
+// on a native P=2 runtime: the grids' allocation, initial state and
+// distribution, with the address space reset between builds.
+func BenchmarkBuild(b *testing.B) {
+	prm, err := Program.Sized(Program.Sizes["large"]).(Params).normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		build(rt, prm, true)
+		if err := rt.Reset(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // TestStencilMatchesDirectComputation verifies the five-point kernel
 // against an independent recomputation.
