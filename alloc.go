@@ -60,10 +60,9 @@ func (rt *Runtime) procMod(proc int) int {
 	return p
 }
 
-// spaceAlloc, spaceAllocPages, and spaceMigrate wrap the address-space
-// operations in the runtime's space lock. The simulator never contends,
-// but native tasks allocate and look up homes concurrently, and the
-// space's page tables are not thread-safe.
+// spaceAlloc, spaceAllocPages, and spaceMigrate serialize the
+// address-space writes under the runtime's space lock: native tasks may
+// allocate and migrate concurrently. Home lookups take no lock.
 func (rt *Runtime) spaceAlloc(size int64, proc int) int64 {
 	rt.spaceMu.Lock()
 	defer rt.spaceMu.Unlock()
@@ -141,12 +140,9 @@ func (rt *Runtime) Migrate(addr, size int64, proc int) {
 
 // Home returns the server that the runtime treats as the home processor
 // of the object at addr (COOL's home()), on either backend. It is also
-// the native scheduler's address-space lookup (native.Config.Home).
-func (rt *Runtime) Home(addr int64) int {
-	rt.spaceMu.RLock()
-	defer rt.spaceMu.RUnlock()
-	return rt.space.HomeProc(addr)
-}
+// the native scheduler's address-space lookup (native.Config.Home), so it
+// takes no lock: memsim publishes its page tables for lock-free reads.
+func (rt *Runtime) Home(addr int64) int { return rt.space.HomeProc(addr) }
 
 // NewF64 allocates from the local memory of the requesting processor,
 // the COOL default for new.

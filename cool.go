@@ -191,11 +191,10 @@ type Runtime struct {
 	ran      bool
 	tdFree   []*core.TaskDesc // recycled task descriptors (see ctx.go)
 
-	// spaceMu guards space on the native backend, where allocation,
-	// migration, and home lookups run concurrently. The simulator is
-	// single-threaded and never contends, but locking is cheap relative
-	// to allocation so it is taken unconditionally.
-	spaceMu sync.RWMutex
+	// spaceMu serializes the writes to space (allocation, migration,
+	// Reset), which native tasks may issue concurrently. Home lookups
+	// read the space without it.
+	spaceMu sync.Mutex
 
 	// Job-level SLO defaults (SetJobSLO): the priority class and absolute
 	// deadline applied to spawns that carry no WithPriority/WithDeadline

@@ -186,58 +186,57 @@ func (ap *app) region(w *wire) int {
 // cellIdx returns the element index of cell (x, y).
 func (ap *app) cellIdx(x, y int) int { return (x*ap.prm.H + y) * 2 }
 
+// leg is one straight run of an L-shaped route: count cells whose
+// element indices start at start and step by stride. dir is the counter
+// the leg uses within each cell: 0 for a horizontal leg (h), 1 for a
+// vertical one (v).
+type leg struct{ start, stride, count, dir int }
+
+// legs returns the two legs of one L-shaped route, in visiting order:
+// the horizontal leg at the first pin's row and the vertical leg at the
+// second pin's column, or, when horizFirst is false, the vertical leg at
+// the first pin's column and the horizontal leg at the second pin's row.
+// Each leg runs from its lower coordinate to its higher one.
+func (ap *app) legs(w *wire, horizFirst bool) [2]leg {
+	x1, y1, x2, y2 := w.x1, w.y1, w.x2, w.y2
+	h := leg{stride: 2 * ap.prm.H, count: max(x1, x2) - min(x1, x2) + 1}
+	v := leg{stride: 2, count: max(y1, y2) - min(y1, y2) + 1, dir: 1}
+	if !horizFirst {
+		v.start = ap.cellIdx(x1, min(y1, y2))
+		h.start = ap.cellIdx(min(x1, x2), y2)
+		return [2]leg{v, h}
+	}
+	h.start = ap.cellIdx(min(x1, x2), y1)
+	v.start = ap.cellIdx(x2, min(y1, y2))
+	return [2]leg{h, v}
+}
+
 // pathCost evaluates one L-shaped candidate (reading the CostArray).
 func (ap *app) pathCost(ctx *cool.Ctx, w *wire, horizFirst bool) int64 {
 	var total int64
-	ap.walk(w, horizFirst, func(idx int, horiz bool) {
-		ctx.Access(ap.cost.Addr(idx), 16, false)
-		off := 0
-		if !horiz {
-			off = 1
+	for _, l := range ap.legs(w, horizFirst) {
+		for k := range l.count {
+			idx := l.start + k*l.stride
+			ctx.Access(ap.cost.Addr(idx), 16, false)
+			// Concurrent routers update the cell through AddI64; the
+			// atomic load keeps the native backend race-free without
+			// changing the simulated charge above.
+			total += 1 + ctx.LoadI64(ap.cost, idx+l.dir)
+			ctx.Compute(3)
 		}
-		// Concurrent routers update the cell through AddI64; the atomic
-		// load keeps the native backend race-free without changing the
-		// simulated charge above.
-		total += 1 + ctx.LoadI64(ap.cost, idx+off)
-		ctx.Compute(3)
-	})
+	}
 	return total
 }
 
 // lay adds (delta=+1) or rips (delta=-1) the wire's chosen route.
 func (ap *app) lay(ctx *cool.Ctx, w *wire, delta int64) {
-	ap.walk(w, w.horizFirst, func(idx int, horiz bool) {
-		off := 0
-		if !horiz {
-			off = 1
+	for _, l := range ap.legs(w, w.horizFirst) {
+		for k := range l.count {
+			idx := l.start + k*l.stride + l.dir
+			ctx.Access(ap.cost.Addr(idx), 8, true)
+			ctx.AddI64(ap.cost, idx, delta)
+			ctx.Compute(1)
 		}
-		ctx.Access(ap.cost.Addr(idx+off), 8, true)
-		ctx.AddI64(ap.cost, idx+off, delta)
-		ctx.Compute(1)
-	})
-}
-
-// walk visits the cells of one L-shaped route: the horizontal leg at the
-// first pin's row and the vertical leg at the second pin's column (or the
-// transpose when horizFirst is false).
-func (ap *app) walk(w *wire, horizFirst bool, visit func(idx int, horiz bool)) {
-	x1, y1, x2, y2 := w.x1, w.y1, w.x2, w.y2
-	if !horizFirst {
-		// Vertical first: equivalent to the transposed corner.
-		// Vertical leg at x1 from y1 to y2, then horizontal at y2.
-		for y := min(y1, y2); y <= max(y1, y2); y++ {
-			visit(ap.cellIdx(x1, y), false)
-		}
-		for x := min(x1, x2); x <= max(x1, x2); x++ {
-			visit(ap.cellIdx(x, y2), true)
-		}
-		return
-	}
-	for x := min(x1, x2); x <= max(x1, x2); x++ {
-		visit(ap.cellIdx(x, y1), true)
-	}
-	for y := min(y1, y2); y <= max(y1, y2); y++ {
-		visit(ap.cellIdx(x2, y), false)
 	}
 }
 
@@ -288,13 +287,11 @@ func (ap *app) Finish() (harness.Evidence, error) {
 		if !w.routed {
 			continue
 		}
-		ap.walk(w, w.horizFirst, func(idx int, horiz bool) {
-			off := 0
-			if !horiz {
-				off = 1
+		for _, l := range ap.legs(w, w.horizFirst) {
+			for k := range l.count {
+				rebuilt[l.start+k*l.stride+l.dir]++
 			}
-			rebuilt[idx+off]++
-		})
+		}
 	}
 	consistent := true
 	for i := range rebuilt {

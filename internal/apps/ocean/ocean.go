@@ -104,9 +104,15 @@ func build(rt *cool.Runtime, prm Params, distribute bool) *app {
 	ap := &app{prm: prm, grids: make([]*cool.F64, prm.Grids)}
 	for g := range ap.grids {
 		ap.grids[g] = rt.NewF64Pages(prm.N*prm.N, 0)
-		// Deterministic initial state.
-		for i := range ap.grids[g].Data {
-			ap.grids[g].Data[i] = float64((i*31+g*17)%97) / 97
+		// Deterministic initial state, element i = ((i*31+g*17)%97)/97.
+		// It repeats every 97 elements, so compute one period and tile
+		// it by doubling the filled prefix.
+		d := ap.grids[g].Data
+		for i := range min(97, len(d)) {
+			d[i] = float64((i*31+g*17)%97) / 97
+		}
+		for k := 97; k < len(d); k *= 2 {
+			copy(d[k:], d[:k])
 		}
 	}
 	if distribute {

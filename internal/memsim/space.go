@@ -16,6 +16,7 @@ package memsim
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"github.com/coolrts/cool/internal/machine"
 )
@@ -25,6 +26,11 @@ import (
 const arenaShift = 36
 
 // Space is the simulated shared address space.
+//
+// Writers (Alloc, AllocPages, Migrate, Reset) must be serialized by the
+// caller. Readers (HomeProc, HomeCluster) need no lock and may run
+// concurrently with a writer: they see each page's home either before or
+// after the write.
 type Space struct {
 	pageSize    int64
 	pageShift   uint
@@ -35,8 +41,10 @@ type Space struct {
 	// pageProc[c] maps a page offset within cluster c's arena to the
 	// page's home processor (-1 = unrecorded). Arenas are bump-allocated,
 	// so offsets are dense and a flat table beats a map on the home
-	// lookup that placement performs per spawned task.
-	pageProc [][]int32
+	// lookup that placement performs per spawned task. A table never
+	// changes length in place: growth publishes a copy at least twice as
+	// long, so a reader holding the old one still reads valid entries.
+	pageProc []atomic.Pointer[[]atomic.Int32]
 }
 
 // New creates an address space for the given machine.
@@ -48,11 +56,12 @@ func New(cfg machine.Config) *Space {
 		clusterSize: cfg.ClusterSize,
 		procs:       cfg.Processors,
 	}
-	s.pageProc = make([][]int32, cfg.Clusters())
+	s.pageProc = make([]atomic.Pointer[[]atomic.Int32], s.clusters)
 	s.next = make([]int64, s.clusters)
 	for c := range s.next {
 		// Skip the first page of each arena so address 0 is never valid.
 		s.next[c] = int64(c+1)<<arenaShift + s.pageSize
+		s.pageProc[c].Store(new([]atomic.Int32))
 	}
 	return s
 }
@@ -68,11 +77,11 @@ func (s *Space) Reset() {
 	for c := range s.next {
 		s.next[c] = int64(c+1)<<arenaShift + s.pageSize
 	}
-	for c, t := range s.pageProc {
+	for c := range s.pageProc {
+		t := *s.pageProc[c].Load()
 		for i := range t {
-			t[i] = -1
+			t[i].Store(-1)
 		}
-		s.pageProc[c] = t
 	}
 }
 
@@ -138,14 +147,24 @@ func (s *Space) pageOffset(addr int64) (int, int64) {
 	return c, off >> s.pageShift
 }
 
-// growTable extends cluster c's page table to cover offset off,
-// filling new entries with -1 (unrecorded).
-func (s *Space) growTable(c int, off int64) {
-	t := s.pageProc[c]
-	for int64(len(t)) <= off {
-		t = append(t, -1)
+// growTable returns cluster c's page table, first replacing it with one
+// that covers offset off if it does not: at least twice as long, the old
+// entries copied and the new ones -1 (unrecorded).
+func (s *Space) growTable(c int, off int64) []atomic.Int32 {
+	t := *s.pageProc[c].Load()
+	if off < int64(len(t)) {
+		return t
 	}
-	s.pageProc[c] = t
+	nt := make([]atomic.Int32, max(2*int64(len(t)), off+1))
+	for i := range nt {
+		if i < len(t) {
+			nt[i].Store(t[i].Load())
+		} else {
+			nt[i].Store(-1)
+		}
+	}
+	s.pageProc[c].Store(&nt)
+	return nt
 }
 
 // recordPages stores the home processor of every page spanned by
@@ -154,13 +173,12 @@ func (s *Space) growTable(c int, off int64) {
 func (s *Space) recordPages(addr, size int64, proc int, overwrite bool) {
 	c, first := s.pageOffset(addr)
 	last := first + ((addr+size-1)>>s.pageShift - addr>>s.pageShift)
-	s.growTable(c, last)
-	t := s.pageProc[c]
+	t := s.growTable(c, last)
 	for pg := first; pg <= last; pg++ {
-		if !overwrite && t[pg] >= 0 {
+		if !overwrite && t[pg].Load() >= 0 {
 			continue
 		}
-		t[pg] = int32(proc)
+		t[pg].Store(int32(proc))
 	}
 }
 
@@ -180,8 +198,10 @@ func (s *Space) Migrate(addr, size int64, proc int) int {
 // HomeProc returns the processor that homes the page containing addr.
 func (s *Space) HomeProc(addr int64) int {
 	c, off := s.pageOffset(addr)
-	if t := s.pageProc[c]; off < int64(len(t)) && t[off] >= 0 {
-		return int(t[off])
+	if t := *s.pageProc[c].Load(); off < int64(len(t)) {
+		if p := t[off].Load(); p >= 0 {
+			return int(p)
+		}
 	}
 	// Unrecorded page: attribute it to the first processor of the
 	// arena's cluster.
@@ -192,8 +212,10 @@ func (s *Space) HomeProc(addr int64) int {
 // containing addr (the unit the cache model charges against).
 func (s *Space) HomeCluster(addr int64) int {
 	c, off := s.pageOffset(addr)
-	if t := s.pageProc[c]; off < int64(len(t)) && t[off] >= 0 {
-		return s.clusterOf(int(t[off]))
+	if t := *s.pageProc[c].Load(); off < int64(len(t)) {
+		if p := t[off].Load(); p >= 0 {
+			return s.clusterOf(int(p))
+		}
 	}
 	return c
 }

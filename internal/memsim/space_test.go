@@ -1,6 +1,9 @@
 package memsim
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -140,25 +143,82 @@ func TestZeroAddressNeverAllocated(t *testing.T) {
 	}
 }
 
-func TestArrays(t *testing.T) {
-	s := newSpace(t, 8)
-	f := s.NewF64(100, 5)
-	if f.Len() != 100 {
-		t.Fatalf("Len = %d", f.Len())
+// TestHomeReadsDuringWrites: readers look homes up with no lock while
+// one writer allocates (growing both page tables many times over) and
+// migrates. Every read returns the page's home before or after the
+// write in flight; a freshly allocated page reads as its allocator's.
+// After Reset every page reads as unrecorded.
+func TestHomeReadsDuringWrites(t *testing.T) {
+	s := newSpace(t, 8) // two clusters of four
+	const objs = 32
+	var addr [objs]int64
+	var homes [objs][2]int // an object's two homes; the writer alternates
+	for i := range addr {
+		homes[i] = [2]int{i % 8, (i + 5) % 8}
+		addr[i] = s.AllocPages(s.PageSize(), homes[i][0])
 	}
-	if f.Addr(3) != f.Base+24 {
-		t.Fatalf("Addr(3) = %d, want base+24", f.Addr(3))
+	type alloc struct {
+		addr int64
+		proc int
 	}
-	if got := s.HomeProc(f.Addr(0)); got != 5 {
-		t.Fatalf("array homed at %d", got)
+	var latest atomic.Pointer[alloc]
+	var done atomic.Bool
+	const readers = 3
+	var wg sync.WaitGroup
+	errs := make(chan string, readers) // each reader sends at most once
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				for i, a := range addr {
+					h := homes[i]
+					if p := s.HomeProc(a); p != h[0] && p != h[1] {
+						errs <- fmt.Sprintf("object %d homed at %d, want %d or %d", i, p, h[0], h[1])
+						return
+					}
+					if c := s.HomeCluster(a); c != h[0]/4 && c != h[1]/4 {
+						errs <- fmt.Sprintf("object %d in cluster %d, want %d or %d", i, c, h[0]/4, h[1]/4)
+						return
+					}
+				}
+				if l := latest.Load(); l != nil && s.HomeProc(l.addr) != l.proc {
+					errs <- fmt.Sprintf("fresh page %#x homed at %d, want %d", l.addr, s.HomeProc(l.addr), l.proc)
+					return
+				}
+			}
+		}()
 	}
-	i := s.NewI64(10, 0)
-	if i.Addr(2)-i.Base != 16 {
-		t.Fatal("I64 addressing wrong")
+	lens := [2]int{len(*s.pageProc[0].Load()), len(*s.pageProc[1].Load())}
+	for round := 1; round <= 200; round++ {
+		p := round % 8
+		s.Alloc(int64(round*8), p)
+		a := s.AllocPages(int64(round)*s.PageSize(), p)
+		latest.Store(&alloc{a, p})
+		for i, a := range addr {
+			s.Migrate(a, s.PageSize(), homes[i][round%2])
+		}
 	}
-	o := s.NewObj(256, 4)
-	if o.Size != 256 || s.HomeCluster(o.Base) != 1 {
-		t.Fatalf("Obj = %+v homed %d", o, s.HomeCluster(o.Base))
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	for c, before := range lens {
+		if after := len(*s.pageProc[c].Load()); after < 8*before {
+			t.Errorf("cluster %d page table grew from %d to %d entries only", c, before, after)
+		}
+	}
+
+	s.Reset()
+	for c := range s.pageProc {
+		tab := *s.pageProc[c].Load()
+		for pg := range tab {
+			if p := tab[pg].Load(); p != -1 {
+				t.Fatalf("after Reset, cluster %d page %d homed at %d", c, pg, p)
+			}
+		}
 	}
 }
 
