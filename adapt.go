@@ -68,7 +68,7 @@ func ReplayAdaptDecisions(init AdaptState, ds []AdaptDecision) AdaptState {
 }
 
 // CounterSnapshot sums the per-processor counter rows into one
-// machine-wide reading and adds the backend's queue, park and pool
+// machine-wide reading and adds the backend's queue, park and worker
 // gauges. Call it after Run: while a native run executes, each row
 // belongs to its worker's goroutine. (The simulator's epoch driver calls
 // it between events, which is equally safe.)
@@ -95,7 +95,7 @@ func (rt *Runtime) CounterSnapshot() CounterSnapshot {
 	if rt.backend == BackendNative {
 		s.Queued = int64(rt.nat.QueuedTasks())
 		s.Parked = int64(rt.nat.ParkedWorkers())
-		s.Workers = int64(rt.nat.PoolSize())
+		s.Workers = int64(rt.nat.AliveWorkers())
 		return s
 	}
 	s.Queued = int64(rt.sched.QueuedTasks())

@@ -13,8 +13,6 @@
 //	coolbench -chaos -chaos-small                 reduced workloads (CI)
 //	coolbench -chaos -chaos-native                campaigns on the native
 //	                                              (goroutine) backend
-//	coolbench -chaos -chaos-native -chaos-churn   add elastic pool churn
-//	                                              (AddWorker/Drain events)
 //	coolbench -chaos -chaos-adapt                 adaptive affinity controller
 //	                                              armed on every faulted run
 //	                                              (simulator only)
@@ -40,7 +38,6 @@ func chaosMain(args []string) int {
 	appsFlag := fs.String("chaos-apps", "", "comma-separated app subset (default: all registered)")
 	small := fs.Bool("chaos-small", false, "use reduced workload sizes (CI smoke)")
 	nativeFlag := fs.Bool("chaos-native", false, "run campaigns on the native goroutine backend (plan times read as nanoseconds)")
-	churn := fs.Bool("chaos-churn", false, "include elastic pool churn (AddWorker/Drain) in generated plans; requires -chaos-native")
 	adapt := fs.Bool("chaos-adapt", false, "arm the adaptive affinity controller on every faulted run (reference stays static); simulator only")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -49,12 +46,8 @@ func chaosMain(args []string) int {
 	if *nativeFlag {
 		backend = cool.BackendNative
 	}
-	if *adapt && (*nativeFlag || *churn) {
-		fmt.Fprintln(os.Stderr, "coolbench -chaos: -chaos-adapt runs on the simulator only (drop -chaos-native and -chaos-churn)")
-		return 2
-	}
-	if *churn && !*nativeFlag {
-		fmt.Fprintln(os.Stderr, "coolbench -chaos: -chaos-churn requires -chaos-native (the simulator has no worker pool)")
+	if *adapt && *nativeFlag {
+		fmt.Fprintln(os.Stderr, "coolbench -chaos: -chaos-adapt runs on the simulator only (drop -chaos-native)")
 		return 2
 	}
 
@@ -77,13 +70,8 @@ func chaosMain(args []string) int {
 		tally := map[chaos.Verdict]int{}
 		for i := 0; i < *campaigns; i++ {
 			seed := *baseSeed + int64(i)
-			var c chaos.Campaign
-			if *churn {
-				c = chaos.NewChurnCampaign(app, seed, *procs, size)
-			} else {
-				c = chaos.NewCampaign(app, seed, *procs, size)
-				c.Backend = backend
-			}
+			c := chaos.NewCampaign(app, seed, *procs, size)
+			c.Backend = backend
 			c.Adapt = *adapt
 			out := oracle.Run(app, c)
 			tally[out.Verdict]++
@@ -102,9 +90,6 @@ func chaosMain(args []string) int {
 			replayNative := ""
 			if backend == cool.BackendNative {
 				replayNative = " -chaos-native"
-			}
-			if *churn {
-				replayNative += " -chaos-churn"
 			}
 			if *adapt {
 				replayNative += " -chaos-adapt"

@@ -153,12 +153,6 @@ type Config struct {
 	Deadline int64
 	// Backend selects the execution engine (default: the simulator).
 	Backend Backend
-	// MaxProcessors (native backend only), when positive, reserves
-	// spare worker capacity in [Processors, 64]: the pool starts at
-	// Processors workers and can grow to MaxProcessors mid-run via
-	// Runtime.AddWorkers, and shrink back via Runtime.Retire. Zero keeps
-	// the pool fixed.
-	MaxProcessors int
 	// Shed (native backend only), when non-nil, arms the SLO layer:
 	// WithPriority/WithDeadline spawn options are enforced at dispatch,
 	// and overload sheds the lowest-priority tasks first (see
@@ -223,15 +217,10 @@ func NewRuntime(c Config) (*Runtime, error) {
 		}
 	} else if c.Backend != BackendSim {
 		return nil, fmt.Errorf("cool: unknown backend %d", int(c.Backend))
-	} else {
-		// The elastic pool and the shedding layer schedule real worker
-		// goroutines; the single-threaded simulator has neither.
-		switch {
-		case c.MaxProcessors > 0:
-			return nil, fmt.Errorf("cool: Config.MaxProcessors requires Backend: BackendNative")
-		case c.Shed != nil:
-			return nil, fmt.Errorf("cool: Config.Shed requires Backend: BackendNative")
-		}
+	} else if c.Shed != nil {
+		// The shedding layer schedules real worker goroutines; the
+		// single-threaded simulator has none.
+		return nil, fmt.Errorf("cool: Config.Shed requires Backend: BackendNative")
 	}
 	var mc machine.Config
 	if c.Machine != nil {
@@ -417,13 +406,9 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 	if c.Faults != nil || c.Retry != nil {
 		noProgress = defaultNativeNoProgressNS
 	}
-	np := mc.Processors
-	if c.MaxProcessors > np {
-		np = c.MaxProcessors // bounds validated by native.New
-	}
 	rt := &Runtime{cfg: mc, pub: c, pol: pol, backend: BackendNative}
 	rt.space = memsim.New(mc)
-	rt.mon = perfmon.New(np)
+	rt.mon = perfmon.New(mc.Processors)
 	nat, err := native.New(native.Config{
 		Procs:       mc.Processors,
 		ClusterSize: mc.ClusterSize,
@@ -448,7 +433,6 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		Retry:         retry,
 		DeadlineNS:    c.Deadline,
 		NoProgressNS:  noProgress,
-		MaxProcs:      c.MaxProcessors,
 		Shed:          c.Shed,
 	})
 	if err != nil {

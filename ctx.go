@@ -261,6 +261,14 @@ func WithMutex(m *Monitor) SpawnOpt {
 	return SpawnOpt{kind: optWithMutex, mutex: m}
 }
 
+// ShedPolicy arms the native backend's SLO layer (Config.Shed):
+// per-spawn priorities and deadlines are enforced at dispatch, and
+// under overload the runtime sheds the lowest-priority work first. A
+// shed task completes for every liveness mechanism (its waitfor scope,
+// Run's termination) without running its body; the drops are counted in
+// Counters.TasksShed and Counters.DeadlineMisses.
+type ShedPolicy = native.ShedPolicy
+
 // WithPriority assigns the task a priority class in [0,7] (clamped;
 // 0 is the default and lowest, 7 is never shed on priority grounds).
 // Under overload with shedding armed (Config.Shed on the native

@@ -85,25 +85,6 @@ func (p *FaultPlan) FlakyProcessor(proc int, at, cycles int64) *FaultPlan {
 	return p
 }
 
-// AddWorker grows the worker pool by one at time at (native backend
-// with Config.MaxProcessors headroom; best-effort when the capacity is
-// exhausted). The simulator rejects the event — the single-threaded
-// engine has no pool to grow.
-func (p *FaultPlan) AddWorker(at int64) *FaultPlan {
-	p.plan.AddWorkerAt(at)
-	return p
-}
-
-// Drain requests a planned retirement of processor proc at time at:
-// unlike FailProcessor's kill it stops inserts, finishes the running
-// task, and re-homes queued work affinity-preserving. Native backend
-// only; a processor may be retired (drained or failed) at most once,
-// and at least one processor must survive the plan.
-func (p *FaultPlan) Drain(proc int, at int64) *FaultPlan {
-	p.plan.Drain(proc, at)
-	return p
-}
-
 // Len returns the number of events in the plan.
 func (p *FaultPlan) Len() int { return len(p.plan.Events) }
 
@@ -140,10 +121,6 @@ func (p *FaultPlan) BuilderString() string {
 			fmt.Fprintf(&b, "FailTask(%q, %d)", ev.Task, ev.Nth)
 		case fault.Flaky:
 			fmt.Fprintf(&b, "FlakyProcessor(%d, %d, %d)", ev.Proc, ev.At, ev.Cycles)
-		case fault.AddWorker:
-			fmt.Fprintf(&b, "AddWorker(%d)", ev.At)
-		case fault.Drain:
-			fmt.Fprintf(&b, "Drain(%d, %d)", ev.Proc, ev.At)
 		default:
 			fmt.Fprintf(&b, "/* unknown event %v */", ev)
 		}
@@ -167,26 +144,6 @@ func RandomFaultPlan(seed int64, procs, clusters, n int) *FaultPlan {
 // generator behind the chaos campaign driver (coolbench -chaos).
 func RandomChaosPlan(seed int64, procs, clusters, n int, tasks []string) *FaultPlan {
 	return &FaultPlan{plan: *fault.RandomChaos(seed, procs, clusters, n, tasks)}
-}
-
-// RandomChaosChurnPlan extends RandomChaosPlan's vocabulary with pool
-// churn — AddWorker and Drain events — for elastic native campaigns.
-// The same seed always yields the same, Validate-clean plan.
-func RandomChaosChurnPlan(seed int64, procs, clusters, n int, tasks []string) *FaultPlan {
-	return &FaultPlan{plan: *fault.RandomChaosChurn(seed, procs, clusters, n, tasks)}
-}
-
-// ChurnAdds returns the number of AddWorker events in the plan — the
-// headroom a runtime config must reserve (MaxProcessors) for every add
-// to succeed.
-func (p *FaultPlan) ChurnAdds() int {
-	n := 0
-	for _, ev := range p.plan.Events {
-		if ev.Kind == fault.AddWorker {
-			n++
-		}
-	}
-	return n
 }
 
 // applyFaults validates the plan against the machine and arms every
@@ -220,8 +177,6 @@ func (rt *Runtime) applyFaults(p *FaultPlan) error {
 				rt.caches.DegradeMemory(ev.Cluster, ev.Factor)
 				rt.sched.NoteFault(rt.eng.Now(), ev.Cluster*rt.cfg.ClusterSize, "memdegrade", ev.Factor)
 			})
-		case fault.AddWorker, fault.Drain:
-			return fmt.Errorf("cool: invalid Config.Faults: %s events require Backend: BackendNative", ev.Kind)
 		case fault.TaskPanic:
 			rt.eng.InjectTaskPanic(ev.Task, ev.Nth)
 		case fault.TaskFail:

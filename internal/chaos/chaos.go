@@ -39,10 +39,6 @@ type Campaign struct {
 	// fault-free reference) runs on. Native campaigns read the plan's
 	// cycle quantities as wall-clock nanoseconds.
 	Backend cool.Backend
-	// Churn marks a campaign whose plan may grow and drain the worker
-	// pool mid-run; the oracle reserves MaxProcessors headroom for it.
-	// Native backend only.
-	Churn bool
 	// Adapt arms the adaptive affinity controller on the faulted run
 	// (the fault-free reference stays static). The controller may only
 	// reshape the schedule, so every differential invariant must hold
@@ -68,20 +64,6 @@ func NewCampaign(app apps.App, seed int64, procs, size int) Campaign {
 	// and keeps stealing retried work back, so the exponential backoff
 	// must be able to outlast the longest flaky window.
 	c.Retry = &cool.RetryPolicy{MaxAttempts: 12, Backoff: 500}
-	return c
-}
-
-// NewChurnCampaign is NewCampaign with elastic pool churn in the fault
-// vocabulary: generated plans may also grow the pool (AddWorker) and
-// request planned drains of workers mid-run. Campaigns built this way
-// must run on the native backend — the simulator rejects churn events.
-func NewChurnCampaign(app apps.App, seed int64, procs, size int) Campaign {
-	c := NewCampaign(app, seed, procs, size)
-	clusters := (procs + 3) / 4
-	n := 2 + int(seed%5)
-	c.Plan = cool.RandomChaosChurnPlan(seed, procs, clusters, n, app.TaskNames)
-	c.Backend = cool.BackendNative
-	c.Churn = true
 	return c
 }
 
@@ -176,11 +158,6 @@ func (o *Oracle) Run(app apps.App, c Campaign) Outcome {
 	}
 	if c.Adapt {
 		cfg.Adapt = &cool.AdaptPolicy{}
-	}
-	if c.Churn && c.Backend == cool.BackendNative {
-		// Reserve one spare slot per AddWorker event so every planned
-		// add succeeds; a shrunk plan reserves proportionally less.
-		cfg.MaxProcessors = c.Procs + c.Plan.ChurnAdds()
 	}
 	res, err := app.RunCfg(cfg, c.Variant, c.Size)
 	if err != nil {

@@ -11,7 +11,7 @@ import "fmt"
 
 // Topo is the part of the machine the scheduling decisions depend on.
 type Topo struct {
-	Procs          int   // servers, dead ones and spare slots included
+	Procs          int   // servers, dead ones included
 	ClusterSize    int   // processors sharing one local memory
 	PageSize       int64 // for the two-modulo task-affinity slot hash
 	QueueArraySize int   // task-affinity queues per server

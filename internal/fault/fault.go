@@ -47,15 +47,6 @@ const (
 	// retried elsewhere under a retry policy; without one the first
 	// aborted launch fails the run.
 	Flaky
-	// AddWorker grows the worker pool by one at time At (native backend
-	// only; the run must have spare capacity — Config.MaxProcessors
-	// above the initial pool size).
-	AddWorker
-	// Drain retires a processor at time At as a planned drain rather
-	// than a kill: the victim stops accepting inserts, finishes its
-	// running task, and re-homes its queued work affinity-preserving
-	// (native backend only).
-	Drain
 )
 
 // String names the kind.
@@ -75,10 +66,6 @@ func (k Kind) String() string {
 		return "taskfail"
 	case Flaky:
 		return "flaky"
-	case AddWorker:
-		return "addworker"
-	case Drain:
-		return "drain"
 	}
 	return "?"
 }
@@ -115,10 +102,6 @@ func (ev Event) String() string {
 		return fmt.Sprintf("transient-fail task %q #%d", ev.Task, ev.Nth)
 	case Flaky:
 		return fmt.Sprintf("flaky P%d @%d for %d", ev.Proc, ev.At, ev.Cycles)
-	case AddWorker:
-		return fmt.Sprintf("addworker @%d", ev.At)
-	case Drain:
-		return fmt.Sprintf("drain P%d @%d", ev.Proc, ev.At)
 	}
 	return "?"
 }
@@ -176,18 +159,6 @@ func (p *Plan) Flaky(proc int, at, cycles int64) *Plan {
 	return p
 }
 
-// AddWorkerAt grows the worker pool by one at time at (native only).
-func (p *Plan) AddWorkerAt(at int64) *Plan {
-	p.Events = append(p.Events, Event{Kind: AddWorker, At: at})
-	return p
-}
-
-// Drain retires proc at time at as a planned drain (native only).
-func (p *Plan) Drain(proc int, at int64) *Plan {
-	p.Events = append(p.Events, Event{Kind: Drain, Proc: proc, At: at})
-	return p
-}
-
 // window is a half-open interval of simulated time, [from, to).
 // to == MaxInt64 models an open-ended (permanent) window.
 type window struct{ from, to int64 }
@@ -203,9 +174,8 @@ func windowOf(at, cycles int64) window {
 
 // Validate checks the plan against a machine with procs processors and
 // clusters memory modules. Beyond per-event field checks it enforces
-// whole-plan consistency: at least one of the initial processors must
-// survive all Fail and Drain events (so the program can always make
-// progress, conservatively ignoring AddWorker growth), no processor may
+// whole-plan consistency: at least one processor must survive all Fail
+// events (so the program can always make progress), no processor may
 // be retired twice, and the Slowdown (resp. Flaky) windows on one
 // processor must not overlap — an overlapping window would silently
 // overwrite the earlier event's effect, making the plan ambiguous.
@@ -244,7 +214,7 @@ func (p *Plan) Validate(procs, clusters int) error {
 			if ev.Cycles <= 0 {
 				return fmt.Errorf("fault: event %d: stall length %d must be positive", i, ev.Cycles)
 			}
-		case Fail, Drain:
+		case Fail:
 			if ev.Proc < 0 || ev.Proc >= procs {
 				return fmt.Errorf("fault: event %d: processor %d out of range [0,%d)", i, ev.Proc, procs)
 			}
@@ -252,9 +222,6 @@ func (p *Plan) Validate(procs, clusters int) error {
 				return fmt.Errorf("fault: event %d: processor %d retired twice", i, ev.Proc)
 			}
 			failed[ev.Proc] = true
-		case AddWorker:
-			// Only the non-negative time (checked above) matters here;
-			// spare capacity is validated by the runtime arming the plan.
 		case MemDegrade:
 			if ev.Cluster < 0 || ev.Cluster >= clusters {
 				return fmt.Errorf("fault: event %d: cluster %d out of range [0,%d)", i, ev.Cluster, clusters)
@@ -380,29 +347,12 @@ func Random(seed int64, procs, clusters, n int) *Plan {
 // names for targeted transient task failures. Every generated plan
 // passes Validate.
 func RandomChaos(seed int64, procs, clusters, n int, tasks []string) *Plan {
-	return randomChaos(seed, procs, clusters, n, tasks, false)
-}
-
-// RandomChaosChurn is RandomChaos with pool-membership churn mixed in:
-// the event space additionally holds AddWorker growth and planned Drain
-// retirements (native backend only — the simulator rejects both kinds).
-// Drains count against the same survivor budget as permanent failures,
-// so every generated plan still passes Validate.
-func RandomChaosChurn(seed int64, procs, clusters, n int, tasks []string) *Plan {
-	return randomChaos(seed, procs, clusters, n, tasks, true)
-}
-
-func randomChaos(seed int64, procs, clusters, n int, tasks []string, churn bool) *Plan {
 	g := newGen(seed)
 	maxFails := procs / 2
-	space := 6
-	if churn {
-		space = 8
-	}
 	for i := 0; i < n; i++ {
 		at := int64(g.rng.Intn(2_000_000))
 		proc := g.rng.Intn(procs)
-		switch g.rng.Intn(space) {
+		switch g.rng.Intn(6) {
 		case 0:
 			g.slowOrStall(proc, at)
 		case 1:
@@ -430,15 +380,6 @@ func randomChaos(seed int64, procs, clusters, n int, tasks []string, churn bool)
 				g.p.FailTask(tasks[g.rng.Intn(len(tasks))], g.rng.Intn(8))
 			} else {
 				g.slowOrStall(proc, at)
-			}
-		case 6:
-			g.p.AddWorkerAt(at)
-		case 7:
-			if len(g.failed) < maxFails && !g.failed[proc] {
-				g.failed[proc] = true
-				g.p.Drain(proc, at)
-			} else {
-				g.p.Stall(proc, at, int64(1+g.rng.Intn(100_000)))
 			}
 		}
 	}

@@ -21,9 +21,6 @@ func TestValidateCatchesBadEvents(t *testing.T) {
 		{"empty task name", (&Plan{}).PanicTask("", 0), "task name"},
 		{"all procs fail", (&Plan{}).Fail(0, 0).Fail(1, 0), "must survive"},
 		{"duplicate fail", (&Plan{}).Fail(0, 0).Fail(0, 500), "retired twice"},
-		{"fail then drain", (&Plan{}).Fail(0, 0).Drain(0, 500), "retired twice"},
-		{"drain out of range", (&Plan{}).Drain(5, 0), "out of range"},
-		{"all procs drain", (&Plan{}).Drain(0, 0).Drain(1, 0), "must survive"},
 		{"overlapping slowdowns", (&Plan{}).Slow(0, 100, 4, 1000).Slow(0, 600, 2, 1000), "overlaps"},
 		{"permanent slowdown overlap", (&Plan{}).Slow(0, 100, 4, 0).Slow(0, 9_999_999, 2, 10), "overlaps"},
 		{"empty taskfail name", (&Plan{}).FailTask("", 0), "task name"},

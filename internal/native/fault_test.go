@@ -122,6 +122,60 @@ func TestRetireDrainsAndSurvives(t *testing.T) {
 	}
 }
 
+// TestRerouteToNearestAlive pins the reroute rule the engines share: a
+// task whose placement target is a dead worker lands on the nearest
+// survivor (core.Topo.NearestAlive), whatever its class — as the
+// simulator's Place and Enqueue do. Worker 5 of 8 (two clusters of four)
+// is killed before anything is spawned, and stealing is off, so each
+// task runs where it was inserted. In every case task i targets worker
+// i: processor affinity names it, Base mode's round robin and a new
+// set's home both start at worker 0.
+func TestRerouteToNearestAlive(t *testing.T) {
+	const procs, victim = 8, 5
+	for _, tc := range []struct {
+		name string
+		base bool
+		aff  func(i int) core.Affinity
+	}{
+		{"processor", false, func(i int) core.Affinity { return core.Affinity{Kind: core.AffProcessor, Processor: i} }},
+		{"base", true, func(int) core.Affinity { return core.Affinity{} }},
+		{"new-set", false, func(i int) core.Affinity { return core.Affinity{Kind: core.AffTask, TaskObj: int64(1 + i*4096)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, _ := testRuntime(t, procs, func(cfg *Config) {
+				cfg.Faults = (&fault.Plan{}).Fail(victim, 0)
+				cfg.Pol.IgnoreHints = tc.base
+				cfg.Pol.DisableStealing = true
+			})
+			var ranOn [procs]atomic.Int32
+			err := rt.Run(func(c *Ctx) {
+				for deadline := time.Now().Add(5 * time.Second); !rt.isDead(victim); {
+					if time.Now().After(deadline) {
+						t.Errorf("worker %d never retired", victim)
+						return
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+				c.WaitFor(func() {
+					for i := 0; i < procs; i++ {
+						i := i
+						c.Spawn("t", tc.aff(i), nil, func(c *Ctx) { ranOn[i].Store(int32(c.ProcID())) })
+					}
+				})
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			dead := rt.deadSet()
+			for i := range ranOn {
+				if got, want := int(ranOn[i].Load()), rt.topo.NearestAlive(i, dead); got != want {
+					t.Errorf("task %d (target %d) ran on worker %d, want %d", i, i, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestFlakyWindowRetries pins launches to a flaky worker: every strike
 // must be retried onto a survivor and the run must still complete with
 // every task run exactly once.

@@ -56,18 +56,14 @@ func (rt *Runtime) park(w *worker, misses int) {
 	// behind, and that token would end the next genuine park instantly —
 	// one spurious park/unpark round-trip. Draining here cannot lose a
 	// wakeup, because every token sender publishes its condition (queue
-	// count, scope count, fault-event index, drain request) before
-	// depositing, and the rechecks after setParked observe those
-	// conditions afresh.
+	// count, scope count, fault-event index) before depositing, and the
+	// rechecks after setParked observe those conditions afresh.
 	select {
 	case <-w.wake:
 	default:
 	}
 	rt.setParked(w.id, true)
 	defer rt.setParked(w.id, false)
-	if rt.elastic && w.drainReq.Load() != 0 {
-		return // the loop retires the worker at its top
-	}
 	queued := rt.queuedTotal.Load() > 0
 	if queued && misses < parkRetryLimit {
 		return // work appeared between the failed take and publishing

@@ -12,8 +12,8 @@ import (
 // reuse cheaper than New survive: per-worker task-record freelists,
 // the sized scratch slices, the victim rings' arrays, the slot arrays,
 // and the shard table's map capacity. Everything the finished run
-// touched — channels, counters, the dead mask, set homes, pool and SLO
-// state, the fault plan's consumed event cursors — returns to its
+// touched — channels, counters, the dead mask, set homes, SLO state,
+// the fault plan's consumed event cursors — returns to its
 // post-New value.
 //
 // Reset is legal only between runs: never concurrently with Run, and
@@ -38,14 +38,8 @@ func (rt *Runtime) Reset() error {
 	if l := rt.live.Load(); l != 0 {
 		return fmt.Errorf("native: Reset with %d task(s) still live", l)
 	}
-
-	// Run has already joined every worker goroutine (allExited) and the
-	// timekeeper. The one straggler possible is a worker goroutine
-	// between closing allExited and releasing poolMu in workerExited —
-	// holding poolMu for the whole re-arm orders every store there after
-	// that last release, so plain stores are race-free.
-	rt.poolMu.Lock()
-	defer rt.poolMu.Unlock()
+	// Run has already joined every worker goroutine and the timekeeper,
+	// so plain stores are race-free.
 	rt.rearm()
 	return nil
 }
@@ -60,9 +54,7 @@ func (rt *Runtime) rearm() {
 	rt.stopc = make(chan struct{})
 	rt.stopping.Store(false)
 	rt.stopOnce = sync.Once{}
-	rt.allExited = make(chan struct{})
-	rt.idleExit = make(chan struct{})
-	rt.idleOnce = sync.Once{}
+	rt.poolEmpty = make(chan struct{})
 
 	rt.rr.Store(0)
 	rt.parked.Store(0)
@@ -70,17 +62,9 @@ func (rt *Runtime) rearm() {
 	rt.completed.Store(0)
 	rt.elapsed.Store(0)
 	rt.epoch.Store(0)
+	rt.dead.Store(0)
 
 	rt.clusterOnly.Store(rt.pol.ClusterStealingOnly)
-
-	// Spare slots reserved by MaxProcs are dead until AddWorkers claims
-	// them (every insert path already reroutes around dead workers, so
-	// the spares need no special cases); everyone else is alive.
-	var spareMask uint64
-	for i := rt.cfg.Procs; i < rt.np; i++ {
-		spareMask |= 1 << uint(i)
-	}
-	rt.dead.Store(spareMask)
 
 	// Set homes are per-run placements. Clearing the maps (not
 	// reallocating) keeps their bucket capacity for the next run.
@@ -90,11 +74,6 @@ func (rt *Runtime) rearm() {
 			delete(sh.home, k)
 		}
 	}
-
-	rt.poolStarted, rt.poolExited = 0, 0
-	rt.joining, rt.running = false, false
-	rt.poolEvents = rt.poolEvents[:0]
-	rt.addIdx = 0
 
 	rt.shedFloor.Store(0)
 	for i := range rt.prioLive {
@@ -109,9 +88,8 @@ func (rt *Runtime) rearm() {
 	rt.tkScratch = perfmon.Counters{}
 
 	// Arm the fault plan from scratch: armFaults builds the per-worker
-	// event state (consumed cursors, flaky hit marks, slow windows), the
-	// injector's spawn sequence numbers, and addTimes.
-	rt.addTimes = rt.addTimes[:0]
+	// event state (consumed cursors, flaky hit marks, slow windows) and
+	// the injector's spawn sequence numbers.
 	rt.inj = nil
 	for _, w := range rt.workers {
 		w.fev = nil
@@ -121,7 +99,6 @@ func (rt *Runtime) rearm() {
 	}
 
 	for _, w := range rt.workers {
-		w.drainReq.Store(0)
 		w.ringEpoch = -1
 		w.busyNS, w.idleNS = 0, 0
 		w.events = w.events[:0]

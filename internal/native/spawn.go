@@ -116,8 +116,8 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		// is chained per target and published under one lock per (batch,
 		// target), where every steal rule sees it at once.
 		if w.spawnHeads == nil {
-			w.spawnHeads = make([]*task, rt.np)
-			w.spawnTails = make([]*task, rt.np)
+			w.spawnHeads = make([]*task, rt.cfg.Procs)
+			w.spawnTails = make([]*task, rt.cfg.Procs)
 		}
 		var targets uint64
 		heads, tails := w.spawnHeads, w.spawnTails
@@ -151,7 +151,8 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 			rt.lockWorkerCtr(wv, ctr)
 			if rt.dead.Load() != 0 && rt.isDead(sv) {
 				// Target retired since placement: reroute each record
-				// through the single-insert slow path (which re-homes it).
+				// through the single-insert path (which sends it to the
+				// nearest survivor).
 				wv.mu.Unlock()
 				for t := chain; t != nil; {
 					next := t.next

@@ -42,9 +42,6 @@ const (
 	// deadline had expired or its priority fell below the shed floor
 	// (Arg = the task's priority class).
 	KindShed
-	// KindPool: pool membership changed on Proc (Task names the change:
-	// "add", "drain", "kill"; Arg = tasks re-homed, 0 for adds).
-	KindPool
 	// KindAdapt: the online controller changed a policy knob (Task
 	// names the knob and action, Arg = the knob's new value; Proc = -1,
 	// the decision is machine-wide).
@@ -74,8 +71,6 @@ func (k Kind) String() string {
 		return "retry"
 	case KindShed:
 		return "shed"
-	case KindPool:
-		return "pool"
 	case KindAdapt:
 		return "adapt"
 	}

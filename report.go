@@ -15,24 +15,15 @@ type Counters = perfmon.Counters
 // Report summarizes one simulated execution.
 type Report struct {
 	Cycles     int64 // parallel execution time (max processor clock)
-	Processors int   // initial pool size (Config.Processors)
-	// MaxProcessors is the worker capacity: equal to Processors on the
-	// simulator and on fixed-size native pools, Config.MaxProcessors on
-	// elastic ones. Per has one row per capacity slot, so workers added
-	// mid-run report their counters like any other.
-	MaxProcessors int
-	BusyCycles    int64 // sum over processors of cycles running tasks
-	IdleCycles    int64 // sum over processors of cycles waiting for work
+	Processors int   // Config.Processors
+	BusyCycles int64 // sum over processors of cycles running tasks
+	IdleCycles int64 // sum over processors of cycles waiting for work
 	// SetSplits counts task-affinity set members enqueued or stolen away
 	// from their set's home; it must be zero under the default whole-set
 	// stealing policy on either backend (see Runtime.SetSplits).
 	SetSplits int64
 	Total     Counters
 	Per       []Counters
-	// PoolEvents is the worker-pool membership timeline (adds, planned
-	// drains, fault kills) in completion order; empty on the simulator
-	// and on healthy fixed-size native runs.
-	PoolEvents []PoolEvent
 	// Decisions is the adaptive controller's decision trace in the
 	// order the policy changes were taken; empty unless Config.Adapt
 	// was set. Folding it over Runtime.AdaptInitialState with
@@ -56,14 +47,12 @@ func (r Report) Utilization() float64 {
 // spawns, steals, locks, wakes) have the same meaning on both backends.
 func (rt *Runtime) Report() Report {
 	r := Report{
-		Cycles:        rt.ElapsedCycles(),
-		Processors:    rt.cfg.Processors,
-		MaxProcessors: len(rt.mon.Per),
-		SetSplits:     rt.SetSplits(),
-		Total:         rt.mon.Total(),
-		Per:           append([]Counters(nil), rt.mon.Per...),
-		PoolEvents:    rt.PoolEvents(),
-		Decisions:     rt.adaptDecisions(),
+		Cycles:     rt.ElapsedCycles(),
+		Processors: rt.cfg.Processors,
+		SetSplits:  rt.SetSplits(),
+		Total:      rt.mon.Total(),
+		Per:        append([]Counters(nil), rt.mon.Per...),
+		Decisions:  rt.adaptDecisions(),
 	}
 	if rt.backend == BackendNative {
 		r.BusyCycles, r.IdleCycles = rt.nat.BusyIdleNanos()

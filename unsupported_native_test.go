@@ -13,9 +13,8 @@ import (
 // NewRuntime on both backends and pins the support matrix: only the
 // options whose semantics require the simulated machine itself —
 // Machine, CycleLimit, Quantum, Adapt — are rejected natively, and each
-// rejection names its option; the elastic pool and the SLO layer
-// (MaxProcessors, Shed) construct natively and the simulator refuses
-// them. Everything else, including the robustness stack (Faults, Retry,
+// rejection names its option; the SLO layer (Shed) constructs natively
+// and the simulator refuses it. Everything else, including the robustness stack (Faults, Retry,
 // Deadline), must construct on both backends.
 func TestConfigOptionBackendMatrix(t *testing.T) {
 	dash := machine.DASH(4)
@@ -37,7 +36,6 @@ func TestConfigOptionBackendMatrix(t *testing.T) {
 		{"CycleLimit", func(c *cool.Config) { c.CycleLimit = 1_000_000 }, true, false},
 		{"Quantum", func(c *cool.Config) { c.Quantum = 500 }, true, false},
 		{"Adapt", func(c *cool.Config) { c.Adapt = &cool.AdaptPolicy{} }, true, false},
-		{"MaxProcessors", func(c *cool.Config) { c.MaxProcessors = 8 }, false, true},
 		{"Shed", func(c *cool.Config) { c.Shed = &cool.ShedPolicy{} }, false, true},
 	}
 	for _, tc := range cases {
