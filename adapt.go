@@ -39,7 +39,7 @@ func validateAdapt(p *AdaptPolicy) error {
 
 // CounterSnapshot is one machine-wide counter reading — the controller's
 // input API, exposed for external policy controllers and monitoring.
-// The steal/wake/shed fields are cumulative since the run started;
+// The steal/wake/deadline-miss fields are cumulative since the run started;
 // Queued, Parked, and Workers are instantaneous gauges, and Delta
 // subtracts an earlier reading on the cumulative fields only.
 type CounterSnapshot = adapt.Snapshot
@@ -84,9 +84,8 @@ func (rt *Runtime) CounterSnapshot() CounterSnapshot {
 		s.TargetedWakes += p.TargetedWakes
 		s.BroadcastWakes += p.BroadcastWakes
 		s.LockContention += p.LockContention
-		s.TasksShed += p.TasksShed
 		s.DeadlineMisses += p.DeadlineMisses
-		s.Completed += p.TasksRun + p.TasksShed
+		s.Completed += p.TasksRun + p.DeadlineMisses
 		s.Refs += p.Refs
 		s.RemoteMisses += p.RemoteMisses + p.DirtyMisses
 		s.StolenRefs += p.StolenRefs

@@ -38,7 +38,6 @@ func TestCounterSnapshotConsistent(t *testing.T) {
 				{"TargetedWakes", s.TargetedWakes, total.TargetedWakes},
 				{"BroadcastWakes", s.BroadcastWakes, total.BroadcastWakes},
 				{"LockContention", s.LockContention, total.LockContention},
-				{"TasksShed", s.TasksShed, total.TasksShed},
 				{"DeadlineMisses", s.DeadlineMisses, total.DeadlineMisses},
 			}
 			for _, c := range cols {
@@ -46,9 +45,9 @@ func TestCounterSnapshotConsistent(t *testing.T) {
 					t.Errorf("%s: snapshot %d != report %d", c.name, c.snap, c.rep)
 				}
 			}
-			if s.Completed != total.TasksRun+total.TasksShed {
-				t.Errorf("Completed = %d, want TasksRun+TasksShed = %d",
-					s.Completed, total.TasksRun+total.TasksShed)
+			if s.Completed != total.TasksRun+total.DeadlineMisses {
+				t.Errorf("Completed = %d, want TasksRun+DeadlineMisses = %d",
+					s.Completed, total.TasksRun+total.DeadlineMisses)
 			}
 			if s.Queued != 0 {
 				t.Errorf("Queued = %d after a drained run, want 0", s.Queued)

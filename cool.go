@@ -153,11 +153,6 @@ type Config struct {
 	Deadline int64
 	// Backend selects the execution engine (default: the simulator).
 	Backend Backend
-	// Shed (native backend only), when non-nil, arms the SLO layer:
-	// WithPriority/WithDeadline spawn options are enforced at dispatch,
-	// and overload sheds the lowest-priority tasks first (see
-	// ShedPolicy).
-	Shed *ShedPolicy
 	// Adapt (simulator only), when non-nil, arms the adaptive-affinity
 	// controller: each epoch it reads the machine-wide counter deltas
 	// and turns cluster-only stealing on or off, recording every change
@@ -190,13 +185,6 @@ type Runtime struct {
 	// read the space without it.
 	spaceMu sync.Mutex
 
-	// Job-level SLO defaults (SetJobSLO): the priority class and absolute
-	// deadline applied to spawns that carry no WithPriority/WithDeadline
-	// option of their own. Set between runs only (the serving layer tags
-	// each job before Run); read concurrently by spawning workers.
-	jobPrio     int8
-	jobDeadline int64
-
 	// setupErr records the first invalid pre-Run operation (e.g. a
 	// non-positive allocation size); Run reports it instead of running.
 	setupErr error
@@ -217,10 +205,6 @@ func NewRuntime(c Config) (*Runtime, error) {
 		}
 	} else if c.Backend != BackendSim {
 		return nil, fmt.Errorf("cool: unknown backend %d", int(c.Backend))
-	} else if c.Shed != nil {
-		// The shedding layer schedules real worker goroutines; the
-		// single-threaded simulator has none.
-		return nil, fmt.Errorf("cool: Config.Shed requires Backend: BackendNative")
 	}
 	var mc machine.Config
 	if c.Machine != nil {
@@ -433,7 +417,6 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		Retry:         retry,
 		DeadlineNS:    c.Deadline,
 		NoProgressNS:  noProgress,
-		Shed:          c.Shed,
 	})
 	if err != nil {
 		return nil, err

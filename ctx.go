@@ -111,8 +111,6 @@ func (c *Ctx) accessSim(addr, size int64, write bool) {
 type spawnOptions struct {
 	aff      core.Affinity
 	mutex    *Monitor
-	prio     int8  // priority class [0,7] (WithPriority)
-	prioSet  bool  // an explicit WithPriority beats the job default
 	deadline int64 // absolute deadline (WithDeadline), 0 = none
 	nObj     int   // OBJECT affinity operands named so far
 	objBuf   [2]sizedObj
@@ -168,7 +166,6 @@ const (
 	optObjectSized
 	optOnProcessor
 	optWithMutex
-	optWithPriority
 	optWithDeadline
 )
 
@@ -205,16 +202,6 @@ func (op SpawnOpt) apply(o *spawnOptions) {
 		o.aff.Processor = op.proc
 	case optWithMutex:
 		o.mutex = op.mutex
-	case optWithPriority:
-		p := op.proc
-		if p < 0 {
-			p = 0
-		}
-		if p > 7 {
-			p = 7
-		}
-		o.prio = int8(p)
-		o.prioSet = true
 	case optWithDeadline:
 		o.deadline = op.addr
 	}
@@ -261,28 +248,13 @@ func WithMutex(m *Monitor) SpawnOpt {
 	return SpawnOpt{kind: optWithMutex, mutex: m}
 }
 
-// ShedPolicy arms the native backend's SLO layer (Config.Shed):
-// per-spawn priorities and deadlines are enforced at dispatch, and
-// under overload the runtime sheds the lowest-priority work first. A
-// shed task completes for every liveness mechanism (its waitfor scope,
-// Run's termination) without running its body; the drops are counted in
-// Counters.TasksShed and Counters.DeadlineMisses.
-type ShedPolicy = native.ShedPolicy
-
-// WithPriority assigns the task a priority class in [0,7] (clamped;
-// 0 is the default and lowest, 7 is never shed on priority grounds).
-// Under overload with shedding armed (Config.Shed on the native
-// backend) lower classes are dropped first.
-func WithPriority(p int) SpawnOpt {
-	return SpawnOpt{kind: optWithPriority, proc: p}
-}
-
 // WithDeadline sets the task's absolute deadline in the runtime's own
 // clock — simulated cycles on the simulator, wall-clock nanoseconds
 // since Run on the native backend (both the scale Ctx.Now reads). A
-// task dispatched after its deadline is shed instead of run when
-// shedding is armed; the simulator enforces deadlines deterministically
-// whenever one is set.
+// task dispatched after its deadline is shed: it completes for every
+// liveness mechanism (its waitfor scope, Run's termination) without
+// running its body, and is counted in Counters.DeadlineMisses rather
+// than TasksRun. Both backends apply this one rule.
 func WithDeadline(at int64) SpawnOpt {
 	return SpawnOpt{kind: optWithDeadline, addr: at}
 }
@@ -304,7 +276,6 @@ func (c *Ctx) Spawn(name string, fn func(*Ctx), opts ...SpawnOpt) {
 	}
 	p := c.ProcID()
 	rt := c.rt
-	rt.applyJobSLO(&o)
 	rt.mon.Per[p].Spawns++
 	c.sc.Charge(rt.cfg.Lat.Spawn)
 
@@ -332,25 +303,18 @@ func (c *Ctx) Spawn(name string, fn func(*Ctx), opts ...SpawnOpt) {
 	td.Slot = slot
 	td.AffObj = affObj
 	td.Scope = c.scope
-	td.Prio = o.prio
 	td.DeadlineAt = o.deadline
 	if td.Scope != nil {
 		rt.sched.ScopeAdd(td.Scope)
 	}
 	mutex := o.mutex
 	t := rt.eng.NewTask(name, c.sc.Now(), func(sc *sim.Ctx) {
-		if td.DeadlineAt > 0 && sc.Now() > td.DeadlineAt {
-			// Deterministic deadline shed: the task dispatched past its
-			// deadline completes (scope and trace accounting) without
-			// running its body — the simulated twin of the native SLO
-			// layer's deadline rule.
-			ctr := &rt.mon.Per[sc.Proc().ID]
-			ctr.DeadlineMisses++
-			ctr.TasksShed++
+		if td.Shed {
+			// Dispatched past its deadline (counted and traced there):
+			// complete the scope without running the body.
 			if td.Scope != nil {
 				rt.sched.ScopeDone(sc, td.Scope)
 			}
-			rt.sched.TraceDone(sc)
 			rt.freeTaskDesc(td)
 			return
 		}
@@ -414,7 +378,7 @@ func (c *Ctx) SpawnN(name string, n int, fn func(*Ctx, int), opts func(i int) []
 // member index.
 func (c *Ctx) spawnNNative(name string, n int, fn func(*Ctx, int), opts func(i int) []SpawnOpt) {
 	rt := c.rt
-	get := func(i int) (core.Affinity, *native.Monitor, int8, int64) {
+	get := func(i int) (core.Affinity, *native.Monitor, int64) {
 		var o spawnOptions
 		if opts != nil {
 			for _, opt := range opts(i) {
@@ -425,12 +389,11 @@ func (c *Ctx) spawnNNative(name string, n int, fn func(*Ctx, int), opts func(i i
 			objs := o.objs()
 			o.aff.ObjectObj = objs[pickHome(rt, objs)].addr
 		}
-		rt.applyJobSLO(&o)
 		var nm *native.Monitor
 		if o.mutex != nil {
 			nm = &o.mutex.nm
 		}
-		return o.aff, nm, o.prio, o.deadline
+		return o.aff, nm, o.deadline
 	}
 	c.nc.SpawnN(name, n, get, fn)
 }
@@ -449,12 +412,11 @@ func (c *Ctx) spawnNative(name string, fn func(*Ctx), opts []SpawnOpt) {
 		objs := o.objs()
 		o.aff.ObjectObj = objs[pickHome(rt, objs)].addr
 	}
-	rt.applyJobSLO(&o)
 	var nm *native.Monitor
 	if o.mutex != nil {
 		nm = &o.mutex.nm
 	}
-	c.nc.SpawnPayload(name, o.aff, nm, fn, o.prio, o.deadline)
+	c.nc.SpawnPayload(name, o.aff, nm, fn, o.deadline)
 }
 
 // newTaskDesc takes a zeroed descriptor off the runtime's free list, or

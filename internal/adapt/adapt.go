@@ -92,9 +92,8 @@ type Snapshot struct {
 	TargetedWakes  int64
 	BroadcastWakes int64
 	LockContention int64
-	TasksShed      int64
 	DeadlineMisses int64
-	Completed      int64 // tasks executed (or shed) to completion
+	Completed      int64 // tasks executed, or shed past their deadline, to completion
 
 	// Memory-system attribution (simulator backend; zero natively).
 	// Refs/RemoteMisses cover all work, StolenRefs/StolenMisses only
@@ -129,7 +128,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		TargetedWakes:  s.TargetedWakes - prev.TargetedWakes,
 		BroadcastWakes: s.BroadcastWakes - prev.BroadcastWakes,
 		LockContention: s.LockContention - prev.LockContention,
-		TasksShed:      s.TasksShed - prev.TasksShed,
 		DeadlineMisses: s.DeadlineMisses - prev.DeadlineMisses,
 		Completed:      s.Completed - prev.Completed,
 		Refs:           s.Refs - prev.Refs,

@@ -17,7 +17,6 @@ func feed(c *Controller, deltas []Snapshot) State {
 		cum.TargetedWakes += d.TargetedWakes
 		cum.BroadcastWakes += d.BroadcastWakes
 		cum.LockContention += d.LockContention
-		cum.TasksShed += d.TasksShed
 		cum.DeadlineMisses += d.DeadlineMisses
 		cum.Completed += d.Completed
 		cum.Refs += d.Refs

@@ -490,11 +490,18 @@ func (s *Scheduler) stealFrom(v, thief *server, thiefID int, remote bool) *TaskD
 func (s *Scheduler) SetSplits() int64 { return s.setSplits }
 
 // issue finalizes a dispatch decision: perfmon accounting and bookkeeping.
+// A task first dispatched past its deadline is shed, not run.
 func (s *Scheduler) issue(td *TaskDesc, p *sim.Proc) *sim.Task {
 	td.LastProc = p.ID
 	if !td.dispatched {
 		td.dispatched = true
 		ctr := &s.Mon.Per[p.ID]
+		if td.DeadlineAt > 0 && p.Clock > td.DeadlineAt {
+			td.Shed = true
+			ctr.DeadlineMisses++
+			s.Trace.Add(p.Clock, p.ID, trace.KindShed, td.T.Name, td.DeadlineAt)
+			return td.T
+		}
 		ctr.TasksRun++
 		if td.Server == p.ID {
 			ctr.TasksAtHome++

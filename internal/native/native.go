@@ -87,11 +87,6 @@ type Config struct {
 	// against scheduler-level hangs (a lost task would otherwise park
 	// every worker forever).
 	NoProgressNS int64
-
-	// Shed, when non-nil, arms the SLO layer: per-spawn deadlines are
-	// enforced at dispatch and lowest-priority work is shed first under
-	// backlog pressure (see ShedPolicy).
-	Shed *ShedPolicy
 }
 
 // task is one spawned task record. Records are recycled through the
@@ -118,11 +113,8 @@ type task struct {
 	injPanic bool
 	aborts   int
 
-	// SLO fields (WithPriority/WithDeadline spawn options): the
-	// priority class in [0,7] and the absolute wall-clock deadline in
-	// nanoseconds since Run (0 = none). Read at dispatch when a
-	// ShedPolicy is armed.
-	prio       int8
+	// deadlineNS, when positive, is the absolute wall-clock deadline in
+	// nanoseconds since Run: dispatch sheds the task past it (shedTask).
 	deadlineNS int64
 
 	// ctx is the execution context handed to the task body, embedded in
@@ -282,13 +274,6 @@ type Runtime struct {
 	deadlineNS   int64
 	noProgressNS int64
 
-	// SLO state (see shed.go). prioLive counts not-yet-completed tasks
-	// per priority class so the floor controller can find the lowest
-	// live class; maintained only when shed is armed.
-	shed      *ShedPolicy
-	shedFloor atomic.Int32
-	prioLive  [maxPrio + 1]atomic.Int64
-
 	start   time.Time
 	elapsed atomic.Int64
 	ran     bool
@@ -323,16 +308,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt.retry = cfg.Retry
 	rt.deadlineNS = cfg.DeadlineNS
 	rt.noProgressNS = cfg.NoProgressNS
-	if cfg.Shed != nil {
-		sc := *cfg.Shed
-		if sc.QueueHighWater <= 0 {
-			sc.QueueHighWater = 64
-		}
-		rt.shed = &sc
-	}
-	// The shed floor rides the timekeeper, so arming it arms the monitor
-	// goroutine too.
-	rt.armed = cfg.Faults != nil || rt.retry.MaxAttempts > 0 || rt.deadlineNS > 0 || rt.noProgressNS > 0 || rt.shed != nil
+	rt.armed = cfg.Faults != nil || rt.retry.MaxAttempts > 0 || rt.deadlineNS > 0 || rt.noProgressNS > 0
 	for i := range rt.shards {
 		rt.shards[i].home = make(map[int64]int)
 	}
@@ -393,9 +369,6 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 	root.name, root.fn = "main", main
 	root.class, root.server, root.slot = core.ClassProcessor, 0, -1
 	rt.live.Store(1)
-	if rt.shed != nil {
-		rt.prioLive[0].Add(1)
-	}
 	rt.insertAndWake(root, 0)
 	if rt.armed {
 		rt.tkDone.Add(1)
@@ -562,15 +535,27 @@ func (rt *Runtime) loop(w *worker) {
 
 // dispatch runs one dequeued task, first consulting the transient-fault
 // injections (flaky windows, planted launch failures) that may abort
-// the launch and schedule a retry instead.
+// the launch and schedule a retry instead, then the task's deadline.
+// The order is the simulator's (core.Scheduler.Dispatch, then issue).
 func (rt *Runtime) dispatch(w *worker, t *task) {
-	if rt.shed != nil && rt.maybeShed(w, t) {
-		return
-	}
 	if rt.armed && rt.launchAborted(w, t) {
 		return
 	}
+	if t.deadlineNS > 0 && rt.nowNS() > t.deadlineNS {
+		rt.shedTask(w, t)
+		return
+	}
 	rt.runTask(w, t)
+}
+
+// shedTask completes t without running its body: it was dispatched past
+// its deadline, so it counts in DeadlineMisses instead of TasksRun, and
+// its scope and the live count move as a run would, so WaitFor and Run
+// never hang on it.
+func (rt *Runtime) shedTask(w *worker, t *task) {
+	rt.cfg.Mon.Per[w.id].DeadlineMisses++
+	rt.trace(w, trace.KindShed, w.id, t.name, t.deadlineNS)
+	rt.complete(w, t)
 }
 
 // runTask executes one task to completion on w, with perfmon and trace
@@ -599,11 +584,15 @@ func (rt *Runtime) runTask(w *worker, t *task) {
 		}
 	}
 	rt.trace(w, trace.KindDone, w.id, t.name, 0)
+	rt.complete(w, t)
+}
+
+// complete ends a task, run or shed: it releases the task's scope,
+// recycles its record, counts watchdog progress, and closes done when
+// the last live task is gone.
+func (rt *Runtime) complete(w *worker, t *task) {
 	if t.scope != nil {
 		rt.scopeDone(t.scope)
-	}
-	if rt.shed != nil {
-		rt.prioLive[t.prio].Add(-1)
 	}
 	rt.freeTask(w, t)
 	if rt.armed {

@@ -12,8 +12,8 @@ import (
 // reuse cheaper than New survive: per-worker task-record freelists,
 // the sized scratch slices, the victim rings' arrays, the slot arrays,
 // and the shard table's map capacity. Everything the finished run
-// touched — channels, counters, the dead mask, set homes, SLO state,
-// the fault plan's consumed event cursors — returns to its
+// touched — channels, counters, the dead mask, set homes, the fault
+// plan's consumed event cursors — returns to its
 // post-New value.
 //
 // Reset is legal only between runs: never concurrently with Run, and
@@ -73,11 +73,6 @@ func (rt *Runtime) rearm() {
 		for k := range sh.home {
 			delete(sh.home, k)
 		}
-	}
-
-	rt.shedFloor.Store(0)
-	for i := range rt.prioLive {
-		rt.prioLive[i].Store(0)
 	}
 
 	// A clean run drained every retry (retried tasks stay live until

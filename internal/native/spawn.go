@@ -15,15 +15,12 @@ import (
 // must not charge a task that was never enqueued — a leaked live count
 // would keep done from ever closing and hang Run instead of returning
 // the recorded failure.
-func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn func(*Ctx), payload any, idx int32, prio int8, deadlineNS int64) {
+func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn func(*Ctx), payload any, idx int32, deadlineNS int64) {
 	from := c.w.id
 	rt.cfg.Mon.Per[from].Spawns++
 	t := rt.newTask(c.w)
 	t.name, t.fn, t.payload, t.mon, t.idx = name, fn, payload, mon, idx
-	t.scope = c.scope
-	if rt.shed != nil {
-		t.prio, t.deadlineNS = clampPrio(prio), deadlineNS
-	}
+	t.scope, t.deadlineNS = c.scope, deadlineNS
 	if in := rt.inj; in != nil && in.tracked[name] {
 		in.noteSpawn(t) // assigns the per-name index a fault plan targets
 	}
@@ -32,9 +29,6 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 		t.scope.n.Add(1)
 	}
 	rt.live.Add(1)
-	if rt.shed != nil {
-		rt.prioLive[t.prio].Add(1)
-	}
 	if t.class == core.ClassTaskSet {
 		server := rt.placeSet(t, &rt.cfg.Mon.Per[from]) // t is published after this
 		rt.trace(c.w, trace.KindEnqueue, -1, name, int64(server))
@@ -59,7 +53,7 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 // every child is a plain task on the spawner itself, one locked push per
 // target otherwise — followed by ONE wake decision for the whole burst.
 // SpawnBatches counts these batch publications.
-func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affinity, *Monitor, int8, int64), payload any) {
+func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affinity, *Monitor, int64), payload any) {
 	if n <= 0 {
 		return
 	}
@@ -74,11 +68,8 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		t := rt.newTask(w)
 		t.name, t.payload, t.idx = name, payload, int32(i)
 		t.scope = c.scope
-		a, mon, prio, dl := get(i)
-		t.mon = mon
-		if rt.shed != nil {
-			t.prio, t.deadlineNS = clampPrio(prio), dl
-		}
+		a, mon, dl := get(i)
+		t.mon, t.deadlineNS = mon, dl
 		if in := rt.inj; in != nil && in.tracked[name] {
 			in.noteSpawn(t)
 		}
@@ -95,11 +86,6 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		c.scope.n.Add(int64(n))
 	}
 	rt.live.Add(int64(n))
-	if rt.shed != nil {
-		for _, t := range batch {
-			rt.prioLive[t.prio].Add(1)
-		}
-	}
 	if allPlainSelf {
 		w.queued.Add(int64(n))
 		w.stealable.Add(int64(n))
@@ -194,27 +180,24 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 // Spawn creates and enqueues a task with the given affinity; mon, when
 // non-nil, makes it a mutex function on that monitor.
 func (c *Ctx) Spawn(name string, a core.Affinity, mon *Monitor, fn func(*Ctx)) {
-	c.rt.spawn(c, name, a, mon, fn, nil, -1, 0, 0)
+	c.rt.spawn(c, name, a, mon, fn, nil, -1, 0)
 }
 
 // SpawnPayload creates and enqueues a task whose body is Config.Invoke
 // applied to payload. It lets the embedding runtime avoid allocating a
 // per-spawn wrapper closure: the adapter is configured once and the
 // payload (typically the user's func value) rides through the pooled
-// task record. prio is the task's priority class (clamped to [0,7])
-// and deadlineNS, when positive, the absolute run-relative nanosecond
-// after which the task is shed instead of run; both are ignored unless
-// a ShedPolicy is armed.
-func (c *Ctx) SpawnPayload(name string, a core.Affinity, mon *Monitor, payload any, prio int8, deadlineNS int64) {
-	c.rt.spawn(c, name, a, mon, nil, payload, -1, prio, deadlineNS)
+// task record. deadlineNS, when positive, is the absolute run-relative
+// nanosecond after which the task is shed instead of run.
+func (c *Ctx) SpawnPayload(name string, a core.Affinity, mon *Monitor, payload any, deadlineNS int64) {
+	c.rt.spawn(c, name, a, mon, nil, payload, -1, deadlineNS)
 }
 
 // SpawnN creates and enqueues n sibling tasks sharing one payload; the
-// get callback supplies each member's affinity, optional monitor,
-// priority class, and deadline, and member i runs through
-// Config.InvokeN with index i. A burst spawned this way is published
-// as one batch — one deque publish and one wake decision instead of n
-// (see spawnN).
-func (c *Ctx) SpawnN(name string, n int, get func(int) (core.Affinity, *Monitor, int8, int64), payload any) {
+// get callback supplies each member's affinity, optional monitor, and
+// deadline, and member i runs through Config.InvokeN with index i. A
+// burst spawned this way is published as one batch — one deque publish
+// and one wake decision instead of n (see spawnN).
+func (c *Ctx) SpawnN(name string, n int, get func(int) (core.Affinity, *Monitor, int64), payload any) {
 	c.rt.spawnN(c, name, n, get, payload)
 }

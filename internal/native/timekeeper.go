@@ -72,10 +72,10 @@ const timekeeperTick = 200 * time.Microsecond
 
 // timekeeper is the run's one control goroutine, started by Run when
 // anything time-driven is armed (faults, retries, a deadline, the
-// watchdog, shedding). Per tick it delivers due retries, runs the
-// shed-floor step, wakes workers that have due timed
-// fault events (so an idle worker still retires on schedule), and stops
-// over-budget or hung runs with the typed deadline/no-progress errors.
+// watchdog). Per tick it delivers due retries, wakes workers that have
+// due timed fault events (so an idle worker still retires on schedule),
+// and stops over-budget or hung runs with the typed deadline/no-progress
+// errors.
 // It exits when the run drains, stops, or loses its last worker.
 func (rt *Runtime) timekeeper() {
 	defer rt.tkDone.Done()
@@ -100,9 +100,6 @@ func (rt *Runtime) timekeeper() {
 				break
 			}
 			rt.deliverRetry(it)
-		}
-		if rt.shed != nil {
-			rt.shedControl()
 		}
 		// Wake workers whose next timed fault event is due: a parked
 		// worker applies its events at the top of its loop.

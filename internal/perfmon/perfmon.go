@@ -61,9 +61,9 @@ type Counters struct {
 	Retries       int64 // task launches aborted here and retried elsewhere
 	GaveUp        int64 // launches whose retry budget ran out (fails the run)
 
-	// Overload shedding (native SLO layer).
-	TasksShed      int64 // tasks dropped before running (deadline expired or below the shed floor)
-	DeadlineMisses int64 // shed tasks whose per-spawn deadline had already passed
+	// Deadline shedding: tasks dispatched past their WithDeadline
+	// deadline, completed without running (not counted in TasksRun).
+	DeadlineMisses int64
 }
 
 // Misses returns the total cache misses serviced by any memory.
@@ -133,7 +133,6 @@ func (c *Counters) Add(o Counters) {
 	c.Redistributed += o.Redistributed
 	c.Retries += o.Retries
 	c.GaveUp += o.GaveUp
-	c.TasksShed += o.TasksShed
 	c.DeadlineMisses += o.DeadlineMisses
 }
 

@@ -58,9 +58,8 @@ func (t *TokenBucket) Admit(*Job, []EntryStat) error {
 
 // rejectOverloaded sheds load at the door: a submission is refused
 // when even the shallowest runtime queue is at or past maxDepth. This
-// is queue-depth-aware admission — the serving-layer analogue of the
-// runtime's own overload shedding, applied before a job ties up a
-// queue slot it would only time out in.
+// is queue-depth-aware admission, applied before a job ties up a queue
+// slot it would only time out in.
 type rejectOverloaded struct{ maxDepth int }
 
 func (rejectOverloaded) Name() string { return "reject-overloaded" }

@@ -5,9 +5,11 @@
 // affinity routing that sticks a job's object space to the runtime
 // that last served its key, the paper's task-to-processor affinity
 // lifted one level up — and applies admission control before any work
-// is queued. The HTTP front end in server.go is a thin wrapper; the
-// in-process Service is the real API and what the tests and benches
-// drive.
+// is queued. Admission is the only place load is shed: an admitted job
+// runs every task it spawns, since a catalog app with a dropped task
+// fails its Verify. The HTTP front end in server.go is a thin wrapper;
+// the in-process Service is the real API and what the tests and
+// benches drive.
 package serve
 
 import (
@@ -47,7 +49,9 @@ func (s JobState) String() string {
 	return "unknown"
 }
 
-// Request is one job submission.
+// Request is one job submission. It carries no per-job priority or
+// deadline; the HTTP front end rejects a body naming any field not
+// listed here.
 type Request struct {
 	// App names a catalog entry (see internal/apps.CatalogNames).
 	App string `json:"app"`
@@ -57,14 +61,6 @@ type Request struct {
 	// space, and affinity routers keep them on the runtime that last
 	// served the key. Empty means no affinity.
 	Key string `json:"key,omitempty"`
-	// Priority is the tenant's task priority class in [0,7]; it becomes
-	// the job-level default for every task the job spawns (explicit
-	// per-spawn priorities still win).
-	Priority int `json:"priority,omitempty"`
-	// DeadlineNS, when positive, is the per-task deadline in
-	// nanoseconds measured from the job's start on its runtime. Tasks
-	// dispatched past it are shed when the runtime has shedding armed.
-	DeadlineNS int64 `json:"deadline_ns,omitempty"`
 }
 
 // Job is one admitted (or rejected) submission and its outcome.

@@ -117,7 +117,6 @@ func (p *pool) loop(e *entry) {
 		e.running.Store(1)
 		j.start(p.now())
 
-		e.rt.SetJobSLO(j.Req.Priority, j.Req.DeadlineNS)
 		verify, err := p.runner(e.rt, j, e.res)
 		// Counted before finish wakes the job's waiters, so a waiter
 		// reading Report afterwards always sees its job completed.

@@ -15,13 +15,16 @@ import (
 //
 // Rejections map to HTTP status codes: admission refusals and full
 // queues are 429 (back off and retry), draining is 503 (this replica
-// is going away), bad submissions are 400.
+// is going away), bad submissions are 400 — including a body naming a
+// field Request does not have.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}

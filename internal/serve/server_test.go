@@ -31,7 +31,7 @@ func TestHTTPServeLifecycle(t *testing.T) {
 	}
 
 	// Submit.
-	resp, body := post("/jobs", `{"app":"gauss","size":"small","key":"t1/g","priority":3}`)
+	resp, body := post("/jobs", `{"app":"gauss","size":"small","key":"t1/g"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
@@ -66,12 +66,15 @@ func TestHTTPServeLifecycle(t *testing.T) {
 		t.Fatalf("done snapshot %+v", snap)
 	}
 
-	// Unknown job is 404; bad body is 400.
+	// Unknown job is 404; a bad body, or one naming a field Request
+	// lacks (priority, deadline_ns), is 400.
 	if r, _ := http.Get(ts.URL + "/jobs/job-999"); r.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job: %d", r.StatusCode)
 	}
-	if resp, _ := post("/jobs", "{"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body: %d", resp.StatusCode)
+	for _, bad := range []string{"{", `{"app":"gauss","priority":3}`, `{"app":"gauss","deadline_ns":1000}`} {
+		if resp, body := post("/jobs", bad); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: %d %s", bad, resp.StatusCode, body)
+		}
 	}
 
 	// Report.

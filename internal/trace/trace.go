@@ -38,9 +38,8 @@ const (
 	// retried (Arg = server chosen for the next attempt, -1 when the
 	// retry budget is exhausted and the run gives up).
 	KindRetry
-	// KindShed: an overloaded run dropped the task before it ran — its
-	// deadline had expired or its priority fell below the shed floor
-	// (Arg = the task's priority class).
+	// KindShed: the task was dispatched past its WithDeadline deadline
+	// and completed without running (Arg = the deadline).
 	KindShed
 	// KindAdapt: the online controller changed a policy knob (Task
 	// names the knob and action, Arg = the knob's new value; Proc = -1,

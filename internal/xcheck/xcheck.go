@@ -2,7 +2,7 @@
 // every registered application on both execution backends and fails if
 // they disagree. Each (app, variant, processor-count) cell runs a
 // simulator reference, then a simulator run under a different steal
-// seed, Options.NativeRuns plain native runs, two armed ones and an
+// seed, Options.NativeRuns plain native runs, an armed one and an
 // adaptive simulator run — and every run must match the reference
 // token for token (schedule-dependent tokens excepted at P>1), run the
 // same number of tasks, and keep task-affinity sets whole.
@@ -90,8 +90,8 @@ func Run(opts Options) error {
 			}
 		}
 	}
-	// The SLO cells: per-spawn priority and deadline options armed on
-	// both backends, differentially validated against each other.
+	// The SLO cells: the per-task deadline rule on both backends,
+	// differentially validated against each other.
 	for _, p := range procs {
 		cell := fmt.Sprintf("slo synthetic P=%d", p)
 		if msgs := checkSLOCell(p); len(msgs) > 0 {
@@ -109,14 +109,13 @@ func Run(opts Options) error {
 	return nil
 }
 
-// checkSLOCell differentially validates the per-spawn SLO options at a
-// fixed P: a deterministic task graph spawned with the full spread of
-// priority classes and far-future deadlines must produce identical
-// results and task counts on the simulator and on the native backend
-// with shedding armed. With no overload and no expirable deadline, the
-// options must steer shedding policy only — never results — so any
-// divergence (a shed task, a missed deadline, a changed sum) is a
-// semantic bug in the new native SLO paths.
+// checkSLOCell differentially validates the per-task deadline rule at a
+// fixed P: half the tasks carry WithDeadline(1), expired at dispatch on
+// both clock scales, and half a deadline neither clock reaches. Both
+// backends must shed exactly the expired half — the same result sum,
+// the same TasksRun, the same DeadlineMisses — so a shed task counted
+// as run, or a deadline checked on one backend only, shows as a
+// mismatch.
 func checkSLOCell(procs int) []string {
 	const n = 256
 	run := func(cfg cool.Config) (int64, cool.Report, error) {
@@ -129,9 +128,12 @@ func checkSLOCell(procs int) []string {
 			ctx.WaitFor(func() {
 				for i := 0; i < n; i++ {
 					i := i
+					deadline := int64(1 << 60)
+					if i%2 == 0 {
+						deadline = 1
+					}
 					ctx.Spawn("slo", func(*cool.Ctx) { sum.Add(int64(i*i + 1)) },
-						cool.WithPriority(i%8),
-						cool.WithDeadline(1<<60)) // never fires on either clock scale
+						cool.WithDeadline(deadline))
 				}
 			})
 		})
@@ -142,13 +144,7 @@ func checkSLOCell(procs int) []string {
 	if err != nil {
 		return []string{"sim: " + err.Error()}
 	}
-	natSum, natRep, err := run(cool.Config{
-		Processors: procs,
-		Backend:    cool.BackendNative,
-		// Armed but unreachable: the dispatch-time shed hook and the
-		// floor controller run on every task without ever firing.
-		Shed: &cool.ShedPolicy{QueueHighWater: 1 << 20},
-	})
+	natSum, natRep, err := run(cool.Config{Processors: procs, Backend: cool.BackendNative})
 	if err != nil {
 		return []string{"native: " + err.Error()}
 	}
@@ -163,9 +159,8 @@ func checkSLOCell(procs int) []string {
 		label string
 		rep   cool.Report
 	}{{"sim", simRep}, {"native", natRep}} {
-		if b.rep.Total.TasksShed != 0 || b.rep.Total.DeadlineMisses != 0 {
-			msgs = append(msgs, fmt.Sprintf("%s: shed %d tasks, %d deadline misses on an unloaded run",
-				b.label, b.rep.Total.TasksShed, b.rep.Total.DeadlineMisses))
+		if b.rep.Total.DeadlineMisses != n/2 {
+			msgs = append(msgs, fmt.Sprintf("%s: %d deadline misses, want %d", b.label, b.rep.Total.DeadlineMisses, n/2))
 		}
 		if b.rep.SetSplits != 0 {
 			msgs = append(msgs, fmt.Sprintf("%s: %d set splits", b.label, b.rep.SetSplits))
@@ -176,7 +171,7 @@ func checkSLOCell(procs int) []string {
 
 // checkCell runs one (app, variant, procs) cell: a simulator reference,
 // then a seed-perturbed simulator run, nativeRuns plain native runs, the
-// armed native runs, and an adaptive simulator run, each compared
+// armed native run, and an adaptive simulator run, each compared
 // against the reference.
 func checkCell(app apps.App, variant string, procs, size, nativeRuns int) []string {
 	ref, err := app.RunCfg(cool.Config{Processors: procs}, variant, size)
@@ -214,15 +209,6 @@ func checkCell(app apps.App, variant string, procs, size, nativeRuns int) []stri
 			Retry:      &cool.RetryPolicy{},
 			Deadline:   30_000_000_000, // 30s wall clock: far beyond any cell
 		}},
-		// An SLO-armed native run: shedding enabled with an unreachable
-		// watermark, so the dispatch-time shed hook and the timekeeper's
-		// floor controller execute on every task without ever firing — the
-		// overhead path of the SLO layer must not perturb results either.
-		{"native slo-armed", cool.Config{
-			Processors: procs,
-			Backend:    cool.BackendNative,
-			Shed:       &cool.ShedPolicy{QueueHighWater: 1 << 20},
-		}},
 		// An adaptive sim run: the online controller armed with a short
 		// epoch so it decides many times per cell. The controller may only
 		// change the schedule (steal scope), never results, so every
@@ -245,8 +231,7 @@ func checkCell(app apps.App, variant string, procs, size, nativeRuns int) []stri
 
 // check compares one arm's result against the cell's reference: the
 // Verify tokens outside ignore, the task count, whole task-affinity
-// sets, and — every arm runs unloaded — nothing shed and no deadline
-// missed.
+// sets, and — no app sets a deadline — no deadline missed.
 func check(ref, res apps.Result, ignore map[string]bool) []string {
 	var msgs []string
 	if d := apps.DiffVerify(ref.Verify, res.Verify, ignore); d != "" {
@@ -258,8 +243,8 @@ func check(ref, res apps.Result, ignore map[string]bool) []string {
 	if res.Report.SetSplits != 0 {
 		msgs = append(msgs, fmt.Sprintf("%d set splits", res.Report.SetSplits))
 	}
-	if t := res.Report.Total; t.TasksShed != 0 || t.DeadlineMisses != 0 {
-		msgs = append(msgs, fmt.Sprintf("shed %d tasks, %d deadline misses on an unloaded run", t.TasksShed, t.DeadlineMisses))
+	if m := res.Report.Total.DeadlineMisses; m != 0 {
+		msgs = append(msgs, fmt.Sprintf("%d deadline misses with no deadline set", m))
 	}
 	return msgs
 }

@@ -36,40 +36,39 @@ const farDeadline = int64(1) << 62
 
 var taskPathCases = []struct {
 	name  string
-	shed  bool
 	phase func(ctx *cool.Ctx, e *taskPathEnv)
 }{
-	{"SpawnN/TaskAffinity+ObjectAffinity", false, func(ctx *cool.Ctx, e *taskPathEnv) {
+	{"SpawnN/TaskAffinity+ObjectAffinity", func(ctx *cool.Ctx, e *taskPathEnv) {
 		ctx.SpawnN("ta+oa", phaseTasks, taskPathMember, func(i int) []cool.SpawnOpt {
 			e.opts[0] = cool.TaskAffinity(e.objs[i%4].Base)
 			e.opts[1] = cool.ObjectAffinity(e.objs[(i/4)%4].Base)
 			return e.opts[:2]
 		})
 	}},
-	{"SpawnN/OnProcessor", false, func(ctx *cool.Ctx, e *taskPathEnv) {
+	{"SpawnN/OnProcessor", func(ctx *cool.Ctx, e *taskPathEnv) {
 		ctx.SpawnN("pin", phaseTasks, taskPathMember, func(i int) []cool.SpawnOpt {
 			e.opts[0] = cool.OnProcessor(i)
 			return e.opts[:1]
 		})
 	}},
-	{"Spawn", false, func(ctx *cool.Ctx, e *taskPathEnv) {
+	{"Spawn", func(ctx *cool.Ctx, e *taskPathEnv) {
 		for range phaseTasks {
 			ctx.Spawn("plain", taskPathLeaf)
 		}
 	}},
-	{"Spawn/OnObject", false, func(ctx *cool.Ctx, e *taskPathEnv) {
+	{"Spawn/OnObject", func(ctx *cool.Ctx, e *taskPathEnv) {
 		for i := range phaseTasks {
 			ctx.Spawn("simple", taskPathLeaf, cool.OnObject(e.objs[i%4].Base))
 		}
 	}},
-	{"Spawn/WithMutex", false, func(ctx *cool.Ctx, e *taskPathEnv) {
+	{"Spawn/WithMutex", func(ctx *cool.Ctx, e *taskPathEnv) {
 		for range phaseTasks {
 			ctx.Spawn("mutex", taskPathLeaf, cool.WithMutex(e.mon))
 		}
 	}},
-	{"Spawn/WithPriority+WithDeadline", true, func(ctx *cool.Ctx, e *taskPathEnv) {
-		for i := range phaseTasks {
-			ctx.Spawn("slo", taskPathLeaf, cool.WithPriority(i%8), cool.WithDeadline(farDeadline))
+	{"Spawn/WithDeadline", func(ctx *cool.Ctx, e *taskPathEnv) {
+		for range phaseTasks {
+			ctx.Spawn("deadline", taskPathLeaf, cool.WithDeadline(farDeadline))
 		}
 	}},
 }
@@ -87,11 +86,7 @@ func TestNativeTaskPathAllocs(t *testing.T) {
 	const lo, hi = 2, 32
 	for _, tc := range taskPathCases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := cool.Config{Processors: 2, Backend: cool.BackendNative}
-			if tc.shed {
-				cfg.Shed = &cool.ShedPolicy{}
-			}
-			rt, err := cool.NewRuntime(cfg)
+			rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,10 +2,8 @@ package cool
 
 // This file is the warm-reuse surface that the serving layer
 // (internal/serve, cmd/coolserve) is built on: Reset re-arms a runtime
-// for another Run without rebuilding it, SetJobSLO tags the next run
-// with per-job priority/deadline defaults that flow into the shedding
-// machinery, and QueuedTasks exposes the live backlog signal routing
-// policies consume.
+// for another Run without rebuilding it, and QueuedTasks exposes the
+// live backlog signal routing policies consume.
 
 // Reset returns a runtime that has finished a Run to its pre-Run state
 // so it can Run again — the warm-reuse path that makes a long-lived
@@ -17,13 +15,12 @@ package cool
 // per-run state — counters, channels, set homes, the consumed fault
 // plan — is re-armed. The perfmon counters are zeroed, so the next
 // run's Report starts from a clean slate and never bleeds a previous
-// job's FaultEvents/Retries/TasksShed.
+// job's FaultEvents/Retries/DeadlineMisses.
 //
 // What does NOT survive: every simulated address handed out by the
 // allocation API. The arena bump pointers rewind, so pre-reset
 // addresses will be re-issued to the next run's allocations — a job
-// must allocate what it uses within its own run. Job SLO defaults
-// (SetJobSLO) also clear.
+// must allocate what it uses within its own run.
 //
 // Reset must not race with Run or with the allocation API. A native
 // run that failed (deadline, watchdog, panic, abort) may have unwound
@@ -46,42 +43,7 @@ func (rt *Runtime) Reset() error {
 	}
 	rt.ran = false
 	rt.setupErr = nil
-	rt.jobPrio, rt.jobDeadline = 0, 0
 	return nil
-}
-
-// SetJobSLO sets the default priority class (clamped to [0,7]) and
-// absolute deadline (in the runtime's clock — cycles on the simulator,
-// nanoseconds since Run natively; 0 = none) applied to every spawn of
-// the next Run that does not carry its own WithPriority/WithDeadline
-// option. This is how a multi-tenant serving layer maps per-job SLOs
-// onto the shedding and priority-floor machinery without threading
-// options through application code. Call between runs only — the
-// defaults are read concurrently once workers start spawning.
-func (rt *Runtime) SetJobSLO(priority int, deadlineAt int64) {
-	if priority < 0 {
-		priority = 0
-	}
-	if priority > 7 {
-		priority = 7
-	}
-	if deadlineAt < 0 {
-		deadlineAt = 0
-	}
-	rt.jobPrio = int8(priority)
-	rt.jobDeadline = deadlineAt
-}
-
-// applyJobSLO folds the runtime's job-level defaults into one spawn's
-// accumulated options: an explicit WithPriority always wins, and a
-// spawn-site WithDeadline (deadline != 0) wins over the job deadline.
-func (rt *Runtime) applyJobSLO(o *spawnOptions) {
-	if !o.prioSet {
-		o.prio = rt.jobPrio
-	}
-	if o.deadline == 0 {
-		o.deadline = rt.jobDeadline
-	}
 }
 
 // QueuedTasks returns the number of spawned tasks currently sitting in

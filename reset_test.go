@@ -121,26 +121,22 @@ func TestResetRewindsArena(t *testing.T) {
 }
 
 // TestResetCounterFidelity runs a first job whose every spawn is shed
-// (an already-expired job-level deadline under an armed shed policy),
-// then asserts the second, clean job on the same warm runtime reports
-// zero sheds, deadline misses, faults, and retries — per-worker rows
-// included. This is the report-fidelity contract runtime reuse must
-// keep: a job's report never bleeds a predecessor's counters.
+// (an already-expired deadline), then asserts the second, clean job on
+// the same warm runtime reports zero deadline misses, faults, and
+// retries — per-worker rows included. This is the report-fidelity
+// contract runtime reuse must keep: a job's report never bleeds a
+// predecessor's counters.
 func TestResetCounterFidelity(t *testing.T) {
-	rt, err := cool.NewRuntime(cool.Config{
-		Processors: 2,
-		Backend:    cool.BackendNative,
-		Shed:       &cool.ShedPolicy{},
-	})
+	rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.SetJobSLO(0, 1) // every spawn's deadline expired 1ns after start
 	var ran atomic.Int64
 	err = rt.Run(func(ctx *cool.Ctx) {
 		ctx.WaitFor(func() {
 			for i := 0; i < 32; i++ {
-				ctx.Spawn("doomed", func(c *cool.Ctx) { ran.Add(1) })
+				// Expired 1ns after start.
+				ctx.Spawn("doomed", func(c *cool.Ctx) { ran.Add(1) }, cool.WithDeadline(1))
 			}
 		})
 	})
@@ -148,9 +144,8 @@ func TestResetCounterFidelity(t *testing.T) {
 		t.Fatalf("shed job: %v", err)
 	}
 	first := rt.Report()
-	if first.Total.TasksShed == 0 || first.Total.DeadlineMisses == 0 {
-		t.Fatalf("first job shed nothing (TasksShed=%d DeadlineMisses=%d); SLO wiring broken",
-			first.Total.TasksShed, first.Total.DeadlineMisses)
+	if first.Total.DeadlineMisses != 32 {
+		t.Fatalf("first job shed %d of 32 tasks; deadline rule broken", first.Total.DeadlineMisses)
 	}
 	if ran.Load() != 0 {
 		t.Fatalf("%d doomed tasks ran despite expired deadline", ran.Load())
@@ -161,13 +156,12 @@ func TestResetCounterFidelity(t *testing.T) {
 	}
 	sumJob(t, rt, 8)
 	second := rt.Report()
-	if second.Total.TasksShed != 0 || second.Total.DeadlineMisses != 0 ||
-		second.Total.FaultEvents != 0 || second.Total.Retries != 0 {
-		t.Fatalf("second job reports bled counters: TasksShed=%d DeadlineMisses=%d FaultEvents=%d Retries=%d",
-			second.Total.TasksShed, second.Total.DeadlineMisses, second.Total.FaultEvents, second.Total.Retries)
+	if second.Total.DeadlineMisses != 0 || second.Total.FaultEvents != 0 || second.Total.Retries != 0 {
+		t.Fatalf("second job reports bled counters: DeadlineMisses=%d FaultEvents=%d Retries=%d",
+			second.Total.DeadlineMisses, second.Total.FaultEvents, second.Total.Retries)
 	}
 	for p, row := range second.Per {
-		if row.TasksShed != 0 || row.DeadlineMisses != 0 {
+		if row.DeadlineMisses != 0 {
 			t.Fatalf("worker %d row not fresh after Reset: %+v", p, row)
 		}
 	}
@@ -188,26 +182,5 @@ func TestResetRefusedAfterFailedNativeRun(t *testing.T) {
 	}
 	if err := rt.Reset(); err == nil {
 		t.Fatal("Reset accepted a runtime whose run failed")
-	}
-}
-
-// TestSetJobSLOPriorityDefault asserts the job default yields to an
-// explicit per-spawn WithPriority.
-func TestSetJobSLOPriorityDefault(t *testing.T) {
-	rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetJobSLO(5, 0)
-	// No shedding armed: priorities are inert metadata here; the test
-	// just exercises the default/override path end to end.
-	err = rt.Run(func(ctx *cool.Ctx) {
-		ctx.WaitFor(func() {
-			ctx.Spawn("defaulted", func(c *cool.Ctx) {})
-			ctx.Spawn("explicit", func(c *cool.Ctx) {}, cool.WithPriority(1))
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
