@@ -13,9 +13,6 @@
 //	coolbench -chaos -chaos-small                 reduced workloads (CI)
 //	coolbench -chaos -chaos-native                campaigns on the native
 //	                                              (goroutine) backend
-//	coolbench -chaos -chaos-adapt                 adaptive affinity controller
-//	                                              armed on every faulted run
-//	                                              (simulator only)
 package main
 
 import (
@@ -38,17 +35,12 @@ func chaosMain(args []string) int {
 	appsFlag := fs.String("chaos-apps", "", "comma-separated app subset (default: all registered)")
 	small := fs.Bool("chaos-small", false, "use reduced workload sizes (CI smoke)")
 	nativeFlag := fs.Bool("chaos-native", false, "run campaigns on the native goroutine backend (plan times read as nanoseconds)")
-	adapt := fs.Bool("chaos-adapt", false, "arm the adaptive affinity controller on every faulted run (reference stays static); simulator only")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	backend := cool.BackendSim
 	if *nativeFlag {
 		backend = cool.BackendNative
-	}
-	if *adapt && *nativeFlag {
-		fmt.Fprintln(os.Stderr, "coolbench -chaos: -chaos-adapt runs on the simulator only (drop -chaos-native)")
-		return 2
 	}
 
 	names := apps.Names()
@@ -72,7 +64,6 @@ func chaosMain(args []string) int {
 			seed := *baseSeed + int64(i)
 			c := chaos.NewCampaign(app, seed, *procs, size)
 			c.Backend = backend
-			c.Adapt = *adapt
 			out := oracle.Run(app, c)
 			tally[out.Verdict]++
 			if !out.Verdict.Bad() {
@@ -90,9 +81,6 @@ func chaosMain(args []string) int {
 			replayNative := ""
 			if backend == cool.BackendNative {
 				replayNative = " -chaos-native"
-			}
-			if *adapt {
-				replayNative += " -chaos-adapt"
 			}
 			fmt.Printf("  replay: coolbench -chaos%s -chaos-apps %s -chaos-seed %d -chaos-campaigns 1 -chaos-procs %d\n",
 				replayNative, app.Name, seed, *procs)

@@ -72,7 +72,7 @@ func TestModeDispatch(t *testing.T) {
 	}{
 		{"-chaos -chaos-apps nosuch", "coolbench -chaos: unknown app", 2},
 		{"-chaos -chaos-native -chaos-churn", "flag provided but not defined: -chaos-churn", 2},
-		{"-chaos -chaos-native -chaos-adapt", "-chaos-adapt runs on the simulator only", 2},
+		{"-chaos -chaos-adapt", "flag provided but not defined: -chaos-adapt", 2},
 		{"-xcheck -xcheck-apps nosuch", "coolbench -xcheck:", 1},
 		{"-trace -trace-out /dev/null -trace-app nosuch", "coolbench -trace: unknown app", 2},
 		{"-exp nosuch", "unknown experiment", 2},

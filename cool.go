@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/coolrts/cool/internal/adapt"
 	"github.com/coolrts/cool/internal/cache"
 	"github.com/coolrts/cool/internal/core"
 	"github.com/coolrts/cool/internal/fault"
@@ -67,7 +66,7 @@ const (
 	// no-progress watchdog run natively with every cycle quantity read
 	// as wall-clock nanoseconds (DegradeMemory events are ignored — the
 	// memory system is real). Only the options that require the
-	// simulated machine itself (Machine, CycleLimit, Quantum, Adapt) are
+	// simulated machine itself (Machine, CycleLimit, Quantum) are
 	// rejected with *UnsupportedOnNativeError.
 	BackendNative
 )
@@ -153,12 +152,6 @@ type Config struct {
 	Deadline int64
 	// Backend selects the execution engine (default: the simulator).
 	Backend Backend
-	// Adapt (simulator only), when non-nil, arms the adaptive-affinity
-	// controller: each epoch it reads the machine-wide counter deltas
-	// and turns cluster-only stealing on or off, recording every change
-	// as a decision trace (see AdaptPolicy, Report.Decisions). Native
-	// programs set the knob with Ctx.SetClusterStealingOnly.
-	Adapt *AdaptPolicy
 }
 
 // Runtime is one simulated COOL program execution environment. Allocate
@@ -174,11 +167,8 @@ type Runtime struct {
 	sched   *core.Scheduler // sim backend only
 	nat     *native.Runtime // native backend only
 	mon     *perfmon.Monitor
-	// adaptCtl is the sim backend's adaptive controller (nil unless
-	// Config.Adapt is set).
-	adaptCtl *adapt.Controller
-	ran      bool
-	tdFree   []*core.TaskDesc // recycled task descriptors (see ctx.go)
+	ran     bool
+	tdFree  []*core.TaskDesc // recycled task descriptors (see ctx.go)
 
 	// spaceMu serializes the writes to space (allocation, migration,
 	// Reset), which native tasks may issue concurrently. Home lookups
@@ -241,11 +231,6 @@ func NewRuntime(c Config) (*Runtime, error) {
 	}
 	if c.Deadline < 0 {
 		return nil, fmt.Errorf("cool: Config.Deadline must not be negative")
-	}
-	if c.Adapt != nil {
-		if err := validateAdapt(c.Adapt); err != nil {
-			return nil, err
-		}
 	}
 	if err := mc.Validate(); err != nil {
 		return nil, err
@@ -311,9 +296,6 @@ func (rt *Runtime) initSim() error {
 			return err
 		}
 	}
-	if c.Adapt != nil {
-		rt.installAdaptSim(c.Adapt)
-	}
 	return nil
 }
 
@@ -345,8 +327,6 @@ func nativeUnsupported(c Config) error {
 		return &UnsupportedOnNativeError{Option: "CycleLimit"}
 	case c.Quantum > 0:
 		return &UnsupportedOnNativeError{Option: "Quantum"}
-	case c.Adapt != nil:
-		return &UnsupportedOnNativeError{Option: "Adapt"}
 	}
 	return nil
 }

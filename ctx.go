@@ -89,17 +89,8 @@ func (c *Ctx) Access(addr, size int64, write bool) {
 // accessSim is Access's simulator path.
 func (c *Ctx) accessSim(addr, size int64, write bool) {
 	p := c.sc.Proc().ID
-	row := &c.rt.mon.Per[p]
-	refs, miss := row.Refs, row.RemoteMisses+row.DirtyMisses
 	cyc := c.rt.caches.Access(p, c.sc.Now(), addr, size, write)
-	row.MemCycles += cyc
-	if c.sc.Task().StolenRemote {
-		// Attribute this access to stolen work: the adaptive
-		// controller prices cross-cluster stealing by the marginal
-		// non-local miss rate these references pay.
-		row.StolenRefs += row.Refs - refs
-		row.StolenMisses += row.RemoteMisses + row.DirtyMisses - miss
-	}
+	c.rt.mon.Per[p].MemCycles += cyc
 	c.sc.Charge(cyc)
 }
 

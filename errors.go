@@ -12,8 +12,8 @@ import (
 // UnsupportedOnNativeError is returned by NewRuntime when a
 // configuration option that requires the simulated machine itself —
 // Machine (latency/cache overrides), CycleLimit (a bound on simulated
-// time), Quantum (interleaving control), or Adapt (the online controller,
-// stepped at simulated-cycle epochs) — is combined with BackendNative. Fault plans, retries, and deadlines are NOT rejected:
+// time) or Quantum (interleaving control) — is combined with
+// BackendNative. Fault plans, retries, and deadlines are NOT rejected:
 // they run natively with cycle quantities read as wall-clock
 // nanoseconds. Callers that want to run the same Config on both
 // backends should strip the sim-only options for the native run rather

@@ -1,6 +1,7 @@
-// Package phaseflip is a synthetic two-phase workload whose optimal
-// stealing policy flips mid-run — the stress case for the adaptive
-// affinity controller (Config.Adapt).
+// Package phaseflip is a synthetic two-phase workload whose best
+// stealing policy flips mid-run — the case for the paper's cluster-only
+// stealing being "a runtime flag that can be dynamically manipulated by
+// the programmer" (§6.3, Ctx.SetClusterStealingOnly).
 //
 // Phase A runs a few serial object-bound chains, one per cluster-0
 // server: each link spawns its successor at the START of its body, so
@@ -27,9 +28,9 @@
 // stealable, so flat stealing spreads it across the whole machine,
 // while cluster-only strands every worker outside cluster 0 — flat
 // wins phase B by roughly the cluster count. No static policy wins
-// both phases; a controller that flips cluster-only on during A (high
-// failed-steal ratio) and off during B (starvation: deep backlog with
-// most workers parked) beats either static.
+// both phases. The Phases+Switch variant sets the flag itself: on
+// before each phase A, off before each phase B, and beats either
+// static arm (TestPhaseSwitchBeatsStaticArms).
 package phaseflip
 
 import (
@@ -43,6 +44,7 @@ type Variant int
 const (
 	Base Variant = iota
 	Phases
+	Switch
 )
 
 // Variants are the ablation points in order.
@@ -52,6 +54,9 @@ var Variants = []harness.Variant{
 	// The object-affinity version whose two phases want opposite
 	// stealing policies.
 	{Name: "Phases"},
+	// Phases with the program flipping cluster-only stealing itself:
+	// on for each phase A, off for each phase B.
+	{Name: "Phases+Switch"},
 }
 
 func (v Variant) String() string { return Variants[v].Name }
@@ -132,7 +137,7 @@ func (p Params) turns() int {
 
 type app struct {
 	prm  Params
-	v    Variant     // Phases passes the object-affinity hints, Base none
+	v    Variant     // Phases and Switch pass the object-affinity hints, Base none
 	objs []*cool.I64 // one accumulator cell per chain, homed on its server
 	pong []*cool.F64 // two cells per pair (flat: pair*2+side), each homed on its side
 	wave *cool.F64   // one cell per wave task, disjoint writes
@@ -179,7 +184,7 @@ func (ap *app) chainUpdate(ctx *cool.Ctx, c, step, round int) {
 
 func (ap *app) spawnLink(ctx *cool.Ctx, c, step, round int) {
 	body := func(cc *cool.Ctx) { ap.chainStep(cc, c, step, round) }
-	if ap.v == Phases {
+	if ap.v != Base {
 		ctx.Spawn("chain", body, cool.ObjectAffinity(ap.objs[c].Base))
 		return
 	}
@@ -201,7 +206,7 @@ func (ap *app) pingStep(ctx *cool.Ctx, pair, turn, round int) {
 
 func (ap *app) spawnBounce(ctx *cool.Ctx, pair, turn, round int) {
 	body := func(cc *cool.Ctx) { ap.pingStep(cc, pair, turn, round) }
-	if ap.v == Phases {
+	if ap.v != Base {
 		ctx.Spawn("ping", body, cool.ObjectAffinity(ap.pong[pair*2+turn%2].Base))
 		return
 	}
@@ -215,13 +220,16 @@ func (ap *app) waveTask(ctx *cool.Ctx, i, round int) {
 	ctx.Compute(waveWork)
 }
 
-// Main alternates the two phases. Each phase is a barrier: the policy
-// signal the controller sees is pure (all-A, then all-B).
+// Main alternates the two phases. Each phase is a barrier, so no task
+// of one phase runs under the other phase's stealing policy.
 func (ap *app) Main(ctx *cool.Ctx) {
 	n := ap.prm.Wave
 	optBuf := make([]cool.SpawnOpt, 1)
 	for round := 0; round < ap.prm.Rounds; round++ {
 		round := round
+		if ap.v == Switch {
+			ctx.SetClusterStealingOnly(true)
+		}
 		// Phase A: one chain head per cluster-0 server, plus the
 		// ping-pong pairs on the rest of the machine.
 		ctx.WaitFor(func() {
@@ -232,12 +240,15 @@ func (ap *app) Main(ctx *cool.Ctx) {
 				ap.spawnBounce(ctx, pair, 0, round)
 			}
 		})
+		if ap.v == Switch {
+			ctx.SetClusterStealingOnly(false)
+		}
 		// Phase B: a deep object-bound backlog on the chain servers.
 		ctx.WaitFor(func() {
 			ctx.SpawnN("wave", n, func(cc *cool.Ctx, i int) {
 				ap.waveTask(cc, i, round)
 			}, func(i int) []cool.SpawnOpt {
-				if ap.v != Phases {
+				if ap.v == Base {
 					return nil
 				}
 				optBuf[0] = cool.ObjectAffinity(ap.objs[i%chainCount].Base)

@@ -39,11 +39,6 @@ type Campaign struct {
 	// fault-free reference) runs on. Native campaigns read the plan's
 	// cycle quantities as wall-clock nanoseconds.
 	Backend cool.Backend
-	// Adapt arms the adaptive affinity controller on the faulted run
-	// (the fault-free reference stays static). The controller may only
-	// reshape the schedule, so every differential invariant must hold
-	// with it flipping policy mid-campaign. Simulator only.
-	Adapt bool
 }
 
 // NewCampaign derives a deterministic campaign from a seed against the
@@ -155,9 +150,6 @@ func (o *Oracle) Run(app apps.App, c Campaign) Outcome {
 		Retry:      c.Retry,
 		Deadline:   c.Deadline,
 		Backend:    c.Backend,
-	}
-	if c.Adapt {
-		cfg.Adapt = &cool.AdaptPolicy{}
 	}
 	res, err := app.RunCfg(cfg, c.Variant, c.Size)
 	if err != nil {

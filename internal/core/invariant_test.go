@@ -247,7 +247,7 @@ func TestStealScansPastPinnedPlainHead(t *testing.T) {
 	v.plain.push(free)
 	s.noteEnqueued(v, 2)
 
-	got := s.stealFrom(v, s.Srv[0], 0, false)
+	got := s.stealFrom(v, s.Srv[0], 0)
 	if got != free {
 		t.Fatalf("stole %v, want the plain task behind the pinned head", got)
 	}
@@ -256,14 +256,14 @@ func TestStealScansPastPinnedPlainHead(t *testing.T) {
 	}
 	// With only the pinned task left the victim is no longer backlogged:
 	// it must not be stolen.
-	if got := s.stealFrom(v, s.Srv[0], 0, false); got != nil {
+	if got := s.stealFrom(v, s.Srv[0], 0); got != nil {
 		t.Fatalf("stole %v from a victim with a single pinned task", got)
 	}
 	// Backlogged again (a second pinned task): now the head may move.
 	pinned2 := mkTask(s, "pinned2", ClassProcessor, 2, -1, 0)
 	v.plain.push(pinned2)
 	s.noteEnqueued(v, 1)
-	if got := s.stealFrom(v, s.Srv[0], 0, false); got != pinned {
+	if got := s.stealFrom(v, s.Srv[0], 0); got != pinned {
 		t.Fatalf("stole %v, want the backlogged pinned head", got)
 	}
 	if err := checkInvariants(s); err != nil {

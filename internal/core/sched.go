@@ -376,16 +376,11 @@ func (s *Scheduler) stealScan(p *sim.Proc, thief *server, ring []int) *TaskDesc 
 		} else {
 			p.Clock += lat.StealRemote
 		}
-		td := s.stealFrom(v, thief, p.ID, !local)
+		td := s.stealFrom(v, thief, p.ID)
 		if td == nil {
 			ctr.FailedSteals++
 			continue
 		}
-		// Tag the task with how it moved: the access path attributes
-		// references of remotely-stolen work separately, which is the
-		// adaptive controller's locality signal. A later local steal
-		// clears the tag — attribution follows the most recent move.
-		td.T.StolenRemote = !local
 		if local {
 			ctr.StealsLocal++
 		} else {
@@ -406,9 +401,8 @@ func (s *Scheduler) victimOrder(thief int) []int {
 
 // stealFrom takes work from victim v for the thief. Preference order:
 // a whole task-affinity set, a plain task, a continuation, and finally a
-// single object-bound task if policy permits. remote tags set members
-// moved wholesale (the caller tags the returned task itself).
-func (s *Scheduler) stealFrom(v, thief *server, thiefID int, remote bool) *TaskDesc {
+// single object-bound task if policy permits.
+func (s *Scheduler) stealFrom(v, thief *server, thiefID int) *TaskDesc {
 	// A whole task-affinity set (ClassTaskSet at the head of some slot).
 	if s.Pol.StealWholeSets {
 		for q := v.nonEmpty.head; q != nil; q = q.nextQ {
@@ -431,7 +425,6 @@ func (s *Scheduler) stealFrom(v, thief *server, thiefID int, remote bool) *TaskD
 			first := moved[0]
 			for _, td := range moved[1:] {
 				td.Server = thiefID
-				td.T.StolenRemote = remote
 				tq := &thief.slots[td.Slot]
 				tq.push(td)
 				thief.nonEmpty.add(tq)
@@ -527,23 +520,4 @@ func (s *Scheduler) TraceDone(ctx *sim.Ctx) {
 // per-server counts.
 func (s *Scheduler) QueuedTasks() int {
 	return s.queuedTotal
-}
-
-// QueuedClusters returns how many clusters currently have at least one
-// queued task — the adaptive controller's backlog-concentration gauge (a
-// deep backlog pinned in one cluster argues for cross-cluster stealing,
-// not against it). O(P) scan; called once per controller epoch.
-func (s *Scheduler) QueuedClusters() int {
-	seen := make([]bool, s.Cfg.Clusters())
-	n := 0
-	for _, sv := range s.Srv {
-		if sv.queued <= 0 {
-			continue
-		}
-		if cl := s.Cfg.ClusterOf(sv.id); !seen[cl] {
-			seen[cl] = true
-			n++
-		}
-	}
-	return n
 }

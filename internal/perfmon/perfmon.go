@@ -20,14 +20,6 @@ type Counters struct {
 	Prefetches    int64 // prefetch issues (per line)
 	PrefetchFills int64 // prefetches that actually brought a line in
 
-	// Stolen-work attribution: the same references and non-local misses
-	// (remote + dirty), counted only while the processor runs a task
-	// most recently moved by a cross-cluster steal. The ratio of the
-	// two against the machine-wide rate is the adaptive controller's
-	// locality signal — what remote stealing costs per reference.
-	StolenRefs   int64
-	StolenMisses int64
-
 	// Cycle accounting.
 	MemCycles     int64 // cycles stalled on the memory system
 	ComputeCycles int64 // cycles doing useful work
@@ -112,8 +104,6 @@ func (c *Counters) Add(o Counters) {
 	c.Writebacks += o.Writebacks
 	c.Prefetches += o.Prefetches
 	c.PrefetchFills += o.PrefetchFills
-	c.StolenRefs += o.StolenRefs
-	c.StolenMisses += o.StolenMisses
 	c.MemCycles += o.MemCycles
 	c.ComputeCycles += o.ComputeCycles
 	c.TasksRun += o.TasksRun

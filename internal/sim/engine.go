@@ -146,13 +146,8 @@ func (e *Engine) MaxClock() int64 {
 	return m
 }
 
-// LiveTasks returns the number of tasks created but not yet finished.
-// The adaptive controller's epoch driver uses it to stop rescheduling
-// itself once the run has drained.
-func (e *Engine) LiveTasks() int { return e.liveTasks }
-
 // ParkedCount returns how many processors are currently idle-parked
-// (a gauge for the adaptive controller's starvation signal).
+// (Runtime.CounterSnapshot's Parked gauge).
 func (e *Engine) ParkedCount() int {
 	n := 0
 	for _, w := range e.idleWords {

@@ -27,13 +27,6 @@ type Task struct {
 	Name string
 	Data any
 
-	// StolenRemote marks a task most recently moved by a cross-cluster
-	// steal; the runtime attributes its memory references separately so
-	// the adaptive controller can price what remote stealing costs in
-	// locality. Maintained by the scheduler's steal path, read on the
-	// access path.
-	StolenRemote bool
-
 	fn  func(*Ctx)
 	ctx Ctx
 	err error

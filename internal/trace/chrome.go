@@ -84,15 +84,6 @@ func WriteChrome(w io.Writer, events []Event, procs int, backend string) error {
 				Cat: "queue", TS: e.Time, PID: 0, TID: tid,
 				Args: map[string]any{"task": e.Task, "server": e.Arg},
 			})
-		case KindAdapt:
-			// Policy decisions are machine-wide; render them as
-			// global-scope instants so the viewer draws a full-height
-			// marker at every controller action.
-			out = append(out, chromeEvent{
-				Name: "adapt " + e.Task, Phase: "i", Scope: "g",
-				Cat: "adapt", TS: e.Time, PID: 0, TID: 0,
-				Args: map[string]any{"decision": e.Task, "to": e.Arg},
-			})
 		case KindSteal, KindFault, KindRedistribute, KindRetry:
 			if !inRange {
 				continue

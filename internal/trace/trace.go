@@ -41,10 +41,6 @@ const (
 	// KindShed: the task was dispatched past its WithDeadline deadline
 	// and completed without running (Arg = the deadline).
 	KindShed
-	// KindAdapt: the online controller changed a policy knob (Task
-	// names the knob and action, Arg = the knob's new value; Proc = -1,
-	// the decision is machine-wide).
-	KindAdapt
 )
 
 // String names the kind.
@@ -70,8 +66,6 @@ func (k Kind) String() string {
 		return "retry"
 	case KindShed:
 		return "shed"
-	case KindAdapt:
-		return "adapt"
 	}
 	return "?"
 }

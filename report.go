@@ -24,11 +24,6 @@ type Report struct {
 	SetSplits int64
 	Total     Counters
 	Per       []Counters
-	// Decisions is the adaptive controller's decision trace in the
-	// order the policy changes were taken; empty unless Config.Adapt
-	// was set. Folding it over Runtime.AdaptInitialState with
-	// ReplayAdaptDecisions reconstructs the final policy exactly.
-	Decisions []AdaptDecision
 }
 
 // Utilization returns busy cycles as a fraction of total processor-cycles.
@@ -52,7 +47,6 @@ func (rt *Runtime) Report() Report {
 		SetSplits:  rt.SetSplits(),
 		Total:      rt.mon.Total(),
 		Per:        append([]Counters(nil), rt.mon.Per...),
-		Decisions:  rt.adaptDecisions(),
 	}
 	if rt.backend == BackendNative {
 		r.BusyCycles, r.IdleCycles = rt.nat.BusyIdleNanos()
@@ -63,6 +57,64 @@ func (rt *Runtime) Report() Report {
 		r.IdleCycles += p.Idle
 	}
 	return r
+}
+
+// CounterSnapshot is one machine-wide counter reading, for monitoring and
+// external policy code. The steal/wake/deadline-miss fields are
+// cumulative since the run started; Queued, Parked and Workers are
+// instantaneous gauges.
+type CounterSnapshot struct {
+	StealTries     int64
+	FailedSteals   int64
+	StealsLocal    int64
+	StealsRemote   int64
+	SetSteals      int64
+	TargetedWakes  int64
+	BroadcastWakes int64
+	LockContention int64
+	DeadlineMisses int64
+	Completed      int64 // tasks executed, or shed past their deadline, to completion
+
+	// Memory system (simulator backend; zero natively).
+	Refs         int64
+	RemoteMisses int64 // non-local misses (remote + dirty)
+
+	Queued  int64 // gauge: tasks queued machine-wide right now
+	Parked  int64 // gauge: workers idle-parked right now
+	Workers int64 // gauge: alive workers right now
+}
+
+// CounterSnapshot sums the per-processor counter rows into one
+// machine-wide reading and adds the backend's queue, park and worker
+// gauges. Call it after Run: while a native run executes, each row
+// belongs to its worker's goroutine.
+func (rt *Runtime) CounterSnapshot() CounterSnapshot {
+	var s CounterSnapshot
+	for i := range rt.mon.Per {
+		p := &rt.mon.Per[i]
+		s.StealTries += p.StealTries
+		s.FailedSteals += p.FailedSteals
+		s.StealsLocal += p.StealsLocal
+		s.StealsRemote += p.StealsRemote
+		s.SetSteals += p.SetSteals
+		s.TargetedWakes += p.TargetedWakes
+		s.BroadcastWakes += p.BroadcastWakes
+		s.LockContention += p.LockContention
+		s.DeadlineMisses += p.DeadlineMisses
+		s.Completed += p.TasksRun + p.DeadlineMisses
+		s.Refs += p.Refs
+		s.RemoteMisses += p.RemoteMisses + p.DirtyMisses
+	}
+	if rt.backend == BackendNative {
+		s.Queued = int64(rt.nat.QueuedTasks())
+		s.Parked = int64(rt.nat.ParkedWorkers())
+		s.Workers = int64(rt.nat.AliveWorkers())
+		return s
+	}
+	s.Queued = int64(rt.sched.QueuedTasks())
+	s.Parked = int64(rt.eng.ParkedCount())
+	s.Workers = int64(rt.cfg.Processors)
+	return s
 }
 
 // String renders a compact human-readable summary.

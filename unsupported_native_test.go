@@ -11,7 +11,7 @@ import (
 // TestConfigOptionBackendMatrix drives every Config option through
 // NewRuntime on both backends and pins the support matrix: only the
 // options whose semantics require the simulated machine itself —
-// Machine, CycleLimit, Quantum, Adapt — are rejected natively, and each
+// Machine, CycleLimit, Quantum — are rejected natively, and each
 // rejection names its option. Everything else, including the robustness
 // stack (Faults, Retry, Deadline), must construct on both backends.
 func TestConfigOptionBackendMatrix(t *testing.T) {
@@ -32,7 +32,6 @@ func TestConfigOptionBackendMatrix(t *testing.T) {
 		{"Machine", func(c *cool.Config) { c.Machine = &dash }, true},
 		{"CycleLimit", func(c *cool.Config) { c.CycleLimit = 1_000_000 }, true},
 		{"Quantum", func(c *cool.Config) { c.Quantum = 500 }, true},
-		{"Adapt", func(c *cool.Config) { c.Adapt = &cool.AdaptPolicy{} }, true},
 	}
 	for _, tc := range cases {
 		name := tc.option
