@@ -1,9 +1,11 @@
 package cool_test
 
 import (
+	"fmt"
 	"testing"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps"
 )
 
 func TestSliceSharesStorageAndAddresses(t *testing.T) {
@@ -159,6 +161,46 @@ func TestDynamicClusterStealingFlag(t *testing.T) {
 		if p >= 4 {
 			t.Fatalf("task leaked to processor %d after enabling cluster-only stealing", p)
 		}
+	}
+}
+
+// TestAdaptiveFloor is the quality gate of run-time policy adaptation,
+// which the paper leaves to the program (§6.3): on machines of four,
+// eight and sixteen clusters, phaseflip's last variant, which flips
+// cluster-only stealing itself, must beat the better static arm of the
+// same hints (default size, simulated cycles) by the 1.25x floor the
+// deleted controller was held to (EXPERIMENTS AD1). Two clusters are
+// out of scope: cluster-only stealing then costs phase B only 2x, and
+// the switch measures 0.98x the best static arm at P=8. The ratio is
+// logged per machine size.
+func TestAdaptiveFloor(t *testing.T) {
+	const floor = 1.25
+	app, ok := apps.Lookup("phaseflip")
+	if !ok {
+		t.Fatal("phaseflip is not registered")
+	}
+	switched := app.Variants[len(app.Variants)-1]
+	static := app.Variants[len(app.Variants)-2]
+	for _, procs := range []int{16, 32, 64} {
+		t.Run(fmt.Sprintf("P=%d", procs), func(t *testing.T) {
+			cycles := func(variant string, clusterOnly bool) int64 {
+				t.Helper()
+				cfg := cool.Config{Processors: procs}
+				cfg.Sched.ClusterStealingOnly = clusterOnly
+				res, err := app.RunCfg(cfg, variant, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Cycles
+			}
+			best := min(cycles(static, false), cycles(static, true))
+			sw := cycles(switched, false)
+			ratio := float64(best) / float64(sw)
+			t.Logf("%s: best static %d, %s %d cycles, ratio %.4f", static, best, switched, sw, ratio)
+			if ratio < floor {
+				t.Errorf("%s is %.4fx the best static arm, floor %.2f", switched, ratio, floor)
+			}
+		})
 	}
 }
 
