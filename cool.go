@@ -157,18 +157,18 @@ type Config struct {
 // Runtime is one simulated COOL program execution environment. Allocate
 // objects, then call Run exactly once.
 type Runtime struct {
-	cfg     machine.Config
-	pub     Config      // the public config this runtime was built from (Reset rebuilds from it)
-	pol     core.Policy // resolved scheduling policy (Reset re-applies it)
-	backend Backend
-	eng     *sim.Engine // sim backend only
-	space   *memsim.Space
-	caches  *cache.System   // sim backend only
-	sched   *core.Scheduler // sim backend only
-	nat     *native.Runtime // native backend only
-	mon     *perfmon.Monitor
-	ran     bool
-	tdFree  []*core.TaskDesc // recycled task descriptors (see ctx.go)
+	cfg      machine.Config
+	pub      Config      // the public config this runtime was built from (Reset rebuilds from it)
+	pol      core.Policy // resolved scheduling policy (Reset re-applies it)
+	backend  Backend
+	eng      *sim.Engine // sim backend only
+	space    *memsim.Space
+	caches   *cache.System   // sim backend only
+	sched    *core.Scheduler // sim backend only
+	nat      *native.Runtime // native backend only
+	mon      *perfmon.Monitor
+	ran      bool
+	taskFree []*simTask // recycled simulated task records (see ctx.go)
 
 	// spaceMu serializes the writes to space (allocation, migration,
 	// Reset), which native tasks may issue concurrently. Home lookups
@@ -266,7 +266,7 @@ func NewRuntime(c Config) (*Runtime, error) {
 // initSim builds (or, through Reset, rebuilds) the simulator engine
 // stack from the stored configuration. The simulated pieces are cheap
 // relative to a run, so warm reuse simply reconstructs them; only the
-// recycled task descriptors survive across resets.
+// recycled task records survive across resets.
 func (rt *Runtime) initSim() error {
 	c, mc := rt.pub, rt.cfg
 	rt.eng = sim.New(mc.Processors, mc.Quantum, mc.Seed)
@@ -468,14 +468,10 @@ func (rt *Runtime) Run(main func(*Ctx)) (err error) {
 			main(&Ctx{nc: nc, rt: rt})
 		}))
 	}
-	td := &core.TaskDesc{Class: core.ClassProcessor, Server: 0, Slot: -1}
-	t := rt.eng.NewTask("main", 0, func(sc *sim.Ctx) {
-		main(&Ctx{sc: sc, rt: rt})
-		rt.sched.TraceDone(sc)
-	})
-	t.Data = td
-	td.T = t
-	rt.sched.Enqueue(td, 0)
+	st := rt.newSimTask()
+	st.fn = main
+	st.td.Class, st.td.Server, st.td.Slot = core.ClassProcessor, 0, -1
+	rt.startSimTask(st, "main", 0)
 	return rt.wrapRunError(rt.eng.Run())
 }
 

@@ -16,7 +16,7 @@ import (
 //
 // A Ctx is valid only during the task body it was passed to, on both
 // engines: do not keep it, or use it from another task or goroutine.
-// (The native backend reuses it in place for a later task.)
+// (Both engines reuse it in place for a later task.)
 type Ctx struct {
 	sc    *sim.Ctx    // sim backend only
 	nc    *native.Ctx // native backend only
@@ -260,6 +260,13 @@ func (c *Ctx) Spawn(name string, fn func(*Ctx), opts ...SpawnOpt) {
 		c.spawnNative(name, fn, opts)
 		return
 	}
+	c.spawnSim(name, fn, nil, 0, opts)
+}
+
+// spawnSim places and enqueues one simulated task. Its body is fn, or,
+// for SpawnN member i, fnN applied to i; both ride in the task's pooled
+// record, so spawning allocates nothing once the free list is warm.
+func (c *Ctx) spawnSim(name string, fn func(*Ctx), fnN func(*Ctx, int), i int, opts []SpawnOpt) {
 	c.sc.SyncPoint()
 	var o spawnOptions
 	for _, opt := range opts {
@@ -272,23 +279,24 @@ func (c *Ctx) Spawn(name string, fn func(*Ctx), opts ...SpawnOpt) {
 
 	// Multiple OBJECT operands: place at the server homing the most
 	// bytes; the rest are prefetched when the task starts (§4.1).
-	var prefetch []sizedObj
+	st := rt.newSimTask()
 	if o.nObj > 1 {
 		objs := o.objs()
 		best := pickHome(rt, objs)
 		o.aff.ObjectObj = objs[best].addr
-		for i, ob := range objs {
-			if i != best {
-				prefetch = append(prefetch, ob)
+		for j, ob := range objs {
+			if j != best {
+				st.pre = append(st.pre, ob)
 			}
 		}
 	}
+	st.fn, st.fnN, st.i, st.mutex = fn, fnN, i, o.mutex
 
 	class, server, slot, affObj := rt.sched.Place(o.aff, p)
 	if server != p {
 		c.sc.Charge(rt.cfg.Lat.EnqueueAway)
 	}
-	td := rt.newTaskDesc()
+	td := &st.td
 	td.Class = class
 	td.Server = server
 	td.Slot = slot
@@ -298,41 +306,111 @@ func (c *Ctx) Spawn(name string, fn func(*Ctx), opts ...SpawnOpt) {
 	if td.Scope != nil {
 		rt.sched.ScopeAdd(td.Scope)
 	}
-	mutex := o.mutex
-	t := rt.eng.NewTask(name, c.sc.Now(), func(sc *sim.Ctx) {
-		if td.Shed {
-			// Dispatched past its deadline (counted and traced there):
-			// complete the scope without running the body.
-			if td.Scope != nil {
-				rt.sched.ScopeDone(sc, td.Scope)
-			}
-			rt.freeTaskDesc(td)
-			return
-		}
-		cc := &Ctx{sc: sc, rt: rt, scope: td.Scope}
-		for _, ob := range prefetch {
-			size := ob.size
-			if size <= 0 {
-				size = 64
-			}
-			cc.Prefetch(ob.addr, size)
-		}
-		if mutex != nil {
-			rt.sched.Lock(sc, &mutex.m)
-		}
-		fn(cc)
-		if mutex != nil {
-			rt.sched.Unlock(sc, &mutex.m)
-		}
+	rt.startSimTask(st, name, c.sc.Now())
+}
+
+// simTask is the pooled record of one simulated task: its scheduler
+// descriptor, its engine task, its facade Ctx and its body, so spawning
+// and running a task allocate nothing once the runtime's free list is
+// warm. The engine enters every task through run, bound once when the
+// record is made.
+type simTask struct {
+	td  core.TaskDesc
+	t   sim.Task
+	ctx Ctx // the running task's facade context, re-initialised per task
+
+	fn    func(*Ctx)      // the body, or nil for a SpawnN member
+	fnN   func(*Ctx, int) // a SpawnN member's body, run with index i
+	i     int
+	mutex *Monitor
+
+	// pre holds the §4.1 prefetch operands. It slices preBuf until a
+	// spawn names a fourth OBJECT operand; a longer slice is kept.
+	pre    []sizedObj
+	preBuf [2]sizedObj
+
+	rt  *Runtime
+	run func(*sim.Ctx) // the method value st.body
+}
+
+// newSimTask takes a record off the runtime's free list, or makes one.
+// Coroutines run one at a time under the engine loop, so the free list
+// needs no locking.
+func (rt *Runtime) newSimTask() *simTask {
+	if n := len(rt.taskFree); n > 0 {
+		st := rt.taskFree[n-1]
+		rt.taskFree[n-1] = nil
+		rt.taskFree = rt.taskFree[:n-1]
+		st.td = core.TaskDesc{}
+		st.pre = st.pre[:0]
+		return st
+	}
+	st := &simTask{rt: rt}
+	st.pre = st.preBuf[:0]
+	st.run = st.body
+	return st
+}
+
+// startSimTask hands a filled record to the engine and the scheduler.
+func (rt *Runtime) startSimTask(st *simTask, name string, now int64) {
+	rt.eng.InitTask(&st.t, name, now, st.run)
+	st.t.Data = &st.td
+	st.td.T = &st.t
+	rt.sched.Enqueue(&st.td, now)
+}
+
+// body runs one simulated task from its record.
+func (st *simTask) body(sc *sim.Ctx) {
+	rt, td := st.rt, &st.td
+	if td.Shed {
+		// Dispatched past its deadline (counted and traced there):
+		// complete the scope without running the body.
 		if td.Scope != nil {
 			rt.sched.ScopeDone(sc, td.Scope)
 		}
-		rt.sched.TraceDone(sc)
-		rt.freeTaskDesc(td)
-	})
-	t.Data = td
-	td.T = t
-	rt.sched.Enqueue(td, c.sc.Now())
+		rt.freeSimTask(st)
+		return
+	}
+	cc := &st.ctx
+	*cc = Ctx{sc: sc, rt: rt, scope: td.Scope}
+	for _, ob := range st.pre {
+		size := ob.size
+		if size <= 0 {
+			size = 64
+		}
+		cc.Prefetch(ob.addr, size)
+	}
+	if st.mutex != nil {
+		rt.sched.Lock(sc, &st.mutex.m)
+	}
+	if st.fnN != nil {
+		st.fnN(cc, st.i)
+	} else {
+		st.fn(cc)
+	}
+	if st.mutex != nil {
+		rt.sched.Unlock(sc, &st.mutex.m)
+	}
+	if td.Scope != nil {
+		rt.sched.ScopeDone(sc, td.Scope)
+	}
+	rt.sched.TraceDone(sc)
+	rt.freeSimTask(st)
+}
+
+// freeSimTask recycles a record, dropping its references to the program,
+// so a record on the free list has no body and no monitor. It is the
+// last act of a task that completed or was shed: that task is off every
+// queue and is never dispatched again. No stale slice event can reach
+// the record's next task either: a slice event resumes only while
+// p.cur == &st.t, and p.cur holds the task from the yield until that
+// event fires (a failed processor's p.cur is cleared for good). Killed,
+// panicked and blocked tasks never get here, so their descriptors stay
+// valid for failure reporting (the deadlock graph and failover read
+// Task.Data).
+func (rt *Runtime) freeSimTask(st *simTask) {
+	st.fn, st.fnN, st.mutex = nil, nil, nil
+	rt.taskFree = append(rt.taskFree, st)
 }
 
 // SpawnN creates n sibling tasks running fn(c, i) for i in [0, n); opts,
@@ -353,12 +431,11 @@ func (c *Ctx) SpawnN(name string, n int, fn func(*Ctx, int), opts func(i int) []
 		return
 	}
 	for i := 0; i < n; i++ {
-		i := i
 		var o []SpawnOpt
 		if opts != nil {
 			o = opts(i)
 		}
-		c.Spawn(name, func(cc *Ctx) { fn(cc, i) }, o...)
+		c.spawnSim(name, nil, fn, i, o)
 	}
 }
 
@@ -408,28 +485,6 @@ func (c *Ctx) spawnNative(name string, fn func(*Ctx), opts []SpawnOpt) {
 		nm = &o.mutex.nm
 	}
 	c.nc.SpawnPayload(name, o.aff, nm, fn, o.deadline)
-}
-
-// newTaskDesc takes a zeroed descriptor off the runtime's free list, or
-// allocates one. Coroutines run one at a time under the engine loop, so
-// the free list needs no locking.
-func (rt *Runtime) newTaskDesc() *core.TaskDesc {
-	if n := len(rt.tdFree); n > 0 {
-		td := rt.tdFree[n-1]
-		rt.tdFree[n-1] = nil
-		rt.tdFree = rt.tdFree[:n-1]
-		*td = core.TaskDesc{}
-		return td
-	}
-	return &core.TaskDesc{}
-}
-
-// freeTaskDesc recycles a descriptor. Called only from the completion
-// path of the spawn wrapper: a completed task is off every queue and is
-// never dispatched again. Killed or panicked tasks skip this, so their
-// descriptors stay valid for failure reporting.
-func (rt *Runtime) freeTaskDesc(td *core.TaskDesc) {
-	rt.tdFree = append(rt.tdFree, td)
 }
 
 // pickHome returns the index of the object whose home server holds the

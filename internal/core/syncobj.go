@@ -13,7 +13,7 @@ func Desc(ctx *sim.Ctx) *TaskDesc {
 type Monitor struct {
 	Addr    int64
 	owner   *TaskDesc
-	waiters []*TaskDesc
+	waiters fifo
 }
 
 // Locked reports whether the monitor is currently held.
@@ -23,7 +23,7 @@ func (m *Monitor) Locked() bool { return m.owner != nil }
 func (m *Monitor) Owner() *TaskDesc { return m.owner }
 
 // Waiters returns how many tasks are parked waiting to acquire m.
-func (m *Monitor) Waiters() int { return len(m.waiters) }
+func (m *Monitor) Waiters() int { return m.waiters.len() }
 
 // Lock acquires m for the running task, blocking (and yielding the
 // processor to other tasks) while another task holds it.
@@ -38,7 +38,7 @@ func (s *Scheduler) Lock(ctx *sim.Ctx, m *Monitor) {
 	if m.owner == td {
 		panic("core: recursive monitor acquisition")
 	}
-	m.waiters = append(m.waiters, td)
+	m.waiters.push(td)
 	s.Mon.Per[ctx.Proc().ID].LockBlocks++
 	s.TraceBlock(ctx)
 	td.BlockedOn = m
@@ -54,9 +54,8 @@ func (s *Scheduler) Unlock(ctx *sim.Ctx, m *Monitor) {
 	if m.owner != Desc(ctx) {
 		panic("core: unlocking a monitor the task does not hold")
 	}
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	if m.waiters.len() > 0 {
+		w := m.waiters.pop()
 		m.owner = w
 		s.Resume(w, ctx.Now()+s.Cfg.Lat.Wakeup)
 		return
@@ -67,14 +66,14 @@ func (s *Scheduler) Unlock(ctx *sim.Ctx, m *Monitor) {
 // Cond is a COOL condition variable with Mesa (signal-and-continue)
 // semantics, used with a Monitor.
 type Cond struct {
-	waiters []*TaskDesc
+	waiters fifo
 }
 
 // Wait atomically releases m and blocks until signalled, then reacquires
 // m before returning.
 func (s *Scheduler) Wait(ctx *sim.Ctx, c *Cond, m *Monitor) {
 	td := Desc(ctx)
-	c.waiters = append(c.waiters, td)
+	c.waiters.push(td)
 	s.Unlock(ctx, m)
 	s.TraceBlock(ctx)
 	td.BlockedOn = c
@@ -86,21 +85,48 @@ func (s *Scheduler) Wait(ctx *sim.Ctx, c *Cond, m *Monitor) {
 // Signal wakes the oldest waiter, if any.
 func (s *Scheduler) Signal(ctx *sim.Ctx, c *Cond) {
 	ctx.SyncPoint()
-	if len(c.waiters) == 0 {
+	if c.waiters.len() == 0 {
 		return
 	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	s.Resume(w, ctx.Now()+s.Cfg.Lat.Wakeup)
+	s.Resume(c.waiters.pop(), ctx.Now()+s.Cfg.Lat.Wakeup)
 }
 
 // Broadcast wakes every waiter.
 func (s *Scheduler) Broadcast(ctx *sim.Ctx, c *Cond) {
 	ctx.SyncPoint()
-	for _, w := range c.waiters {
-		s.Resume(w, ctx.Now()+s.Cfg.Lat.Wakeup)
+	for c.waiters.len() > 0 {
+		s.Resume(c.waiters.pop(), ctx.Now()+s.Cfg.Lat.Wakeup)
 	}
-	c.waiters = c.waiters[:0]
+}
+
+// fifo is a queue of parked descriptors, oldest first, that reuses its
+// backing array: popping advances head instead of reslicing the array
+// away, and a push into a full array first slides the live entries down,
+// so a contended monitor allocates only while its queue grows.
+type fifo struct {
+	q    []*TaskDesc
+	head int
+}
+
+func (f *fifo) len() int { return len(f.q) - f.head }
+
+func (f *fifo) push(td *TaskDesc) {
+	if len(f.q) == cap(f.q) && f.head > 0 {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, td)
+}
+
+func (f *fifo) pop() *TaskDesc {
+	td := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return td
 }
 
 // Scope implements COOL's waitfor: it counts every task created in its

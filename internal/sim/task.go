@@ -48,13 +48,21 @@ func (t *Task) LaunchAborts() int { return t.aborts }
 // NewTask creates a task that becomes runnable no earlier than readyAt.
 // The task does not run until a Dispatcher hands it to a processor.
 func (e *Engine) NewTask(name string, readyAt int64, fn func(*Ctx)) *Task {
-	t := &Task{Name: name, fn: fn}
+	t := &Task{}
+	e.InitTask(t, name, readyAt, fn)
+	return t
+}
+
+// InitTask is NewTask on caller-owned storage: it overwrites every field
+// of *t, Data included, so a runtime can embed the Task in a pooled
+// record and reuse it once the previous task in it has completed.
+func (e *Engine) InitTask(t *Task, name string, readyAt int64, fn func(*Ctx)) {
+	*t = Task{Name: name, fn: fn}
 	if e.panicAt != nil || e.abortAt != nil {
 		e.noteSpawn(t)
 	}
 	t.ctx = Ctx{eng: e, task: t, readyAt: readyAt}
 	e.liveTasks++
-	return t
 }
 
 // Unblock marks a blocked task runnable at time `at`. The caller must make

@@ -71,22 +71,41 @@ var taskPathCases = []struct {
 			ctx.Spawn("deadline", taskPathLeaf, cool.WithDeadline(farDeadline))
 		}
 	}},
+	// Two sized OBJECT operands homed apart: the simulator prefetches the
+	// one not chosen for placement, and both backends pick the home.
+	{"Spawn/TwoObjectsSized", func(ctx *cool.Ctx, e *taskPathEnv) {
+		for i := range phaseTasks {
+			ctx.Spawn("two", taskPathLeaf,
+				cool.ObjectAffinitySized(e.objs[i%4].Base, 64),
+				cool.ObjectAffinitySized(e.objs[(i+1)%4].Base, 32))
+		}
+	}},
 }
 
 // TestNativeTaskPathAllocs guards the allocation-free native task path:
 // on a warm two-worker runtime, spawning and running a task allocates
-// nothing. Two Runs that differ only in their number of WaitFor phases
-// are differenced, which cancels everything paid once per Run; what is
-// left is per phase (one WaitFor scope) and per task, and must stay at
-// or below 0.02 allocations per task.
-func TestNativeTaskPathAllocs(t *testing.T) {
+// nothing.
+func TestNativeTaskPathAllocs(t *testing.T) { testTaskPathAllocs(t, cool.BackendNative) }
+
+// TestSimTaskPathAllocs guards the allocation-free simulated task path:
+// on a warm two-processor runtime, each task's descriptor, engine task,
+// Ctx and body ride in one recycled record.
+func TestSimTaskPathAllocs(t *testing.T) { testTaskPathAllocs(t, cool.BackendSim) }
+
+// testTaskPathAllocs runs every taskPathCases phase on a P=2 runtime of
+// the given backend, with Reset between Runs. Two Runs that differ only
+// in their number of WaitFor phases are differenced, which cancels
+// everything paid once per Run (on the simulator, Reset rebuilds the
+// whole engine stack); what is left is per phase (one WaitFor scope)
+// and per task, and must stay at or below 0.02 allocations per task.
+func testTaskPathAllocs(t *testing.T, backend cool.Backend) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	const lo, hi = 2, 32
 	for _, tc := range taskPathCases {
 		t.Run(tc.name, func(t *testing.T) {
-			rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
+			rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,9 +158,21 @@ func TestNativeTaskPathAllocs(t *testing.T) {
 // wait for them. The runs must also have recycled task records, or the
 // test proves nothing.
 func TestNativeCtxPerTaskUnderNesting(t *testing.T) {
+	testCtxPerTaskUnderNesting(t, cool.BackendNative)
+}
+
+// TestSimCtxPerTaskUnderNesting runs the same checks on the simulator,
+// whose tasks reuse the Ctx in their pooled record. There a WaitFor
+// parks its task instead of helping, and the children pinned to the
+// parent's processor run there while it waits.
+func TestSimCtxPerTaskUnderNesting(t *testing.T) {
+	testCtxPerTaskUnderNesting(t, cool.BackendSim)
+}
+
+func testCtxPerTaskUnderNesting(t *testing.T, backend cool.Backend) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("P%d", procs), func(t *testing.T) {
-			rt, err := cool.NewRuntime(cool.Config{Processors: procs, Backend: cool.BackendNative})
+			rt, err := cool.NewRuntime(cool.Config{Processors: procs, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}

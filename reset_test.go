@@ -94,6 +94,80 @@ func TestResetSimDeterministicReuse(t *testing.T) {
 	}
 }
 
+// TestResetSimRecycledRecordsCarryNothing runs a job whose tasks leave
+// every kind of per-task state in their pooled records — a monitor, a
+// prefetch list, a shed flag, a SpawnN body and index — then, after
+// Reset, a plain job that takes those records back. The plain job's
+// Report must equal the same job's on a fresh runtime.
+func TestResetSimRecycledRecordsCarryNothing(t *testing.T) {
+	const cfgProcs = 4
+	jobA := func(rt *cool.Runtime) error {
+		objs := make([]cool.Obj, 4)
+		for i := range objs {
+			objs[i] = rt.NewObj(256, i)
+		}
+		mon := rt.NewMonitor(objs[0].Base)
+		return rt.Run(func(ctx *cool.Ctx) {
+			ctx.WaitFor(func() {
+				for i := range 8 {
+					ctx.Spawn("locked", func(c *cool.Ctx) { c.Compute(100) }, cool.WithMutex(mon))
+					ctx.Spawn("two", func(c *cool.Ctx) { c.Compute(10) },
+						cool.ObjectAffinitySized(objs[i%4].Base, 256),
+						cool.ObjectAffinitySized(objs[(i+1)%4].Base, 128))
+					ctx.Spawn("shed", func(c *cool.Ctx) { c.Compute(10) }, cool.WithDeadline(1))
+				}
+				ctx.SpawnN("member", 8, func(c *cool.Ctx, i int) { c.Compute(int64(10 * i)) }, nil)
+			})
+		})
+	}
+	jobB := func(rt *cool.Runtime) cool.Report {
+		t.Helper()
+		data := rt.NewF64(64*64, 0)
+		err := rt.Run(func(ctx *cool.Ctx) {
+			ctx.WaitFor(func() {
+				for i := range 64 {
+					ctx.Spawn("plain", func(c *cool.Ctx) {
+						for j := i * 64; j < (i+1)*64; j++ {
+							_ = c.ReadF64(data, j)
+						}
+					})
+				}
+			})
+		})
+		if err != nil {
+			t.Fatalf("job B: %v", err)
+		}
+		return rt.Report()
+	}
+
+	fresh, err := cool.NewRuntime(cool.Config{Processors: cfgProcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := jobB(fresh)
+
+	rt, err := cool.NewRuntime(cool.Config{Processors: cfgProcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jobA(rt); err != nil {
+		t.Fatalf("job A: %v", err)
+	}
+	if a := rt.Report().Total; a.DeadlineMisses != 8 || a.Prefetches == 0 {
+		t.Fatalf("job A shed %d tasks and issued %d prefetches; want 8 and some", a.DeadlineMisses, a.Prefetches)
+	}
+	if err := rt.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	got := jobB(rt)
+	if got.Cycles != want.Cycles {
+		t.Errorf("job B after Reset took %d cycles, on a fresh runtime %d", got.Cycles, want.Cycles)
+	}
+	if got.Total != want.Total {
+		t.Errorf("job B after Reset counted\n%+v\non a fresh runtime\n%+v", got.Total, want.Total)
+	}
+}
+
 // TestResetRewindsArena asserts the address space rewinds: the first
 // allocation after Reset reuses the first allocation's address, on both
 // backends.
