@@ -3,8 +3,19 @@ package cool
 // This file provides the object allocation and distribution constructs of
 // the paper: placed allocation (the COOL "new" operator with a processor
 // argument), migrate(), and home().
+//
+// The arrays are warm across Reset. The runtime records every F64 and I64
+// a run allocates, as memsim keeps the run's simulated memory allocated
+// until Reset; Reset puts them on free lists keyed by exact length, and
+// the next runs' allocations of those lengths reuse them, cleared,
+// instead of making new ones. A served job's arrays then stop being
+// garbage (DESIGN §15, "Warm arrays").
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // F64 is an array of float64 living in simulated shared memory. Data
 // holds the real values; Base is the simulated address of element 0.
@@ -93,28 +104,177 @@ func (rt *Runtime) allocSize(size int64, what string) int64 {
 	return size
 }
 
+// taskAllocLen is allocSize for an array allocated inside a task, where
+// there is no setup phase to fail: a non-positive element count panics,
+// and Run returns the task's *TaskPanicError.
+func taskAllocLen(n int, what string) {
+	if n <= 0 {
+		panic(fmt.Sprintf("cool: %s: allocation size %d must be positive", what, int64(n)*8))
+	}
+}
+
+// warmArrays is what a runtime keeps of its jobs' arrays (see Reset,
+// "What survives a reset"): the handles the current run was given, and
+// free lists of earlier runs' handles for the allocation API to reuse.
+type warmArrays struct {
+	f64 warmList[*F64]
+	i64 warmList[*I64]
+}
+
+// warmList is one element type's share of warmArrays. The free lists
+// are keyed by exact element count, so an array is only ever reused at
+// its own length, whichever job or allocation call asks for it.
+type warmList[H interface{ Len() int }] struct {
+	used []H
+	free map[int][]H
+}
+
+// take pops a free handle of n elements; ok is false when none is left.
+func (l *warmList[H]) take(n int) (h H, ok bool) {
+	s := l.free[n]
+	if len(s) == 0 {
+		return h, false
+	}
+	h = s[len(s)-1]
+	var zero H
+	s[len(s)-1] = zero
+	l.free[n] = s[:len(s)-1]
+	return h, true
+}
+
+// reclaim moves the run's handles onto the free lists.
+func (l *warmList[H]) reclaim() {
+	if l.free == nil {
+		l.free = make(map[int][]H)
+	}
+	var zero H
+	for i, h := range l.used {
+		l.free[h.Len()] = append(l.free[h.Len()], h)
+		l.used[i] = zero
+	}
+	l.used = l.used[:0]
+}
+
+// warmLocked returns the run's warmArrays. The run's first allocation
+// takes them from the pool Reset left them in, or starts empty ones when
+// there is none: the garbage collector empties the pool when the runtime
+// sits idle through two collections. Caller holds spaceMu.
+func (rt *Runtime) warmLocked() *warmArrays {
+	if rt.arrays == nil {
+		if rt.warmPool != nil {
+			rt.arrays, _ = rt.warmPool.Get().(*warmArrays)
+		}
+		if rt.arrays == nil {
+			rt.arrays = new(warmArrays)
+		}
+	}
+	return rt.arrays
+}
+
+// reclaimArrays is Reset's last step: the finished run's arrays join the
+// free lists, and the lists go into the pool until the next run's first
+// allocation takes them out. The pool is its own object, made by the
+// first Reset: the sync package keeps every used pool reachable until
+// two collections have passed, and a pool inside the Runtime would keep
+// a dropped runtime, engine and caches included, alive that long.
+func (rt *Runtime) reclaimArrays() {
+	w := rt.arrays
+	if w == nil {
+		return
+	}
+	rt.arrays = nil
+	w.f64.reclaim()
+	w.i64.reclaim()
+	if rt.warmPool == nil {
+		rt.warmPool = new(sync.Pool)
+	}
+	rt.warmPool.Put(w)
+}
+
+// reserveLocked allocates the simulated memory of an n-element array of
+// 8-byte words homed at proc: at least one word, the size allocSize
+// substitutes for an invalid count. Caller holds spaceMu.
+func (rt *Runtime) reserveLocked(n, proc int, pages bool) int64 {
+	size := max(int64(n)*8, 8)
+	if pages {
+		return rt.space.AllocPages(size, proc)
+	}
+	return rt.space.Alloc(size, proc)
+}
+
+// newF64 is the one path every F64 allocation takes: simulated memory
+// at proc, and a handle of max(n, 0) elements that is a previous run's,
+// cleared, when one of that length is free, or a new one. The handle is
+// recorded for Reset to reclaim. The clear and the make run outside the
+// lock, on a handle no other task can see yet.
+func (rt *Runtime) newF64(n, proc int, pages bool) *F64 {
+	n = max(n, 0)
+	rt.spaceMu.Lock()
+	base := rt.reserveLocked(n, proc, pages)
+	w := rt.warmLocked()
+	a, reused := w.f64.take(n)
+	if !reused {
+		a = new(F64)
+	}
+	w.f64.used = append(w.f64.used, a)
+	rt.spaceMu.Unlock()
+	if reused {
+		clear(a.Data)
+	} else {
+		a.Data = make([]float64, n)
+	}
+	a.Base = base
+	return a
+}
+
+// newI64 is newF64 for int64 arrays.
+func (rt *Runtime) newI64(n, proc int, pages bool) *I64 {
+	n = max(n, 0)
+	rt.spaceMu.Lock()
+	base := rt.reserveLocked(n, proc, pages)
+	w := rt.warmLocked()
+	a, reused := w.i64.take(n)
+	if !reused {
+		a = new(I64)
+	}
+	w.i64.used = append(w.i64.used, a)
+	rt.spaceMu.Unlock()
+	if reused {
+		clear(a.Data)
+	} else {
+		a.Data = make([]int64, n)
+	}
+	a.Base = base
+	return a
+}
+
 // NewF64 allocates an n-element array homed in the local memory of
 // processor proc (modulo the number of processors), like COOL's
-// new(proc).
+// new(proc). The array reads zero. After a Reset it may reuse the
+// storage of an array a previous job allocated at the same length.
 func (rt *Runtime) NewF64(n int, proc int) *F64 {
-	return &F64{Base: rt.spaceAlloc(rt.allocSize(int64(n)*8, "NewF64"), rt.procMod(proc)), Data: make([]float64, max(n, 0))}
+	rt.allocSize(int64(n)*8, "NewF64")
+	return rt.newF64(n, rt.procMod(proc), false)
 }
 
 // NewF64Pages allocates a page-aligned array so parts of it can be
 // migrated independently.
 func (rt *Runtime) NewF64Pages(n int, proc int) *F64 {
-	return &F64{Base: rt.spaceAllocPages(rt.allocSize(int64(n)*8, "NewF64Pages"), rt.procMod(proc)), Data: make([]float64, max(n, 0))}
+	rt.allocSize(int64(n)*8, "NewF64Pages")
+	return rt.newF64(n, rt.procMod(proc), true)
 }
 
 // NewI64 allocates an n-element int64 array homed at processor proc.
 func (rt *Runtime) NewI64(n int, proc int) *I64 {
-	return &I64{Base: rt.spaceAlloc(rt.allocSize(int64(n)*8, "NewI64"), rt.procMod(proc)), Data: make([]int64, max(n, 0))}
+	rt.allocSize(int64(n)*8, "NewI64")
+	return rt.newI64(n, rt.procMod(proc), false)
 }
 
 // NewI64Pages allocates a page-aligned int64 array (independently
 // migratable).
 func (rt *Runtime) NewI64Pages(n int, proc int) *I64 {
-	return &I64{Base: rt.spaceAllocPages(rt.allocSize(int64(n)*8, "NewI64Pages"), rt.procMod(proc)), Data: make([]int64, max(n, 0))}
+	rt.allocSize(int64(n)*8, "NewI64Pages")
+	return rt.newI64(n, rt.procMod(proc), true)
 }
 
 // NewObj allocates a size-byte object homed at processor proc.
@@ -147,7 +307,8 @@ func (rt *Runtime) Home(addr int64) int { return rt.space.HomeProc(addr) }
 // NewF64 allocates from the local memory of the requesting processor,
 // the COOL default for new.
 func (c *Ctx) NewF64(n int) *F64 {
-	return &F64{Base: c.rt.spaceAlloc(int64(n)*8, c.ProcID()), Data: make([]float64, n)}
+	taskAllocLen(n, "NewF64")
+	return c.rt.newF64(n, c.ProcID(), false)
 }
 
 // NewF64On allocates homed at an explicit processor, like new(proc).
@@ -155,7 +316,8 @@ func (c *Ctx) NewF64On(n int, proc int) *F64 { return c.rt.NewF64(n, proc) }
 
 // NewI64 allocates from the local memory of the requesting processor.
 func (c *Ctx) NewI64(n int) *I64 {
-	return &I64{Base: c.rt.spaceAlloc(int64(n)*8, c.ProcID()), Data: make([]int64, n)}
+	taskAllocLen(n, "NewI64")
+	return c.rt.newI64(n, c.ProcID(), false)
 }
 
 // NewObj allocates an object in the requesting processor's local memory.

@@ -1,6 +1,7 @@
 package cool_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -69,6 +70,43 @@ func TestCtxAllocators(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCtxArrayAllocRejectsNonPositive: inside a task there is no setup
+// phase to fail, so Ctx.NewF64 and Ctx.NewI64 panic on a non-positive
+// length with the allocation API's message, and Run returns the task's
+// *TaskPanicError, on both backends.
+func TestCtxArrayAllocRejectsNonPositive(t *testing.T) {
+	allocs := []struct {
+		what  string
+		alloc func(c *cool.Ctx, n int)
+	}{
+		{"NewF64", func(c *cool.Ctx, n int) { c.NewF64(n) }},
+		{"NewI64", func(c *cool.Ctx, n int) { c.NewI64(n) }},
+	}
+	for _, backend := range []cool.Backend{cool.BackendSim, cool.BackendNative} {
+		for _, a := range allocs {
+			for _, n := range []int{0, -3} {
+				rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: backend})
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = rt.Run(func(ctx *cool.Ctx) {
+					ctx.WaitFor(func() {
+						ctx.Spawn("alloc", func(c *cool.Ctx) { a.alloc(c, n) })
+					})
+				})
+				var pe *cool.TaskPanicError
+				if !errors.As(err, &pe) || pe.Task != "alloc" {
+					t.Fatalf("%v %s(%d): Run returned %v, want the task's *TaskPanicError", backend, a.what, n, err)
+				}
+				want := fmt.Sprintf("cool: %s: allocation size %d must be positive", a.what, n*8)
+				if got := fmt.Sprint(pe.Value); got != want {
+					t.Errorf("%v %s(%d) panicked with %q, want %q", backend, a.what, n, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -171,9 +171,16 @@ type Runtime struct {
 	taskFree []*simTask // recycled simulated task records (see ctx.go)
 
 	// spaceMu serializes the writes to space (allocation, migration,
-	// Reset), which native tasks may issue concurrently. Home lookups
-	// read the space without it.
+	// Reset), which native tasks may issue concurrently, and the run's
+	// arrays. Home lookups read the space without it.
 	spaceMu sync.Mutex
+
+	// arrays is what the allocation API keeps of this run's arrays and
+	// reuses of earlier runs' (nil until the run's first allocation);
+	// Reset parks it in warmPool, which the first Reset makes. See
+	// alloc.go.
+	arrays   *warmArrays
+	warmPool *sync.Pool
 
 	// setupErr records the first invalid pre-Run operation (e.g. a
 	// non-positive allocation size); Run reports it instead of running.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
 func builtTree(t *testing.T, bodies int) *app {
@@ -134,20 +135,28 @@ func hashF64(vals ...[]float64) uint64 {
 	return h.Sum64()
 }
 
-// forceP1 runs Affinity+Distr at P=1 on one backend and returns the hash
-// of every group's body data in group order plus the run's report.
-func forceP1(t *testing.T, backend cool.Backend, bodies int) (uint64, cool.Report) {
+// forceP1 runs Affinity+Distr at P=1 on one backend, runs times on one
+// runtime with a Reset between, and returns the hash of every group's
+// body data in group order plus the last run's report.
+func forceP1(t *testing.T, backend cool.Backend, bodies, runs int) (uint64, cool.Report) {
 	t.Helper()
 	rt, err := cool.NewRuntime(cool.Config{Processors: 1, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Program.Sized(bodies).Build(rt, int(AffDistr), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Run(inst.Main); err != nil {
-		t.Fatal(err)
+	var inst harness.Instance
+	for run := range runs {
+		if run > 0 {
+			if err := rt.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if inst, err = Program.Sized(bodies).Build(rt, int(AffDistr), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Run(inst.Main); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ap := inst.(*app)
 	groups := make([][]float64, len(ap.groups))
@@ -162,7 +171,9 @@ func forceP1(t *testing.T, backend cool.Backend, bodies int) (uint64, cool.Repor
 // cycles and references of that run. The tree build and force walk may
 // be rewritten freely as long as every ctx.Access/Compute call and the
 // per-element floating-point order stay, and then all of these are
-// bit-identical.
+// bit-identical. The warm arm runs the job twice on one runtime, so the
+// second run's bodies and tree are the first run's arrays, reused after
+// Reset.
 func TestForceGolden(t *testing.T) {
 	golden := []struct {
 		bodies          int
@@ -177,16 +188,18 @@ func TestForceGolden(t *testing.T) {
 	for _, g := range golden {
 		t.Run(fmt.Sprint(g.bodies), func(t *testing.T) {
 			for _, b := range []cool.Backend{cool.BackendSim, cool.BackendNative} {
-				got, rep := forceP1(t, b, g.bodies)
-				if got != g.data {
-					t.Errorf("backend %v: body data hash %#x, want %#x", b, got, g.data)
-				}
-				if b != cool.BackendSim {
-					continue
-				}
-				if rep.Cycles != g.cycles || rep.Total.ComputeCycles != g.compute || rep.Total.Refs != g.refs {
-					t.Errorf("simulated cycles %d, compute %d, refs %d; want %d, %d, %d",
-						rep.Cycles, rep.Total.ComputeCycles, rep.Total.Refs, g.cycles, g.compute, g.refs)
+				for runs := 1; runs <= 2; runs++ {
+					got, rep := forceP1(t, b, g.bodies, runs)
+					if got != g.data {
+						t.Errorf("backend %v, run %d: body data hash %#x, want %#x", b, runs, got, g.data)
+					}
+					if b != cool.BackendSim {
+						continue
+					}
+					if rep.Cycles != g.cycles || rep.Total.ComputeCycles != g.compute || rep.Total.Refs != g.refs {
+						t.Errorf("run %d: simulated cycles %d, compute %d, refs %d; want %d, %d, %d",
+							runs, rep.Cycles, rep.Total.ComputeCycles, rep.Total.Refs, g.cycles, g.compute, g.refs)
+					}
 				}
 			}
 		})

@@ -85,6 +85,58 @@ func TestCatalogRunsWarmOnBothBackends(t *testing.T) {
 	}
 }
 
+// TestResetEqualsFreshAfterAnyJob: a reset runtime is a fresh one,
+// whatever ran on it before, although it hands the earlier job's arrays
+// to the next one. For every ordered pair (A, B) of catalog apps at the
+// smoke size, B run after A and a Reset must match B on a fresh runtime:
+// on the simulator at P=4 in cycles, every total counter and Verify;
+// natively at P=2 in Verify, up to B's schedule-dependent tokens.
+func TestResetEqualsFreshAfterAnyJob(t *testing.T) {
+	for _, c := range []struct {
+		backend cool.Backend
+		procs   int
+	}{{cool.BackendSim, 4}, {cool.BackendNative, 2}} {
+		newRT := func() *cool.Runtime {
+			rt, err := cool.NewRuntime(cool.Config{Processors: c.procs, Backend: c.backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rt
+		}
+		fresh := make(map[string]Result)
+		for _, b := range CatalogNames() {
+			r, err := RunCatalogOn(newRT(), b, "smoke")
+			if err != nil {
+				t.Fatalf("%v/%s fresh: %v", c.backend, b, err)
+			}
+			fresh[b] = r
+		}
+		for _, a := range CatalogNames() {
+			for _, b := range CatalogNames() {
+				rt := newRT()
+				if _, err := RunCatalogOn(rt, a, "smoke"); err != nil {
+					t.Fatalf("%v/%s: %v", c.backend, a, err)
+				}
+				if err := rt.Reset(); err != nil {
+					t.Fatalf("%v/%s Reset: %v", c.backend, a, err)
+				}
+				got, err := RunCatalogOn(rt, b, "smoke")
+				if err != nil {
+					t.Fatalf("%v/%s after %s: %v", c.backend, b, a, err)
+				}
+				want := fresh[b]
+				if c.backend == cool.BackendSim && (got.Cycles != want.Cycles || got.Report.Total != want.Report.Total) {
+					t.Errorf("%v/%s after %s: %d cycles, counters\n%+v\non a fresh runtime %d cycles\n%+v",
+						c.backend, b, a, got.Cycles, got.Report.Total, want.Cycles, want.Report.Total)
+				}
+				if d := DiffVerify(want.Verify, got.Verify, scheduleIgnore(c.backend, b)); d != "" {
+					t.Errorf("%v/%s after %s: verify differs from a fresh runtime's: %s", c.backend, b, a, d)
+				}
+			}
+		}
+	}
+}
+
 // TestCatalogPreparedMatchesFresh is the residency fast path's
 // correctness contract: a job replayed from cached analyze-phase state
 // verifies identically to one that ran the analyze phase inline, on

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
 func testApp(t *testing.T) (*app, *cool.Runtime) {
@@ -98,20 +99,28 @@ func TestWalkVisitsExpectedCellCount(t *testing.T) {
 	}
 }
 
-// routeP1 runs the served variant at P=1 on one backend and returns the
-// FNV-64a hash of the final CostArray plus the run's report.
-func routeP1(t *testing.T, backend cool.Backend, wiresPer int) (uint64, cool.Report) {
+// routeP1 runs the served variant at P=1 on one backend, runs times on
+// one runtime with a Reset between, and returns the FNV-64a hash of the
+// last run's final CostArray plus its report.
+func routeP1(t *testing.T, backend cool.Backend, wiresPer, runs int) (uint64, cool.Report) {
 	t.Helper()
 	rt, err := cool.NewRuntime(cool.Config{Processors: 1, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Program.Sized(wiresPer).Build(rt, Program.Served, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Run(inst.Main); err != nil {
-		t.Fatal(err)
+	var inst harness.Instance
+	for run := range runs {
+		if run > 0 {
+			if err := rt.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if inst, err = Program.Sized(wiresPer).Build(rt, Program.Served, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Run(inst.Main); err != nil {
+			t.Fatal(err)
+		}
 	}
 	h := fnv.New64a()
 	var b [8]byte
@@ -127,6 +136,8 @@ func routeP1(t *testing.T, backend cool.Backend, wiresPer int) (uint64, cool.Rep
 // compute cycles and references of that run. The cell walk may be
 // rewritten freely as long as every ctx.Access/Compute/LoadI64/AddI64
 // call keeps its order and value, and then all of these are identical.
+// The warm arm routes twice on one runtime: the second run's CostArray is
+// the first run's, reused after Reset, and must start from zero.
 func TestRouteGolden(t *testing.T) {
 	golden := []struct {
 		size            string
@@ -140,16 +151,18 @@ func TestRouteGolden(t *testing.T) {
 	for _, g := range golden {
 		t.Run(g.size, func(t *testing.T) {
 			for _, b := range []cool.Backend{cool.BackendSim, cool.BackendNative} {
-				got, rep := routeP1(t, b, Program.Sizes[g.size])
-				if got != g.cost {
-					t.Errorf("backend %v: CostArray hash %#x, want %#x", b, got, g.cost)
-				}
-				if b != cool.BackendSim {
-					continue
-				}
-				if rep.Cycles != g.cycles || rep.Total.ComputeCycles != g.compute || rep.Total.Refs != g.refs {
-					t.Errorf("simulated cycles %d, compute %d, refs %d; want %d, %d, %d",
-						rep.Cycles, rep.Total.ComputeCycles, rep.Total.Refs, g.cycles, g.compute, g.refs)
+				for runs := 1; runs <= 2; runs++ {
+					got, rep := routeP1(t, b, Program.Sizes[g.size], runs)
+					if got != g.cost {
+						t.Errorf("backend %v, run %d: CostArray hash %#x, want %#x", b, runs, got, g.cost)
+					}
+					if b != cool.BackendSim {
+						continue
+					}
+					if rep.Cycles != g.cycles || rep.Total.ComputeCycles != g.compute || rep.Total.Refs != g.refs {
+						t.Errorf("run %d: simulated cycles %d, compute %d, refs %d; want %d, %d, %d",
+							runs, rep.Cycles, rep.Total.ComputeCycles, rep.Total.Refs, g.cycles, g.compute, g.refs)
+					}
 				}
 			}
 		})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
 // hashF64 is FNV-64a over the little-endian bits of vals.
@@ -23,23 +24,31 @@ func hashF64(vals ...[]float64) uint64 {
 	return h.Sum64()
 }
 
-// factorP1 runs Distr+Aff at P=1 on one backend and returns the hash of
-// every panel's values in panel order plus the run's cycles.
-func factorP1(t *testing.T, backend cool.Backend, prm Params, prep *Prep) (uint64, int64) {
+// factorP1 runs Distr+Aff at P=1 on one backend, runs times on one
+// runtime with a Reset between, and returns the hash of every panel's
+// values in panel order plus the cycles of the last run.
+func factorP1(t *testing.T, backend cool.Backend, prm Params, prep *Prep, runs int) (uint64, int64) {
 	t.Helper()
 	rt, err := cool.NewRuntime(cool.Config{Processors: 1, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := prm.Build(rt, int(DistrAff), prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Run(inst.Main); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Finish(); err != nil {
-		t.Fatal(err)
+	var inst harness.Instance
+	for run := range runs {
+		if run > 0 {
+			if err := rt.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if inst, err = prm.Build(rt, int(DistrAff), prep); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Run(inst.Main); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.Finish(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ap := inst.(*app)
 	panels := make([][]float64, len(ap.arrs))
@@ -51,7 +60,9 @@ func factorP1(t *testing.T, backend cool.Backend, prm Params, prep *Prep) (uint6
 
 // TestFactorGolden pins pancho's numbers: the stored panel values after a
 // P=1 Distr+Aff run on both backends, the simulated cycles of that run,
-// and the serial reference factor. The host kernels may be rewritten
+// and the serial reference factor. The warm arm runs the job twice on one
+// runtime, so the second run's panels are the first run's arrays, reused
+// after Reset, and must match too. The host kernels may be rewritten
 // freely as long as every ctx.Access/Compute call and the per-element
 // floating-point order stay, and then all of these are bit-identical.
 func TestFactorGolden(t *testing.T) {
@@ -81,12 +92,14 @@ func TestFactorGolden(t *testing.T) {
 				return
 			}
 			for _, b := range []cool.Backend{cool.BackendSim, cool.BackendNative} {
-				got, cycles := factorP1(t, b, prm, prep)
-				if got != g.panels {
-					t.Errorf("backend %v: panel values hash %#x, want %#x", b, got, g.panels)
-				}
-				if b == cool.BackendSim && cycles != g.cycles {
-					t.Errorf("simulated cycles %d, want %d", cycles, g.cycles)
+				for runs := 1; runs <= 2; runs++ {
+					got, cycles := factorP1(t, b, prm, prep, runs)
+					if got != g.panels {
+						t.Errorf("backend %v, run %d: panel values hash %#x, want %#x", b, runs, got, g.panels)
+					}
+					if b == cool.BackendSim && cycles != g.cycles {
+						t.Errorf("run %d: simulated cycles %d, want %d", runs, cycles, g.cycles)
+					}
 				}
 			}
 		})

@@ -17,6 +17,15 @@ package cool
 // run's Report starts from a clean slate and never bleeds a previous
 // job's FaultEvents/Retries/DeadlineMisses.
 //
+// The arrays survive too, and a job's arrays and handles belong to the
+// runtime once Reset is called: the arrays the allocation API handed
+// out (NewF64, NewF64Pages, NewI64, NewI64Pages and Ctx.NewF64/NewI64)
+// go onto free lists keyed by exact element count, and a later
+// allocation of the same count gets one of them, cleared, handle and
+// all. So a job must not read or write its arrays, or keep their
+// handles, past Reset. The lists live in a sync.Pool: a runtime that
+// sits idle through two garbage collections holds none of them.
+//
 // What does NOT survive: every simulated address handed out by the
 // allocation API. The arena bump pointers rewind, so pre-reset
 // addresses will be re-issued to the next run's allocations — a job
@@ -41,6 +50,7 @@ func (rt *Runtime) Reset() error {
 			return err
 		}
 	}
+	rt.reclaimArrays() // only once the reset has succeeded: a refused one reclaims nothing
 	rt.ran = false
 	rt.setupErr = nil
 	return nil

@@ -1,10 +1,12 @@
 package cool_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps"
 )
 
 // sumJob spawns one task per chunk summing a freshly allocated array,
@@ -256,5 +258,185 @@ func TestResetRefusedAfterFailedNativeRun(t *testing.T) {
 	}
 	if err := rt.Reset(); err == nil {
 		t.Fatal("Reset accepted a runtime whose run failed")
+	}
+}
+
+// warmJob allocates one array of each length of a small mix through
+// every array constructor, fills them with non-zero values in a run, and
+// returns the handles.
+func warmJob(t *testing.T, rt *cool.Runtime) ([]*cool.F64, []*cool.I64) {
+	t.Helper()
+	fs := []*cool.F64{rt.NewF64(100, 0), rt.NewF64Pages(1024, 1)}
+	is := []*cool.I64{rt.NewI64(100, 1), rt.NewI64Pages(1024, 0)}
+	err := rt.Run(func(ctx *cool.Ctx) {
+		fs = append(fs, ctx.NewF64(300))
+		is = append(is, ctx.NewI64(300))
+		for _, f := range fs {
+			for i := range f.Data {
+				if f.Data[i] != 0 {
+					t.Errorf("a new F64 of %d elements reads %v at %d", f.Len(), f.Data[i], i)
+					return
+				}
+				f.Data[i] = float64(i + 1)
+			}
+		}
+		for _, a := range is {
+			for i := range a.Data {
+				if a.Data[i] != 0 {
+					t.Errorf("a new I64 of %d elements reads %d at %d", a.Len(), a.Data[i], i)
+					return
+				}
+				a.Data[i] = int64(i + 1)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, is
+}
+
+// sharedArrays counts the arrays of a second job that use the backing
+// storage, or the handle, of an array of the first.
+func sharedArrays(fs1, fs2 []*cool.F64, is1, is2 []*cool.I64) int {
+	shared := 0
+	for i := range fs1 {
+		if fs1[i] == fs2[i] || &fs1[i].Data[0] == &fs2[i].Data[0] {
+			shared++
+		}
+	}
+	for i := range is1 {
+		if is1[i] == is2[i] || &is1[i].Data[0] == &is2[i].Data[0] {
+			shared++
+		}
+	}
+	return shared
+}
+
+// TestResetReusesArraysCleared: after Reset, a job's allocations get the
+// previous job's arrays of the same lengths back, cleared, on both
+// backends. warmJob checks that every array reads zero. The race
+// detector drops some of the pool's contents on purpose, so there the
+// reuse itself is not asserted.
+func TestResetReusesArraysCleared(t *testing.T) {
+	for _, backend := range []cool.Backend{cool.BackendSim, cool.BackendNative} {
+		rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs1, is1 := warmJob(t, rt)
+		if err := rt.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		fs2, is2 := warmJob(t, rt)
+		if n := sharedArrays(fs1, fs2, is1, is2); n != len(fs1)+len(is1) && !raceEnabled {
+			t.Errorf("%v: %d of %d arrays were reused after Reset", backend, n, len(fs1)+len(is1))
+		}
+	}
+}
+
+// TestIdleRuntimeReleasesWarmArrays: the arrays a reset runtime keeps
+// are the garbage collector's to take. After Reset and two collections
+// with no job in between, the next job's arrays share no storage and no
+// handle with the previous job's.
+func TestIdleRuntimeReleasesWarmArrays(t *testing.T) {
+	for _, backend := range []cool.Backend{cool.BackendSim, cool.BackendNative} {
+		rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs1, is1 := warmJob(t, rt)
+		if err := rt.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		fs2, is2 := warmJob(t, rt)
+		if n := sharedArrays(fs1, fs2, is1, is2); n != 0 {
+			t.Errorf("%v: %d arrays outlived two collections of an idle runtime", backend, n)
+		}
+	}
+}
+
+// TestWarmArraysFromConcurrentTasks: native tasks that allocate at once
+// each get an array of their own, reading zero, job after job on one
+// reset runtime: the free lists are shared by the workers.
+func TestWarmArraysFromConcurrentTasks(t *testing.T) {
+	rt, err := cool.NewRuntime(cool.Config{Processors: 4, Backend: cool.BackendNative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tasks = 64
+	for job := range 5 {
+		if job > 0 {
+			if err := rt.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		arrs := make([]*cool.F64, tasks)
+		err := rt.Run(func(ctx *cool.Ctx) {
+			ctx.WaitFor(func() {
+				ctx.SpawnN("alloc", tasks, func(c *cool.Ctx, i int) {
+					a := c.NewF64(16 + i%4)
+					for j := range a.Data {
+						if a.Data[j] != 0 {
+							t.Errorf("job %d task %d: a new array reads %v", job, i, a.Data[j])
+						}
+						a.Data[j] = float64(i)
+					}
+					arrs[i] = a
+				}, nil)
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range arrs {
+			for _, v := range a.Data {
+				if v != float64(i) {
+					t.Fatalf("job %d: task %d's array holds %v: two tasks were given one array", job, i, v)
+				}
+			}
+		}
+	}
+}
+
+// TestWarmJobAllocBytes guards the warm arrays end to end: on a warm
+// native P=2 runtime, each ocean small or gauss medium job after the
+// first allocates at most a quarter of the first job's bytes, since its
+// arrays are the previous job's. (A gauss small job's arrays are only
+// 18 KB; its phases' closures and WaitFor scopes, which are not arrays,
+// take about as much.) A collection between a Reset and the next job
+// may empty the pool, so the best of three later jobs stands.
+func TestWarmJobAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, job := range []struct{ app, size string }{{"ocean", "small"}, {"gauss", "medium"}} {
+		rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() uint64 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := apps.RunCatalogOn(rt, job.app, job.size); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			return m1.TotalAlloc - m0.TotalAlloc
+		}
+		first := run()
+		best := run()
+		for range 2 {
+			best = min(best, run())
+		}
+		t.Logf("%s/%s: first job %d bytes, best later job %d", job.app, job.size, first, best)
+		if best*4 > first {
+			t.Errorf("%s/%s: a warm job allocated %d bytes, more than a quarter of the first job's %d", job.app, job.size, best, first)
+		}
 	}
 }
