@@ -83,8 +83,8 @@ type Workload interface {
 // Preparer is implemented by workloads with a separable analyze phase:
 // state that depends only on the parameters, not on any runtime, is
 // read-only across runs and so can back any number of them on either
-// backend (pancho's symbolic factorization, panel partition and
-// reference factor).
+// backend (pancho's symbolic factorization, panel partition and each
+// factor entry's stored position).
 type Preparer interface {
 	Prepare() (any, error)
 }

@@ -85,7 +85,11 @@ func TestFactorGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			prep := h.(*Prep)
-			if got := hashF64(prep.ref.Val); got != g.ref {
+			ref, err := prep.reference()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hashF64(ref.f.Val); got != g.ref {
 				t.Errorf("reference factor hash %#x, want %#x", got, g.ref)
 			}
 			if g.panels == 0 {
@@ -107,7 +111,8 @@ func TestFactorGolden(t *testing.T) {
 }
 
 // BenchmarkPrepare is the analyze phase at the serving catalog's small
-// preset: assemble, order, analyze, partition, and the reference factor.
+// preset: assemble, order, analyze, partition, the update DAG and each
+// true entry's stored position. The reference factor is not part of it.
 func BenchmarkPrepare(b *testing.B) {
 	prm := Params{Grid: Program.Sizes["small"]}
 	b.ReportAllocs()
@@ -139,6 +144,22 @@ func BenchmarkRunPrepared(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := Program.Run(variant, prm, cool.Config{}, rt, prep); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFinish is one job's verification at the small preset on a
+// resident Prep whose reference is built: the check read in place.
+func BenchmarkFinish(b *testing.B) {
+	ap := factored(b, cool.BackendNative, 1, prepared(b, Params{Grid: Program.Sizes["small"]}))
+	if _, err := ap.Finish(); err != nil { // fills the reference cell
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ap.Finish(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -146,6 +146,23 @@ func TestVariantString(t *testing.T) {
 // completes that panel a second time (deterministically, on the
 // simulator) and the factor fails verification.
 func TestPanelCompletedOnce(t *testing.T) {
+	prep := isolatedLeaves(t)
+	res, err := Program.Run(DistrAff.String(), prep.prm, cool.Config{Processors: 4}, nil, prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// main + one complete per panel + the one update.
+	if got, want := res.Report.Total.TasksRun, int64(len(prep.ps.Panels)+2); got != want {
+		t.Fatalf("ran %d tasks, want %d", got, want)
+	}
+}
+
+// isolatedLeaves hand-builds TestPanelCompletedOnce's handle: a
+// 32-column matrix, one column per panel, under the name of the small
+// preset (grid 32) whose matrix it is not. Like any hand-built handle it
+// carries its own reference cell, not the memo's.
+func isolatedLeaves(t *testing.T) *Prep {
+	t.Helper()
 	const n = 32
 	a := &sparse.Sym{N: n, ColPtr: []int32{0, 2}, RowIdx: []int32{0, n - 1}, Val: []float64{4, -1}}
 	for j := int32(1); j < n; j++ {
@@ -156,20 +173,10 @@ func TestPanelCompletedOnce(t *testing.T) {
 	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
-	ps := sparse.BuildPanelSet(sparse.Analyze(a), 1, 0)
-	dsts, nupd := ps.Deps()
-	ref, err := sparse.Cholesky(a, ps.S)
+	prm := Params{Grid: Program.Sizes["small"]}.normalize() // only names the handle
+	prep, err := newPrep(prm, a, sparse.BuildPanelSet(sparse.Analyze(a), 1, 0), new(refCell))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prm := small().normalize() // only names the hand-built handle
-	prep := &Prep{prm: prm, a: a, ps: ps, dsts: dsts, nupd: nupd, ref: ref}
-	res, err := Program.Run(DistrAff.String(), prm, cool.Config{Processors: 4}, nil, prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// main + one complete per panel + the one update.
-	if got, want := res.Report.Total.TasksRun, int64(n+2); got != want {
-		t.Fatalf("ran %d tasks, want %d", got, want)
-	}
+	return prep
 }

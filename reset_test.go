@@ -417,26 +417,64 @@ func TestWarmJobAllocBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func() uint64 {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			if _, err := apps.RunCatalogOn(rt, job.app, job.size); err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.Reset(); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&m1)
-			return m1.TotalAlloc - m0.TotalAlloc
-		}
-		first := run()
-		best := run()
-		for range 2 {
-			best = min(best, run())
-		}
+		first, best := warmJobBytes(t, rt, func() (apps.Result, error) {
+			return apps.RunCatalogOn(rt, job.app, job.size)
+		})
 		t.Logf("%s/%s: first job %d bytes, best later job %d", job.app, job.size, first, best)
 		if best*4 > first {
 			t.Errorf("%s/%s: a warm job allocated %d bytes, more than a quarter of the first job's %d", job.app, job.size, best, first)
 		}
 	}
+}
+
+// TestWarmPreparedJobAllocBytes guards a resident pancho small job, the
+// serving layer's fast path: on a warm native P=1 runtime with the Prep
+// kept, a job after the first allocates at most 64 KB. The check reads
+// the panels in place against a reference built once per grid, so
+// neither the reference nor a copy of the factor is paid per job.
+func TestWarmPreparedJobAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	prep, err := apps.PrepareCatalog("pancho", "small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cool.NewRuntime(cool.Config{Processors: 1, Backend: cool.BackendNative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, best := warmJobBytes(t, rt, func() (apps.Result, error) {
+		return apps.RunCatalogPrepared(rt, "pancho", "small", prep)
+	})
+	t.Logf("pancho/small prepared: first job %d bytes, best later job %d", first, best)
+	if best > 64<<10 {
+		t.Errorf("pancho/small prepared: a warm job allocated %d bytes, more than 64 KB", best)
+	}
+}
+
+// warmJobBytes runs job four times on rt, with a Reset after each, and
+// returns the bytes the first run allocated and the fewest of the later
+// three (a collection between a Reset and the next job may empty the
+// warm pool).
+func warmJobBytes(t *testing.T, rt *cool.Runtime, job func() (apps.Result, error)) (first, best uint64) {
+	t.Helper()
+	run := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := job(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	first = run()
+	best = run()
+	for range 2 {
+		best = min(best, run())
+	}
+	return first, best
 }
