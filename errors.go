@@ -76,11 +76,11 @@ type TaskAbortError = fault.TaskAbort
 type DeadlineExceededError = fault.DeadlineExceeded
 
 // wrapRunError converts the simulator's failures into the public typed
-// errors. *TaskPanicError and *TaskAbortError from either engine, and
-// the native timekeeper's *DeadlineExceededError and *NoProgressError,
-// are declared once (internal/fault) and pass through as they are; the
-// simulator's three stops need the scheduler's knowledge of what
-// blocked tasks wait on. On the native backend Time is wall-clock
+// errors. *TaskPanicError, *TaskAbortError and *NoProgressError from
+// either engine, and the native timekeeper's *DeadlineExceededError, are
+// declared once (internal/fault) and pass through as they are; the
+// simulator's deadlock and deadline stops need the scheduler's knowledge
+// of what blocked tasks wait on. On the native backend Time is wall-clock
 // nanoseconds since Run started, every cycle-denominated field
 // (Deadline, CycleLimit) carries the nanosecond quantity the run was
 // configured with, and the fields only the simulator can know —
@@ -106,15 +106,6 @@ func (rt *Runtime) wrapRunError(err error) error {
 			de.Waits = append(de.Waits, waitEdge(t))
 		}
 		return de
-	case *sim.WatchdogError:
-		return &NoProgressError{
-			CycleLimit:   f.Limit,
-			Time:         f.Time,
-			LiveTasks:    f.Live,
-			BlockedTasks: f.Blocked,
-			Clocks:       f.Clocks,
-			Snapshot:     f.Snapshot,
-		}
 	}
 	return err
 }

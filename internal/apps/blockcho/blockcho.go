@@ -11,7 +11,6 @@ package blockcho
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	cool "github.com/coolrts/cool"
 	"github.com/coolrts/cool/internal/apps/harness"
@@ -378,39 +377,16 @@ func refFactor(n int) []float64 {
 	return ref
 }
 
-// refMemoDims bounds the reference memo: the four catalog presets'
-// factors together take under 2 MB.
-const refMemoDims = 4
-
 // refMemo holds the reference factors of the most recently first-seen
-// matrix dimensions, oldest first. A factor is a pure function of N and
-// is never written once built, so concurrent runs share it; building one
-// costs more than the blocked factorization it checks.
-var refMemo struct {
-	sync.Mutex
-	entries []refEntry
-}
-
-type refEntry struct {
-	n   int
-	ref []float64
-}
+// matrix dimensions; the four catalog presets' factors together take
+// under 2 MB. A factor is a pure function of N and is never written once
+// built, so concurrent runs share it; building one costs more than the
+// blocked factorization it checks.
+var refMemo = harness.Memo[[]float64]{Cap: 4}
 
 // reference returns refFactor(n), built on first use and memoized.
 func reference(n int) []float64 {
-	refMemo.Lock()
-	defer refMemo.Unlock()
-	for _, e := range refMemo.entries {
-		if e.n == n {
-			return e.ref
-		}
-	}
-	if len(refMemo.entries) == refMemoDims {
-		refMemo.entries = append(refMemo.entries[:0], refMemo.entries[1:]...)
-	}
-	ref := refFactor(n)
-	refMemo.entries = append(refMemo.entries, refEntry{n, ref})
-	return ref
+	return refMemo.Get(n, func() []float64 { return refFactor(n) })
 }
 
 // Finish compares every lower-triangle element of the blocked factor

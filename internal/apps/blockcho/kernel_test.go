@@ -127,11 +127,7 @@ func factored(tb testing.TB, n int) *app {
 }
 
 // resetRefMemo empties the reference memo.
-func resetRefMemo() {
-	refMemo.Lock()
-	refMemo.entries = nil
-	refMemo.Unlock()
-}
+func resetRefMemo() { refMemo.Reset() }
 
 // TestFinishFailsOnNaN plants a NaN in an off-diagonal entry of a correct
 // factor: a NaN difference compares false with everything, so a gate on
@@ -198,10 +194,7 @@ func TestReferenceMemoEvictsOldest(t *testing.T) {
 	for _, n := range dims {
 		reference(n)
 	}
-	var held []int
-	for _, e := range refMemo.entries {
-		held = append(held, e.n)
-	}
+	held := refMemo.Keys()
 	if want := dims[1:]; !slices.Equal(held, want) {
 		t.Fatalf("memo holds %v, want %v", held, want)
 	}

@@ -13,11 +13,7 @@ import (
 )
 
 // resetRefMemo empties the reference memo.
-func resetRefMemo() {
-	refMemo.Lock()
-	refMemo.entries = nil
-	refMemo.Unlock()
-}
+func resetRefMemo() { refMemo.Reset() }
 
 // countRefBuilds counts the reference factorizations until the test
 // ends.
@@ -148,10 +144,7 @@ func TestReferenceMemoEvictsOldest(t *testing.T) {
 			first = prep
 		}
 	}
-	var held []int
-	for _, e := range refMemo.entries {
-		held = append(held, e.grid)
-	}
+	held := refMemo.Keys()
 	if want := grids[1:]; !slices.Equal(held, want) {
 		t.Fatalf("memo holds %v, want %v", held, want)
 	}

@@ -197,38 +197,15 @@ func (prep *Prep) reference() (*refCell, error) {
 	return c, c.err
 }
 
-// refMemoGrids bounds the reference memo: one cell per catalog preset.
-const refMemoGrids = 4
-
 // refMemo holds the reference cells of the most recently first-seen
-// grids, oldest first. A reference is a pure function of the grid, and
-// building one costs more than the analyze phase around it. An evicted
-// cell lives on in the Preps that hold it.
-var refMemo struct {
-	sync.Mutex
-	entries []refEntry
-}
-
-type refEntry struct {
-	grid int
-	cell *refCell
-}
+// grids, one per catalog preset. A reference is a pure function of the
+// grid, and building one costs more than the analyze phase around it.
+// An evicted cell lives on in the Preps that hold it.
+var refMemo = harness.Memo[*refCell]{Cap: 4}
 
 // refFor returns the grid's reference cell, unfilled if it is new.
 func refFor(grid int) *refCell {
-	refMemo.Lock()
-	defer refMemo.Unlock()
-	for _, e := range refMemo.entries {
-		if e.grid == grid {
-			return e.cell
-		}
-	}
-	if len(refMemo.entries) == refMemoGrids {
-		refMemo.entries = append(refMemo.entries[:0], refMemo.entries[1:]...)
-	}
-	c := new(refCell)
-	refMemo.entries = append(refMemo.entries, refEntry{grid, c})
-	return c
+	return refMemo.Get(grid, func() *refCell { return new(refCell) })
 }
 
 // Build lays the workload out as version v asks, reusing a handle from

@@ -179,3 +179,24 @@ func TestNativeCountsTheSimulatorsWork(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffVerify: verify strings match field by field, ignored keys
+// aside, and a missing field is a difference.
+func TestDiffVerify(t *testing.T) {
+	cases := []struct {
+		want, got string
+		ignore    map[string]bool
+		same      bool
+	}{
+		{"checksum=1.5 tasks=10", "checksum=1.5 tasks=10", nil, true},
+		{"checksum=1.5 tasks=10", "checksum=1.6 tasks=10", nil, false},
+		{"cost=5 consistent=true", "cost=9 consistent=true", map[string]bool{"cost": true}, true},
+		{"cost=5 consistent=true", "cost=5 consistent=false", map[string]bool{"cost": true}, false},
+		{"a=1 b=2", "a=1", nil, false},
+	}
+	for i, tc := range cases {
+		if got := DiffVerify(tc.want, tc.got, tc.ignore); (got == "") != tc.same {
+			t.Errorf("case %d: diff = %q, want same=%v", i, got, tc.same)
+		}
+	}
+}

@@ -68,13 +68,7 @@ func (s *Scheduler) failoverTarget(td *TaskDesc) int {
 func (s *Scheduler) moveTo(td *TaskDesc, tgt, victim int, now int64) {
 	td.Server = tgt
 	tsv := s.Srv[tgt]
-	if td.Slot >= 0 {
-		q := &tsv.slots[td.Slot]
-		q.push(td)
-		tsv.nonEmpty.add(q)
-	} else {
-		tsv.plain.push(td)
-	}
+	tsv.q.Push(&td.Link)
 	s.noteEnqueued(tsv, 1)
 	s.Mon.Per[victim].Redistributed++
 	s.Trace.Add(now, victim, trace.KindRedistribute, td.T.Name, int64(tgt))
@@ -95,20 +89,11 @@ func (s *Scheduler) FailServer(victim int, running *sim.Task, now int64) {
 	s.Mon.Per[victim].FaultEvents++
 	s.Trace.Add(now, victim, trace.KindFault, "proc-fail", 0)
 
-	var resumes, tasks []*TaskDesc
+	var resumes []*TaskDesc
 	for td := sv.resume.pop(); td != nil; td = sv.resume.pop() {
 		resumes = append(resumes, td)
 	}
-	for td := sv.plain.pop(); td != nil; td = sv.plain.pop() {
-		tasks = append(tasks, td)
-	}
-	for q := sv.nonEmpty.head; q != nil; q = sv.nonEmpty.head {
-		for td := q.pop(); td != nil; td = q.pop() {
-			tasks = append(tasks, td)
-		}
-		sv.nonEmpty.removeQ(q)
-	}
-	sv.cur = nil
+	tasks := sv.q.Drain(nil)
 	s.queuedTotal -= sv.queued
 	sv.queued = 0
 
@@ -123,7 +108,7 @@ func (s *Scheduler) FailServer(victim int, running *sim.Task, now int64) {
 		tgt := s.aliveServer(victim)
 		td.LastProc = tgt
 		tsv := s.Srv[tgt]
-		tsv.resume.push(td)
+		tsv.resume.push(&td.Link)
 		s.noteEnqueued(tsv, 1)
 		s.Mon.Per[victim].Redistributed++
 		s.Trace.Add(now, victim, trace.KindRedistribute, td.T.Name, int64(tgt))
@@ -134,7 +119,7 @@ func (s *Scheduler) FailServer(victim int, running *sim.Task, now int64) {
 			s.Eng.Unblock(running, now)
 			td.LastProc = tgt
 			tsv := s.Srv[tgt]
-			tsv.resume.push(td)
+			tsv.resume.push(&td.Link)
 			s.noteEnqueued(tsv, 1)
 			s.Mon.Per[victim].Redistributed++
 			s.Trace.Add(now, victim, trace.KindRedistribute, td.T.Name, int64(tgt))

@@ -10,10 +10,11 @@ import (
 // mkTask builds an enqueueable task descriptor backed by a real engine
 // coroutine (never started by these tests).
 func mkTask(s *Scheduler, name string, class Class, server, slot int, affObj int64) *TaskDesc {
-	td := &TaskDesc{Class: class, Server: server, Slot: slot, AffObj: affObj}
+	td := &TaskDesc{Link: Link[TaskDesc]{Class: class, Slot: slot, AffObj: affObj}, Server: server}
 	tk := s.Eng.NewTask(name, 0, func(c *sim.Ctx) {})
 	tk.Data = td
 	td.T = tk
+	td.Item = td
 	return td
 }
 

@@ -51,10 +51,11 @@ func (c Class) String() string {
 type TaskDesc struct {
 	T *sim.Task
 
-	Class  Class
-	Server int   // preferred server (-1 when indifferent)
-	Slot   int   // task-affinity queue index, -1 for the plain queue
-	AffObj int64 // address identifying the task-affinity set (0 if none)
+	// Link queues the descriptor on its server and carries its class,
+	// slot and set object.
+	Link[TaskDesc]
+
+	Server int // preferred server (-1 when indifferent)
 
 	// Scope is the waitfor scope this task was created in (nil outside
 	// any waitfor). Completion decrements the scope.
@@ -78,10 +79,6 @@ type TaskDesc struct {
 	BlockedOn any
 
 	dispatched bool // first dispatch already counted in perfmon
-
-	// Intrusive queue links.
-	next, prev *TaskDesc
-	q          *taskQueue
 }
 
 // AffinityKind enumerates the hint combinations of Table 1.

@@ -20,8 +20,8 @@ func checkInvariants(s *Scheduler) error {
 		if s.dead.Has(sv.id) && sv.queued != 0 {
 			return fmt.Errorf("server %d: dead but %d tasks queued", sv.id, sv.queued)
 		}
-		for i := range sv.slots {
-			for td := sv.slots[i].head; td != nil; td = td.next {
+		for i := range sv.q.Slots {
+			for td := sv.q.Slots[i].head; td != nil; td = td.next {
 				if td.Class != ClassTaskSet {
 					continue
 				}
@@ -46,19 +46,20 @@ func checkInvariants(s *Scheduler) error {
 		return fmt.Errorf("queuedTotal=%d but servers hold %d", s.queuedTotal, machineTotal)
 	}
 	for _, sv := range s.Srv {
-		total := sv.resume.size + sv.plain.size
+		total := sv.resume.size + sv.q.Plain.size
 		listed := map[int]bool{}
-		for q := sv.nonEmpty.head; q != nil; q = q.nextQ {
+		for q := sv.q.nonEmpty.head; q != nil; q = q.nextQ {
+			slot := slotIndex(&sv.q, q)
 			if q.empty() {
-				return fmt.Errorf("server %d: empty queue %d in non-empty list", sv.id, q.slotIdx)
+				return fmt.Errorf("server %d: empty queue %d in non-empty list", sv.id, slot)
 			}
-			if listed[q.slotIdx] {
-				return fmt.Errorf("server %d: queue %d listed twice", sv.id, q.slotIdx)
+			if listed[slot] {
+				return fmt.Errorf("server %d: queue %d listed twice", sv.id, slot)
 			}
-			listed[q.slotIdx] = true
+			listed[slot] = true
 		}
-		for i := range sv.slots {
-			q := &sv.slots[i]
+		for i := range sv.q.Slots {
+			q := &sv.q.Slots[i]
 			total += q.size
 			if !q.empty() && !listed[i] {
 				return fmt.Errorf("server %d: non-empty queue %d missing from list", sv.id, i)
@@ -104,7 +105,7 @@ func TestSchedulerInvariantsUnderRandomLoad(t *testing.T) {
 			kind.ObjectObj = objs[rng.Intn(len(objs))]
 			kind.Processor = rng.Intn(16)
 			class, server, slot, obj := s.Place(kind, ctx.Proc().ID)
-			td := &TaskDesc{Class: class, Server: server, Slot: slot, AffObj: obj}
+			td := &TaskDesc{Link: Link[TaskDesc]{Class: class, Slot: slot, AffObj: obj}, Server: server}
 			d := depth
 			task := s.Eng.NewTask("t", ctx.Now(), func(c *sim.Ctx) {
 				c.Charge(int64(rng.Intn(3000)))
@@ -129,7 +130,7 @@ func TestSchedulerInvariantsUnderRandomLoad(t *testing.T) {
 				c.Charge(int64(rng.Intn(500)))
 			}
 		})
-		rootTD := &TaskDesc{Class: ClassProcessor, Server: 0, Slot: -1, T: root}
+		rootTD := &TaskDesc{Link: Link[TaskDesc]{Class: ClassProcessor, Slot: -1}, Server: 0, T: root}
 		root.Data = rootTD
 		launched++
 		s.Enqueue(rootTD, 0)
@@ -184,7 +185,7 @@ func TestInvariantsUnderStealFailEnqueue(t *testing.T) {
 				Processor: rng.Intn(2 * procs),
 			}
 			class, server, slot, obj := s.Place(aff, ctx.Proc().ID)
-			td := &TaskDesc{Class: class, Server: server, Slot: slot, AffObj: obj}
+			td := &TaskDesc{Link: Link[TaskDesc]{Class: class, Slot: slot, AffObj: obj}, Server: server}
 			work := int64(rng.Intn(4000))
 			task := s.Eng.NewTask("w", ctx.Now(), func(c *sim.Ctx) {
 				c.Charge(work)
@@ -213,7 +214,7 @@ func TestInvariantsUnderStealFailEnqueue(t *testing.T) {
 				c.Charge(int64(rng.Intn(300)))
 			}
 		})
-		rootTD := &TaskDesc{Class: ClassProcessor, Server: 0, Slot: -1, T: root}
+		rootTD := &TaskDesc{Link: Link[TaskDesc]{Class: ClassProcessor, Slot: -1}, Server: 0, T: root}
 		root.Data = rootTD
 		launched++
 		s.Enqueue(rootTD, 0)
@@ -243,8 +244,8 @@ func TestStealScansPastPinnedPlainHead(t *testing.T) {
 	v := s.Srv[2]
 	pinned := mkTask(s, "pinned", ClassProcessor, 2, -1, 0)
 	free := mkTask(s, "free", ClassPlain, 2, -1, 0)
-	v.plain.push(pinned)
-	v.plain.push(free)
+	v.q.Plain.push(&pinned.Link)
+	v.q.Plain.push(&free.Link)
 	s.noteEnqueued(v, 2)
 
 	got := s.stealFrom(v, s.Srv[0], 0)
@@ -261,7 +262,7 @@ func TestStealScansPastPinnedPlainHead(t *testing.T) {
 	}
 	// Backlogged again (a second pinned task): now the head may move.
 	pinned2 := mkTask(s, "pinned2", ClassProcessor, 2, -1, 0)
-	v.plain.push(pinned2)
+	v.q.Plain.push(&pinned2.Link)
 	s.noteEnqueued(v, 1)
 	if got := s.stealFrom(v, s.Srv[0], 0); got != pinned {
 		t.Fatalf("stole %v, want the backlogged pinned head", got)

@@ -86,13 +86,7 @@ func (s *Scheduler) EnqueueRetry(td *TaskDesc, tgt int, now int64) {
 	}
 	td.Server = tgt
 	sv := s.Srv[tgt]
-	if td.Slot >= 0 {
-		q := &sv.slots[td.Slot]
-		q.push(td)
-		sv.nonEmpty.add(q)
-	} else {
-		sv.plain.push(td)
-	}
+	sv.q.Push(&td.Link)
 	s.noteEnqueued(sv, 1)
 	s.Trace.Add(now, -1, trace.KindEnqueue, td.T.Name, int64(tgt))
 	s.wake(tgt, now)

@@ -341,12 +341,12 @@ func (rt *Runtime) launchAborted(w *worker, t *task) bool {
 func (rt *Runtime) scheduleRetry(w *worker, t *task, now int64) {
 	dead := rt.deadSet()
 	home := -1
-	if t.class == core.ClassTaskSet {
-		if h := rt.setHomeOf(t.affObj); h >= 0 && !dead.Has(h) {
+	if t.Class == core.ClassTaskSet {
+		if h := rt.setHomeOf(t.AffObj); h >= 0 && !dead.Has(h) {
 			home = h
 		}
 	}
-	tgt := rt.topo.RetryTarget(t.class, t.server, w.id, t.aborts, home, dead)
+	tgt := rt.topo.RetryTarget(t.Class, t.server, w.id, t.aborts, home, dead)
 	rt.trace(w, trace.KindRetry, w.id, t.name, int64(tgt))
 	rt.retries.add(retryItem{due: now + rt.retry.Delay(t.aborts), t: t, target: tgt})
 }
@@ -356,7 +356,7 @@ func (rt *Runtime) scheduleRetry(w *worker, t *task, now int64) {
 // backoff. Runs on the timekeeper goroutine.
 func (rt *Runtime) deliverRetry(it retryItem) {
 	t, tgt := it.t, it.target
-	if t.class == core.ClassTaskSet {
+	if t.Class == core.ClassTaskSet {
 		tgt = rt.placeSet(t, &rt.tkScratch)
 	} else {
 		t.server = tgt

@@ -108,13 +108,13 @@ func TestRetireDrainsAndSurvives(t *testing.T) {
 		t.Fatalf("SetSplits = %d, want 0", rt.SetSplits())
 	}
 	w := rt.workers[1]
-	if w.deq.size() != 0 || w.pinned.size != 0 || w.queued.Load() != 0 || w.stealable.Load() != 0 {
+	if w.deq.size() != 0 || w.q.Plain.Len() != 0 || w.queued.Load() != 0 || w.stealable.Load() != 0 {
 		t.Fatalf("dead worker queues not empty: deq=%d pinned=%d queued=%d stealable=%d",
-			w.deq.size(), w.pinned.size, w.queued.Load(), w.stealable.Load())
+			w.deq.size(), w.q.Plain.Len(), w.queued.Load(), w.stealable.Load())
 	}
-	for s := range w.slots {
-		if w.slots[s].size != 0 {
-			t.Fatalf("dead worker slot %d still holds %d tasks", s, w.slots[s].size)
+	for s := range w.q.Slots {
+		if w.q.Slots[s].Len() != 0 {
+			t.Fatalf("dead worker slot %d still holds %d tasks", s, w.q.Slots[s].Len())
 		}
 	}
 	if got := mon.Total().FaultEvents; got < 1 {

@@ -97,12 +97,13 @@ type task struct {
 	fn      func(*Ctx) // nil for payload tasks, run through Config.Invoke
 	payload any
 	idx     int32 // SpawnN member index, -1 for single spawns
-	class   core.Class
 	server  int
-	slot    int   // task-affinity queue index, -1 for the plain queue
-	affObj  int64 // address identifying the task-affinity set (0 if none)
 	scope   *scope
 	mon     *Monitor // mutex-function monitor, locked around fn
+
+	// Link queues the record in its worker's locked queues and carries
+	// its class, slot and set object.
+	core.Link[task]
 
 	// Fault-injection state (zero when no plan is armed): the per-name
 	// spawn index assigned by the injector, whether the injector tracks
@@ -123,11 +124,9 @@ type task struct {
 	// survives freeTask (see Ctx.Facade).
 	ctx Ctx
 
-	// Intrusive links: next/prev/q while in a locked taskQueue, next
-	// alone while riding a SpawnN chain or a worker freelist (a record
-	// is in at most one of those states at a time).
-	next, prev *task
-	q          *taskQueue
+	// chain links the record while it rides a SpawnN chain or a worker
+	// freelist.
+	chain *task
 }
 
 // worker is one executor goroutine's scheduling state.
@@ -135,26 +134,23 @@ type task struct {
 // The structures split by who may touch them: deq holds the plain tasks
 // the worker's own goroutine spawned (owner pushes/pops lock-free,
 // thieves CAS), and the mutex guards everything else — the
-// task-affinity slots, the locked plain queue, and whole-set moves
-// through the sharded set table. Any goroutine may insert under the
-// mutex; only the owner pushes the deque. busyNS/idleNS, events, the
+// task-affinity slots and the locked plain queue (q), and whole-set
+// moves through the sharded set table. Any goroutine may insert under
+// the mutex; only the owner pushes the deque. busyNS/idleNS, events, the
 // freelist, and the scratch slices are owned by the worker's goroutine.
 type worker struct {
-	id       int
-	mu       sync.Mutex
-	slots    []taskQueue
-	nonEmpty nonEmptyList
-	cur      *taskQueue // slot being drained back to back
-	pinned   taskQueue  // locked plain queue: pinned tasks, and plain ones other goroutines inserted (mu)
-	queued   atomic.Int64
+	id     int
+	mu     sync.Mutex
+	q      core.QueueArray[task] // its plain queue holds pinned tasks, and plain ones other goroutines inserted (mu)
+	queued atomic.Int64
 
 	deq chaseLev // the owner's own plain spawns
 
-	// lockedWork counts the tasks in the mutex-guarded structures (slots
-	// plus pinned); take probes the lock only when it is nonzero.
-	// setQueued counts the queued task-affinity set members, so a thief
-	// checks the sets-first steal phase without the victim's lock. Both
-	// are written only under mu.
+	// lockedWork counts the tasks in the mutex-guarded queues (q); take
+	// probes the lock only when it is nonzero. setQueued counts the
+	// queued task-affinity set members, so a thief checks the sets-first
+	// steal phase without the victim's lock. Both are written only under
+	// mu.
 	lockedWork atomic.Int64
 	setQueued  atomic.Int64
 
@@ -171,7 +167,7 @@ type worker struct {
 	// reused across steals to keep the move allocation-free.
 	setScratch []*task
 
-	// free is the worker's task-record freelist (linked through t.next),
+	// free is the worker's task-record freelist (linked through t.chain),
 	// touched only by the worker's own goroutine: records are recycled by
 	// runTask and handed out by spawns issued from tasks running here;
 	// whole lists move between workers through Runtime.spare.
@@ -314,10 +310,8 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.workers = make([]*worker, np)
 	for i := range rt.workers {
-		w := &worker{id: i, slots: make([]taskQueue, pol.QueueArraySize), wake: make(chan struct{}, 1)}
-		for j := range w.slots {
-			w.slots[j].slotIdx = j
-		}
+		w := &worker{id: i, wake: make(chan struct{}, 1)}
+		w.q.Init(pol.QueueArraySize)
 		w.deq.init()
 		rt.workers[i] = w
 	}
@@ -367,7 +361,7 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 	rt.start = time.Now()
 	root := rt.newTask(nil)
 	root.name, root.fn = "main", main
-	root.class, root.server, root.slot = core.ClassProcessor, 0, -1
+	root.Class, root.server, root.Slot = core.ClassProcessor, 0, -1
 	rt.live.Store(1)
 	rt.insertAndWake(root, 0)
 	if rt.armed {
@@ -436,7 +430,7 @@ const freeListCap = 256
 // spare pool heap-allocate.
 func (rt *Runtime) newTask(w *worker) *task {
 	if w == nil {
-		return &task{slot: -1, idx: -1}
+		return newRecord()
 	}
 	if w.free == nil {
 		if h, _ := rt.spare.Get().(*task); h != nil {
@@ -444,13 +438,21 @@ func (rt *Runtime) newTask(w *worker) *task {
 		}
 	}
 	if t := w.free; t != nil {
-		w.free = t.next
+		w.free = t.chain
 		w.freeN--
-		t.next = nil
-		t.slot, t.idx = -1, -1
+		t.chain = nil
+		t.Slot, t.idx = -1, -1
 		return t
 	}
-	return &task{slot: -1, idx: -1}
+	return newRecord()
+}
+
+// newRecord heap-allocates a task record with the sentinel placement
+// fields set and its link bound to it.
+func newRecord() *task {
+	t := &task{idx: -1}
+	t.Item, t.Slot = t, -1
+	return t
 }
 
 // freeTask recycles t onto w's freelist. Called only by the worker that
@@ -472,7 +474,8 @@ func (rt *Runtime) freeTask(w *worker, t *task) {
 		w.free, w.freeN = nil, 0
 	}
 	*t = task{ctx: Ctx{facade: t.ctx.facade}}
-	t.next = w.free
+	t.Item = t
+	t.chain = w.free
 	w.free = t
 	w.freeN++
 }

@@ -122,24 +122,24 @@ func TestWholeSetStealMovesEverything(t *testing.T) {
 	}
 	pl := rt.newTask(nil)
 	pl.name, pl.fn = "plain", func(*Ctx) {}
-	pl.class, pl.server = core.ClassPlain, 0
+	pl.Class, pl.server = core.ClassPlain, 0
 	rt.insert(pl, 0)
 
 	got := rt.stealFrom(v, w)
-	if got == nil || got.affObj != obj {
+	if got == nil || got.AffObj != obj {
 		t.Fatalf("stealFrom returned %+v, want head of set %d", got, obj)
 	}
 	if home := rt.setHomeOf(obj); home != 1 {
 		t.Fatalf("set home = %d after steal, want thief 1", home)
 	}
-	if n := w.slots[slot].size; n != 2 {
+	if n := w.q.Slots[slot].Len(); n != 2 {
 		t.Fatalf("thief slot holds %d set members, want 2", n)
 	}
-	if w.cur != &w.slots[slot] {
+	if w.q.Cur != &w.q.Slots[slot] {
 		t.Fatalf("thief cur not pointed at the stolen set's slot")
 	}
-	if v.slots[slot].size != 0 {
-		t.Fatalf("victim still holds %d set members: set split", v.slots[slot].size)
+	if v.q.Slots[slot].Len() != 0 {
+		t.Fatalf("victim still holds %d set members: set split", v.q.Slots[slot].Len())
 	}
 	if rt.SetSplits() != 0 {
 		t.Fatalf("SetSplits=%d want 0", rt.SetSplits())
@@ -147,8 +147,8 @@ func TestWholeSetStealMovesEverything(t *testing.T) {
 	if mon.Per[1].SetSteals != 1 {
 		t.Fatalf("SetSteals=%d want 1", mon.Per[1].SetSteals)
 	}
-	if v.deq.size() != 1 || v.pinned.size != 0 {
-		t.Fatalf("victim plain work disturbed: deq=%d pinned=%d, want 1, 0", v.deq.size(), v.pinned.size)
+	if v.deq.size() != 1 || v.q.Plain.Len() != 0 {
+		t.Fatalf("victim plain work disturbed: deq=%d pinned=%d, want 1, 0", v.deq.size(), v.q.Plain.Len())
 	}
 }
 
@@ -161,15 +161,15 @@ func TestStealSkipsPinnedHead(t *testing.T) {
 	v, w := rt.workers[0], rt.workers[1]
 	pin := rt.newTask(nil)
 	pin.name, pin.fn = "pinned", func(*Ctx) {}
-	pin.class, pin.server = core.ClassProcessor, 0
+	pin.Class, pin.server = core.ClassProcessor, 0
 	rt.insert(pin, 0)
 	free := rt.newTask(nil)
 	free.name, free.fn = "free", func(*Ctx) {}
-	free.class, free.server = core.ClassPlain, 0
+	free.Class, free.server = core.ClassPlain, 0
 	rt.insert(free, 0)
-	if v.pinned.size != 1 || v.deq.size() != 1 {
+	if v.q.Plain.Len() != 1 || v.deq.size() != 1 {
 		t.Fatalf("setup: pinned=%d deq=%d, want the pinned task in the locked queue and the free one on the deque",
-			v.pinned.size, v.deq.size())
+			v.q.Plain.Len(), v.deq.size())
 	}
 
 	got := rt.stealFrom(v, w)
@@ -181,9 +181,9 @@ func TestStealSkipsPinnedHead(t *testing.T) {
 	if got != nil {
 		t.Fatalf("stole lone pinned task %q", got.name)
 	}
-	if v.deq.size() != 0 || v.pinned.size != 1 || v.queued.Load() != 1 {
+	if v.deq.size() != 0 || v.q.Plain.Len() != 1 || v.queued.Load() != 1 {
 		t.Fatalf("pinned task not left in the victim's locked queue: deq=%d pinned=%d queued=%d",
-			v.deq.size(), v.pinned.size, v.queued.Load())
+			v.deq.size(), v.q.Plain.Len(), v.queued.Load())
 	}
 }
 
@@ -196,7 +196,7 @@ func TestObjectBoundStolenOnlyFromBacklog(t *testing.T) {
 	mk := func(addr int64) {
 		ob := rt.newTask(nil)
 		ob.name, ob.fn = "ob", func(*Ctx) {}
-		ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt.topo.SlotOf(addr), addr
+		ob.Class, ob.server, ob.Slot, ob.AffObj = core.ClassObjectBound, 0, rt.topo.SlotOf(addr), addr
 		rt.insert(ob, 0)
 	}
 	mk(64)
@@ -209,7 +209,7 @@ func TestObjectBoundStolenOnlyFromBacklog(t *testing.T) {
 	}
 	mk(128)
 	got = rt.stealFrom(v, w)
-	if got == nil || got.class != core.ClassObjectBound {
+	if got == nil || got.Class != core.ClassObjectBound {
 		t.Fatalf("want an object-bound steal from a backlogged victim, got %v", got)
 	}
 }
@@ -234,25 +234,25 @@ func TestDequeWholeSetSteal(t *testing.T) {
 	}
 	pl := rt.newTask(nil)
 	pl.name, pl.fn = "plain", func(*Ctx) {}
-	pl.class, pl.server = core.ClassPlain, 0
+	pl.Class, pl.server = core.ClassPlain, 0
 	rt.insert(pl, 0) // actor 0 == target: straight onto v's deque
 
 	if v.setQueued.Load() != 3 || v.deq.size() != 1 {
 		t.Fatalf("setup: setQueued=%d deq=%d, want 3 and 1", v.setQueued.Load(), v.deq.size())
 	}
 	got := rt.stealFrom(v, w)
-	if got == nil || got.affObj != obj {
+	if got == nil || got.AffObj != obj {
 		t.Fatalf("stealFrom returned %+v, want head of set %d", got, obj)
 	}
 	if home := rt.setHomeOf(obj); home != 1 {
 		t.Fatalf("set home = %d after steal, want thief 1", home)
 	}
-	if n := w.slots[slot].size; n != 2 {
+	if n := w.q.Slots[slot].Len(); n != 2 {
 		t.Fatalf("thief slot holds %d set members, want 2", n)
 	}
-	if v.slots[slot].size != 0 || v.setQueued.Load() != 0 || v.lockedWork.Load() != 0 {
+	if v.q.Slots[slot].Len() != 0 || v.setQueued.Load() != 0 || v.lockedWork.Load() != 0 {
 		t.Fatalf("victim kept set state: slot=%d setQueued=%d lockedWork=%d",
-			v.slots[slot].size, v.setQueued.Load(), v.lockedWork.Load())
+			v.q.Slots[slot].Len(), v.setQueued.Load(), v.lockedWork.Load())
 	}
 	if w.setQueued.Load() != 2 || w.lockedWork.Load() != 2 {
 		t.Fatalf("thief hints setQueued=%d lockedWork=%d, want 2 and 2",
@@ -286,17 +286,17 @@ func TestDequeStealRules(t *testing.T) {
 	mkPin := func(name string) {
 		pin := rt.newTask(nil)
 		pin.name, pin.fn = name, func(*Ctx) {}
-		pin.class, pin.server = core.ClassProcessor, 0
+		pin.Class, pin.server = core.ClassProcessor, 0
 		rt.insertFrom(pin, ctr, nil) // not v's goroutine: under v's lock
 	}
 	mkPin("pin1")
 	free := rt.newTask(nil)
 	free.name, free.fn = "free", func(*Ctx) {}
-	free.class, free.server = core.ClassPlain, 0
+	free.Class, free.server = core.ClassPlain, 0
 	rt.insertFrom(free, ctr, nil)
-	if v.pinned.size != 2 || v.deq.size() != 0 || v.lockedWork.Load() != 2 || v.stealable.Load() != 1 {
+	if v.q.Plain.Len() != 2 || v.deq.size() != 0 || v.lockedWork.Load() != 2 || v.stealable.Load() != 1 {
 		t.Fatalf("setup: pinned=%d deq=%d lockedWork=%d stealable=%d, want both records in the locked plain queue, one stealable",
-			v.pinned.size, v.deq.size(), v.lockedWork.Load(), v.stealable.Load())
+			v.q.Plain.Len(), v.deq.size(), v.lockedWork.Load(), v.stealable.Load())
 	}
 
 	// The scan must pass the pinned head and take the plain record.
@@ -304,9 +304,9 @@ func TestDequeStealRules(t *testing.T) {
 	if got == nil || got.name != "free" {
 		t.Fatalf("stole %v, want the free task behind the pinned head", got)
 	}
-	if v.pinned.size != 1 || v.lockedWork.Load() != 1 || v.queued.Load() != 1 || v.stealable.Load() != 0 {
+	if v.q.Plain.Len() != 1 || v.lockedWork.Load() != 1 || v.queued.Load() != 1 || v.stealable.Load() != 0 {
 		t.Fatalf("after the free steal: pinned=%d lockedWork=%d queued=%d stealable=%d, want 1, 1, 1, 0",
-			v.pinned.size, v.lockedWork.Load(), v.queued.Load(), v.stealable.Load())
+			v.q.Plain.Len(), v.lockedWork.Load(), v.queued.Load(), v.stealable.Load())
 	}
 	// A lone pinned record is not stealable.
 	if got = rt.stealFrom(v, w); got != nil {
@@ -314,7 +314,7 @@ func TestDequeStealRules(t *testing.T) {
 	}
 	// Backlogged (queued=2): the pinned head may move.
 	mkPin("pin2")
-	if got = rt.stealFrom(v, w); got == nil || got.class != core.ClassProcessor {
+	if got = rt.stealFrom(v, w); got == nil || got.Class != core.ClassProcessor {
 		t.Fatalf("want a pinned steal from a backlogged victim, got %v", got)
 	}
 
@@ -324,7 +324,7 @@ func TestDequeStealRules(t *testing.T) {
 	mkOb := func(addr int64) {
 		ob := rt2.newTask(nil)
 		ob.name, ob.fn = "ob", func(*Ctx) {}
-		ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt2.topo.SlotOf(addr), addr
+		ob.Class, ob.server, ob.Slot, ob.AffObj = core.ClassObjectBound, 0, rt2.topo.SlotOf(addr), addr
 		rt2.insertFrom(ob, &mon2.Per[1], nil)
 	}
 	mkOb(64)
@@ -332,7 +332,7 @@ func TestDequeStealRules(t *testing.T) {
 		t.Fatalf("stole object-bound task from a victim with queued=1")
 	}
 	mkOb(128)
-	if got := rt2.stealFrom(v2, w2); got == nil || got.class != core.ClassObjectBound {
+	if got := rt2.stealFrom(v2, w2); got == nil || got.Class != core.ClassObjectBound {
 		t.Fatalf("want an object-bound steal from a backlogged victim, got %v", got)
 	}
 }

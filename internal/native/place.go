@@ -11,10 +11,10 @@ import (
 // set's shard.
 func (rt *Runtime) placeTask(t *task, a core.Affinity, spawner int) {
 	if rt.pol.IgnoreHints {
-		t.class, t.server = core.ClassPlain, int(rt.rr.Add(1)-1)%rt.cfg.Procs
+		t.Class, t.server = core.ClassPlain, int(rt.rr.Add(1)-1)%rt.cfg.Procs
 		return
 	}
-	t.class, t.server, t.slot, t.affObj = rt.topo.Place(a, spawner, rt.cfg.Home)
+	t.Class, t.server, t.Slot, t.AffObj = rt.topo.Place(a, spawner, rt.cfg.Home)
 }
 
 // lockWorker acquires w's queue mutex, counting a missed TryLock fast
@@ -59,7 +59,7 @@ func (rt *Runtime) lockWorkerCtr(w *worker, ctr *perfmon.Counters) {
 // moves whole. The dead checks cost one atomic load when no worker has
 // retired.
 func (rt *Runtime) placeSet(t *task, ctr *perfmon.Counters) int {
-	obj := t.affObj
+	obj := t.AffObj
 	sh := rt.shardOf(obj)
 	for {
 		sh.lock(ctr)

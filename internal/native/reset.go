@@ -97,7 +97,7 @@ func (rt *Runtime) rearm() {
 		w.ringEpoch = -1
 		w.busyNS, w.idleNS = 0, 0
 		w.events = w.events[:0]
-		w.cur = nil
+		w.q.Cur = nil
 		// Accounting hints must already be zero on a clean drain; store
 		// (rather than assert) so a stale hint cannot poison the next run.
 		w.queued.Store(0)

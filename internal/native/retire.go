@@ -47,14 +47,14 @@ func (rt *Runtime) spreadAlive() int {
 // object-bound tasks go to the nearest survivor; everything else
 // spreads.
 func (rt *Runtime) failoverTarget(t *task, ctr *perfmon.Counters) int {
-	switch t.class {
+	switch t.Class {
 	case core.ClassTaskSet:
-		sh := rt.shardOf(t.affObj)
+		sh := rt.shardOf(t.AffObj)
 		sh.lock(ctr)
-		sv, ok := sh.home[t.affObj]
+		sv, ok := sh.home[t.AffObj]
 		if !ok || rt.isDead(sv) {
 			sv = rt.spreadAlive()
-			sh.home[t.affObj] = sv
+			sh.home[t.AffObj] = sv
 		}
 		sh.mu.Unlock()
 		return sv
@@ -103,17 +103,7 @@ func (rt *Runtime) retireWith(w *worker) {
 		}
 	}
 	rt.epoch.Add(1)
-	var drained []*task
-	for q := w.nonEmpty.head; q != nil; q = w.nonEmpty.head {
-		for t := q.pop(); t != nil; t = q.pop() {
-			drained = append(drained, t)
-		}
-		w.nonEmpty.removeQ(q)
-	}
-	for t := w.pinned.pop(); t != nil; t = w.pinned.pop() {
-		drained = append(drained, t)
-	}
-	w.cur = nil
+	drained := w.q.Drain(nil)
 	// Every writer of the locked-structure hints holds w.mu, so the bulk
 	// reset is safe; queued/stealable/queuedTotal are also moved by
 	// lock-free thieves and so must shrink by exactly what this drain
@@ -154,7 +144,7 @@ func (rt *Runtime) retireWith(w *worker) {
 		name := t.name
 		t.server = rt.failoverTarget(t, ctr)
 		var tgt int
-		if t.class == core.ClassTaskSet {
+		if t.Class == core.ClassTaskSet {
 			// placeSet follows the home failoverTarget chose (or a newer
 			// one) under the shard lock, so the set moves whole.
 			tgt = rt.placeSet(t, ctr)

@@ -29,7 +29,7 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 		t.scope.n.Add(1)
 	}
 	rt.live.Add(1)
-	if t.class == core.ClassTaskSet {
+	if t.Class == core.ClassTaskSet {
 		server := rt.placeSet(t, &rt.cfg.Mon.Per[from]) // t is published after this
 		rt.trace(c.w, trace.KindEnqueue, -1, name, int64(server))
 		rt.wakeAfterEnqueue(server, from)
@@ -77,7 +77,7 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		// resolve their home under the shard lock at publish time
 		// (placeSet).
 		rt.placeTask(t, a, from)
-		if t.class != core.ClassPlain || t.server != from {
+		if t.Class != core.ClassPlain || t.server != from {
 			allPlainSelf = false
 		}
 		batch = append(batch, t)
@@ -109,24 +109,24 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		heads, tails := w.spawnHeads, w.spawnTails
 		order := w.spawnOrder[:0]
 		for _, t := range batch {
-			if t.class == core.ClassTaskSet {
+			if t.Class == core.ClassTaskSet {
 				sv := rt.placeSet(t, ctr)
 				rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
 				targets |= 1 << uint(sv)
 				continue
 			}
-			if t.class == core.ClassPlain && t.server == from {
+			if t.Class == core.ClassPlain && t.server == from {
 				sv := rt.insertFrom(t, ctr, w) // own deque, no lock
 				rt.trace(w, trace.KindEnqueue, -1, name, int64(sv))
 				continue
 			}
 			sv := t.server
-			t.next = nil
+			t.chain = nil
 			if heads[sv] == nil {
 				heads[sv] = t
 				order = append(order, sv)
 			} else {
-				tails[sv].next = t
+				tails[sv].chain = t
 			}
 			tails[sv] = t
 		}
@@ -141,8 +141,8 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 				// nearest survivor).
 				wv.mu.Unlock()
 				for t := chain; t != nil; {
-					next := t.next
-					t.next = nil
+					next := t.chain
+					t.chain = nil
 					tsv := rt.insertFrom(t, ctr, w)
 					rt.trace(w, trace.KindEnqueue, -1, name, int64(tsv))
 					targets |= 1 << uint(tsv)
@@ -152,8 +152,8 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 			}
 			var counts lockedCounts
 			for t := chain; t != nil; {
-				next := t.next
-				t.next = nil
+				next := t.chain
+				t.chain = nil
 				counts.link(wv, t)
 				t = next
 			}

@@ -55,8 +55,8 @@ func assertWorkerQueuesEmpty(t *testing.T, rt *Runtime, label string) {
 		if n := w.deq.size(); n != 0 {
 			t.Fatalf("%s: worker %d deque size %d", label, w.id, n)
 		}
-		if w.pinned.size != 0 {
-			t.Fatalf("%s: worker %d pinned queue size %d", label, w.id, w.pinned.size)
+		if w.q.Plain.Len() != 0 {
+			t.Fatalf("%s: worker %d pinned queue size %d", label, w.id, w.q.Plain.Len())
 		}
 		if n := w.stealable.Load(); n != 0 {
 			t.Fatalf("%s: worker %d stealable hint drifted to %d", label, w.id, n)
@@ -67,9 +67,9 @@ func assertWorkerQueuesEmpty(t *testing.T, rt *Runtime, label string) {
 		if n := w.setQueued.Load(); n != 0 {
 			t.Fatalf("%s: worker %d setQueued hint drifted to %d", label, w.id, n)
 		}
-		for s := range w.slots {
-			if w.slots[s].size != 0 {
-				t.Fatalf("%s: worker %d slot %d size %d", label, w.id, s, w.slots[s].size)
+		for s := range w.q.Slots {
+			if w.q.Slots[s].Len() != 0 {
+				t.Fatalf("%s: worker %d slot %d size %d", label, w.id, s, w.q.Slots[s].Len())
 			}
 		}
 	}

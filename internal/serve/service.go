@@ -16,12 +16,6 @@ type Config struct {
 	Runtimes int
 	// Procs is each runtime's processor count (default 4).
 	Procs int
-	// Sim runs jobs on the deterministic simulator instead of the
-	// native backend (the default — serving wants wall-clock work).
-	Sim bool
-	// Runtime, when non-zero-valued beyond the fields above, is the
-	// full runtime config; Procs and the backend are applied on top.
-	Runtime cool.Config
 	// Router is the routing policy (default space-affinity).
 	Router Router
 	// Admission is the admission policy (default always).
@@ -69,13 +63,8 @@ func NewService(cfg Config) (*Service, error) {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 4
 	}
-	rtCfg := cfg.Runtime
-	rtCfg.Processors = cfg.Procs
-	if cfg.Sim {
-		rtCfg.Backend = cool.BackendSim
-	} else {
-		rtCfg.Backend = cool.BackendNative
-	}
+	// Serving wants wall-clock work: every runtime is native.
+	rtCfg := cool.Config{Processors: cfg.Procs, Backend: cool.BackendNative}
 	if cfg.Router == nil {
 		r, err := NewRouter("space-affinity", cfg.Procs)
 		if err != nil {

@@ -29,27 +29,6 @@ func (e *DeadlockError) Error() string {
 		len(e.Tasks), strings.Join(names, ", "))
 }
 
-// WatchdogError reports that simulated time passed the configured cycle
-// limit with work still outstanding — the no-progress watchdog fired
-// instead of letting the simulation run (or spin) unboundedly.
-type WatchdogError struct {
-	Limit    int64
-	Time     int64
-	Live     int     // tasks not yet run to completion
-	Blocked  int     // tasks parked on synchronization
-	Clocks   []int64 // per-processor clocks at the stop
-	Snapshot string  // scheduler-provided queue snapshot (may be empty)
-}
-
-func (e *WatchdogError) Error() string {
-	s := fmt.Sprintf("sim: no progress: cycle limit %d exceeded at t=%d with %d live task(s), %d blocked",
-		e.Limit, e.Time, e.Live, e.Blocked)
-	if e.Snapshot != "" {
-		s += "\n" + e.Snapshot
-	}
-	return s
-}
-
 // DeadlineError reports that simulated time passed the configured run
 // deadline with work still outstanding. Unlike the watchdog it is an
 // expected, policy-driven stop: the caller asked for a time budget.
@@ -71,7 +50,7 @@ func (e *DeadlineError) Error() string {
 func (e *Engine) At(t int64, fn func()) { e.at(t, fn) }
 
 // SetCycleLimit arms the no-progress watchdog: once simulated time
-// passes limit, Run stops and returns a *WatchdogError instead of
+// passes limit, Run stops and returns a *fault.NoProgress instead of
 // continuing (or hanging). 0 disables the watchdog.
 func (e *Engine) SetCycleLimit(limit int64) { e.limit = limit }
 
@@ -257,13 +236,13 @@ func (e *Engine) FailRun(err error) {
 
 // watchdogError builds the diagnostic returned when the cycle limit is
 // exceeded.
-func (e *Engine) watchdogError() *WatchdogError {
-	w := &WatchdogError{
-		Limit:   e.limit,
-		Time:    e.now,
-		Live:    e.liveTasks,
-		Blocked: len(e.blocked),
-		Clocks:  make([]int64, len(e.Procs)),
+func (e *Engine) watchdogError() *fault.NoProgress {
+	w := &fault.NoProgress{
+		CycleLimit:   e.limit,
+		Time:         e.now,
+		LiveTasks:    e.liveTasks,
+		BlockedTasks: len(e.blocked),
+		Clocks:       make([]int64, len(e.Procs)),
 	}
 	for i, p := range e.Procs {
 		w.Clocks[i] = p.Clock

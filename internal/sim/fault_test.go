@@ -137,11 +137,11 @@ func TestWatchdogStopsRunawayRun(t *testing.T) {
 		}
 	}))
 	err := e.Run()
-	var we *WatchdogError
+	var we *fault.NoProgress
 	if !errors.As(err, &we) {
-		t.Fatalf("err = %v (%T), want *WatchdogError", err, err)
+		t.Fatalf("err = %v (%T), want *fault.NoProgress", err, err)
 	}
-	if we.Limit != 50_000 || we.Live != 1 || len(we.Clocks) != 1 {
+	if we.CycleLimit != 50_000 || we.LiveTasks != 1 || len(we.Clocks) != 1 {
 		t.Fatalf("watchdog = %+v", we)
 	}
 	if we.Snapshot != "queues: test snapshot" {
