@@ -292,45 +292,85 @@ func (ap *app) colOff(pid, j int) int {
 	return int(ap.ps.ColPtr[j] - ap.ps.PanelOff(ap.ps.Panels[pid]))
 }
 
-// complete performs the internal factorization of panel d: cdiv each
-// column and apply its updates to the panel's later columns. Thanks to
-// the trapezoid layout the intra-panel update is a dense AXPY.
+// complete performs the internal factorization of panel d, left-looking:
+// column j takes the AXPY of each earlier column of the panel, four
+// columns at a time, and then its cdiv. Thanks to the trapezoid layout
+// each AXPY is dense. Every element takes its updates in column order
+// and then its divide, as in the right-looking loop, whose charges
+// follow in a pass of their own (DESIGN §6).
 func (ap *app) complete(ctx *cool.Ctx, d int) {
-	p := ap.ps.Panels[d]
+	ps := ap.ps
+	p := ps.Panels[d]
 	arr := ap.arrs[d]
-	for k := p.Start; k < p.End; k++ {
-		off := ap.colOff(d, k)
-		n := ap.ps.ColLen(k)
-		col := arr.Data[off : off+n]
+	base := ps.PanelOff(p)
+	// column is stored column k of the panel from row j down.
+	column := func(k, j int) []float64 {
+		off := int(ps.ColPtr[k]-base) + j - k
+		return arr.Data[off : off+ps.ColLen(j)]
+	}
+	for j := p.Start; j < p.End; j++ {
+		col := column(j, j)
+		k := p.Start
+		for ; k+4 <= j; k += 4 {
+			c0, c1, c2, c3 := column(k, j), column(k+1, j), column(k+2, j), column(k+3, j)
+			m0, m1, m2, m3 := c0[0], c1[0], c2[0], c3[0]
+			for i := range col {
+				v := col[i]
+				v -= m0 * c0[i]
+				v -= m1 * c1[i]
+				v -= m2 * c2[i]
+				v -= m3 * c3[i]
+				col[i] = v
+			}
+		}
+		for ; k < j; k++ {
+			c := column(k, j)
+			mult := c[0]
+			for i := range col {
+				col[i] -= mult * c[i]
+			}
+		}
 		diag := col[0]
 		if diag <= 0 || math.IsNaN(diag) {
-			panic(fmt.Sprintf("pancho: lost positive definiteness at column %d (pivot %g)", k, diag))
+			ap.chargeComplete(ctx, p, j)
+			panic(fmt.Sprintf("pancho: lost positive definiteness at column %d (pivot %g)", j, diag))
 		}
 		diag = math.Sqrt(diag)
 		col[0] = diag
-		for i := 1; i < n; i++ {
+		for i := 1; i < len(col); i++ {
 			col[i] /= diag
 		}
-		ctx.Access(arr.Addr(off), int64(n)*8, true)
-		ctx.Compute(int64(n) + 12) // divides plus the square root
+	}
+	ap.chargeComplete(ctx, p, p.End)
+}
 
+// chargeComplete issues complete's charges for panel p's columns before
+// end in the right-looking order: column k's cdiv, then its AXPY into
+// each later column of the panel.
+func (ap *app) chargeComplete(ctx *cool.Ctx, p sparse.Panel, end int) {
+	ps := ap.ps
+	arr := ap.arrs[p.ID]
+	base := ps.PanelOff(p)
+	for k := p.Start; k < end; k++ {
+		n := ps.ColLen(k)
+		ctx.Access(arr.Addr(int(ps.ColPtr[k]-base)), int64(n)*8, true)
+		ctx.Compute(int64(n) + 12) // divides plus the square root
 		for j := k + 1; j < p.End; j++ {
-			mult := col[j-k]
-			src := col[j-k:]
-			doff := ap.colOff(d, j)
-			dst := arr.Data[doff : doff+len(src)]
-			for i := range src {
-				dst[i] -= mult * src[i]
-			}
-			ctx.Access(arr.Addr(doff), int64(len(dst))*8, true)
-			ctx.Compute(int64(2 * len(src)))
+			n := ps.ColLen(j)
+			ctx.Access(arr.Addr(int(ps.ColPtr[j]-base)), int64(n)*8, true)
+			ctx.Compute(int64(2 * n))
 		}
 	}
 }
 
 // applyUpdate performs every cmod from completed panel src into panel
 // dst: for each source column, for each of its stored rows j landing in
-// dst, subtract the scaled source suffix from dst's column j.
+// dst, subtract the scaled source suffix from dst's column j. The source
+// columns go four at a time, so a destination element is loaded and
+// stored once per four of them and still takes its updates in column
+// order. The task holds dst's monitor and src is complete, so nothing
+// observes the arithmetic apart from the charges: those follow in a
+// pass of their own, in the column-at-a-time order (DESIGN §6).
 func (ap *app) applyUpdate(ctx *cool.Ctx, dst, src int) {
 	ps := ap.ps
 	sp, dp := ps.Panels[src], ps.Panels[dst]
@@ -357,33 +397,72 @@ func (ap *app) applyUpdate(ctx *cool.Ctx, dst, src int) {
 			tail = append(tail, rowPair{src: int32(u - hi), dst: int32(q)})
 		}
 	}
-	for k := sp.Start; k < sp.End; k++ {
-		off := ap.colOff(src, k)
-		belowStart := sp.End - k // position of sBelow[0] in column k
-		sCol := sArr.Data[off+belowStart : off+belowStart+len(sBelow)]
-		sTail := sCol[hi:]
-		// Read the below segment of the source column once per column.
-		ctx.Access(sArr.Addr(off+belowStart+lo), int64(len(sBelow)-lo)*8, false)
+	nb := len(sBelow)
+	sBase, dBase := ps.PanelOff(sp), ps.PanelOff(dp)
+	// sOff is the offset of source column k's below segment, whose u-th
+	// entry is row sBelow[u].
+	sOff := func(k int) int { return int(ps.ColPtr[k]-sBase) + sp.End - k }
+	sCol := func(k int) []float64 { off := sOff(k); return sArr.Data[off : off+nb] }
+	k := sp.Start
+	for ; k+4 <= sp.End; k += 4 {
+		c0, c1, c2, c3 := sCol(k), sCol(k+1), sCol(k+2), sCol(k+3)
+		s0, s1, s2, s3 := c0[hi:], c1[hi:], c2[hi:], c3[hi:]
 		for t := lo; t < hi; t++ {
 			j := int(sBelow[t])
-			mult := sCol[t]
-			doff := ap.colOff(dst, j)
+			col := dArr.Data[ps.ColPtr[j]-dBase:]
+			below := col[dp.End-j:] // dst's Below rows of column j
+			rows := sBelow[t:hi]
+			m0, m1, m2, m3 := c0[t], c1[t], c2[t], c3[t]
 			// Rows still inside dst's column range: direct positions.
-			for u := t; u < hi; u++ {
-				dArr.Data[doff+int(sBelow[u])-j] -= mult * sCol[u]
+			i0, i1, i2, i3 := c0[t:hi], c1[t:hi], c2[t:hi], c3[t:hi]
+			for u, r := range rows {
+				p := int(r) - j
+				v := col[p]
+				v -= m0 * i0[u]
+				v -= m1 * i1[u]
+				v -= m2 * i2[u]
+				v -= m3 * i3[u]
+				col[p] = v
 			}
 			// Rows below dst's panel: the hoisted scatter.
-			base2 := doff + (dp.End - j)
-			d := dArr.Data[base2:]
 			for _, pr := range tail {
-				d[pr.dst] -= mult * sTail[pr.src]
+				v := below[pr.dst]
+				v -= m0 * s0[pr.src]
+				v -= m1 * s1[pr.src]
+				v -= m2 * s2[pr.src]
+				v -= m3 * s3[pr.src]
+				below[pr.dst] = v
 			}
-			last := base2
-			if len(tail) > 0 {
-				last += int(tail[len(tail)-1].dst)
+		}
+	}
+	for ; k < sp.End; k++ { // the last one to three source columns
+		c := sCol(k)
+		s := c[hi:]
+		for t := lo; t < hi; t++ {
+			j := int(sBelow[t])
+			col := dArr.Data[ps.ColPtr[j]-dBase:]
+			below := col[dp.End-j:]
+			mult := c[t]
+			in := c[t:hi]
+			for u, r := range sBelow[t:hi] {
+				col[int(r)-j] -= mult * in[u]
 			}
-			ctx.Access(dArr.Addr(doff), int64(last-doff+1)*8, true)
-			ctx.Compute(int64(2 * (len(sBelow) - t)))
+			for _, pr := range tail {
+				below[pr.dst] -= mult * s[pr.src]
+			}
+		}
+	}
+	last := 0 // position of the last scattered row among dst's Below rows
+	if len(tail) > 0 {
+		last = int(tail[len(tail)-1].dst)
+	}
+	for k := sp.Start; k < sp.End; k++ {
+		// Read the below segment of the source column once per column.
+		ctx.Access(sArr.Addr(sOff(k)+lo), int64(nb-lo)*8, false)
+		for t := lo; t < hi; t++ {
+			j := int(sBelow[t])
+			ctx.Access(dArr.Addr(int(ps.ColPtr[j]-dBase)), int64(dp.End-j+last+1)*8, true)
+			ctx.Compute(int64(2 * (nb - t)))
 		}
 	}
 }
