@@ -1,6 +1,7 @@
 package cool_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -298,5 +299,55 @@ func TestRedistributedCounterThroughReportNative(t *testing.T) {
 	}
 	if r.SetSplits != 0 {
 		t.Errorf("SetSplits = %d, want 0", r.SetSplits)
+	}
+}
+
+// TestFlakyWindowCountsOnceOnBothBackends opens one flaky window on P1
+// while the root task runs on P0 and spawns nothing, so no launch is
+// ever struck: both backends count the window once, when it opens.
+func TestFlakyWindowCountsOnceOnBothBackends(t *testing.T) {
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			rt, err := cool.NewRuntime(cool.Config{
+				Processors: 2,
+				Backend:    be.b,
+				Faults:     cool.NewFaultPlan().FlakyProcessor(1, 0, 1000),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Run(func(ctx *cool.Ctx) { time.Sleep(5 * time.Millisecond) }); err != nil {
+				t.Fatal(err)
+			}
+			if got := rt.Report().Total.FaultEvents; got != 1 {
+				t.Fatalf("FaultEvents = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// TestTraceDumpReportsDrops overflows a small trace on both backends:
+// the dump must say that events were dropped.
+func TestTraceDumpReportsDrops(t *testing.T) {
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: be.b, TraceCapacity: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = rt.Run(func(ctx *cool.Ctx) {
+				ctx.WaitFor(func() {
+					for i := 0; i < 100; i++ {
+						ctx.Spawn("w", func(c *cool.Ctx) { c.Compute(10) })
+					}
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dump := rt.TraceDump(); !strings.Contains(dump, "events dropped") {
+				t.Fatalf("dump does not report drops:\n%s", dump)
+			}
+		})
 	}
 }

@@ -284,7 +284,6 @@ func (rt *Runtime) initSim() error {
 	if c.TraceCapacity > 0 {
 		rt.enableTracing(c.TraceCapacity)
 	}
-	rt.eng.SetSnapshot(rt.sched.Snapshot)
 	if c.CycleLimit > 0 {
 		rt.eng.SetCycleLimit(c.CycleLimit)
 	}
@@ -296,7 +295,7 @@ func (rt *Runtime) initSim() error {
 		if err != nil {
 			return err
 		}
-		rt.installRetry(pol)
+		rt.sched.Retry = pol
 	}
 	if c.Faults != nil {
 		if err := rt.applyFaults(c.Faults); err != nil {
@@ -471,15 +470,15 @@ func (rt *Runtime) Run(main func(*Ctx)) (err error) {
 		}
 	}()
 	if rt.backend == BackendNative {
-		return rt.wrapRunError(rt.nat.Run(func(nc *native.Ctx) {
+		return rt.nat.Run(func(nc *native.Ctx) {
 			main(&Ctx{nc: nc, rt: rt})
-		}))
+		})
 	}
 	st := rt.newSimTask()
 	st.fn = main
 	st.td.Class, st.td.Server, st.td.Slot = core.ClassProcessor, 0, -1
 	rt.startSimTask(st, "main", 0)
-	return rt.wrapRunError(rt.eng.Run())
+	return rt.eng.Run()
 }
 
 // ElapsedCycles returns the parallel execution time after Run: the

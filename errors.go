@@ -2,11 +2,8 @@ package cool
 
 import (
 	"fmt"
-	"strings"
 
-	"github.com/coolrts/cool/internal/core"
 	"github.com/coolrts/cool/internal/fault"
-	"github.com/coolrts/cool/internal/sim"
 )
 
 // UnsupportedOnNativeError is returned by NewRuntime when a
@@ -39,20 +36,7 @@ type WaitEdge = fault.WaitEdge
 // DeadlockError is returned by Run when tasks remain blocked forever.
 // Waits lists each blocked task with the monitor, condition variable, or
 // waitfor scope it is parked on — the wait-for graph of the deadlock.
-type DeadlockError struct {
-	Time  int64 // simulated cycle the run stopped
-	Waits []WaitEdge
-}
-
-func (e *DeadlockError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cool: deadlock at cycle %d: %d task(s) blocked forever", e.Time, len(e.Waits))
-	for _, w := range e.Waits {
-		b.WriteString("\n  ")
-		b.WriteString(w.String())
-	}
-	return b.String()
-}
+type DeadlockError = fault.Deadlock
 
 // NoProgressError is returned by Run when the no-progress watchdog
 // fired with work still outstanding: on the simulator, Config.CycleLimit
@@ -74,62 +58,3 @@ type TaskAbortError = fault.TaskAbort
 // carries a progress snapshot: per-server queue depths and the blocked
 // tasks with what they wait on.
 type DeadlineExceededError = fault.DeadlineExceeded
-
-// wrapRunError converts the simulator's failures into the public typed
-// errors. *TaskPanicError, *TaskAbortError and *NoProgressError from
-// either engine, and the native timekeeper's *DeadlineExceededError, are
-// declared once (internal/fault) and pass through as they are; the
-// simulator's deadlock and deadline stops need the scheduler's knowledge
-// of what blocked tasks wait on. On the native backend Time is wall-clock
-// nanoseconds since Run started, every cycle-denominated field
-// (Deadline, CycleLimit) carries the nanosecond quantity the run was
-// configured with, and the fields only the simulator can know —
-// per-processor Clocks and the blocked-task wait-for graph — stay zero.
-func (rt *Runtime) wrapRunError(err error) error {
-	switch f := err.(type) {
-	case *sim.DeadlockError:
-		de := &DeadlockError{Time: f.Time}
-		for _, t := range f.Tasks {
-			de.Waits = append(de.Waits, waitEdge(t))
-		}
-		return de
-	case *sim.DeadlineError:
-		de := &DeadlineExceededError{
-			Deadline:     f.Deadline,
-			Time:         f.Time,
-			LiveTasks:    f.Live,
-			BlockedTasks: len(f.Blocked),
-			Clocks:       f.Clocks,
-			QueueDepths:  rt.sched.QueueDepths(),
-		}
-		for _, t := range f.Blocked {
-			de.Waits = append(de.Waits, waitEdge(t))
-		}
-		return de
-	}
-	return err
-}
-
-// waitEdge derives the wait-for edge for one blocked task from the
-// BlockedOn marker its descriptor recorded before parking.
-func waitEdge(t *sim.Task) WaitEdge {
-	w := WaitEdge{Task: t.Name, On: "unknown"}
-	td, ok := t.Data.(*core.TaskDesc)
-	if !ok {
-		return w
-	}
-	switch on := td.BlockedOn.(type) {
-	case *core.Monitor:
-		w.On = "monitor"
-		w.Object = on.Addr
-		if o := on.Owner(); o != nil && o.T != nil {
-			w.Holder = o.T.Name
-		}
-	case *core.Cond:
-		w.On = "condition"
-	case *core.Scope:
-		w.On = "scope"
-		w.Pending = on.Pending()
-	}
-	return w
-}

@@ -146,8 +146,9 @@ func RandomChaosPlan(seed int64, procs, clusters, n int, tasks []string) *FaultP
 	return &FaultPlan{plan: *fault.RandomChaos(seed, procs, clusters, n, tasks)}
 }
 
-// applyFaults validates the plan against the machine and arms every
-// event on the engine's event heap before the run starts.
+// applyFaults validates the plan against the machine, arms every timed
+// event on the engine's event heap before the run starts, and hands the
+// engine the plan's injector for the spawn- and launch-time faults.
 func (rt *Runtime) applyFaults(p *FaultPlan) error {
 	if err := p.plan.Validate(rt.cfg.Processors, rt.cfg.Clusters()); err != nil {
 		return fmt.Errorf("cool: invalid Config.Faults: %w", err)
@@ -177,17 +178,13 @@ func (rt *Runtime) applyFaults(p *FaultPlan) error {
 				rt.caches.DegradeMemory(ev.Cluster, ev.Factor)
 				rt.sched.NoteFault(rt.eng.Now(), ev.Cluster*rt.cfg.ClusterSize, "memdegrade", ev.Factor)
 			})
-		case fault.TaskPanic:
-			rt.eng.InjectTaskPanic(ev.Task, ev.Nth)
-		case fault.TaskFail:
-			rt.eng.InjectTaskAbort(ev.Task, ev.Nth)
 		case fault.Flaky:
-			rt.eng.AddFlakyWindow(ev.Proc, ev.At, ev.At+ev.Cycles)
 			rt.eng.At(ev.At, func() {
 				rt.sched.NoteFault(rt.eng.Now(), ev.Proc, "flaky", ev.Cycles)
 			})
 		}
 	}
+	rt.eng.SetInjector(fault.NewInjector(&p.plan, rt.cfg.Processors))
 	rt.eng.SetFailHandler(func(p *sim.Proc, running *sim.Task, now int64) {
 		rt.sched.FailServer(p.ID, running, now)
 	})

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
 
+	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/sim"
 	"github.com/coolrts/cool/internal/trace"
 )
@@ -29,39 +28,21 @@ func (s *Scheduler) ServerAlive(sv int) bool { return !s.dead.Has(sv) }
 // surviving server (Topo.NearestAlive).
 func (s *Scheduler) aliveServer(sv int) int { return s.topo.NearestAlive(sv, s.dead) }
 
-// spreadAlive returns surviving servers in rotation, for load-balanced
-// redistribution of tasks with no binding affinity.
-func (s *Scheduler) spreadAlive() int {
-	n := s.Cfg.Processors
-	for i := 0; i < n; i++ {
-		v := s.failRR % n
-		s.failRR++
-		if !s.dead.Has(v) {
-			return v
-		}
+// failoverTarget picks the surviving server for one redistributed task
+// (Topo.Failover) and re-homes a task-affinity set there, so the rest
+// of the set follows.
+func (s *Scheduler) failoverTarget(td *TaskDesc) int {
+	tgt := s.topo.Failover(td.Class, td.Server, s.liveSetHome(td), s.dead, s.nextFailRR)
+	if td.Class == ClassTaskSet {
+		s.setHome[td.AffObj] = tgt
 	}
-	return 0
+	return tgt
 }
 
-// failoverTarget picks the surviving server for one redistributed task.
-// Task-affinity sets move as a unit (the first member picks the new
-// home, the rest follow); object-bound tasks stay as close to their
-// object's home memory as possible; everything else is spread for load
-// balance.
-func (s *Scheduler) failoverTarget(td *TaskDesc) int {
-	switch td.Class {
-	case ClassTaskSet:
-		if h := s.liveSetHome(td); h >= 0 {
-			return h
-		}
-		tgt := s.spreadAlive()
-		s.setHome[td.AffObj] = tgt
-		return tgt
-	case ClassObjectBound:
-		return s.aliveServer(td.Server)
-	default:
-		return s.spreadAlive()
-	}
+// nextFailRR advances the failover spread's rotation cursor.
+func (s *Scheduler) nextFailRR() int {
+	s.failRR++
+	return s.failRR - 1
 }
 
 // moveTo re-enqueues a drained task on a surviving server.
@@ -139,18 +120,35 @@ func (s *Scheduler) NoteFault(now int64, proc int, what string, arg int64) {
 
 // Snapshot renders the per-server queue state — the diagnostic embedded
 // in no-progress watchdog errors.
-func (s *Scheduler) Snapshot() string {
-	var b strings.Builder
-	b.WriteString("scheduler queues:")
-	total := 0
-	for _, sv := range s.Srv {
-		state := ""
-		if s.dead.Has(sv.id) {
-			state = " dead"
-		}
-		fmt.Fprintf(&b, " P%d:%d%s", sv.id, sv.queued, state)
-		total += sv.queued
+func (s *Scheduler) Snapshot() string { return FormatQueues(s.QueueDepths()) }
+
+// QueueDepths returns the number of tasks queued on each server (dead
+// servers report -1) — the progress snapshot embedded in deadline
+// errors.
+func (s *Scheduler) QueueDepths() []int {
+	return s.topo.QueueDepths(s.dead, func(sv int) int { return s.Srv[sv].queued })
+}
+
+// WaitEdge derives the wait-for edge of one blocked task from the
+// BlockedOn marker its descriptor recorded before parking.
+func (s *Scheduler) WaitEdge(t *sim.Task) fault.WaitEdge {
+	w := fault.WaitEdge{Task: t.Name, On: "unknown"}
+	td, ok := t.Data.(*TaskDesc)
+	if !ok {
+		return w
 	}
-	fmt.Fprintf(&b, " (total %d queued)", total)
-	return b.String()
+	switch on := td.BlockedOn.(type) {
+	case *Monitor:
+		w.On = "monitor"
+		w.Object = on.Addr
+		if o := on.Owner(); o != nil && o.T != nil {
+			w.Holder = o.T.Name
+		}
+	case *Cond:
+		w.On = "condition"
+	case *Scope:
+		w.On = "scope"
+		w.Pending = on.Pending()
+	}
+	return w
 }

@@ -1,9 +1,14 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // This file holds every scheduling decision that is a pure function of
-// the machine shape, the policy and which processors are alive. Both
+// the machine shape, the policy and which processors are alive —
+// placement, failover, retry targets, victim order, the steal gate —
+// and the queue snapshot the stop errors carry. Both
 // engines — the simulator's Scheduler in this package and the goroutine
 // runtime in internal/native — call these and keep only what really
 // differs between them: where the set-home table lives and how it is
@@ -137,6 +142,62 @@ func (t Topo) RetryTarget(class Class, server, failedOn, attempt, setHome int, d
 		}
 	}
 	return t.NearestAlive(failedOn, dead)
+}
+
+// Failover picks the survivor for one task drained off a retired
+// server. A task-affinity set keeps its live home (setHome, -1 when it
+// has none) or else takes the next survivor of the spread, so the
+// engine records that as the set's new home and the rest of the set
+// follows; an object-bound task goes to the survivor nearest its
+// server, staying close to its object's memory; anything else takes the
+// next survivor of the spread. next yields the engine's rotation cursor,
+// one step per call.
+func (t Topo) Failover(class Class, server, setHome int, dead ProcSet, next func() int) int {
+	switch {
+	case class == ClassTaskSet && setHome >= 0 && !dead.Has(setHome):
+		return setHome
+	case class == ClassObjectBound:
+		return t.NearestAlive(server, dead)
+	}
+	for i := 0; i < t.Procs; i++ {
+		if v := next() % t.Procs; !dead.Has(v) {
+			return v
+		}
+	}
+	return 0
+}
+
+// QueueDepths returns the tasks queued on each server, read through
+// queued, with -1 for a dead one: the progress snapshot a deadline error
+// carries.
+func (t Topo) QueueDepths(dead ProcSet, queued func(sv int) int) []int {
+	out := make([]int, t.Procs)
+	for i := range out {
+		if dead.Has(i) {
+			out[i] = -1
+		} else {
+			out[i] = queued(i)
+		}
+	}
+	return out
+}
+
+// FormatQueues renders QueueDepths as the queue snapshot a watchdog
+// error carries.
+func FormatQueues(depths []int) string {
+	var b strings.Builder
+	b.WriteString("scheduler queues:")
+	total := 0
+	for i, d := range depths {
+		if d < 0 {
+			fmt.Fprintf(&b, " P%d:0 dead", i)
+			continue
+		}
+		fmt.Fprintf(&b, " P%d:%d", i, d)
+		total += d
+	}
+	fmt.Fprintf(&b, " (total %d queued)", total)
+	return b.String()
 }
 
 // Rings is one thief's victim probe order, in (thief+d)%Procs order with

@@ -15,47 +15,36 @@ import (
 // task re-runs a body that has had no side effects, so results are
 // unchanged by where (or how often) the launch was attempted.
 
-// SetAbortHandler installs the runtime's retry hook. The handler
-// returns true when it scheduled another attempt (after its backoff),
-// false when the budget is exhausted; nil means any abort fails the
-// run immediately.
-func (s *Scheduler) SetAbortHandler(fn func(td *TaskDesc, failedOn int, now int64) bool) {
-	s.onAbort = fn
-}
-
-// launchAborted consults the engine's transient-fault injections for a
-// fresh launch of td on p. When the launch is struck it either hands
-// the task to the retry hook (counting a retry) or fails the run
-// (counting a give-up); either way p immediately re-enters dispatch so
-// other queued work is not stranded behind the aborted launch.
+// launchAborted consults the engine's injector for a fresh launch of td
+// on p. When the launch is struck it either schedules another attempt
+// under the Retry policy — on the affinity-aware Topo.RetryTarget, fed
+// the live home of the task's set, once the backoff has elapsed —
+// counting a retry, or fails the run, counting a give-up; either way p
+// immediately re-enters dispatch so other queued work is not stranded
+// behind the aborted launch.
 func (s *Scheduler) launchAborted(td *TaskDesc, p *sim.Proc) bool {
 	if !s.Eng.LaunchShouldAbort(td.T, p) {
 		return false
 	}
 	now := p.Clock
-	if s.onAbort != nil && s.onAbort(td, p.ID, now) {
-		s.Mon.Per[p.ID].Retries++
-	} else {
+	attempts := td.T.LaunchAborts()
+	if attempts >= s.Retry.MaxAttempts { // always, when retries are disabled
 		s.Mon.Per[p.ID].GaveUp++
 		s.Trace.Add(now, p.ID, trace.KindRetry, td.T.Name, -1)
-		s.Eng.FailRun(&fault.TaskAbort{Task: td.T.Name, Proc: p.ID, Time: now, Attempts: td.T.LaunchAborts()})
+		s.Eng.FailRun(&fault.TaskAbort{Task: td.T.Name, Proc: p.ID, Time: now, Attempts: attempts})
 		return true
 	}
+	tgt := s.retryTarget(td, p.ID, attempts)
+	s.Trace.Add(now, p.ID, trace.KindRetry, td.T.Name, int64(tgt))
+	s.Eng.At(now+s.Retry.Delay(attempts), func() { s.EnqueueRetry(td, tgt, s.Eng.Now()) })
+	s.Mon.Per[p.ID].Retries++
 	s.Eng.Redispatch(p)
 	return true
 }
 
-// TraceRetry records a retry decision: the launch failed on proc and
-// the next attempt goes to tgt.
-func (s *Scheduler) TraceRetry(now int64, proc int, task string, tgt int) {
-	s.Trace.Add(now, proc, trace.KindRetry, task, int64(tgt))
-}
-
-// RetryTarget picks the server for the next launch attempt of a task
-// whose launch just aborted on failedOn, attempt attempts in: the
-// affinity-aware rotation of Topo.RetryTarget, fed the live home of the
-// task's set.
-func (s *Scheduler) RetryTarget(td *TaskDesc, failedOn, attempt int) int {
+// retryTarget picks the server for the next launch attempt of a task
+// whose launch just aborted on failedOn, attempt attempts in.
+func (s *Scheduler) retryTarget(td *TaskDesc, failedOn, attempt int) int {
 	return s.topo.RetryTarget(td.Class, td.Server, failedOn, attempt, s.liveSetHome(td), s.dead)
 }
 
@@ -90,19 +79,4 @@ func (s *Scheduler) EnqueueRetry(td *TaskDesc, tgt int, now int64) {
 	s.noteEnqueued(sv, 1)
 	s.Trace.Add(now, -1, trace.KindEnqueue, td.T.Name, int64(tgt))
 	s.wake(tgt, now)
-}
-
-// QueueDepths returns the number of tasks queued on each server (dead
-// servers report -1) — the progress snapshot embedded in deadline
-// errors.
-func (s *Scheduler) QueueDepths() []int {
-	out := make([]int, len(s.Srv))
-	for i, sv := range s.Srv {
-		if s.dead.Has(i) {
-			out[i] = -1
-		} else {
-			out[i] = sv.queued
-		}
-	}
-	return out
 }

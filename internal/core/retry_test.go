@@ -12,7 +12,7 @@ func TestRetryTargetPrefersOtherCluster(t *testing.T) {
 	td := mkTask(s, "w", ClassPlain, 1, -1, 0)
 	seen := map[int]bool{}
 	for attempt := 1; attempt <= 4; attempt++ {
-		tgt := s.RetryTarget(td, 1, attempt)
+		tgt := s.retryTarget(td, 1, attempt)
 		if tgt == 1 {
 			t.Fatalf("attempt %d: retry re-placed on the failed processor", attempt)
 		}
@@ -29,7 +29,7 @@ func TestRetryTargetPrefersOtherCluster(t *testing.T) {
 func TestRetryTargetSingleClusterFallsBack(t *testing.T) {
 	s, _ := newSched(t, 4, DefaultPolicy()) // one cluster: no remote servers exist
 	td := mkTask(s, "w", ClassPlain, 2, -1, 0)
-	tgt := s.RetryTarget(td, 2, 1)
+	tgt := s.retryTarget(td, 2, 1)
 	if tgt == 2 || !s.ServerAlive(tgt) {
 		t.Fatalf("target = %d, want a different live processor", tgt)
 	}
@@ -40,7 +40,7 @@ func TestRetryTargetKeepsSetOnItsHome(t *testing.T) {
 	obj := space.AllocPages(64, 0)
 	_, home, slot, _ := s.Place(Affinity{Kind: AffTask, TaskObj: obj}, 0)
 	td := mkTask(s, "set", ClassTaskSet, home, slot, obj)
-	if tgt := s.RetryTarget(td, home, 1); tgt != home {
+	if tgt := s.retryTarget(td, home, 1); tgt != home {
 		t.Fatalf("set member retried to %d, want its home %d (sets must not split)", tgt, home)
 	}
 }
@@ -49,7 +49,7 @@ func TestRetryTargetObjectBoundStaysNearMemory(t *testing.T) {
 	s, space := newSched(t, 8, DefaultPolicy())
 	obj := space.AllocPages(64, 5)
 	td := mkTask(s, "obj", ClassObjectBound, 5, s.topo.SlotOf(obj), obj)
-	tgt := s.RetryTarget(td, 5, 1)
+	tgt := s.retryTarget(td, 5, 1)
 	if tgt == 5 || !s.Cfg.SameCluster(tgt, 5) {
 		t.Fatalf("target = %d, want a different server in the object's cluster", tgt)
 	}
@@ -64,7 +64,7 @@ func TestEnqueueRetryFollowsRehomedSet(t *testing.T) {
 	queued := mkTask(s, "set", ClassTaskSet, home, slot, obj)
 	s.Enqueue(queued, 0)
 	backing := mkTask(s, "set", ClassTaskSet, home, slot, obj)
-	tgt := s.RetryTarget(backing, home, 1)
+	tgt := s.retryTarget(backing, home, 1)
 	s.FailServer(home, nil, 50)
 	s.EnqueueRetry(backing, tgt, 100)
 	if backing.Server != queued.Server {
@@ -77,7 +77,7 @@ func TestEnqueueRetryFollowsRehomedSet(t *testing.T) {
 
 func TestLaunchAbortWithoutHandlerFailsRun(t *testing.T) {
 	s, _ := newSched(t, 4, DefaultPolicy())
-	s.Eng.InjectTaskAbort("w", 0)
+	s.Eng.SetInjector(fault.NewInjector(new(fault.Plan).FailTask("w", 0), 4))
 	s.Enqueue(mkTask(s, "w", ClassPlain, 0, -1, 0), 0)
 	err := s.Eng.Run()
 	var ta *fault.TaskAbort
@@ -94,18 +94,8 @@ func TestLaunchAbortWithoutHandlerFailsRun(t *testing.T) {
 
 func TestLaunchAbortRetriedViaHandler(t *testing.T) {
 	s, _ := newSched(t, 8, DefaultPolicy())
-	s.Eng.InjectTaskAbort("w", 0)
-	s.Eng.InjectTaskAbort("w", 0)
-	s.SetAbortHandler(func(td *TaskDesc, failedOn int, now int64) bool {
-		attempt := td.T.LaunchAborts()
-		if attempt > 3 {
-			return false
-		}
-		tgt := s.RetryTarget(td, failedOn, attempt)
-		s.TraceRetry(now, failedOn, td.T.Name, tgt)
-		s.Eng.At(now+500, func() { s.EnqueueRetry(td, tgt, s.Eng.Now()) })
-		return true
-	})
+	s.Eng.SetInjector(fault.NewInjector(new(fault.Plan).FailTask("w", 0).FailTask("w", 0), 8))
+	s.Retry = fault.RetryPolicy{MaxAttempts: 4, Backoff: 500, MaxBackoff: 500}
 	var tds []*TaskDesc
 	for i := 0; i < 4; i++ {
 		tds = append(tds, mkTask(s, "w", ClassPlain, 0, -1, 0))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/machine"
 	"github.com/coolrts/cool/internal/memsim"
 	"github.com/coolrts/cool/internal/perfmon"
@@ -106,9 +107,10 @@ type Scheduler struct {
 	// individual set members) legitimately splits sets.
 	setSplits int64
 
-	// onAbort is the runtime's retry hook for transiently failed task
-	// launches (see retry.go). nil means any abort fails the run.
-	onAbort func(td *TaskDesc, failedOn int, now int64) bool
+	// Retry is the resolved policy for transiently failed task launches
+	// (see retry.go). The zero value disables retries: any abort fails
+	// the run.
+	Retry fault.RetryPolicy
 }
 
 // NewScheduler wires a scheduler to an engine.
@@ -130,6 +132,7 @@ func NewScheduler(cfg machine.Config, pol Policy, eng *sim.Engine, space *memsim
 	}
 	s.rebuildVictimRings()
 	eng.SetDispatcher(s)
+	eng.SetSnapshot(s)
 	return s
 }
 

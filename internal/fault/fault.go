@@ -263,27 +263,6 @@ func (p *Plan) Validate(procs, clusters int) error {
 	return nil
 }
 
-// gen tracks the per-processor state a random generator needs to emit
-// only Validate-clean plans: which processors already fail, and the
-// slowdown/flaky windows already placed on each.
-type gen struct {
-	rng    *rand.Rand
-	p      *Plan
-	failed map[int]bool
-	slow   map[int][]window
-	flaky  map[int][]window
-}
-
-func newGen(seed int64) *gen {
-	return &gen{
-		rng:    rand.New(rand.NewSource(seed)),
-		p:      &Plan{},
-		failed: make(map[int]bool),
-		slow:   make(map[int][]window),
-		flaky:  make(map[int][]window),
-	}
-}
-
 // tryWindow records w for proc in wins unless it overlaps an existing
 // window there.
 func tryWindow(wins map[int][]window, proc int, w window) bool {
@@ -296,46 +275,12 @@ func tryWindow(wins map[int][]window, proc int, w window) bool {
 	return true
 }
 
-// slowOrStall emits a bounded slowdown, degrading to a stall when the
-// window would overlap an earlier slowdown on the same processor.
-func (g *gen) slowOrStall(proc int, at int64) {
-	dur := int64(1 + g.rng.Intn(500_000))
-	factor := int64(2 + g.rng.Intn(7))
-	if tryWindow(g.slow, proc, windowOf(at, dur)) {
-		g.p.Slow(proc, at, factor, dur)
-	} else {
-		g.p.Stall(proc, at, dur/2+1)
-	}
-}
-
 // Random builds a reproducible plan of n non-panic fault events
 // (slowdowns, stalls, memory degradation, and at most procs-1 permanent
 // failures) for stress testing. The same seed always yields the same
 // plan, and every generated plan passes Validate.
 func Random(seed int64, procs, clusters, n int) *Plan {
-	g := newGen(seed)
-	for i := 0; i < n; i++ {
-		at := int64(g.rng.Intn(2_000_000))
-		proc := g.rng.Intn(procs)
-		switch g.rng.Intn(4) {
-		case 0:
-			g.slowOrStall(proc, at)
-		case 1:
-			g.p.Stall(proc, at, int64(1+g.rng.Intn(200_000)))
-		case 2:
-			if clusters > 0 {
-				g.p.DegradeMemory(g.rng.Intn(clusters), at, int64(2+g.rng.Intn(4)))
-			}
-		case 3:
-			if len(g.failed) < procs-1 && !g.failed[proc] {
-				g.failed[proc] = true
-				g.p.Fail(proc, at)
-			} else {
-				g.p.Stall(proc, at, int64(1+g.rng.Intn(100_000)))
-			}
-		}
-	}
-	return g.p
+	return random(seed, procs, clusters, n, 4, procs-1, nil)
 }
 
 // RandomChaos builds a reproducible chaos plan of n events drawn from
@@ -347,41 +292,65 @@ func Random(seed int64, procs, clusters, n int) *Plan {
 // names for targeted transient task failures. Every generated plan
 // passes Validate.
 func RandomChaos(seed int64, procs, clusters, n int, tasks []string) *Plan {
-	g := newGen(seed)
-	maxFails := procs / 2
+	return random(seed, procs, clusters, n, 6, procs/2, tasks)
+}
+
+// random is the one generator loop behind Random and RandomChaos. Each
+// event draws a time, a processor and one of the first kinds event
+// shapes: 0 a slowdown (a stall where it would overlap an earlier
+// slowdown on the processor), 1 a stall, 2 memory degradation, 3 a
+// permanent failure while fewer than maxFails processors fail (a stall
+// otherwise), 4 a flaky window (a stall where it would overlap), 5 a
+// FailTask against tasks (a slowdown when there are none). The
+// per-processor bookkeeping keeps every plan Validate-clean.
+func random(seed int64, procs, clusters, n, kinds, maxFails int, tasks []string) *Plan {
+	rng := rand.New(rand.NewSource(seed))
+	p := &Plan{}
+	failed := make(map[int]bool)
+	slow := make(map[int][]window)
+	flaky := make(map[int][]window)
+	slowOrStall := func(proc int, at int64) {
+		dur := int64(1 + rng.Intn(500_000))
+		factor := int64(2 + rng.Intn(7))
+		if tryWindow(slow, proc, windowOf(at, dur)) {
+			p.Slow(proc, at, factor, dur)
+		} else {
+			p.Stall(proc, at, dur/2+1)
+		}
+	}
 	for i := 0; i < n; i++ {
-		at := int64(g.rng.Intn(2_000_000))
-		proc := g.rng.Intn(procs)
-		switch g.rng.Intn(6) {
+		at := int64(rng.Intn(2_000_000))
+		proc := rng.Intn(procs)
+		switch rng.Intn(kinds) {
 		case 0:
-			g.slowOrStall(proc, at)
+			slowOrStall(proc, at)
 		case 1:
-			g.p.Stall(proc, at, int64(1+g.rng.Intn(200_000)))
+			p.Stall(proc, at, int64(1+rng.Intn(200_000)))
 		case 2:
 			if clusters > 0 {
-				g.p.DegradeMemory(g.rng.Intn(clusters), at, int64(2+g.rng.Intn(4)))
+				p.DegradeMemory(rng.Intn(clusters), at, int64(2+rng.Intn(4)))
 			}
 		case 3:
-			if len(g.failed) < maxFails && !g.failed[proc] {
-				g.failed[proc] = true
-				g.p.Fail(proc, at)
+			if len(failed) < maxFails && !failed[proc] {
+				failed[proc] = true
+				p.Fail(proc, at)
 			} else {
-				g.p.Stall(proc, at, int64(1+g.rng.Intn(100_000)))
+				p.Stall(proc, at, int64(1+rng.Intn(100_000)))
 			}
 		case 4:
-			dur := int64(1 + g.rng.Intn(100_000))
-			if tryWindow(g.flaky, proc, windowOf(at, dur)) {
-				g.p.Flaky(proc, at, dur)
+			dur := int64(1 + rng.Intn(100_000))
+			if tryWindow(flaky, proc, windowOf(at, dur)) {
+				p.Flaky(proc, at, dur)
 			} else {
-				g.p.Stall(proc, at, dur)
+				p.Stall(proc, at, dur)
 			}
 		case 5:
 			if len(tasks) > 0 {
-				g.p.FailTask(tasks[g.rng.Intn(len(tasks))], g.rng.Intn(8))
+				p.FailTask(tasks[rng.Intn(len(tasks))], rng.Intn(8))
 			} else {
-				g.slowOrStall(proc, at)
+				slowOrStall(proc, at)
 			}
 		}
 	}
-	return g.p
+	return p
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func TestValidateCatchesBadEvents(t *testing.T) {
 // field values the builders never produce — at Validate and checks it
 // errors (or accepts) deterministically without panicking.
 func TestValidatePropertyNeverPanics(t *testing.T) {
-	rng := newGen(42).rng
+	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 2000; trial++ {
 		n := rng.Intn(8)
 		p := &Plan{}

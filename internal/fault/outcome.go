@@ -6,10 +6,10 @@ import (
 )
 
 // This file declares, once, what both engines report when a fault (or a
-// plain application panic) ends a task or a stop ends the run: the
-// error shapes Run returns as-is through the public API, the panic
-// value a plan plants, and the retry policy that decides whether a
-// transient abort is an error at all.
+// plain application panic) ends a task or a stop ends the run: every
+// error shape Run returns as-is through the public API, the panic value
+// a plan plants, and the retry policy that decides whether a transient
+// abort is an error at all.
 
 // TaskFailure reports a task whose body panicked (or had a panic planted
 // by a fault plan): public as cool.TaskPanicError.
@@ -70,11 +70,35 @@ func (w WaitEdge) String() string {
 	return b.String()
 }
 
+// Deadlock reports tasks blocked forever at the end of a simulated run:
+// public as cool.DeadlockError. Waits lists each blocked task with the
+// monitor, condition variable, or waitfor scope it is parked on — the
+// wait-for graph of the deadlock. The native backend has no deadlock
+// detector; its watchdog reports a hang as NoProgress.
+type Deadlock struct {
+	Time  int64 // simulated cycle the run stopped
+	Waits []WaitEdge
+}
+
+func (e *Deadlock) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cool: deadlock at cycle %d: %d task(s) blocked forever", e.Time, len(e.Waits))
+	writeWaits(&b, e.Waits)
+	return b.String()
+}
+
+// writeWaits appends one indented line per wait-for edge.
+func writeWaits(b *strings.Builder, waits []WaitEdge) {
+	for _, w := range waits {
+		b.WriteString("\n  ")
+		b.WriteString(w.String())
+	}
+}
+
 // NoProgress reports that the no-progress watchdog fired with work
-// still outstanding: public as cool.NoProgressError. The native
-// timekeeper constructs it directly (nanoseconds for cycles; no
-// BlockedTasks, no Clocks); the facade builds it from the simulator's
-// watchdog error.
+// still outstanding: public as cool.NoProgressError. Both engines build
+// it; the native timekeeper reads nanoseconds for cycles and leaves
+// BlockedTasks and Clocks zero.
 type NoProgress struct {
 	// CycleLimit is the limit that fired: Config.CycleLimit in
 	// simulated cycles, or the native watchdog window in wall-clock
@@ -98,9 +122,8 @@ func (e *NoProgress) Error() string {
 
 // DeadlineExceeded reports that time passed the configured run deadline
 // with work still outstanding: public as cool.DeadlineExceededError.
-// The native timekeeper constructs it directly (nanoseconds for cycles;
-// no Clocks, no wait-for graph); the facade builds it from the
-// simulator's deadline error, which carries *sim.Task.
+// Both engines build it; the native timekeeper reads nanoseconds for
+// cycles and leaves BlockedTasks, Clocks and the wait-for graph zero.
 type DeadlineExceeded struct {
 	Deadline     int64
 	Time         int64      // simulated cycle the run stopped
@@ -115,10 +138,7 @@ func (e *DeadlineExceeded) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cool: deadline %d exceeded at t=%d with %d live task(s), %d blocked; queues=%v",
 		e.Deadline, e.Time, e.LiveTasks, e.BlockedTasks, e.QueueDepths)
-	for _, w := range e.Waits {
-		b.WriteString("\n  ")
-		b.WriteString(w.String())
-	}
+	writeWaits(&b, e.Waits)
 	return b.String()
 }
 

@@ -11,13 +11,14 @@ import (
 	"github.com/coolrts/cool/internal/trace"
 )
 
-// This file ports the robustness stack to the native backend: wall-clock
-// fault injection (worker retirement, slowdowns, stalls, flaky windows,
-// injected task panics and transient launch failures), affinity-aware
-// retries with backoff, run deadlines, and a no-progress watchdog. The
-// semantics are the simulator's (internal/core/degrade.go and retry.go,
-// with the nearest-survivor and retry-rotation rules shared through
-// core.Topo) and simulated cycles read as wall-clock nanoseconds; the
+// This file applies the fault layer on the native backend: wall-clock
+// fault events (worker retirement, slowdowns, stalls, flaky windows),
+// the plan's injector (planted panics and launch aborts, flaky strikes),
+// affinity-aware retries with backoff, run deadlines, and a no-progress
+// watchdog. Every fault decision is made once, for both engines: which
+// launch a plan strikes and what a stopped run reports in
+// internal/fault, the failover, retry target and queue snapshot in
+// core.Topo. Simulated cycles read as wall-clock nanoseconds; the
 // differences are documented in DESIGN.md §9.
 //
 // Concurrency ground rules, extending the protocol of DESIGN.md §10:
@@ -29,7 +30,7 @@ import (
 //     acquisition) and reroutes; any insert that completed earlier is
 //     swept up by the drain. No task is lost in the race between
 //     placement and retirement.
-//   - Timed fault events (slowdown, stall, fail) are applied by the
+//   - Timed fault events (slowdown, stall, fail, flaky) are applied by the
 //     victim worker's own goroutine at its dispatch points, so the
 //     fault counters keep the one-writer-per-row perfmon contract.
 //   - The timekeeper goroutine delivers due retries and fires
@@ -37,60 +38,16 @@ import (
 //     are counted by the aborting worker; the timekeeper's lock
 //     contention goes to a private scratch row).
 
-// nsWindow is a half-open wall-clock window [from, to).
-type nsWindow struct{ from, to int64 }
-
-// workerFaults is one worker's share of the fault plan. It is written
-// only by that worker's own goroutine (pending events are consumed in
-// order at dispatch points); the static flaky windows are read-only
-// after New. idx is atomic only because the timekeeper peeks at it to
-// decide whether the worker has a due event worth waking it for — the
-// worker remains the sole writer.
+// workerFaults is one worker's share of the fault plan's timed events.
+// It is written only by that worker's own goroutine (pending events are
+// consumed in order at dispatch points). idx is atomic only because the
+// timekeeper peeks at it to decide whether the worker has a due event
+// worth waking it for — the worker remains the sole writer.
 type workerFaults struct {
-	pending []fault.Event // timed slowdown/stall/fail events, sorted by At
+	pending []fault.Event // timed slowdown/stall/fail/flaky events, sorted by At
 	idx     atomic.Int32  // next pending event to apply
 
-	flaky    []nsWindow // launch-abort windows, static
-	flakyHit []bool     // window already counted as a fault event
-
 	slowFrom, slowUntil, slowFactor int64 // active slowdown window
-}
-
-// injector tracks per-name spawn sequence numbers and the planted
-// panic/abort injections. Only tracked names pay for the lock: spawn
-// consults the read-only tracked set first.
-type injector struct {
-	mu      sync.Mutex
-	seq     map[string]int
-	panics  map[string]map[int]bool
-	aborts  map[string]map[int]int
-	tracked map[string]bool
-}
-
-// noteSpawn assigns t its per-name creation index and marks a planted
-// panic. Called only for tracked names.
-func (in *injector) noteSpawn(t *task) {
-	in.mu.Lock()
-	idx := in.seq[t.name]
-	in.seq[t.name] = idx + 1
-	t.spawnIdx, t.tracked = idx, true
-	if in.panics[t.name][idx] {
-		t.injPanic = true
-	}
-	in.mu.Unlock()
-}
-
-// consumeAbort consumes one planted transient abort for (name, idx),
-// reporting whether this launch attempt is struck.
-func (in *injector) consumeAbort(name string, idx int) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	set := in.aborts[name]
-	if set == nil || set[idx] <= 0 {
-		return false
-	}
-	set[idx]--
-	return true
 }
 
 // retryItem is one backoff-delayed relaunch.
@@ -137,70 +94,33 @@ func (q *retryQueue) popDue(now int64) (retryItem, bool) {
 	return heap.Pop(&q.items).(retryItem), true
 }
 
-// armFaults partitions a validated plan into per-worker event state and
-// the spawn-time injector. MemDegrade events are dropped: the native
+// armFaults builds the plan's injector and partitions its timed events
+// into per-worker state. MemDegrade events are dropped: the native
 // backend has no memory system to degrade (documented in DESIGN.md §9).
 func (rt *Runtime) armFaults(p *fault.Plan) {
-	var inj *injector
-	getInj := func() *injector {
-		if inj == nil {
-			inj = &injector{
-				seq:     map[string]int{},
-				panics:  map[string]map[int]bool{},
-				aborts:  map[string]map[int]int{},
-				tracked: map[string]bool{},
-			}
-		}
-		return inj
-	}
-	fvs := make([]*workerFaults, len(rt.workers))
-	getFv := func(proc int) *workerFaults {
-		if fvs[proc] == nil {
-			fvs[proc] = &workerFaults{}
-		}
-		return fvs[proc]
-	}
+	rt.inj = fault.NewInjector(p, len(rt.workers))
 	for _, ev := range p.Events {
 		switch ev.Kind {
-		case fault.Slowdown, fault.Stall, fault.Fail:
-			fv := getFv(ev.Proc)
-			fv.pending = append(fv.pending, ev)
-		case fault.Flaky:
-			fv := getFv(ev.Proc)
-			fv.flaky = append(fv.flaky, nsWindow{ev.At, ev.At + ev.Cycles})
-			fv.flakyHit = append(fv.flakyHit, false)
-		case fault.TaskPanic:
-			in := getInj()
-			if in.panics[ev.Task] == nil {
-				in.panics[ev.Task] = map[int]bool{}
+		case fault.Slowdown, fault.Stall, fault.Fail, fault.Flaky:
+			w := rt.workers[ev.Proc]
+			if w.fev == nil {
+				w.fev = &workerFaults{}
 			}
-			in.panics[ev.Task][ev.Nth] = true
-			in.tracked[ev.Task] = true
-		case fault.TaskFail:
-			in := getInj()
-			if in.aborts[ev.Task] == nil {
-				in.aborts[ev.Task] = map[int]int{}
-			}
-			in.aborts[ev.Task][ev.Nth]++
-			in.tracked[ev.Task] = true
-		case fault.MemDegrade:
-			// No memory system to degrade natively; documented no-op.
+			w.fev.pending = append(w.fev.pending, ev)
 		}
 	}
-	for i, fv := range fvs {
-		if fv == nil {
+	for _, w := range rt.workers {
+		if w.fev == nil {
 			continue
 		}
 		// Insertion sort keeps equal-At events applying in plan order.
-		evs := fv.pending
+		evs := w.fev.pending
 		for a := 1; a < len(evs); a++ {
 			for b := a; b > 0 && evs[b].At < evs[b-1].At; b-- {
 				evs[b], evs[b-1] = evs[b-1], evs[b]
 			}
 		}
-		rt.workers[i].fev = fv
 	}
-	rt.inj = inj
 }
 
 // checkFaults applies this worker's due timed fault events at a
@@ -234,6 +154,11 @@ func (rt *Runtime) checkFaults(w *worker, topLevel bool) bool {
 			ctr.FaultEvents++
 			rt.trace(w, trace.KindFault, w.id, "stall", ev.Cycles)
 			rt.sleep(w, time.Duration(ev.Cycles))
+		case fault.Flaky:
+			// The window opens: the injector strikes launches on w inside
+			// it; it is counted once, here, as the simulator counts it.
+			ctr.FaultEvents++
+			rt.trace(w, trace.KindFault, w.id, "flaky", ev.Cycles)
 		case fault.Fail:
 			if !topLevel {
 				fv.idx.Store(int32(i))
@@ -288,11 +213,11 @@ func (rt *Runtime) sleep(w *worker, d time.Duration) {
 	}
 }
 
-// launchAborted consults the transient-fault injections for a launch of
-// t on w — a flaky window on w, or a planted FailTask strike. When the
-// launch is struck it either schedules a retry (affinity-aware target,
-// exponential backoff, delivered by the timekeeper) or stops the run
-// with *fault.TaskAbort. Returns true when the task must not run now.
+// launchAborted asks the plan's injector whether this launch of t on w
+// is struck — a flaky window on w, or a planted FailTask abort. When it
+// is, it either schedules a retry (affinity-aware target, exponential
+// backoff, delivered by the timekeeper) or stops the run with
+// *fault.TaskAbort. Returns true when the task must not run now.
 //
 // Transient aborts strike only here, before the task body has executed
 // a single operation, so a retried launch re-runs a side-effect-free
@@ -300,24 +225,7 @@ func (rt *Runtime) sleep(w *worker, d time.Duration) {
 // panics strike mid-body instead and are never retried.
 func (rt *Runtime) launchAborted(w *worker, t *task) bool {
 	now := rt.nowNS()
-	struck := false
-	if fv := w.fev; fv != nil {
-		for i, win := range fv.flaky {
-			if now >= win.from && now < win.to {
-				struck = true
-				if !fv.flakyHit[i] {
-					fv.flakyHit[i] = true
-					rt.cfg.Mon.Per[w.id].FaultEvents++
-					rt.trace(w, trace.KindFault, w.id, "flaky", win.to-win.from)
-				}
-				break
-			}
-		}
-	}
-	if !struck && t.tracked && rt.inj.consumeAbort(t.name, t.spawnIdx) {
-		struck = true
-	}
-	if !struck {
+	if !rt.inj.Strikes(w.id, now, t.name, t.spawnIdx) {
 		return false
 	}
 	t.aborts++

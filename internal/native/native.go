@@ -106,11 +106,9 @@ type task struct {
 	core.Link[task]
 
 	// Fault-injection state (zero when no plan is armed): the per-name
-	// spawn index assigned by the injector, whether the injector tracks
-	// this name, a planted panic, and the count of aborted launch
-	// attempts so far.
+	// spawn index the injector assigned to a tracked name, a planted
+	// panic, and the count of aborted launch attempts so far.
 	spawnIdx int
-	tracked  bool
 	injPanic bool
 	aborts   int
 
@@ -198,6 +196,7 @@ type worker struct {
 
 	busyNS, idleNS int64
 	events         []trace.Event
+	dropped        int64 // events past TraceCapacity, not recorded
 }
 
 // Runtime is one native program execution.
@@ -260,7 +259,7 @@ type Runtime struct {
 	dead      atomic.Uint64
 	epoch     atomic.Int64
 	armed     bool
-	inj       *injector
+	inj       *fault.Injector
 	retry     fault.RetryPolicy
 	retries   retryQueue
 	completed atomic.Int64 // tasks run or shed to completion, counted only when armed (watchdog progress)
@@ -391,27 +390,37 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 }
 
 // TraceEvents returns the merged per-worker event buffers ordered by
-// timestamp, bounded by Config.TraceCapacity. Call after Run.
-func (rt *Runtime) TraceEvents() []trace.Event {
+// timestamp, bounded by Config.TraceCapacity, and how many events were
+// dropped: past a worker's capacity when recorded, or past the merged
+// bound here. Call after Run.
+func (rt *Runtime) TraceEvents() ([]trace.Event, int64) {
 	var all []trace.Event
+	var dropped int64
 	for _, w := range rt.workers {
 		all = append(all, w.events...)
+		dropped += w.dropped
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
 	if rt.cfg.TraceCapacity > 0 && len(all) > rt.cfg.TraceCapacity {
+		dropped += int64(len(all) - rt.cfg.TraceCapacity)
 		all = all[:rt.cfg.TraceCapacity]
 	}
-	return all
+	return all, dropped
 }
 
 // tracing reports whether the scheduler event trace is on.
 func (rt *Runtime) tracing() bool { return rt.cfg.TraceCapacity > 0 }
 
 // trace records one event into the worker's private buffer (merged and
-// sorted by TraceEvents). Each worker writes only its own buffer, so
-// recording needs no locking.
+// sorted by TraceEvents), counting it as dropped past capacity. Each
+// worker writes only its own buffer and count, so recording needs no
+// locking.
 func (rt *Runtime) trace(w *worker, kind trace.Kind, proc int, name string, arg int64) {
-	if !rt.tracing() || len(w.events) >= rt.cfg.TraceCapacity {
+	if !rt.tracing() {
+		return
+	}
+	if len(w.events) >= rt.cfg.TraceCapacity {
+		w.dropped++
 		return
 	}
 	w.events = append(w.events, trace.Event{Time: rt.nowNS(), Proc: int32(proc), Kind: kind, Task: name, Arg: arg})

@@ -82,9 +82,9 @@ func (rt *Runtime) rearm() {
 	rt.retries.mu.Unlock()
 	rt.tkScratch = perfmon.Counters{}
 
-	// Arm the fault plan from scratch: armFaults builds the per-worker
-	// event state (consumed cursors, flaky hit marks, slow windows) and
-	// the injector's spawn sequence numbers.
+	// Arm the fault plan from scratch: armFaults builds a fresh injector
+	// (spawn counters, planted aborts) and the per-worker event state
+	// (consumed cursors, slow windows).
 	rt.inj = nil
 	for _, w := range rt.workers {
 		w.fev = nil
@@ -96,7 +96,7 @@ func (rt *Runtime) rearm() {
 	for _, w := range rt.workers {
 		w.ringEpoch = -1
 		w.busyNS, w.idleNS = 0, 0
-		w.events = w.events[:0]
+		w.events, w.dropped = w.events[:0], 0
 		w.q.Cur = nil
 		// Accounting hints must already be zero on a clean drain; store
 		// (rather than assert) so a stale hint cannot poison the next run.

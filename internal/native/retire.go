@@ -27,42 +27,28 @@ func (rt *Runtime) aliveWorkers() int {
 // AliveWorkers returns the number of workers not retired.
 func (rt *Runtime) AliveWorkers() int { return rt.aliveWorkers() }
 
-// spreadAlive returns surviving workers in rotation, for load-balanced
-// redistribution of tasks with no binding affinity.
-func (rt *Runtime) spreadAlive() int {
-	n := len(rt.workers)
-	for i := 0; i < n; i++ {
-		v := int(rt.rr.Add(1)-1) % n
-		if !rt.isDead(v) {
-			return v
-		}
+// failoverTarget picks the survivor for one task drained off a retired
+// worker (core.Topo.Failover, spreading through the round-robin cursor)
+// and, for a task-affinity set, records it as the set's home under the
+// set's shard lock, so later members follow.
+func (rt *Runtime) failoverTarget(t *task, ctr *perfmon.Counters) int {
+	if t.Class != core.ClassTaskSet {
+		return rt.topo.Failover(t.Class, t.server, -1, rt.deadSet(), rt.nextRR)
 	}
-	return 0
+	sh := rt.shardOf(t.AffObj)
+	sh.lock(ctr)
+	home, ok := sh.home[t.AffObj]
+	if !ok {
+		home = -1
+	}
+	home = rt.topo.Failover(t.Class, t.server, home, rt.deadSet(), rt.nextRR)
+	sh.home[t.AffObj] = home
+	sh.mu.Unlock()
+	return home
 }
 
-// failoverTarget picks the survivor for one task drained off a retired
-// worker — the simulator scheduler's failoverTarget: a task-affinity set
-// keeps its live home or, when that is dead, re-homes as a unit to a
-// spread survivor (under its shard lock, so later members follow);
-// object-bound tasks go to the nearest survivor; everything else
-// spreads.
-func (rt *Runtime) failoverTarget(t *task, ctr *perfmon.Counters) int {
-	switch t.Class {
-	case core.ClassTaskSet:
-		sh := rt.shardOf(t.AffObj)
-		sh.lock(ctr)
-		sv, ok := sh.home[t.AffObj]
-		if !ok || rt.isDead(sv) {
-			sv = rt.spreadAlive()
-			sh.home[t.AffObj] = sv
-		}
-		sh.mu.Unlock()
-		return sv
-	case core.ClassObjectBound:
-		return rt.topo.NearestAlive(t.server, rt.deadSet())
-	}
-	return rt.spreadAlive()
-}
+// nextRR advances the round-robin cursor.
+func (rt *Runtime) nextRR() int { return int(rt.rr.Add(1) - 1) }
 
 // retireWith permanently stops worker w — the fault plan's kill, the
 // native twin of the simulator's FailServer: mark the dead bit, drain

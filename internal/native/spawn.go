@@ -21,8 +21,8 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 	t := rt.newTask(c.w)
 	t.name, t.fn, t.payload, t.mon, t.idx = name, fn, payload, mon, idx
 	t.scope, t.deadlineNS = c.scope, deadlineNS
-	if in := rt.inj; in != nil && in.tracked[name] {
-		in.noteSpawn(t) // assigns the per-name index a fault plan targets
+	if in := rt.inj; in != nil && in.Tracks(name) {
+		t.spawnIdx, t.injPanic = in.Spawn(name) // the per-name index a fault plan targets
 	}
 	rt.placeTask(t, a, from) // may panic in cfg.Home; no accounting yet
 	if t.scope != nil {
@@ -70,8 +70,8 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		t.scope = c.scope
 		a, mon, dl := get(i)
 		t.mon, t.deadlineNS = mon, dl
-		if in := rt.inj; in != nil && in.tracked[name] {
-			in.noteSpawn(t)
+		if in := rt.inj; in != nil && in.Tracks(name) {
+			t.spawnIdx, t.injPanic = in.Spawn(name)
 		}
 		// May panic in cfg.Home; nothing accounted yet. Set members
 		// resolve their home under the shard lock at publish time

@@ -1,10 +1,9 @@
 package native
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
+	"github.com/coolrts/cool/internal/core"
 	"github.com/coolrts/cool/internal/fault"
 )
 
@@ -34,34 +33,7 @@ func (rt *Runtime) stop(err error) {
 // queueDepths returns the tasks queued per worker (dead workers report
 // -1) — the progress snapshot embedded in deadline and watchdog errors.
 func (rt *Runtime) queueDepths() []int {
-	out := make([]int, len(rt.workers))
-	for i, w := range rt.workers {
-		if rt.isDead(i) {
-			out[i] = -1
-		} else {
-			out[i] = int(w.queued.Load())
-		}
-	}
-	return out
-}
-
-// snapshot renders the per-worker queue state for watchdog errors, in
-// the same shape as the simulator scheduler's Snapshot.
-func (rt *Runtime) snapshot() string {
-	var b strings.Builder
-	b.WriteString("scheduler queues:")
-	total := 0
-	for i, w := range rt.workers {
-		state := ""
-		if rt.isDead(i) {
-			state = " dead"
-		}
-		q := int(w.queued.Load())
-		fmt.Fprintf(&b, " P%d:%d%s", i, q, state)
-		total += q
-	}
-	fmt.Fprintf(&b, " (total %d queued)", total)
-	return b.String()
+	return rt.topo.QueueDepths(rt.deadSet(), func(i int) int { return int(rt.workers[i].queued.Load()) })
 }
 
 // timekeeperTick is how often the timekeeper samples the clock. Fault
@@ -130,7 +102,7 @@ func (rt *Runtime) timekeeper() {
 					CycleLimit: rt.noProgressNS,
 					Time:       now,
 					LiveTasks:  int(rt.live.Load()),
-					Snapshot:   rt.snapshot(),
+					Snapshot:   core.FormatQueues(rt.queueDepths()),
 				})
 				return
 			}

@@ -48,8 +48,7 @@ func newAbortEngine(t *testing.T, procs, max int) (*Engine, *abortDisp) {
 
 func TestInjectedAbortsAreConsumedAndRetried(t *testing.T) {
 	e, d := newAbortEngine(t, 1, 5)
-	e.InjectTaskAbort("w", 0)
-	e.InjectTaskAbort("w", 0) // stack a second failed attempt on the same spawn
+	e.SetInjector(fault.NewInjector(new(fault.Plan).FailTask("w", 0).FailTask("w", 0), 1)) // stack a second failed attempt on the same spawn
 	var tasks []*Task
 	for i := 0; i < 3; i++ {
 		tk := e.NewTask("w", 0, func(c *Ctx) { c.Charge(100) })
@@ -71,7 +70,7 @@ func TestInjectedAbortsAreConsumedAndRetried(t *testing.T) {
 
 func TestAbortWithoutRetryBudgetFailsRun(t *testing.T) {
 	e, d := newAbortEngine(t, 1, 0)
-	e.InjectTaskAbort("w", 0)
+	e.SetInjector(fault.NewInjector(new(fault.Plan).FailTask("w", 0), 1))
 	d.add(e.NewTask("w", 0, func(c *Ctx) { c.Charge(100) }))
 	err := e.Run()
 	var ta *fault.TaskAbort
@@ -88,7 +87,7 @@ func TestAbortWithoutRetryBudgetFailsRun(t *testing.T) {
 
 func TestFlakyWindowAbortsFreshLaunches(t *testing.T) {
 	e, d := newAbortEngine(t, 1, 8)
-	e.AddFlakyWindow(0, 0, 500)
+	e.SetInjector(fault.NewInjector(new(fault.Plan).Flaky(0, 0, 500), 1))
 	tk := e.NewTask("w", 0, func(c *Ctx) { c.Charge(100) })
 	d.add(tk)
 	if err := e.Run(); err != nil {
@@ -108,7 +107,7 @@ func TestContinuationsAreNeverAborted(t *testing.T) {
 	// continuation inside the window must not abort (a partially executed
 	// body cannot be re-run). Budget 0 makes any abort fatal.
 	e, d := newAbortEngine(t, 1, 0)
-	e.AddFlakyWindow(0, 500, 2000)
+	e.SetInjector(fault.NewInjector(new(fault.Plan).Flaky(0, 500, 1500), 1))
 	woke := false
 	tk := e.NewTask("w", 0, func(c *Ctx) {
 		c.Charge(300)
@@ -144,15 +143,15 @@ func TestDeadlineStopsOverBudgetRun(t *testing.T) {
 		}
 	}))
 	err := e.Run()
-	var de *DeadlineError
+	var de *fault.DeadlineExceeded
 	if !errors.As(err, &de) {
-		t.Fatalf("err = %v (%T), want *DeadlineError", err, err)
+		t.Fatalf("err = %v (%T), want *fault.DeadlineExceeded", err, err)
 	}
-	if de.Deadline != 10_000 || de.Live != 2 || len(de.Clocks) != 2 {
+	if de.Deadline != 10_000 || de.LiveTasks != 2 || len(de.Clocks) != 2 {
 		t.Fatalf("deadline error = %+v", de)
 	}
-	if len(de.Blocked) != 1 || de.Blocked[0].Name != "stuck" {
-		t.Fatalf("blocked = %v, want [stuck]", de.Blocked)
+	if de.BlockedTasks != 1 || len(de.Waits) != 1 || de.Waits[0].Task != "stuck" {
+		t.Fatalf("blocked = %v, want [stuck]", de.Waits)
 	}
 }
 
@@ -178,8 +177,7 @@ func TestDeadlineUnreachedLeavesRunUntouched(t *testing.T) {
 func TestAbortedRunsAreDeterministic(t *testing.T) {
 	run := func() []int64 {
 		e, d := newAbortEngine(t, 4, 6)
-		e.AddFlakyWindow(1, 0, 900)
-		e.InjectTaskAbort("w", 3)
+		e.SetInjector(fault.NewInjector(new(fault.Plan).Flaky(1, 0, 900).FailTask("w", 3), 4))
 		for i := 0; i < 16; i++ {
 			d.add(e.NewTask("w", 0, func(c *Ctx) { c.Charge(777) }))
 		}

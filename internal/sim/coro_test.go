@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/coolrts/cool/internal/fault"
 )
 
 // TestCoroutinesArePooled verifies that the number of coroutines a run
@@ -79,8 +81,8 @@ func TestTeardownUnwindsReusedCoroutine(t *testing.T) {
 	})
 	d.add(first)
 	d.add(stuck)
-	var de *DeadlockError
-	if err := e.Run(); !errors.As(err, &de) || len(de.Tasks) != 1 || de.Tasks[0] != stuck {
+	var de *fault.Deadlock
+	if err := e.Run(); !errors.As(err, &de) || len(de.Waits) != 1 || de.Waits[0].Task != stuck.Name {
 		t.Fatalf("err = %v, want a deadlock on stuck", err)
 	}
 	if len(e.coros) != 1 {

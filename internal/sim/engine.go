@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+
+	"github.com/coolrts/cool/internal/fault"
 )
 
 // Dispatcher supplies tasks to idle processors. Dispatch may charge
@@ -46,11 +48,10 @@ type Proc struct {
 	dispatchEpoch uint64
 
 	// Fault-injection state (see fault.go).
-	failed      bool       // retired by FailProc; never dispatches again
-	speedFactor int64      // >1 while degraded: every charge is multiplied
-	slowUntil   int64      // clock at which the slowdown lapses
-	stalled     int64      // cycles lost to injected stalls
-	flaky       []flakyWin // windows during which task launches abort
+	failed      bool  // retired by FailProc; never dispatches again
+	speedFactor int64 // >1 while degraded: every charge is multiplied
+	slowUntil   int64 // clock at which the slowdown lapses
+	stalled     int64 // cycles lost to injected stalls
 }
 
 // Engine drives the simulation.
@@ -74,17 +75,13 @@ type Engine struct {
 	failure   error
 
 	// Fault-injection state (see fault.go).
-	limit    int64         // no-progress watchdog (0 = off)
-	deadline int64         // run deadline in simulated cycles (0 = off)
-	snapshot func() string // scheduler diagnostic for watchdog errors
+	limit    int64       // no-progress watchdog (0 = off)
+	deadline int64       // run deadline in simulated cycles (0 = off)
+	snap     Snapshotter // scheduler diagnostics for the stop errors
 	onFail   func(p *Proc, running *Task, now int64)
-	panicAt  map[string]map[int]bool // task name -> creation indices to panic
-	abortAt  map[string]map[int]int  // task name -> creation index -> launch aborts left
-	spawnSeq map[string]int          // creation-order counter per task name
-	// transient gates the launch-abort check in the dispatch path; it is
-	// set only when an abort injection or flaky window is registered, so
-	// fault-free runs pay a single predictable branch.
-	transient bool
+	// inj is the plan's spawn- and launch-time injection state, nil when
+	// it plants none, so fault-free spawns and launches pay one branch.
+	inj *fault.Injector
 }
 
 // New creates an engine with n processors.

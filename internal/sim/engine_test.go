@@ -146,12 +146,12 @@ func TestDeadlockDetected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
-	var de *DeadlockError
+	var de *fault.Deadlock
 	if !errors.As(err, &de) {
-		t.Fatalf("err = %T, want *DeadlockError", err)
+		t.Fatalf("err = %T, want *fault.Deadlock", err)
 	}
-	if len(de.Tasks) != 1 || de.Tasks[0].Name != "stuck" {
-		t.Fatalf("blocked tasks = %v, want [stuck]", de.Tasks)
+	if len(de.Waits) != 1 || de.Waits[0].Task != "stuck" {
+		t.Fatalf("blocked tasks = %v, want [stuck]", de.Waits)
 	}
 }
 

@@ -1,49 +1,11 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"github.com/coolrts/cool/internal/fault"
 )
-
-// DeadlockError reports tasks blocked forever at the end of a run. The
-// runtime layered above inspects Tasks (and the descriptors hung off
-// their Data fields) to build a wait-for graph.
-type DeadlockError struct {
-	Time  int64
-	Tasks []*Task // blocked tasks, sorted by name for determinism
-}
-
-func (e *DeadlockError) Error() string {
-	names := make([]string, 0, len(e.Tasks))
-	for _, t := range e.Tasks {
-		names = append(names, t.Name)
-	}
-	if len(names) > 8 {
-		names = append(names[:8], "...")
-	}
-	return fmt.Sprintf("sim: deadlock: %d task(s) blocked forever (%s)",
-		len(e.Tasks), strings.Join(names, ", "))
-}
-
-// DeadlineError reports that simulated time passed the configured run
-// deadline with work still outstanding. Unlike the watchdog it is an
-// expected, policy-driven stop: the caller asked for a time budget.
-type DeadlineError struct {
-	Deadline int64
-	Time     int64
-	Live     int     // tasks not yet run to completion
-	Blocked  []*Task // tasks parked on synchronization, sorted by name
-	Clocks   []int64 // per-processor clocks at the stop
-}
-
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("sim: deadline %d exceeded at t=%d with %d live task(s), %d blocked",
-		e.Deadline, e.Time, e.Live, len(e.Blocked))
-}
 
 // At schedules fn at simulated time t (clamped to now). Fault plans use
 // it to pin fault events to simulated time before or during a run.
@@ -54,13 +16,26 @@ func (e *Engine) At(t int64, fn func()) { e.at(t, fn) }
 // continuing (or hanging). 0 disables the watchdog.
 func (e *Engine) SetCycleLimit(limit int64) { e.limit = limit }
 
-// SetSnapshot installs a diagnostic callback whose result is embedded in
-// the watchdog error (the scheduler reports its queue state here).
-func (e *Engine) SetSnapshot(fn func() string) { e.snapshot = fn }
+// Snapshotter is the scheduler's view of a stopped run, embedded in the
+// errors Run returns: its queue state and what each blocked task waits
+// on.
+type Snapshotter interface {
+	Snapshot() string                // queue state, for the watchdog error
+	QueueDepths() []int              // tasks queued per server, -1 for a dead one
+	WaitEdge(t *Task) fault.WaitEdge // what a blocked task waits on
+}
+
+// SetSnapshot installs the scheduler's diagnostics. Without it the
+// errors carry no queue state and every wait edge reads "unknown".
+func (e *Engine) SetSnapshot(s Snapshotter) { e.snap = s }
+
+// SetInjector arms a plan's spawn- and launch-time injections: planted
+// panics, planted launch aborts, and flaky windows. nil disarms them.
+func (e *Engine) SetInjector(in *fault.Injector) { e.inj = in }
 
 // SetDeadline bounds the run to d simulated cycles: once an event past
 // the deadline would fire with work outstanding, Run stops and returns a
-// *DeadlineError. 0 disables the deadline.
+// *fault.DeadlineExceeded. 0 disables the deadline.
 func (e *Engine) SetDeadline(d int64) { e.deadline = d }
 
 // SetFailHandler installs the callback invoked when a processor is
@@ -131,94 +106,18 @@ func (e *Engine) FailProc(p *Proc) {
 	}
 }
 
-// InjectTaskPanic arranges for the nth task created with the given name
-// (0-based creation order) to panic when it first runs.
-func (e *Engine) InjectTaskPanic(name string, nth int) {
-	if e.panicAt == nil {
-		e.panicAt = make(map[string]map[int]bool)
-	}
-	if e.spawnSeq == nil {
-		e.spawnSeq = make(map[string]int)
-	}
-	set := e.panicAt[name]
-	if set == nil {
-		set = make(map[int]bool)
-		e.panicAt[name] = set
-	}
-	set[nth] = true
-}
-
-// InjectTaskAbort arranges for one launch attempt of the nth task
-// created with the given name to abort transiently before its body
-// runs. Calling it again for the same (name, nth) aborts a further
-// attempt of the same spawn.
-func (e *Engine) InjectTaskAbort(name string, nth int) {
-	if e.abortAt == nil {
-		e.abortAt = make(map[string]map[int]int)
-	}
-	if e.spawnSeq == nil {
-		e.spawnSeq = make(map[string]int)
-	}
-	set := e.abortAt[name]
-	if set == nil {
-		set = make(map[int]int)
-		e.abortAt[name] = set
-	}
-	set[nth]++
-	e.transient = true
-}
-
-// flakyWin is a half-open window [from, to) of a processor's clock
-// during which every task launch attempted there aborts transiently.
-type flakyWin struct{ from, to int64 }
-
-// AddFlakyWindow makes every task launch on proc abort transiently
-// while the processor's clock is in [from, to).
-func (e *Engine) AddFlakyWindow(proc int, from, to int64) {
-	p := e.Procs[proc]
-	p.flaky = append(p.flaky, flakyWin{from, to})
-	e.transient = true
-}
-
-// noteSpawn assigns a creation index to tasks whose name has a panic or
-// abort injection registered, and substitutes the panic body where one
-// is planted. Untracked names are skipped so fault-free spawns stay
-// allocation- and bookkeeping-free.
-func (e *Engine) noteSpawn(t *Task) {
-	if e.panicAt[t.Name] == nil && e.abortAt[t.Name] == nil {
-		return
-	}
-	idx := e.spawnSeq[t.Name]
-	e.spawnSeq[t.Name] = idx + 1
-	t.spawnIdx = idx
-	if e.panicAt[t.Name][idx] {
-		name := t.Name
-		t.fn = func(*Ctx) { panic(fault.InjectedPanic{Task: name}) }
-	}
-}
-
 // LaunchShouldAbort reports whether this launch attempt of t on p is
-// struck by transient-fault injection, consuming one injected abort (or
-// matching a flaky window on p) and counting the attempt on the task.
-// Only fresh launches abort: a task whose coroutine has started — a
-// blocked or sliced continuation being resumed — is never aborted,
+// struck by the injector (a flaky window on p, or a planted abort for
+// t's spawn, which the strike consumes), counting the attempt on the
+// task. Only fresh launches abort: a task whose coroutine has started —
+// a blocked or sliced continuation being resumed — is never aborted,
 // because a partially executed body cannot be re-run.
 func (e *Engine) LaunchShouldAbort(t *Task, p *Proc) bool {
-	if !e.transient || t.startedCoro {
+	if e.inj == nil || t.startedCoro || !e.inj.Strikes(p.ID, p.Clock, t.Name, t.spawnIdx) {
 		return false
 	}
-	for _, w := range p.flaky {
-		if p.Clock >= w.from && p.Clock < w.to {
-			t.aborts++
-			return true
-		}
-	}
-	if set := e.abortAt[t.Name]; set != nil && set[t.spawnIdx] > 0 {
-		set[t.spawnIdx]--
-		t.aborts++
-		return true
-	}
-	return false
+	t.aborts++
+	return true
 }
 
 // Redispatch re-queues a dispatch for p at its current clock — used
@@ -242,44 +141,61 @@ func (e *Engine) watchdogError() *fault.NoProgress {
 		Time:         e.now,
 		LiveTasks:    e.liveTasks,
 		BlockedTasks: len(e.blocked),
-		Clocks:       make([]int64, len(e.Procs)),
+		Clocks:       e.clocks(),
 	}
-	for i, p := range e.Procs {
-		w.Clocks[i] = p.Clock
-	}
-	if e.snapshot != nil {
-		w.Snapshot = e.snapshot()
+	if e.snap != nil {
+		w.Snapshot = e.snap.Snapshot()
 	}
 	return w
 }
 
 // deadlineError builds the diagnostic returned when the run deadline is
-// exceeded, carrying the blocked-task set so the runtime above can
-// derive wait-for edges exactly as it does for deadlocks.
-func (e *Engine) deadlineError(at int64) *DeadlineError {
-	d := &DeadlineError{
-		Deadline: e.deadline,
-		Time:     at, // time of the first event past the deadline, not e.now (which lags it)
-		Live:     e.liveTasks,
-		Blocked:  make([]*Task, 0, len(e.blocked)),
-		Clocks:   make([]int64, len(e.Procs)),
+// exceeded: the scheduler's queue depths and the wait-for edges of the
+// blocked tasks.
+func (e *Engine) deadlineError(at int64) *fault.DeadlineExceeded {
+	d := &fault.DeadlineExceeded{
+		Deadline:     e.deadline,
+		Time:         at, // time of the first event past the deadline, not e.now (which lags it)
+		LiveTasks:    e.liveTasks,
+		BlockedTasks: len(e.blocked),
+		Clocks:       e.clocks(),
+		Waits:        e.waits(),
 	}
-	for t := range e.blocked {
-		d.Blocked = append(d.Blocked, t)
-	}
-	sort.Slice(d.Blocked, func(i, j int) bool { return d.Blocked[i].Name < d.Blocked[j].Name })
-	for i, p := range e.Procs {
-		d.Clocks[i] = p.Clock
+	if e.snap != nil {
+		d.QueueDepths = e.snap.QueueDepths()
 	}
 	return d
 }
 
 // deadlockError builds the typed error for tasks blocked forever.
-func (e *Engine) deadlockError() *DeadlockError {
+func (e *Engine) deadlockError() *fault.Deadlock {
+	return &fault.Deadlock{Time: e.now, Waits: e.waits()}
+}
+
+// clocks copies the per-processor clocks at a stop.
+func (e *Engine) clocks() []int64 {
+	c := make([]int64, len(e.Procs))
+	for i, p := range e.Procs {
+		c[i] = p.Clock
+	}
+	return c
+}
+
+// waits returns the wait-for edge of every blocked task, sorted by task
+// name for determinism.
+func (e *Engine) waits() []fault.WaitEdge {
 	tasks := make([]*Task, 0, len(e.blocked))
 	for t := range e.blocked {
 		tasks = append(tasks, t)
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Name < tasks[j].Name })
-	return &DeadlockError{Time: e.now, Tasks: tasks}
+	var out []fault.WaitEdge
+	for _, t := range tasks {
+		if e.snap != nil {
+			out = append(out, e.snap.WaitEdge(t))
+		} else {
+			out = append(out, fault.WaitEdge{Task: t.Name, On: "unknown"})
+		}
+	}
+	return out
 }

@@ -113,7 +113,7 @@ func TestFailDetachesRunningTask(t *testing.T) {
 
 func TestInjectedTaskPanic(t *testing.T) {
 	e, d := newTestEngine(t, 1)
-	e.InjectTaskPanic("w", 1)
+	e.SetInjector(fault.NewInjector(new(fault.Plan).PanicTask("w", 1), 1))
 	for i := 0; i < 3; i++ {
 		d.add(e.NewTask("w", 0, func(c *Ctx) { c.Charge(10) }))
 	}
@@ -130,7 +130,7 @@ func TestInjectedTaskPanic(t *testing.T) {
 func TestWatchdogStopsRunawayRun(t *testing.T) {
 	e, d := newTestEngine(t, 1)
 	e.SetCycleLimit(50_000)
-	e.SetSnapshot(func() string { return "queues: test snapshot" })
+	e.SetSnapshot(snapStub("queues: test snapshot"))
 	d.add(e.NewTask("spin", 0, func(c *Ctx) {
 		for { // never terminates; only the watchdog can stop the run
 			c.Charge(100)
@@ -176,3 +176,10 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 }
 
 func b2(f func() []int64) []int64 { return f() }
+
+// snapStub is a Snapshotter reporting a fixed queue state.
+type snapStub string
+
+func (s snapStub) Snapshot() string              { return string(s) }
+func (snapStub) QueueDepths() []int              { return nil }
+func (snapStub) WaitEdge(t *Task) fault.WaitEdge { return fault.WaitEdge{Task: t.Name} }

@@ -58,8 +58,11 @@ func (e *Engine) NewTask(name string, readyAt int64, fn func(*Ctx)) *Task {
 // record and reuse it once the previous task in it has completed.
 func (e *Engine) InitTask(t *Task, name string, readyAt int64, fn func(*Ctx)) {
 	*t = Task{Name: name, fn: fn}
-	if e.panicAt != nil || e.abortAt != nil {
-		e.noteSpawn(t)
+	if e.inj != nil && e.inj.Tracks(name) {
+		var panics bool
+		if t.spawnIdx, panics = e.inj.Spawn(name); panics {
+			t.fn = func(*Ctx) { panic(fault.InjectedPanic{Task: name}) }
+		}
 	}
 	t.ctx = Ctx{eng: e, task: t, readyAt: readyAt}
 	e.liveTasks++

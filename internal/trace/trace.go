@@ -132,18 +132,19 @@ func (l *Log) Dropped() int64 {
 	return l.dropped
 }
 
-// String dumps the log as text.
-func (l *Log) String() string {
-	if l == nil {
+// Dump renders events as text, one per line, and notes how many were
+// dropped past capacity. capacity 0 means tracing was off.
+func Dump(events []Event, dropped int64, capacity int) string {
+	if capacity <= 0 {
 		return "(tracing disabled)"
 	}
 	var b strings.Builder
-	for _, e := range l.events {
+	for _, e := range events {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
-	if l.dropped > 0 {
-		fmt.Fprintf(&b, "... %d events dropped (capacity %d)\n", l.dropped, l.max)
+	if dropped > 0 {
+		fmt.Fprintf(&b, "... %d events dropped (capacity %d)\n", dropped, capacity)
 	}
 	return b.String()
 }
@@ -151,9 +152,9 @@ func (l *Log) String() string {
 // Timeline renders a per-processor utilization strip of the given width:
 // '#' where the processor ran a task for the whole bucket, '+' for a
 // partial bucket, '.' for idle. Busy intervals are reconstructed from
-// Run → Block/Done event pairs.
-func (l *Log) Timeline(procs int, span int64, width int) string {
-	if l == nil || span <= 0 || width <= 0 {
+// Run → Block/Done event pairs. No events render nothing.
+func Timeline(events []Event, procs int, span int64, width int) string {
+	if len(events) == 0 || span <= 0 || width <= 0 {
 		return ""
 	}
 	busy := make([][]int64, procs) // flattened [start, end, start, end...]
@@ -161,7 +162,7 @@ func (l *Log) Timeline(procs int, span int64, width int) string {
 	for i := range open {
 		open[i] = -1
 	}
-	for _, e := range l.events {
+	for _, e := range events {
 		p := int(e.Proc)
 		if p < 0 || p >= procs {
 			continue

@@ -14,10 +14,10 @@ func TestNilLogIsDisabled(t *testing.T) {
 	if l.Events() != nil || l.Dropped() != 0 {
 		t.Fatal("nil log returned data")
 	}
-	if l.String() == "" {
+	if Dump(l.Events(), l.Dropped(), 0) == "" {
 		t.Fatal("nil log String empty")
 	}
-	if l.Timeline(2, 100, 10) != "" {
+	if Timeline(l.Events(), 2, 100, 10) != "" {
 		t.Fatal("nil log produced a timeline")
 	}
 }
@@ -34,7 +34,7 @@ func TestAddAndDump(t *testing.T) {
 	if evs[1].Kind != KindRun || evs[1].Proc != 1 {
 		t.Fatalf("bad event %+v", evs[1])
 	}
-	dump := l.String()
+	dump := Dump(l.Events(), l.Dropped(), 10)
 	for _, want := range []string{"enqueue", "run", "done", "P01"} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("dump missing %q:\n%s", want, dump)
@@ -50,7 +50,7 @@ func TestCapacityDropsAreCounted(t *testing.T) {
 	if len(l.Events()) != 2 || l.Dropped() != 3 {
 		t.Fatalf("events=%d dropped=%d", len(l.Events()), l.Dropped())
 	}
-	if !strings.Contains(l.String(), "3 events dropped") {
+	if !strings.Contains(Dump(l.Events(), l.Dropped(), 2), "3 events dropped") {
 		t.Fatal("dump does not mention drops")
 	}
 }
@@ -77,7 +77,7 @@ func TestTimelineShapes(t *testing.T) {
 	l.Add(1000, 0, KindDone, "a", 0)
 	l.Add(500, 1, KindRun, "b", 0)
 	l.Add(1000, 1, KindDone, "b", 0)
-	tl := l.Timeline(2, 1000, 10)
+	tl := Timeline(l.Events(), 2, 1000, 10)
 	lines := strings.Split(strings.TrimSpace(tl), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("timeline lines = %d:\n%s", len(lines), tl)
@@ -95,7 +95,7 @@ func TestTimelineBlockEndsInterval(t *testing.T) {
 	l := New(100)
 	l.Add(0, 0, KindRun, "a", 0)
 	l.Add(200, 0, KindBlock, "a", 0)
-	tl := l.Timeline(1, 1000, 10)
+	tl := Timeline(l.Events(), 1, 1000, 10)
 	if strings.Count(tl, "#") != 2 {
 		t.Fatalf("expected 2 busy buckets: %s", tl)
 	}
@@ -105,7 +105,7 @@ func TestTimelineOpenIntervalRunsToEnd(t *testing.T) {
 	l := New(100)
 	l.Add(500, 0, KindRun, "a", 0)
 	// No Done event: the interval extends to the span end.
-	tl := l.Timeline(1, 1000, 10)
+	tl := Timeline(l.Events(), 1, 1000, 10)
 	if strings.Count(tl, "#") != 5 {
 		t.Fatalf("open interval mishandled: %s", tl)
 	}

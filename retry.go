@@ -3,7 +3,6 @@ package cool
 import (
 	"fmt"
 
-	"github.com/coolrts/cool/internal/core"
 	"github.com/coolrts/cool/internal/fault"
 )
 
@@ -47,23 +46,4 @@ func retryDefaults(p RetryPolicy) (RetryPolicy, error) {
 		p.MaxBackoff = 64 * p.Backoff
 	}
 	return p, nil
-}
-
-// installRetry wires the policy into the scheduler's abort hook: count
-// the attempt, pick an affinity-aware target, and schedule the
-// re-enqueue once the backoff has elapsed. The target is revalidated at
-// enqueue time in case the world changed during the backoff.
-func (rt *Runtime) installRetry(p RetryPolicy) {
-	rt.sched.SetAbortHandler(func(td *core.TaskDesc, failedOn int, now int64) bool {
-		attempts := td.T.LaunchAborts()
-		if attempts >= p.MaxAttempts {
-			return false
-		}
-		tgt := rt.sched.RetryTarget(td, failedOn, attempts)
-		rt.sched.TraceRetry(now, failedOn, td.T.Name, tgt)
-		rt.eng.At(now+p.Delay(attempts), func() {
-			rt.sched.EnqueueRetry(td, tgt, rt.eng.Now())
-		})
-		return true
-	})
 }

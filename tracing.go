@@ -16,18 +16,19 @@ type TraceEvent struct {
 	Arg  int64 // kind-specific: target server, or victim processor for steals
 }
 
-// rawTraceEvents returns the backend's recorded events in time order.
-func (rt *Runtime) rawTraceEvents() []trace.Event {
+// rawTraceEvents returns the backend's recorded events in time order
+// and how many were dropped past Config.TraceCapacity.
+func (rt *Runtime) rawTraceEvents() ([]trace.Event, int64) {
 	if rt.backend == BackendNative {
 		return rt.nat.TraceEvents()
 	}
-	return rt.sched.Trace.Events()
+	return rt.sched.Trace.Events(), rt.sched.Trace.Dropped()
 }
 
 // TraceEvents returns the recorded scheduler events (empty unless
 // Config.TraceCapacity was set). Call after Run.
 func (rt *Runtime) TraceEvents() []TraceEvent {
-	evs := rt.rawTraceEvents()
+	evs, _ := rt.rawTraceEvents()
 	out := make([]TraceEvent, len(evs))
 	for i, e := range evs {
 		out[i] = TraceEvent{
@@ -41,27 +42,18 @@ func (rt *Runtime) TraceEvents() []TraceEvent {
 	return out
 }
 
-// replayLog rebuilds a trace log from the native backend's merged
-// per-worker buffers, so the text renderers work on either backend.
-func (rt *Runtime) replayLog() *trace.Log {
-	if rt.backend != BackendNative {
-		return rt.sched.Trace
-	}
-	evs := rt.nat.TraceEvents()
-	l := trace.New(max(len(evs), 1))
-	for _, e := range evs {
-		l.Add(e.Time, int(e.Proc), e.Kind, e.Task, e.Arg)
-	}
-	return l
+// TraceDump renders the recorded events as text, one per line, noting
+// how many were dropped past Config.TraceCapacity.
+func (rt *Runtime) TraceDump() string {
+	evs, dropped := rt.rawTraceEvents()
+	return trace.Dump(evs, dropped, rt.pub.TraceCapacity)
 }
-
-// TraceDump renders the recorded events as text, one per line.
-func (rt *Runtime) TraceDump() string { return rt.replayLog().String() }
 
 // TraceTimeline renders a per-processor utilization strip of the given
 // width over the whole run: '#' busy, '+' partially busy, '.' idle.
 func (rt *Runtime) TraceTimeline(width int) string {
-	return rt.replayLog().Timeline(rt.cfg.Processors, rt.ElapsedCycles(), width)
+	evs, _ := rt.rawTraceEvents()
+	return trace.Timeline(evs, rt.cfg.Processors, rt.ElapsedCycles(), width)
 }
 
 // WriteChromeTrace writes the recorded events as Chrome trace_event JSON
@@ -69,7 +61,8 @@ func (rt *Runtime) TraceTimeline(width int) string {
 // backends; on the simulator one "microsecond" of the viewer timeline is
 // one simulated cycle. Call after Run.
 func (rt *Runtime) WriteChromeTrace(w io.Writer) error {
-	return trace.WriteChrome(w, rt.rawTraceEvents(), rt.cfg.Processors, string(rt.backend.String()))
+	evs, _ := rt.rawTraceEvents()
+	return trace.WriteChrome(w, evs, rt.cfg.Processors, string(rt.backend.String()))
 }
 
 // enable wires a trace log of the given capacity into the scheduler.
