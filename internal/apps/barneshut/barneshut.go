@@ -98,9 +98,22 @@ type node struct {
 	cx, cy, cz float64 // cell center
 	half       float64
 	mass       float64
-	mx, my, mz float64 // mass-weighted centroid accumulator
-	body       int     // body index for singleton leaves, -1 otherwise
-	children   [8]int  // node indices, 0 = none
+	mx, my, mz float64  // mass-weighted centroid accumulator
+	body       int32    // body index for singleton leaves, -1 otherwise
+	children   [8]int32 // node indices, 0 = none
+	leaf       bool
+}
+
+// walkRec is one node of the threaded pre-order array the force walk
+// reads front to back: what the walk needs of the node, and where its
+// subtree ends.
+type walkRec struct {
+	mx, my, mz float64 // centroid
+	mass       float64
+	size2      float64 // (half*2)*(half*2), the cell size squared
+	n          int32   // tree index, which addresses the node's record
+	body       int32
+	skip       int32 // index just past this node's subtree
 	leaf       bool
 }
 
@@ -109,6 +122,7 @@ type app struct {
 	groups []*cool.F64 // per-group body blocks
 	tree   *cool.F64   // node records in simulated memory
 	nodes  []node
+	walk   []walkRec // the tree in pre-order, rebuilt by finalize each step
 }
 
 // Build validates the parameters and lays the bodies out as version v asks.
@@ -180,6 +194,11 @@ func (ap *app) body(i int) (*cool.F64, int) {
 // buildTree inserts every body into a fresh octree (run in one task; the
 // paper's tree build is also a serial phase at these problem sizes).
 func (ap *app) buildTree(ctx *cool.Ctx) {
+	if ap.nodes == nil {
+		// Uniform bodies build about 1.5 nodes per body, so the first
+		// step's tree seldom regrows the slice.
+		ap.nodes = make([]node, 0, 2*ap.prm.Bodies)
+	}
 	ap.nodes = ap.nodes[:0]
 	ap.newNode(0.5, 0.5, 0.5, 0.5)
 	for i := 0; i < ap.prm.Bodies; i++ {
@@ -187,16 +206,29 @@ func (ap *app) buildTree(ctx *cool.Ctx) {
 		ctx.Access(arr.Addr(off), 32, false) // position + mass
 		ap.insert(ctx, 0, i, arr.Data[off], arr.Data[off+1], arr.Data[off+2], arr.Data[off+3], 0)
 	}
+	if ap.walk == nil {
+		// Made once per app: the later steps' trees differ from the
+		// first by a few nodes, which the slack absorbs.
+		ap.walk = make([]walkRec, 0, len(ap.nodes)+len(ap.nodes)/8)
+	}
+	ap.walk = ap.walk[:0]
 	ap.finalize(ctx, 0)
 }
 
-func (ap *app) newNode(cx, cy, cz, half float64) int {
+// newNode appends a leaf. The tree's simulated records hold
+// ap.tree.Len()/nodeStride nodes; bodies packed closer than the tree
+// can separate build a chain of cells that could outgrow them, and
+// then the build fails rather than charge references past the array.
+func (ap *app) newNode(cx, cy, cz, half float64) int32 {
+	if budget := ap.tree.Len() / nodeStride; len(ap.nodes) == budget {
+		panic(fmt.Sprintf("barneshut: the octree of %d bodies needs more than its %d node records", ap.prm.Bodies, budget))
+	}
 	ap.nodes = append(ap.nodes, node{cx: cx, cy: cy, cz: cz, half: half, body: -1, leaf: true})
-	return len(ap.nodes) - 1
+	return int32(len(ap.nodes) - 1)
 }
 
-func (ap *app) insert(ctx *cool.Ctx, n, bi int, x, y, z, m float64, depth int) {
-	ctx.Access(ap.tree.Addr(n*nodeStride), 64, true)
+func (ap *app) insert(ctx *cool.Ctx, n int32, bi int, x, y, z, m float64, depth int) {
+	ctx.Access(ap.tree.Addr(int(n)*nodeStride), 64, true)
 	ctx.Compute(12)
 	nd := &ap.nodes[n]
 	nd.mass += m
@@ -205,7 +237,7 @@ func (ap *app) insert(ctx *cool.Ctx, n, bi int, x, y, z, m float64, depth int) {
 	nd.mz += m * z
 	if nd.leaf {
 		if nd.body == -1 {
-			nd.body = bi
+			nd.body = int32(bi)
 			return
 		}
 		if depth > 60 {
@@ -213,7 +245,7 @@ func (ap *app) insert(ctx *cool.Ctx, n, bi int, x, y, z, m float64, depth int) {
 			return
 		}
 		// Split: push the resident body down, then continue.
-		old := nd.body
+		old := int(nd.body)
 		nd.body = -1
 		nd.leaf = false
 		arr, off := ap.body(old)
@@ -223,7 +255,7 @@ func (ap *app) insert(ctx *cool.Ctx, n, bi int, x, y, z, m float64, depth int) {
 	ap.insertChild(ctx, n, bi, x, y, z, m, depth)
 }
 
-func (ap *app) insertChild(ctx *cool.Ctx, n, bi int, x, y, z, m float64, depth int) {
+func (ap *app) insertChild(ctx *cool.Ctx, n int32, bi int, x, y, z, m float64, depth int) {
 	nd := &ap.nodes[n]
 	oct := 0
 	if x >= nd.cx {
@@ -255,17 +287,25 @@ func (ap *app) insertChild(ctx *cool.Ctx, n, bi int, x, y, z, m float64, depth i
 	ap.insert(ctx, c, bi, x, y, z, m, depth+1)
 }
 
-// finalize converts centroid accumulators into centroids and writes the
-// records out to simulated memory.
-func (ap *app) finalize(ctx *cool.Ctx, n int) {
+// finalize converts centroid accumulators into centroids, writes the
+// records out to simulated memory and appends the threaded pre-order
+// walk: each node's record, then its children's subtrees in index
+// order, the order force visits them.
+func (ap *app) finalize(ctx *cool.Ctx, n int32) {
 	nd := &ap.nodes[n]
 	if nd.mass > 0 {
 		nd.mx /= nd.mass
 		nd.my /= nd.mass
 		nd.mz /= nd.mass
 	}
-	ctx.Access(ap.tree.Addr(n*nodeStride), 64, true)
+	ctx.Access(ap.tree.Addr(int(n)*nodeStride), 64, true)
 	ctx.Compute(6)
+	i := len(ap.walk)
+	ap.walk = append(ap.walk, walkRec{
+		mx: nd.mx, my: nd.my, mz: nd.mz, mass: nd.mass,
+		size2: (nd.half * 2) * (nd.half * 2),
+		n:     n, body: nd.body, leaf: nd.leaf,
+	})
 	if !nd.leaf {
 		for _, c := range nd.children {
 			if c != 0 {
@@ -273,6 +313,7 @@ func (ap *app) finalize(ctx *cool.Ctx, n int) {
 			}
 		}
 	}
+	ap.walk[i].skip = int32(len(ap.walk))
 }
 
 // force accumulates the acceleration on body bi by traversing the tree.
@@ -282,40 +323,34 @@ func (ap *app) force(ctx *cool.Ctx, bi int) (float64, float64, float64) {
 	const eps2 = 1e-4
 	var ax, ay, az float64
 	theta2 := ap.prm.Theta * ap.prm.Theta
-	nodes := ap.nodes
+	walk := ap.walk
+	self := int32(bi)
 
-	// Pre-order walk on an explicit stack. Children are pushed in reverse
-	// so they pop in index order, visiting nodes in the order a recursive
-	// walk would. The tree is at most 61 levels deep and each opened cell
-	// leaves at most 7 siblings waiting, so the stack never exceeds
-	// 7·61+1 = 428 entries and the buffer keeps it off the heap.
-	var buf [512]int32
-	stack := append(buf[:0], 0)
-	for len(stack) > 0 {
-		n := int(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
-		nd := &nodes[n]
-		ctx.Access(ap.tree.Addr(n*nodeStride), 64, false)
-		dx, dy, dz := nd.mx-x, nd.my-y, nd.mz-z
+	// Pre-order walk over the threaded array: the next node is the one
+	// after, unless an accepted cell's subtree is skipped. A leaf's skip
+	// is the next index, so only an opened cell steps into its subtree.
+	for i := 0; i < len(walk); {
+		w := &walk[i]
+		ctx.Access(ap.tree.Addr(int(w.n)*nodeStride), 64, false)
+		dx, dy, dz := w.mx-x, w.my-y, w.mz-z
 		d2 := dx*dx + dy*dy + dz*dz + eps2
 		ctx.Compute(16)
-		if nd.leaf {
-			if nd.body == bi || nd.mass == 0 {
+		if w.leaf {
+			i++
+			if w.body == self || w.mass == 0 {
 				continue
 			}
-		} else if size := nd.half * 2; !(size*size < theta2*d2) {
+		} else if !(w.size2 < theta2*d2) {
 			// Too close to approximate: open the cell.
-			for c := len(nd.children) - 1; c >= 0; c-- {
-				if ch := nd.children[c]; ch != 0 {
-					stack = append(stack, int32(ch))
-				}
-			}
+			i++
 			continue
+		} else {
+			i = int(w.skip)
 		}
 		inv := 1 / (d2 * math.Sqrt(d2))
-		ax += nd.mass * dx * inv
-		ay += nd.mass * dy * inv
-		az += nd.mass * dz * inv
+		ax += w.mass * dx * inv
+		ay += w.mass * dy * inv
+		az += w.mass * dz * inv
 		ctx.Compute(12)
 	}
 	return ax, ay, az
@@ -394,10 +429,15 @@ func (ap *app) Serial(ctx *cool.Ctx) {
 	}
 }
 
-// Finish digests the final positions.
+// Finish rejects non-finite body data and digests the final positions.
 func (ap *app) Finish() (harness.Evidence, error) {
 	var s float64
-	for _, g := range ap.groups {
+	for gi, g := range ap.groups {
+		for _, v := range g.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("barneshut: non-finite body data in group %d", gi)
+			}
+		}
 		for i := 0; i < g.Len(); i += fieldsPerBody {
 			s += g.Data[i] + 2*g.Data[i+1] + 3*g.Data[i+2]
 		}

@@ -226,22 +226,74 @@ func (ap *app) gemm(ctx *cool.Ctx, i, j, k int) {
 	s1 := ap.blks[ap.blockIdx(i, k)].Data
 	s2 := ap.blks[ap.blockIdx(j, k)].Data
 	d := ap.blks[ap.blockIdx(i, j)].Data
-	for r := 0; r < b; r++ {
-		for c := 0; c < b; c++ {
-			if i == j && c > r {
-				continue // only the lower triangle of a diagonal block
-			}
-			s := 0.0
-			for t := 0; t < b; t++ {
-				s += s1[r*b+t] * s2[c*b+t]
-			}
-			d[r*b+c] -= s
-		}
-	}
+	gemmTiles(d, s1, s2, b, i == j)
 	readBlock(ctx, ap.blks[ap.blockIdx(i, k)])
 	readBlock(ctx, ap.blks[ap.blockIdx(j, k)])
 	writeBlock(ctx, ap.blks[ap.blockIdx(i, j)])
 	ctx.Compute(2 * int64(b) * int64(b) * int64(b))
+}
+
+// gemmTiles subtracts s1 · s2ᵀ from d, all b×b and row-major; when lower
+// (a diagonal block) only d's lower triangle. It takes a 2×2 tile of d
+// per pass over t, four independent sums; each sum starts at 0, adds its
+// products in ascending t and is then subtracted, as one element's dot
+// product alone would be. An odd b's last row and column go one element
+// at a time.
+func gemmTiles(d, s1, s2 []float64, b int, lower bool) {
+	r := 0
+	for ; r+2 <= b; r += 2 {
+		x0, x1 := s1[r*b:r*b+b], s1[(r+1)*b:(r+1)*b+b]
+		d0, d1 := d[r*b:r*b+b], d[(r+1)*b:(r+1)*b+b]
+		x1 = x1[:len(x0)]
+		n := b // columns the second row updates
+		if lower {
+			n = r + 2
+		}
+		c := 0
+		for ; c+2 <= n; c += 2 {
+			y0, y1 := s2[c*b:c*b+b], s2[(c+1)*b:(c+1)*b+b]
+			y0, y1 = y0[:len(x0)], y1[:len(x0)]
+			var s00, s01, s10, s11 float64
+			for t, a0 := range x0 {
+				a1, b0, b1 := x1[t], y0[t], y1[t]
+				s00 += a0 * b0
+				s01 += a0 * b1
+				s10 += a1 * b0
+				s11 += a1 * b1
+			}
+			d0[c] -= s00
+			if !lower || c+1 <= r {
+				d0[c+1] -= s01
+			}
+			d1[c] -= s10
+			d1[c+1] -= s11
+		}
+		if c < n {
+			y := s2[c*b : c*b+b]
+			d0[c] -= dot(x0, y)
+			d1[c] -= dot(x1, y)
+		}
+	}
+	if r < b {
+		x := s1[r*b : r*b+b]
+		n := b
+		if lower {
+			n = r + 1
+		}
+		for c := 0; c < n; c++ {
+			d[r*b+c] -= dot(x, s2[c*b:c*b+b])
+		}
+	}
+}
+
+// dot is x · y, summed from 0 in ascending index.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	s := 0.0
+	for t, v := range x {
+		s += v * y[t]
+	}
+	return s
 }
 
 // arrive decrements block (i,j)'s prerequisite count (the caller holds

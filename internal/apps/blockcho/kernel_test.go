@@ -1,7 +1,9 @@
 package blockcho
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -105,6 +107,81 @@ func TestGemmSubtractsOuterProduct(t *testing.T) {
 				t.Fatalf("gemm[%d][%d] wrong by %v", r, c, d)
 			}
 		}
+	}
+}
+
+// gemmNaive is the one-element-at-a-time loop gemmTiles replaced: each
+// element's dot product summed from 0 in ascending t, then subtracted.
+func gemmNaive(d, s1, s2 []float64, b int, lower bool) {
+	for r := 0; r < b; r++ {
+		for c := 0; c < b; c++ {
+			if lower && c > r {
+				continue
+			}
+			s := 0.0
+			for t := 0; t < b; t++ {
+				s += s1[r*b+t] * s2[c*b+t]
+			}
+			d[r*b+c] -= s
+		}
+	}
+}
+
+// TestGemmTiledMatchesNaive checks the 2×2-tiled gemm bit for bit
+// against the plain triple loop, on diagonal and off-diagonal blocks, at
+// block sizes with and without a leftover row and column.
+func TestGemmTiledMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		return v
+	}
+	for _, b := range []int{1, 2, 3, 5, 8, 32} {
+		for _, lower := range []bool{true, false} {
+			t.Run(fmt.Sprintf("B%d/lower=%v", b, lower), func(t *testing.T) {
+				s1, s2, d := fill(b*b), fill(b*b), fill(b*b)
+				if lower {
+					s2 = s1 // a diagonal block's update reads one source twice
+				}
+				want := slices.Clone(d)
+				gemmNaive(want, s1, s2, b, lower)
+				gemmTiles(d, s1, s2, b, lower)
+				for i := range want {
+					if math.Float64bits(d[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("element (%d,%d) is %v, want %v", i/b, i%b, d[i], want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkGemm is one diagonal and one off-diagonal update of 32×32
+// blocks (the default block size) on a native P=1 runtime.
+func BenchmarkGemm(b *testing.B) {
+	prm, err := Params{N: 96, B: 32}.normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := cool.NewRuntime(cool.Config{Processors: 1, Backend: cool.BackendNative})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ap := build(rt, prm, false)
+	b.ReportAllocs()
+	err = rt.Run(func(ctx *cool.Ctx) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ap.gemm(ctx, 1, 1, 0)
+			ap.gemm(ctx, 2, 1, 0)
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 

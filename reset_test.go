@@ -453,6 +453,28 @@ func TestWarmPreparedJobAllocBytes(t *testing.T) {
 	}
 }
 
+// TestWarmBarneshutJobAllocBytes guards a keyless barneshut small job
+// on a warm native P=1 runtime: a job after the first allocates at most
+// 128 KB. The bodies and tree records are warm arrays; what is left is
+// mostly the host octree and the force walk's threaded array, each made
+// once per job at about the size it needs and reused across its steps.
+func TestWarmBarneshutJobAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	rt, err := cool.NewRuntime(cool.Config{Processors: 1, Backend: cool.BackendNative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, best := warmJobBytes(t, rt, func() (apps.Result, error) {
+		return apps.RunCatalogOn(rt, "barneshut", "small")
+	})
+	t.Logf("barneshut/small: first job %d bytes, best later job %d", first, best)
+	if best > 128<<10 {
+		t.Errorf("barneshut/small: a warm job allocated %d bytes, more than 128 KB", best)
+	}
+}
+
 // warmJobBytes runs job four times on rt, with a Reset after each, and
 // returns the bytes the first run allocated and the fewest of the later
 // three (a collection between a Reset and the next job may empty the
