@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"testing"
+
+	"github.com/coolrts/cool/internal/machine"
 )
 
 // goldenStreamHash is the FNV-64a digest of goldenStream's latencies and
@@ -102,9 +104,12 @@ func TestAccessStreamGolden(t *testing.T) {
 }
 
 // BenchmarkAccess measures the host cost of one simulated reference on
-// three streams: L1 hits, L2 hits (a working set between the two cache
-// sizes, walked line by line so every L1 lookup misses), and a P=32
-// mix of misses, upgrades and invalidations over shared data.
+// four streams: L1 hits on the most recently used way, L1 hits that each
+// move a way to the front of its set (a walk over exactly the L1's
+// capacity, so every set alternates two lines), L2 hits (a working set
+// between the two cache sizes, walked line by line so every L1 lookup
+// misses), and a P=32 mix of misses, upgrades and invalidations over
+// shared data.
 func BenchmarkAccess(b *testing.B) {
 	run := func(b *testing.B, procs int, setup func(f *fixture) (p []int, addr []int64, write []bool)) {
 		f := newFixture(b, procs)
@@ -142,6 +147,7 @@ func BenchmarkAccess(b *testing.B) {
 		}
 	}
 	b.Run("L1Hit", func(b *testing.B) { run(b, 8, walk(16<<10)) })
+	b.Run("L1HitMove", func(b *testing.B) { run(b, 8, walk(int64(machine.DASH(8).L1.Size))) })
 	b.Run("L2Hit", func(b *testing.B) { run(b, 8, walk(128<<10)) })
 	b.Run("MissMixP32", func(b *testing.B) {
 		run(b, 32, func(f *fixture) ([]int, []int64, []bool) {

@@ -17,90 +17,113 @@ import (
 	"github.com/coolrts/cool/internal/perfmon"
 )
 
-type state int8
+// state is a valid line's coherence state, the low two bits of its way.
+type state int64
 
 const (
-	invalid state = iota
-	shared
+	shared state = iota + 1
 	modified
 )
 
-// level is one set-associative cache level, stored as three parallel
-// arrays indexed by slot: way i of set s is slot s*assoc+i. An invalid
-// way holds tag -1 (lines are never negative), so a lookup is a plain
-// tag compare and a victim search tests tag < 0; drop keeps the tag and
-// the state in step.
+// level is one set-associative cache level: one word per way, way i of
+// set s at ways[s*assoc+i]. A valid way holds line<<2 | state, an
+// invalid way -1 (lines are never negative, and -1>>2 is -1, so a lookup
+// compares w>>2 with the line and needs no validity test). Each set keeps
+// its valid ways first, most recently used first, so the LRU line is the
+// last valid way and a fill's victim is whatever way falls off the end.
 type level struct {
 	setMask int64
 	assoc   int
-	tags    []int64 // line address (addr >> lineShift), -1 when invalid
-	state   []state
-	used    []int64 // LRU timestamp
+	ways    []int64
 }
 
 // newLevels builds one level of geometry g for each of procs processors,
-// carving all of them from one allocation per array.
+// carving all of them from one allocation.
 func newLevels(g machine.CacheGeometry, lineSize, procs int) []level {
 	sets := g.Size / (g.Assoc * lineSize)
 	n := sets * g.Assoc
-	tags := make([]int64, procs*n)
-	for i := range tags {
-		tags[i] = -1
+	ways := make([]int64, procs*n)
+	for i := range ways {
+		ways[i] = -1
 	}
-	st, used := make([]state, procs*n), make([]int64, procs*n)
 	ls := make([]level, procs)
 	for p := range ls {
 		lo, hi := p*n, (p+1)*n
-		ls[p] = level{
-			setMask: int64(sets - 1),
-			assoc:   g.Assoc,
-			tags:    tags[lo:hi:hi],
-			state:   st[lo:hi:hi],
-			used:    used[lo:hi:hi],
-		}
+		ls[p] = level{setMask: int64(sets - 1), assoc: g.Assoc, ways: ways[lo:hi:hi]}
 	}
 	return ls
 }
 
-// lookup returns the slot holding line, or -1.
-func (l *level) lookup(line int64) int {
-	set := int(line&l.setMask) * l.assoc
-	for i, t := range l.tags[set : set+l.assoc] {
-		if t == line {
-			return set + i
+// set returns line's set, most recently used way first.
+func (l *level) set(line int64) []int64 {
+	i := int(line&l.setMask) * l.assoc
+	return l.ways[i : i+l.assoc : i+l.assoc]
+}
+
+// word packs a valid way.
+func word(line int64, st state) int64 { return line<<2 | int64(st) }
+
+// find returns the index of line's way in set s, or -1.
+func find(s []int64, line int64) int {
+	for i, w := range s {
+		if w>>2 == line {
+			return i
 		}
 	}
 	return -1
 }
 
-// victim returns the slot to fill for line (an invalid way if any, else
-// the LRU way).
-func (l *level) victim(line int64) int {
-	set := int(line&l.setMask) * l.assoc
-	best := set
-	for i := set; i < set+l.assoc; i++ {
-		if l.tags[i] < 0 {
-			return i
-		}
-		if l.used[i] < l.used[best] {
-			best = i
+// touch makes way i of s the most recently used: it moves to the front
+// and the ways before it move back one. A hit in way 0 writes nothing.
+func touch(s []int64, i int) {
+	if i == 0 {
+		return
+	}
+	w := s[i]
+	for ; i > 0; i-- {
+		s[i] = s[i-1]
+	}
+	s[0] = w
+}
+
+// insert puts w at the front of s, pushing the ways behind it back one,
+// and returns the way pushed out of the set: -1 when the set had an
+// invalid way, else the LRU line's word.
+func insert(s []int64, w int64) int64 {
+	for i := range s {
+		w, s[i] = s[i], w
+		if w < 0 {
+			break
 		}
 	}
-	return best
+	return w
 }
 
-// fill installs line in slot i.
-func (l *level) fill(i int, line int64, st state, tick int64) {
-	l.tags[i] = line
-	l.state[i] = st
-	l.used[i] = tick
+// invalidate drops line from l, if present: its way becomes invalid and
+// moves behind the set's valid ways, which keep their order.
+func (l *level) invalidate(line int64) {
+	s := l.set(line)
+	i := find(s, line)
+	if i < 0 {
+		return
+	}
+	for ; i+1 < len(s) && s[i+1] >= 0; i++ {
+		s[i] = s[i+1]
+	}
+	s[i] = -1
 }
 
-// drop invalidates slot i.
-func (l *level) drop(i int) {
-	l.tags[i] = -1
-	l.state[i] = invalid
+// setState rewrites the state of line's way in l, if present, leaving
+// recency alone.
+func (l *level) setState(line int64, st state) {
+	s := l.set(line)
+	if i := find(s, line); i >= 0 {
+		s[i] = word(line, st)
+	}
 }
+
+// has reports whether line is in l, leaving recency alone.
+func (l *level) has(line int64) bool { return find(l.set(line), line) >= 0 }
 
 // dirEntry is the directory state for one line: which caches hold it and
 // whether one of them holds it modified. The zero entry is a line no
@@ -119,8 +142,8 @@ type dirPage [1 << dirPageShift]dirEntry
 
 // procCache is one processor's private hierarchy.
 type procCache struct {
-	l1, l2 level
-	tick   int64
+	l1, l2  level
+	cluster int
 }
 
 // System is the machine-wide cache and coherence simulator.
@@ -170,7 +193,7 @@ func New(cfg machine.Config, space *memsim.Space, mon *perfmon.Monitor) *System 
 	l2 := newLevels(cfg.L2, cfg.LineSize, cfg.Processors)
 	s.procs = make([]procCache, cfg.Processors)
 	for i := range s.procs {
-		s.procs[i] = procCache{l1: l1[i], l2: l2[i]}
+		s.procs[i] = procCache{l1: l1[i], l2: l2[i], cluster: cfg.ClusterOf(i)}
 	}
 	return s
 }
@@ -229,89 +252,93 @@ func (s *System) Prefetch(p int, now int64, addr, size int64) int64 {
 	for line := first; line <= last; line++ {
 		cycles += issueCost
 		ctr.Prefetches++
-		if pc.l2.lookup(line) >= 0 || pc.l1.lookup(line) >= 0 {
+		if pc.l2.has(line) || pc.l1.has(line) {
 			continue
 		}
 		d := s.entry(line)
 		if d.dirty {
 			continue // non-binding: leave dirty lines alone
 		}
-		pc.tick++
 		s.memQueue(s.space.HomeCluster(line<<s.lineShift), now+cycles)
 		d.sharers |= 1 << uint(p)
 		s.fillL2(p, line, shared)
-		s.fillL1(p, line, shared)
+		insert(pc.l1.set(line), word(line, shared))
 		ctr.PrefetchFills++
 	}
 	return cycles
 }
 
 // accessLine services one line reference at time at and returns its
-// latency.
+// latency. Only its two hit paths and the fills move a line to the front
+// of its set.
 func (s *System) accessLine(p int, at int64, line int64, write bool) int64 {
 	pc := &s.procs[p]
-	pc.tick++
 	ctr := &s.mon.Per[p]
 	ctr.Refs++
 	lat := &s.cfg.Lat
 
 	// First-level cache.
-	if i := pc.l1.lookup(line); i >= 0 {
-		pc.l1.used[i] = pc.tick
-		if !write || pc.l1.state[i] == modified {
+	s1 := pc.l1.set(line)
+	if i := find(s1, line); i >= 0 {
+		touch(s1, i)
+		if !write || state(s1[0]&3) == modified {
 			ctr.L1Hits++
 			return lat.L1Hit
 		}
 		// Write to a shared line: upgrade.
 		cyc := s.upgrade(p, line)
-		s.setState(pc, line, modified)
+		s1[0] = word(line, modified)
+		pc.l2.setState(line, modified)
 		ctr.Upgrades++
 		return lat.L1Hit + cyc
 	}
 
 	// Second-level cache.
-	if i := pc.l2.lookup(line); i >= 0 {
-		pc.l2.used[i] = pc.tick
-		st := pc.l2.state[i]
+	s2 := pc.l2.set(line)
+	if i := find(s2, line); i >= 0 {
+		touch(s2, i)
+		st := state(s2[0] & 3)
 		var cyc int64
 		if write && st != modified {
 			cyc = s.upgrade(p, line)
 			ctr.Upgrades++
 			st = modified
 		}
-		s.fillL1(p, line, st)
-		pc.l2.state[i] = st
+		insert(s1, word(line, st)) // L1 evictions need no directory action
+		s2[0] = word(line, st)
 		ctr.L2Hits++
 		return lat.L2Hit + cyc
 	}
 
-	// Miss: consult the directory.
-	return s.miss(p, at, line, write)
+	// Miss: consult the directory, then fill both levels.
+	cyc, st := s.miss(p, at, line, write)
+	s.fillL2(p, line, st)
+	insert(s1, word(line, st)) // after fillL2: its victim may free a way in this set
+	return cyc
 }
 
-// miss services a full cache miss through the directory and fills both
-// levels. Returns the latency, including any queueing at the home memory
-// module.
-func (s *System) miss(p int, at int64, line int64, write bool) int64 {
+// miss services a full cache miss through the directory. Returns the
+// latency, including any queueing at the home memory module, and the
+// state the line is filled in.
+func (s *System) miss(p int, at int64, line int64, write bool) (int64, state) {
 	ctr := &s.mon.Per[p]
 	lat := &s.cfg.Lat
-	myCluster := s.cfg.ClusterOf(p)
-	homeCluster := s.space.HomeCluster(line << s.lineShift)
+	myCluster := s.procs[p].cluster
 
 	d := s.entry(line)
 	var cycles int64
-	switch {
-	case d.dirty && int(d.owner) != p:
+	if d.dirty && int(d.owner) != p {
 		// Serviced cache-to-cache from the dirty owner. The transfer
 		// occupies the owner's cluster resources (its bus/directory),
 		// so it queues there like a memory-serviced miss.
 		owner := int(d.owner)
-		if s.cfg.SameCluster(p, owner) {
+		ownerCluster := s.procs[owner].cluster
+		if ownerCluster == myCluster {
 			cycles = lat.LocalMem
 		} else {
 			cycles = lat.RemoteDirty
 		}
-		cycles += s.memQueue(s.cfg.ClusterOf(owner), at)
+		cycles += s.memQueue(ownerCluster, at)
 		ctr.DirtyMisses++
 		if write {
 			s.invalidateIn(owner, line)
@@ -323,15 +350,15 @@ func (s *System) miss(p int, at int64, line int64, write bool) int64 {
 			d.dirty = false
 			s.mon.Per[owner].Writebacks++
 		}
-	case homeCluster == myCluster:
-		cycles = lat.LocalMem*s.factorOf(homeCluster) + s.memQueue(homeCluster, at)
+	} else if home := s.space.HomeCluster(line << s.lineShift); home == myCluster {
+		cycles = lat.LocalMem*s.factorOf(home) + s.memQueue(home, at)
 		ctr.LocalMisses++
-	default:
-		cycles = lat.RemoteMem*s.factorOf(homeCluster) + s.memQueue(homeCluster, at)
+	} else {
+		cycles = lat.RemoteMem*s.factorOf(home) + s.memQueue(home, at)
 		ctr.RemoteMisses++
 	}
 
-	var st state
+	st := shared
 	if write {
 		// Exclusive: invalidate all other sharers.
 		s.invalidateSharers(p, line, d)
@@ -341,12 +368,8 @@ func (s *System) miss(p int, at int64, line int64, write bool) int64 {
 		st = modified
 	} else {
 		d.sharers |= 1 << uint(p)
-		st = shared
 	}
-
-	s.fillL2(p, line, st)
-	s.fillL1(p, line, st)
-	return cycles
+	return cycles, st
 }
 
 // memQueue records one miss arriving at the cluster's memory module at
@@ -418,63 +441,31 @@ func (s *System) invalidateSharers(p int, line int64, d *dirEntry) {
 // invalidateIn drops line from processor q's caches.
 func (s *System) invalidateIn(q int, line int64) {
 	pc := &s.procs[q]
-	if i := pc.l1.lookup(line); i >= 0 {
-		pc.l1.drop(i)
-	}
-	if i := pc.l2.lookup(line); i >= 0 {
-		pc.l2.drop(i)
-	}
+	pc.l1.invalidate(line)
+	pc.l2.invalidate(line)
 	s.mon.Per[q].Invalidations++
 }
 
 // downgradeIn demotes a modified line in q's caches to shared.
 func (s *System) downgradeIn(q int, line int64) {
 	pc := &s.procs[q]
-	if i := pc.l1.lookup(line); i >= 0 && pc.l1.state[i] == modified {
-		pc.l1.state[i] = shared
-	}
-	if i := pc.l2.lookup(line); i >= 0 && pc.l2.state[i] == modified {
-		pc.l2.state[i] = shared
-	}
-}
-
-// setState updates line's state in both levels of p's hierarchy.
-func (s *System) setState(pc *procCache, line int64, st state) {
-	if i := pc.l1.lookup(line); i >= 0 {
-		pc.l1.state[i] = st
-	}
-	if i := pc.l2.lookup(line); i >= 0 {
-		pc.l2.state[i] = st
-	}
-}
-
-// fillL1 inserts line into p's L1, evicting the LRU way.
-func (s *System) fillL1(p int, line int64, st state) {
-	pc := &s.procs[p]
-	// L1 is inclusive in L2: evicted L1 lines stay in L2, so no directory
-	// action is needed here.
-	pc.l1.fill(pc.l1.victim(line), line, st, pc.tick)
+	pc.l1.setState(line, shared)
+	pc.l2.setState(line, shared)
 }
 
 // fillL2 inserts line into p's L2, evicting the LRU way (with
 // back-invalidation of L1 to preserve inclusion, and writeback/directory
 // maintenance for the victim).
 func (s *System) fillL2(p int, line int64, st state) {
-	pc := &s.procs[p]
-	v := pc.l2.victim(line)
-	if old := pc.l2.tags[v]; old >= 0 && old != line {
-		s.evictLine(p, old, pc.l2.state[v])
+	if old := insert(s.procs[p].l2.set(line), word(line, st)); old >= 0 {
+		s.evictLine(p, old>>2, state(old&3))
 	}
-	pc.l2.fill(v, line, st, pc.tick)
 }
 
 // evictLine handles a line leaving p's L2: back-invalidate L1, write back
 // if dirty, and update the directory.
 func (s *System) evictLine(p int, line int64, st state) {
-	pc := &s.procs[p]
-	if i := pc.l1.lookup(line); i >= 0 {
-		pc.l1.drop(i)
-	}
+	s.procs[p].l1.invalidate(line)
 	if st == modified {
 		s.mon.Per[p].Writebacks++
 	}

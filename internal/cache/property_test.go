@@ -7,19 +7,39 @@ import (
 	"testing/quick"
 )
 
-// checkTags verifies one level's layout invariants: a way is invalid
-// exactly when its tag is -1, every valid tag sits in its own set, and
-// no line occupies two ways.
+// checkTags verifies one level's layout invariants: a way is -1 or a
+// line with a valid state, every valid line sits in its own set, no line
+// occupies two ways, and no valid way sits behind an invalid one in its
+// set.
 func checkTags(l *level) bool {
-	for i, tag := range l.tags {
-		if (tag < 0) != (l.state[i] == invalid) || tag < -1 {
+	for i, w := range l.ways {
+		if w < 0 {
+			if w != -1 {
+				return false
+			}
+			continue
+		}
+		if i%l.assoc > 0 && l.ways[i-1] < 0 {
 			return false
 		}
-		if tag >= 0 && (int(tag&l.setMask) != i/l.assoc || l.lookup(tag) != i) {
+		line, st := w>>2, state(w&3)
+		if st != shared && st != modified {
+			return false
+		}
+		if int(line&l.setMask) != i/l.assoc || find(l.set(line), line) != i%l.assoc {
 			return false
 		}
 	}
 	return true
+}
+
+// forLines calls f on every valid way of l.
+func forLines(l *level, f func(line int64, st state)) {
+	for _, w := range l.ways {
+		if w >= 0 {
+			f(w>>2, state(w&3))
+		}
+	}
 }
 
 // checkInclusion verifies L1 ⊆ L2 for one processor, and both levels'
@@ -29,12 +49,9 @@ func checkInclusion(s *System, p int) bool {
 	if !checkTags(&pc.l1) || !checkTags(&pc.l2) {
 		return false
 	}
-	for _, tag := range pc.l1.tags {
-		if tag >= 0 && pc.l2.lookup(tag) < 0 {
-			return false
-		}
-	}
-	return true
+	ok := true
+	forLines(&pc.l1, func(line int64, _ state) { ok = ok && pc.l2.has(line) })
+	return ok
 }
 
 // forEachEntry calls f on every entry of every allocated directory page.
@@ -65,31 +82,23 @@ func forEachEntry(s *System, f func(d dirEntry)) {
 // without its modified owner.
 func checkDirectory(s *System) bool {
 	var resident, owned int
+	ok := true
 	for p := 0; p < s.cfg.Processors; p++ {
 		l2 := &s.procs[p].l2
 		if !checkTags(l2) {
 			return false
 		}
-		for i, tag := range l2.tags {
-			if tag < 0 {
-				continue
-			}
-			d := s.entry(tag)
-			if d.sharers&(1<<uint(p)) == 0 {
-				return false
-			}
+		forLines(l2, func(line int64, st state) {
+			d := s.entry(line)
 			resident++
 			own := d.dirty && int(d.owner) == p
-			if own != (l2.state[i] == modified) {
-				return false
-			}
+			ok = ok && d.sharers&(1<<uint(p)) != 0 && own == (st == modified)
 			if own {
 				owned++
 			}
-		}
+		})
 	}
 	var sharerBits, dirty int
-	ok := true
 	forEachEntry(s, func(d dirEntry) {
 		sharerBits += bits.OnesCount64(d.sharers)
 		if d.dirty {
@@ -106,12 +115,11 @@ func checkDirectory(s *System) bool {
 func checkSingleWriter(s *System) bool {
 	owners := map[int64]int{}
 	for p := 0; p < s.cfg.Processors; p++ {
-		l2 := &s.procs[p].l2
-		for i, st := range l2.state {
+		forLines(&s.procs[p].l2, func(line int64, st state) {
 			if st == modified {
-				owners[l2.tags[i]]++
+				owners[line]++
 			}
-		}
+		})
 	}
 	for _, n := range owners {
 		if n > 1 {

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -61,14 +60,14 @@ type Engine struct {
 
 	quantum   int64
 	events    eventHeap
-	eventFree []*event // recycled event records
 	idleWords []uint64 // bitmask of parked processors, one bit per ID
 	seq       uint64
 	now       int64
 	disp      Dispatcher
 
 	liveTasks int
-	blocked   map[*Task]struct{}
+	tasksMade int     // tasks initialized so far, for Task.created
+	blocked   []*Task // blocked tasks, in no order; Task.blockedAt indexes it
 	coros     []*coro // every coroutine created, for leak-free teardown
 	coroFree  []*coro // those with no task, parked between bodies
 	started   bool
@@ -95,7 +94,6 @@ func New(n int, quantum int64, seed int64) *Engine {
 	e := &Engine{
 		Rand:    rand.New(rand.NewSource(seed)),
 		quantum: quantum,
-		blocked: make(map[*Task]struct{}),
 	}
 	e.Procs = make([]*Proc, n)
 	e.idleWords = make([]uint64, (n+63)/64)
@@ -159,47 +157,33 @@ func (e *Engine) hasEarlierEvent(t int64) bool {
 	return len(e.events) > 0 && e.events[0].time < t
 }
 
-// newEvent takes an event record off the free list (or allocates one)
-// and stamps it with a clamped time and the next sequence number.
-func (e *Engine) newEvent(t int64) *event {
+// schedule stamps ev with a clamped time and the next sequence number
+// and queues it.
+func (e *Engine) schedule(t int64, ev event) {
 	if t < e.now {
 		t = e.now
 	}
-	var ev *event
-	if n := len(e.eventFree); n > 0 {
-		ev = e.eventFree[n-1]
-		e.eventFree[n-1] = nil
-		e.eventFree = e.eventFree[:n-1]
-	} else {
-		ev = &event{}
-	}
 	e.seq++
 	ev.time, ev.seq = t, e.seq
-	return ev
+	e.events.push(ev)
 }
 
 // at schedules fn to run at simulated time t (clamped to now). External
 // callers go through this closure form; engine-internal hot paths use
-// the typed atDispatch/atSlice records below.
+// the typed atDispatch/atSlice events below.
 func (e *Engine) at(t int64, fn func()) {
-	ev := e.newEvent(t)
-	ev.kind, ev.fn = evFunc, fn
-	heap.Push(&e.events, ev)
+	e.schedule(t, event{kind: evFunc, fn: fn})
 }
 
 // atDispatch schedules a dispatch wake for p; stale wakes are filtered
 // by the epoch check when the event fires.
 func (e *Engine) atDispatch(t int64, p *Proc, epoch uint64) {
-	ev := e.newEvent(t)
-	ev.kind, ev.p, ev.epoch = evDispatch, p, epoch
-	heap.Push(&e.events, ev)
+	e.schedule(t, event{kind: evDispatch, p: p, epoch: epoch})
 }
 
 // atSlice schedules the quantum-slice requeue of task tk on p.
 func (e *Engine) atSlice(t int64, p *Proc, tk *Task) {
-	ev := e.newEvent(t)
-	ev.kind, ev.p, ev.t = evSlice, p, tk
-	heap.Push(&e.events, ev)
+	e.schedule(t, event{kind: evSlice, p: p, t: tk})
 }
 
 // NotifyWork wakes every parked processor: new work became available at
@@ -306,7 +290,7 @@ func (e *Engine) runOn(p *Proc, t *Task, wasParked bool) {
 	if t.done {
 		panic("sim: dispatching a completed task")
 	}
-	delete(e.blocked, t)
+	e.unmarkBlocked(t)
 	p.cur = t
 	t.ctx.proc = p
 	if t.ctx.readyAt > p.Clock {
@@ -348,7 +332,7 @@ func (e *Engine) resume(p *Proc, t *Task) {
 		e.atSlice(p.Clock, p, t)
 	case statusBlocked:
 		p.cur = nil
-		e.blocked[t] = struct{}{}
+		e.markBlocked(t)
 		e.queueDispatch(p, p.Clock)
 	case statusDone:
 		p.cur = nil
@@ -371,7 +355,30 @@ func (e *Engine) unblock(t *Task, at int64) {
 	if t.ctx.readyAt < at {
 		t.ctx.readyAt = at
 	}
-	delete(e.blocked, t)
+	e.unmarkBlocked(t)
+}
+
+// markBlocked adds t to the blocked tasks.
+func (e *Engine) markBlocked(t *Task) {
+	if t.blockedAt == 0 {
+		e.blocked = append(e.blocked, t)
+		t.blockedAt = len(e.blocked)
+	}
+}
+
+// unmarkBlocked removes t from the blocked tasks, if it is there, by
+// moving the last one into its place.
+func (e *Engine) unmarkBlocked(t *Task) {
+	i := t.blockedAt - 1
+	if i < 0 {
+		return
+	}
+	n := len(e.blocked) - 1
+	last := e.blocked[n]
+	e.blocked[i], last.blockedAt = last, i+1
+	e.blocked[n] = nil
+	e.blocked = e.blocked[:n]
+	t.blockedAt = 0
 }
 
 // Run processes events until none remain. It returns an error if a task
@@ -385,7 +392,7 @@ func (e *Engine) Run() error {
 	}
 	e.started = true
 	for len(e.events) > 0 && e.failure == nil {
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		if e.deadline > 0 && ev.time > e.deadline && e.liveTasks > 0 {
 			e.failure = e.deadlineError(ev.time)
 			break
@@ -395,14 +402,9 @@ func (e *Engine) Run() error {
 			break
 		}
 		e.now = ev.time
-		// Copy the payload and recycle the record before firing: the
-		// handler may schedule new events and reuse this very record.
-		kind, p, t, epoch, fn := ev.kind, ev.p, ev.t, ev.epoch, ev.fn
-		*ev = event{}
-		e.eventFree = append(e.eventFree, ev)
-		switch kind {
+		switch p, t := ev.p, ev.t; ev.kind {
 		case evDispatch:
-			if p.dispatchEpoch == epoch {
+			if p.dispatchEpoch == ev.epoch {
 				e.dispatch(p)
 			}
 		case evSlice:
@@ -411,7 +413,7 @@ func (e *Engine) Run() error {
 				e.resume(p, t)
 			}
 		default:
-			fn()
+			ev.fn()
 		}
 	}
 	e.killRemaining()

@@ -155,6 +155,56 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// objSnap is a Snapshotter whose wait edges name the object a blocked
+// task waits on, kept in the task's Data.
+type objSnap struct{ snapStub }
+
+func (objSnap) WaitEdge(t *Task) fault.WaitEdge {
+	return fault.WaitEdge{Task: t.Name, On: "monitor", Object: t.Data.(int64)}
+}
+
+// TestDeadlockWaitsAreStable runs the same deadlock thirty times: six
+// same-named tasks each end blocked on their own object, three of them
+// after one unblock, so the blocked set is built up, torn and rebuilt.
+// Every run must report the waits in one order, creation order among
+// the same-named tasks.
+func TestDeadlockWaitsAreStable(t *testing.T) {
+	run := func() []fault.WaitEdge {
+		e, d := newTestEngine(t, 2)
+		e.SetSnapshot(objSnap{})
+		var ws []*Task
+		for i := 0; i < 6; i++ {
+			w := e.NewTask("waiter", 0, func(c *Ctx) { c.Block(); c.Block() })
+			w.Data = int64(100 + i)
+			ws = append(ws, w)
+			d.add(w)
+		}
+		d.add(e.NewTask("waker", 0, func(c *Ctx) {
+			c.Charge(500)
+			for i := 0; i < len(ws); i += 2 {
+				e.Unblock(ws[i], c.Now())
+				d.add(ws[i])
+			}
+		}))
+		var de *fault.Deadlock
+		if err := e.Run(); !errors.As(err, &de) {
+			t.Fatalf("err = %v, want *fault.Deadlock", err)
+		}
+		return de.Waits
+	}
+	for r := 0; r < 30; r++ {
+		waits := run()
+		if len(waits) != 6 {
+			t.Fatalf("run %d: %d waits, want 6: %v", r, len(waits), waits)
+		}
+		for i, w := range waits {
+			if w.Task != "waiter" || w.Object != int64(100+i) {
+				t.Fatalf("run %d: waits %v, want waiters on objects 100..105 in creation order", r, waits)
+			}
+		}
+	}
+}
+
 func TestTaskPanicBecomesError(t *testing.T) {
 	e, d := newTestEngine(t, 1)
 	d.add(e.NewTask("boom", 0, func(c *Ctx) {

@@ -11,8 +11,7 @@ const (
 )
 
 // event is a scheduled engine action. Ties on time break by insertion
-// order (seq) so runs are deterministic. Fired events are recycled
-// through the engine's free list.
+// order (seq) so runs are deterministic.
 type event struct {
 	time  int64
 	seq   uint64
@@ -23,26 +22,61 @@ type event struct {
 	fn    func() // evFunc
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before orders events by (time, seq). seq is unique, so the order is
+// total and any correct heap pops the same sequence.
+func (ev *event) before(o *event) bool {
+	if ev.time != o.time {
+		return ev.time < o.time
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// eventHeap is a binary min-heap of event values under before.
+type eventHeap []event
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+// push adds ev.
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	es := *h
+	i := len(es) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(&es[up]) {
+			break
+		}
+		es[i] = es[up]
+		i = up
+	}
+	es[i] = ev
+}
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() event {
+	es := *h
+	top := es[0]
+	n := len(es) - 1
+	last := es[n]
+	es[n] = event{} // drop the vacated slot's references
+	es = es[:n]
+	*h = es
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && es[r].before(&es[c]) {
+			c = r
+		}
+		if !es[c].before(&last) {
+			break
+		}
+		es[i] = es[c]
+		i = c
+	}
+	es[i] = last
+	return top
 }

@@ -182,13 +182,17 @@ func (e *Engine) clocks() []int64 {
 }
 
 // waits returns the wait-for edge of every blocked task, sorted by task
-// name for determinism.
+// name and, among same-named tasks, by creation, so repeated runs report
+// the same order.
 func (e *Engine) waits() []fault.WaitEdge {
-	tasks := make([]*Task, 0, len(e.blocked))
-	for t := range e.blocked {
-		tasks = append(tasks, t)
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Name < tasks[j].Name })
+	tasks := append([]*Task(nil), e.blocked...)
+	sort.Slice(tasks, func(i, j int) bool {
+		a, b := tasks[i], tasks[j]
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return a.created < b.created
+	})
 	var out []fault.WaitEdge
 	for _, t := range tasks {
 		if e.snap != nil {

@@ -34,6 +34,8 @@ type Task struct {
 	co          *coro // the coroutine running the body, from first resume to done/failed
 	startedCoro bool
 	done        bool
+	created     int // engine-wide creation index: orders same-named tasks in a stop error
+	blockedAt   int // 1 + index in Engine.blocked while blocked, else 0
 
 	// Fault-injection state (see fault.go).
 	spawnIdx int // creation index among same-named tasks (tracked names only)
@@ -57,7 +59,8 @@ func (e *Engine) NewTask(name string, readyAt int64, fn func(*Ctx)) *Task {
 // of *t, Data included, so a runtime can embed the Task in a pooled
 // record and reuse it once the previous task in it has completed.
 func (e *Engine) InitTask(t *Task, name string, readyAt int64, fn func(*Ctx)) {
-	*t = Task{Name: name, fn: fn}
+	*t = Task{Name: name, fn: fn, created: e.tasksMade}
+	e.tasksMade++
 	if e.inj != nil && e.inj.Tracks(name) {
 		var panics bool
 		if t.spawnIdx, panics = e.inj.Spawn(name); panics {
