@@ -158,8 +158,7 @@ type Config struct {
 // objects, then call Run exactly once.
 type Runtime struct {
 	cfg      machine.Config
-	pub      Config      // the public config this runtime was built from (Reset rebuilds from it)
-	pol      core.Policy // resolved scheduling policy (Reset re-applies it)
+	pub      Config // the public config this runtime was built from; Reset re-arms from it
 	backend  Backend
 	eng      *sim.Engine // sim backend only
 	space    *memsim.Space
@@ -260,8 +259,18 @@ func NewRuntime(c Config) (*Runtime, error) {
 		}
 		return rt, err
 	}
-	rt := &Runtime{cfg: mc, pub: c, pol: pol}
-	if err := rt.initSim(); err != nil {
+	rt := &Runtime{cfg: mc, pub: c}
+	rt.eng = sim.New(mc.Processors, mc.Quantum)
+	rt.space = memsim.New(mc)
+	rt.mon = perfmon.New(mc.Processors)
+	rt.caches = cache.New(mc, rt.space, rt.mon)
+	rt.sched = core.NewScheduler(mc, pol, rt.eng, rt.space, rt.mon)
+	if c.TraceCapacity > 0 {
+		rt.enableTracing(c.TraceCapacity)
+	}
+	rt.eng.SetCycleLimit(c.CycleLimit)
+	rt.eng.SetDeadline(c.Deadline)
+	if err := rt.armSim(); err != nil {
 		return nil, err
 	}
 	if captureHook != nil {
@@ -270,26 +279,12 @@ func NewRuntime(c Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// initSim builds (or, through Reset, rebuilds) the simulator engine
-// stack from the stored configuration. The simulated pieces are cheap
-// relative to a run, so warm reuse simply reconstructs them; only the
-// recycled task records survive across resets.
-func (rt *Runtime) initSim() error {
-	c, mc := rt.pub, rt.cfg
-	rt.eng = sim.New(mc.Processors, mc.Quantum, mc.Seed)
-	rt.space = memsim.New(mc)
-	rt.mon = perfmon.New(mc.Processors)
-	rt.caches = cache.New(mc, rt.space, rt.mon)
-	rt.sched = core.NewScheduler(mc, rt.pol, rt.eng, rt.space, rt.mon)
-	if c.TraceCapacity > 0 {
-		rt.enableTracing(c.TraceCapacity)
-	}
-	if c.CycleLimit > 0 {
-		rt.eng.SetCycleLimit(c.CycleLimit)
-	}
-	if c.Deadline > 0 {
-		rt.eng.SetDeadline(c.Deadline)
-	}
+// armSim arms a simulated run's retry policy and fault plan, read from
+// the stored configuration: NewRuntime calls it on the machine it just
+// built and Reset on the one it has just reset, so the plan's events
+// are queued on a fresh clock each time.
+func (rt *Runtime) armSim() error {
+	c := rt.pub
 	if c.Retry != nil {
 		pol, err := retryDefaults(*c.Retry)
 		if err != nil {
@@ -305,15 +300,19 @@ func (rt *Runtime) initSim() error {
 	return nil
 }
 
-// captureHook, when set, observes every Runtime NewRuntime constructs.
-// Tooling that drives applications through a uniform interface hiding
-// the Runtime (the apps registry) uses it to recover the runtime for
-// post-run inspection — see CaptureRuntime.
+// captureHook, when set, observes every Runtime NewRuntime constructs
+// and every one Reset re-arms. Tooling that drives applications through
+// a uniform interface hiding the Runtime (the apps registry) uses it to
+// recover the runtime for post-run inspection — see CaptureRuntime.
 var captureHook func(*Runtime)
 
-// CaptureRuntime registers f to observe every subsequently constructed
-// Runtime and returns a restore function reinstating the previous hook.
-// The hook is package-global and not synchronized: it is for
+// CaptureRuntime registers f to observe every Runtime subsequently
+// constructed by NewRuntime or re-armed by a successful Reset, and
+// returns a restore function reinstating the previous hook. The apps
+// registry reuses its runtimes through Reset, so a captured runtime is
+// the one the next run took, fresh or warm; it stays as that run left
+// it until a later registry run with an equal configuration takes it
+// again. The hook is package-global and not synchronized: it is for
 // single-threaded drivers (the trace exporter), not for library use.
 func CaptureRuntime(f func(*Runtime)) (restore func()) {
 	prev := captureHook
@@ -376,7 +375,7 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 	if c.Faults != nil || c.Retry != nil {
 		noProgress = defaultNativeNoProgressNS
 	}
-	rt := &Runtime{cfg: mc, pub: c, pol: pol, backend: BackendNative}
+	rt := &Runtime{cfg: mc, pub: c, backend: BackendNative}
 	rt.space = memsim.New(mc)
 	rt.mon = perfmon.New(mc.Processors)
 	nat, err := native.New(native.Config{

@@ -13,8 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/machine"
 )
 
 // Serial names the single-task serial reference wherever a variant name
@@ -128,11 +130,12 @@ func (p *Program) VariantNames() []string {
 }
 
 // Run executes one version of p (or Serial) on workload w: apply the
-// version's knobs to cfg and construct the runtime — or, when rt is
-// non-nil, take the caller's runtime, which must not have run yet (fresh
-// from NewRuntime or Reset), and ignore cfg — then build, run the main
-// or the serial body, and finish. Every failure comes back labelled with
-// the program and version it belongs to.
+// version's knobs to cfg and take a runtime for it from the warm pool
+// (see warmRuntime) — or, when rt is non-nil, take the caller's runtime,
+// which must not have run yet (fresh from NewRuntime or Reset), and
+// ignore cfg — then build, run the main or the serial body, and finish.
+// Every failure comes back labelled with the program and version it
+// belongs to.
 func (p *Program) Run(variant string, w Workload, cfg cool.Config, rt *cool.Runtime, prep any) (Result, error) {
 	serial := variant == Serial
 	v, row := 0, Variant{}
@@ -154,10 +157,12 @@ func (p *Program) Run(variant string, w Workload, cfg cool.Config, rt *cool.Runt
 	if rt == nil {
 		cfg.Sched.IgnoreHints = cfg.Sched.IgnoreHints || row.IgnoreHints
 		cfg.Sched.ClusterStealingOnly = cfg.Sched.ClusterStealingOnly || row.ClusterStealingOnly
+		pool := poolFor(cfg)
 		var err error
-		if rt, err = cool.NewRuntime(cfg); err != nil {
+		if rt, err = warmRuntime(pool, cfg); err != nil {
 			return fail(err)
 		}
+		defer pool.Put(rt)
 	} else if s := rt.Sched(); row.IgnoreHints && !s.IgnoreHints || row.ClusterStealingOnly && !s.ClusterStealingOnly {
 		return fail(errors.New("the variant sets a scheduling knob when the runtime is constructed and this runtime was built without it: use RunCfg, or build the runtime with the knob"))
 	}
@@ -178,4 +183,57 @@ func (p *Program) Run(variant string, w Workload, cfg cool.Config, rt *cool.Runt
 	}
 	rep := rt.Report()
 	return Result{Cycles: rep.Cycles, Report: rep, Verify: ev.Verify(serial), Evidence: ev}, nil
+}
+
+// pools holds the idle runtimes Program.Run built for itself, one
+// sync.Pool per resolved configuration: a later run with an equal
+// configuration resets one instead of building a machine, and a pool
+// that sits idle through two garbage collections holds none. Reset
+// makes a runtime equal to a new one with the same Config, so every
+// simulated count and every Verify token is the same either way.
+var pools struct {
+	sync.Mutex
+	m map[poolKey]*sync.Pool
+}
+
+// maxPools bounds pools.m: the fault and retry settings are keyed by
+// pointer, so a driver that builds a new plan per run adds a key per
+// run, and past this many keys the map starts over.
+const maxPools = 256
+
+// poolKey is a resolved configuration: the Config with its machine
+// description by value, so runs that describe one machine through
+// different pointers share a pool.
+type poolKey struct {
+	cfg cool.Config
+	mc  machine.Config
+}
+
+// poolFor returns cfg's pool, making it on first use.
+func poolFor(cfg cool.Config) *sync.Pool {
+	k := poolKey{cfg: cfg}
+	if cfg.Machine != nil {
+		k.cfg.Machine, k.mc = nil, *cfg.Machine
+	}
+	pools.Lock()
+	defer pools.Unlock()
+	p := pools.m[k]
+	if p == nil {
+		if pools.m == nil || len(pools.m) >= maxPools {
+			pools.m = make(map[poolKey]*sync.Pool)
+		}
+		p = new(sync.Pool)
+		pools.m[k] = p
+	}
+	return p
+}
+
+// warmRuntime returns a runtime for cfg that has not run: an idle one
+// from pool, reset, or a new one. A runtime whose Reset refuses (a
+// native run that failed) is dropped.
+func warmRuntime(pool *sync.Pool, cfg cool.Config) (*cool.Runtime, error) {
+	if rt, ok := pool.Get().(*cool.Runtime); ok && rt.Reset() == nil {
+		return rt, nil
+	}
+	return cool.NewRuntime(cfg)
 }

@@ -37,21 +37,30 @@ type level struct {
 	ways    []int64
 }
 
-// newLevels builds one level of geometry g for each of procs processors,
-// carving all of them from one allocation.
+// newLevels builds one empty level of geometry g for each of procs
+// processors, carving all of them from one allocation.
 func newLevels(g machine.CacheGeometry, lineSize, procs int) []level {
 	sets := g.Size / (g.Assoc * lineSize)
 	n := sets * g.Assoc
 	ways := make([]int64, procs*n)
-	for i := range ways {
-		ways[i] = -1
-	}
 	ls := make([]level, procs)
 	for p := range ls {
 		lo, hi := p*n, (p+1)*n
 		ls[p] = level{setMask: int64(sets - 1), assoc: g.Assoc, ways: ways[lo:hi:hi]}
+		ls[p].invalidateAll()
 	}
 	return ls
+}
+
+// invalidateAll empties every set of l. It writes the first way and
+// then copies the invalid prefix over the rest, doubling it each time,
+// so the bulk of the work is a block copy rather than a word loop.
+func (l *level) invalidateAll() {
+	w := l.ways
+	w[0] = -1
+	for n := 1; n < len(w); n *= 2 {
+		copy(w[n:], w[:n])
+	}
 }
 
 // set returns line's set, most recently used way first.
@@ -196,6 +205,26 @@ func New(cfg machine.Config, space *memsim.Space, mon *perfmon.Monitor) *System 
 		s.procs[i] = procCache{l1: l1[i], l2: l2[i], cluster: cfg.ClusterOf(i)}
 	}
 	return s
+}
+
+// Reset returns the system to its state at New, in place: every cache
+// empty, every directory entry absent, every memory module idle and
+// healthy. It keeps the directory's pages, cleared, and allocates
+// nothing.
+func (s *System) Reset() {
+	for i := range s.procs {
+		s.procs[i].l1.invalidateAll()
+		s.procs[i].l2.invalidateAll()
+	}
+	for _, pages := range s.dir {
+		for _, pg := range pages {
+			if pg != nil {
+				clear(pg[:])
+			}
+		}
+	}
+	clear(s.mems)
+	clear(s.degrade)
 }
 
 // entry returns line's directory entry, allocating its page on first

@@ -101,6 +101,14 @@ type QueueArray[E any] struct {
 // Init sizes the slot array.
 func (a *QueueArray[E]) Init(slots int) { a.Slots = make([]Queue[E], slots) }
 
+// Reset empties every queue, keeping the slot array. The records a
+// failed run left queued are dropped, not unlinked: their owner must not
+// reuse them.
+func (a *QueueArray[E]) Reset() {
+	clear(a.Slots)
+	*a = QueueArray[E]{Slots: a.Slots}
+}
+
 // Push appends l to its slot's queue, or to the plain queue when it has
 // no slot.
 func (a *QueueArray[E]) Push(l *Link[E]) {

@@ -73,6 +73,7 @@ const defaultWakeFanout = 4
 type Scheduler struct {
 	Cfg   machine.Config
 	Pol   Policy
+	pol   Policy // the policy NewScheduler was given, which Reset restores
 	Eng   *sim.Engine
 	Space *memsim.Space
 	Mon   *perfmon.Monitor
@@ -118,7 +119,7 @@ func NewScheduler(cfg machine.Config, pol Policy, eng *sim.Engine, space *memsim
 	if pol.QueueArraySize <= 0 {
 		pol.QueueArraySize = 64
 	}
-	s := &Scheduler{Cfg: cfg, Pol: pol, Eng: eng, Space: space, Mon: mon,
+	s := &Scheduler{Cfg: cfg, Pol: pol, pol: pol, Eng: eng, Space: space, Mon: mon,
 		topo: Topo{Procs: cfg.Processors, ClusterSize: cfg.ClusterSize,
 			PageSize: int64(cfg.PageSize), QueueArraySize: pol.QueueArraySize},
 		home:    space.HomeProc,
@@ -134,6 +135,27 @@ func NewScheduler(cfg machine.Config, pol Policy, eng *sim.Engine, space *memsim
 	eng.SetDispatcher(s)
 	eng.SetSnapshot(s)
 	return s
+}
+
+// Reset returns the scheduler to its state at NewScheduler, in place:
+// the policy as constructed (SetClusterStealingOnly may have flipped
+// it), every queue empty, no set home, no dead server, the cursors and
+// counters at zero and the trace log empty. The engine, space and
+// monitor it was wired to are reset by their owner.
+func (s *Scheduler) Reset() {
+	s.Pol = s.pol
+	for _, sv := range s.Srv {
+		sv.resume = Queue[TaskDesc]{}
+		sv.q.Reset()
+		sv.queued = 0
+	}
+	if s.dead != 0 {
+		s.dead = 0
+		s.rebuildVictimRings()
+	}
+	clear(s.setHome)
+	s.rr, s.failRR, s.queuedTotal, s.setSplits = 0, 0, 0, 0
+	s.Trace.Reset()
 }
 
 // rebuildVictimRings recomputes every thief's probe order. Called at

@@ -15,7 +15,7 @@ func newSched(t *testing.T, procs int, pol Policy) (*Scheduler, *memsim.Space) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.New(procs, cfg.Quantum, cfg.Seed)
+	eng := sim.New(procs, cfg.Quantum)
 	space := memsim.New(cfg)
 	mon := perfmon.New(procs)
 	return NewScheduler(cfg, pol, eng, space, mon), space

@@ -39,7 +39,7 @@ func (d *abortDisp) Dispatch(p *Proc) *Task {
 
 func newAbortEngine(t *testing.T, procs, max int) (*Engine, *abortDisp) {
 	t.Helper()
-	e := New(procs, 1000, 42)
+	e := New(procs, 1000)
 	d := &abortDisp{max: max, backoff: 200}
 	d.eng = e
 	e.SetDispatcher(d)

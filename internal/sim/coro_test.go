@@ -136,7 +136,7 @@ func TestTeardownReachesDetachedAndUnstartedTasks(t *testing.T) {
 // BenchmarkSwitch measures one engine→task→engine round trip: a single
 // task on a one-cycle quantum, so every Charge yields and is resumed.
 func BenchmarkSwitch(b *testing.B) {
-	e := New(1, 1, 1)
+	e := New(1, 1)
 	d := &fifoDisp{eng: e}
 	e.SetDispatcher(d)
 	d.add(e.NewTask("spin", 0, func(c *Ctx) {
@@ -154,7 +154,7 @@ func BenchmarkSwitch(b *testing.B) {
 // BenchmarkTaskLifecycle measures NewTask → dispatch → done for a chain
 // of tasks that each spawn their successor, as application tasks do.
 func BenchmarkTaskLifecycle(b *testing.B) {
-	e := New(1, 1000, 1)
+	e := New(1, 1000)
 	d := &fifoDisp{eng: e}
 	e.SetDispatcher(d)
 	n := 0

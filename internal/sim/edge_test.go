@@ -13,7 +13,7 @@ func TestNegativeChargePanics(t *testing.T) {
 }
 
 func TestEngineRequiresDispatcher(t *testing.T) {
-	e := New(1, 100, 1)
+	e := New(1, 100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Run without dispatcher did not panic")
@@ -38,8 +38,8 @@ func TestEngineRunsOnce(t *testing.T) {
 
 func TestBadConstructorArgsPanic(t *testing.T) {
 	for name, f := range map[string]func(){
-		"zero procs":   func() { New(0, 100, 1) },
-		"zero quantum": func() { New(1, 0, 1) },
+		"zero procs":   func() { New(0, 100) },
+		"zero quantum": func() { New(1, 0) },
 	} {
 		func() {
 			defer func() {

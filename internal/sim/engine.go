@@ -5,8 +5,7 @@
 // scheduler) and gets control back when the body yields. The coroutines
 // are pooled, so a run creates as many as it has tasks in flight at once,
 // not one per task. The engine interleaves processors in virtual-time
-// order at a configurable quantum, so a run is fully reproducible for a
-// given seed.
+// order at a configurable quantum, so a run is fully reproducible.
 //
 // The engine knows nothing about scheduling policy: when a processor is
 // idle it asks a Dispatcher for the next task. The COOL runtime supplies
@@ -16,7 +15,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"github.com/coolrts/cool/internal/fault"
 )
@@ -56,7 +54,6 @@ type Proc struct {
 // Engine drives the simulation.
 type Engine struct {
 	Procs []*Proc
-	Rand  *rand.Rand
 
 	quantum   int64
 	events    eventHeap
@@ -84,24 +81,49 @@ type Engine struct {
 }
 
 // New creates an engine with n processors.
-func New(n int, quantum int64, seed int64) *Engine {
+func New(n int, quantum int64) *Engine {
 	if n <= 0 {
 		panic("sim: engine needs at least one processor")
 	}
 	if quantum <= 0 {
 		panic("sim: quantum must be positive")
 	}
-	e := &Engine{
-		Rand:    rand.New(rand.NewSource(seed)),
-		quantum: quantum,
-	}
+	e := &Engine{quantum: quantum}
 	e.Procs = make([]*Proc, n)
-	e.idleWords = make([]uint64, (n+63)/64)
 	for i := range e.Procs {
-		e.Procs[i] = &Proc{ID: i, eng: e, parked: true}
-		e.idleWords[i>>6] |= 1 << (uint(i) & 63)
+		e.Procs[i] = new(Proc)
 	}
+	e.idleWords = make([]uint64, (n+63)/64)
+	e.Reset()
 	return e
+}
+
+// Reset re-arms the engine for another Run, in place: every processor
+// parked at clock zero with no accounting, no event, task or coroutine
+// left, and the fault injector disarmed. What configures the engine
+// stays: the dispatcher, the snapshotter, the fail handler, the
+// watchdog and the deadline. New ends with it, so a reset engine is a
+// new one. The coroutines a run created are stopped when it ends, so
+// Reset only forgets them.
+func (e *Engine) Reset() {
+	for i, p := range e.Procs {
+		*p = Proc{ID: i, eng: e}
+	}
+	clear(e.idleWords)
+	for _, p := range e.Procs {
+		e.setParked(p, true)
+	}
+	clear(e.events)
+	e.events = e.events[:0]
+	clear(e.blocked)
+	e.blocked = e.blocked[:0]
+	clear(e.coros)
+	e.coros = e.coros[:0]
+	clear(e.coroFree)
+	e.coroFree = e.coroFree[:0]
+	e.seq, e.now = 0, 0
+	e.liveTasks, e.tasksMade = 0, 0
+	e.started, e.failure, e.inj = false, nil, nil
 }
 
 // setParked flips p's parked state, maintaining the idle bitmask that

@@ -30,7 +30,7 @@ func (d *fifoDisp) add(t *Task) {
 
 func newTestEngine(t *testing.T, procs int) (*Engine, *fifoDisp) {
 	t.Helper()
-	e := New(procs, 1000, 42)
+	e := New(procs, 1000)
 	d := &fifoDisp{eng: e}
 	e.SetDispatcher(d)
 	return e, d
@@ -227,7 +227,7 @@ func TestTaskPanicBecomesError(t *testing.T) {
 func TestQuantumInterleaving(t *testing.T) {
 	// Two long tasks on two processors must interleave: neither clock
 	// should run far ahead of the other at any yield point.
-	e := New(2, 100, 1)
+	e := New(2, 100)
 	d := &fifoDisp{eng: e}
 	e.SetDispatcher(d)
 	var maxSkew int64
@@ -255,7 +255,7 @@ func TestQuantumInterleaving(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() int64 {
-		e := New(4, 500, 7)
+		e := New(4, 500)
 		d := &fifoDisp{eng: e}
 		e.SetDispatcher(d)
 		for i := 0; i < 20; i++ {

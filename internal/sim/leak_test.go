@@ -12,7 +12,7 @@ import (
 func TestNoGoroutineLeakAfterDeadlock(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		e := New(2, 1000, 1)
+		e := New(2, 1000)
 		d := &fifoDisp{eng: e}
 		e.SetDispatcher(d)
 		for j := 0; j < 4; j++ {
@@ -34,7 +34,7 @@ func TestNoGoroutineLeakAfterDeadlock(t *testing.T) {
 func TestNoGoroutineLeakAfterPanic(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		e := New(2, 1000, 1)
+		e := New(2, 1000)
 		d := &fifoDisp{eng: e}
 		e.SetDispatcher(d)
 		d.add(e.NewTask("sleeper", 0, func(c *Ctx) {
@@ -57,7 +57,7 @@ func TestNoGoroutineLeakAfterPanic(t *testing.T) {
 // TestSyncPointOrdersEvents verifies that a task running ahead within its
 // quantum yields at a SyncPoint when earlier events are pending.
 func TestSyncPointOrdersEvents(t *testing.T) {
-	e := New(2, 100000, 1) // huge quantum: only SyncPoint can interleave
+	e := New(2, 100000) // huge quantum: only SyncPoint can interleave
 	d := &fifoDisp{eng: e}
 	e.SetDispatcher(d)
 	var order []string

@@ -116,6 +116,15 @@ func (l *Log) Add(time int64, proc int, kind Kind, task string, arg int64) {
 	l.events = append(l.events, Event{Time: time, Proc: int32(proc), Kind: kind, Task: task, Arg: arg})
 }
 
+// Reset empties the log, keeping its capacity.
+func (l *Log) Reset() {
+	if l == nil {
+		return
+	}
+	clear(l.events)
+	l.events, l.dropped = l.events[:0], 0
+}
+
 // Events returns the recorded events in order.
 func (l *Log) Events() []Event {
 	if l == nil {

@@ -13,9 +13,17 @@ package cool
 // worker structures stay warm (task-record freelists, sized scratch
 // buffers, victim rings, the shard table's capacity), and only the
 // per-run state — counters, channels, set homes, the consumed fault
-// plan — is re-armed. The perfmon counters are zeroed, so the next
-// run's Report starts from a clean slate and never bleeds a previous
-// job's FaultEvents/Retries/DeadlineMisses.
+// plan — is re-armed. On the simulator the whole machine is re-armed in
+// place: every cache way invalidated, the directory's pages kept and
+// cleared, the memory modules idle and healthy, the address space
+// rewound, the engine's processors parked at clock zero with an empty
+// event heap, the scheduler's queues empty, and the fault plan queued
+// again; nothing the reset allocates grows with the processor count.
+// The perfmon counters are zeroed, so the next run's Report starts from
+// a clean slate and never bleeds a previous job's
+// FaultEvents/Retries/DeadlineMisses. Either way a reset runtime runs
+// the next job exactly as a fresh NewRuntime with the same Config does,
+// and the CaptureRuntime hook sees it as it sees a new one.
 //
 // The arrays survive too, and a job's arrays and handles belong to the
 // runtime once Reset is called: the arrays the allocation API handed
@@ -35,24 +43,31 @@ package cool
 // run that failed (deadline, watchdog, panic, abort) may have unwound
 // with task records still queued; Reset refuses with the run's error
 // and the caller must build a fresh runtime. On the simulator Reset
-// simply rebuilds the engine stack, so it always succeeds.
+// re-arms the machine whatever the run did, so it fails only when the
+// Config's fault plan or retry policy has since been made invalid.
 func (rt *Runtime) Reset() error {
 	if rt.backend == BackendNative {
 		if err := rt.nat.Reset(); err != nil {
 			return err
 		}
-		rt.spaceMu.Lock()
-		rt.space.Reset()
-		rt.spaceMu.Unlock()
-		rt.mon.Reset()
 	} else {
-		if err := rt.initSim(); err != nil {
+		rt.eng.Reset()
+		rt.caches.Reset()
+		rt.sched.Reset()
+		if err := rt.armSim(); err != nil {
 			return err
 		}
 	}
+	rt.spaceMu.Lock()
+	rt.space.Reset()
+	rt.spaceMu.Unlock()
+	rt.mon.Reset()
 	rt.reclaimArrays() // only once the reset has succeeded: a refused one reclaims nothing
 	rt.ran = false
 	rt.setupErr = nil
+	if captureHook != nil {
+		captureHook(rt)
+	}
 	return nil
 }
 
