@@ -1,8 +1,8 @@
 // Command coolserve runs the COOL serving layer: a pool of warm native
 // runtimes behind an HTTP/JSON job API. Jobs name a catalog app and a
-// size preset; routing keeps jobs with the same affinity key on the
-// runtime that last served that key, and admission control sheds load
-// before it ties up a queue slot.
+// size preset; routing queues jobs with the same affinity key at that
+// key's home runtime, an idle runtime steals from another's backlog,
+// and admission control sheds load before it ties up a queue slot.
 //
 // Quickstart:
 //
@@ -42,8 +42,6 @@ func main() {
 			fmt.Sprintf("routing policy: %s", strings.Join(serve.RouterNames(), ", ")))
 		admission = flag.String("admission", "always",
 			fmt.Sprintf("admission policy: %s", strings.Join(serve.AdmissionNames(), ", ")))
-		rate     = flag.Float64("admission-rate", 100, "token-bucket: sustained jobs/sec")
-		burst    = flag.Float64("admission-burst", 50, "token-bucket: burst capacity")
 		maxDepth = flag.Int("admission-max-depth", 64, "reject-overloaded: per-runtime depth ceiling")
 		resident = flag.Int("resident-spaces", 4, "spaces whose prepared state each runtime keeps resident (-1 disables)")
 	)
@@ -53,9 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	admit, err := serve.NewAdmission(*admission, serve.AdmissionConfig{
-		Rate: *rate, Burst: *burst, MaxDepth: *maxDepth,
-	})
+	admit, err := serve.NewAdmission(*admission, serve.AdmissionConfig{MaxDepth: *maxDepth})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Admission decides whether a submission may enter the system at all —
 // before routing, before queuing. Admit returns nil to admit or an
@@ -19,42 +16,6 @@ type alwaysAdmit struct{}
 
 func (alwaysAdmit) Name() string                  { return "always" }
 func (alwaysAdmit) Admit(*Job, []EntryStat) error { return nil }
-
-// TokenBucket admits at a sustained rate with a burst allowance: a
-// bucket of capacity Burst refills at Rate tokens per second and each
-// admission spends one token. The clock is injectable so tests refill
-// deterministically.
-type TokenBucket struct {
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	lastNS int64
-	now    func() int64 // UnixNano
-}
-
-// NewTokenBucket builds a full bucket. now may be nil for wall clock.
-func NewTokenBucket(rate, burst float64, now func() int64) *TokenBucket {
-	if now == nil {
-		now = func() int64 { return time.Now().UnixNano() }
-	}
-	return &TokenBucket{rate: rate, burst: burst, tokens: burst, lastNS: now(), now: now}
-}
-
-func (t *TokenBucket) Name() string { return "token-bucket" }
-
-func (t *TokenBucket) Admit(*Job, []EntryStat) error {
-	n := t.now()
-	t.tokens += float64(n-t.lastNS) / 1e9 * t.rate
-	if t.tokens > t.burst {
-		t.tokens = t.burst
-	}
-	t.lastNS = n
-	if t.tokens < 1 {
-		return fmt.Errorf("serve: rate limited (%.2f tokens, need 1)", t.tokens)
-	}
-	t.tokens--
-	return nil
-}
 
 // rejectOverloaded sheds load at the door: a submission is refused
 // when even the shallowest runtime queue is at or past maxDepth. This
@@ -79,15 +40,12 @@ func (r rejectOverloaded) Admit(_ *Job, stats []EntryStat) error {
 
 // AdmissionConfig parameterizes the admission factory.
 type AdmissionConfig struct {
-	Rate     float64 // token-bucket: sustained admissions per second
-	Burst    float64 // token-bucket: bucket capacity
-	MaxDepth int     // reject-overloaded: per-entry depth ceiling
-	Now      func() int64
+	MaxDepth int // reject-overloaded: per-entry depth ceiling
 }
 
 // AdmissionNames lists the policies NewAdmission accepts.
 func AdmissionNames() []string {
-	return []string{"always", "token-bucket", "reject-overloaded"}
+	return []string{"always", "reject-overloaded"}
 }
 
 // NewAdmission builds an admission policy by name.
@@ -95,11 +53,6 @@ func NewAdmission(name string, cfg AdmissionConfig) (Admission, error) {
 	switch name {
 	case "always":
 		return alwaysAdmit{}, nil
-	case "token-bucket":
-		if cfg.Rate <= 0 || cfg.Burst < 1 {
-			return nil, fmt.Errorf("serve: token-bucket needs rate > 0 and burst >= 1 (got rate=%g burst=%g)", cfg.Rate, cfg.Burst)
-		}
-		return NewTokenBucket(cfg.Rate, cfg.Burst, cfg.Now), nil
 	case "reject-overloaded":
 		if cfg.MaxDepth < 1 {
 			return nil, fmt.Errorf("serve: reject-overloaded needs max depth >= 1 (got %d)", cfg.MaxDepth)

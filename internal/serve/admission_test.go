@@ -5,38 +5,6 @@ import (
 	"testing"
 )
 
-func TestTokenBucketRefill(t *testing.T) {
-	var clock int64
-	tb := NewTokenBucket(2, 3, func() int64 { return clock }) // 2/sec, burst 3
-
-	for i := 0; i < 3; i++ {
-		if err := tb.Admit(job(""), nil); err != nil {
-			t.Fatalf("burst admit %d: %v", i, err)
-		}
-	}
-	if err := tb.Admit(job(""), nil); err == nil {
-		t.Fatal("4th admit succeeded on an empty bucket")
-	}
-
-	clock += 500e6 // +0.5s refills one token at 2/sec
-	if err := tb.Admit(job(""), nil); err != nil {
-		t.Fatalf("post-refill admit: %v", err)
-	}
-	if err := tb.Admit(job(""), nil); err == nil {
-		t.Fatal("second post-refill admit succeeded; refill over-credited")
-	}
-
-	clock += 10e9 // long idle refills to burst, not beyond
-	for i := 0; i < 3; i++ {
-		if err := tb.Admit(job(""), nil); err != nil {
-			t.Fatalf("capped-refill admit %d: %v", i, err)
-		}
-	}
-	if err := tb.Admit(job(""), nil); err == nil {
-		t.Fatal("bucket exceeded burst capacity after long idle")
-	}
-}
-
 func TestRejectOverloaded(t *testing.T) {
 	a, err := NewAdmission("reject-overloaded", AdmissionConfig{MaxDepth: 3})
 	if err != nil {
@@ -66,25 +34,22 @@ func TestAdmissionFactoryValidation(t *testing.T) {
 	if _, err := NewAdmission("vibes", AdmissionConfig{}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := NewAdmission("token-bucket", AdmissionConfig{Rate: 0, Burst: 5}); err == nil {
-		t.Fatal("token-bucket with zero rate accepted")
-	}
 	if _, err := NewAdmission("reject-overloaded", AdmissionConfig{MaxDepth: 0}); err == nil {
 		t.Fatal("reject-overloaded with zero depth accepted")
 	}
 	for _, name := range AdmissionNames() {
-		if _, err := NewAdmission(name, AdmissionConfig{Rate: 10, Burst: 5, MaxDepth: 8}); err != nil {
+		if _, err := NewAdmission(name, AdmissionConfig{MaxDepth: 8}); err != nil {
 			t.Fatalf("listed policy %q: %v", name, err)
 		}
 	}
-	if !strings.Contains(mustAdmissionErr(t), "token-bucket") {
+	if !strings.Contains(mustAdmissionErr(t), "reject-overloaded") {
 		t.Fatal("factory error does not name the policy")
 	}
 }
 
 func mustAdmissionErr(t *testing.T) string {
 	t.Helper()
-	_, err := NewAdmission("token-bucket", AdmissionConfig{})
+	_, err := NewAdmission("reject-overloaded", AdmissionConfig{})
 	if err == nil {
 		t.Fatal("expected error")
 	}

@@ -1,15 +1,16 @@
 // Package serve is the multi-tenant serving layer over warm COOL
 // runtimes. It keeps a pool of runtimes hot across jobs (NewRuntime
-// once, Runtime.Reset between jobs), routes each submitted job to a
-// runtime through a pluggable policy — round-robin, least-loaded, or
-// affinity routing that sticks a job's object space to the runtime
-// that last served its key, the paper's task-to-processor affinity
-// lifted one level up — and applies admission control before any work
-// is queued. Admission is the only place load is shed: an admitted job
-// runs every task it spawns, since a catalog app with a dropped task
-// fails its Verify. The HTTP front end in server.go is a thin wrapper;
-// the in-process Service is the real API and what the tests and
-// benches drive.
+// once, Runtime.Reset between jobs), places each submitted job at a
+// runtime through a routing policy — least-loaded, or space affinity,
+// which gives each object space a home runtime and queues the space's
+// jobs there, the paper's task-to-processor affinity lifted one level
+// up — and lets an idle runtime steal from another's backlog, as the
+// paper's idle servers do. Admission control runs before any work is
+// queued, and is the only place load is shed: an admitted job runs
+// every task it spawns, since a catalog app with a dropped task fails
+// its Verify. The HTTP front end in server.go is a thin wrapper; the
+// in-process Service is the real API and what the tests and benches
+// drive.
 package serve
 
 import (
@@ -58,8 +59,8 @@ type Request struct {
 	// Size is a catalog preset: "small" (default), "medium", "large".
 	Size string `json:"size,omitempty"`
 	// Key is the affinity key: jobs sharing a key touch the same object
-	// space, and affinity routers keep them on the runtime that last
-	// served the key. Empty means no affinity.
+	// space, and the space-affinity router queues them all at the key's
+	// home runtime. Empty means no affinity.
 	Key string `json:"key,omitempty"`
 }
 
@@ -70,7 +71,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	state    JobState
-	runtime  int // entry that ran it, -1 until routed
+	runtime  int // entry it is queued at, then the entry that ran it; -1 until routed
 	verify   string
 	errMsg   string
 	submitNS int64 // wall clock, UnixNano
@@ -104,9 +105,10 @@ func (j *Job) route(entry int) {
 	j.mu.Unlock()
 }
 
-func (j *Job) start(now int64) {
+func (j *Job) start(entry int, now int64) {
 	j.mu.Lock()
 	j.state = JobRunning
+	j.runtime = entry
 	j.startNS = now
 	j.mu.Unlock()
 }
@@ -130,7 +132,7 @@ type Snapshot struct {
 	Size     string   `json:"size,omitempty"`
 	Key      string   `json:"key,omitempty"`
 	State    string   `json:"state"`
-	Runtime  int      `json:"runtime"` // -1 until routed
+	Runtime  int      `json:"runtime"` // -1 until routed; the entry that ran it once started
 	Verify   string   `json:"verify,omitempty"`
 	Error    string   `json:"error,omitempty"`
 	SubmitNS int64    `json:"submit_ns"`

@@ -5,9 +5,9 @@ import "sync/atomic"
 // Residency is one pool entry's prepared-state cache: the analyze-phase
 // handles (apps.PrepareCatalog) of the spaces this runtime served most
 // recently. It is the serving layer's version of the paper's cache
-// affinity — a space's prepared state is resident on the runtime that
-// last served it, so routing a job home turns into avoided work, while
-// a job landing anywhere else repeats the analyze phase.
+// affinity — a space's prepared state is resident on its home runtime,
+// so running a job at home turns into avoided work, while a job stolen
+// by another runtime repeats the analyze phase there.
 //
 // Residency is deliberately scarce (small LRU capacity): if every
 // runtime could hold every space, placement would not matter. Entries
@@ -15,29 +15,46 @@ import "sync/atomic"
 // tenants' workloads would coincide — a tenant's space is private, and
 // the serving layer does not assume its contents from its shape.
 //
+// A thief's runner gets a borrowed view of the thief's residency: its
+// probes count as hits or misses, but its Store does nothing, so a
+// steal neither moves a space's home nor evicts the thief's own spaces
+// (the paper's reluctant object-bound steal: the task runs away from
+// home, its object stays put).
+//
 // Residency is owned by a single pool-entry goroutine; no locking. The
 // hit/miss counters are atomics only so stats snapshots can read them
 // from other goroutines.
 type Residency struct {
+	*spaces
+	borrowed bool
+}
+
+// spaces is the cache an entry's Residency and its borrowed view share.
+type spaces struct {
 	cap    int
-	items  map[string]any
-	order  []string // LRU: oldest first
+	items  map[spaceID]any
+	order  []spaceID // LRU: oldest first, at most cap long
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
+// spaceID identifies one space's prepared state. The size preset is
+// normalized ("" means "small") so the two spellings share state.
+type spaceID struct{ key, app, size string }
+
 func newResidency(capacity int) *Residency {
-	return &Residency{cap: capacity, items: make(map[string]any)}
+	return &Residency{spaces: &spaces{cap: capacity, items: make(map[spaceID]any, capacity), order: make([]spaceID, 0, capacity)}}
 }
 
-// residencyKey identifies one space's prepared state. The size preset
-// is normalized ("" means "small") so the two spellings share state.
-func residencyKey(j *Job) string {
+// borrow returns the view a thief's runner gets.
+func (r *Residency) borrow() *Residency { return &Residency{spaces: r.spaces, borrowed: true} }
+
+func idOf(j *Job) spaceID {
 	size := j.Req.Size
 	if size == "" {
 		size = "small"
 	}
-	return j.Req.Key + "\x00" + j.Req.App + "\x00" + size
+	return spaceID{j.Req.Key, j.Req.App, size}
 }
 
 // Lookup finds the prepared state for a job's space and counts the
@@ -46,7 +63,7 @@ func (r *Residency) Lookup(j *Job) (any, bool) {
 	if r.cap <= 0 || j.Req.Key == "" {
 		return nil, false
 	}
-	k := residencyKey(j)
+	k := idOf(j)
 	prep, ok := r.items[k]
 	if ok {
 		r.hits.Add(1)
@@ -58,30 +75,33 @@ func (r *Residency) Lookup(j *Job) (any, bool) {
 }
 
 // Store makes a space's prepared state resident, evicting the least
-// recently served space when the cache is full.
+// recently served space when the cache is full. On a borrowed view it
+// does nothing.
 func (r *Residency) Store(j *Job, prep any) {
-	if r.cap <= 0 || j.Req.Key == "" || prep == nil {
+	if r.borrowed || r.cap <= 0 || j.Req.Key == "" || prep == nil {
 		return
 	}
-	k := residencyKey(j)
+	k := idOf(j)
 	if _, ok := r.items[k]; ok {
 		r.items[k] = prep
 		r.touch(k)
 		return
 	}
-	if len(r.items) >= r.cap {
-		oldest := r.order[0]
-		r.order = r.order[1:]
-		delete(r.items, oldest)
+	if len(r.order) >= r.cap {
+		delete(r.items, r.order[0])
+		copy(r.order, r.order[1:])
+		r.order = r.order[:len(r.order)-1]
 	}
 	r.items[k] = prep
 	r.order = append(r.order, k)
 }
 
-func (r *Residency) touch(k string) {
+// touch moves k to the most recently served end, in place.
+func (r *Residency) touch(k spaceID) {
 	for i, o := range r.order {
 		if o == k {
-			r.order = append(append(r.order[:i:i], r.order[i+1:]...), k)
+			copy(r.order[i:], r.order[i+1:])
+			r.order[len(r.order)-1] = k
 			return
 		}
 	}

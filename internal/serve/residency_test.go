@@ -74,6 +74,50 @@ func TestResidencyCounters(t *testing.T) {
 	}
 }
 
+func TestResidencyHitAllocatesNothing(t *testing.T) {
+	r := newResidency(4)
+	spaces := make([]*Job, 4)
+	for i := range spaces {
+		spaces[i] = keyed(fmt.Sprintf("tenant%d", i), "pancho", "")
+		r.Store(spaces[i], i)
+	}
+	i := 0
+	// Each probe hits the least recently served space: a full reorder.
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, ok := r.Lookup(spaces[i%len(spaces)]); !ok {
+			t.Fatal("resident space missed")
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("a residency hit allocates %.1f times, want 0", n)
+	}
+}
+
+func TestResidencyBorrowedViewStoresNothing(t *testing.T) {
+	r := newResidency(2)
+	r.Store(keyed("a", "pancho", "small"), "prepA")
+	r.Store(keyed("b", "pancho", "small"), "prepB")
+	v := r.borrow()
+	if _, ok := v.Lookup(keyed("c", "pancho", "small")); ok {
+		t.Fatal("borrowed view hit a space never stored")
+	}
+	v.Store(keyed("c", "pancho", "small"), "prepC")
+	if prep, ok := v.Lookup(keyed("a", "pancho", "small")); !ok || prep != "prepA" {
+		t.Fatalf("borrowed view lost the owner's space a: %v %v", prep, ok)
+	}
+	// The view's probes count on the owner; its store evicted nothing
+	// and made nothing resident.
+	if r.Hits() != 1 || r.Misses() != 1 {
+		t.Fatalf("owner hits=%d misses=%d, want 1/1", r.Hits(), r.Misses())
+	}
+	if _, ok := r.Lookup(keyed("c", "pancho", "small")); ok {
+		t.Fatal("borrowed view's store made space c resident")
+	}
+	if _, ok := r.Lookup(keyed("b", "pancho", "small")); !ok {
+		t.Fatal("borrowed view's store evicted space b")
+	}
+}
+
 // TestServeResidencyFollowsAffinity streams keyed pancho jobs through
 // the default space-affinity router and asserts the residency payoff
 // materializes: after each space's first job, the rest are served from

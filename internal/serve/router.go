@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // EntryStat is the live load signal one pool entry exposes to routing
 // and admission decisions.
@@ -12,7 +9,8 @@ type EntryStat struct {
 	Queued     int   `json:"queued"`      // jobs waiting in the entry's queue
 	Running    int   `json:"running"`     // 0 or 1: the entry runs one job at a time
 	Alive      int   `json:"alive"`       // live worker goroutines in the entry's runtime
-	Completed  int64 `json:"completed"`   // jobs finished (done or failed)
+	Completed  int64 `json:"completed"`   // jobs this entry finished (done or failed), stolen ones included
+	Steals     int64 `json:"steals"`      // jobs this entry took from another entry's backlog
 	PrepHits   int64 `json:"prep_hits"`   // jobs served from resident prepared state
 	PrepMisses int64 `json:"prep_misses"` // keyed jobs that had to run the analyze phase
 }
@@ -20,180 +18,81 @@ type EntryStat struct {
 // Depth is the entry's total outstanding work.
 func (s EntryStat) Depth() int { return s.Queued + s.Running }
 
-// Router picks which pool entry serves a job. Pick is called with the
-// routing lock held — implementations may keep unguarded state — and
-// must return an index into stats (stats is never empty).
+// Router picks which pool entry a job is queued at. Pick is called
+// with the routing lock held — implementations may keep unguarded
+// state — and must return an index into stats (stats is never empty).
+// Routing only places a job: balancing the queues is the pool's job,
+// done late by idle entries stealing from a backlog (pool.go).
 type Router interface {
 	Name() string
 	Pick(job *Job, stats []EntryStat) int
 }
 
-// --- scorer pipeline -------------------------------------------------
-//
-// Routing policies compose from scorers: each scorer votes a float per
-// entry, the pipeline sums the votes, and the highest total wins (ties
-// break to the lowest entry ID, keeping every policy deterministic).
-// LeastLoaded is the load scorer alone; SpaceAffinity is the affinity
-// scorer stacked on the load scorer, so stickiness wins when the home
-// runtime is comparably loaded but yields when it has fallen far
-// behind — the same "affinity, unless the imbalance is worse" tradeoff
-// the paper's task stealing makes at the processor level.
+// leastLoaded places a job on the shallowest entry, ties to the lowest
+// index. Entries whose runtime lost workers weigh their queue as if it
+// were proportionally deeper, so a drained runtime attracts less work.
+type leastLoaded struct{ fullAlive int }
 
-// Scorer votes a score for placing job on the entry described by s.
-type Scorer interface {
-	Name() string
-	Score(job *Job, s EntryStat) float64
-}
+func (l leastLoaded) Name() string { return "least-loaded" }
 
-// ScoreRouter sums its scorers' votes and picks the argmax.
-type ScoreRouter struct {
-	name    string
-	scorers []Scorer
-	// observe, when non-nil, is told the final placement (affinity
-	// scorers learn stickiness from it).
-	observe func(job *Job, entry int)
-}
-
-// NewScoreRouter composes scorers into a router.
-func NewScoreRouter(name string, scorers ...Scorer) *ScoreRouter {
-	r := &ScoreRouter{name: name, scorers: scorers}
-	for _, s := range scorers {
-		if a, ok := s.(*affinityScorer); ok {
-			prev := r.observe
-			r.observe = func(job *Job, entry int) {
-				if prev != nil {
-					prev(job, entry)
-				}
-				a.record(job, entry)
-			}
-		}
-	}
-	return r
-}
-
-func (r *ScoreRouter) Name() string { return r.name }
-
-func (r *ScoreRouter) Pick(job *Job, stats []EntryStat) int {
-	best, bestScore := 0, 0.0
-	for i, st := range stats {
-		var score float64
-		for _, s := range r.scorers {
-			score += s.Score(job, st)
-		}
-		if i == 0 || score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	if r.observe != nil {
-		r.observe(job, stats[best].ID)
-	}
-	return best
-}
-
-// loadScorer prefers shallow queues: score = -depth. On its own it is
-// the LeastLoaded policy (argmax of -depth = min depth, ties to the
-// lowest ID). Entries whose runtime lost workers weigh their queue as
-// if it were proportionally deeper, so a drained runtime attracts less
-// work — the live alive-worker signal.
-type loadScorer struct{ fullAlive int }
-
-func (l *loadScorer) Name() string { return "load" }
-
-func (l *loadScorer) Score(_ *Job, s EntryStat) float64 {
+func (l leastLoaded) load(s EntryStat) float64 {
 	depth := float64(s.Depth())
 	if l.fullAlive > 0 && s.Alive > 0 && s.Alive < l.fullAlive {
 		depth *= float64(l.fullAlive) / float64(s.Alive)
 	}
-	return -depth
+	return depth
 }
 
-// affinityScorer remembers, per key, the entry that last served the
-// key and votes a bonus for it. The bonus (default 1.5) is measured in
-// queue-depth units: a key sticks to its home while the home is at
-// most one job deeper than the best alternative, and migrates (then
-// re-homes where it lands) once the gap exceeds the bonus. An unseen
-// key gets a small deterministic per-(key, entry) preference instead,
-// spreading first placements across the pool — without it, every key
-// would home to the lowest-numbered entry on an idle pool and
-// stickiness would freeze that pile-up in place. Together the two
-// produce emergent isolation: keys whose jobs are expensive keep their
-// home's queue deep, so cheaper keys sharing it migrate away and stay
-// away.
-type affinityScorer struct {
-	bonus float64
-	keyOf func(*Job) string
-	last  map[string]int
-}
-
-func newAffinityScorer(bonus float64, keyOf func(*Job) string) *affinityScorer {
-	return &affinityScorer{bonus: bonus, keyOf: keyOf, last: make(map[string]int)}
-}
-
-func (a *affinityScorer) Name() string { return "affinity" }
-
-// spreadMax bounds the unseen-key placement preference. Strictly below
-// one queue-depth unit so it can never out-vote a real load difference.
-const spreadMax = 0.9
-
-func (a *affinityScorer) Score(job *Job, s EntryStat) float64 {
-	k := a.keyOf(job)
-	if k == "" {
-		return 0
-	}
-	if e, ok := a.last[k]; ok {
-		if e == s.ID {
-			return a.bonus
+func (l leastLoaded) Pick(_ *Job, stats []EntryStat) int {
+	best := 0
+	for i := 1; i < len(stats); i++ {
+		if l.load(stats[i]) < l.load(stats[best]) {
+			best = i
 		}
-		return 0
 	}
-	// FNV-1a over key + entry ID: deterministic, but different keys
-	// rank entries differently.
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint32(k[i])) * 16777619
-	}
-	h = (h ^ uint32(s.ID)) * 16777619
-	return float64(h%1024) / 1024 * spreadMax
+	return best
 }
 
-func (a *affinityScorer) record(job *Job, entry int) {
-	if k := a.keyOf(job); k != "" {
-		a.last[k] = entry
+// spaceAffinity gives every key a home entry and always places the
+// key's jobs there: the paper's affinity at job granularity, where a
+// task goes to its object's home server. A new key's home is the entry
+// with the fewest homed keys, ties to the less loaded entry, then to
+// the lower index; a home never moves. Keyless jobs go least-loaded.
+type spaceAffinity struct {
+	leastLoaded
+	home  map[string]int // key -> home entry ID
+	homed map[int]int    // entry ID -> keys homed there
+}
+
+func (a *spaceAffinity) Name() string { return "space-affinity" }
+
+func (a *spaceAffinity) Pick(job *Job, stats []EntryStat) int {
+	k := job.Req.Key
+	if k == "" {
+		return a.leastLoaded.Pick(job, stats)
 	}
-}
-
-// spaceKey is the exact affinity key: jobs naming the same object
-// space stick together.
-func spaceKey(j *Job) string { return j.Req.Key }
-
-// prefixKey groups keys by their first '/'-separated component, so
-// "tenant1/run5" and "tenant1/run9" share a home runtime.
-func prefixKey(j *Job) string {
-	k := j.Req.Key
-	if i := strings.IndexByte(k, '/'); i >= 0 {
-		return k[:i]
+	if id, ok := a.home[k]; ok {
+		for i, s := range stats {
+			if s.ID == id {
+				return i
+			}
+		}
 	}
-	return k
+	best := 0
+	for i := 1; i < len(stats); i++ {
+		hi, hb := a.homed[stats[i].ID], a.homed[stats[best].ID]
+		if hi < hb || hi == hb && a.load(stats[i]) < a.load(stats[best]) {
+			best = i
+		}
+	}
+	a.home[k] = stats[best].ID
+	a.homed[stats[best].ID]++
+	return best
 }
-
-// --- standalone policies ---------------------------------------------
-
-// roundRobin ignores load entirely and deals jobs out in order.
-type roundRobin struct{ next int }
-
-func (r *roundRobin) Name() string { return "round-robin" }
-
-func (r *roundRobin) Pick(_ *Job, stats []EntryStat) int {
-	i := r.next % len(stats)
-	r.next++
-	return i
-}
-
-// --- factory ---------------------------------------------------------
 
 // RouterNames lists the routing policies NewRouter accepts.
 func RouterNames() []string {
-	return []string{"round-robin", "least-loaded", "space-affinity", "prefix-affinity"}
+	return []string{"least-loaded", "space-affinity"}
 }
 
 // NewRouter builds a routing policy by name. fullAlive is the worker
@@ -201,14 +100,10 @@ func RouterNames() []string {
 // lost workers); pass 0 to ignore the alive signal.
 func NewRouter(name string, fullAlive int) (Router, error) {
 	switch name {
-	case "round-robin":
-		return &roundRobin{}, nil
 	case "least-loaded":
-		return NewScoreRouter(name, &loadScorer{fullAlive: fullAlive}), nil
+		return leastLoaded{fullAlive: fullAlive}, nil
 	case "space-affinity":
-		return NewScoreRouter(name, newAffinityScorer(1.5, spaceKey), &loadScorer{fullAlive: fullAlive}), nil
-	case "prefix-affinity":
-		return NewScoreRouter(name, newAffinityScorer(1.5, prefixKey), &loadScorer{fullAlive: fullAlive}), nil
+		return &spaceAffinity{leastLoaded: leastLoaded{fullAlive: fullAlive}, home: make(map[string]int), homed: make(map[int]int)}, nil
 	}
 	return nil, fmt.Errorf("serve: unknown routing policy %q (have %v)", name, RouterNames())
 }

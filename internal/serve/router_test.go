@@ -1,6 +1,9 @@
 package serve
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func job(key string) *Job { return newJob("j", Request{App: "x", Key: key}, 0) }
 
@@ -10,20 +13,6 @@ func flat(n, depth int) []EntryStat {
 		out[i] = EntryStat{ID: i, Queued: depth, Alive: 4}
 	}
 	return out
-}
-
-func TestRoundRobinOrder(t *testing.T) {
-	r, err := NewRouter("round-robin", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := flat(3, 0)
-	want := []int{0, 1, 2, 0, 1, 2, 0}
-	for i, w := range want {
-		if got := r.Pick(job(""), stats); got != w {
-			t.Fatalf("pick %d = %d, want %d", i, got, w)
-		}
-	}
 }
 
 func TestLeastLoadedPicksShallowest(t *testing.T) {
@@ -88,16 +77,33 @@ func TestSpaceAffinityStickiness(t *testing.T) {
 		t.Fatalf("one-deeper pick = %d, want sticky %d", got, home)
 	}
 
-	// Stickiness yields once the home falls behind by more than the
-	// affinity bonus (1.5 depth units)...
-	stats[home].Queued = 2
-	moved := r.Pick(job("tenant1"), stats)
-	if moved == home {
-		t.Fatal("affinity did not yield to a two-deeper home queue")
+	// A home never moves, however far behind it falls: balancing is the
+	// pool's steal, not the router's.
+	stats[home].Queued = 50
+	if got := r.Pick(job("tenant1"), stats); got != home {
+		t.Fatalf("deep-home pick = %d, want sticky %d", got, home)
 	}
-	// ...and the key re-homes to wherever it moved.
-	if got := r.Pick(job("tenant1"), stats); got != moved {
-		t.Fatalf("re-homed pick = %d, want %d", got, moved)
+}
+
+func TestSpaceAffinityHomesByKeyCount(t *testing.T) {
+	r, _ := NewRouter("space-affinity", 4)
+	stats := flat(3, 0)
+	// Each new key homes at the entry with the fewest homed keys; ties
+	// go to the shallower queue, then to the lower ID.
+	stats[0].Queued = 5
+	for i, want := range []int{1, 2, 0, 1, 2, 0} {
+		if got := r.Pick(job(fmt.Sprintf("k%d", i)), stats); got != want {
+			t.Fatalf("key k%d homed at %d, want %d", i, got, want)
+		}
+	}
+	// Key counts, not queue depth, decide: entry 0 is far deeper but
+	// homes no more keys than the others.
+	stats[0].Queued, stats[1].Queued, stats[2].Queued = 50, 1, 0
+	if got := r.Pick(job("k6"), stats); got != 2 {
+		t.Fatalf("key k6 homed at %d, want 2 (tied key counts, shallowest)", got)
+	}
+	if got := r.Pick(job("k7"), stats); got != 1 {
+		t.Fatalf("key k7 homed at %d, want 1 (fewest keys)", got)
 	}
 }
 
@@ -107,15 +113,6 @@ func TestSpaceAffinityKeylessJobsBalance(t *testing.T) {
 	stats[0].Queued = 4
 	if got := r.Pick(job(""), stats); got != 1 {
 		t.Fatalf("keyless pick = %d, want least-loaded 1", got)
-	}
-}
-
-func TestPrefixAffinityGroupsTenants(t *testing.T) {
-	r, _ := NewRouter("prefix-affinity", 4)
-	stats := flat(4, 0)
-	home := r.Pick(job("tenant1/run1"), stats)
-	if got := r.Pick(job("tenant1/run2"), stats); got != home {
-		t.Fatalf("tenant1/run2 routed to %d, want tenant1's home %d", got, home)
 	}
 }
 

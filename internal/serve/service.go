@@ -44,7 +44,6 @@ type Service struct {
 
 	mu       sync.Mutex // serializes routing + admission + job table
 	jobs     map[string]*Job
-	order    []string // submission order, for Jobs()
 	seq      int64
 	draining bool
 
@@ -123,7 +122,6 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	s.seq++
 	job := newJob(fmt.Sprintf("job-%d", s.seq), req, s.now())
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 	s.submitted.Add(1)
 
 	stats := s.pool.stats()
@@ -141,10 +139,7 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	}
 	e := s.pool.entries[idx]
 	job.route(e.id)
-	select {
-	case e.jobs <- job:
-		e.queued.Add(1)
-	default:
+	if !s.pool.push(e, job) {
 		s.rejected.Add(1)
 		err := fmt.Errorf("serve: runtime %d queue full (%d jobs)", e.id, queueCap)
 		job.finish(JobRejected, "", err.Error(), s.now())
@@ -159,17 +154,6 @@ func (s *Service) Job(id string) (*Job, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-// Jobs returns every job in submission order.
-func (s *Service) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, len(s.order))
-	for i, id := range s.order {
-		out[i] = s.jobs[id]
-	}
-	return out
 }
 
 // Report is the service-wide state summary.
@@ -204,9 +188,7 @@ func (s *Service) Drain() {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
 		s.draining = true
-		for _, e := range s.pool.entries {
-			close(e.jobs) // safe: all sends hold s.mu and check draining first
-		}
+		s.pool.close() // safe: every push holds s.mu and checks draining first
 		s.mu.Unlock()
 		s.pool.wg.Wait()
 	})

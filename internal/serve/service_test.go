@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"testing"
@@ -228,4 +229,203 @@ func TestServeFailedJobRebuildsRuntime(t *testing.T) {
 	if got := svc.Report().Runtimes[0].Completed; got != 2 {
 		t.Fatalf("entry completed %d jobs, want 2", got)
 	}
+}
+
+// waitIdle blocks until entry i's loop is parked with nothing to take.
+func waitIdle(t *testing.T, p *pool, i int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		idle := p.entries[i].idle
+		p.mu.Unlock()
+		if idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("entry %d never went idle", i)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServeIdleEntryStealsNewest drives the steal rule with a runner
+// that blocks: an idle entry leaves a home queue of one alone, takes
+// the newest job once two wait, runs it on its own runtime, and probes
+// its own residency through a view that stores nothing.
+func TestServeIdleEntryStealsNewest(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan string, 8)
+	runner := func(_ *cool.Runtime, j *Job, res *Residency) (string, error) {
+		if _, ok := res.Lookup(j); !ok {
+			res.Store(j, j.ID)
+		}
+		started <- j.ID
+		<-release
+		return "ok", nil
+	}
+	svc, err := NewService(Config{Runtimes: 2, Procs: 1, Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	p := svc.pool
+	waitIdle(t, p, 0)
+	waitIdle(t, p, 1)
+
+	submit := func() *Job {
+		t.Helper()
+		j, err := svc.Submit(Request{App: "x", Key: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	first := submit() // homes key a at entry 0 and runs there
+	if id := <-started; id != first.ID {
+		t.Fatalf("started %s, want %s", id, first.ID)
+	}
+
+	// One job queued at home: entry 1 is not even woken.
+	second := submit()
+	time.Sleep(20 * time.Millisecond)
+	waitIdle(t, p, 1)
+	if sn := second.Snapshot(); sn.State != "queued" || sn.Runtime != 0 {
+		t.Fatalf("second job %s on %d, want queued at home 0", sn.State, sn.Runtime)
+	}
+
+	// Two queued: entry 1 steals the newest.
+	third := submit()
+	if id := <-started; id != third.ID {
+		t.Fatalf("entry 1 stole %s, want the newest %s", id, third.ID)
+	}
+	if sn := third.Snapshot(); sn.State != "running" || sn.Runtime != 1 {
+		t.Fatalf("stolen job %s on %d, want running on the thief 1", sn.State, sn.Runtime)
+	}
+	if sn := second.Snapshot(); sn.State != "queued" || sn.Runtime != 0 {
+		t.Fatalf("second job %s on %d, want still queued at home 0", sn.State, sn.Runtime)
+	}
+	rep := svc.Report().Runtimes
+	if rep[0].Steals != 0 || rep[1].Steals != 1 {
+		t.Fatalf("steals %d/%d, want 0/1", rep[0].Steals, rep[1].Steals)
+	}
+	// The thief counted the probe and stored nothing.
+	if rep[1].PrepHits != 0 || rep[1].PrepMisses != 1 {
+		t.Fatalf("thief hits=%d misses=%d, want 0/1", rep[1].PrepHits, rep[1].PrepMisses)
+	}
+	if n := len(p.entries[1].res.items); n != 0 {
+		t.Fatalf("thief holds %d resident spaces, want 0", n)
+	}
+
+	close(release)
+	for _, j := range []*Job{first, second, third} {
+		if !j.Wait(10 * time.Second) {
+			t.Fatalf("%s stuck", j.ID)
+		}
+	}
+	// Back home, the second job hits the state the first one stored.
+	rep = svc.Report().Runtimes
+	if rep[0].Completed != 2 || rep[1].Completed != 1 {
+		t.Fatalf("completed %d/%d, want 2/1", rep[0].Completed, rep[1].Completed)
+	}
+	if rep[0].PrepHits != 1 || rep[0].PrepMisses != 1 {
+		t.Fatalf("home hits=%d misses=%d, want 1/1", rep[0].PrepHits, rep[0].PrepMisses)
+	}
+	if sn := second.Snapshot(); sn.Runtime != 0 {
+		t.Fatalf("second job ran on %d, want home 0", sn.Runtime)
+	}
+}
+
+// TestServeStealsRunEachJobOnce races submitters with random keys and
+// a Drain against three entries that steal from each other: every
+// admitted job is invoked once and finishes once, every refused one
+// was refused for draining, and no goroutine survives the drain.
+func TestServeStealsRunEachJobOnce(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var mu sync.Mutex
+	ran := make(map[string]int)
+	runner := func(_ *cool.Runtime, j *Job, res *Residency) (string, error) {
+		if _, ok := res.Lookup(j); !ok {
+			res.Store(j, j.ID)
+		}
+		mu.Lock()
+		ran[j.ID]++
+		mu.Unlock()
+		if len(j.ID)%3 == 0 {
+			runtime.Gosched()
+		}
+		return "ok", nil
+	}
+	svc, err := NewService(Config{Runtimes: 3, Procs: 1, Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const submitters, perSubmitter = 4, 600
+	var wg sync.WaitGroup
+	admitted := make([][]*Job, submitters)
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(s), 1))
+			for i := 0; i < perSubmitter; i++ {
+				j, err := svc.Submit(Request{App: "x", Key: fmt.Sprintf("k%d", rng.IntN(12))})
+				if err == ErrDraining {
+					return
+				}
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				admitted[s] = append(admitted[s], j)
+			}
+		}(s)
+	}
+	go func() {
+		for svc.Report().Submitted < 2000 {
+			runtime.Gosched()
+		}
+		svc.Drain()
+	}()
+	wg.Wait()
+	svc.Drain()
+
+	n := 0
+	for _, list := range admitted {
+		for _, j := range list {
+			n++
+			select {
+			case <-j.Done():
+			default:
+				t.Fatalf("%s not terminal after Drain", j.ID)
+			}
+			if sn := j.Snapshot(); sn.State != "done" || sn.Runtime < 0 || sn.Runtime > 2 {
+				t.Fatalf("%s: state %s on %d", j.ID, sn.State, sn.Runtime)
+			}
+		}
+	}
+	if n < 2000 {
+		t.Fatalf("%d jobs admitted before the drain, want >= 2000", n)
+	}
+	mu.Lock()
+	if len(ran) != n {
+		t.Fatalf("%d distinct jobs ran, want %d", len(ran), n)
+	}
+	for id, c := range ran {
+		if c != 1 {
+			t.Fatalf("job %s ran %d times, want once", id, c)
+		}
+	}
+	mu.Unlock()
+	var completed, steals int64
+	for _, e := range svc.Report().Runtimes {
+		completed += e.Completed
+		steals += e.Steals
+	}
+	t.Logf("%d jobs, %d stolen", n, steals)
+	if completed != int64(n) {
+		t.Fatalf("pool completed %d, want %d", completed, n)
+	}
+	checkGoroutines(t, baseline)
 }
