@@ -130,10 +130,11 @@ func (p *Program) VariantNames() []string {
 }
 
 // Run executes one version of p (or Serial) on workload w: apply the
-// version's knobs to cfg and take a runtime for it from the warm pool
-// (see warmRuntime) — or, when rt is non-nil, take the caller's runtime,
-// which must not have run yet (fresh from NewRuntime or Reset), and
-// ignore cfg — then build, run the main or the serial body, and finish.
+// version's knobs to cfg and take a runtime for it from the idle
+// runtimes (see warmRuntime) — or, when rt is non-nil, take the
+// caller's runtime, which must not have run yet (fresh from NewRuntime
+// or Reset), and ignore cfg — then build, run the main or the serial
+// body, and finish.
 // Every failure comes back labelled with the program and version it
 // belongs to.
 func (p *Program) Run(variant string, w Workload, cfg cool.Config, rt *cool.Runtime, prep any) (Result, error) {
@@ -157,12 +158,12 @@ func (p *Program) Run(variant string, w Workload, cfg cool.Config, rt *cool.Runt
 	if rt == nil {
 		cfg.Sched.IgnoreHints = cfg.Sched.IgnoreHints || row.IgnoreHints
 		cfg.Sched.ClusterStealingOnly = cfg.Sched.ClusterStealingOnly || row.ClusterStealingOnly
-		pool := poolFor(cfg)
+		k := keyOf(cfg)
 		var err error
-		if rt, err = warmRuntime(pool, cfg); err != nil {
+		if rt, err = warmRuntime(k, cfg); err != nil {
 			return fail(err)
 		}
-		defer pool.Put(rt)
+		defer putIdle(k, rt)
 	} else if s := rt.Sched(); row.IgnoreHints && !s.IgnoreHints || row.ClusterStealingOnly && !s.ClusterStealingOnly {
 		return fail(errors.New("the variant sets a scheduling knob when the runtime is constructed and this runtime was built without it: use RunCfg, or build the runtime with the knob"))
 	}
@@ -185,54 +186,76 @@ func (p *Program) Run(variant string, w Workload, cfg cool.Config, rt *cool.Runt
 	return Result{Cycles: rep.Cycles, Report: rep, Verify: ev.Verify(serial), Evidence: ev}, nil
 }
 
-// pools holds the idle runtimes Program.Run built for itself, one
-// sync.Pool per resolved configuration: a later run with an equal
-// configuration resets one instead of building a machine, and a pool
-// that sits idle through two garbage collections holds none. Reset
-// makes a runtime equal to a new one with the same Config, so every
-// simulated count and every Verify token is the same either way.
-var pools struct {
+// idle holds the runtimes Program.Run built for itself while no run
+// holds them, oldest first: a later run with an equal resolved
+// configuration resets the most recent one instead of building a
+// machine. Reset makes a runtime equal to a new one with the same
+// Config, so every simulated count and every Verify token is the same
+// either way. A runtime stays here until maxIdle newer ones push it
+// out, not until a garbage collection, so whether a run builds a
+// machine depends only on the runs before it. (A runtime's job arrays
+// are still the collector's to take; see Runtime.Reset.)
+var idle struct {
 	sync.Mutex
-	m map[poolKey]*sync.Pool
+	rts []idleRuntime
 }
 
-// maxPools bounds pools.m: the fault and retry settings are keyed by
-// pointer, so a driver that builds a new plan per run adds a key per
-// run, and past this many keys the map starts over.
-const maxPools = 256
+// maxIdle bounds idle. The catalog's simulated figures cycle through
+// about eight configurations (P=1, 8 and 32, each with the scheduling
+// knobs its versions set); a cycle through more keys than the bound
+// would build a machine on every run, so the bound leaves room above
+// that. The fault and retry settings are keyed by pointer, so a caller
+// that builds a new plan per run only ever pushes the oldest out.
+const maxIdle = 16
+
+type idleRuntime struct {
+	key poolKey
+	rt  *cool.Runtime
+}
 
 // poolKey is a resolved configuration: the Config with its machine
 // description by value, so runs that describe one machine through
-// different pointers share a pool.
+// different pointers share their runtimes.
 type poolKey struct {
 	cfg cool.Config
 	mc  machine.Config
 }
 
-// poolFor returns cfg's pool, making it on first use.
-func poolFor(cfg cool.Config) *sync.Pool {
+// keyOf resolves cfg to its poolKey.
+func keyOf(cfg cool.Config) poolKey {
 	k := poolKey{cfg: cfg}
 	if cfg.Machine != nil {
 		k.cfg.Machine, k.mc = nil, *cfg.Machine
 	}
-	pools.Lock()
-	defer pools.Unlock()
-	p := pools.m[k]
-	if p == nil {
-		if pools.m == nil || len(pools.m) >= maxPools {
-			pools.m = make(map[poolKey]*sync.Pool)
-		}
-		p = new(sync.Pool)
-		pools.m[k] = p
-	}
-	return p
+	return k
 }
 
-// warmRuntime returns a runtime for cfg that has not run: an idle one
-// from pool, reset, or a new one. A runtime whose Reset refuses (a
-// native run that failed) is dropped.
-func warmRuntime(pool *sync.Pool, cfg cool.Config) (*cool.Runtime, error) {
-	if rt, ok := pool.Get().(*cool.Runtime); ok && rt.Reset() == nil {
+// putIdle returns rt, built for k, to the end of idle, dropping the
+// oldest runtime once more than maxIdle wait.
+func putIdle(k poolKey, rt *cool.Runtime) {
+	idle.Lock()
+	defer idle.Unlock()
+	idle.rts = append(idle.rts, idleRuntime{k, rt})
+	if len(idle.rts) > maxIdle {
+		idle.rts = slices.Delete(idle.rts, 0, 1)
+	}
+}
+
+// warmRuntime returns a runtime for k that has not run: the most recent
+// idle one built for k, reset, or a new one. A runtime whose Reset
+// refuses (a native run that failed) is dropped.
+func warmRuntime(k poolKey, cfg cool.Config) (*cool.Runtime, error) {
+	idle.Lock()
+	var rt *cool.Runtime
+	for i := len(idle.rts) - 1; i >= 0; i-- {
+		if idle.rts[i].key == k {
+			rt = idle.rts[i].rt
+			idle.rts = slices.Delete(idle.rts, i, i+1)
+			break
+		}
+	}
+	idle.Unlock()
+	if rt != nil && rt.Reset() == nil {
 		return rt, nil
 	}
 	return cool.NewRuntime(cfg)

@@ -135,7 +135,7 @@ type app struct {
 func generate(prm Params) []wire {
 	rng := rand.New(rand.NewSource(prm.Seed))
 	strip := prm.W / prm.Regions
-	var wires []wire
+	wires := make([]wire, 0, prm.Regions*prm.WiresPer)
 	for r := 0; r < prm.Regions; r++ {
 		x0 := r * strip
 		for i := 0; i < prm.WiresPer; i++ {
@@ -278,10 +278,35 @@ func (ap *app) Serial(ctx *cool.Ctx) {
 	}
 }
 
-// Finish checks the incremental CostArray against one rebuilt from the
-// final routes, and computes the congestion metric.
+// Finish computes the congestion metric and checks the incremental
+// CostArray against the final routes in place: it rips every routed
+// wire's legs off the array, which is consistent exactly when every
+// cell then reads zero (the array equals one rebuilt from the routes),
+// and lays them again, so the array is left as the run left it. It
+// issues no Access or Compute: the check is host work after the run.
 func (ap *app) Finish() (harness.Evidence, error) {
-	rebuilt := make([]int64, len(ap.cost.Data))
+	cost := ap.cost.Data
+	var total int64
+	for i := 0; i < len(cost); i += 2 {
+		h, v := cost[i], cost[i+1]
+		total += h*h + v*v
+	}
+	ap.layAll(-1)
+	consistent := true
+	for _, c := range cost {
+		if c != 0 {
+			consistent = false
+			break
+		}
+	}
+	ap.layAll(+1)
+	return Result{TotalCost: total, Wires: len(ap.wires), Consistent: consistent}, nil
+}
+
+// layAll adds delta to every cell of every routed wire's route, on the
+// host, with no simulated charge.
+func (ap *app) layAll(delta int64) {
+	cost := ap.cost.Data
 	for i := range ap.wires {
 		w := &ap.wires[i]
 		if !w.routed {
@@ -289,21 +314,8 @@ func (ap *app) Finish() (harness.Evidence, error) {
 		}
 		for _, l := range ap.legs(w, w.horizFirst) {
 			for k := range l.count {
-				rebuilt[l.start+k*l.stride+l.dir]++
+				cost[l.start+k*l.stride+l.dir] += delta
 			}
 		}
 	}
-	consistent := true
-	for i := range rebuilt {
-		if rebuilt[i] != ap.cost.Data[i] {
-			consistent = false
-			break
-		}
-	}
-	var total int64
-	for i := 0; i < len(ap.cost.Data); i += 2 {
-		h, v := ap.cost.Data[i], ap.cost.Data[i+1]
-		total += h*h + v*v
-	}
-	return Result{TotalCost: total, Wires: len(ap.wires), Consistent: consistent}, nil
 }

@@ -82,6 +82,7 @@ func (e *entry) stat() EntryStat {
 		Alive:      int(e.alive.Load()),
 		Completed:  e.completed.Load(),
 		Steals:     e.steals.Load(),
+		Rebuilds:   e.rebuilds.Load(),
 		PrepHits:   e.res.Hits(),
 		PrepMisses: e.res.Misses(),
 	}

@@ -11,6 +11,7 @@ type EntryStat struct {
 	Alive      int   `json:"alive"`       // live worker goroutines in the entry's runtime
 	Completed  int64 `json:"completed"`   // jobs this entry finished (done or failed), stolen ones included
 	Steals     int64 `json:"steals"`      // jobs this entry took from another entry's backlog
+	Rebuilds   int64 `json:"rebuilds"`    // runtimes built anew because Reset refused (a failed run)
 	PrepHits   int64 `json:"prep_hits"`   // jobs served from resident prepared state
 	PrepMisses int64 `json:"prep_misses"` // keyed jobs that had to run the analyze phase
 }

@@ -226,8 +226,12 @@ func TestServeFailedJobRebuildsRuntime(t *testing.T) {
 	if snap := good.Snapshot(); snap.State != "done" || snap.Verify == "" {
 		t.Fatalf("follow-up job on rebuilt runtime: %+v", snap)
 	}
-	if got := svc.Report().Runtimes[0].Completed; got != 2 {
-		t.Fatalf("entry completed %d jobs, want 2", got)
+	st := svc.Report().Runtimes[0]
+	if st.Completed != 2 {
+		t.Fatalf("entry completed %d jobs, want 2", st.Completed)
+	}
+	if st.Rebuilds != 1 {
+		t.Fatalf("entry rebuilt its runtime %d times, want 1", st.Rebuilds)
 	}
 }
 

@@ -476,48 +476,111 @@ func TestWarmBarneshutJobAllocBytes(t *testing.T) {
 	}
 }
 
-// TestWarmSimJobAllocBytes guards the warm simulated machine: a second
-// registry run of an ocean medium job at P=32 takes the first run's
-// runtime back through Reset instead of building a machine, so it
-// allocates at most 64 KB (measured: 24 KB on linux/amd64, Go 1.24;
-// the margin is 40 KB). A P=32 machine's cache ways alone are 1.3 MB.
-// A collection between two runs may empty the pool, so the best of
-// three later runs stands.
+// TestWarmLocusrouteJobAllocBytes guards a keyless locusroute job on a
+// warm native P=2 runtime: a job after the first allocates at most
+// 64 KB at small and at large. The CostArray is a warm array and Finish
+// checks it in place, so no 512 KiB grid is paid per job; what is left
+// is mostly the wire list, sized once per job.
+func TestWarmLocusrouteJobAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, size := range []string{"small", "large"} {
+		rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, best := warmJobBytes(t, rt, func() (apps.Result, error) {
+			return apps.RunCatalogOn(rt, "locusroute", size)
+		})
+		t.Logf("locusroute/%s: first job %d bytes, best later job %d", size, first, best)
+		if best > 64<<10 {
+			t.Errorf("locusroute/%s: a warm job allocated %d bytes, more than 64 KB", size, best)
+		}
+	}
+}
+
+// registryRunBytes runs app's catalog preset through the registry under
+// cfg and returns the bytes the run allocated.
+func registryRunBytes(t *testing.T, app, size string, cfg cool.Config) uint64 {
+	t.Helper()
+	e, _ := apps.CatalogLookup(app)
+	a, _ := apps.Lookup(e.App)
+	n, err := apps.CatalogSize(app, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := a.RunCfg(cfg, e.Variant, n); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestWarmSimJobAllocBytes guards the warm simulated machine: every
+// registry run of an ocean medium job at P=32 after the first takes the
+// first run's runtime back through Reset instead of building a machine,
+// so it allocates at most 64 KB (measured: 24 KB on linux/amd64, Go
+// 1.24; the margin is 40 KB). A P=32 machine's cache ways alone are
+// 1.3 MB.
 func TestWarmSimJobAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const procs, ceiling = 32, 64 << 10
-	e, _ := apps.CatalogLookup("ocean")
-	a, _ := apps.Lookup(e.App)
-	n, err := apps.CatalogSize("ocean", "medium")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := a.Run(procs, e.Variant, n); err != nil {
-			t.Fatal(err)
+	const ceiling = 64 << 10
+	cfg := cool.Config{Processors: 32}
+	first := registryRunBytes(t, "ocean", "medium", cfg)
+	for run := 2; run <= 4; run++ {
+		got := registryRunBytes(t, "ocean", "medium", cfg)
+		t.Logf("ocean/medium P=32: first run %d bytes, run %d %d", first, run, got)
+		if got > ceiling {
+			t.Errorf("ocean/medium P=32: registry run %d allocated %d bytes, more than %d", run, got, ceiling)
 		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
 	}
-	first, best := run(), run()
-	for range 2 {
-		best = min(best, run())
+}
+
+// TestRegistryIdleRuntimesOutliveCollections: the registry's idle
+// runtimes are kept through garbage collections and bounded by count.
+// After two collections the next run with an equal Config resets the
+// previous run's runtime and allocates at most 64 KB (its arrays, which
+// the collections took, included); once 17 distinct Configs have run,
+// the first one's runtime has been dropped and its next run builds one.
+func TestRegistryIdleRuntimesOutliveCollections(t *testing.T) {
+	var rt *cool.Runtime
+	restore := cool.CaptureRuntime(func(r *cool.Runtime) { rt = r })
+	defer restore()
+	// Seeds no other test uses, so no idle runtime of theirs matches.
+	cfg := func(i int) cool.Config { return cool.Config{Processors: 2, Seed: 9100 + int64(i)} }
+
+	registryRunBytes(t, "gauss", "small", cfg(0))
+	first := rt
+	runtime.GC()
+	runtime.GC()
+	got := registryRunBytes(t, "gauss", "small", cfg(0))
+	if rt != first {
+		t.Fatal("the run after two collections built a new runtime")
 	}
-	t.Logf("ocean/medium P=%d: first run %d bytes, best later run %d", procs, first, best)
-	if best > ceiling {
-		t.Errorf("ocean/medium P=%d: a second registry run allocated %d bytes, more than %d", procs, best, ceiling)
+	t.Logf("gauss/small P=2 after two collections: %d bytes", got)
+	if !raceEnabled && got > 64<<10 {
+		t.Errorf("gauss/small P=2 after two collections allocated %d bytes, more than 64 KB", got)
+	}
+
+	for i := 1; i <= 16; i++ {
+		registryRunBytes(t, "gauss", "small", cfg(i))
+	}
+	registryRunBytes(t, "gauss", "small", cfg(0))
+	if rt == first {
+		t.Error("the first Config's runtime outlived 16 newer idle runtimes")
 	}
 }
 
 // BenchmarkSimRuntime is what a registry run pays for its simulated
 // machine at P=8 and P=32: new builds one with NewRuntime, reset re-arms
 // with Reset one that has run an ocean medium job (so its directory has
-// pages to clear), as the registry's pool does before every run after
-// the first.
+// pages to clear), as the registry does before every run after the
+// first with an equal Config.
 func BenchmarkSimRuntime(b *testing.B) {
 	for _, procs := range []int{8, 32} {
 		cfg := cool.Config{Processors: procs}
