@@ -8,12 +8,10 @@ package cool
 // a run allocates, as memsim keeps the run's simulated memory allocated
 // until Reset; Reset puts them on free lists keyed by exact length, and
 // the next runs' allocations of those lengths reuse them, cleared,
-// instead of making new ones. A served job's arrays then stop being
-// garbage (DESIGN §15, "Warm arrays").
+// instead of making new ones (warm.go).
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -111,84 +109,6 @@ func taskAllocLen(n int, what string) {
 	if n <= 0 {
 		panic(fmt.Sprintf("cool: %s: allocation size %d must be positive", what, int64(n)*8))
 	}
-}
-
-// warmArrays is what a runtime keeps of its jobs' arrays (see Reset,
-// "What survives a reset"): the handles the current run was given, and
-// free lists of earlier runs' handles for the allocation API to reuse.
-type warmArrays struct {
-	f64 warmList[*F64]
-	i64 warmList[*I64]
-}
-
-// warmList is one element type's share of warmArrays. The free lists
-// are keyed by exact element count, so an array is only ever reused at
-// its own length, whichever job or allocation call asks for it.
-type warmList[H interface{ Len() int }] struct {
-	used []H
-	free map[int][]H
-}
-
-// take pops a free handle of n elements; ok is false when none is left.
-func (l *warmList[H]) take(n int) (h H, ok bool) {
-	s := l.free[n]
-	if len(s) == 0 {
-		return h, false
-	}
-	h = s[len(s)-1]
-	var zero H
-	s[len(s)-1] = zero
-	l.free[n] = s[:len(s)-1]
-	return h, true
-}
-
-// reclaim moves the run's handles onto the free lists.
-func (l *warmList[H]) reclaim() {
-	if l.free == nil {
-		l.free = make(map[int][]H)
-	}
-	var zero H
-	for i, h := range l.used {
-		l.free[h.Len()] = append(l.free[h.Len()], h)
-		l.used[i] = zero
-	}
-	l.used = l.used[:0]
-}
-
-// warmLocked returns the run's warmArrays. The run's first allocation
-// takes them from the pool Reset left them in, or starts empty ones when
-// there is none: the garbage collector empties the pool when the runtime
-// sits idle through two collections. Caller holds spaceMu.
-func (rt *Runtime) warmLocked() *warmArrays {
-	if rt.arrays == nil {
-		if rt.warmPool != nil {
-			rt.arrays, _ = rt.warmPool.Get().(*warmArrays)
-		}
-		if rt.arrays == nil {
-			rt.arrays = new(warmArrays)
-		}
-	}
-	return rt.arrays
-}
-
-// reclaimArrays is Reset's last step: the finished run's arrays join the
-// free lists, and the lists go into the pool until the next run's first
-// allocation takes them out. The pool is its own object, made by the
-// first Reset: the sync package keeps every used pool reachable until
-// two collections have passed, and a pool inside the Runtime would keep
-// a dropped runtime, engine and caches included, alive that long.
-func (rt *Runtime) reclaimArrays() {
-	w := rt.arrays
-	if w == nil {
-		return
-	}
-	rt.arrays = nil
-	w.f64.reclaim()
-	w.i64.reclaim()
-	if rt.warmPool == nil {
-		rt.warmPool = new(sync.Pool)
-	}
-	rt.warmPool.Put(w)
 }
 
 // reserveLocked allocates the simulated memory of an n-element array of

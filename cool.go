@@ -175,11 +175,10 @@ type Runtime struct {
 	spaceMu sync.Mutex
 
 	// arrays is what the allocation API keeps of this run's arrays and
-	// reuses of earlier runs' (nil until the run's first allocation);
-	// Reset parks it in warmPool, which the first Reset makes. See
-	// alloc.go.
-	arrays   *warmArrays
-	warmPool *sync.Pool
+	// monitors and reuses of earlier runs' (nil until the run's first
+	// allocation); Reset puts it on the shelf through slot. See warm.go.
+	arrays *warmState
+	slot   *warmSlot
 
 	// setupErr records the first invalid pre-Run operation (e.g. a
 	// non-positive allocation size); Run reports it instead of running.
@@ -385,6 +384,8 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		Pol:         pol,
 		Home:        rt.Home,
 		Mon:         rt.mon,
+		// Each task record's facade context, made with the record.
+		Facade: func(nc *native.Ctx) any { return &Ctx{nc: nc, rt: rt} },
 		// One adapter shared by every spawn: the user's func value rides
 		// through the task record as the payload (an allocation-free
 		// interface conversion for func types), replacing the per-spawn
@@ -411,26 +412,11 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 }
 
 // nativeCtx returns the facade context of the native task running in nc.
-// It lives in the pooled task record's facade slot: made by the first
-// task that runs in the record and reused in place by every later one,
-// so running a task allocates nothing. Each record has its own, so tasks
-// nested on one worker by a helping WaitFor never share one.
-func (rt *Runtime) nativeCtx(nc *native.Ctx) *Ctx {
-	if c, ok := nc.Facade().(*Ctx); ok {
-		return c
-	}
-	return rt.newNativeCtx(nc)
-}
-
-// newNativeCtx is nativeCtx's once-per-record allocation, kept out of
-// line so the per-task adapters inline only the reuse path.
-//
-//go:noinline
-func (rt *Runtime) newNativeCtx(nc *native.Ctx) *Ctx {
-	c := &Ctx{nc: nc, rt: rt}
-	nc.SetFacade(c)
-	return c
-}
+// It lives in the pooled task record's facade slot: made with the record
+// (native Config.Facade) and reused in place by every task that runs in
+// it, so running a task allocates nothing. Each record has its own, so
+// tasks nested on one worker by a helping WaitFor never share one.
+func (rt *Runtime) nativeCtx(nc *native.Ctx) *Ctx { return nc.Facade().(*Ctx) }
 
 // Backend returns the execution engine this runtime uses.
 func (rt *Runtime) Backend() Backend { return rt.backend }

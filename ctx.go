@@ -563,9 +563,15 @@ type Monitor struct {
 }
 
 // NewMonitor returns a monitor associated with the simulated object at
-// addr (used for accounting; the zero Monitor works too).
+// addr (used for accounting; the zero Monitor works too). Like an array,
+// it belongs to the runtime once Reset is called: a later run's
+// NewMonitor may hand it out again.
 func (rt *Runtime) NewMonitor(addr int64) *Monitor {
-	return &Monitor{m: core.Monitor{Addr: addr}}
+	rt.spaceMu.Lock()
+	m := rt.warmLocked().monitor()
+	rt.spaceMu.Unlock()
+	*m = Monitor{m: core.Monitor{Addr: addr}}
+	return m
 }
 
 // Lock acquires the monitor, blocking while another task holds it.

@@ -123,6 +123,42 @@ type app struct {
 	tree   *cool.F64   // node records in simulated memory
 	nodes  []node
 	walk   []walkRec // the tree in pre-order, rebuilt by finalize each step
+
+	// The group tasks' bodies and affinity, method values bound once,
+	// when the app is made. The app, with its octree and walk, comes
+	// from stash, so a step allocates nothing.
+	forcesFn, advanceFn func(*cool.Ctx, int)
+	optFn               func(int) []cool.SpawnOpt
+	optBuf              [1]cool.SpawnOpt
+}
+
+// stash hands an app from a finished job to the next job of equal
+// Params (see harness.Stash).
+var stash = harness.Stash[Params, *app]{Cap: 8}
+
+// body3 is a body's initial position.
+type body3 struct{ x, y, z float64 }
+
+// bodiesMemo holds the initial bodies of the most recently first-seen
+// Params, a pure function of them: positions drawn from the seed, sorted
+// into spatial groups.
+var bodiesMemo = harness.Memo[Params, []body3]{Cap: 8}
+
+// initialBodies returns prm's initial bodies, shared and read-only.
+func initialBodies(prm Params) []body3 {
+	return bodiesMemo.Get(prm, func() []body3 {
+		rng := rand.New(rand.NewSource(prm.Seed))
+		bodies := make([]body3, prm.Bodies)
+		for i := range bodies {
+			bodies[i] = body3{rng.Float64(), rng.Float64(), rng.Float64()}
+		}
+		key := func(b body3) int {
+			const g = 8
+			return (int(b.x*g)<<8 | int(b.y*g)<<4) | int(b.z*g)
+		}
+		sort.SliceStable(bodies, func(i, j int) bool { return key(bodies[i]) < key(bodies[j]) })
+		return bodies
+	})
 }
 
 // Build validates the parameters and lays the bodies out as version v asks.
@@ -135,24 +171,18 @@ func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) 
 }
 
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
-	ap := &app{prm: prm}
+	ap, ok := stash.Take(prm)
+	if !ok {
+		ap = &app{prm: prm, groups: make([]*cool.F64, prm.Groups)}
+		ap.forcesFn, ap.advanceFn = ap.groupForces, ap.groupAdvance
+		ap.optFn = ap.groupOpt
+	}
 	per := prm.Bodies / prm.Groups
 
 	// Deterministic initial conditions, sorted by a coarse space-filling
 	// key so each group is spatially contiguous (as SPLASH does).
-	rng := rand.New(rand.NewSource(prm.Seed))
-	type b3 struct{ x, y, z float64 }
-	bodies := make([]b3, prm.Bodies)
-	for i := range bodies {
-		bodies[i] = b3{rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	key := func(b b3) int {
-		const g = 8
-		return (int(b.x*g)<<8 | int(b.y*g)<<4) | int(b.z*g)
-	}
-	sort.SliceStable(bodies, func(i, j int) bool { return key(bodies[i]) < key(bodies[j]) })
+	bodies := initialBodies(prm)
 
-	ap.groups = make([]*cool.F64, prm.Groups)
 	for g := range ap.groups {
 		proc := 0
 		if distribute {
@@ -402,17 +432,18 @@ func (ap *app) step(ctx *cool.Ctx, parallel bool) {
 		}
 		return
 	}
-	optBuf := make([]cool.SpawnOpt, 1)
-	groupOpt := func(g int) []cool.SpawnOpt {
-		optBuf[0] = cool.OnObject(ap.groups[g].Base)
-		return optBuf
-	}
 	ctx.WaitFor(func() {
-		ctx.SpawnN("forces", ap.prm.Groups, ap.groupForces, groupOpt)
+		ctx.SpawnN("forces", ap.prm.Groups, ap.forcesFn, ap.optFn)
 	})
 	ctx.WaitFor(func() {
-		ctx.SpawnN("advance", ap.prm.Groups, ap.groupAdvance, groupOpt)
+		ctx.SpawnN("advance", ap.prm.Groups, ap.advanceFn, ap.optFn)
 	})
+}
+
+// groupOpt is group task g's affinity: its body block.
+func (ap *app) groupOpt(g int) []cool.SpawnOpt {
+	ap.optBuf[0] = cool.OnObject(ap.groups[g].Base)
+	return ap.optBuf[:]
 }
 
 // Main runs the timesteps with parallel force and advance phases.
@@ -443,4 +474,11 @@ func (ap *app) Finish() (harness.Evidence, error) {
 		}
 	}
 	return harness.Checksum(s), nil
+}
+
+// Release returns the app to the stash, dropping the runtime's handles.
+func (ap *app) Release() {
+	clear(ap.groups)
+	ap.tree = nil
+	stash.Put(ap.prm, ap)
 }

@@ -95,7 +95,32 @@ type app struct {
 	rem  []int32 // outstanding prerequisites per block
 	done []bool  // trsm/potrf completed, guarded by colMon of its column
 	cols []*cool.Monitor
+
+	// The task records, one per task a job spawns: potrfs[j], and per
+	// block id notifies[id], trsms[id] and gemms[gemmAt[id]+k] for its
+	// update from column k. Their bodies are method values bound once,
+	// when the app is made, and the app comes from stash, so spawning
+	// allocates nothing.
+	potrfs   []*blockTask
+	notifies []*blockTask
+	trsms    []*blockTask
+	gemms    []*blockTask
+	gemmAt   []int
 }
+
+// blockTask is the record of one task on block (i,j) (from column k,
+// for a gemm).
+type blockTask struct {
+	ap      *app
+	i, j, k int
+	run     func(*cool.Ctx)
+	// partners is a trsm's list of finished solves to pair with.
+	partners []int
+}
+
+// stash hands an app from a finished job to the next job of equal
+// Params (see harness.Stash).
+var stash = harness.Stash[Params, *app]{Cap: 8}
 
 // blockIdx packs lower-triangular block coordinates (i >= j).
 func (ap *app) blockIdx(i, j int) int { return i*(i+1)/2 + j }
@@ -109,7 +134,8 @@ func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) 
 	return build(rt, p, Variants[v].Distribute), nil
 }
 
-func build(rt *cool.Runtime, prm Params, distribute bool) *app {
+// newApp makes an app for prm with its records.
+func newApp(prm Params) *app {
 	nb := prm.N / prm.B
 	ap := &app{prm: prm, nb: nb}
 	nblk := nb * (nb + 1) / 2
@@ -118,6 +144,43 @@ func build(rt *cool.Runtime, prm Params, distribute bool) *app {
 	ap.rem = make([]int32, nblk)
 	ap.done = make([]bool, nblk)
 	ap.cols = make([]*cool.Monitor, nb)
+	ap.potrfs = make([]*blockTask, nb)
+	ap.notifies = make([]*blockTask, nblk)
+	ap.trsms = make([]*blockTask, nblk)
+	ap.gemmAt = make([]int, nblk)
+	for i := 0; i < nb; i++ {
+		for j := 0; j <= i; j++ {
+			id := ap.blockIdx(i, j)
+			if i == j {
+				t := &blockTask{ap: ap, i: i, j: j}
+				t.run = t.potrf
+				ap.potrfs[j] = t
+			} else {
+				t := &blockTask{ap: ap, i: i, j: j}
+				t.run = t.notify
+				ap.notifies[id] = t
+				t = &blockTask{ap: ap, i: i, j: j, partners: make([]int, 0, nb)}
+				t.run = t.trsm
+				ap.trsms[id] = t
+			}
+			ap.gemmAt[id] = len(ap.gemms)
+			for k := 0; k < j; k++ {
+				t := &blockTask{ap: ap, i: i, j: j, k: k}
+				t.run = t.gemm
+				ap.gemms = append(ap.gemms, t)
+			}
+		}
+	}
+	return ap
+}
+
+func build(rt *cool.Runtime, prm Params, distribute bool) *app {
+	ap, ok := stash.Take(prm)
+	if !ok {
+		ap = newApp(prm)
+	}
+	nb := ap.nb
+	clear(ap.done)
 	for j := 0; j < nb; j++ {
 		ap.cols[j] = rt.NewMonitor(0)
 	}
@@ -314,55 +377,59 @@ func (ap *app) arrive(c *cool.Ctx, i, j int) {
 // spawnPotrf launches the diagonal factorization of column j. On
 // completion it releases every block below in the column.
 func (ap *app) spawnPotrf(ctx *cool.Ctx, j int) {
-	id := ap.blockIdx(j, j)
-	ctx.Spawn("potrf", func(c *cool.Ctx) {
-		ap.potrf(c, j)
-		c.Lock(ap.cols[j])
-		ap.done[id] = true
-		c.Unlock(ap.cols[j])
-		for i := j + 1; i < ap.nb; i++ {
-			ap.spawnNotify(c, i, j)
-		}
-	}, cool.OnObject(ap.blks[id].Base))
+	ctx.Spawn("potrf", ap.potrfs[j].run, cool.OnObject(ap.blks[ap.blockIdx(j, j)].Base))
+}
+
+func (t *blockTask) potrf(c *cool.Ctx) {
+	ap, j := t.ap, t.j
+	ap.potrf(c, j)
+	c.Lock(ap.cols[j])
+	ap.done[ap.blockIdx(j, j)] = true
+	c.Unlock(ap.cols[j])
+	for i := j + 1; i < ap.nb; i++ {
+		ap.spawnNotify(c, i, j)
+	}
 }
 
 // spawnNotify delivers potrf(j)'s completion to block (i,j) under its
 // monitor (a zero-work mutex task, keeping all counter updates atomic).
 func (ap *app) spawnNotify(ctx *cool.Ctx, i, j int) {
 	id := ap.blockIdx(i, j)
-	ctx.Spawn("notify", func(c *cool.Ctx) {
-		ap.arrive(c, i, j)
-	}, cool.ObjectAffinity(ap.blks[id].Base), cool.WithMutex(ap.mons[id]))
+	ctx.Spawn("notify", ap.notifies[id].run, cool.ObjectAffinity(ap.blks[id].Base), cool.WithMutex(ap.mons[id]))
 }
+
+func (t *blockTask) notify(c *cool.Ctx) { t.ap.arrive(c, t.i, t.j) }
 
 // spawnTrsm launches the triangular solve of block (i,j); on completion
 // it spawns the gemm updates pairing it with every finished trsm of the
 // column.
 func (ap *app) spawnTrsm(ctx *cool.Ctx, i, j int) {
 	id := ap.blockIdx(i, j)
-	diag := ap.blockIdx(j, j)
-	ctx.Spawn("trsm", func(c *cool.Ctx) {
-		ap.trsm(c, i, j)
-		c.Lock(ap.cols[j])
-		ap.done[id] = true
-		var partners []int
-		for i2 := j + 1; i2 < ap.nb; i2++ {
-			if ap.done[ap.blockIdx(i2, j)] {
-				partners = append(partners, i2)
-			}
-		}
-		c.Unlock(ap.cols[j])
-		for _, i2 := range partners {
-			hi, lo := i, i2
-			if hi < lo {
-				hi, lo = lo, hi
-			}
-			ap.spawnGemm(c, hi, lo, j)
-		}
-	},
-		cool.TaskAffinity(ap.blks[diag].Base),
+	ctx.Spawn("trsm", ap.trsms[id].run,
+		cool.TaskAffinity(ap.blks[ap.blockIdx(j, j)].Base),
 		cool.ObjectAffinity(ap.blks[id].Base),
 	)
+}
+
+func (t *blockTask) trsm(c *cool.Ctx) {
+	ap, i, j := t.ap, t.i, t.j
+	ap.trsm(c, i, j)
+	c.Lock(ap.cols[j])
+	ap.done[ap.blockIdx(i, j)] = true
+	partners := t.partners[:0]
+	for i2 := j + 1; i2 < ap.nb; i2++ {
+		if ap.done[ap.blockIdx(i2, j)] {
+			partners = append(partners, i2)
+		}
+	}
+	c.Unlock(ap.cols[j])
+	for _, i2 := range partners {
+		hi, lo := i, i2
+		if hi < lo {
+			hi, lo = lo, hi
+		}
+		ap.spawnGemm(c, hi, lo, j)
+	}
 }
 
 // spawnGemm launches the update of block (i,j) from column k: a mutex
@@ -370,15 +437,16 @@ func (ap *app) spawnTrsm(ctx *cool.Ctx, i, j int) {
 // affinity(dst, OBJECT), mirroring Panel Cholesky's UpdatePanel.
 func (ap *app) spawnGemm(ctx *cool.Ctx, i, j, k int) {
 	id := ap.blockIdx(i, j)
-	src := ap.blockIdx(i, k)
-	ctx.Spawn("gemm", func(c *cool.Ctx) {
-		ap.gemm(c, i, j, k)
-		ap.arrive(c, i, j)
-	},
-		cool.TaskAffinity(ap.blks[src].Base),
+	ctx.Spawn("gemm", ap.gemms[ap.gemmAt[id]+k].run,
+		cool.TaskAffinity(ap.blks[ap.blockIdx(i, k)].Base),
 		cool.ObjectAffinity(ap.blks[id].Base),
 		cool.WithMutex(ap.mons[id]),
 	)
+}
+
+func (t *blockTask) gemm(c *cool.Ctx) {
+	t.ap.gemm(c, t.i, t.j, t.k)
+	t.ap.arrive(c, t.i, t.j)
 }
 
 // Main starts the factorization at the first diagonal block; every other
@@ -434,7 +502,7 @@ func refFactor(n int) []float64 {
 // under 2 MB. A factor is a pure function of N and is never written once
 // built, so concurrent runs share it; building one costs more than the
 // blocked factorization it checks.
-var refMemo = harness.Memo[[]float64]{Cap: 4}
+var refMemo = harness.Memo[int, []float64]{Cap: 4}
 
 // reference returns refFactor(n), built on first use and memoized.
 func reference(n int) []float64 {
@@ -468,4 +536,12 @@ func (ap *app) Finish() (harness.Evidence, error) {
 		return nil, fmt.Errorf("blockcho: factor differs from reference by %g", maxDiff)
 	}
 	return Result{MaxDiff: maxDiff, Blocks: len(ap.blks)}, nil
+}
+
+// Release returns the app to the stash, dropping the runtime's handles.
+func (ap *app) Release() {
+	clear(ap.blks)
+	clear(ap.mons)
+	clear(ap.cols)
+	stash.Put(ap.prm, ap)
 }

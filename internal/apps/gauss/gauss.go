@@ -66,7 +66,19 @@ type app struct {
 	prm  Params
 	v    Variant // which hints Main passes
 	cols []*cool.F64
+
+	// The running pivot step and the bodies of its update tasks: method
+	// values bound once, when the app is made. The app comes from stash,
+	// so the steps of a job allocate nothing.
+	k        int
+	updateFn func(*cool.Ctx, int)
+	optFn    func(int) []cool.SpawnOpt
+	optBuf   [2]cool.SpawnOpt
 }
+
+// stash hands an app from a finished job to the next job of equal
+// Params (see harness.Stash).
+var stash = harness.Stash[Params, *app]{Cap: 8}
 
 // Build lays the columns out as version v asks.
 func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
@@ -79,7 +91,12 @@ func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) 
 }
 
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
-	ap := &app{prm: prm, cols: make([]*cool.F64, prm.N)}
+	ap, ok := stash.Take(prm)
+	if !ok {
+		ap = &app{prm: prm, cols: make([]*cool.F64, prm.N)}
+		ap.updateFn = ap.updateN
+		ap.optFn = ap.updateOpts
+	}
 	for j := range ap.cols {
 		proc := 0
 		if distribute {
@@ -98,6 +115,12 @@ func build(rt *cool.Runtime, prm Params, distribute bool) *app {
 	return ap
 }
 
+// Release returns the app to the stash, dropping the runtime's handles.
+func (ap *app) Release() {
+	clear(ap.cols)
+	stash.Put(ap.prm, ap)
+}
+
 // update eliminates row k of destination column j using source column k,
 // recording the multiplier in place (forming L below the diagonal).
 func (ap *app) update(ctx *cool.Ctx, j, k int) {
@@ -114,30 +137,32 @@ func (ap *app) update(ctx *cool.Ctx, j, k int) {
 	ctx.Compute(int64(2 * (n - k)))
 }
 
+// updateN is update task i of the running step: column k+1+i.
+func (ap *app) updateN(c *cool.Ctx, i int) { ap.update(c, ap.k+1+i, ap.k) }
+
+// updateOpts is update task i's affinity, as the version asks.
+func (ap *app) updateOpts(i int) []cool.SpawnOpt {
+	dst := ap.cols[ap.k+1+i]
+	switch ap.v {
+	case ObjectOnly:
+		ap.optBuf[0] = cool.ObjectAffinity(dst.Base)
+		return ap.optBuf[:1]
+	case TaskObject:
+		ap.optBuf[0] = cool.TaskAffinity(ap.cols[ap.k].Base)
+		ap.optBuf[1] = cool.ObjectAffinity(dst.Base)
+		return ap.optBuf[:]
+	}
+	return nil
+}
+
 // Main performs the elimination: one barrier-separated step per pivot
 // column, with an update task per remaining column.
 func (ap *app) Main(ctx *cool.Ctx) {
 	n := ap.prm.N
-	optBuf := make([]cool.SpawnOpt, 2)
 	for k := 0; k < n-1; k++ {
-		src := ap.cols[k]
-		k := k
+		ap.k = k
 		ctx.WaitFor(func() {
-			ctx.SpawnN("update", n-1-k, func(c *cool.Ctx, i int) {
-				ap.update(c, k+1+i, k)
-			}, func(i int) []cool.SpawnOpt {
-				dst := ap.cols[k+1+i]
-				switch ap.v {
-				case ObjectOnly:
-					optBuf[0] = cool.ObjectAffinity(dst.Base)
-					return optBuf[:1]
-				case TaskObject:
-					optBuf[0] = cool.TaskAffinity(src.Base)
-					optBuf[1] = cool.ObjectAffinity(dst.Base)
-					return optBuf
-				}
-				return nil
-			})
+			ctx.SpawnN("update", n-1-k, ap.updateFn, ap.optFn)
 		})
 	}
 }

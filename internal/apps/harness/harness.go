@@ -99,6 +99,15 @@ type Instance interface {
 	Finish() (Evidence, error)
 }
 
+// Releaser is implemented by instances that keep per-job host scratch
+// in a Stash. Program.Run calls Release once Finish has returned the
+// job's evidence, handing the scratch to the next job of equal
+// parameters; the instance must not be used after it. A caller that
+// drives an Instance itself may keep it and never call Release.
+type Releaser interface {
+	Release()
+}
+
 // Evidence is an application's typed correctness evidence. Verify
 // renders it as key=value tokens; the serial reference reports only the
 // tokens that exist without tasks (no panel, wire or block counts).
@@ -181,6 +190,9 @@ func (p *Program) Run(variant string, w Workload, cfg cool.Config, rt *cool.Runt
 	ev, err := inst.Finish()
 	if err != nil {
 		return fail(err)
+	}
+	if r, ok := inst.(Releaser); ok {
+		r.Release()
 	}
 	rep := rt.Report()
 	return Result{Cycles: rep.Cycles, Report: rep, Verify: ev.Verify(serial), Evidence: ev}, nil

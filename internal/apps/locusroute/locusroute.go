@@ -129,8 +129,23 @@ type app struct {
 	prm   Params
 	procs int       // wire tasks go to region mod procs
 	cost  *cool.I64 // column-major: cell (x,y) = (x*H+y)*2 { +0: h, +1: v }
-	wires []wire
+	wires []wire    // this job's copy of the circuit, routes included
+
+	// The route tasks' body and placement, method values bound once,
+	// when the app is made. The app, wires included, comes from stash,
+	// so an iteration allocates nothing.
+	routeFn func(*cool.Ctx, int)
+	optFn   func(int) []cool.SpawnOpt
+	optBuf  [1]cool.SpawnOpt
 }
+
+// stash hands an app from a finished job to the next job of equal
+// Params (see harness.Stash).
+var stash = harness.Stash[Params, *app]{Cap: 8}
+
+// circuits holds the generated circuits of the most recently first-seen
+// Params, a pure function of them. A job routes a copy.
+var circuits = harness.Memo[Params, []wire]{Cap: 8}
 
 func generate(prm Params) []wire {
 	rng := rand.New(rand.NewSource(prm.Seed))
@@ -164,7 +179,13 @@ func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) 
 }
 
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
-	a := &app{prm: prm, procs: rt.Processors(), wires: generate(prm)}
+	a, ok := stash.Take(prm)
+	if !ok {
+		a = &app{prm: prm}
+		a.routeFn, a.optFn = a.routeN, a.routeOpts
+	}
+	a.procs = rt.Processors()
+	a.wires = append(a.wires[:0], circuits.Get(prm, func() []wire { return generate(prm) })...)
 	a.cost = rt.NewI64Pages(prm.W*prm.H*2, 0)
 	if distribute {
 		strip := prm.W / prm.Regions
@@ -257,16 +278,19 @@ func (ap *app) route(ctx *cool.Ctx, w *wire) {
 // Main routes every wire once per iteration, each inside a waitfor.
 func (ap *app) Main(ctx *cool.Ctx) {
 	for it := 0; it < ap.prm.Iterations; it++ {
-		optBuf := make([]cool.SpawnOpt, 1)
 		ctx.WaitFor(func() {
-			ctx.SpawnN("route", len(ap.wires), func(c *cool.Ctx, i int) {
-				ap.route(c, &ap.wires[i])
-			}, func(i int) []cool.SpawnOpt {
-				optBuf[0] = cool.OnProcessor(ap.region(&ap.wires[i]) % ap.procs)
-				return optBuf
-			})
+			ctx.SpawnN("route", len(ap.wires), ap.routeFn, ap.optFn)
 		})
 	}
+}
+
+// routeN is route task i: wire i.
+func (ap *app) routeN(c *cool.Ctx, i int) { ap.route(c, &ap.wires[i]) }
+
+// routeOpts places route task i on its wire's region's processor.
+func (ap *app) routeOpts(i int) []cool.SpawnOpt {
+	ap.optBuf[0] = cool.OnProcessor(ap.region(&ap.wires[i]) % ap.procs)
+	return ap.optBuf[:]
 }
 
 // Serial routes all wires sequentially in the main task.
@@ -301,6 +325,12 @@ func (ap *app) Finish() (harness.Evidence, error) {
 	}
 	ap.layAll(+1)
 	return Result{TotalCost: total, Wires: len(ap.wires), Consistent: consistent}, nil
+}
+
+// Release returns the app to the stash, dropping the runtime's array.
+func (ap *app) Release() {
+	ap.cost = nil
+	stash.Put(ap.prm, ap)
 }
 
 // layAll adds delta to every cell of every routed wire's route, on the

@@ -105,7 +105,10 @@ func (r Result) Verify(serial bool) string {
 	return fmt.Sprintf("residual=%.2e maxdiff=%.2e panels=%d", r.Residual, r.MaxDiff, r.Panels)
 }
 
-// app is the per-run state shared by the tasks.
+// app is the per-run state shared by the tasks. Everything it holds
+// that grows with the workload — the countdown, the handle slices and
+// the task records — is host scratch: made once for a Params, handed
+// from job to job through stash, and refitted to the job's Prep by fit.
 type app struct {
 	prep      *Prep
 	ps        *sparse.PanelSet
@@ -113,6 +116,92 @@ type app struct {
 	remaining []int32
 	arrs      []*cool.F64 // panel trapezoid values in simulated memory
 	mons      []*cool.Monitor
+	ready     []int // Main's initially ready panels
+
+	// The task records: completes[d] runs CompletePanel(d), and
+	// updates[upd[d]+k] runs UpdatePanel(dsts[d][k] ← d), one per update
+	// edge. Each record's body is a method value bound once, when the
+	// record is made, so spawning a task allocates nothing.
+	completes []*completeTask
+	updates   []*updateTask
+	upd       []int32
+}
+
+// completeTask is the record of CompletePanel(d).
+type completeTask struct {
+	ap  *app
+	d   int
+	run func(*cool.Ctx)
+}
+
+// updateTask is the record of UpdatePanel(dst ← src).
+type updateTask struct {
+	ap       *app
+	dst, src int
+	run      func(*cool.Ctx)
+}
+
+// stash hands an app's scratch from a finished job to the next job of
+// equal Params (see harness.Stash): two per catalog preset.
+var stash = harness.Stash[Params, *app]{Cap: 8}
+
+// products holds Finish's product vectors, L(Lᵀx), one per Finish under
+// way: a Finish takes one and puts it back, so concurrent Finishes of one
+// run each have their own.
+var products = harness.Stash[Params, []float64]{Cap: 8}
+
+// fit points ap at prep for one job: it sizes the scratch to prep's
+// panels and update edges, making only what is missing, and rewrites
+// every record's operands, so a stashed app made for another Prep of
+// equal Params (or another matrix altogether) runs prep's DAG.
+func (ap *app) fit(prep *Prep) {
+	ps := prep.ps
+	np := len(ps.Panels)
+	ap.prep, ap.ps, ap.dsts = prep, ps, prep.dsts
+	ap.remaining = append(ap.remaining[:0], prep.nupd...)
+	ap.arrs = resize(ap.arrs, np)
+	ap.mons = resize(ap.mons, np)
+	ap.upd = resize(ap.upd, np)
+	for len(ap.completes) < np {
+		t := &completeTask{ap: ap}
+		t.run = t.body
+		ap.completes = append(ap.completes, t)
+	}
+	ap.completes = ap.completes[:np]
+	edges := 0
+	for d, dsts := range ap.dsts {
+		ap.completes[d].d = d
+		ap.upd[d] = int32(edges)
+		for _, dst := range dsts {
+			if edges == len(ap.updates) {
+				t := &updateTask{ap: ap}
+				t.run = t.body
+				ap.updates = append(ap.updates, t)
+			}
+			ap.updates[edges].dst, ap.updates[edges].src = int(dst), d
+			edges++
+		}
+	}
+	ap.updates = ap.updates[:edges]
+}
+
+// resize returns s with length n, reusing its storage when it can.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// Release returns the scratch to the stash once the job's evidence is
+// taken, dropping the runtime's handles and the Prep so the stash holds
+// neither.
+func (ap *app) Release() {
+	clear(ap.arrs)
+	clear(ap.mons)
+	prm := ap.prep.prm
+	ap.prep, ap.ps, ap.dsts = nil, nil, nil
+	stash.Put(prm, ap)
 }
 
 // Prep is the reusable analyze-phase output for one workload: the
@@ -201,7 +290,7 @@ func (prep *Prep) reference() (*refCell, error) {
 // grids, one per catalog preset. A reference is a pure function of the
 // grid, and building one costs more than the analyze phase around it.
 // An evicted cell lives on in the Preps that hold it.
-var refMemo = harness.Memo[*refCell]{Cap: 4}
+var refMemo = harness.Memo[int, *refCell]{Cap: 4}
 
 // refFor returns the grid's reference cell, unfilled if it is new.
 func refFor(grid int) *refCell {
@@ -233,14 +322,11 @@ func (prm Params) Build(rt *cool.Runtime, v int, prep any) (harness.Instance, er
 // per run.
 func build(rt *cool.Runtime, prep *Prep, distribute bool) *app {
 	ps := prep.ps
-	ap := &app{
-		prep:      prep,
-		ps:        ps,
-		dsts:      prep.dsts,
-		remaining: append([]int32(nil), prep.nupd...),
-		arrs:      make([]*cool.F64, len(ps.Panels)),
-		mons:      make([]*cool.Monitor, len(ps.Panels)),
+	ap, ok := stash.Take(prep.prm)
+	if !ok {
+		ap = new(app)
 	}
+	ap.fit(prep)
 	for _, p := range ps.Panels {
 		size := int(ps.ColPtr[p.End] - ps.ColPtr[p.Start])
 		proc := 0
@@ -475,29 +561,34 @@ type rowPair struct{ src, dst int32 }
 // spawnComplete launches CompletePanel(d) with default affinity for the
 // panel; the completed panel then produces its updates.
 func (ap *app) spawnComplete(ctx *cool.Ctx, d int) {
-	arr := ap.arrs[d]
-	ctx.Spawn("complete", func(c *cool.Ctx) {
-		ap.complete(c, d)
-		for _, dst := range ap.dsts[d] {
-			ap.spawnUpdate(c, int(dst), d)
-		}
-	}, cool.OnObject(arr.Base))
+	ctx.Spawn("complete", ap.completes[d].run, cool.OnObject(ap.arrs[d].Base))
+}
+
+func (t *completeTask) body(c *cool.Ctx) {
+	ap, d := t.ap, t.d
+	ap.complete(c, d)
+	for k := range ap.dsts[d] {
+		ap.spawnUpdate(c, ap.updates[int(ap.upd[d])+k])
+	}
 }
 
 // spawnUpdate launches UpdatePanel(dst ← src): a parallel mutex function
 // with affinity(src, TASK) and affinity(dst, OBJECT), per Figure 13.
-func (ap *app) spawnUpdate(ctx *cool.Ctx, dst, src int) {
-	ctx.Spawn("update", func(c *cool.Ctx) {
-		ap.applyUpdate(c, dst, src)
-		ap.remaining[dst]--
-		if ap.remaining[dst] == 0 {
-			ap.spawnComplete(c, dst)
-		}
-	},
-		cool.TaskAffinity(ap.arrs[src].Base),
-		cool.ObjectAffinity(ap.arrs[dst].Base),
-		cool.WithMutex(ap.mons[dst]),
+func (ap *app) spawnUpdate(ctx *cool.Ctx, t *updateTask) {
+	ctx.Spawn("update", t.run,
+		cool.TaskAffinity(ap.arrs[t.src].Base),
+		cool.ObjectAffinity(ap.arrs[t.dst].Base),
+		cool.WithMutex(ap.mons[t.dst]),
 	)
+}
+
+func (t *updateTask) body(c *cool.Ctx) {
+	ap, dst := t.ap, t.dst
+	ap.applyUpdate(c, dst, t.src)
+	ap.remaining[dst]--
+	if ap.remaining[dst] == 0 {
+		ap.spawnComplete(c, dst)
+	}
 }
 
 // Main seeds the initially ready panels and waits for the update DAG to
@@ -507,14 +598,14 @@ func (ap *app) Main(ctx *cool.Ctx) {
 	// complete task exists, its updates decrement remaining[]
 	// concurrently, and a panel whose count reached zero that way has
 	// already been completed by the update that zeroed it.
-	var ready []int
+	ap.ready = ap.ready[:0]
 	for _, p := range ap.ps.Panels {
 		if ap.remaining[p.ID] == 0 {
-			ready = append(ready, p.ID)
+			ap.ready = append(ap.ready, p.ID)
 		}
 	}
 	ctx.WaitFor(func() {
-		for _, d := range ready {
+		for _, d := range ap.ready {
 			ap.spawnComplete(ctx, d)
 		}
 	})
@@ -544,7 +635,10 @@ func (ap *app) Finish() (harness.Evidence, error) {
 	}
 	symb := ap.ps.S
 	want, x := ref.f.Val, ref.x
-	y := make([]float64, symb.N) // y = L (Lᵀ x)
+	y, _ := products.Take(prep.prm) // y = L (Lᵀ x)
+	y = resize(y, symb.N)
+	clear(y)
+	defer products.Put(prep.prm, y)
 	var maxDiff float64
 	for j := 0; j < symb.N; j++ {
 		data := ap.arrs[ap.ps.Owner[j]].Data

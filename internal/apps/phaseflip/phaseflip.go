@@ -141,6 +141,48 @@ type app struct {
 	objs []*cool.I64 // one accumulator cell per chain, homed on its server
 	pong []*cool.F64 // two cells per pair (flat: pair*2+side), each homed on its side
 	wave *cool.F64   // one cell per wave task, disjoint writes
+
+	// The task records. A chain or a pair has one live link at a time,
+	// so each has one record: a link reads it, rewrites it for its
+	// successor and only then spawns the successor. The bodies are
+	// method values bound once, when the app is made, and the app comes
+	// from stash, so no link allocates.
+	chains  [chainCount]*link
+	pairs   [pairCount]*link
+	round   int // the running round, for the wave tasks
+	waveFn  func(*cool.Ctx, int)
+	waveOpt func(int) []cool.SpawnOpt
+	optBuf  [1]cool.SpawnOpt
+}
+
+// link is the record of a chain's or a ping-pong pair's live task: link
+// step of chain id, or bounce step of pair id, in round.
+type link struct {
+	ap              *app
+	id, step, round int
+	run             func(*cool.Ctx)
+}
+
+// stash hands an app's records from a finished job to the next job of
+// equal Params (see harness.Stash).
+var stash = harness.Stash[Params, *app]{Cap: 8}
+
+// newApp makes an app for prm and binds its task bodies.
+func newApp(prm Params) *app {
+	ap := &app{prm: prm, objs: make([]*cool.I64, chainCount), pong: make([]*cool.F64, 2*pairCount)}
+	for c := range ap.chains {
+		l := &link{ap: ap, id: c}
+		l.run = l.chainStep
+		ap.chains[c] = l
+	}
+	for p := range ap.pairs {
+		l := &link{ap: ap, id: p}
+		l.run = l.pingStep
+		ap.pairs[p] = l
+	}
+	ap.waveFn = ap.waveN
+	ap.waveOpt = ap.waveOpts
+	return ap
 }
 
 // Build allocates the chain accumulators (one per cluster-0 server),
@@ -150,12 +192,14 @@ type app struct {
 // data writes — and so the checksum — stay identical.
 func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
 	prm := p.normalize()
-	ap := &app{prm: prm, v: Variant(v)}
-	ap.objs = make([]*cool.I64, chainCount)
+	ap, ok := stash.Take(prm)
+	if !ok {
+		ap = newApp(prm)
+	}
+	ap.v = Variant(v)
 	for c := range ap.objs {
 		ap.objs[c] = rt.NewI64Pages(1, c%rt.Processors())
 	}
-	ap.pong = make([]*cool.F64, 2*pairCount)
 	for i := range ap.pong {
 		ap.pong[i] = rt.NewF64Pages(1, (chainCount+i)%rt.Processors())
 	}
@@ -163,11 +207,22 @@ func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) 
 	return ap, nil
 }
 
+// Release returns the records to the stash, dropping the runtime's
+// handles.
+func (ap *app) Release() {
+	clear(ap.objs)
+	clear(ap.pong)
+	ap.wave = nil
+	stash.Put(ap.prm, ap)
+}
+
 // chainStep is one phase-A link: spawn the successor first (it parks
 // as the server's lone queued task for this whole body), then work.
-func (ap *app) chainStep(ctx *cool.Ctx, c, step, round int) {
+func (l *link) chainStep(ctx *cool.Ctx) {
+	ap, c, step, round := l.ap, l.id, l.step, l.round
 	if step+1 < ap.prm.Steps {
-		ap.spawnLink(ctx, c, step+1, round)
+		l.step = step + 1
+		ap.spawnLink(ctx, l)
 	}
 	ap.chainUpdate(ctx, c, step, round)
 	ctx.Compute(chainWork)
@@ -182,35 +237,37 @@ func (ap *app) chainUpdate(ctx *cool.Ctx, c, step, round int) {
 	ctx.AddI64(ap.objs[c], 0, int64((step*31+c*17+round)%13)-6)
 }
 
-func (ap *app) spawnLink(ctx *cool.Ctx, c, step, round int) {
-	body := func(cc *cool.Ctx) { ap.chainStep(cc, c, step, round) }
+// spawnLink spawns the chain link l describes.
+func (ap *app) spawnLink(ctx *cool.Ctx, l *link) {
 	if ap.v != Base {
-		ctx.Spawn("chain", body, cool.ObjectAffinity(ap.objs[c].Base))
+		ctx.Spawn("chain", l.run, cool.ObjectAffinity(ap.objs[l.id].Base))
 		return
 	}
-	ctx.Spawn("chain", body)
+	ctx.Spawn("chain", l.run)
 }
 
 // pingStep is one ping-pong bounce: work against this side's cell,
 // then spawn the next bounce on the partner side at the END of the
 // body, so the partner's server sits empty — and its processor idle,
 // soaking up chain wakes — for the whole duration of this link.
-func (ap *app) pingStep(ctx *cool.Ctx, pair, turn, round int) {
+func (l *link) pingStep(ctx *cool.Ctx) {
+	ap, pair, turn, round := l.ap, l.id, l.step, l.round
 	d := ctx.WriteF64Range(ap.pong[pair*2+turn%2], 0, 1)
 	d[0] += float64((turn*19+pair*7+round)%17) - 8
 	ctx.Compute(pingWork)
 	if turn+1 < ap.prm.turns() {
-		ap.spawnBounce(ctx, pair, turn+1, round)
+		l.step = turn + 1
+		ap.spawnBounce(ctx, l)
 	}
 }
 
-func (ap *app) spawnBounce(ctx *cool.Ctx, pair, turn, round int) {
-	body := func(cc *cool.Ctx) { ap.pingStep(cc, pair, turn, round) }
+// spawnBounce spawns the ping-pong bounce l describes.
+func (ap *app) spawnBounce(ctx *cool.Ctx, l *link) {
 	if ap.v != Base {
-		ctx.Spawn("ping", body, cool.ObjectAffinity(ap.pong[pair*2+turn%2].Base))
+		ctx.Spawn("ping", l.run, cool.ObjectAffinity(ap.pong[l.id*2+l.step%2].Base))
 		return
 	}
-	ctx.Spawn("ping", body)
+	ctx.Spawn("ping", l.run)
 }
 
 // waveTask is one phase-B body: a disjoint write plus work.
@@ -220,40 +277,44 @@ func (ap *app) waveTask(ctx *cool.Ctx, i, round int) {
 	ctx.Compute(waveWork)
 }
 
+// waveN is wave task i of the running round.
+func (ap *app) waveN(ctx *cool.Ctx, i int) { ap.waveTask(ctx, i, ap.round) }
+
+// waveOpts is wave task i's affinity: its chain's cell.
+func (ap *app) waveOpts(i int) []cool.SpawnOpt {
+	if ap.v == Base {
+		return nil
+	}
+	ap.optBuf[0] = cool.ObjectAffinity(ap.objs[i%chainCount].Base)
+	return ap.optBuf[:]
+}
+
 // Main alternates the two phases. Each phase is a barrier, so no task
 // of one phase runs under the other phase's stealing policy.
 func (ap *app) Main(ctx *cool.Ctx) {
-	n := ap.prm.Wave
-	optBuf := make([]cool.SpawnOpt, 1)
 	for round := 0; round < ap.prm.Rounds; round++ {
-		round := round
 		if ap.v == Switch {
 			ctx.SetClusterStealingOnly(true)
 		}
 		// Phase A: one chain head per cluster-0 server, plus the
 		// ping-pong pairs on the rest of the machine.
 		ctx.WaitFor(func() {
-			for c := 0; c < chainCount; c++ {
-				ap.spawnLink(ctx, c, 0, round)
+			for _, l := range ap.chains {
+				l.step, l.round = 0, round
+				ap.spawnLink(ctx, l)
 			}
-			for pair := 0; pair < pairCount; pair++ {
-				ap.spawnBounce(ctx, pair, 0, round)
+			for _, l := range ap.pairs {
+				l.step, l.round = 0, round
+				ap.spawnBounce(ctx, l)
 			}
 		})
 		if ap.v == Switch {
 			ctx.SetClusterStealingOnly(false)
 		}
 		// Phase B: a deep object-bound backlog on the chain servers.
+		ap.round = round
 		ctx.WaitFor(func() {
-			ctx.SpawnN("wave", n, func(cc *cool.Ctx, i int) {
-				ap.waveTask(cc, i, round)
-			}, func(i int) []cool.SpawnOpt {
-				if ap.v == Base {
-					return nil
-				}
-				optBuf[0] = cool.ObjectAffinity(ap.objs[i%chainCount].Base)
-				return optBuf[:1]
-			})
+			ctx.SpawnN("wave", ap.prm.Wave, ap.waveFn, ap.waveOpt)
 		})
 	}
 }

@@ -60,6 +60,11 @@ type Config struct {
 	// the member's index. Required only if SpawnN is used.
 	InvokeN func(*Ctx, any, int)
 
+	// Facade, when non-nil, makes the embedding runtime's own per-task
+	// context for a new task record, once: the record keeps it for every
+	// task that runs in it (see Ctx.Facade).
+	Facade func(*Ctx) any
+
 	// TraceCapacity, when positive, bounds the merged scheduler event
 	// trace (timestamps are wall-clock nanoseconds since Run).
 	TraceCapacity int
@@ -165,12 +170,18 @@ type worker struct {
 	// reused across steals to keep the move allocation-free.
 	setScratch []*task
 
-	// free is the worker's task-record freelist (linked through t.chain),
-	// touched only by the worker's own goroutine: records are recycled by
-	// runTask and handed out by spawns issued from tasks running here;
-	// whole lists move between workers through Runtime.spare.
-	free  *task
-	freeN int
+	// scopes holds drained WaitFor scopes for the worker's next WaitFor
+	// (as many as its WaitFors ever nested).
+	scopes []*scope
+
+	// free is the worker's task-record freelist, touched only by the
+	// worker's own goroutine: records are recycled by runTask and handed
+	// out by spawns issued from tasks running here; whole lists move
+	// between workers through Runtime.spare.
+	free recList
+	// made counts the records this worker heap-allocated since the last
+	// Reset (see gatherRecords).
+	made int
 
 	// Reused scratch slices owned by the worker's goroutine: SpawnN
 	// builds its batch here and chains the records bound for locked
@@ -229,11 +240,13 @@ type Runtime struct {
 	clusterOnly atomic.Bool // dynamic cluster-stealing flag
 	setSplits   atomic.Int64
 
-	// spare holds full worker freelists (chains of exactly freeListCap
-	// zeroed records, as *task heads) on their way from a worker that
-	// frees more records than it spawns to one that spawns more than it
-	// frees (see freeTask).
-	spare sync.Pool
+	// spare holds worker freelists on their way from a worker that frees
+	// more records than it spawns to one that spawns more than it frees
+	// (see freeTask), and, between runs, every worker's list (see
+	// gatherRecords): at most maxSpareLists of them, under spareMu, so a
+	// list one worker puts is the next list any worker takes.
+	spareMu sync.Mutex
+	spare   []recList
 
 	failMu sync.Mutex
 	fail   error
@@ -358,7 +371,8 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 	}
 	rt.ran = true
 	rt.start = time.Now()
-	root := rt.newTask(nil)
+	// No worker runs yet, so worker 0's freelist is Run's to take from.
+	root := rt.newTask(rt.workers[0])
 	root.name, root.fn = "main", main
 	root.Class, root.server, root.Slot = core.ClassProcessor, 0, -1
 	rt.live.Store(1)
@@ -428,39 +442,114 @@ func (rt *Runtime) trace(w *worker, kind trace.Kind, proc int, name string, arg 
 
 // freeListCap bounds a worker's task-record freelist. A worker whose list
 // is full hands the whole list to Runtime.spare, where a worker whose
-// list ran dry picks it up.
-const freeListCap = 256
+// list ran dry picks it up. The bound is small because a list below it
+// is the worker's alone: records that another worker's spawns need sit
+// there, and those spawns allocate, until the list fills. At 256, warm
+// P=2 jobs kept allocating a few dozen records each, job after job.
+const freeListCap = 32
+
+// maxSpareLists bounds Runtime.spare (4096 records): a list that finds it
+// full goes to the collector.
+const maxSpareLists = 128
+
+// recList is a freelist of zeroed task records chained through
+// task.chain: n of them from head to tail.
+type recList struct {
+	head, tail *task
+	n          int
+}
+
+// push adds t at the head of l.
+func (l *recList) push(t *task) {
+	if l.head == nil {
+		l.tail = t
+	}
+	t.chain = l.head
+	l.head = t
+	l.n++
+}
+
+// pop takes the head record of l, or returns nil.
+func (l *recList) pop() *task {
+	t := l.head
+	if t != nil {
+		l.head = t.chain
+		l.n--
+		t.chain = nil
+	}
+	return t
+}
+
+// appendList moves every record of m to the end of l.
+func (l *recList) appendList(m recList) {
+	if m.head == nil {
+		return
+	}
+	if l.head == nil {
+		*l = m
+		return
+	}
+	l.tail.chain = m.head
+	l.tail = m.tail
+	l.n += m.n
+}
 
 // newTask returns a zeroed task record with the sentinel placement
 // fields set. With a worker (its own goroutine — spawns and retries
 // issued from a running task) the record comes from that worker's
 // freelist without any synchronization, refilled with a whole list from
-// rt.spare when empty; w == nil (the root task, tests) and an empty
-// spare pool heap-allocate.
+// rt.spare when empty; w == nil (tests) and an empty spare
+// heap-allocate. Run takes the root task's record from worker 0's list
+// before any worker goroutine starts.
 func (rt *Runtime) newTask(w *worker) *task {
 	if w == nil {
-		return newRecord()
+		return rt.newRecord()
 	}
-	if w.free == nil {
-		if h, _ := rt.spare.Get().(*task); h != nil {
-			w.free, w.freeN = h, freeListCap
-		}
+	if w.free.head == nil {
+		w.free = rt.takeSpare()
 	}
-	if t := w.free; t != nil {
-		w.free = t.chain
-		w.freeN--
-		t.chain = nil
+	if t := w.free.pop(); t != nil {
 		t.Slot, t.idx = -1, -1
 		return t
 	}
-	return newRecord()
+	w.made++
+	return rt.newRecord()
 }
 
-// newRecord heap-allocates a task record with the sentinel placement
-// fields set and its link bound to it.
-func newRecord() *task {
-	t := &task{idx: -1}
-	t.Item, t.Slot = t, -1
+// takeSpare pops a freelist off rt.spare, or returns an empty one.
+func (rt *Runtime) takeSpare() recList {
+	rt.spareMu.Lock()
+	defer rt.spareMu.Unlock()
+	n := len(rt.spare)
+	if n == 0 {
+		return recList{}
+	}
+	l := rt.spare[n-1]
+	rt.spare[n-1] = recList{}
+	rt.spare = rt.spare[:n-1]
+	return l
+}
+
+// putSpare pushes l onto rt.spare, or leaves it to the collector when
+// maxSpareLists wait already.
+func (rt *Runtime) putSpare(l recList) {
+	rt.spareMu.Lock()
+	if len(rt.spare) < maxSpareLists {
+		rt.spare = append(rt.spare, l)
+	}
+	rt.spareMu.Unlock()
+}
+
+// newRecord heap-allocates a task record (see initRecord).
+func (rt *Runtime) newRecord() *task { return rt.initRecord(new(task)) }
+
+// initRecord readies a zeroed record: the sentinel placement fields set,
+// its link bound to it and its facade made.
+func (rt *Runtime) initRecord(t *task) *task {
+	t.Item, t.Slot, t.idx = t, -1, -1
+	if rt.cfg.Facade != nil {
+		t.ctx.facade = rt.cfg.Facade(&t.ctx)
+	}
 	return t
 }
 
@@ -472,21 +561,19 @@ func newRecord() *task {
 // Records flow from the worker that spawns a task to the one that runs
 // it, so a worker that runs more than it spawns (a thief, or the target
 // of pinned spawns) fills its list while the spawner's runs dry. A full
-// list therefore goes to rt.spare whole — one pool operation per
+// list therefore goes to rt.spare whole — one locked push per
 // freeListCap records — rather than its overflow to the collector.
 func (rt *Runtime) freeTask(w *worker, t *task) {
 	if w == nil {
 		return
 	}
-	if w.freeN >= freeListCap {
-		rt.spare.Put(w.free)
-		w.free, w.freeN = nil, 0
+	if w.free.n >= freeListCap {
+		rt.putSpare(w.free)
+		w.free = recList{}
 	}
 	*t = task{ctx: Ctx{facade: t.ctx.facade}}
 	t.Item = t
-	t.chain = w.free
-	w.free = t
-	w.freeN++
+	w.free.push(t)
 }
 
 func (rt *Runtime) recordFailure(err error) {
@@ -680,16 +767,13 @@ type Ctx struct {
 	facade any
 }
 
-// Facade returns the value last stored by SetFacade on this context, or
+// Facade returns what Config.Facade made for this context's record, or
 // nil. The context is embedded in a pooled task record and the slot
-// survives the record's recycling, so an embedding runtime can build its
-// own per-task context once per record and reuse it for every later task
-// that runs in the record — without allocating per task and without two
+// survives the record's recycling, so an embedding runtime's per-task
+// context is made once per record and reused for every later task that
+// runs in the record — without allocating per task and without two
 // tasks nested on one worker ever sharing it.
 func (c *Ctx) Facade() any { return c.facade }
-
-// SetFacade stores the embedding runtime's per-task context (see Facade).
-func (c *Ctx) SetFacade(v any) { c.facade = v }
 
 // ProcID returns the executing worker.
 func (c *Ctx) ProcID() int { return c.w.id }
@@ -707,11 +791,25 @@ func (c *Ctx) Now() int64 { return c.rt.nowNS() }
 // other ready tasks (its own queues first, then stealing) and parks only
 // when there is nothing to run, so a single worker can always drain the
 // tasks its own waitfor is blocked on.
+//
+// The scope comes from the worker's scope list and goes back to it once
+// drained: no task holds it then, and a scopeDone still between its last
+// decrement and its waiter load can at most wake a later waiter on it
+// spuriously, which waitScope tolerates. A WaitFor that unwinds leaves
+// its scope to the collector.
 func (c *Ctx) WaitFor(body func()) {
-	sc := &scope{}
+	w := c.w
+	var sc *scope
+	if n := len(w.scopes); n > 0 {
+		sc = w.scopes[n-1]
+		w.scopes = w.scopes[:n-1]
+	} else {
+		sc = new(scope)
+	}
 	old := c.scope
 	c.scope = sc
 	body()
 	c.scope = old
 	c.rt.waitScope(c, sc)
+	w.scopes = append(w.scopes, sc)
 }

@@ -93,6 +93,7 @@ func (rt *Runtime) rearm() {
 		rt.armFaults(rt.cfg.Faults)
 	}
 
+	rt.gatherRecords()
 	for _, w := range rt.workers {
 		w.ringEpoch = -1
 		w.busyNS, w.idleNS = 0, 0
@@ -112,4 +113,46 @@ func (rt *Runtime) rearm() {
 	}
 
 	rt.ran = false
+}
+
+// gatherRecords moves every worker's freelist to the spare lists, so the
+// next run's first spawns on any worker find the records the last run
+// left on another one; short lists are joined up to freeListCap records,
+// so the spare lists do not splinter run after run. No task is live, so
+// every record the runtime kept is on the spare lists then. If the last
+// run had to make records, it adds two lists per worker beyond them,
+// within half of maxSpareLists (the rest is room for the lists workers
+// hand over): records that a schedule strands on a slow worker's list
+// (up to freeListCap−1 each) or a burst that outgrows the last one then
+// come from the spare lists, not the heap, on the next run.
+func (rt *Runtime) gatherRecords() {
+	var joined recList
+	made := 0
+	for _, w := range rt.workers {
+		if joined.n+w.free.n > freeListCap {
+			rt.putSpare(joined)
+			joined = recList{}
+		}
+		joined.appendList(w.free)
+		w.free = recList{}
+		made += w.made
+		w.made = 0
+	}
+	if joined.n > 0 {
+		rt.putSpare(joined)
+	}
+	if made == 0 {
+		return
+	}
+	for range 2 * len(rt.workers) {
+		if len(rt.spare) >= maxSpareLists/2 {
+			return
+		}
+		var l recList
+		recs := make([]task, freeListCap)
+		for i := range recs {
+			l.push(rt.initRecord(&recs[i]))
+		}
+		rt.putSpare(l)
+	}
 }

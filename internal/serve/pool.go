@@ -100,11 +100,12 @@ type pool struct {
 	rtCfg  cool.Config
 	runner Runner
 	now    func() int64
+	ended  func(*Job) // called after a job finishes, done or failed
 	wg     sync.WaitGroup
 }
 
-func newPool(n int, rtCfg cool.Config, runner Runner, resident int, now func() int64) (*pool, error) {
-	p := &pool{rtCfg: rtCfg, runner: runner, now: now}
+func newPool(n int, rtCfg cool.Config, runner Runner, resident int, now func() int64, ended func(*Job)) (*pool, error) {
+	p := &pool{rtCfg: rtCfg, runner: runner, now: now, ended: ended}
 	for i := 0; i < n; i++ {
 		rt, err := cool.NewRuntime(rtCfg)
 		if err != nil {
@@ -243,6 +244,7 @@ func (p *pool) loop(e *entry) {
 		} else {
 			j.finish(JobDone, verify, "", p.now())
 		}
+		p.ended(j)
 
 		// Re-arm for the next job: warm Reset normally, full rebuild
 		// when the run left the runtime unrecoverable.

@@ -9,14 +9,16 @@ import (
 // Handler exposes the service over HTTP/JSON:
 //
 //	POST /jobs        submit  (body: Request)   -> 202 Snapshot
-//	GET  /jobs/{id}   status                    -> 200 Snapshot
+//	GET  /jobs/{id}   status                    -> 200 Snapshot, 404 unknown or evicted
 //	GET  /report      pool + admission state    -> 200 Report
 //	POST /drain       stop admissions, drain    -> 200 Report
 //
 // Rejections map to HTTP status codes: admission refusals and full
 // queues are 429 (back off and retry), draining is 503 (this replica
 // is going away), bad submissions are 400 — including a body naming a
-// field Request does not have.
+// field Request does not have. The service keeps the last 4096 jobs that
+// ended (retainedJobs); GET /jobs/{id} of a job evicted past them
+// answers 404, as for an ID it never issued.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	cool "github.com/coolrts/cool"
 )
 
 func TestHTTPServeLifecycle(t *testing.T) {
@@ -97,5 +99,75 @@ func TestHTTPServeLifecycle(t *testing.T) {
 	}
 	if resp, _ := post("/jobs", `{"app":"gauss"}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain submit: %d", resp.StatusCode)
+	}
+}
+
+// TestJobTableIsBounded streams 100 000 jobs through a service whose
+// runner does nothing: the job table never holds more than the queued
+// and running jobs plus retainedJobs ended ones, the job that ended last
+// is still served, and the first job, evicted long ago, answers 404.
+func TestJobTableIsBounded(t *testing.T) {
+	noop := func(*cool.Runtime, *Job, *Residency) (string, error) { return "noop", nil }
+	svc, err := NewService(Config{Runtimes: 2, Procs: 1, Runner: noop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	h := Handler(svc)
+	get := func(id string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+id, nil))
+		return rec.Code
+	}
+
+	const jobs, batch = 100_000, 1000
+	var first, last *Job
+	pending := make([]*Job, 0, batch)
+	for i := range jobs {
+		j, err := svc.Submit(Request{App: "noop"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = j
+		}
+		last = j
+		pending = append(pending, j)
+		if len(pending) < batch && i < jobs-1 {
+			continue
+		}
+		for _, j := range pending {
+			if !j.Wait(30 * time.Second) {
+				t.Fatalf("%s did not finish", j.ID)
+			}
+		}
+		pending = pending[:0]
+		svc.mu.Lock()
+		held := len(svc.jobs)
+		svc.mu.Unlock()
+		if held > retainedJobs+batch {
+			t.Fatalf("after %d jobs the table holds %d, more than %d ended and %d live", i+1, held, retainedJobs, batch)
+		}
+	}
+	// The runner's loop retires a job just after Wait returns; give the
+	// last one that moment.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		svc.mu.Lock()
+		held := len(svc.jobs)
+		svc.mu.Unlock()
+		if held == retainedJobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the table holds %d jobs once all have ended, want %d", held, retainedJobs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if code := get(last.ID); code != http.StatusOK {
+		t.Errorf("GET the job that ended last (%s): %d, want 200", last.ID, code)
+	}
+	if code := get(first.ID); code != http.StatusNotFound {
+		t.Errorf("GET an evicted job (%s): %d, want 404", first.ID, code)
 	}
 }

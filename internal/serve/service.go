@@ -31,6 +31,12 @@ type Config struct {
 	Now func() int64
 }
 
+// retainedJobs is how many finished, failed or rejected jobs a Service
+// keeps queryable. Past it, each job that ends evicts the job that ended
+// longest ago, and Job (GET /jobs/{id}) no longer finds that one. Queued
+// and running jobs are never evicted; the queues bound them.
+const retainedJobs = 4096
+
 // ErrDraining is returned by Submit once a drain has begun.
 var ErrDraining = errors.New("serve: draining, not accepting jobs")
 
@@ -46,6 +52,12 @@ type Service struct {
 	jobs     map[string]*Job
 	seq      int64
 	draining bool
+
+	// retired holds the IDs of the jobs that reached a terminal state,
+	// a ring of at most retainedJobs; next is its oldest once it is
+	// full. A job that leaves the ring leaves jobs too.
+	retired []string
+	next    int
 
 	submitted atomic.Int64
 	rejected  atomic.Int64
@@ -85,17 +97,42 @@ func NewService(cfg Config) (*Service, error) {
 	} else if cfg.ResidentSpaces < 0 {
 		cfg.ResidentSpaces = 0
 	}
-	p, err := newPool(cfg.Runtimes, rtCfg, cfg.Runner, cfg.ResidentSpaces, cfg.Now)
-	if err != nil {
-		return nil, err
-	}
-	return &Service{
-		pool:   p,
+	s := &Service{
 		router: cfg.Router,
 		admit:  cfg.Admission,
 		now:    cfg.Now,
 		jobs:   make(map[string]*Job),
-	}, nil
+	}
+	p, err := newPool(cfg.Runtimes, rtCfg, cfg.Runner, cfg.ResidentSpaces, cfg.Now, s.retire)
+	if err != nil {
+		return nil, err
+	}
+	s.pool = p
+	return s, nil
+}
+
+// retire records that job reached a terminal state (see retainedJobs).
+func (s *Service) retire(job *Job) {
+	s.mu.Lock()
+	s.retireLocked(job)
+	s.mu.Unlock()
+}
+
+func (s *Service) retireLocked(job *Job) {
+	if len(s.retired) < retainedJobs {
+		s.retired = append(s.retired, job.ID)
+		return
+	}
+	delete(s.jobs, s.retired[s.next])
+	s.retired[s.next] = job.ID
+	s.next = (s.next + 1) % retainedJobs
+}
+
+// reject finishes job as rejected with err. Caller holds s.mu.
+func (s *Service) reject(job *Job, err error) {
+	s.rejected.Add(1)
+	job.finish(JobRejected, "", err.Error(), s.now())
+	s.retireLocked(job)
 }
 
 // Submit validates, admits, routes, and enqueues one job. The returned
@@ -126,29 +163,27 @@ func (s *Service) Submit(req Request) (*Job, error) {
 
 	stats := s.pool.stats()
 	if err := s.admit.Admit(job, stats); err != nil {
-		s.rejected.Add(1)
-		job.finish(JobRejected, "", err.Error(), s.now())
+		s.reject(job, err)
 		return job, err
 	}
 	idx := s.router.Pick(job, stats)
 	if idx < 0 || idx >= len(s.pool.entries) {
-		s.rejected.Add(1)
 		err := fmt.Errorf("serve: router %s picked entry %d of %d", s.router.Name(), idx, len(s.pool.entries))
-		job.finish(JobRejected, "", err.Error(), s.now())
+		s.reject(job, err)
 		return job, err
 	}
 	e := s.pool.entries[idx]
 	job.route(e.id)
 	if !s.pool.push(e, job) {
-		s.rejected.Add(1)
 		err := fmt.Errorf("serve: runtime %d queue full (%d jobs)", e.id, queueCap)
-		job.finish(JobRejected, "", err.Error(), s.now())
+		s.reject(job, err)
 		return job, err
 	}
 	return job, nil
 }
 
-// Job looks a job up by ID.
+// Job looks a job up by ID. A job that ended more than retainedJobs
+// endings ago is no longer found.
 func (s *Service) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

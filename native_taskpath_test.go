@@ -133,9 +133,9 @@ func testTaskPathAllocs(t *testing.T, backend cool.Backend) {
 				})
 			}
 			allocs(hi) // warm the freelists and scratch buffers
-			// A garbage collection empties the pool of spare freelists,
-			// and the records it held are allocated again; the best of
-			// three measurements stands.
+			// The freelists keep their records through Reset and garbage
+			// collections; the best of three measurements stands all the
+			// same, as a margin for a run whose schedule grows them.
 			best := math.Inf(1)
 			for range 3 {
 				perTask := (allocs(hi) - allocs(lo)) / float64((hi-lo)*phaseTasks)
