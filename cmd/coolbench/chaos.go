@@ -11,8 +11,9 @@
 //	coolbench -chaos -chaos-seed 17 -chaos-campaigns 1
 //	                                              replay one campaign
 //	coolbench -chaos -chaos-small                 reduced workloads (CI)
-//	coolbench -chaos -chaos-native                campaigns on the native
-//	                                              (goroutine) backend
+//
+// Campaigns run on the simulator: fault plans and retries are
+// simulator-only.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"os"
 	"strings"
 
-	cool "github.com/coolrts/cool"
 	"github.com/coolrts/cool/internal/apps"
 	"github.com/coolrts/cool/internal/chaos"
 )
@@ -34,13 +34,8 @@ func chaosMain(args []string) int {
 	procs := fs.Int("chaos-procs", 8, "simulated processors per campaign")
 	appsFlag := fs.String("chaos-apps", "", "comma-separated app subset (default: all registered)")
 	small := fs.Bool("chaos-small", false, "use reduced workload sizes (CI smoke)")
-	nativeFlag := fs.Bool("chaos-native", false, "run campaigns on the native goroutine backend (plan times read as nanoseconds)")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	backend := cool.BackendSim
-	if *nativeFlag {
-		backend = cool.BackendNative
 	}
 
 	names := apps.Names()
@@ -63,7 +58,6 @@ func chaosMain(args []string) int {
 		for i := 0; i < *campaigns; i++ {
 			seed := *baseSeed + int64(i)
 			c := chaos.NewCampaign(app, seed, *procs, size)
-			c.Backend = backend
 			out := oracle.Run(app, c)
 			tally[out.Verdict]++
 			if !out.Verdict.Bad() {
@@ -71,22 +65,18 @@ func chaosMain(args []string) int {
 			}
 			failures++
 			min, minOut := oracle.Shrink(app, c)
-			fmt.Printf("CHAOS FAILURE app=%s seed=%d procs=%d backend=%v verdict=%v\n",
-				app.Name, seed, *procs, backend, out.Verdict)
+			fmt.Printf("CHAOS FAILURE app=%s seed=%d procs=%d verdict=%v\n",
+				app.Name, seed, *procs, out.Verdict)
 			fmt.Printf("  %s\n", out.Detail)
 			fmt.Printf("  minimal plan (%d of %d events, verdict=%v):\n", min.Plan.Len(), c.Plan.Len(), minOut.Verdict)
 			for _, line := range strings.Split(min.Plan.BuilderString(), "\n") {
 				fmt.Printf("    %s\n", line)
 			}
-			replayNative := ""
-			if backend == cool.BackendNative {
-				replayNative = " -chaos-native"
-			}
-			fmt.Printf("  replay: coolbench -chaos%s -chaos-apps %s -chaos-seed %d -chaos-campaigns 1 -chaos-procs %d\n",
-				replayNative, app.Name, seed, *procs)
+			fmt.Printf("  replay: coolbench -chaos -chaos-apps %s -chaos-seed %d -chaos-campaigns 1 -chaos-procs %d\n",
+				app.Name, seed, *procs)
 		}
-		fmt.Printf("%-12s %d campaigns (%v): %d ok, %d degraded, %d mismatch, %d leak, %d unexpected\n",
-			app.Name, *campaigns, backend, tally[chaos.OK], tally[chaos.Degraded],
+		fmt.Printf("%-12s %d campaigns: %d ok, %d degraded, %d mismatch, %d leak, %d unexpected\n",
+			app.Name, *campaigns, tally[chaos.OK], tally[chaos.Degraded],
 			tally[chaos.Mismatch], tally[chaos.Leak], tally[chaos.Unexpected])
 	}
 	if failures > 0 {

@@ -63,15 +63,14 @@ func TestUnknownModeFlagIsRejected(t *testing.T) {
 
 // TestModeDispatch: each surviving mode is reached through the table (an
 // unknown app is each mode's cheapest exit), and a bad -exp or -procs,
-// or a chaos flag combination the backends cannot run, stops with exit 2
-// before any work.
+// or a chaos flag that no longer exists, stops with exit 2 before any
+// work.
 func TestModeDispatch(t *testing.T) {
 	for _, tc := range []struct {
 		args, want string
 		code       int
 	}{
 		{"-chaos -chaos-apps nosuch", "coolbench -chaos: unknown app", 2},
-		{"-chaos -chaos-native -chaos-churn", "flag provided but not defined: -chaos-churn", 2},
 		{"-chaos -chaos-adapt", "flag provided but not defined: -chaos-adapt", 2},
 		{"-xcheck -xcheck-apps nosuch", "coolbench -xcheck:", 1},
 		{"-trace -trace-out /dev/null -trace-app nosuch", "coolbench -trace: unknown app", 2},

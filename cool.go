@@ -42,7 +42,6 @@ import (
 
 	"github.com/coolrts/cool/internal/cache"
 	"github.com/coolrts/cool/internal/core"
-	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/machine"
 	"github.com/coolrts/cool/internal/memsim"
 	"github.com/coolrts/cool/internal/native"
@@ -61,12 +60,11 @@ const (
 	// BackendNative executes on real goroutines, one worker per
 	// processor, with the same affinity-queue scheduler. Time is
 	// wall-clock nanoseconds; the memory system is the host's, so cache
-	// counters and cycle charges are not modelled. The robustness stack
-	// works on both backends: Faults, Retry, Deadline, and the
-	// no-progress watchdog run natively with every cycle quantity read
-	// as wall-clock nanoseconds (DegradeMemory events are ignored — the
-	// memory system is real). Only the options that require the
-	// simulated machine itself (Machine, CycleLimit, Quantum) are
+	// counters and cycle charges are not modelled. Deadline, per-task
+	// deadlines (WithDeadline) and typed task panics work natively, with
+	// cycle quantities read as wall-clock nanoseconds. The options that
+	// need the simulated machine (Machine, CycleLimit, Quantum) and the
+	// simulator-only fault plans and retries (Faults, Retry) are
 	// rejected with *UnsupportedOnNativeError.
 	BackendNative
 )
@@ -128,9 +126,8 @@ type Config struct {
 	Machine *machine.Config
 	// Faults, when non-nil, is the deterministic fault-injection plan
 	// applied to the run (see FaultPlan). Invalid plans are rejected by
-	// NewRuntime. On the native backend event times and durations are
-	// read as wall-clock nanoseconds and DegradeMemory events are
-	// ignored.
+	// NewRuntime. Simulator only: the native backend rejects it with
+	// *UnsupportedOnNativeError.
 	Faults *FaultPlan
 	// CycleLimit, when positive, arms a no-progress watchdog: if
 	// simulated time passes it with tasks still outstanding, Run stops
@@ -141,8 +138,8 @@ type Config struct {
 	// launches aborted by FailTask events or FlakyProcessor windows are
 	// re-placed on a different server and retried with exponential
 	// backoff (see RetryPolicy, including the panic interaction). When
-	// nil, the first transient abort fails the run. On the native
-	// backend backoffs are read as wall-clock nanoseconds.
+	// nil, the first transient abort fails the run. Simulator only: the
+	// native backend rejects it with *UnsupportedOnNativeError.
 	Retry *RetryPolicy
 	// Deadline, when positive, bounds the run to that many simulated
 	// cycles — wall-clock nanoseconds on the native backend. An
@@ -320,13 +317,17 @@ func CaptureRuntime(f func(*Runtime)) (restore func()) {
 }
 
 // nativeUnsupported rejects configuration options whose semantics
-// require the simulated machine itself. Faults, Retry, and Deadline
-// are NOT in this list: they run natively with cycle quantities read
-// as wall-clock nanoseconds (see newNativeRuntime).
+// require the simulated machine, and the fault plans and retries that
+// only the simulator runs. Deadline is not in this list: it runs
+// natively with cycles read as wall-clock nanoseconds.
 func nativeUnsupported(c Config) error {
 	switch {
 	case c.Machine != nil:
 		return &UnsupportedOnNativeError{Option: "Machine"}
+	case c.Faults != nil:
+		return &UnsupportedOnNativeError{Option: "Faults"}
+	case c.Retry != nil:
+		return &UnsupportedOnNativeError{Option: "Retry"}
 	case c.CycleLimit > 0:
 		return &UnsupportedOnNativeError{Option: "CycleLimit"}
 	case c.Quantum > 0:
@@ -335,45 +336,13 @@ func nativeUnsupported(c Config) error {
 	return nil
 }
 
-// defaultNativeNoProgressNS is the no-progress watchdog window armed on
-// native runs that inject faults or retries: if no task completes for
-// this long while work is outstanding, Run stops with a
-// *NoProgressError instead of hanging. Two seconds of zero completions
-// on a real machine is orders of magnitude beyond any legitimate stall
-// the fault vocabulary can produce (stalls and backoffs are bounded in
-// the low milliseconds).
-const defaultNativeNoProgressNS = 2_000_000_000
-
 // newNativeRuntime builds a runtime executing on the goroutine backend.
 // The DASH machine description supplies only the address-space geometry
 // (page size, cluster topology) used for object homes and victim order;
 // latencies and caches are unused. Config.Seed is accepted and ignored —
-// native runs are inherently timing-dependent.
-//
-// The robustness options map onto wall-clock time: every quantity a
-// fault plan, retry policy, or deadline expresses in simulated cycles
-// is read as nanoseconds. DegradeMemory events are ignored (the memory
-// system is the host's). When faults or retries are armed, a default
-// no-progress watchdog guards against hangs.
+// native runs are inherently timing-dependent. Config.Deadline is read
+// as wall-clock nanoseconds.
 func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, error) {
-	var retry RetryPolicy // zero: retries disabled
-	if c.Retry != nil {
-		var err error
-		if retry, err = retryDefaults(*c.Retry); err != nil {
-			return nil, err
-		}
-	}
-	var plan *fault.Plan
-	if c.Faults != nil {
-		if err := c.Faults.plan.Validate(mc.Processors, mc.Clusters()); err != nil {
-			return nil, fmt.Errorf("cool: invalid Config.Faults: %w", err)
-		}
-		plan = &c.Faults.plan
-	}
-	noProgress := int64(0)
-	if c.Faults != nil || c.Retry != nil {
-		noProgress = defaultNativeNoProgressNS
-	}
 	rt := &Runtime{cfg: mc, pub: c, backend: BackendNative}
 	rt.space = memsim.New(mc)
 	rt.mon = perfmon.New(mc.Processors)
@@ -399,10 +368,7 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 			p.(func(*Ctx, int))(rt.nativeCtx(nc), i)
 		},
 		TraceCapacity: c.TraceCapacity,
-		Faults:        plan,
-		Retry:         retry,
 		DeadlineNS:    c.Deadline,
-		NoProgressNS:  noProgress,
 	})
 	if err != nil {
 		return nil, err

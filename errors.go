@@ -7,11 +7,12 @@ import (
 )
 
 // UnsupportedOnNativeError is returned by NewRuntime when a
-// configuration option that requires the simulated machine itself —
-// Machine (latency/cache overrides), CycleLimit (a bound on simulated
-// time) or Quantum (interleaving control) — is combined with
-// BackendNative. Fault plans, retries, and deadlines are NOT rejected:
-// they run natively with cycle quantities read as wall-clock
+// simulator-only configuration option is combined with BackendNative:
+// one that requires the simulated machine itself — Machine
+// (latency/cache overrides), CycleLimit (a bound on simulated time) or
+// Quantum (interleaving control) — or a fault plan (Faults) or retry
+// policy (Retry), which only the simulator runs. Deadline is not
+// rejected: it runs natively with cycles read as wall-clock
 // nanoseconds. Callers that want to run the same Config on both
 // backends should strip the sim-only options for the native run rather
 // than treat this as a failure.
@@ -20,7 +21,7 @@ type UnsupportedOnNativeError struct {
 }
 
 func (e *UnsupportedOnNativeError) Error() string {
-	return fmt.Sprintf("cool: Config.%s requires simulated time and is unsupported on the native backend", e.Option)
+	return fmt.Sprintf("cool: Config.%s is simulator-only and unsupported on the native backend", e.Option)
 }
 
 // TaskPanicError is returned by Run when a task's body panicked (or a
@@ -38,12 +39,10 @@ type WaitEdge = fault.WaitEdge
 // waitfor scope it is parked on — the wait-for graph of the deadlock.
 type DeadlockError = fault.Deadlock
 
-// NoProgressError is returned by Run when the no-progress watchdog
-// fired with work still outstanding: on the simulator, Config.CycleLimit
-// was set and simulated time passed it; on the native backend, no task
-// completed for the watchdog window (armed automatically when faults or
-// retries are configured) while tasks remained live. It carries a clock
-// and queue snapshot instead of letting the run spin (or hang) forever.
+// NoProgressError is returned by Run when the simulator's no-progress
+// watchdog fired with work still outstanding: Config.CycleLimit was set
+// and simulated time passed it. It carries a clock and queue snapshot
+// instead of letting the run spin forever.
 type NoProgressError = fault.NoProgress
 
 // TaskAbortError is returned by Run when a transient launch failure
@@ -52,9 +51,10 @@ type NoProgressError = fault.NoProgress
 type TaskAbortError = fault.TaskAbort
 
 // DeadlineExceededError is returned by Run when Config.Deadline was set
-// and simulated time passed it with work still outstanding. Unlike
-// NoProgressError (a watchdog against runaway simulations), the
-// deadline is a hard budget on an otherwise healthy run, so the error
-// carries a progress snapshot: per-server queue depths and the blocked
-// tasks with what they wait on.
+// and simulated time (wall-clock time on the native backend) passed it
+// with work still outstanding. Unlike NoProgressError (a watchdog
+// against runaway simulations), the deadline is a hard budget on an
+// otherwise healthy run, so the error carries a progress snapshot:
+// per-server queue depths and, on the simulator, the blocked tasks with
+// what they wait on.
 type DeadlineExceededError = fault.DeadlineExceeded

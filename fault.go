@@ -13,12 +13,9 @@ import (
 // degradation, and injected task panics. On the simulator every event
 // is pinned to simulated time, so a run with the same Config (seed) and
 // the same plan replays cycle for cycle — fault experiments are
-// reproducible. On the native backend the same plan applies with every
-// time and duration read as wall-clock nanoseconds (the injection is
-// deterministic; the interleaving it perturbs is not), and
-// DegradeMemory events are ignored because the memory system is the
-// host's. The builder methods append events and return the plan for
-// chaining:
+// reproducible. Fault plans run on the simulator only: NewRuntime
+// rejects one on the native backend with *UnsupportedOnNativeError.
+// The builder methods append events and return the plan for chaining:
 //
 //	cfg.Faults = cool.NewFaultPlan().
 //		SlowProcessor(3, 0, 8, 0).   // P3 is an 8x straggler from t=0

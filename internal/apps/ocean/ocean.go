@@ -89,7 +89,22 @@ func (p Params) normalize() (Params, error) {
 type app struct {
 	prm   Params
 	grids []*cool.F64
+
+	// The running grid operation — its source and destination grids
+	// and the destination's index — and the bodies and affinity of its
+	// region tasks: method values bound once, when the app is made. The
+	// app comes from stash, so the operations of a job allocate nothing.
+	src, dst     *cool.F64
+	dstGrid      int
+	laplaceFn    func(*cool.Ctx, int)
+	accumulateFn func(*cool.Ctx, int)
+	optFn        func(int) []cool.SpawnOpt
+	optBuf       [1]cool.SpawnOpt
 }
+
+// stash hands an app from a finished job to the next job of equal
+// Params (see harness.Stash).
+var stash = harness.Stash[Params, *app]{Cap: 8}
 
 // Build validates the parameters and lays the grids out as version v asks.
 func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) {
@@ -101,7 +116,13 @@ func (p Params) Build(rt *cool.Runtime, v int, _ any) (harness.Instance, error) 
 }
 
 func build(rt *cool.Runtime, prm Params, distribute bool) *app {
-	ap := &app{prm: prm, grids: make([]*cool.F64, prm.Grids)}
+	ap, ok := stash.Take(prm)
+	if !ok {
+		ap = &app{prm: prm, grids: make([]*cool.F64, prm.Grids)}
+		ap.laplaceFn = ap.laplaceN
+		ap.accumulateFn = ap.accumulateN
+		ap.optFn = ap.regionOpts
+	}
 	for g := range ap.grids {
 		ap.grids[g] = rt.NewF64Pages(prm.N*prm.N, 0)
 		// Deterministic initial state, element i = ((i*31+g*17)%97)/97.
@@ -127,6 +148,13 @@ func build(rt *cool.Runtime, prm Params, distribute bool) *app {
 		}
 	}
 	return ap
+}
+
+// Release returns the app to the stash, dropping the runtime's handles.
+func (ap *app) Release() {
+	clear(ap.grids)
+	ap.src, ap.dst = nil, nil
+	stash.Put(ap.prm, ap)
 }
 
 // regionAddr returns the simulated address identifying region r of grid g
@@ -174,16 +202,27 @@ func (ap *app) axpy(ctx *cool.Ctx, src, dst *cool.F64, r int, alpha float64) {
 	ctx.Compute(int64(2 * (hi - lo)))
 }
 
-// gridOp runs one whole-grid operation: a waitfor over one region task
-// per region, each with affinity for its destination region.
-func (ap *app) gridOp(ctx *cool.Ctx, name string, dstGrid int, body func(c *cool.Ctx, r int)) {
-	optBuf := make([]cool.SpawnOpt, 1)
+// gridOp runs one whole-grid operation from grid src into grid dst: a
+// waitfor over one region task per region, each with affinity for its
+// destination region. The operation's grids stay on the app until the
+// waitfor returns, so the bound bodies read them.
+func (ap *app) gridOp(ctx *cool.Ctx, name string, src, dst int, body func(*cool.Ctx, int)) {
+	ap.src, ap.dst, ap.dstGrid = ap.grids[src], ap.grids[dst], dst
 	ctx.WaitFor(func() {
-		ctx.SpawnN(name, ap.prm.Regions, body, func(r int) []cool.SpawnOpt {
-			optBuf[0] = cool.OnObject(ap.regionAddr(dstGrid, r))
-			return optBuf
-		})
+		ctx.SpawnN(name, ap.prm.Regions, body, ap.optFn)
 	})
+}
+
+// laplaceN is region task r of the running stencil operation.
+func (ap *app) laplaceN(c *cool.Ctx, r int) { ap.stencil(c, ap.src, ap.dst, r) }
+
+// accumulateN is region task r of the running accumulation.
+func (ap *app) accumulateN(c *cool.Ctx, r int) { ap.axpy(c, ap.src, ap.dst, r, 0.25) }
+
+// regionOpts is region task r's affinity: its destination region.
+func (ap *app) regionOpts(r int) []cool.SpawnOpt {
+	ap.optBuf[0] = cool.OnObject(ap.regionAddr(ap.dstGrid, r))
+	return ap.optBuf[:]
 }
 
 // Main executes the timestep pipeline: a chain of stencil ops through the
@@ -191,16 +230,9 @@ func (ap *app) gridOp(ctx *cool.Ctx, name string, dstGrid int, body func(c *cool
 func (ap *app) Main(ctx *cool.Ctx) {
 	for s := 0; s < ap.prm.Steps; s++ {
 		for g := 1; g < ap.prm.Grids; g++ {
-			src, dst := ap.grids[g-1], ap.grids[g]
-			ap.gridOp(ctx, "laplace", g, func(c *cool.Ctx, r int) {
-				ap.stencil(c, src, dst, r)
-			})
+			ap.gridOp(ctx, "laplace", g-1, g, ap.laplaceFn)
 		}
-		last := ap.grids[ap.prm.Grids-1]
-		first := ap.grids[0]
-		ap.gridOp(ctx, "accumulate", 0, func(c *cool.Ctx, r int) {
-			ap.axpy(c, last, first, r, 0.25)
-		})
+		ap.gridOp(ctx, "accumulate", ap.prm.Grids-1, 0, ap.accumulateFn)
 	}
 }
 

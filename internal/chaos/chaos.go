@@ -6,14 +6,8 @@
 // a minimal reproducing fault plan, printed as copy-pasteable builder
 // calls.
 //
-// Campaigns run on either backend. On the simulator both the faulted
-// run and its reference are bit-deterministic. On the native backend
-// the reference is a fault-free native run and the differential check
-// is necessarily looser: tokens that depend on execution order may
-// differ between any two native schedules (same relaxation as the
-// xcheck harness), so those are skipped at P>1 even before faults are
-// injected. Task-count equality and typed-failure classification hold
-// on both backends.
+// Campaigns run on the simulator, where fault plans and retries apply:
+// both the faulted run and its reference are bit-deterministic.
 package chaos
 
 import (
@@ -35,10 +29,6 @@ type Campaign struct {
 	Plan     *cool.FaultPlan
 	Retry    *cool.RetryPolicy
 	Deadline int64
-	// Backend selects the execution engine the campaign (and its
-	// fault-free reference) runs on. Native campaigns read the plan's
-	// cycle quantities as wall-clock nanoseconds.
-	Backend cool.Backend
 }
 
 // NewCampaign derives a deterministic campaign from a seed against the
@@ -127,11 +117,11 @@ type Oracle struct {
 func NewOracle() *Oracle { return &Oracle{refs: map[string]ref{}} }
 
 func (o *Oracle) healthy(app apps.App, c Campaign) (ref, error) {
-	key := fmt.Sprintf("%s/%s/p%d/s%d/%v", c.App, c.Variant, c.Procs, c.Size, c.Backend)
+	key := fmt.Sprintf("%s/%s/p%d/s%d", c.App, c.Variant, c.Procs, c.Size)
 	if r, ok := o.refs[key]; ok {
 		return r, r.err
 	}
-	res, err := app.RunCfg(cool.Config{Processors: c.Procs, Backend: c.Backend}, c.Variant, c.Size)
+	res, err := app.RunCfg(cool.Config{Processors: c.Procs}, c.Variant, c.Size)
 	r := ref{res.Verify, res.Report.Total.TasksRun, err}
 	o.refs[key] = r
 	return r, err
@@ -149,7 +139,6 @@ func (o *Oracle) Run(app apps.App, c Campaign) Outcome {
 		Faults:     c.Plan,
 		Retry:      c.Retry,
 		Deadline:   c.Deadline,
-		Backend:    c.Backend,
 	}
 	res, err := app.RunCfg(cfg, c.Variant, c.Size)
 	if err != nil {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
+	"strings"
 
 	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/sim"
@@ -120,13 +122,35 @@ func (s *Scheduler) NoteFault(now int64, proc int, what string, arg int64) {
 
 // Snapshot renders the per-server queue state — the diagnostic embedded
 // in no-progress watchdog errors.
-func (s *Scheduler) Snapshot() string { return FormatQueues(s.QueueDepths()) }
+func (s *Scheduler) Snapshot() string {
+	var b strings.Builder
+	b.WriteString("scheduler queues:")
+	total := 0
+	for i, d := range s.QueueDepths() {
+		if d < 0 {
+			fmt.Fprintf(&b, " P%d:0 dead", i)
+			continue
+		}
+		fmt.Fprintf(&b, " P%d:%d", i, d)
+		total += d
+	}
+	fmt.Fprintf(&b, " (total %d queued)", total)
+	return b.String()
+}
 
 // QueueDepths returns the number of tasks queued on each server (dead
 // servers report -1) — the progress snapshot embedded in deadline
 // errors.
 func (s *Scheduler) QueueDepths() []int {
-	return s.topo.QueueDepths(s.dead, func(sv int) int { return s.Srv[sv].queued })
+	out := make([]int, len(s.Srv))
+	for i, sv := range s.Srv {
+		if s.dead.Has(i) {
+			out[i] = -1
+		} else {
+			out[i] = sv.queued
+		}
+	}
+	return out
 }
 
 // WaitEdge derives the wait-for edge of one blocked task from the

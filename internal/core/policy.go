@@ -1,18 +1,17 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // This file holds every scheduling decision that is a pure function of
 // the machine shape, the policy and which processors are alive —
-// placement, failover, retry targets, victim order, the steal gate —
-// and the queue snapshot the stop errors carry. Both
-// engines — the simulator's Scheduler in this package and the goroutine
-// runtime in internal/native — call these and keep only what really
+// placement, failover, retry targets, victim order, the steal gate.
+// Both engines — the simulator's Scheduler in this package and the
+// goroutine runtime in internal/native — call the fault-free ones
+// (placement, victim order, the steal gate) and keep only what really
 // differs between them: where the set-home table lives and how it is
 // locked, the round-robin and least-loaded counters, and the queues.
+// Failover, retry targets and the reroute off a dead server are the
+// simulator's alone: fault plans and retries run only there.
 
 // Topo is the part of the machine the scheduling decisions depend on.
 type Topo struct {
@@ -165,39 +164,6 @@ func (t Topo) Failover(class Class, server, setHome int, dead ProcSet, next func
 		}
 	}
 	return 0
-}
-
-// QueueDepths returns the tasks queued on each server, read through
-// queued, with -1 for a dead one: the progress snapshot a deadline error
-// carries.
-func (t Topo) QueueDepths(dead ProcSet, queued func(sv int) int) []int {
-	out := make([]int, t.Procs)
-	for i := range out {
-		if dead.Has(i) {
-			out[i] = -1
-		} else {
-			out[i] = queued(i)
-		}
-	}
-	return out
-}
-
-// FormatQueues renders QueueDepths as the queue snapshot a watchdog
-// error carries.
-func FormatQueues(depths []int) string {
-	var b strings.Builder
-	b.WriteString("scheduler queues:")
-	total := 0
-	for i, d := range depths {
-		if d < 0 {
-			fmt.Fprintf(&b, " P%d:0 dead", i)
-			continue
-		}
-		fmt.Fprintf(&b, " P%d:%d", i, d)
-		total += d
-	}
-	fmt.Fprintf(&b, " (total %d queued)", total)
-	return b.String()
 }
 
 // Rings is one thief's victim probe order, in (thief+d)%Procs order with

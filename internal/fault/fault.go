@@ -5,10 +5,8 @@
 // every event is pinned to simulated time (not wall clock) and plans
 // carry no hidden randomness, so a run with the same seed and the same
 // plan is exactly reproducible: fault experiments replay cycle for
-// cycle. The native backend reads the same At/Cycles quantities as
-// wall-clock nanoseconds: the plan's events still fire
-// deterministically, but the goroutine interleaving they perturb does
-// not replay.
+// cycle. Plans run on the simulator only; the native backend rejects
+// them.
 package fault
 
 import (

@@ -148,3 +148,19 @@ func TestEventStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRetryDelayShape pins the backoff shape: first retry waits Backoff,
+// each further retry doubles, the cap clamps, and huge attempt counts
+// must not overflow.
+func TestRetryDelayShape(t *testing.T) {
+	r := RetryPolicy{MaxAttempts: 10, Backoff: 1000, MaxBackoff: 8000}
+	want := []int64{1000, 2000, 4000, 8000, 8000}
+	for i, w := range want {
+		if got := r.Delay(i + 1); got != w {
+			t.Fatalf("delay(%d) = %d, want %d", i+1, got, w)
+		}
+	}
+	if got := r.Delay(1 << 20); got != 8000 {
+		t.Fatalf("delay(huge) = %d, want cap 8000", got)
+	}
+}

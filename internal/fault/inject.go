@@ -2,12 +2,11 @@ package fault
 
 import "sync"
 
-// Injector is a validated plan's run-time injection state, the one
-// answer both engines use for which spawns a plan numbers, which of
-// them panic, and which launch attempts abort: the per-name spawn
-// index, the planted panics, the planted aborts (stackable), and the
-// per-processor flaky windows. Build a fresh one for each run; the
-// engines apply its answers with their own mechanisms.
+// Injector is a validated plan's run-time injection state, the
+// simulator's answer for which spawns a plan numbers, which of them
+// panic, and which launch attempts abort: the per-name spawn index, the
+// planted panics, the planted aborts (stackable), and the per-processor
+// flaky windows. Build a fresh one for each run.
 //
 // tracked and flaky are read-only after NewInjector, so the spawn and
 // launch paths read them without the lock; the mutex guards the spawn

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// This file declares, once, what both engines report when a fault (or a
+// This file declares, once, what the engines report when a fault (or a
 // plain application panic) ends a task or a stop ends the run: every
 // error shape Run returns as-is through the public API, the panic value
 // a plan plants, and the retry policy that decides whether a transient
@@ -36,7 +36,7 @@ func (e *TaskFailure) Error() string {
 type TaskAbort struct {
 	Task     string // task label passed to Spawn
 	Proc     int    // processor whose launch attempt failed last
-	Time     int64  // simulated cycle of the final abort (nanoseconds since Run, natively)
+	Time     int64  // simulated cycle of the final abort
 	Attempts int    // launch attempts that failed (including the first)
 }
 
@@ -74,7 +74,7 @@ func (w WaitEdge) String() string {
 // public as cool.DeadlockError. Waits lists each blocked task with the
 // monitor, condition variable, or waitfor scope it is parked on — the
 // wait-for graph of the deadlock. The native backend has no deadlock
-// detector; its watchdog reports a hang as NoProgress.
+// detector; a run deadline bounds a native hang.
 type Deadlock struct {
 	Time  int64 // simulated cycle the run stopped
 	Waits []WaitEdge
@@ -95,15 +95,10 @@ func writeWaits(b *strings.Builder, waits []WaitEdge) {
 	}
 }
 
-// NoProgress reports that the no-progress watchdog fired with work
-// still outstanding: public as cool.NoProgressError. Both engines build
-// it; the native timekeeper reads nanoseconds for cycles and leaves
-// BlockedTasks and Clocks zero.
+// NoProgress reports that the simulator's no-progress watchdog fired
+// with work still outstanding: public as cool.NoProgressError.
 type NoProgress struct {
-	// CycleLimit is the limit that fired: Config.CycleLimit in
-	// simulated cycles, or the native watchdog window in wall-clock
-	// nanoseconds.
-	CycleLimit   int64
+	CycleLimit   int64   // Config.CycleLimit, the limit that fired
 	Time         int64   // simulated cycle the watchdog fired
 	LiveTasks    int     // tasks not yet run to completion
 	BlockedTasks int     // tasks parked on synchronization
@@ -122,7 +117,7 @@ func (e *NoProgress) Error() string {
 
 // DeadlineExceeded reports that time passed the configured run deadline
 // with work still outstanding: public as cool.DeadlineExceededError.
-// Both engines build it; the native timekeeper reads nanoseconds for
+// Both engines build it; the native backend reads nanoseconds for
 // cycles and leaves BlockedTasks, Clocks and the wait-for graph zero.
 type DeadlineExceeded struct {
 	Deadline     int64

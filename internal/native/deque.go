@@ -20,10 +20,6 @@ import "sync/atomic"
 //   - pushBottom writes the slot before publishing it with the bottom
 //     store, so a thief whose takeTop CAS succeeds observed a fully
 //     written record.
-//   - popBottom stores the decremented bottom before loading top; the
-//     seq-cst store/load pair is the StoreLoad fence that makes the
-//     owner and a racing thief agree on who took the last element (at
-//     most one of the bottom decrement and the top CAS wins).
 //   - The buffer only grows, and grow copies the live window into the
 //     fresh buffer without mutating the old one, so a thief still
 //     holding the stale buffer pointer reads a value that is correct
@@ -48,7 +44,7 @@ func (b *dequeBuf) put(i int64, t *task) { b.s[i&b.mask].Store(t) }
 
 // chaseLev is the per-worker work-stealing deque. The live window is
 // [top, bottom); top only grows (steals and FIFO owner takes), bottom is
-// owned exclusively by the worker (pushes grow it, popBottom shrinks it).
+// owned exclusively by the worker (pushes grow it).
 type chaseLev struct {
 	top    atomic.Int64
 	bottom atomic.Int64
@@ -115,7 +111,7 @@ func (d *chaseLev) pushBottomN(ts []*task) {
 // the deque is (momentarily) empty. Safe for any goroutine; the owner
 // uses it too, so its local dispatch stays FIFO like the simulator's
 // plain queue — which is what keeps P=1 native schedules token-identical
-// to the simulated ones (popBottom's LIFO would reorder them).
+// to the simulated ones (a LIFO owner end would reorder them).
 func (d *chaseLev) takeTop() *task {
 	for {
 		tp := d.top.Load()
@@ -128,33 +124,7 @@ func (d *chaseLev) takeTop() *task {
 		if d.top.CompareAndSwap(tp, tp+1) {
 			return t
 		}
-		// Lost the race for index tp (another thief, or the owner's
-		// popBottom taking the last element); re-read and retry.
+		// Lost the race for index tp to another taker; re-read and
+		// retry.
 	}
-}
-
-// popBottom removes the newest element, racing thieves for the last one.
-// Owner only. Used by the deque unit tests (LIFO end) and the retirement
-// drain, where popBottom-until-nil empties the deque without violating
-// the single-owner rule even while thieves keep CASing top.
-func (d *chaseLev) popBottom() *task {
-	b := d.bottom.Load() - 1
-	buf := d.buf.Load()
-	d.bottom.Store(b)
-	tp := d.top.Load()
-	if tp > b {
-		// Empty: restore bottom.
-		d.bottom.Store(b + 1)
-		return nil
-	}
-	t := buf.get(b)
-	if tp == b {
-		// Last element: the top CAS decides against a racing thief.
-		if !d.top.CompareAndSwap(tp, tp+1) {
-			t = nil
-		}
-		d.bottom.Store(b + 1)
-		return t
-	}
-	return t
 }

@@ -152,3 +152,32 @@ func TestDequeConcurrentSteals(t *testing.T) {
 		t.Fatalf("deque size after drain = %d", got)
 	}
 }
+
+// popBottom removes the newest element, racing thieves for the last one:
+// the owner's LIFO end of the Chase-Lev algorithm, which the scheduler
+// does not use (owners take FIFO through takeTop) but these tests drive.
+// Owner only. It stores the decremented bottom before loading top; the
+// seq-cst store/load pair is the StoreLoad fence that makes the owner and
+// a racing thief agree on who took the last element (at most one of the
+// bottom decrement and the top CAS wins).
+func (d *chaseLev) popBottom() *task {
+	b := d.bottom.Load() - 1
+	buf := d.buf.Load()
+	d.bottom.Store(b)
+	tp := d.top.Load()
+	if tp > b {
+		// Empty: restore bottom.
+		d.bottom.Store(b + 1)
+		return nil
+	}
+	t := buf.get(b)
+	if tp == b {
+		// Last element: the top CAS decides against a racing thief.
+		if !d.top.CompareAndSwap(tp, tp+1) {
+			t = nil
+		}
+		d.bottom.Store(b + 1)
+		return t
+	}
+	return t
+}

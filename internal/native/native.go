@@ -5,9 +5,9 @@
 // object-affinity stealing, and optional cluster-restricted stealing.
 //
 // The scheduling decisions — Table 1, the slot hash, victim rings, the
-// reluctant-steal gate, failover and retry targets — are the simulator
-// scheduler's, called from internal/core (policy.go); this package owns
-// the queues, locks and atomics around them. Time is wall-clock
+// reluctant-steal gate — are the simulator scheduler's, called from
+// internal/core (policy.go); this package owns the queues, locks and
+// atomics around them. Time is wall-clock
 // nanoseconds and synchronization is real (sync.Mutex monitors, channel
 // parking). A single native worker applies the identical dispatch
 // priority as the simulator's server — current task-affinity queue back
@@ -69,29 +69,9 @@ type Config struct {
 	// trace (timestamps are wall-clock nanoseconds since Run).
 	TraceCapacity int
 
-	// Faults, when non-nil, is the fault plan to inject, with event
-	// times and durations read as wall-clock nanoseconds since Run
-	// started. The plan must already be validated (Plan.Validate) by
-	// the embedding runtime. MemDegrade events are ignored — there is
-	// no memory system to degrade natively.
-	Faults *fault.Plan
-
-	// Retry enables transient-failure recovery, with backoffs read as
-	// wall-clock nanoseconds. The zero value (MaxAttempts 0) disables
-	// it: the first aborted launch stops the run with *fault.TaskAbort.
-	Retry fault.RetryPolicy
-
 	// DeadlineNS, when positive, stops runs still live past this many
 	// wall-clock nanoseconds with a *fault.DeadlineExceeded.
 	DeadlineNS int64
-
-	// NoProgressNS, when positive, arms the watchdog: a run in which no
-	// task completes for this long while work is outstanding stops with
-	// a *fault.NoProgress instead of hanging — the native analogue of
-	// the simulator's cycle-limit watchdog, guarding chaos campaigns
-	// against scheduler-level hangs (a lost task would otherwise park
-	// every worker forever).
-	NoProgressNS int64
 }
 
 // task is one spawned task record. Records are recycled through the
@@ -109,13 +89,6 @@ type task struct {
 	// Link queues the record in its worker's locked queues and carries
 	// its class, slot and set object.
 	core.Link[task]
-
-	// Fault-injection state (zero when no plan is armed): the per-name
-	// spawn index the injector assigned to a tracked name, a planted
-	// panic, and the count of aborted launch attempts so far.
-	spawnIdx int
-	injPanic bool
-	aborts   int
 
 	// deadlineNS, when positive, is the absolute wall-clock deadline in
 	// nanoseconds since Run: dispatch sheds the task past it (shedTask).
@@ -195,15 +168,8 @@ type worker struct {
 	wake  chan struct{} // cap 1; parking/wakeup token
 	timer *time.Timer   // reused across timed parks; nil until first use
 
-	// rings is the owner-private victim probe order with dead workers
-	// left out, rebuilt when the membership epoch moves past ringEpoch
-	// (see victimRings).
-	ringEpoch int64
-	rings     core.Rings
-
-	// fev is this worker's share of the fault plan (nil without one),
-	// consumed by the worker's own goroutine at dispatch points.
-	fev *workerFaults
+	// rings is the owner-private victim probe order, built by New.
+	rings core.Rings
 
 	busyNS, idleNS int64
 	events         []trace.Event
@@ -251,36 +217,16 @@ type Runtime struct {
 	failMu sync.Mutex
 	fail   error
 
-	// wg joins the worker goroutines at the end of Run. poolEmpty is
-	// closed by the last worker to retire: Run's backstop against a pool
-	// that emptied with work still outstanding (plan validation keeps a
-	// survivor, so it should never fire).
-	wg        sync.WaitGroup
-	poolEmpty chan struct{}
+	// wg joins the worker goroutines at the end of Run.
+	wg sync.WaitGroup
 
-	// Robustness state (see fault.go, retire.go and timekeeper.go).
-	// stopc is closed by stop() to unwind every worker when a deadline,
-	// watchdog, or exhausted retry budget aborts the run; dead is the
-	// bitmask of retired workers, published before a retiring worker
-	// drains its queues, and epoch counts its changes for the per-worker
-	// victim rings. armed is true when any robustness feature (faults,
-	// retries, deadline, watchdog) is active — the fault-free fast paths
-	// stay branchless beyond one flag or atomic load.
+	// The run deadline (Config.DeadlineNS, see deadline.go): stopc is
+	// closed by stop() to unwind every worker when the deadline passes
+	// with work still live; watchDone joins the goroutine that watches
+	// it.
 	stopc     chan struct{}
 	stopping  atomic.Bool
-	stopOnce  sync.Once
-	dead      atomic.Uint64
-	epoch     atomic.Int64
-	armed     bool
-	inj       *fault.Injector
-	retry     fault.RetryPolicy
-	retries   retryQueue
-	completed atomic.Int64 // tasks run or shed to completion, counted only when armed (watchdog progress)
-	tkScratch perfmon.Counters
-	tkDone    sync.WaitGroup
-
-	deadlineNS   int64
-	noProgressNS int64
+	watchDone sync.WaitGroup
 
 	start   time.Time
 	elapsed atomic.Int64
@@ -313,10 +259,6 @@ func New(cfg Config) (*Runtime, error) {
 		topo:   core.Topo{Procs: np, ClusterSize: cfg.ClusterSize, PageSize: cfg.PageSize, QueueArraySize: pol.QueueArraySize},
 		shards: make([]setShard, numSetShards),
 	}
-	rt.retry = cfg.Retry
-	rt.deadlineNS = cfg.DeadlineNS
-	rt.noProgressNS = cfg.NoProgressNS
-	rt.armed = cfg.Faults != nil || rt.retry.MaxAttempts > 0 || rt.deadlineNS > 0 || rt.noProgressNS > 0
 	for i := range rt.shards {
 		rt.shards[i].home = make(map[int64]int)
 	}
@@ -325,6 +267,7 @@ func New(cfg Config) (*Runtime, error) {
 		w := &worker{id: i, wake: make(chan struct{}, 1)}
 		w.q.Init(pol.QueueArraySize)
 		w.deq.init()
+		w.rings.Build(rt.topo, i, 0)
 		rt.workers[i] = w
 	}
 	rt.rearm()
@@ -377,9 +320,9 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 	root.Class, root.server, root.Slot = core.ClassProcessor, 0, -1
 	rt.live.Store(1)
 	rt.insertAndWake(root, 0)
-	if rt.armed {
-		rt.tkDone.Add(1)
-		go rt.timekeeper()
+	if rt.cfg.DeadlineNS > 0 {
+		rt.watchDone.Add(1)
+		go rt.watchDeadline()
 	}
 	rt.wg.Add(len(rt.workers))
 	for _, w := range rt.workers {
@@ -388,12 +331,11 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 	select {
 	case <-rt.done:
 	case <-rt.stopc:
-	case <-rt.poolEmpty:
 	}
 	// Every worker's last act is wg.Done, so once Wait returns no worker
 	// touches the runtime again and Reset may re-arm it with plain stores.
 	rt.wg.Wait()
-	rt.tkDone.Wait()
+	rt.watchDone.Wait()
 	rt.elapsed.Store(time.Since(rt.start).Nanoseconds())
 	rt.failMu.Lock()
 	defer rt.failMu.Unlock()
@@ -495,12 +437,12 @@ func (l *recList) appendList(m recList) {
 }
 
 // newTask returns a zeroed task record with the sentinel placement
-// fields set. With a worker (its own goroutine — spawns and retries
-// issued from a running task) the record comes from that worker's
-// freelist without any synchronization, refilled with a whole list from
-// rt.spare when empty; w == nil (tests) and an empty spare
-// heap-allocate. Run takes the root task's record from worker 0's list
-// before any worker goroutine starts.
+// fields set. With a worker (its own goroutine — spawns issued from a
+// running task) the record comes from that worker's freelist without
+// any synchronization, refilled with a whole list from rt.spare when
+// empty; w == nil (tests) and an empty spare heap-allocate. Run takes
+// the root task's record from worker 0's list before any worker
+// goroutine starts.
 func (rt *Runtime) newTask(w *worker) *task {
 	if w == nil {
 		return rt.newRecord()
@@ -585,10 +527,7 @@ func (rt *Runtime) recordFailure(err error) {
 }
 
 // loop is one worker goroutine: local queues, stealing, parking, until
-// the run drains or stops or the worker retires. Each iteration is a
-// dispatch point: due fault events apply first (a Fail event retires
-// the worker and exits the loop), and a stopped run exits before taking
-// more work.
+// the run drains or stops. A stopped run exits before taking more work.
 func (rt *Runtime) loop(w *worker) {
 	defer rt.wg.Done()
 	misses := 0
@@ -605,13 +544,8 @@ func (rt *Runtime) loop(w *worker) {
 	}
 	defer closeBurst()
 	for {
-		if rt.armed {
-			if rt.stopped() {
-				return
-			}
-			if rt.checkFaults(w, true) {
-				return // retired
-			}
+		if rt.stopped() {
+			return
 		}
 		if t := rt.take(w); t != nil {
 			if busyMark.IsZero() {
@@ -632,14 +566,9 @@ func (rt *Runtime) loop(w *worker) {
 	}
 }
 
-// dispatch runs one dequeued task, first consulting the transient-fault
-// injections (flaky windows, planted launch failures) that may abort
-// the launch and schedule a retry instead, then the task's deadline.
-// The order is the simulator's (core.Scheduler.Dispatch, then issue).
+// dispatch runs one dequeued task, or sheds it when it is past its
+// deadline.
 func (rt *Runtime) dispatch(w *worker, t *task) {
-	if rt.armed && rt.launchAborted(w, t) {
-		return
-	}
 	if t.deadlineNS > 0 && rt.nowNS() > t.deadlineNS {
 		rt.shedTask(w, t)
 		return
@@ -668,35 +597,18 @@ func (rt *Runtime) runTask(w *worker, t *task) {
 	}
 	rt.trace(w, trace.KindRun, w.id, t.name, 0)
 	t.ctx = Ctx{w: w, rt: rt, ctr: ctr, scope: t.scope, facade: t.ctx.facade}
-	c := &t.ctx
-	var startNS int64
-	if w.fev != nil {
-		startNS = rt.nowNS()
-	}
-	rt.execute(c, t)
-	if fv := w.fev; fv != nil {
-		// An active slowdown window stretches the task's own duration
-		// by its factor — the straggler sleeps off the difference.
-		now := rt.nowNS()
-		if d := fv.slowdownPenalty(startNS, now-startNS, now); d > 0 {
-			rt.sleep(w, d)
-		}
-	}
+	rt.execute(&t.ctx, t)
 	rt.trace(w, trace.KindDone, w.id, t.name, 0)
 	rt.complete(w, t)
 }
 
 // complete ends a task, run or shed: it releases the task's scope,
-// recycles its record, counts watchdog progress, and closes done when
-// the last live task is gone.
+// recycles its record, and closes done when the last live task is gone.
 func (rt *Runtime) complete(w *worker, t *task) {
 	if t.scope != nil {
 		rt.scopeDone(t.scope)
 	}
 	rt.freeTask(w, t)
-	if rt.armed {
-		rt.completed.Add(1)
-	}
 	if rt.live.Add(-1) == 0 {
 		rt.doneOnce.Do(func() { close(rt.done) })
 	}
@@ -713,19 +625,14 @@ func (rt *Runtime) execute(c *Ctx, t *task) {
 			// body; the stop already recorded the run's failure.
 			return
 		}
-		_, injected := r.(fault.InjectedPanic)
 		rt.recordFailure(&fault.TaskFailure{
-			Task:     t.name,
-			Proc:     c.w.id,
-			Time:     rt.nowNS(),
-			Value:    r,
-			Stack:    string(debug.Stack()),
-			Injected: injected,
+			Task:  t.name,
+			Proc:  c.w.id,
+			Time:  rt.nowNS(),
+			Value: r,
+			Stack: string(debug.Stack()),
 		})
 	}()
-	if t.injPanic {
-		panic(fault.InjectedPanic{Task: t.name})
-	}
 	if t.mon != nil {
 		c.Lock(t.mon)
 		c.heldMon = t.mon

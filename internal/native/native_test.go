@@ -477,7 +477,7 @@ func TestVictimRings(t *testing.T) {
 	// the cluster, remote ring the rest, both in probe order.
 	wantCluster := []int{2, 3, 0}
 	wantRemote := []int{4, 5, 6, 7}
-	r := rt.victimRings(rt.workers[1])
+	r := &rt.workers[1].rings
 	if got := r.Cluster; !equalInts(got, wantCluster) {
 		t.Fatalf("worker 1 cluster ring=%v want %v", got, wantCluster)
 	}
@@ -590,4 +590,16 @@ func TestHomePanicFailsRun(t *testing.T) {
 			t.Fatalf("procs=%d: Run hung after Home panic (leaked live count?)", procs)
 		}
 	}
+}
+
+// setHomeOf returns the recorded home of obj's set, or -1 when the set
+// has never been placed.
+func (rt *Runtime) setHomeOf(obj int64) int {
+	sh := rt.shardOf(obj)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sv, ok := sh.home[obj]; ok {
+		return sv
+	}
+	return -1
 }

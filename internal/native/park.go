@@ -56,8 +56,8 @@ func (rt *Runtime) park(w *worker, misses int) {
 	// behind, and that token would end the next genuine park instantly —
 	// one spurious park/unpark round-trip. Draining here cannot lose a
 	// wakeup, because every token sender publishes its condition (queue
-	// count, scope count, fault-event index) before depositing, and the
-	// rechecks after setParked observe those conditions afresh.
+	// count, scope count) before depositing, and the rechecks after
+	// setParked observe those conditions afresh.
 	select {
 	case <-w.wake:
 	default:

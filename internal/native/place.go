@@ -25,9 +25,8 @@ func (rt *Runtime) lockWorker(w *worker, actor int) {
 	rt.lockWorkerCtr(w, &rt.cfg.Mon.Per[actor])
 }
 
-// lockWorkerCtr is lockWorker with an explicit contention sink, for
-// callers without a perfmon row of their own (the timekeeper goroutine
-// charges its scratch counters to keep the one-writer-per-row rule).
+// lockWorkerCtr is lockWorker with an explicit contention sink: the
+// acting worker's row, or a test's own counters.
 func (rt *Runtime) lockWorkerCtr(w *worker, ctr *perfmon.Counters) {
 	if w.mu.TryLock() {
 		return
@@ -48,64 +47,40 @@ func (rt *Runtime) lockWorkerCtr(w *worker, ctr *perfmon.Counters) {
 // and revalidates the home: if a concurrent whole-set steal re-homed
 // the set in between, the placement chases the new home instead of
 // splitting the set.
-//
-// Worker retirement adds one more reason to revalidate: a home may be
-// dead (checked under the shard lock, and re-checked under the home
-// worker's queue lock — the retire protocol publishes the dead bit
-// before draining, so an insert that acquires the queue lock after the
-// drain always sees it). A dead home is re-homed under the shard lock to
-// the nearest survivor — the reroute rule of insertFrom and of the
-// simulator — and every member chases the same record, so the set
-// moves whole. The dead checks cost one atomic load when no worker has
-// retired.
 func (rt *Runtime) placeSet(t *task, ctr *perfmon.Counters) int {
 	obj := t.AffObj
 	sh := rt.shardOf(obj)
-	for {
-		sh.lock(ctr)
-		sv, ok := sh.home[obj]
-		if !ok {
-			sv = int(rt.rr.Add(1)-1) % rt.cfg.Procs
-		}
-		if rt.isDead(sv) {
-			sv = rt.topo.NearestAlive(sv, rt.deadSet())
-		}
+	sh.lock(ctr)
+	sv, ok := sh.home[obj]
+	if !ok {
+		sv = int(rt.rr.Add(1)-1) % rt.cfg.Procs
 		sh.home[obj] = sv
-		if w := rt.workers[sv]; w.mu.TryLock() {
-			if !rt.isDead(sv) {
-				t.server = sv
-				rt.pushLocked(w, t)
-				w.mu.Unlock()
-				sh.mu.Unlock()
-				rt.queuedTotal.Add(1)
-				return sv
-			}
-			// The home retired between the shard check and the queue
-			// lock; the retry re-homes it under the shard lock.
-			w.mu.Unlock()
-			sh.mu.Unlock()
-			continue
-		}
-		ctr.LockContention++
+	}
+	if w := rt.workers[sv]; w.mu.TryLock() {
+		t.server = sv
+		rt.pushLocked(w, t)
+		w.mu.Unlock()
 		sh.mu.Unlock()
-		for {
-			w := rt.workers[sv]
-			rt.lockWorkerCtr(w, ctr)
-			sh.lock(ctr)
-			if sh.home[obj] == sv && !rt.isDead(sv) {
-				t.server = sv
-				rt.pushLocked(w, t)
-				sh.mu.Unlock()
-				w.mu.Unlock()
-				rt.queuedTotal.Add(1)
-				return sv
-			}
-			// A concurrent whole-set steal moved the set, or the home
-			// retired; chase the new (live) home.
-			sv = rt.topo.NearestAlive(sh.home[obj], rt.deadSet())
-			sh.home[obj] = sv
+		rt.queuedTotal.Add(1)
+		return sv
+	}
+	ctr.LockContention++
+	sh.mu.Unlock()
+	for {
+		w := rt.workers[sv]
+		rt.lockWorkerCtr(w, ctr)
+		sh.lock(ctr)
+		if sh.home[obj] == sv {
+			t.server = sv
+			rt.pushLocked(w, t)
 			sh.mu.Unlock()
 			w.mu.Unlock()
+			rt.queuedTotal.Add(1)
+			return sv
 		}
+		// A concurrent whole-set steal moved the set; chase its new home.
+		sv = sh.home[obj]
+		sh.mu.Unlock()
+		w.mu.Unlock()
 	}
 }

@@ -3,22 +3,18 @@ package native
 import (
 	"fmt"
 	"sync"
-
-	"github.com/coolrts/cool/internal/perfmon"
 )
 
 // Reset re-arms a runtime whose previous Run completed cleanly so it
 // can Run again without being rebuilt. The warm structures that make
 // reuse cheaper than New survive: per-worker task-record freelists,
-// the sized scratch slices, the victim rings' arrays, the slot arrays,
-// and the shard table's map capacity. Everything the finished run
-// touched — channels, counters, the dead mask, set homes, the fault
-// plan's consumed event cursors — returns to its
-// post-New value.
+// the sized scratch slices, the victim rings, the slot arrays, and the
+// shard table's map capacity. Everything the finished run touched —
+// channels, counters, set homes — returns to its post-New value.
 //
 // Reset is legal only between runs: never concurrently with Run, and
-// only after a clean completion. A failed run (deadline, watchdog,
-// panic, abort) may have unwound workers with tasks still queued, and
+// only after a clean completion. A failed run (deadline, panic) may
+// have unwound workers with tasks still queued, and
 // those records are unrecoverable — Reset refuses and the caller must
 // rebuild. The perfmon monitor is shared with the embedding runtime
 // and is NOT zeroed here; the caller owns counter lifecycles.
@@ -38,8 +34,8 @@ func (rt *Runtime) Reset() error {
 	if l := rt.live.Load(); l != 0 {
 		return fmt.Errorf("native: Reset with %d task(s) still live", l)
 	}
-	// Run has already joined every worker goroutine and the timekeeper,
-	// so plain stores are race-free.
+	// Run has already joined every worker goroutine and the deadline
+	// watcher, so plain stores are race-free.
 	rt.rearm()
 	return nil
 }
@@ -53,16 +49,11 @@ func (rt *Runtime) rearm() {
 	rt.doneOnce = sync.Once{}
 	rt.stopc = make(chan struct{})
 	rt.stopping.Store(false)
-	rt.stopOnce = sync.Once{}
-	rt.poolEmpty = make(chan struct{})
 
 	rt.rr.Store(0)
 	rt.parked.Store(0)
 	rt.setSplits.Store(0)
-	rt.completed.Store(0)
 	rt.elapsed.Store(0)
-	rt.epoch.Store(0)
-	rt.dead.Store(0)
 
 	rt.clusterOnly.Store(rt.pol.ClusterStealingOnly)
 
@@ -75,27 +66,8 @@ func (rt *Runtime) rearm() {
 		}
 	}
 
-	// A clean run drained every retry (retried tasks stay live until
-	// they complete), but truncate defensively.
-	rt.retries.mu.Lock()
-	rt.retries.items = rt.retries.items[:0]
-	rt.retries.mu.Unlock()
-	rt.tkScratch = perfmon.Counters{}
-
-	// Arm the fault plan from scratch: armFaults builds a fresh injector
-	// (spawn counters, planted aborts) and the per-worker event state
-	// (consumed cursors, slow windows).
-	rt.inj = nil
-	for _, w := range rt.workers {
-		w.fev = nil
-	}
-	if rt.cfg.Faults != nil {
-		rt.armFaults(rt.cfg.Faults)
-	}
-
 	rt.gatherRecords()
 	for _, w := range rt.workers {
-		w.ringEpoch = -1
 		w.busyNS, w.idleNS = 0, 0
 		w.events, w.dropped = w.events[:0], 0
 		w.q.Cur = nil

@@ -44,15 +44,3 @@ func (rt *Runtime) shardOf(addr int64) *setShard {
 	h := addr>>6 + addr/rt.cfg.PageSize
 	return &rt.shards[h%numSetShards]
 }
-
-// setHomeOf returns the recorded home of obj's set, or -1 when the set
-// has never been placed. Diagnostics and tests.
-func (rt *Runtime) setHomeOf(obj int64) int {
-	sh := rt.shardOf(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sv, ok := sh.home[obj]; ok {
-		return sv
-	}
-	return -1
-}

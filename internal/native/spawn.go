@@ -21,9 +21,6 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 	t := rt.newTask(c.w)
 	t.name, t.fn, t.payload, t.mon, t.idx = name, fn, payload, mon, idx
 	t.scope, t.deadlineNS = c.scope, deadlineNS
-	if in := rt.inj; in != nil && in.Tracks(name) {
-		t.spawnIdx, t.injPanic = in.Spawn(name) // the per-name index a fault plan targets
-	}
 	rt.placeTask(t, a, from) // may panic in cfg.Home; no accounting yet
 	if t.scope != nil {
 		t.scope.n.Add(1)
@@ -70,9 +67,6 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		t.scope = c.scope
 		a, mon, dl := get(i)
 		t.mon, t.deadlineNS = mon, dl
-		if in := rt.inj; in != nil && in.Tracks(name) {
-			t.spawnIdx, t.injPanic = in.Spawn(name)
-		}
 		// May panic in cfg.Home; nothing accounted yet. Set members
 		// resolve their home under the shard lock at publish time
 		// (placeSet).
@@ -135,21 +129,6 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 			heads[sv], tails[sv] = nil, nil
 			wv := rt.workers[sv]
 			rt.lockWorkerCtr(wv, ctr)
-			if rt.dead.Load() != 0 && rt.isDead(sv) {
-				// Target retired since placement: reroute each record
-				// through the single-insert path (which sends it to the
-				// nearest survivor).
-				wv.mu.Unlock()
-				for t := chain; t != nil; {
-					next := t.chain
-					t.chain = nil
-					tsv := rt.insertFrom(t, ctr, w)
-					rt.trace(w, trace.KindEnqueue, -1, name, int64(tsv))
-					targets |= 1 << uint(tsv)
-					t = next
-				}
-				continue
-			}
 			var counts lockedCounts
 			for t := chain; t != nil; {
 				next := t.chain

@@ -14,25 +14,11 @@ func (rt *Runtime) steal(w *worker) *task {
 	if rt.pol.DisableStealing || rt.queuedTotal.Load() == 0 {
 		return nil
 	}
-	first, second := rt.victimRings(w).Order(rt.pol.ClusterStealFirst, rt.clusterOnly.Load())
+	first, second := w.rings.Order(rt.pol.ClusterStealFirst, rt.clusterOnly.Load())
 	if t := rt.stealScan(w, first); t != nil {
 		return t
 	}
 	return rt.stealScan(w, second)
-}
-
-// victimRings returns w's probe order, rebuilt first if pool membership
-// changed since it was built (once, for a fixed healthy pool). Owner
-// goroutine only. The dead mask read here may already be newer than the
-// epoch, which only means the next call rebuilds again; a momentarily
-// stale ring is only an inefficiency, since stealScan's queued == 0 skip
-// keeps dead victims from yielding work.
-func (rt *Runtime) victimRings(w *worker) *core.Rings {
-	if e := rt.epoch.Load(); e != w.ringEpoch {
-		w.ringEpoch = e
-		w.rings.Build(rt.topo, w.id, rt.deadSet())
-	}
-	return &w.rings
 }
 
 // stealScan probes one victim ring in order. A probe that examined a

@@ -34,18 +34,11 @@ func (rt *Runtime) waitScope(c *Ctx, sc *scope) {
 	w := c.w
 	misses := 0
 	for {
-		if rt.armed {
-			if rt.stopped() {
-				// The run was aborted (deadline, watchdog, retry
-				// exhaustion); the awaited tasks will never finish.
-				// Unwind this worker out of the blocked task body —
-				// execute's recovery swallows the sentinel.
-				panic(stopUnwind{})
-			}
-			// Helping is still a dispatch point for slowdown/stall
-			// events; Fail stays deferred until the worker is back at
-			// top level (it is inside a task it must resume).
-			rt.checkFaults(w, false)
+		if rt.stopped() {
+			// The run passed its deadline; the awaited tasks will never
+			// finish. Unwind this worker out of the blocked task body —
+			// execute's recovery swallows the sentinel.
+			panic(stopUnwind{})
 		}
 		if sc.n.Load() == 0 {
 			return
@@ -131,9 +124,9 @@ type Cond struct {
 
 // Wait atomically releases monitor m and blocks until Signal or
 // Broadcast, then reacquires m before returning. Callers must hold the
-// monitor and re-test their predicate (Mesa semantics). A stopped run
-// (deadline, watchdog, retry exhaustion) unwinds the waiter instead of
-// leaving it blocked forever on a signal that will never come.
+// monitor and re-test their predicate (Mesa semantics). A run stopped
+// at its deadline unwinds the waiter instead of leaving it blocked
+// forever on a signal that will never come.
 func (c *Ctx) Wait(cv *Cond, m *Monitor) {
 	ch := make(chan struct{})
 	cv.mu.Lock()

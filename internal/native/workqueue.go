@@ -65,48 +65,29 @@ func (rt *Runtime) insert(t *task, actor int) int {
 
 // insertFrom is insert with an explicit contention sink and the worker
 // whose goroutine is executing the call (nil when the caller is not a
-// worker goroutine — the timekeeper, a retirement drain; self only
-// enables the owner's lock-free fast path, it is never required for
-// correctness).
+// worker goroutine; self only enables the owner's lock-free fast path,
+// it is never required for correctness).
 //
 // There are two ways in. The owner's own plain spawns go onto its deque
 // bottom, counted before the publishing store so a thief that finds the
 // record also finds counts covering it. Everything else — structured
 // records from anyone, plain records from another goroutine — goes under
-// the target's lock, where the dead bit is authoritative: the retire
-// protocol publishes it under that same lock before draining, so an
-// insert that gets the lock first is drained with the rest, and one that
-// gets it later sees the bit and reroutes. The check before the lock only
-// spares a dead target's mutex.
-//
-// A dead target reroutes to the nearest survivor (core.Topo.NearestAlive,
-// same cluster first) whatever the task's class: the one reroute rule,
-// shared with the simulator's Place and Enqueue and with placeSet.
+// the target's lock.
 func (rt *Runtime) insertFrom(t *task, ctr *perfmon.Counters, self *worker) int {
-	for {
-		sv := t.server
-		if rt.isDead(sv) {
-			sv = rt.topo.NearestAlive(sv, rt.deadSet())
-			t.server = sv
-		}
-		w := rt.workers[sv]
-		if self == w && t.Class == core.ClassPlain {
-			w.queued.Add(1)
-			w.stealable.Add(1)
-			rt.queuedTotal.Add(1)
-			w.deq.pushBottom(t)
-			return sv
-		}
-		rt.lockWorkerCtr(w, ctr)
-		if rt.isDead(sv) {
-			w.mu.Unlock()
-			continue
-		}
-		rt.pushLocked(w, t)
-		w.mu.Unlock()
+	sv := t.server
+	w := rt.workers[sv]
+	if self == w && t.Class == core.ClassPlain {
+		w.queued.Add(1)
+		w.stealable.Add(1)
 		rt.queuedTotal.Add(1)
+		w.deq.pushBottom(t)
 		return sv
 	}
+	rt.lockWorkerCtr(w, ctr)
+	rt.pushLocked(w, t)
+	w.mu.Unlock()
+	rt.queuedTotal.Add(1)
+	return sv
 }
 
 // insertAndWake inserts t and applies the wake policy. The task's name

@@ -199,14 +199,12 @@ func checkCell(app apps.App, variant string, procs, size, nativeRuns int) []stri
 	for i := 1; i <= nativeRuns; i++ {
 		arms = append(arms, arm{fmt.Sprintf("native run %d", i), cool.Config{Processors: procs, Backend: cool.BackendNative}})
 	}
-	// An armed native run: retries enabled and a generous deadline.
-	// With no faults injected neither can fire, so the robustness
-	// machinery (timekeeper goroutine, dispatch-point checks) must not
-	// perturb results — this is the overhead path's semantic check.
+	// An armed native run: a generous deadline that cannot fire, so the
+	// deadline machinery (its timer goroutine, the stop checks) must
+	// not perturb results.
 	arms = append(arms, arm{"native armed", cool.Config{
 		Processors: procs,
 		Backend:    cool.BackendNative,
-		Retry:      &cool.RetryPolicy{},
 		Deadline:   30_000_000_000, // 30s wall clock: far beyond any cell
 	}})
 	for _, arm := range arms {

@@ -11,8 +11,8 @@ import (
 )
 
 // waitNoLeak polls until the process goroutine count settles back to
-// (near) the pre-run baseline. Workers and the timekeeper exit
-// asynchronously after Run returns, so one immediate sample would
+// (near) the pre-run baseline. Goroutines may exit asynchronously
+// after Run returns, so one immediate sample would
 // flake; two seconds without settling means a real leak.
 func waitNoLeak(t *testing.T, label string, base int) {
 	t.Helper()
@@ -34,8 +34,8 @@ func waitNoLeak(t *testing.T, label string, base int) {
 }
 
 // TestNativeRunLeavesNoGoroutines runs every native Run ending — clean
-// finish, deadline stop, task panic, worker retirement under faults —
-// and asserts no worker or timekeeper goroutine outlives the call.
+// finish, deadline stop of running and of blocked tasks, task panic —
+// and asserts no worker or deadline-timer goroutine outlives the call.
 func TestNativeRunLeavesNoGoroutines(t *testing.T) {
 	scenarios := []struct {
 		name    string
@@ -86,20 +86,24 @@ func TestNativeRunLeavesNoGoroutines(t *testing.T) {
 			},
 		},
 		{
-			name: "retirement",
-			cfg: func() cool.Config {
-				return cool.Config{Faults: cool.NewFaultPlan().FailProcessor(1, 200_000)}
-			},
+			// The deadline unwinds a task blocked on a condition that is
+			// never signalled, and the root's WaitFor helping loop.
+			name: "deadline-blocked",
+			cfg:  func() cool.Config { return cool.Config{Deadline: 2_000_000} },
 			run: func(ctx *cool.Ctx) {
+				m, cv := ctx.Runtime().NewMonitor(0), new(cool.Cond)
 				ctx.WaitFor(func() {
-					for i := 0; i < 100; i++ {
-						ctx.Spawn("w", func(*cool.Ctx) {
-							time.Sleep(20 * time.Microsecond)
-						})
-					}
+					ctx.Spawn("waiter", func(c *cool.Ctx) {
+						c.Lock(m)
+						c.Wait(cv, m)
+						c.Unlock(m)
+					})
 				})
 			},
-			wantErr: func(err error) bool { return err == nil },
+			wantErr: func(err error) bool {
+				var de *cool.DeadlineExceededError
+				return errors.As(err, &de)
+			},
 		},
 	}
 	for _, sc := range scenarios {

@@ -61,8 +61,8 @@ func (rt *Runtime) Report() Report {
 
 // CounterSnapshot is one machine-wide counter reading, for monitoring and
 // external policy code. The steal/wake/deadline-miss fields are
-// cumulative since the run started; Queued, Parked and Workers are
-// instantaneous gauges.
+// cumulative since the run started; Queued and Parked are instantaneous
+// gauges.
 type CounterSnapshot struct {
 	StealTries     int64
 	FailedSteals   int64
@@ -81,13 +81,13 @@ type CounterSnapshot struct {
 
 	Queued  int64 // gauge: tasks queued machine-wide right now
 	Parked  int64 // gauge: workers idle-parked right now
-	Workers int64 // gauge: alive workers right now
+	Workers int64 // the runtime's processor count
 }
 
 // CounterSnapshot sums the per-processor counter rows into one
-// machine-wide reading and adds the backend's queue, park and worker
-// gauges. Call it after Run: while a native run executes, each row
-// belongs to its worker's goroutine.
+// machine-wide reading and adds the backend's queue and park gauges and
+// the processor count. Call it after Run: while a native run executes,
+// each row belongs to its worker's goroutine.
 func (rt *Runtime) CounterSnapshot() CounterSnapshot {
 	var s CounterSnapshot
 	for i := range rt.mon.Per {
@@ -105,15 +105,14 @@ func (rt *Runtime) CounterSnapshot() CounterSnapshot {
 		s.Refs += p.Refs
 		s.RemoteMisses += p.RemoteMisses + p.DirtyMisses
 	}
+	s.Workers = int64(rt.cfg.Processors)
 	if rt.backend == BackendNative {
 		s.Queued = int64(rt.nat.QueuedTasks())
 		s.Parked = int64(rt.nat.ParkedWorkers())
-		s.Workers = int64(rt.nat.AliveWorkers())
 		return s
 	}
 	s.Queued = int64(rt.sched.QueuedTasks())
 	s.Parked = int64(rt.eng.ParkedCount())
-	s.Workers = int64(rt.cfg.Processors)
 	return s
 }
 

@@ -12,8 +12,7 @@ package cool
 // What survives a reset, and why reuse wins: on the native backend the
 // worker structures stay warm (task-record freelists, sized scratch
 // buffers, victim rings, the shard table's capacity), and only the
-// per-run state — counters, channels, set homes, the consumed fault
-// plan — is re-armed. On the simulator the whole machine is re-armed in
+// per-run state — counters, channels, set homes — is re-armed. On the simulator the whole machine is re-armed in
 // place: every cache way invalidated, the directory's pages kept and
 // cleared, the memory modules idle and healthy, the address space
 // rewound, the engine's processors parked at clock zero with an empty
@@ -40,7 +39,7 @@ package cool
 // must allocate what it uses within its own run.
 //
 // Reset must not race with Run or with the allocation API. A native
-// run that failed (deadline, watchdog, panic, abort) may have unwound
+// run that failed (deadline, panic) may have unwound
 // with task records still queued; Reset refuses with the run's error
 // and the caller must build a fresh runtime. On the simulator Reset
 // re-arms the machine whatever the run did, so it fails only when the

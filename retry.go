@@ -11,10 +11,11 @@ import (
 // attempt aborts, the runtime re-places the task on a different server —
 // preferring a different cluster from the processor that failed, while
 // keeping task-affinity sets on their home so they never split — and
-// retries after an exponentially growing backoff in simulated cycles
-// (wall-clock nanoseconds on the native backend). Without a policy
-// (Config.Retry == nil) the first transient abort fails the run with a
-// *TaskAbortError.
+// retries after an exponentially growing backoff in simulated cycles.
+// Without a policy (Config.Retry == nil) the first transient abort fails
+// the run with a *TaskAbortError. Retries run on the simulator only,
+// where fault plans strike: NewRuntime rejects a policy on the native
+// backend with *UnsupportedOnNativeError.
 //
 // Retries are safe because transient aborts strike only at task launch,
 // before the body has executed a single operation: a retried task re-runs
