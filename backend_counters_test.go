@@ -93,9 +93,6 @@ func TestReportCountersConsistent(t *testing.T) {
 			}
 
 			// Fault machinery must be silent on a healthy, fault-free run.
-			if total.Retries != 0 || total.GaveUp != 0 {
-				t.Errorf("healthy run reported Retries=%d GaveUp=%d", total.Retries, total.GaveUp)
-			}
 			if total.FaultEvents != 0 || total.Redistributed != 0 {
 				t.Errorf("healthy run reported FaultEvents=%d Redistributed=%d",
 					total.FaultEvents, total.Redistributed)
@@ -150,76 +147,6 @@ func TestNoWakesOnLoneProcessor(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRetryCountersThroughReport runs a transient-fault workload under a
-// retry policy and asserts the retry counters flow through Report: a
-// successful faulted run shows the retries it absorbed, never a
-// give-up, and the per-processor rows sum to the total. Fault plans and
-// retries are simulator-only, so the simulator is the one case.
-func TestRetryCountersThroughReport(t *testing.T) {
-	t.Run("sim", func(t *testing.T) {
-		plan := cool.NewFaultPlan().FailTask("flaky", 1)
-		rt, err := cool.NewRuntime(cool.Config{
-			Processors: 4,
-			Faults:     plan,
-			Retry:      &cool.RetryPolicy{MaxAttempts: 3},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = rt.Run(func(ctx *cool.Ctx) {
-			ctx.WaitFor(func() {
-				for i := 0; i < 8; i++ {
-					ctx.Spawn("flaky", func(c *cool.Ctx) { c.Compute(10) })
-				}
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rt.Report()
-		if r.Total.TasksRun != 9 {
-			t.Errorf("TasksRun = %d, want 9 (8 spawns + main, each exactly once)", r.Total.TasksRun)
-		}
-		if r.Total.Retries == 0 {
-			t.Error("fault plan injected transient failures but Report shows Retries = 0")
-		}
-		if r.Total.GaveUp != 0 {
-			t.Errorf("run succeeded but Report shows GaveUp = %d", r.Total.GaveUp)
-		}
-		var perRetries int64
-		for _, p := range r.Per {
-			perRetries += p.Retries
-		}
-		if perRetries != r.Total.Retries {
-			t.Errorf("per-processor Retries sum %d != total %d", perRetries, r.Total.Retries)
-		}
-	})
-}
-
-// TestFlakyWindowCountsOnceOnBothBackends opens one flaky window on P1
-// while the root task runs on P0 and spawns nothing, so no launch is
-// ever struck: the window counts once, when it opens. Fault plans are
-// simulator-only now (the native backend rejects Faults, checked by
-// TestConfigOptionBackendMatrix), so the simulator is the one case left
-// under the test's name.
-func TestFlakyWindowCountsOnceOnBothBackends(t *testing.T) {
-	t.Run("sim", func(t *testing.T) {
-		rt, err := cool.NewRuntime(cool.Config{
-			Processors: 2,
-			Faults:     cool.NewFaultPlan().FlakyProcessor(1, 0, 1000),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Run(func(ctx *cool.Ctx) { ctx.Compute(5000) }); err != nil {
-			t.Fatal(err)
-		}
-		if got := rt.Report().Total.FaultEvents; got != 1 {
-			t.Fatalf("FaultEvents = %d, want 1", got)
-		}
-	})
 }
 
 // TestTraceDumpReportsDrops overflows a small trace on both backends:

@@ -12,8 +12,7 @@
 //	                                              replay one campaign
 //	coolbench -chaos -chaos-small                 reduced workloads (CI)
 //
-// Campaigns run on the simulator: fault plans and retries are
-// simulator-only.
+// Campaigns run on the simulator: fault plans are simulator-only.
 package main
 
 import (
@@ -75,14 +74,14 @@ func chaosMain(args []string) int {
 			fmt.Printf("  replay: coolbench -chaos -chaos-apps %s -chaos-seed %d -chaos-campaigns 1 -chaos-procs %d\n",
 				app.Name, seed, *procs)
 		}
-		fmt.Printf("%-12s %d campaigns: %d ok, %d degraded, %d mismatch, %d leak, %d unexpected\n",
-			app.Name, *campaigns, tally[chaos.OK], tally[chaos.Degraded],
+		fmt.Printf("%-12s %d campaigns: %d ok, %d mismatch, %d leak, %d unexpected\n",
+			app.Name, *campaigns, tally[chaos.OK],
 			tally[chaos.Mismatch], tally[chaos.Leak], tally[chaos.Unexpected])
 	}
 	if failures > 0 {
 		fmt.Printf("chaos: %d failing campaign(s)\n", failures)
 		return 1
 	}
-	fmt.Println("chaos: all campaigns differentially identical or gracefully degraded")
+	fmt.Println("chaos: all campaigns differentially identical")
 	return 0
 }

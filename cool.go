@@ -64,8 +64,8 @@ const (
 	// deadlines (WithDeadline) and typed task panics work natively, with
 	// cycle quantities read as wall-clock nanoseconds. The options that
 	// need the simulated machine (Machine, CycleLimit, Quantum) and the
-	// simulator-only fault plans and retries (Faults, Retry) are
-	// rejected with *UnsupportedOnNativeError.
+	// simulator-only fault plans (Faults) are rejected with
+	// *UnsupportedOnNativeError.
 	BackendNative
 )
 
@@ -134,13 +134,6 @@ type Config struct {
 	// and returns a *NoProgressError carrying a queue/clock snapshot
 	// instead of simulating (or hanging) forever.
 	CycleLimit int64
-	// Retry, when non-nil, enables transient-failure retries: task
-	// launches aborted by FailTask events or FlakyProcessor windows are
-	// re-placed on a different server and retried with exponential
-	// backoff (see RetryPolicy, including the panic interaction). When
-	// nil, the first transient abort fails the run. Simulator only: the
-	// native backend rejects it with *UnsupportedOnNativeError.
-	Retry *RetryPolicy
 	// Deadline, when positive, bounds the run to that many simulated
 	// cycles — wall-clock nanoseconds on the native backend. An
 	// over-budget run stops and returns a *DeadlineExceededError
@@ -275,25 +268,15 @@ func NewRuntime(c Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// armSim arms a simulated run's retry policy and fault plan, read from
-// the stored configuration: NewRuntime calls it on the machine it just
-// built and Reset on the one it has just reset, so the plan's events
-// are queued on a fresh clock each time.
+// armSim arms a simulated run's fault plan, read from the stored
+// configuration: NewRuntime calls it on the machine it just built and
+// Reset on the one it has just reset, so the plan's events are queued on
+// a fresh clock each time.
 func (rt *Runtime) armSim() error {
-	c := rt.pub
-	if c.Retry != nil {
-		pol, err := retryDefaults(*c.Retry)
-		if err != nil {
-			return err
-		}
-		rt.sched.Retry = pol
+	if rt.pub.Faults == nil {
+		return nil
 	}
-	if c.Faults != nil {
-		if err := rt.applyFaults(c.Faults); err != nil {
-			return err
-		}
-	}
-	return nil
+	return rt.applyFaults(rt.pub.Faults)
 }
 
 // captureHook, when set, observes every Runtime NewRuntime constructs
@@ -317,17 +300,15 @@ func CaptureRuntime(f func(*Runtime)) (restore func()) {
 }
 
 // nativeUnsupported rejects configuration options whose semantics
-// require the simulated machine, and the fault plans and retries that
-// only the simulator runs. Deadline is not in this list: it runs
-// natively with cycles read as wall-clock nanoseconds.
+// require the simulated machine, and the fault plans that only the
+// simulator runs. Deadline is not in this list: it runs natively with
+// cycles read as wall-clock nanoseconds.
 func nativeUnsupported(c Config) error {
 	switch {
 	case c.Machine != nil:
 		return &UnsupportedOnNativeError{Option: "Machine"}
 	case c.Faults != nil:
 		return &UnsupportedOnNativeError{Option: "Faults"}
-	case c.Retry != nil:
-		return &UnsupportedOnNativeError{Option: "Retry"}
 	case c.CycleLimit > 0:
 		return &UnsupportedOnNativeError{Option: "CycleLimit"}
 	case c.Quantum > 0:
@@ -403,9 +384,8 @@ func (rt *Runtime) MachineConfig() machine.Config { return rt.cfg }
 // simulates until every task has completed. Failures come back as typed
 // errors: *TaskPanicError when a task panicked, *DeadlockError (with
 // the wait-for graph) when tasks blocked forever, *NoProgressError when
-// Config.CycleLimit was exceeded, *TaskAbortError when a transient
-// launch failure exhausted its retry budget, and *DeadlineExceededError
-// when Config.Deadline was exceeded. Run never panics on task or
+// Config.CycleLimit was exceeded, and *DeadlineExceededError when
+// Config.Deadline was exceeded. Run never panics on task or
 // configuration faults, and may be called only once.
 func (rt *Runtime) Run(main func(*Ctx)) (err error) {
 	if rt.ran {

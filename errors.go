@@ -10,12 +10,11 @@ import (
 // simulator-only configuration option is combined with BackendNative:
 // one that requires the simulated machine itself — Machine
 // (latency/cache overrides), CycleLimit (a bound on simulated time) or
-// Quantum (interleaving control) — or a fault plan (Faults) or retry
-// policy (Retry), which only the simulator runs. Deadline is not
-// rejected: it runs natively with cycles read as wall-clock
-// nanoseconds. Callers that want to run the same Config on both
-// backends should strip the sim-only options for the native run rather
-// than treat this as a failure.
+// Quantum (interleaving control) — or a fault plan (Faults), which only
+// the simulator runs. Deadline is not rejected: it runs natively with
+// cycles read as wall-clock nanoseconds. Callers that want to run the
+// same Config on both backends should strip the sim-only options for
+// the native run rather than treat this as a failure.
 type UnsupportedOnNativeError struct {
 	Option string // the Config field that cannot apply natively
 }
@@ -44,11 +43,6 @@ type DeadlockError = fault.Deadlock
 // and simulated time passed it. It carries a clock and queue snapshot
 // instead of letting the run spin forever.
 type NoProgressError = fault.NoProgress
-
-// TaskAbortError is returned by Run when a transient launch failure
-// (a FailTask event or a FlakyProcessor window) struck a task and the
-// retry budget — zero attempts without Config.Retry — was exhausted.
-type TaskAbortError = fault.TaskAbort
 
 // DeadlineExceededError is returned by Run when Config.Deadline was set
 // and simulated time (wall-clock time on the native backend) passed it

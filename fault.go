@@ -64,24 +64,6 @@ func (p *FaultPlan) PanicTask(name string, nth int) *FaultPlan {
 	return p
 }
 
-// FailTask aborts one launch attempt of the nth task spawned with the
-// given name (0-based creation order) — a transient failure, struck
-// before the task body runs. Stacking the same event fails successive
-// attempts. With Config.Retry the task is re-placed and retried;
-// without, Run returns a *TaskAbortError.
-func (p *FaultPlan) FailTask(name string, nth int) *FaultPlan {
-	p.plan.FailTask(name, nth)
-	return p
-}
-
-// FlakyProcessor opens a transient-failure window on processor proc:
-// every fresh task launch attempted there during [at, at+cycles)
-// aborts. Started tasks (continuations) are unaffected.
-func (p *FaultPlan) FlakyProcessor(proc int, at, cycles int64) *FaultPlan {
-	p.plan.Flaky(proc, at, cycles)
-	return p
-}
-
 // Len returns the number of events in the plan.
 func (p *FaultPlan) Len() int { return len(p.plan.Events) }
 
@@ -114,10 +96,6 @@ func (p *FaultPlan) BuilderString() string {
 			fmt.Fprintf(&b, "DegradeMemory(%d, %d, %d)", ev.Cluster, ev.At, ev.Factor)
 		case fault.TaskPanic:
 			fmt.Fprintf(&b, "PanicTask(%q, %d)", ev.Task, ev.Nth)
-		case fault.TaskFail:
-			fmt.Fprintf(&b, "FailTask(%q, %d)", ev.Task, ev.Nth)
-		case fault.Flaky:
-			fmt.Fprintf(&b, "FlakyProcessor(%d, %d, %d)", ev.Proc, ev.At, ev.Cycles)
 		default:
 			fmt.Fprintf(&b, "/* unknown event %v */", ev)
 		}
@@ -128,24 +106,15 @@ func (p *FaultPlan) BuilderString() string {
 // RandomFaultPlan builds a reproducible plan of n non-panic fault
 // events (slowdowns, stalls, memory degradation, and at most procs-1
 // permanent failures) for stress testing: the same seed always yields
-// the same plan.
+// the same plan. It is the generator behind the chaos campaign driver
+// (coolbench -chaos).
 func RandomFaultPlan(seed int64, procs, clusters, n int) *FaultPlan {
 	return &FaultPlan{plan: *fault.Random(seed, procs, clusters, n)}
 }
 
-// RandomChaosPlan builds a reproducible plan of n chaos events drawn
-// from the full fault vocabulary — slowdowns, stalls, memory
-// degradation, permanent failures (at most half the processors), flaky
-// windows, and transient FailTask events against the given task names.
-// The same seed always yields the same, Validate-clean plan; it is the
-// generator behind the chaos campaign driver (coolbench -chaos).
-func RandomChaosPlan(seed int64, procs, clusters, n int, tasks []string) *FaultPlan {
-	return &FaultPlan{plan: *fault.RandomChaos(seed, procs, clusters, n, tasks)}
-}
-
 // applyFaults validates the plan against the machine, arms every timed
 // event on the engine's event heap before the run starts, and hands the
-// engine the plan's injector for the spawn- and launch-time faults.
+// engine the plan's injector for the planted task panics.
 func (rt *Runtime) applyFaults(p *FaultPlan) error {
 	if err := p.plan.Validate(rt.cfg.Processors, rt.cfg.Clusters()); err != nil {
 		return fmt.Errorf("cool: invalid Config.Faults: %w", err)
@@ -175,13 +144,9 @@ func (rt *Runtime) applyFaults(p *FaultPlan) error {
 				rt.caches.DegradeMemory(ev.Cluster, ev.Factor)
 				rt.sched.NoteFault(rt.eng.Now(), ev.Cluster*rt.cfg.ClusterSize, "memdegrade", ev.Factor)
 			})
-		case fault.Flaky:
-			rt.eng.At(ev.At, func() {
-				rt.sched.NoteFault(rt.eng.Now(), ev.Proc, "flaky", ev.Cycles)
-			})
 		}
 	}
-	rt.eng.SetInjector(fault.NewInjector(&p.plan, rt.cfg.Processors))
+	rt.eng.SetInjector(fault.NewInjector(&p.plan))
 	rt.eng.SetFailHandler(func(p *sim.Proc, running *sim.Task, now int64) {
 		rt.sched.FailServer(p.ID, running, now)
 	})

@@ -38,11 +38,10 @@ func (v Variant) String() string { return Variants[v].Name }
 
 // Program declares barneshut to the registry.
 var Program = harness.Program{
-	Name:      "barneshut",
-	Rows:      Variants,
-	Served:    int(AffDistr),
-	Sizes:     map[string]int{"smoke": 128, "small": 256, "medium": 1024, "large": 2048},
-	TaskNames: []string{"forces", "advance"},
+	Name:   "barneshut",
+	Rows:   Variants,
+	Served: int(AffDistr),
+	Sizes:  map[string]int{"smoke": 128, "small": 256, "medium": 1024, "large": 2048},
 	Sized: func(size int) harness.Workload {
 		p := DefaultParams()
 		if size > 0 {

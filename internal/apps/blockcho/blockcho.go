@@ -41,7 +41,6 @@ var Program = harness.Program{
 	Served:         int(AffDistr),
 	Sizes:          map[string]int{"smoke": 64, "small": 128, "medium": 256, "large": 384},
 	ScheduleTokens: map[string]bool{"maxdiff": true},
-	TaskNames:      []string{"potrf", "trsm", "gemm", "notify"},
 	Sized: func(size int) harness.Workload {
 		p := DefaultParams()
 		if size > 0 {

@@ -40,11 +40,10 @@ func (v Variant) String() string { return Variants[v].Name }
 
 // Program declares gauss to the registry.
 var Program = harness.Program{
-	Name:      "gauss",
-	Rows:      Variants,
-	Served:    int(TaskObject),
-	Sizes:     map[string]int{"smoke": 48, "small": 48, "medium": 96, "large": 192},
-	TaskNames: []string{"update"},
+	Name:   "gauss",
+	Rows:   Variants,
+	Served: int(TaskObject),
+	Sizes:  map[string]int{"smoke": 48, "small": 48, "medium": 96, "large": 192},
 	Sized: func(size int) harness.Workload {
 		p := DefaultParams()
 		if size > 0 {

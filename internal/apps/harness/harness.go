@@ -64,9 +64,6 @@ type Program struct {
 	// and on the simulator, or at P=1 where both backends execute the
 	// identical serial order, so must these.
 	ScheduleTokens map[string]bool
-	// TaskNames are the spawn labels: the targets of generated fault
-	// plans' transient FailTask events.
-	TaskNames []string
 	// Sized maps the registry's size integer (grid dimension, wires per
 	// region, bodies, matrix dimension; 0 = the default workload) to the
 	// application's Params.
@@ -216,8 +213,8 @@ var idle struct {
 // about eight configurations (P=1, 8 and 32, each with the scheduling
 // knobs its versions set); a cycle through more keys than the bound
 // would build a machine on every run, so the bound leaves room above
-// that. The fault and retry settings are keyed by pointer, so a caller
-// that builds a new plan per run only ever pushes the oldest out.
+// that. The fault plan is keyed by pointer, so a caller that builds a
+// new plan per run only ever pushes the oldest out.
 const maxIdle = 16
 
 type idleRuntime struct {

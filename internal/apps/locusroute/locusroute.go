@@ -50,7 +50,6 @@ var Program = harness.Program{
 	Served:         int(AffinityDistr),
 	Sizes:          map[string]int{"smoke": 6, "small": 6, "medium": 12, "large": 24},
 	ScheduleTokens: map[string]bool{"cost": true},
-	TaskNames:      []string{"route"},
 	Sized: func(size int) harness.Workload {
 		p := DefaultParams()
 		if size > 0 {

@@ -38,11 +38,10 @@ func (v Variant) String() string { return Variants[v].Name }
 
 // Program declares ocean to the registry.
 var Program = harness.Program{
-	Name:      "ocean",
-	Rows:      Variants,
-	Served:    int(DistrAff),
-	Sizes:     map[string]int{"smoke": 64, "small": 64, "medium": 128, "large": 192},
-	TaskNames: []string{"laplace", "accumulate"},
+	Name:   "ocean",
+	Rows:   Variants,
+	Served: int(DistrAff),
+	Sizes:  map[string]int{"smoke": 64, "small": 64, "medium": 128, "large": 192},
 	Sized: func(size int) harness.Workload {
 		p := DefaultParams()
 		if size > 0 {

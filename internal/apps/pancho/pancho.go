@@ -55,7 +55,6 @@ var Program = harness.Program{
 	Served:         int(DistrAff),
 	Sizes:          map[string]int{"smoke": 20, "small": 32, "medium": 64, "large": 96},
 	ScheduleTokens: map[string]bool{"residual": true, "maxdiff": true},
-	TaskNames:      []string{"update", "complete"},
 	Sized: func(size int) harness.Workload {
 		p := DefaultParams()
 		if size > 0 {

@@ -63,11 +63,10 @@ func (v Variant) String() string { return Variants[v].Name }
 
 // Program declares phaseflip to the registry.
 var Program = harness.Program{
-	Name:      "phaseflip",
-	Rows:      Variants,
-	Served:    int(Phases),
-	Sizes:     map[string]int{"smoke": 60, "small": 120, "medium": 300, "large": 600},
-	TaskNames: []string{"chain", "ping", "wave"},
+	Name:   "phaseflip",
+	Rows:   Variants,
+	Served: int(Phases),
+	Sizes:  map[string]int{"smoke": 60, "small": 120, "medium": 300, "large": 600},
 	Sized: func(size int) harness.Workload {
 		p := DefaultParams()
 		if size > 0 {

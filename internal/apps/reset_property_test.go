@@ -16,7 +16,7 @@ import (
 type resetCase struct {
 	seed       int64
 	procs      int
-	mode       string // plain | faults | deadline | retry
+	mode       string // plain | faults | deadline
 	pre, probe App
 	preRow     harness.Variant // the preceding job's version, whose knobs the configuration carries
 	probeV     string
@@ -34,8 +34,8 @@ func (c resetCase) String() string {
 // accepts.
 func drawResetCase(seed int64) resetCase {
 	rng := rand.New(rand.NewSource(seed))
-	c := resetCase{seed: seed, procs: []int{1, 8, 32}[seed/4%3],
-		mode: []string{"plain", "faults", "deadline", "retry"}[seed%4]}
+	c := resetCase{seed: seed, procs: []int{1, 8, 32}[seed/3%3],
+		mode: []string{"plain", "faults", "deadline"}[seed%3]}
 	c.pre = registry[rng.Intn(len(registry))]
 	row := c.pre.Rows[rng.Intn(len(c.pre.Rows))]
 	c.preRow = row
@@ -69,9 +69,6 @@ func (c resetCase) config(t *testing.T) cool.Config {
 			t.Fatalf("%v: unbounded run: %v", c, err)
 		}
 		cfg.Deadline = max(rt.ElapsedCycles()/2, 1)
-	case "retry":
-		cfg.Faults = cool.RandomChaosPlan(c.seed, c.procs, clusters, 2+int(c.seed%4), c.pre.TaskNames)
-		cfg.Retry = &cool.RetryPolicy{MaxAttempts: 12, Backoff: 500}
 	}
 	return cfg
 }
@@ -96,12 +93,12 @@ func runProbe(c resetCase, rt *cool.Runtime) probeRun {
 // TestSimResetEqualsFreshProperty: on the simulator a reset runtime is
 // a new one, whatever ran on it and however that run ended. Each draw
 // runs a preceding job (app × variant × P ∈ {1, 8, 32} × a plain run, a
-// fault plan, an expired deadline, or a chaos plan with retries), resets
-// the runtime, and runs a probe job; the probe must fail or succeed
-// alike and show the same Report (cycles, busy and idle cycles, set
-// splits, every counter of every processor) and the same Verify tokens
-// as on a new runtime with the same Config. A failing draw prints its
-// seed; drawResetCase(seed) replays it.
+// fault plan, or an expired deadline), resets the runtime, and runs a
+// probe job; the probe must fail or succeed alike and show the same
+// Report (cycles, busy and idle cycles, set splits, every counter of
+// every processor) and the same Verify tokens as on a new runtime with
+// the same Config. A failing draw prints its seed; drawResetCase(seed)
+// replays it.
 func TestSimResetEqualsFreshProperty(t *testing.T) {
 	draws := 60
 	if testing.Short() {

@@ -69,7 +69,7 @@ func TestShrinkerFindsMinimalPlan(t *testing.T) {
 		SlowProcessor(1, 0, 4, 50_000).
 		StallProcessor(2, 5_000, 5_000).
 		PanicTask("update", 0).
-		FlakyProcessor(5, 0, 10_000)
+		DegradeMemory(1, 0, 2)
 	o := NewOracle()
 	if out := o.Run(app, c); out.Verdict != Unexpected {
 		t.Fatalf("planted panic classified as %v, want unexpected", out.Verdict)

@@ -30,6 +30,17 @@ func (s *Scheduler) ServerAlive(sv int) bool { return !s.dead.Has(sv) }
 // surviving server (Topo.NearestAlive).
 func (s *Scheduler) aliveServer(sv int) int { return s.topo.NearestAlive(sv, s.dead) }
 
+// liveSetHome returns the surviving server hosting td's task-affinity
+// set, or -1 when td is not a set member or the set has no live home.
+func (s *Scheduler) liveSetHome(td *TaskDesc) int {
+	if td.Class == ClassTaskSet {
+		if h, ok := s.setHome[td.AffObj]; ok && !s.dead.Has(h) {
+			return h
+		}
+	}
+	return -1
+}
+
 // failoverTarget picks the surviving server for one redistributed task
 // (Topo.Failover) and re-homes a task-affinity set there, so the rest
 // of the set follows.

@@ -137,3 +137,70 @@ func TestSnapshotMarksDeadServers(t *testing.T) {
 		}
 	}
 }
+
+func TestQueueDepthsSnapshot(t *testing.T) {
+	s, _ := newSched(t, 4, DefaultPolicy())
+	s.Enqueue(mkTask(s, "a", ClassPlain, 1, -1, 0), 0)
+	s.Enqueue(mkTask(s, "b", ClassPlain, 1, -1, 0), 0)
+	s.FailServer(3, nil, 0)
+	d := s.QueueDepths()
+	if len(d) != 4 || d[1] != 2 || d[3] != -1 {
+		t.Fatalf("depths = %v, want [0 2 0 -1]", d)
+	}
+}
+
+// TestFailServerMidTaskLastAliveInCluster exercises the running != nil
+// detach path when the victim is the last alive server of its cluster:
+// the continuation and all queued work must cross clusters, and
+// task-affinity sets must stay whole.
+func TestFailServerMidTaskLastAliveInCluster(t *testing.T) {
+	s, space := newSched(t, 8, DefaultPolicy()) // clusters {0..3} {4..7}
+	for _, v := range []int{5, 6, 7} {
+		s.FailServer(v, nil, 10)
+	}
+	// A task-affinity set homed on the victim, plus plain work.
+	obj := space.AllocPages(64, 4)
+	s.setHome[obj] = 4
+	slot := s.topo.SlotOf(obj)
+	var set []*TaskDesc
+	for i := 0; i < 3; i++ {
+		td := mkTask(s, "set", ClassTaskSet, 4, slot, obj)
+		set = append(set, td)
+		s.Enqueue(td, 20)
+	}
+	plain := mkTask(s, "plain", ClassPlain, 4, -1, 0)
+	s.Enqueue(plain, 20)
+	running := mkTask(s, "running", ClassPlain, 4, -1, 0)
+	running.LastProc = 4
+
+	s.FailServer(4, running.T, 100)
+
+	if s.Cfg.ClusterOf(running.LastProc) == s.Cfg.ClusterOf(4) {
+		t.Fatalf("continuation stayed in the dead cluster (P%d)", running.LastProc)
+	}
+	if !s.ServerAlive(running.LastProc) {
+		t.Fatalf("continuation handed to dead server %d", running.LastProc)
+	}
+	home := set[0].Server
+	if s.Cfg.ClusterOf(home) == s.Cfg.ClusterOf(4) || !s.ServerAlive(home) {
+		t.Fatalf("set re-homed to %d, want a live server outside the dead cluster", home)
+	}
+	for _, td := range set {
+		if td.Server != home {
+			t.Fatalf("set split: members on %d and %d", home, td.Server)
+		}
+	}
+	if s.setHome[obj] != home {
+		t.Fatalf("setHome = %d, queued members on %d", s.setHome[obj], home)
+	}
+	if !s.ServerAlive(plain.Server) {
+		t.Fatalf("plain task on dead server %d", plain.Server)
+	}
+	// 3 set members + 1 plain + 1 running continuation drained off P4.
+	if got := s.Mon.Per[4].Redistributed; got != 5 {
+		t.Fatalf("Redistributed = %d, want 5", got)
+	}
+	if err := checkInvariants(s); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -4,14 +4,14 @@ import "fmt"
 
 // This file holds every scheduling decision that is a pure function of
 // the machine shape, the policy and which processors are alive —
-// placement, failover, retry targets, victim order, the steal gate.
+// placement, failover, victim order, the steal gate.
 // Both engines — the simulator's Scheduler in this package and the
 // goroutine runtime in internal/native — call the fault-free ones
 // (placement, victim order, the steal gate) and keep only what really
 // differs between them: where the set-home table lives and how it is
 // locked, the round-robin and least-loaded counters, and the queues.
-// Failover, retry targets and the reroute off a dead server are the
-// simulator's alone: fault plans and retries run only there.
+// Failover and the reroute off a dead server are the simulator's alone:
+// fault plans run only there.
 
 // Topo is the part of the machine the scheduling decisions depend on.
 type Topo struct {
@@ -94,53 +94,6 @@ func (t Topo) NearestAlive(sv int, dead ProcSet) int {
 		}
 	}
 	return sv
-}
-
-// RetryTarget picks the server for the next launch attempt of a task of
-// the given class, placed on server, whose launch just aborted on
-// failedOn. attempt is the number of attempts already failed; successive
-// retries rotate through different survivors. setHome is the live home
-// of the task's set, or -1 when it has none (or is not a set member).
-// Placement is affinity-aware:
-//
-//   - task-affinity set members must follow their set's current home so
-//     the set never splits across servers (the whole point of the set);
-//   - object-bound tasks stay in the cluster holding their object's
-//     memory, just on a different processor than the one that failed;
-//   - everything else prefers a server in a different cluster from the
-//     failed processor, on the theory that whatever made it flaky
-//     (thermal, memory pressure) may be cluster-local.
-//
-// The engines revalidate the choice against deaths at delivery time.
-func (t Topo) RetryTarget(class Class, server, failedOn, attempt, setHome int, dead ProcSet) int {
-	n := t.Procs
-	switch class {
-	case ClassTaskSet:
-		if setHome >= 0 {
-			return setHome
-		}
-		return t.NearestAlive(failedOn, dead)
-	case ClassObjectBound:
-		for d := 0; d < n; d++ {
-			v := (server + attempt + d) % n
-			if v != failedOn && !dead.Has(v) && t.SameCluster(server, v) {
-				return v
-			}
-		}
-	}
-	for d := 0; d < n; d++ {
-		v := (failedOn + attempt + d) % n
-		if v != failedOn && !dead.Has(v) && !t.SameCluster(failedOn, v) {
-			return v
-		}
-	}
-	for d := 0; d < n; d++ {
-		v := (failedOn + attempt + d) % n
-		if v != failedOn && !dead.Has(v) {
-			return v
-		}
-	}
-	return t.NearestAlive(failedOn, dead)
 }
 
 // Failover picks the survivor for one task drained off a retired

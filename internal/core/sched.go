@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/machine"
 	"github.com/coolrts/cool/internal/memsim"
 	"github.com/coolrts/cool/internal/perfmon"
@@ -107,11 +106,6 @@ type Scheduler struct {
 	// whole-set-stealing policy; only the NoSetStealing fallback (taking
 	// individual set members) legitimately splits sets.
 	setSplits int64
-
-	// Retry is the resolved policy for transiently failed task launches
-	// (see retry.go). The zero value disables retries: any abort fails
-	// the run.
-	Retry fault.RetryPolicy
 }
 
 // NewScheduler wires a scheduler to an engine.
@@ -311,16 +305,10 @@ func (s *Scheduler) Dispatch(p *sim.Proc) *sim.Task {
 
 	if td := s.takeLocal(sv); td != nil {
 		p.Clock += lat.Dispatch
-		if s.launchAborted(td, p) {
-			return nil
-		}
 		return s.issue(td, p)
 	}
 	if td := s.steal(p, sv); td != nil {
 		p.Clock += lat.Dispatch
-		if s.launchAborted(td, p) {
-			return nil
-		}
 		return s.issue(td, p)
 	}
 	return nil

@@ -35,16 +35,6 @@ const (
 	// TaskPanic makes the Nth task spawned with name Task panic when it
 	// first runs, exercising the structured failure path.
 	TaskPanic
-	// TaskFail makes one launch attempt of the Nth task spawned with
-	// name Task abort with a transient error before the task body runs.
-	// Repeating the event fails successive launch attempts of the same
-	// spawn, so a plan can outlast (or exhaust) a retry budget.
-	TaskFail
-	// Flaky opens a window [At, At+Cycles) on a processor during which
-	// every task launch attempted there aborts transiently. Launches are
-	// retried elsewhere under a retry policy; without one the first
-	// aborted launch fails the run.
-	Flaky
 )
 
 // String names the kind.
@@ -60,10 +50,6 @@ func (k Kind) String() string {
 		return "memdegrade"
 	case TaskPanic:
 		return "taskpanic"
-	case TaskFail:
-		return "taskfail"
-	case Flaky:
-		return "flaky"
 	}
 	return "?"
 }
@@ -96,10 +82,6 @@ func (ev Event) String() string {
 		return fmt.Sprintf("memdegrade C%d x%d @%d", ev.Cluster, ev.Factor, ev.At)
 	case TaskPanic:
 		return fmt.Sprintf("panic task %q #%d", ev.Task, ev.Nth)
-	case TaskFail:
-		return fmt.Sprintf("transient-fail task %q #%d", ev.Task, ev.Nth)
-	case Flaky:
-		return fmt.Sprintf("flaky P%d @%d for %d", ev.Proc, ev.At, ev.Cycles)
 	}
 	return "?"
 }
@@ -142,26 +124,21 @@ func (p *Plan) PanicTask(name string, nth int) *Plan {
 	return p
 }
 
-// FailTask aborts one launch attempt of the nth task spawned with the
-// given name. Stack the event to fail several attempts of the same
-// spawn.
-func (p *Plan) FailTask(name string, nth int) *Plan {
-	p.Events = append(p.Events, Event{Kind: TaskFail, Task: name, Nth: nth})
-	return p
-}
-
-// Flaky opens a window of cycles length at time at during which every
-// task launch on proc aborts transiently.
-func (p *Plan) Flaky(proc int, at, cycles int64) *Plan {
-	p.Events = append(p.Events, Event{Kind: Flaky, Proc: proc, At: at, Cycles: cycles})
-	return p
-}
-
 // window is a half-open interval of simulated time, [from, to).
 // to == MaxInt64 models an open-ended (permanent) window.
 type window struct{ from, to int64 }
 
 func (w window) overlaps(o window) bool { return w.from < o.to && o.from < w.to }
+
+// overlapsAny reports whether w overlaps any window of ws.
+func overlapsAny(ws []window, w window) bool {
+	for _, o := range ws {
+		if w.overlaps(o) {
+			return true
+		}
+	}
+	return false
+}
 
 func windowOf(at, cycles int64) window {
 	if cycles <= 0 {
@@ -174,12 +151,12 @@ func windowOf(at, cycles int64) window {
 // clusters memory modules. Beyond per-event field checks it enforces
 // whole-plan consistency: at least one processor must survive all Fail
 // events (so the program can always make progress), no processor may
-// be retired twice, and the Slowdown (resp. Flaky) windows on one
-// processor must not overlap — an overlapping window would silently
-// overwrite the earlier event's effect, making the plan ambiguous.
+// be retired twice, and the Slowdown windows on one processor must not
+// overlap — an overlapping window would silently overwrite the earlier
+// event's effect, making the plan ambiguous.
 func (p *Plan) Validate(procs, clusters int) error {
 	failed := make(map[int]bool)
-	var slowWins, flakyWins map[int][]window
+	slowWins := make(map[int][]window)
 	for i, ev := range p.Events {
 		if ev.At < 0 {
 			return fmt.Errorf("fault: event %d (%s): negative time %d", i, ev.Kind, ev.At)
@@ -196,13 +173,8 @@ func (p *Plan) Validate(procs, clusters int) error {
 				return fmt.Errorf("fault: event %d: negative slowdown duration %d", i, ev.Cycles)
 			}
 			w := windowOf(ev.At, ev.Cycles)
-			for _, o := range slowWins[ev.Proc] {
-				if w.overlaps(o) {
-					return fmt.Errorf("fault: event %d: slowdown window on P%d overlaps an earlier one", i, ev.Proc)
-				}
-			}
-			if slowWins == nil {
-				slowWins = make(map[int][]window)
+			if overlapsAny(slowWins[ev.Proc], w) {
+				return fmt.Errorf("fault: event %d: slowdown window on P%d overlaps an earlier one", i, ev.Proc)
 			}
 			slowWins[ev.Proc] = append(slowWins[ev.Proc], w)
 		case Stall:
@@ -227,30 +199,13 @@ func (p *Plan) Validate(procs, clusters int) error {
 			if ev.Factor < 2 {
 				return fmt.Errorf("fault: event %d: degrade factor %d must be >= 2", i, ev.Factor)
 			}
-		case TaskPanic, TaskFail:
+		case TaskPanic:
 			if ev.Task == "" {
 				return fmt.Errorf("fault: event %d: empty task name", i)
 			}
 			if ev.Nth < 0 {
 				return fmt.Errorf("fault: event %d: negative task index %d", i, ev.Nth)
 			}
-		case Flaky:
-			if ev.Proc < 0 || ev.Proc >= procs {
-				return fmt.Errorf("fault: event %d: processor %d out of range [0,%d)", i, ev.Proc, procs)
-			}
-			if ev.Cycles <= 0 {
-				return fmt.Errorf("fault: event %d: flaky window length %d must be positive", i, ev.Cycles)
-			}
-			w := windowOf(ev.At, ev.Cycles)
-			for _, o := range flakyWins[ev.Proc] {
-				if w.overlaps(o) {
-					return fmt.Errorf("fault: event %d: flaky window on P%d overlaps an earlier one", i, ev.Proc)
-				}
-			}
-			if flakyWins == nil {
-				flakyWins = make(map[int][]window)
-			}
-			flakyWins[ev.Proc] = append(flakyWins[ev.Proc], w)
 		default:
 			return fmt.Errorf("fault: event %d: unknown kind %d", i, ev.Kind)
 		}
@@ -261,67 +216,30 @@ func (p *Plan) Validate(procs, clusters int) error {
 	return nil
 }
 
-// tryWindow records w for proc in wins unless it overlaps an existing
-// window there.
-func tryWindow(wins map[int][]window, proc int, w window) bool {
-	for _, o := range wins[proc] {
-		if w.overlaps(o) {
-			return false
-		}
-	}
-	wins[proc] = append(wins[proc], w)
-	return true
-}
-
 // Random builds a reproducible plan of n non-panic fault events
 // (slowdowns, stalls, memory degradation, and at most procs-1 permanent
 // failures) for stress testing. The same seed always yields the same
-// plan, and every generated plan passes Validate.
+// plan, and every generated plan passes Validate: a slowdown that would
+// overlap an earlier one on its processor becomes a stall, and so does a
+// failure past the procs-1 budget or of a processor already retired.
 func Random(seed int64, procs, clusters, n int) *Plan {
-	return random(seed, procs, clusters, n, 4, procs-1, nil)
-}
-
-// RandomChaos builds a reproducible chaos plan of n events drawn from
-// the full non-panic fault space: slowdowns, stalls, memory degradation,
-// a bounded number of permanent failures, and transient-failure flaky
-// windows. Flaky windows are kept short (≤ 100k cycles) so a modest
-// retry budget can ride them out, and permanent failures are capped at
-// half the machine so capacity survives. tasks, when non-empty, supplies
-// names for targeted transient task failures. Every generated plan
-// passes Validate.
-func RandomChaos(seed int64, procs, clusters, n int, tasks []string) *Plan {
-	return random(seed, procs, clusters, n, 6, procs/2, tasks)
-}
-
-// random is the one generator loop behind Random and RandomChaos. Each
-// event draws a time, a processor and one of the first kinds event
-// shapes: 0 a slowdown (a stall where it would overlap an earlier
-// slowdown on the processor), 1 a stall, 2 memory degradation, 3 a
-// permanent failure while fewer than maxFails processors fail (a stall
-// otherwise), 4 a flaky window (a stall where it would overlap), 5 a
-// FailTask against tasks (a slowdown when there are none). The
-// per-processor bookkeeping keeps every plan Validate-clean.
-func random(seed int64, procs, clusters, n, kinds, maxFails int, tasks []string) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	p := &Plan{}
 	failed := make(map[int]bool)
 	slow := make(map[int][]window)
-	flaky := make(map[int][]window)
-	slowOrStall := func(proc int, at int64) {
-		dur := int64(1 + rng.Intn(500_000))
-		factor := int64(2 + rng.Intn(7))
-		if tryWindow(slow, proc, windowOf(at, dur)) {
-			p.Slow(proc, at, factor, dur)
-		} else {
-			p.Stall(proc, at, dur/2+1)
-		}
-	}
 	for i := 0; i < n; i++ {
 		at := int64(rng.Intn(2_000_000))
 		proc := rng.Intn(procs)
-		switch rng.Intn(kinds) {
+		switch rng.Intn(4) {
 		case 0:
-			slowOrStall(proc, at)
+			dur := int64(1 + rng.Intn(500_000))
+			factor := int64(2 + rng.Intn(7))
+			if w := windowOf(at, dur); !overlapsAny(slow[proc], w) {
+				slow[proc] = append(slow[proc], w)
+				p.Slow(proc, at, factor, dur)
+			} else {
+				p.Stall(proc, at, dur/2+1)
+			}
 		case 1:
 			p.Stall(proc, at, int64(1+rng.Intn(200_000)))
 		case 2:
@@ -329,24 +247,11 @@ func random(seed int64, procs, clusters, n, kinds, maxFails int, tasks []string)
 				p.DegradeMemory(rng.Intn(clusters), at, int64(2+rng.Intn(4)))
 			}
 		case 3:
-			if len(failed) < maxFails && !failed[proc] {
+			if len(failed) < procs-1 && !failed[proc] {
 				failed[proc] = true
 				p.Fail(proc, at)
 			} else {
 				p.Stall(proc, at, int64(1+rng.Intn(100_000)))
-			}
-		case 4:
-			dur := int64(1 + rng.Intn(100_000))
-			if tryWindow(flaky, proc, windowOf(at, dur)) {
-				p.Flaky(proc, at, dur)
-			} else {
-				p.Stall(proc, at, dur)
-			}
-		case 5:
-			if len(tasks) > 0 {
-				p.FailTask(tasks[rng.Intn(len(tasks))], rng.Intn(8))
-			} else {
-				slowOrStall(proc, at)
 			}
 		}
 	}

@@ -50,8 +50,6 @@ type Counters struct {
 	// Fault injection and degradation.
 	FaultEvents   int64 // injected fault events that struck this processor
 	Redistributed int64 // tasks drained off this (failed) server to survivors
-	Retries       int64 // task launches aborted here and retried elsewhere
-	GaveUp        int64 // launches whose retry budget ran out (fails the run)
 
 	// Deadline shedding: tasks dispatched past their WithDeadline
 	// deadline, completed without running (not counted in TasksRun).
@@ -121,8 +119,6 @@ func (c *Counters) Add(o Counters) {
 	c.BroadcastWakes += o.BroadcastWakes
 	c.FaultEvents += o.FaultEvents
 	c.Redistributed += o.Redistributed
-	c.Retries += o.Retries
-	c.GaveUp += o.GaveUp
 	c.DeadlineMisses += o.DeadlineMisses
 }
 

@@ -75,9 +75,9 @@ type Engine struct {
 	deadline int64       // run deadline in simulated cycles (0 = off)
 	snap     Snapshotter // scheduler diagnostics for the stop errors
 	onFail   func(p *Proc, running *Task, now int64)
-	// inj is the plan's spawn- and launch-time injection state, nil when
-	// it plants none, so fault-free spawns and launches pay one branch.
-	inj *fault.Injector
+	// inj is the plan's planted task panics, nil when it plants none, so
+	// a fault-free spawn pays one branch.
+	inj fault.Injector
 }
 
 // New creates an engine with n processors.

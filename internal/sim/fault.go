@@ -29,9 +29,8 @@ type Snapshotter interface {
 // errors carry no queue state and every wait edge reads "unknown".
 func (e *Engine) SetSnapshot(s Snapshotter) { e.snap = s }
 
-// SetInjector arms a plan's spawn- and launch-time injections: planted
-// panics, planted launch aborts, and flaky windows. nil disarms them.
-func (e *Engine) SetInjector(in *fault.Injector) { e.inj = in }
+// SetInjector arms a plan's planted task panics. nil disarms them.
+func (e *Engine) SetInjector(in fault.Injector) { e.inj = in }
 
 // SetDeadline bounds the run to d simulated cycles: once an event past
 // the deadline would fire with work outstanding, Run stops and returns a
@@ -103,33 +102,6 @@ func (e *Engine) FailProc(p *Proc) {
 	p.cur = nil // pending slice-resume events no-op via the p.cur guard
 	if e.onFail != nil {
 		e.onFail(p, running, e.now)
-	}
-}
-
-// LaunchShouldAbort reports whether this launch attempt of t on p is
-// struck by the injector (a flaky window on p, or a planted abort for
-// t's spawn, which the strike consumes), counting the attempt on the
-// task. Only fresh launches abort: a task whose coroutine has started —
-// a blocked or sliced continuation being resumed — is never aborted,
-// because a partially executed body cannot be re-run.
-func (e *Engine) LaunchShouldAbort(t *Task, p *Proc) bool {
-	if e.inj == nil || t.startedCoro || !e.inj.Strikes(p.ID, p.Clock, t.Name, t.spawnIdx) {
-		return false
-	}
-	t.aborts++
-	return true
-}
-
-// Redispatch re-queues a dispatch for p at its current clock — used
-// after an aborted launch so the processor immediately looks for other
-// work instead of parking until the next wakeup.
-func (e *Engine) Redispatch(p *Proc) { e.queueDispatch(p, p.Clock) }
-
-// FailRun aborts the run with err (first failure wins). The scheduler
-// uses it to surface a retry-budget exhaustion as the run's error.
-func (e *Engine) FailRun(err error) {
-	if e.failure == nil {
-		e.failure = err
 	}
 }
 

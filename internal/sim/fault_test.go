@@ -113,7 +113,7 @@ func TestFailDetachesRunningTask(t *testing.T) {
 
 func TestInjectedTaskPanic(t *testing.T) {
 	e, d := newTestEngine(t, 1)
-	e.SetInjector(fault.NewInjector(new(fault.Plan).PanicTask("w", 1), 1))
+	e.SetInjector(fault.NewInjector(new(fault.Plan).PanicTask("w", 1)))
 	for i := 0; i < 3; i++ {
 		d.add(e.NewTask("w", 0, func(c *Ctx) { c.Charge(10) }))
 	}
@@ -146,6 +146,52 @@ func TestWatchdogStopsRunawayRun(t *testing.T) {
 	}
 	if we.Snapshot != "queues: test snapshot" {
 		t.Fatalf("snapshot = %q", we.Snapshot)
+	}
+}
+
+func TestDeadlineStopsOverBudgetRun(t *testing.T) {
+	e, d := newTestEngine(t, 2)
+	e.SetDeadline(10_000)
+	var stuck *Task
+	stuck = e.NewTask("stuck", 0, func(c *Ctx) {
+		c.Charge(10)
+		c.Block() // never unblocked
+	})
+	d.add(stuck)
+	d.add(e.NewTask("spin", 0, func(c *Ctx) {
+		for {
+			c.Charge(100)
+		}
+	}))
+	err := e.Run()
+	var de *fault.DeadlineExceeded
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v (%T), want *fault.DeadlineExceeded", err, err)
+	}
+	if de.Deadline != 10_000 || de.LiveTasks != 2 || len(de.Clocks) != 2 {
+		t.Fatalf("deadline error = %+v", de)
+	}
+	if de.BlockedTasks != 1 || len(de.Waits) != 1 || de.Waits[0].Task != "stuck" {
+		t.Fatalf("blocked = %v, want [stuck]", de.Waits)
+	}
+}
+
+func TestDeadlineUnreachedLeavesRunUntouched(t *testing.T) {
+	run := func(deadline int64) int64 {
+		e, d := newTestEngine(t, 2)
+		if deadline > 0 {
+			e.SetDeadline(deadline)
+		}
+		for i := 0; i < 8; i++ {
+			d.add(e.NewTask("w", 0, func(c *Ctx) { c.Charge(777) }))
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.MaxClock()
+	}
+	if a, b := run(0), run(1_000_000); a != b {
+		t.Fatalf("an unreached deadline changed the run: %d vs %d", a, b)
 	}
 }
 

@@ -36,16 +36,7 @@ type Task struct {
 	done        bool
 	created     int // engine-wide creation index: orders same-named tasks in a stop error
 	blockedAt   int // 1 + index in Engine.blocked while blocked, else 0
-
-	// Fault-injection state (see fault.go).
-	spawnIdx int // creation index among same-named tasks (tracked names only)
-	aborts   int // launch attempts aborted by transient-fault injection
 }
-
-// LaunchAborts returns how many launch attempts of this task were
-// aborted by transient-fault injection (the retry layer's attempt
-// counter).
-func (t *Task) LaunchAborts() int { return t.aborts }
 
 // NewTask creates a task that becomes runnable no earlier than readyAt.
 // The task does not run until a Dispatcher hands it to a processor.
@@ -61,11 +52,8 @@ func (e *Engine) NewTask(name string, readyAt int64, fn func(*Ctx)) *Task {
 func (e *Engine) InitTask(t *Task, name string, readyAt int64, fn func(*Ctx)) {
 	*t = Task{Name: name, fn: fn, created: e.tasksMade}
 	e.tasksMade++
-	if e.inj != nil && e.inj.Tracks(name) {
-		var panics bool
-		if t.spawnIdx, panics = e.inj.Spawn(name); panics {
-			t.fn = func(*Ctx) { panic(fault.InjectedPanic{Task: name}) }
-		}
+	if e.inj != nil && e.inj.Spawn(name) {
+		t.fn = func(*Ctx) { panic(fault.InjectedPanic{Task: name}) }
 	}
 	t.ctx = Ctx{eng: e, task: t, readyAt: readyAt}
 	e.liveTasks++

@@ -26,9 +26,9 @@ type chromeEvent struct {
 // WriteChrome writes events as Chrome trace_event JSON: per-processor
 // "X" (complete) slices reconstructed from Run → Block/Done pairs — the
 // same reconstruction Timeline uses — plus thread-scoped "i" (instant)
-// markers for enqueues, steals, readies, faults, redistributions, and
-// retries, and "M" metadata naming each processor row. backend labels
-// the process ("sim" or "native"). The output loads in Perfetto and
+// markers for enqueues, steals, readies, faults and redistributions,
+// and "M" metadata naming each processor row. backend labels the
+// process ("sim" or "native"). The output loads in Perfetto and
 // chrome://tracing.
 func WriteChrome(w io.Writer, events []Event, procs int, backend string) error {
 	var out []chromeEvent
@@ -84,7 +84,7 @@ func WriteChrome(w io.Writer, events []Event, procs int, backend string) error {
 				Cat: "queue", TS: e.Time, PID: 0, TID: tid,
 				Args: map[string]any{"task": e.Task, "server": e.Arg},
 			})
-		case KindSteal, KindFault, KindRedistribute, KindRetry:
+		case KindSteal, KindFault, KindRedistribute:
 			if !inRange {
 				continue
 			}

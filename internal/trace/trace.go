@@ -34,10 +34,6 @@ const (
 	// KindRedistribute: a task was moved off a failed server (Proc =
 	// failed server, Arg = surviving server that received it).
 	KindRedistribute
-	// KindRetry: a task's launch aborted transiently on Proc and will be
-	// retried (Arg = server chosen for the next attempt, -1 when the
-	// retry budget is exhausted and the run gives up).
-	KindRetry
 	// KindShed: the task was dispatched past its WithDeadline deadline
 	// and completed without running (Arg = the deadline).
 	KindShed
@@ -62,8 +58,6 @@ func (k Kind) String() string {
 		return "fault"
 	case KindRedistribute:
 		return "redist"
-	case KindRetry:
-		return "retry"
 	case KindShed:
 		return "shed"
 	}

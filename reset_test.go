@@ -200,8 +200,8 @@ func TestResetRewindsArena(t *testing.T) {
 
 // TestResetCounterFidelity runs a first job whose every spawn is shed
 // (an already-expired deadline), then asserts the second, clean job on
-// the same warm runtime reports zero deadline misses, faults, and
-// retries — per-worker rows included. This is the report-fidelity
+// the same warm runtime reports zero deadline misses and faults —
+// per-worker rows included. This is the report-fidelity
 // contract runtime reuse must keep: a job's report never bleeds a
 // predecessor's counters.
 func TestResetCounterFidelity(t *testing.T) {
@@ -234,9 +234,9 @@ func TestResetCounterFidelity(t *testing.T) {
 	}
 	sumJob(t, rt, 8)
 	second := rt.Report()
-	if second.Total.DeadlineMisses != 0 || second.Total.FaultEvents != 0 || second.Total.Retries != 0 {
-		t.Fatalf("second job reports bled counters: DeadlineMisses=%d FaultEvents=%d Retries=%d",
-			second.Total.DeadlineMisses, second.Total.FaultEvents, second.Total.Retries)
+	if second.Total.DeadlineMisses != 0 || second.Total.FaultEvents != 0 {
+		t.Fatalf("second job reports bled counters: DeadlineMisses=%d FaultEvents=%d",
+			second.Total.DeadlineMisses, second.Total.FaultEvents)
 	}
 	for p, row := range second.Per {
 		if row.DeadlineMisses != 0 {

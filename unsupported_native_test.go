@@ -11,9 +11,8 @@ import (
 // TestConfigOptionBackendMatrix drives every Config option through
 // NewRuntime on both backends and pins the support matrix: the options
 // whose semantics require the simulated machine itself — Machine,
-// CycleLimit, Quantum — and the simulator-only fault plans and retries
-// — Faults, Retry — are rejected natively, and each rejection names its
-// option. Everything else, Deadline included, must construct on both
+// CycleLimit, Quantum — and the simulator-only fault plans (Faults) are
+// rejected natively, and each rejection names its option. Everything else, Deadline included, must construct on both
 // backends.
 func TestConfigOptionBackendMatrix(t *testing.T) {
 	dash := machine.DASH(4)
@@ -28,7 +27,6 @@ func TestConfigOptionBackendMatrix(t *testing.T) {
 		{"Seed", func(c *cool.Config) { c.Seed = 7 }, false},
 		{"TraceCapacity", func(c *cool.Config) { c.TraceCapacity = 64 }, false},
 		{"Faults", func(c *cool.Config) { c.Faults = cool.NewFaultPlan().StallProcessor(1, 1000, 100) }, true},
-		{"Retry", func(c *cool.Config) { c.Retry = &cool.RetryPolicy{MaxAttempts: 3} }, true},
 		{"Deadline", func(c *cool.Config) { c.Deadline = 10_000_000_000 }, false},
 		{"Machine", func(c *cool.Config) { c.Machine = &dash }, true},
 		{"CycleLimit", func(c *cool.Config) { c.CycleLimit = 1_000_000 }, true},
