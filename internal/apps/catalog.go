@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	cool "github.com/coolrts/cool"
+	"github.com/coolrts/cool/internal/apps/harness"
 )
 
 // This file is the serving view of the registry: what a long-lived
@@ -83,13 +84,24 @@ func CatalogHasPrepare(app string) bool {
 // the reusable handle, or (nil, nil) when the app has no separable
 // analyze phase. The handle is read-only across runs: a serving layer
 // may cache it and replay any number of (app, size) jobs through
-// RunCatalogPrepared.
+// RunCatalogPrepared, then hand it back through ReleasePrepared.
 func PrepareCatalog(app, size string) (any, error) {
 	a, n, err := catalogJob(app, size)
 	if err != nil {
 		return nil, err
 	}
 	return a.Prepare(n)
+}
+
+// ReleasePrepared hands back a handle PrepareCatalog returned, once no
+// run can still read it and no cache holds it, so that a later
+// PrepareCatalog of equal parameters refills its storage instead of
+// allocating. A handle is released at most once and never run after;
+// nil, and a handle of an app that recycles nothing, are ignored.
+func ReleasePrepared(prep any) {
+	if r, ok := prep.(harness.Releaser); ok {
+		r.Release()
+	}
 }
 
 // RunCatalogPrepared executes one catalog job, reusing prep from

@@ -83,7 +83,9 @@ type Workload interface {
 // state that depends only on the parameters, not on any runtime, is
 // read-only across runs and so can back any number of them on either
 // backend (pancho's symbolic factorization, panel partition and each
-// factor entry's stored position).
+// factor entry's stored position). A handle that is a Releaser goes
+// back through Release once no run can read it, and a later Prepare of
+// equal parameters refills it.
 type Preparer interface {
 	Prepare() (any, error)
 }
@@ -97,7 +99,8 @@ type Instance interface {
 }
 
 // Releaser is implemented by instances that keep per-job host scratch
-// in a Stash. Program.Run calls Release once Finish has returned the
+// in a Stash, and by prepared handles whose storage is recycled.
+// Program.Run calls an instance's Release once Finish has returned the
 // job's evidence, handing the scratch to the next job of equal
 // parameters; the instance must not be used after it. A caller that
 // drives an Instance itself may keep it and never call Release.

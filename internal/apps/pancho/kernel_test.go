@@ -111,7 +111,7 @@ func TestFactorGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := hashF64(ref.f.Val); got != g.ref {
+			if got := hashF64(ref.want); got != g.ref {
 				t.Errorf("reference factor hash %#x, want %#x", got, g.ref)
 			}
 			if g.panels == 0 {
@@ -149,7 +149,7 @@ func TestIndefinitePivotFails(t *testing.T) {
 	}{{2, 187}, {1, 457}} {
 		width := c.width
 		prm := Params{Grid: Program.Sizes["small"]}.normalize() // only names the handle
-		prep, err := newPrep(prm, a, sparse.BuildPanelSet(sparse.Analyze(a), width, 0), new(refCell))
+		prep, err := newPrep(prm, a, sparse.BuildPanelSet(nil, sparse.Analyze(nil, a, nil), width, 0, nil), new(refCell))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,13 +175,27 @@ func TestIndefinitePivotFails(t *testing.T) {
 // BenchmarkPrepare is the analyze phase at the serving catalog's small
 // preset: assemble, order, analyze, partition, the update DAG and each
 // true entry's stored position. The reference factor is not part of it.
+// fresh drops every Prep, as a caller that keeps its handles does;
+// recycled releases each one, so the next Prepare refills it.
 func BenchmarkPrepare(b *testing.B) {
 	prm := Params{Grid: Program.Sizes["small"]}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := prm.Prepare(); err != nil {
-			b.Fatal(err)
+	for _, recycle := range []bool{false, true} {
+		name := "fresh"
+		if recycle {
+			name = "recycled"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prep, err := prm.Prepare()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if recycle {
+					prep.(*Prep).Release()
+				}
+			}
+		})
 	}
 }
 

@@ -210,7 +210,7 @@ func TestFinishInPlaceMatchesExtracted(t *testing.T) {
 					if want := sparse.ResidualNorm(prep.a, f); math.Float64bits(res.Residual) != math.Float64bits(want) {
 						t.Errorf("%s: residual %v, extracted factor's %v", name, res.Residual, want)
 					}
-					if want := sparse.MaxDiff(ref.f, f); math.Float64bits(res.MaxDiff) != math.Float64bits(want) {
+					if want := sparse.MaxDiff(&sparse.Factor{Val: ref.want}, f); math.Float64bits(res.MaxDiff) != math.Float64bits(want) {
 						t.Errorf("%s: maxdiff %v, extracted factor's %v", name, res.MaxDiff, want)
 					}
 					// The last true entry of the middle column.

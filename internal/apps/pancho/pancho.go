@@ -13,10 +13,12 @@
 package pancho
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	cool "github.com/coolrts/cool"
 	"github.com/coolrts/cool/internal/apps/harness"
@@ -110,6 +112,7 @@ func (r Result) Verify(serial bool) string {
 // from job to job through stash, and refitted to the job's Prep by fit.
 type app struct {
 	prep      *Prep
+	ownsPrep  bool // Build made prep inline: Release hands it back
 	ps        *sparse.PanelSet
 	dsts      [][]int32
 	remaining []int32
@@ -156,8 +159,8 @@ var products = harness.Stash[Params, []float64]{Cap: 8}
 func (ap *app) fit(prep *Prep) {
 	ps := prep.ps
 	np := len(ps.Panels)
-	ap.prep, ap.ps, ap.dsts = prep, ps, prep.dsts
-	ap.remaining = append(ap.remaining[:0], prep.nupd...)
+	ap.prep, ap.ps, ap.dsts = prep, ps, prep.deps.Dsts
+	ap.remaining = append(ap.remaining[:0], prep.deps.NUpd...)
 	ap.arrs = resize(ap.arrs, np)
 	ap.mons = resize(ap.mons, np)
 	ap.upd = resize(ap.upd, np)
@@ -194,13 +197,16 @@ func resize[E any](s []E, n int) []E {
 
 // Release returns the scratch to the stash once the job's evidence is
 // taken, dropping the runtime's handles and the Prep so the stash holds
-// neither.
+// neither, and hands back a Prep Build made inline.
 func (ap *app) Release() {
 	clear(ap.arrs)
 	clear(ap.mons)
-	prm := ap.prep.prm
+	prep, owned := ap.prep, ap.ownsPrep // ap is the next job's once stashed
 	ap.prep, ap.ps, ap.dsts = nil, nil, nil
-	stash.Put(prm, ap)
+	stash.Put(prep.prm, ap)
+	if owned {
+		prep.Release()
+	}
 }
 
 // Prep is the reusable analyze-phase output for one workload: the
@@ -213,30 +219,71 @@ func (ap *app) Release() {
 // resident turns routing affinity into avoided work. The checker's
 // serial reference is not analyze-phase output: ref points at a cell
 // shared by every Prep of the same grid, filled by the first Finish.
+//
+// A Prep's storage is recycled: Release hands it to preps, and the next
+// Prepare of equal Params refills it in place, together with the
+// analyze phase's temporaries in work, so a warm Prepare allocates
+// nothing.
 type Prep struct {
-	prm  Params
-	a    *sparse.Sym
-	ps   *sparse.PanelSet
-	dsts [][]int32
-	nupd []int32
-	lpos []int32 // per true entry of L, in LColPtr order: its index in its panel's array
-	ref  *refCell
+	prm      Params
+	a        *sparse.Sym
+	ps       *sparse.PanelSet
+	deps     sparse.Deps
+	lpos     []int32 // per true entry of L, in LColPtr order: its index in its panel's array
+	ref      *refCell
+	work     sparse.Scratch
+	released bool // in preps, or poisoned: no run may read it
 }
+
+// preps holds released Preps for the next Prepare of equal Params (see
+// harness.Stash): two per catalog preset.
+var preps = harness.Stash[Params, *Prep]{Cap: 8}
+
+// poisonReleased is PoisonReleased's switch.
+var poisonReleased atomic.Bool
+
+// PoisonReleased is a test hook: while it is on, Release poisons a Prep
+// instead of stashing it — every matrix value becomes NaN and the Prep
+// stays marked released — so a run that still reads a Prep after its
+// release fails instead of reading a refill that happens to match.
+func PoisonReleased(on bool) { poisonReleased.Store(on) }
 
 // Prepare runs the analyze phase: everything a factorization needs that
-// depends only on the workload parameters, not on the runtime.
+// depends only on the workload parameters, not on the runtime. It
+// refills a Prep an earlier job of equal Params released, when there is
+// one.
 func (prm Params) Prepare() (any, error) {
 	prm = prm.normalize()
-	a := sparse.GridLaplacianND(prm.Grid)
-	ps := sparse.BuildPanelSet(sparse.Analyze(a), prm.MaxPanel, prm.RelaxFill)
-	return newPrep(prm, a, ps, refFor(prm.Grid))
+	prep, ok := preps.Take(prm)
+	if !ok {
+		prep = new(Prep)
+	}
+	prep.released = false
+	if err := prep.fill(prm); err != nil {
+		return nil, err
+	}
+	return prep, nil
 }
 
-// newPrep completes the analyze phase of matrix a partitioned as ps; ref
-// is the reference cell of a's matrix.
-func newPrep(prm Params, a *sparse.Sym, ps *sparse.PanelSet, ref *refCell) (*Prep, error) {
+// fill runs the analyze phase of prm into prep's storage.
+func (prep *Prep) fill(prm Params) error {
+	w := &prep.work
+	prep.a = sparse.GridLaplacianND(prep.a, prm.Grid, w)
+	var symb *sparse.Symb
+	if prep.ps != nil {
+		symb = prep.ps.S
+	}
+	symb = sparse.Analyze(symb, prep.a, w)
+	prep.ps = sparse.BuildPanelSet(prep.ps, symb, prm.MaxPanel, prm.RelaxFill, w)
+	prep.prm, prep.ref = prm, refFor(prm.Grid)
+	return prep.index()
+}
+
+// index fills the update DAG and lpos from the panel set.
+func (prep *Prep) index() error {
+	ps := prep.ps
 	symb := ps.S
-	lpos := make([]int32, symb.LNNZ())
+	prep.lpos = resize(prep.lpos, symb.LNNZ())
 	for j := 0; j < symb.N; j++ {
 		p := ps.Panels[ps.Owner[j]]
 		off := int(ps.ColPtr[j] - ps.PanelOff(p))
@@ -245,21 +292,41 @@ func newPrep(prm Params, a *sparse.Sym, ps *sparse.PanelSet, ref *refCell) (*Pre
 		for q, r := range symb.LCol(j) {
 			pos := storedPos(ps, p, j, r, &cur)
 			if pos < 0 {
-				return nil, fmt.Errorf("pancho prepare: true entry (%d,%d) missing from stored structure", r, j)
+				return fmt.Errorf("pancho prepare: true entry (%d,%d) missing from stored structure", r, j)
 			}
-			lpos[base+int64(q)] = int32(off + pos)
+			prep.lpos[base+int64(q)] = int32(off + pos)
 		}
 	}
-	dsts, nupd := ps.Deps()
-	return &Prep{prm: prm, a: a, ps: ps, dsts: dsts, nupd: nupd, lpos: lpos, ref: ref}, nil
+	ps.Deps(&prep.deps)
+	return nil
 }
 
-// refCell is the serial oracle of one matrix: its reference factor, the
-// residual's fixed probe x and A·x. The first Finish that needs it fills
-// it; it is read-only after.
+// Release hands the Prep back for a later Prepare of equal Params to
+// refill. Call it once, when no run can read the Prep any more: the
+// registry does for a Prep Build made inline, and the serving layer for
+// one its residency did not keep.
+func (prep *Prep) Release() {
+	if prep.released {
+		panic("pancho: Prep released twice")
+	}
+	prep.released = true
+	if poisonReleased.Load() {
+		for i := range prep.a.Val {
+			prep.a.Val[i] = math.NaN()
+		}
+		return
+	}
+	preps.Put(prep.prm, prep)
+}
+
+// refCell is the serial oracle of one matrix: its reference factor's
+// values (on L's structure, which each Prep of the matrix holds), the
+// residual's fixed probe x and A·x. The first Finish that needs it
+// fills it; it is read-only after. It keeps no part of the Prep that
+// filled it, whose storage a later Prepare refills.
 type refCell struct {
 	once  sync.Once
-	f     *sparse.Factor
+	want  []float64
 	x, ax []float64
 	err   error
 }
@@ -272,9 +339,11 @@ func (prep *Prep) reference() (*refCell, error) {
 	c := prep.ref
 	c.once.Do(func() {
 		a := prep.a
-		if c.f, c.err = factorRef(a, prep.ps.S); c.err != nil {
+		f, err := factorRef(a, prep.ps.S)
+		if c.err = err; err != nil {
 			return
 		}
+		c.want = f.Val
 		// The probe of sparse.ResidualNorm.
 		c.x = make([]float64, a.N)
 		for i := range c.x {
@@ -298,9 +367,11 @@ func refFor(grid int) *refCell {
 
 // Build lays the workload out as version v asks, reusing a handle from
 // Prepare when the caller kept one (the serving layer's resident-space
-// fast path) and running the analyze phase inline otherwise.
+// fast path) and running the analyze phase inline otherwise; an inline
+// Prep goes back at Release.
 func (prm Params) Build(rt *cool.Runtime, v int, prep any) (harness.Instance, error) {
-	if prep == nil {
+	inline := prep == nil
+	if inline {
 		var err error
 		if prep, err = prm.Prepare(); err != nil {
 			return nil, err
@@ -310,10 +381,15 @@ func (prm Params) Build(rt *cool.Runtime, v int, prep any) (harness.Instance, er
 	if !ok {
 		return nil, fmt.Errorf("pancho: prepared handle has type %T, want *pancho.Prep", prep)
 	}
+	if pp.released {
+		return nil, errors.New("pancho: prepared handle used after its Release")
+	}
 	if pp.prm != prm.normalize() {
 		return nil, fmt.Errorf("pancho: prep built for %+v, job wants %+v", pp.prm, prm.normalize())
 	}
-	return build(rt, pp, Variants[v].Distribute), nil
+	ap := build(rt, pp, Variants[v].Distribute)
+	ap.ownsPrep = inline
+	return ap, nil
 }
 
 // build lays a prepared workload out in the runtime's memory. The Prep
@@ -633,7 +709,7 @@ func (ap *app) Finish() (harness.Evidence, error) {
 		return nil, fmt.Errorf("pancho: reference factor: %w", err)
 	}
 	symb := ap.ps.S
-	want, x := ref.f.Val, ref.x
+	want, x := ref.want, ref.x
 	y, _ := products.Take(prep.prm) // y = L (Lᵀ x)
 	y = resize(y, symb.N)
 	clear(y)

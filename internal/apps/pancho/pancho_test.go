@@ -157,6 +157,17 @@ func TestPanelCompletedOnce(t *testing.T) {
 	}
 }
 
+// newPrep hand-builds a handle: the analyze phase of matrix a
+// partitioned as ps, under prm's name; ref is the reference cell of a's
+// matrix.
+func newPrep(prm Params, a *sparse.Sym, ps *sparse.PanelSet, ref *refCell) (*Prep, error) {
+	prep := &Prep{prm: prm, a: a, ps: ps, ref: ref}
+	if err := prep.index(); err != nil {
+		return nil, err
+	}
+	return prep, nil
+}
+
 // isolatedLeaves hand-builds TestPanelCompletedOnce's handle: a
 // 32-column matrix, one column per panel, under the name of the small
 // preset (grid 32) whose matrix it is not. Like any hand-built handle it
@@ -174,7 +185,7 @@ func isolatedLeaves(t *testing.T) *Prep {
 		t.Fatal(err)
 	}
 	prm := Params{Grid: Program.Sizes["small"]}.normalize() // only names the handle
-	prep, err := newPrep(prm, a, sparse.BuildPanelSet(sparse.Analyze(a), 1, 0), new(refCell))
+	prep, err := newPrep(prm, a, sparse.BuildPanelSet(nil, sparse.Analyze(nil, a, nil), 1, 0, nil), new(refCell))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -337,6 +337,11 @@ func TestDequeStealRules(t *testing.T) {
 	}
 }
 
+// TestMonitorCountsBlockedAcquisitions: a Lock that finds the monitor
+// held counts exactly one blocked acquisition, an uncontended one none.
+// The holder unlocks only once the second locker's goroutine is parked
+// in the monitor's mutex — read from its wait reason, not assumed after
+// a sleep — so the second Lock cannot find the monitor free.
 func TestMonitorCountsBlockedAcquisitions(t *testing.T) {
 	rt, mon := testRuntime(t, 1, nil)
 	m := &Monitor{}
@@ -347,16 +352,32 @@ func TestMonitorCountsBlockedAcquisitions(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		time.Sleep(5 * time.Millisecond)
-		c.Unlock(m)
+		c2 := &Ctx{w: rt.workers[0], rt: rt}
+		c2.Lock(m)
+		c2.Unlock(m)
 		close(done)
 	}()
-	c2 := &Ctx{w: rt.workers[0], rt: rt}
-	c2.Lock(m)
-	c2.Unlock(m)
+	waitParkedOnMutex("TestMonitorCountsBlockedAcquisitions.func1")
+	c.Unlock(m)
 	<-done
 	if mon.Per[0].LockBlocks != 1 {
 		t.Fatalf("LockBlocks=%d want 1", mon.Per[0].LockBlocks)
+	}
+}
+
+// waitParkedOnMutex returns once a goroutine running fn is parked in
+// sync.Mutex.Lock.
+func waitParkedOnMutex(fn string) {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			header, _, _ := strings.Cut(g, "\n")
+			if strings.Contains(header, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

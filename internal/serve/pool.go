@@ -20,24 +20,24 @@ type Runner func(rt *cool.Runtime, job *Job, res *Residency) (verify string, err
 // CatalogRunner resolves the job against the serving catalog and runs
 // it — the production runner. Keyed jobs run through the residency
 // cache: a resident space skips its analyze phase, a non-resident one
-// runs it and becomes resident. Apps with no separable analyze phase
-// pass through untouched.
+// runs it and becomes resident. A handle the residency did not keep —
+// a stolen job's, or the space Store evicted — goes back to the apps
+// layer after the run, for the next analyze phase to refill. Apps with
+// no separable analyze phase pass through untouched.
 func CatalogRunner(rt *cool.Runtime, job *Job, res *Residency) (string, error) {
-	var prep any
+	var prep, dropped any
 	if res != nil && apps.CatalogHasPrepare(job.Req.App) {
 		var ok bool
 		if prep, ok = res.Lookup(job); !ok {
-			built, err := apps.PrepareCatalog(job.Req.App, job.Req.Size)
-			if err != nil {
+			var err error
+			if prep, err = apps.PrepareCatalog(job.Req.App, job.Req.Size); err != nil {
 				return "", err
 			}
-			if built != nil {
-				res.Store(job, built)
-				prep = built
-			}
+			dropped = res.Store(job, prep)
 		}
 	}
 	r, err := apps.RunCatalogPrepared(rt, job.Req.App, job.Req.Size, prep)
+	apps.ReleasePrepared(dropped)
 	if err != nil {
 		return "", err
 	}

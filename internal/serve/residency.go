@@ -7,7 +7,11 @@ import "sync/atomic"
 // recently. It is the serving layer's version of the paper's cache
 // affinity — a space's prepared state is resident on its home runtime,
 // so running a job at home turns into avoided work, while a job stolen
-// by another runtime repeats the analyze phase there.
+// by another runtime repeats the analyze phase there. A miss still
+// repeats that work, but into recycled storage: the handles a residency
+// lets go of (Store's result) go back through apps.ReleasePrepared once
+// their run is over, and the next miss refills one instead of
+// allocating.
 //
 // Residency is deliberately scarce (small LRU capacity): if every
 // runtime could hold every space, placement would not matter. Entries
@@ -75,25 +79,32 @@ func (r *Residency) Lookup(j *Job) (any, bool) {
 }
 
 // Store makes a space's prepared state resident, evicting the least
-// recently served space when the cache is full. On a borrowed view it
-// does nothing.
-func (r *Residency) Store(j *Job, prep any) {
+// recently served space when the cache is full, and returns the handle
+// the cache let go of: the evicted space's, the space's previous one,
+// or prep itself when it keeps nothing (a borrowed view, a keyless
+// job, no capacity). The caller hands that back once no run reads it.
+func (r *Residency) Store(j *Job, prep any) (dropped any) {
 	if r.borrowed || r.cap <= 0 || j.Req.Key == "" || prep == nil {
-		return
+		return prep
 	}
 	k := idOf(j)
-	if _, ok := r.items[k]; ok {
+	if old, ok := r.items[k]; ok {
 		r.items[k] = prep
 		r.touch(k)
-		return
+		if old == prep {
+			return nil
+		}
+		return old
 	}
 	if len(r.order) >= r.cap {
+		dropped = r.items[r.order[0]]
 		delete(r.items, r.order[0])
 		copy(r.order, r.order[1:])
 		r.order = r.order[:len(r.order)-1]
 	}
 	r.items[k] = prep
 	r.order = append(r.order, k)
+	return dropped
 }
 
 // touch moves k to the most recently served end, in place.

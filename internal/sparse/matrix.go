@@ -55,14 +55,23 @@ func (a *Sym) Check() error {
 	return nil
 }
 
-// GridLaplacian returns the 5-point Laplacian of a k×k grid with
-// Dirichlet boundary (n = k², 4 on the diagonal, -1 couplings), a
-// canonical SPD matrix whose factor has the supernodal panel structure
-// the paper's Cholesky codes exploit.
-func GridLaplacian(k int) *Sym {
+// GridLaplacian fills dst (a new Sym when nil) with the 5-point
+// Laplacian of a k×k grid with Dirichlet boundary (n = k², 4 on the
+// diagonal, -1 couplings), a canonical SPD matrix whose factor has the
+// supernodal panel structure the paper's Cholesky codes exploit, and
+// returns it. dst's arrays are reused when they are large enough.
+func GridLaplacian(dst *Sym, k int) *Sym {
+	if dst == nil {
+		dst = new(Sym)
+	}
 	n := k * k
 	nnz := n + 2*k*(k-1) // the diagonal plus each grid edge once
-	a := &Sym{N: n, ColPtr: make([]int32, n+1), RowIdx: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
+	a := dst
+	a.N = n
+	a.ColPtr = grow(a.ColPtr, n+1)
+	a.RowIdx = grow(a.RowIdx, nnz)[:0]
+	a.Val = grow(a.Val, nnz)[:0]
+	a.ColPtr[0] = 0
 	idx := func(x, y int) int32 { return int32(x*k + y) }
 	for x := 0; x < k; x++ {
 		for y := 0; y < k; y++ {
@@ -82,6 +91,16 @@ func GridLaplacian(k int) *Sym {
 		}
 	}
 	return a
+}
+
+// grow returns s with length n, reusing its array when it holds n; the
+// contents are not cleared. The result is never nil, so a refilled
+// structure compares equal to a new one even where it is empty.
+func grow[E any](s []E, n int) []E {
+	if s == nil || cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // RandomSPD returns a random symmetric matrix with roughly extra

@@ -5,50 +5,67 @@ package sparse
 // ordering of the grid Laplacian reproduces that shape (the natural
 // ordering yields an almost sequential chain with no tree parallelism).
 
-// NestedDissectionGrid returns a permutation of the k×k grid in nested
-// dissection order: perm[new] = old vertex index. Each recursion splits
-// the region with a one-cell separator ordered after both halves.
-func NestedDissectionGrid(k int) []int32 {
-	perm := make([]int32, 0, k*k)
-	var rec func(x0, x1, y0, y1 int)
-	rec = func(x0, x1, y0, y1 int) {
-		w, h := x1-x0, y1-y0
-		if w <= 0 || h <= 0 {
-			return
-		}
-		if w <= 2 && h <= 2 {
-			for x := x0; x < x1; x++ {
-				for y := y0; y < y1; y++ {
-					perm = append(perm, int32(x*k+y))
-				}
-			}
-			return
-		}
-		if w >= h {
-			mid := (x0 + x1) / 2
-			rec(x0, mid, y0, y1)
-			rec(mid+1, x1, y0, y1)
-			for y := y0; y < y1; y++ { // separator column, ordered last
-				perm = append(perm, int32(mid*k+y))
-			}
-			return
-		}
-		mid := (y0 + y1) / 2
-		rec(x0, x1, y0, mid)
-		rec(x0, x1, mid+1, y1)
-		for x := x0; x < x1; x++ {
-			perm = append(perm, int32(x*k+mid))
-		}
-	}
-	rec(0, k, 0, k)
-	return perm
+// NestedDissectionGrid appends to dst[:0] a permutation of the k×k
+// grid in nested dissection order, perm[new] = old vertex index, and
+// returns it. Each recursion splits the region with a one-cell
+// separator ordered after both halves.
+func NestedDissectionGrid(dst []int32, k int) []int32 {
+	nd := ndOrder{k: k, perm: grow(dst, k*k)[:0]}
+	nd.rec(0, k, 0, k)
+	return nd.perm
 }
 
-// Permute returns P A Pᵀ for perm[new] = old, keeping the
-// lower-triangular sorted CSC invariants.
-func Permute(a *Sym, perm []int32) *Sym {
+// ndOrder is NestedDissectionGrid's recursion state.
+type ndOrder struct {
+	k    int
+	perm []int32
+}
+
+// rec orders the region [x0, x1) × [y0, y1).
+func (nd *ndOrder) rec(x0, x1, y0, y1 int) {
+	k := nd.k
+	w, h := x1-x0, y1-y0
+	if w <= 0 || h <= 0 {
+		return
+	}
+	if w <= 2 && h <= 2 {
+		for x := x0; x < x1; x++ {
+			for y := y0; y < y1; y++ {
+				nd.perm = append(nd.perm, int32(x*k+y))
+			}
+		}
+		return
+	}
+	if w >= h {
+		mid := (x0 + x1) / 2
+		nd.rec(x0, mid, y0, y1)
+		nd.rec(mid+1, x1, y0, y1)
+		for y := y0; y < y1; y++ { // separator column, ordered last
+			nd.perm = append(nd.perm, int32(mid*k+y))
+		}
+		return
+	}
+	mid := (y0 + y1) / 2
+	nd.rec(x0, x1, y0, mid)
+	nd.rec(x0, x1, mid+1, y1)
+	for x := x0; x < x1; x++ {
+		nd.perm = append(nd.perm, int32(x*k+mid))
+	}
+}
+
+// Permute fills dst (a new Sym when nil) with P A Pᵀ for perm[new] =
+// old, keeping the lower-triangular sorted CSC invariants, and returns
+// it. dst must not be a. Its temporaries come from w (nil: its own).
+func Permute(dst, a *Sym, perm []int32, w *Scratch) *Sym {
+	if dst == nil {
+		dst = new(Sym)
+	}
+	if w == nil {
+		w = new(Scratch)
+	}
 	n := a.N
-	inv := make([]int32, n) // inv[old] = new
+	w.inv = grow(w.inv, n) // inv[old] = new
+	inv := w.inv
 	for newI, old := range perm {
 		inv[old] = int32(newI)
 	}
@@ -61,7 +78,12 @@ func Permute(a *Sym, perm []int32) *Sym {
 		return ni, nj
 	}
 	// Count each new column's entries, then fill one backing array.
-	out := &Sym{N: n, ColPtr: make([]int32, n+1), RowIdx: make([]int32, a.NNZ()), Val: make([]float64, a.NNZ())}
+	out := dst
+	out.N = n
+	out.ColPtr = grow(out.ColPtr, n+1)
+	out.RowIdx = grow(out.RowIdx, a.NNZ())
+	out.Val = grow(out.Val, a.NNZ())
+	clear(out.ColPtr)
 	for j := 0; j < n; j++ {
 		rows, _ := a.Col(j)
 		for _, i := range rows {
@@ -72,7 +94,8 @@ func Permute(a *Sym, perm []int32) *Sym {
 	for j := 0; j < n; j++ {
 		out.ColPtr[j+1] += out.ColPtr[j]
 	}
-	next := append([]int32(nil), out.ColPtr[:n]...)
+	w.next = append(grow(w.next, n)[:0], out.ColPtr[:n]...)
+	next := w.next
 	for j := 0; j < n; j++ {
 		rows, vals := a.Col(j)
 		for p, i := range rows {
@@ -96,8 +119,14 @@ func Permute(a *Sym, perm []int32) *Sym {
 	return out
 }
 
-// GridLaplacianND returns the k×k grid Laplacian in nested dissection
-// order — the standard Panel/Block Cholesky workload.
-func GridLaplacianND(k int) *Sym {
-	return Permute(GridLaplacian(k), NestedDissectionGrid(k))
+// GridLaplacianND fills dst (a new Sym when nil) with the k×k grid
+// Laplacian in nested dissection order — the standard Panel/Block
+// Cholesky workload — and returns it. The natural-order matrix and the
+// ordering are w's (nil: its own).
+func GridLaplacianND(dst *Sym, k int, w *Scratch) *Sym {
+	if w == nil {
+		w = new(Scratch)
+	}
+	w.perm = NestedDissectionGrid(w.perm, k)
+	return Permute(dst, GridLaplacian(&w.grid, k), w.perm, w)
 }

@@ -7,7 +7,7 @@ import (
 
 func TestNestedDissectionIsPermutation(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 4, 7, 16, 25} {
-		perm := NestedDissectionGrid(k)
+		perm := NestedDissectionGrid(nil, k)
 		if len(perm) != k*k {
 			t.Fatalf("k=%d: perm length %d", k, len(perm))
 		}
@@ -23,9 +23,9 @@ func TestNestedDissectionIsPermutation(t *testing.T) {
 
 func TestPermuteRoundTripSpectrum(t *testing.T) {
 	// P A Pᵀ must represent the same operator: (PAPᵀ)(Px) = P(Ax).
-	a := GridLaplacian(5)
-	perm := NestedDissectionGrid(5)
-	ap := Permute(a, perm)
+	a := GridLaplacian(nil, 5)
+	perm := NestedDissectionGrid(nil, 5)
+	ap := Permute(nil, a, perm, nil)
 	if err := ap.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,8 @@ func TestPermuteRoundTripSpectrum(t *testing.T) {
 func TestNDReducesEtreeHeight(t *testing.T) {
 	// The point of nested dissection: the elimination tree gets bushy.
 	k := 16
-	nat := Analyze(GridLaplacian(k))
-	nd := Analyze(GridLaplacianND(k))
+	nat := Analyze(nil, GridLaplacian(nil, k), nil)
+	nd := Analyze(nil, GridLaplacianND(nil, k, nil), nil)
 	height := func(parent []int32) int {
 		depth := make([]int, len(parent))
 		max := 0
@@ -77,8 +77,8 @@ func TestNDReducesEtreeHeight(t *testing.T) {
 }
 
 func TestNDFactorizes(t *testing.T) {
-	a := GridLaplacianND(12)
-	s := Analyze(a)
+	a := GridLaplacianND(nil, 12, nil)
+	s := Analyze(nil, a, nil)
 	f, err := Cholesky(a, s)
 	if err != nil {
 		t.Fatal(err)
@@ -91,18 +91,18 @@ func TestNDFactorizes(t *testing.T) {
 func TestPermutePreservesSPDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		a := RandomSPD(40, 3, seed)
-		perm := NestedDissectionGrid(6) // any permutation of 36 < 40? sizes must match
+		perm := NestedDissectionGrid(nil, 6) // any permutation of 36 < 40? sizes must match
 		_ = perm
 		// Use an involution permutation of the right size instead.
 		p := make([]int32, a.N)
 		for i := range p {
 			p[i] = int32(a.N - 1 - i)
 		}
-		ap := Permute(a, p)
+		ap := Permute(nil, a, p, nil)
 		if ap.Check() != nil {
 			return false
 		}
-		s := Analyze(ap)
+		s := Analyze(nil, ap, nil)
 		_, err := Cholesky(ap, s)
 		return err == nil
 	}

@@ -15,43 +15,54 @@ type PanelSet struct {
 	Below  [][]int32 // per panel: stored rows >= End, sorted
 	Owner  []int32   // column -> panel id
 	ColPtr []int64   // stored-layout offset of each column, length N+1
+	below  []int32   // the backing array of Below
 }
 
-// BuildPanelSet computes strict supernodes and then greedily merges
+// mergeOp is a panel on BuildPanelSet's merge stack.
+type mergeOp struct {
+	start, end int
+	below      []int32
+	size       int64
+	at         int // offset of below in the arena, or -1 for a view of L
+}
+
+// BuildPanelSet computes strict supernodes of s and then greedily merges
 // adjacent panels while the zero padding introduced stays below
-// relaxFill of the merged panel's entries (and the width cap holds).
-func BuildPanelSet(s *Symb, maxWidth int, relaxFill float64) *PanelSet {
+// relaxFill of the merged panel's entries (and the width cap holds). It
+// fills dst (a new PanelSet when nil), which then refers to s, and
+// returns it; its temporaries come from w (nil: its own).
+func BuildPanelSet(dst *PanelSet, s *Symb, maxWidth int, relaxFill float64, w *Scratch) *PanelSet {
+	if dst == nil {
+		dst = new(PanelSet)
+	}
+	if w == nil {
+		w = new(Scratch)
+	}
 	if maxWidth <= 0 {
 		maxWidth = 16
 	}
-	strict := Panels(s, maxWidth)
+	w.strict = Panels(w.strict, s, maxWidth)
 
-	type work struct {
-		start, end int
-		below      []int32
-		size       int64
-		at         int // offset of below in arena, or -1 for a view of L
-	}
 	// A strict panel's Below rows are a view of its first column in L; a
-	// merged panel's live in arena, which is a stack like merged itself:
-	// a rejected merge is rolled back, an accepted one moves its rows down
-	// over the two panels it consumed. The survivors are copied into one
-	// backing array at the end.
+	// merged panel's live in the arena, which is a stack like merged
+	// itself: a rejected merge is rolled back, an accepted one moves its
+	// rows down over the two panels it consumed. The survivors are copied
+	// into one backing array at the end.
 	belowOf := func(p Panel) []int32 {
 		rows := s.LCol(p.Start)
 		i := sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= p.End })
 		return rows[i:len(rows):len(rows)]
 	}
 	sizeOf := func(start, end int, below []int32) int64 {
-		w := int64(end - start)
-		return w*(w+1)/2 + w*int64(len(below))
+		width := int64(end - start)
+		return width*(width+1)/2 + width*int64(len(below))
 	}
 
-	var merged []work
-	var arena []int32
-	for _, p := range strict {
+	merged := grow(w.merged, 0)
+	arena := grow(w.arena, 0)
+	for _, p := range w.strict {
 		b := belowOf(p)
-		cur := work{p.Start, p.End, b, sizeOf(p.Start, p.End, b), -1}
+		cur := mergeOp{p.Start, p.End, b, sizeOf(p.Start, p.End, b), -1}
 		for len(merged) > 0 {
 			prev := merged[len(merged)-1]
 			if cur.end-prev.start > maxWidth {
@@ -75,34 +86,36 @@ func BuildPanelSet(s *Symb, maxWidth int, relaxFill float64) *PanelSet {
 				base = prev.at
 			}
 			arena = arena[:base+copy(arena[base:], arena[at:])]
-			cur = work{prev.start, cur.end, arena[base:len(arena):len(arena)], ns, base}
+			cur = mergeOp{prev.start, cur.end, arena[base:len(arena):len(arena)], ns, base}
 			merged = merged[:len(merged)-1]
 		}
 		merged = append(merged, cur)
 	}
+	w.merged, w.arena = merged, arena
 
-	ps := &PanelSet{
-		S:      s,
-		Panels: make([]Panel, len(merged)),
-		Below:  make([][]int32, len(merged)),
-		Owner:  make([]int32, s.N),
-		ColPtr: make([]int64, s.N+1),
-	}
+	ps := dst
+	ps.S = s
+	ps.Panels = grow(ps.Panels, len(merged))
+	ps.Below = grow(ps.Below, len(merged))
+	ps.Owner = grow(ps.Owner, s.N)
+	ps.ColPtr = grow(ps.ColPtr, s.N+1)
+	ps.ColPtr[0] = 0
 	total := 0
-	for _, w := range merged {
-		total += len(w.below)
+	for _, m := range merged {
+		total += len(m.below)
 	}
-	flat := make([]int32, 0, total)
-	for id, w := range merged {
-		ps.Panels[id] = Panel{ID: id, Start: w.start, End: w.end}
+	flat := grow(ps.below, total)[:0]
+	for id, m := range merged {
+		ps.Panels[id] = Panel{ID: id, Start: m.start, End: m.end}
 		at := len(flat)
-		flat = append(flat, w.below...)
+		flat = append(flat, m.below...)
 		ps.Below[id] = flat[at:len(flat):len(flat)]
-		for j := w.start; j < w.end; j++ {
+		for j := m.start; j < m.end; j++ {
 			ps.Owner[j] = int32(id)
-			ps.ColPtr[j+1] = ps.ColPtr[j] + int64(w.end-j+len(w.below))
+			ps.ColPtr[j+1] = ps.ColPtr[j] + int64(m.end-j+len(m.below))
 		}
 	}
+	ps.below = flat
 	return ps
 }
 
@@ -155,30 +168,46 @@ func (ps *PanelSet) RowPos(p Panel, j int, r int32) int {
 	return p.End - j + i
 }
 
-// Deps returns, per source panel, the sorted destination panels its Below
-// rows land in, plus the per-destination incoming-update count. These are
-// the stored-structure dependencies the parallel factorization follows.
-func (ps *PanelSet) Deps() (dsts [][]int32, nupd []int32) {
+// Deps is the stored-structure dependency DAG the parallel
+// factorization follows: Dsts[s] lists, sorted, the destination panels
+// source panel s's Below rows land in, and NUpd[d] counts the updates
+// panel d receives.
+type Deps struct {
+	Dsts [][]int32
+	NUpd []int32
+	flat []int32 // the backing array of Dsts
+}
+
+// Deps fills dst (a new Deps when nil) with the panel set's update DAG
+// and returns it.
+func (ps *PanelSet) Deps(dst *Deps) *Deps {
+	if dst == nil {
+		dst = new(Deps)
+	}
 	n := len(ps.Panels)
-	dsts = make([][]int32, n)
-	nupd = make([]int32, n)
-	// One backing array: panel id's destinations are flat[at[id]:at[id+1]].
-	var flat []int32
-	at := make([]int, n+1)
+	dst.Dsts = grow(dst.Dsts, n)
+	dst.NUpd = grow(dst.NUpd, n)
+	clear(dst.NUpd)
+	// One backing array, large enough for a destination per Below row, so
+	// panel id's destinations can be cut from it as they are found.
+	rows := 0
+	for _, below := range ps.Below {
+		rows += len(below)
+	}
+	flat := grow(dst.flat, rows)[:0]
 	for id := range ps.Panels {
+		at := len(flat)
 		last := int32(-1)
 		for _, r := range ps.Below[id] {
 			d := ps.Owner[r]
 			if d != last {
 				flat = append(flat, d)
-				nupd[d]++
+				dst.NUpd[d]++
 				last = d
 			}
 		}
-		at[id+1] = len(flat)
+		dst.Dsts[id] = flat[at:len(flat):len(flat)]
 	}
-	for id := range dsts {
-		dsts[id] = flat[at[id]:at[id+1]:at[id+1]]
-	}
-	return dsts, nupd
+	dst.flat = flat
+	return dst
 }

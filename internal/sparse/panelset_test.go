@@ -7,9 +7,9 @@ import (
 
 func buildPS(t *testing.T, k, width int, relax float64) *PanelSet {
 	t.Helper()
-	a := GridLaplacianND(k)
-	s := Analyze(a)
-	return BuildPanelSet(s, width, relax)
+	a := GridLaplacianND(nil, k, nil)
+	s := Analyze(nil, a, nil)
+	return BuildPanelSet(nil, s, width, relax, nil)
 }
 
 func TestPanelSetTilesColumns(t *testing.T) {
@@ -61,10 +61,10 @@ func TestPanelSetColPtrConsistent(t *testing.T) {
 }
 
 func TestAmalgamationReducesPanelCount(t *testing.T) {
-	a := GridLaplacianND(24)
-	s := Analyze(a)
-	strict := len(Panels(s, 12))
-	relaxed := len(BuildPanelSet(s, 12, 0.8).Panels)
+	a := GridLaplacianND(nil, 24, nil)
+	s := Analyze(nil, a, nil)
+	strict := len(Panels(nil, s, 12))
+	relaxed := len(BuildPanelSet(nil, s, 12, 0.8, nil).Panels)
 	if relaxed >= strict {
 		t.Fatalf("amalgamation did not reduce panels: %d vs %d", relaxed, strict)
 	}
@@ -73,11 +73,11 @@ func TestAmalgamationReducesPanelCount(t *testing.T) {
 func TestRelaxZeroMatchesStrictSizes(t *testing.T) {
 	// With no padding budget, only zero-cost merges happen: stored size
 	// must equal the sum of strict supernode sizes.
-	a := GridLaplacianND(16)
-	s := Analyze(a)
-	ps := BuildPanelSet(s, 8, 0)
+	a := GridLaplacianND(nil, 16, nil)
+	s := Analyze(nil, a, nil)
+	ps := BuildPanelSet(nil, s, 8, 0, nil)
 	var strictSize int64
-	for _, p := range Panels(s, 8) {
+	for _, p := range Panels(nil, s, 8) {
 		w := int64(p.Width())
 		below := int64(len(s.LCol(p.Start))) - w
 		strictSize += w*(w+1)/2 + w*below
@@ -89,7 +89,8 @@ func TestRelaxZeroMatchesStrictSizes(t *testing.T) {
 
 func TestDepsMatchBelowOwners(t *testing.T) {
 	ps := buildPS(t, 16, 8, 0.5)
-	dsts, nupd := ps.Deps()
+	deps := ps.Deps(nil)
+	dsts, nupd := deps.Dsts, deps.NUpd
 	var incoming []int32 = make([]int32, len(ps.Panels))
 	for src, ds := range dsts {
 		prev := int32(-1)

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGridLaplacianShape(t *testing.T) {
-	a := GridLaplacian(4)
+	a := GridLaplacian(nil, 4)
 	if a.N != 16 {
 		t.Fatalf("N = %d", a.N)
 	}
@@ -45,7 +45,7 @@ func TestEliminationTreeChain(t *testing.T) {
 		}
 		a.ColPtr[j+1] = int32(len(a.RowIdx))
 	}
-	parent := EliminationTree(a)
+	parent := EliminationTree(nil, a, nil)
 	for j := 0; j < k-1; j++ {
 		if parent[j] != int32(j+1) {
 			t.Fatalf("parent[%d] = %d, want %d", j, parent[j], j+1)
@@ -59,8 +59,8 @@ func TestEliminationTreeChain(t *testing.T) {
 func TestAnalyzeContainsA(t *testing.T) {
 	// L's structure must contain A's lower structure, and every column's
 	// head must be the diagonal.
-	a := GridLaplacian(6)
-	s := Analyze(a)
+	a := GridLaplacian(nil, 6)
+	s := Analyze(nil, a, nil)
 	for j := 0; j < a.N; j++ {
 		lrows := s.LCol(j)
 		if int(lrows[0]) != j {
@@ -85,8 +85,8 @@ func TestAnalyzeContainsA(t *testing.T) {
 func TestAnalyzeStructureClosure(t *testing.T) {
 	// Fundamental property: if L[i][k] != 0 with i > k, then
 	// struct(L(:,k)) below i is contained in struct(L(:,i)).
-	a := GridLaplacian(5)
-	s := Analyze(a)
+	a := GridLaplacian(nil, 5)
+	s := Analyze(nil, a, nil)
 	for k := 0; k < a.N; k++ {
 		rows := s.LCol(k)
 		for p := 1; p < len(rows); p++ {
@@ -109,7 +109,7 @@ func TestAnalyzeStructureClosure(t *testing.T) {
 // boolean matrix: eliminating column k fills (i, j) for every pair of
 // its rows i >= j > k, and parent(j) is column j's first row below j.
 func TestAnalyzeMatchesDenseElimination(t *testing.T) {
-	mats := []*Sym{GridLaplacian(6), GridLaplacianND(7), GridLaplacianND(8)}
+	mats := []*Sym{GridLaplacian(nil, 6), GridLaplacianND(nil, 7, nil), GridLaplacianND(nil, 8, nil)}
 	for seed := int64(1); seed <= 4; seed++ {
 		mats = append(mats, RandomSPD(60, 3, seed))
 	}
@@ -135,7 +135,7 @@ func TestAnalyzeMatchesDenseElimination(t *testing.T) {
 				}
 			}
 		}
-		s := Analyze(a)
+		s := Analyze(nil, a, nil)
 		for j := 0; j < n; j++ {
 			var want []int32
 			for i := j; i < n; i++ {
@@ -158,8 +158,8 @@ func TestAnalyzeMatchesDenseElimination(t *testing.T) {
 }
 
 func TestCholeskyFactorsGrid(t *testing.T) {
-	a := GridLaplacian(8)
-	s := Analyze(a)
+	a := GridLaplacian(nil, 8)
+	s := Analyze(nil, a, nil)
 	f, err := Cholesky(a, s)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestCholeskyFactorsGrid(t *testing.T) {
 func TestCholeskyFactorsRandom(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		a := RandomSPD(80, 4, seed)
-		s := Analyze(a)
+		s := Analyze(nil, a, nil)
 		f, err := Cholesky(a, s)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -184,18 +184,18 @@ func TestCholeskyFactorsRandom(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := GridLaplacian(3)
+	a := GridLaplacian(nil, 3)
 	a.Val[0] = -4 // break positive definiteness
-	s := Analyze(a)
+	s := Analyze(nil, a, nil)
 	if _, err := Cholesky(a, s); err == nil {
 		t.Fatal("indefinite matrix accepted")
 	}
 }
 
 func TestPanelsPartition(t *testing.T) {
-	a := GridLaplacian(8)
-	s := Analyze(a)
-	panels := Panels(s, 8)
+	a := GridLaplacian(nil, 8)
+	s := Analyze(nil, a, nil)
+	panels := Panels(nil, s, 8)
 	// Panels must tile [0, N) contiguously.
 	next := 0
 	for i, p := range panels {
@@ -224,9 +224,9 @@ func TestPanelsPartition(t *testing.T) {
 }
 
 func TestPanelsStructureIdenticalWithin(t *testing.T) {
-	a := GridLaplacian(7)
-	s := Analyze(a)
-	for _, p := range Panels(s, 8) {
+	a := GridLaplacian(nil, 7)
+	s := Analyze(nil, a, nil)
+	for _, p := range Panels(nil, s, 8) {
 		for j := p.Start; j < p.End-1; j++ {
 			if !mergeable(s, j, j+1) {
 				t.Fatalf("panel %d columns %d,%d not mergeable", p.ID, j, j+1)
@@ -236,9 +236,9 @@ func TestPanelsStructureIdenticalWithin(t *testing.T) {
 }
 
 func TestPanelDeps(t *testing.T) {
-	a := GridLaplacian(6)
-	s := Analyze(a)
-	panels := Panels(s, 4)
+	a := GridLaplacian(nil, 6)
+	s := Analyze(nil, a, nil)
+	panels := Panels(nil, s, 4)
 	dsts, nupd := PanelDeps(s, panels)
 	// Count incoming edges two ways and cross-check.
 	var total int32
@@ -270,8 +270,8 @@ func TestPanelDeps(t *testing.T) {
 }
 
 func TestSolveRecoversKnownSolution(t *testing.T) {
-	a := GridLaplacianND(10)
-	s := Analyze(a)
+	a := GridLaplacianND(nil, 10, nil)
+	s := Analyze(nil, a, nil)
 	f, err := Cholesky(a, s)
 	if err != nil {
 		t.Fatal(err)
@@ -297,8 +297,8 @@ func TestSolveRecoversKnownSolution(t *testing.T) {
 }
 
 func TestFactorValuesFinite(t *testing.T) {
-	a := GridLaplacian(10)
-	s := Analyze(a)
+	a := GridLaplacian(nil, 10)
+	s := Analyze(nil, a, nil)
 	f, err := Cholesky(a, s)
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +314,8 @@ func TestFactorValuesFinite(t *testing.T) {
 // certificates NaN rather than leaving the running maximum at the
 // largest finite difference.
 func TestNaNFactorMeasuresNaN(t *testing.T) {
-	a := GridLaplacian(4)
-	s := Analyze(a)
+	a := GridLaplacian(nil, 4)
+	s := Analyze(nil, a, nil)
 	ref, err := Cholesky(a, s)
 	if err != nil {
 		t.Fatal(err)

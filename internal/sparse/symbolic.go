@@ -20,12 +20,35 @@ func (s *Symb) LCol(j int) []int32 {
 	return s.LRowIdx[s.LColPtr[j]:s.LColPtr[j+1]]
 }
 
-// upper returns the strict upper triangle of a in compressed-column
-// form (the transpose of its strict lower triangle): column i holds the
-// rows k < i with A(i,k) ≠ 0, in increasing order.
-func upper(a *Sym) (colPtr, rowIdx []int32) {
+// Scratch is the temporary storage of the routines that take one:
+// GridLaplacianND, Permute, EliminationTree, Analyze and
+// BuildPanelSet. The zero value is ready. Kept across calls, it lets
+// them allocate only where a size exceeds every earlier one; no result
+// refers to it. A Scratch is used by one call at a time.
+type Scratch struct {
+	grid     Sym     // GridLaplacianND's natural-order matrix
+	perm     []int32 // GridLaplacianND's ordering
+	inv      []int32 // Permute's inverse permutation
+	next     []int32 // Permute's and upper's fill cursors
+	upPtr    []int32 // the strict upper triangle (upper)
+	upRows   []int32
+	ancestor []int32   // etree's path-compression links
+	mark     []int32   // Analyze's row-subtree marks
+	cursor   []int64   // Analyze's column counts, then fill cursors
+	strict   []Panel   // BuildPanelSet's strict supernodes
+	merged   []mergeOp // BuildPanelSet's merge stack
+	arena    []int32   // BuildPanelSet's merged Below rows
+}
+
+// upper fills w.upPtr and w.upRows with the strict upper triangle of a
+// in compressed-column form (the transpose of its strict lower
+// triangle): column i holds the rows k < i with A(i,k) ≠ 0, in
+// increasing order.
+func upper(a *Sym, w *Scratch) {
 	n := a.N
-	colPtr = make([]int32, n+1)
+	w.upPtr = grow(w.upPtr, n+1)
+	colPtr := w.upPtr
+	clear(colPtr)
 	for j := 0; j < n; j++ {
 		rows, _ := a.Col(j)
 		for _, i := range rows[1:] { // skip diagonal
@@ -35,8 +58,9 @@ func upper(a *Sym) (colPtr, rowIdx []int32) {
 	for i := 0; i < n; i++ {
 		colPtr[i+1] += colPtr[i]
 	}
-	rowIdx = make([]int32, colPtr[n])
-	next := append([]int32(nil), colPtr[:n]...)
+	w.upRows = grow(w.upRows, int(colPtr[n]))
+	w.next = append(grow(w.next, n)[:0], colPtr[:n]...)
+	rowIdx, next := w.upRows, w.next
 	for j := 0; j < n; j++ {
 		rows, _ := a.Col(j)
 		for _, i := range rows[1:] {
@@ -44,21 +68,28 @@ func upper(a *Sym) (colPtr, rowIdx []int32) {
 			next[i]++
 		}
 	}
-	return colPtr, rowIdx
 }
 
-// EliminationTree computes the etree of a symmetric matrix given its
-// lower-triangle CSC form (Liu's algorithm with path compression).
-func EliminationTree(a *Sym) []int32 {
-	return etree(upper(a))
+// EliminationTree fills dst with the etree of a symmetric matrix given
+// its lower-triangle CSC form (Liu's algorithm with path compression)
+// and returns it; -1 marks a root. Its temporaries come from w (nil:
+// its own).
+func EliminationTree(dst []int32, a *Sym, w *Scratch) []int32 {
+	if w == nil {
+		w = new(Scratch)
+	}
+	upper(a, w)
+	return etree(dst, w)
 }
 
-// etree runs Liu's algorithm over the upper triangle's columns, which it
-// must process strictly in increasing order.
-func etree(upPtr, upRows []int32) []int32 {
+// etree runs Liu's algorithm over the upper triangle in w, whose
+// columns it must process strictly in increasing order, into dst.
+func etree(dst []int32, w *Scratch) []int32 {
+	upPtr, upRows := w.upPtr, w.upRows
 	n := len(upPtr) - 1
-	parent := make([]int32, n)
-	ancestor := make([]int32, n)
+	parent := grow(dst, n)
+	w.ancestor = grow(w.ancestor, n)
+	ancestor := w.ancestor
 	for j := range parent {
 		parent[j] = -1
 		ancestor[j] = -1
@@ -79,29 +110,44 @@ func etree(upPtr, upRows []int32) []int32 {
 	return parent
 }
 
-// Analyze performs symbolic factorization by row subtrees: row i of L
-// holds i and every node on the etree paths from each k < i with
-// A(i,k) ≠ 0 up to i. A first pass over the rows counts each column's
-// entries and a second fills them into one backing array; rows are
-// visited in increasing order, so every column comes out sorted.
-func Analyze(a *Sym) *Symb {
+// Analyze performs symbolic factorization by row subtrees into dst (a
+// new Symb when nil) and returns it: row i of L holds i and every node
+// on the etree paths from each k < i with A(i,k) ≠ 0 up to i. A first
+// pass over the rows counts each column's entries and a second fills
+// them into one backing array; rows are visited in increasing order, so
+// every column comes out sorted. Its temporaries come from w (nil: its
+// own).
+func Analyze(dst *Symb, a *Sym, w *Scratch) *Symb {
+	if dst == nil {
+		dst = new(Symb)
+	}
+	if w == nil {
+		w = new(Scratch)
+	}
 	n := a.N
-	upPtr, upRows := upper(a)
-	parent := etree(upPtr, upRows)
-	s := &Symb{N: n, Parent: parent, LColPtr: make([]int64, n+1)}
-	mark := make([]int32, n)
-	next := make([]int64, n) // first pass: column counts; second: fill cursors
+	upper(a, w)
+	s := dst
+	s.N = n
+	s.Parent = etree(s.Parent, w)
+	s.LColPtr = grow(s.LColPtr, n+1)
+	s.LColPtr[0] = 0
+	upPtr, upRows, parent := w.upPtr, w.upRows, s.Parent
+	w.mark = grow(w.mark, n)
+	w.cursor = grow(w.cursor, n) // first pass: column counts; second: fill cursors
+	mark, next := w.mark, w.cursor
+	clear(next)
+	var lrows []int32 // nil while counting
 	for pass := 0; pass < 2; pass++ {
 		for j := range mark {
 			mark[j] = -1
 		}
 		for i := 0; i < n; i++ {
 			mark[i] = int32(i)
-			s.add(next, i, i)
+			add(lrows, next, i, i)
 			for _, k := range upRows[upPtr[i]:upPtr[i+1]] {
 				for j := k; mark[j] != int32(i); j = parent[j] {
 					mark[j] = int32(i)
-					s.add(next, int(j), i)
+					add(lrows, next, int(j), i)
 				}
 			}
 		}
@@ -110,17 +156,18 @@ func Analyze(a *Sym) *Symb {
 				s.LColPtr[j+1] = s.LColPtr[j] + next[j]
 			}
 			copy(next, s.LColPtr[:n])
-			s.LRowIdx = make([]int32, s.LColPtr[n])
+			s.LRowIdx = grow(s.LRowIdx, int(s.LColPtr[n]))
+			lrows = s.LRowIdx
 		}
 	}
 	return s
 }
 
-// add records row i of column j: a count until LRowIdx exists, then a
+// add records row i of column j: a count while lrows is nil, then a
 // store at j's fill cursor.
-func (s *Symb) add(next []int64, j, i int) {
-	if s.LRowIdx != nil {
-		s.LRowIdx[next[j]] = int32(i)
+func add(lrows []int32, next []int64, j, i int) {
+	if lrows != nil {
+		lrows[next[j]] = int32(i)
 	}
 	next[j]++
 }
@@ -136,14 +183,15 @@ type Panel struct {
 // Width returns the number of columns in the panel.
 func (p Panel) Width() int { return p.End - p.Start }
 
-// Panels partitions the columns of L into supernodal panels: column j+1
-// joins j's panel when parent(j) == j+1 and struct(L(:,j)) is
-// struct(L(:,j+1)) plus the diagonal, capped at maxWidth columns.
-func Panels(s *Symb, maxWidth int) []Panel {
+// Panels appends to dst[:0] the partition of L's columns into
+// supernodal panels and returns it: column j+1 joins j's panel when
+// parent(j) == j+1 and struct(L(:,j)) is struct(L(:,j+1)) plus the
+// diagonal, capped at maxWidth columns.
+func Panels(dst []Panel, s *Symb, maxWidth int) []Panel {
 	if maxWidth <= 0 {
 		maxWidth = 8
 	}
-	var panels []Panel
+	panels := grow(dst, 0)
 	j := 0
 	for j < s.N {
 		end := j + 1
