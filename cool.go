@@ -62,10 +62,9 @@ const (
 	// wall-clock nanoseconds; the memory system is the host's, so cache
 	// counters and cycle charges are not modelled. Deadline, per-task
 	// deadlines (WithDeadline) and typed task panics work natively, with
-	// cycle quantities read as wall-clock nanoseconds. The options that
-	// need the simulated machine (Machine, CycleLimit, Quantum) and the
-	// simulator-only fault plans (Faults) are rejected with
-	// *UnsupportedOnNativeError.
+	// cycle quantities read as wall-clock nanoseconds. Machine, which
+	// describes the simulated machine, and the simulator-only fault plans
+	// (Faults) are rejected with *UnsupportedOnNativeError.
 	BackendNative
 )
 
@@ -109,31 +108,24 @@ type Config struct {
 	// Processors is the number of server processes (and simulated
 	// processors). Required.
 	Processors int
-	// ClusterSize is the number of processors sharing one local memory
-	// (0 means DASH's 4).
-	ClusterSize int
 	// Sched selects the scheduling policy.
 	Sched SchedPolicy
-	// Quantum overrides the interleaving quantum in cycles (0 = default).
-	Quantum int64
-	// Seed drives all randomized decisions (0 = default seed 1).
+	// Seed drives all randomized decisions (0 = the machine's seed, 1 on
+	// the default DASH machine).
 	Seed int64
 	// TraceCapacity, when positive, records up to that many scheduler
 	// events (see Runtime.TraceEvents, TraceDump, TraceTimeline).
 	TraceCapacity int
-	// Machine, when non-nil, overrides the full machine description
-	// (latencies, cache geometry); Processors/ClusterSize are ignored.
+	// Machine, when non-nil, replaces the DASH machine of Processors
+	// processors with a full machine description (processor count,
+	// cluster size, interleaving quantum, latencies, cache geometry), and
+	// Processors is ignored. A nonzero Seed still applies.
 	Machine *machine.Config
 	// Faults, when non-nil, is the deterministic fault-injection plan
 	// applied to the run (see FaultPlan). Invalid plans are rejected by
 	// NewRuntime. Simulator only: the native backend rejects it with
 	// *UnsupportedOnNativeError.
 	Faults *FaultPlan
-	// CycleLimit, when positive, arms a no-progress watchdog: if
-	// simulated time passes it with tasks still outstanding, Run stops
-	// and returns a *NoProgressError carrying a queue/clock snapshot
-	// instead of simulating (or hanging) forever.
-	CycleLimit int64
 	// Deadline, when positive, bounds the run to that many simulated
 	// cycles — wall-clock nanoseconds on the native backend. An
 	// over-budget run stops and returns a *DeadlineExceededError
@@ -198,31 +190,16 @@ func NewRuntime(c Config) (*Runtime, error) {
 		if c.Processors <= 0 {
 			return nil, fmt.Errorf("cool: Config.Processors must be positive")
 		}
-		if c.ClusterSize < 0 {
-			return nil, fmt.Errorf("cool: Config.ClusterSize must not be negative")
-		}
-		if c.Quantum < 0 {
-			return nil, fmt.Errorf("cool: Config.Quantum must not be negative")
-		}
 		mc = machine.DASH(c.Processors)
-		if c.ClusterSize > 0 {
-			mc.ClusterSize = c.ClusterSize
-		}
-		if c.Quantum > 0 {
-			mc.Quantum = c.Quantum
-		}
-		if c.Seed != 0 {
-			mc.Seed = c.Seed
-		}
+	}
+	if c.Seed != 0 {
+		mc.Seed = c.Seed
 	}
 	if c.Sched.QueueArraySize < 0 {
 		return nil, fmt.Errorf("cool: Config.Sched.QueueArraySize must not be negative")
 	}
 	if c.TraceCapacity < 0 {
 		return nil, fmt.Errorf("cool: Config.TraceCapacity must not be negative")
-	}
-	if c.CycleLimit < 0 {
-		return nil, fmt.Errorf("cool: Config.CycleLimit must not be negative")
 	}
 	if c.Deadline < 0 {
 		return nil, fmt.Errorf("cool: Config.Deadline must not be negative")
@@ -257,7 +234,6 @@ func NewRuntime(c Config) (*Runtime, error) {
 	if c.TraceCapacity > 0 {
 		rt.enableTracing(c.TraceCapacity)
 	}
-	rt.eng.SetCycleLimit(c.CycleLimit)
 	rt.eng.SetDeadline(c.Deadline)
 	if err := rt.armSim(); err != nil {
 		return nil, err
@@ -299,20 +275,15 @@ func CaptureRuntime(f func(*Runtime)) (restore func()) {
 	return func() { captureHook = prev }
 }
 
-// nativeUnsupported rejects configuration options whose semantics
-// require the simulated machine, and the fault plans that only the
-// simulator runs. Deadline is not in this list: it runs natively with
-// cycles read as wall-clock nanoseconds.
+// nativeUnsupported rejects the simulated machine's description and the
+// fault plans that only the simulator runs. Deadline is not in this
+// list: it runs natively with cycles read as wall-clock nanoseconds.
 func nativeUnsupported(c Config) error {
 	switch {
 	case c.Machine != nil:
 		return &UnsupportedOnNativeError{Option: "Machine"}
 	case c.Faults != nil:
 		return &UnsupportedOnNativeError{Option: "Faults"}
-	case c.CycleLimit > 0:
-		return &UnsupportedOnNativeError{Option: "CycleLimit"}
-	case c.Quantum > 0:
-		return &UnsupportedOnNativeError{Option: "Quantum"}
 	}
 	return nil
 }
@@ -383,10 +354,9 @@ func (rt *Runtime) MachineConfig() machine.Config { return rt.cfg }
 // Run executes main as the program's root task on processor 0 and
 // simulates until every task has completed. Failures come back as typed
 // errors: *TaskPanicError when a task panicked, *DeadlockError (with
-// the wait-for graph) when tasks blocked forever, *NoProgressError when
-// Config.CycleLimit was exceeded, and *DeadlineExceededError when
-// Config.Deadline was exceeded. Run never panics on task or
-// configuration faults, and may be called only once.
+// the wait-for graph) when tasks blocked forever, and
+// *DeadlineExceededError when Config.Deadline was exceeded. Run never
+// panics on task or configuration faults, and may be called only once.
 func (rt *Runtime) Run(main func(*Ctx)) (err error) {
 	if rt.ran {
 		return fmt.Errorf("cool: Runtime.Run called twice")

@@ -8,10 +8,9 @@ import (
 
 // UnsupportedOnNativeError is returned by NewRuntime when a
 // simulator-only configuration option is combined with BackendNative:
-// one that requires the simulated machine itself — Machine
-// (latency/cache overrides), CycleLimit (a bound on simulated time) or
-// Quantum (interleaving control) — or a fault plan (Faults), which only
-// the simulator runs. Deadline is not rejected: it runs natively with
+// Machine, which describes the simulated machine (latencies, caches,
+// the interleaving quantum), or a fault plan (Faults), which only the
+// simulator runs. Deadline is not rejected: it runs natively with
 // cycles read as wall-clock nanoseconds. Callers that want to run the
 // same Config on both backends should strip the sim-only options for
 // the native run rather than treat this as a failure.
@@ -23,10 +22,10 @@ func (e *UnsupportedOnNativeError) Error() string {
 	return fmt.Sprintf("cool: Config.%s is simulator-only and unsupported on the native backend", e.Option)
 }
 
-// TaskPanicError is returned by Run when a task's body panicked (or a
-// fault plan injected a panic into it). It carries the task's identity,
-// the processor it was running on, and the simulated time of the
-// failure, so faulted runs can be diagnosed and replayed.
+// TaskPanicError is returned by Run when a task's body panicked. It
+// carries the task's identity, the processor it was running on, and the
+// simulated time of the failure, so faulted runs can be diagnosed and
+// replayed.
 type TaskPanicError = fault.TaskFailure
 
 // WaitEdge is one edge of a deadlock's wait-for graph: a blocked task
@@ -38,17 +37,10 @@ type WaitEdge = fault.WaitEdge
 // waitfor scope it is parked on — the wait-for graph of the deadlock.
 type DeadlockError = fault.Deadlock
 
-// NoProgressError is returned by Run when the simulator's no-progress
-// watchdog fired with work still outstanding: Config.CycleLimit was set
-// and simulated time passed it. It carries a clock and queue snapshot
-// instead of letting the run spin forever.
-type NoProgressError = fault.NoProgress
-
 // DeadlineExceededError is returned by Run when Config.Deadline was set
 // and simulated time (wall-clock time on the native backend) passed it
-// with work still outstanding. Unlike NoProgressError (a watchdog
-// against runaway simulations), the deadline is a hard budget on an
-// otherwise healthy run, so the error carries a progress snapshot:
-// per-server queue depths and, on the simulator, the blocked tasks with
-// what they wait on.
+// with work still outstanding: a hard budget on the run, and the one
+// bound that stops a runaway simulation. The error carries a progress
+// snapshot: per-server queue depths and, on the simulator, the blocked
+// tasks with what they wait on.
 type DeadlineExceededError = fault.DeadlineExceeded

@@ -9,11 +9,10 @@ import (
 )
 
 // FaultPlan is a deterministic schedule of fault events applied to a
-// run: processor slowdowns, stalls, permanent failures, memory-module
-// degradation, and injected task panics. On the simulator every event
-// is pinned to simulated time, so a run with the same Config (seed) and
-// the same plan replays cycle for cycle — fault experiments are
-// reproducible. Fault plans run on the simulator only: NewRuntime
+// run: processor slowdowns, stalls, permanent failures and
+// memory-module degradation. On the simulator every event is pinned to
+// simulated time, so a run with the same Config and the same plan
+// replays cycle for cycle — fault experiments are reproducible. Fault plans run on the simulator only: NewRuntime
 // rejects one on the native backend with *UnsupportedOnNativeError.
 // The builder methods append events and return the plan for chaining:
 //
@@ -56,14 +55,6 @@ func (p *FaultPlan) DegradeMemory(cluster int, at, factor int64) *FaultPlan {
 	return p
 }
 
-// PanicTask makes the nth task spawned with the given name (0-based
-// creation order) panic when it first runs; Run then returns a
-// *TaskPanicError.
-func (p *FaultPlan) PanicTask(name string, nth int) *FaultPlan {
-	p.plan.PanicTask(name, nth)
-	return p
-}
-
 // Len returns the number of events in the plan.
 func (p *FaultPlan) Len() int { return len(p.plan.Events) }
 
@@ -94,8 +85,6 @@ func (p *FaultPlan) BuilderString() string {
 			fmt.Fprintf(&b, "FailProcessor(%d, %d)", ev.Proc, ev.At)
 		case fault.MemDegrade:
 			fmt.Fprintf(&b, "DegradeMemory(%d, %d, %d)", ev.Cluster, ev.At, ev.Factor)
-		case fault.TaskPanic:
-			fmt.Fprintf(&b, "PanicTask(%q, %d)", ev.Task, ev.Nth)
 		default:
 			fmt.Fprintf(&b, "/* unknown event %v */", ev)
 		}
@@ -103,8 +92,8 @@ func (p *FaultPlan) BuilderString() string {
 	return b.String()
 }
 
-// RandomFaultPlan builds a reproducible plan of n non-panic fault
-// events (slowdowns, stalls, memory degradation, and at most procs-1
+// RandomFaultPlan builds a reproducible plan of n fault events
+// (slowdowns, stalls, memory degradation, and at most procs-1
 // permanent failures) for stress testing: the same seed always yields
 // the same plan. It is the generator behind the chaos campaign driver
 // (coolbench -chaos).
@@ -112,9 +101,8 @@ func RandomFaultPlan(seed int64, procs, clusters, n int) *FaultPlan {
 	return &FaultPlan{plan: *fault.Random(seed, procs, clusters, n)}
 }
 
-// applyFaults validates the plan against the machine, arms every timed
-// event on the engine's event heap before the run starts, and hands the
-// engine the plan's injector for the planted task panics.
+// applyFaults validates the plan against the machine and arms every
+// event on the engine's event heap before the run starts.
 func (rt *Runtime) applyFaults(p *FaultPlan) error {
 	if err := p.plan.Validate(rt.cfg.Processors, rt.cfg.Clusters()); err != nil {
 		return fmt.Errorf("cool: invalid Config.Faults: %w", err)
@@ -146,7 +134,6 @@ func (rt *Runtime) applyFaults(p *FaultPlan) error {
 			})
 		}
 	}
-	rt.eng.SetInjector(fault.NewInjector(&p.plan))
 	rt.eng.SetFailHandler(func(p *sim.Proc, running *sim.Task, now int64) {
 		rt.sched.FailServer(p.ID, running, now)
 	})

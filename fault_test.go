@@ -2,6 +2,7 @@ package cool_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,44 +10,28 @@ import (
 	cool "github.com/coolrts/cool"
 )
 
-// runFaulted executes a 32-task parallel sum on 8 processors under the
-// given fault plan, spawning each task with the options variant returns.
-// It reports the runtime (for counters), the per-task completion marks,
-// and Run's error.
+// runFaulted executes runSum on 8 processors under the given fault
+// plan.
 func runFaulted(t *testing.T, plan *cool.FaultPlan, variant func(part *cool.F64, i int) []cool.SpawnOpt) (*cool.Runtime, []int, error) {
 	t.Helper()
-	rt, err := cool.NewRuntime(cool.Config{Processors: 8, Seed: 11, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tasks = 32
-	data := rt.NewF64Pages(tasks*512, 3)
-	for i := range data.Data {
-		data.Data[i] = 1
-	}
-	hits := make([]int, tasks)
-	runErr := rt.Run(func(ctx *cool.Ctx) {
-		ctx.WaitFor(func() {
-			for i := 0; i < tasks; i++ {
-				i := i
-				part := data.Slice(i*512, (i+1)*512)
-				ctx.Spawn("worker", func(c *cool.Ctx) {
-					s := 0.0
-					for _, v := range c.ReadF64Range(part, 0, part.Len()) {
-						s += v
-					}
-					c.Compute(5000)
-					hits[i] += int(s) / part.Len() // 1 per completed run
-				}, variant(part, i)...)
-			}
-		})
-	})
-	return rt, hits, runErr
+	return runSum(t, cool.Config{Processors: 8, Seed: 11, Faults: plan}, variant)
 }
 
-// runWithConfig executes the same 32-task parallel sum as runFaulted but
-// under an arbitrary Config, so the deadline tests can add theirs.
+// runWithConfig executes runSum under an arbitrary Config, so the
+// deadline tests can add theirs, with each task bound to its part by
+// object affinity.
 func runWithConfig(t *testing.T, cfg cool.Config) (*cool.Runtime, []int, error) {
+	t.Helper()
+	return runSum(t, cfg, func(part *cool.F64, i int) []cool.SpawnOpt {
+		return []cool.SpawnOpt{cool.ObjectAffinity(part.Base)}
+	})
+}
+
+// runSum executes a 32-task parallel sum on a runtime built from cfg,
+// spawning each task with the options variant returns. It reports the
+// runtime (for counters), the per-task completion marks, and Run's
+// error.
+func runSum(t *testing.T, cfg cool.Config, variant func(part *cool.F64, i int) []cool.SpawnOpt) (*cool.Runtime, []int, error) {
 	t.Helper()
 	rt, err := cool.NewRuntime(cfg)
 	if err != nil {
@@ -61,7 +46,6 @@ func runWithConfig(t *testing.T, cfg cool.Config) (*cool.Runtime, []int, error) 
 	runErr := rt.Run(func(ctx *cool.Ctx) {
 		ctx.WaitFor(func() {
 			for i := 0; i < tasks; i++ {
-				i := i
 				part := data.Slice(i*512, (i+1)*512)
 				ctx.Spawn("worker", func(c *cool.Ctx) {
 					s := 0.0
@@ -70,7 +54,7 @@ func runWithConfig(t *testing.T, cfg cool.Config) (*cool.Runtime, []int, error) 
 					}
 					c.Compute(5000)
 					hits[i] += int(s) / part.Len() // 1 per completed run
-				}, cool.ObjectAffinity(part.Base))
+				}, variant(part, i)...)
 			}
 		})
 	})
@@ -198,40 +182,67 @@ func TestChaosPlanSurface(t *testing.T) {
 		t.Fatalf("WithoutEvent mutated the original or kept the event: %d/%d", shrunk.Len(), p.Len())
 	}
 	// A hand-built plan round-trips through BuilderString recognizably.
-	h := cool.NewFaultPlan().PanicTask("w", 2).DegradeMemory(1, 100, 3)
+	h := cool.NewFaultPlan().SlowProcessor(4, 10, 3, 500).StallProcessor(2, 50, 7).
+		FailProcessor(6, 900).DegradeMemory(1, 100, 3)
 	bs := h.BuilderString()
-	for _, want := range []string{`PanicTask("w", 2)`, "DegradeMemory(1, 100, 3)"} {
+	for _, want := range []string{"SlowProcessor(4, 10, 3, 500)", "StallProcessor(2, 50, 7)",
+		"FailProcessor(6, 900)", "DegradeMemory(1, 100, 3)"} {
 		if !strings.Contains(bs, want) {
 			t.Fatalf("BuilderString %q missing %q", bs, want)
 		}
 	}
 }
 
+// plantedPanic is the value a test task body panics with.
+const plantedPanic = "planted panic"
+
+// runPanicking spawns tasks tasks named name on a runtime built from
+// cfg and returns Run's *TaskPanicError. The spawns are numbered in the
+// spawning code, in the simulator's deterministic spawn order; the body
+// of spawn nth panics with plantedPanic at its top, the others compute.
+func runPanicking(t *testing.T, cfg cool.Config, name string, tasks, nth int) *cool.TaskPanicError {
+	t.Helper()
+	rt, err := cool.NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Run(func(ctx *cool.Ctx) {
+		ctx.WaitFor(func() {
+			for i := 0; i < tasks; i++ {
+				ctx.Spawn(name, func(c *cool.Ctx) {
+					if i == nth {
+						panic(plantedPanic)
+					}
+					c.Compute(1000)
+				})
+			}
+		})
+	})
+	var pe *cool.TaskPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("nth %d: err = %v (%T), want *cool.TaskPanicError", nth, err, err)
+	}
+	return pe
+}
+
+// TestInjectedTaskPanicTyped: a panic planted at the top of the 8th of
+// 32 spawns' bodies fails Run with a *cool.TaskPanicError carrying the
+// planted value, and strikes the same processor at the same simulated
+// cycle every time the program runs.
 func TestInjectedTaskPanicTyped(t *testing.T) {
-	run := func() *cool.TaskPanicError {
-		plan := cool.NewFaultPlan().PanicTask("worker", 7)
-		_, _, err := runFaulted(t, plan, func(part *cool.F64, i int) []cool.SpawnOpt { return nil })
-		var pe *cool.TaskPanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("err = %v (%T), want *cool.TaskPanicError", err, err)
-		}
-		return pe
+	cfg := cool.Config{Processors: 8, Seed: 11}
+	a, b := runPanicking(t, cfg, "worker", 32, 7), runPanicking(t, cfg, "worker", 32, 7)
+	if a.Task != "worker" || a.Value != plantedPanic {
+		t.Fatalf("panic error = %+v, want the planted panic in worker", a)
 	}
-	pe := run()
-	if pe.Task != "worker" || !pe.Injected {
-		t.Fatalf("panic error = %+v, want injected panic in worker", pe)
-	}
-	if !strings.Contains(pe.Error(), "injected fault") {
-		t.Fatalf("message %q missing injection marker", pe.Error())
-	}
-	// Same plan again: the panic strikes the same task on the same
-	// processor at the same simulated cycle.
-	pe2 := run()
-	if pe.Proc != pe2.Proc || pe.Time != pe2.Time {
-		t.Fatalf("injected panic not deterministic: P%d@%d vs P%d@%d", pe.Proc, pe.Time, pe2.Proc, pe2.Time)
+	if a.Proc != b.Proc || a.Time != b.Time {
+		t.Fatalf("panic not deterministic: P%d@%d vs P%d@%d", a.Proc, a.Time, b.Proc, b.Time)
 	}
 }
 
+// TestNaturalTaskPanicTyped: a task body that panics fails Run with a
+// *cool.TaskPanicError carrying the task, the panic value and the
+// stack.
 func TestNaturalTaskPanicTyped(t *testing.T) {
 	rt := newRT(t, 4)
 	err := rt.Run(func(ctx *cool.Ctx) {
@@ -246,34 +257,66 @@ func TestNaturalTaskPanicTyped(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *cool.TaskPanicError", err, err)
 	}
-	if pe.Task != "bad" || pe.Injected || pe.Time < 250 {
-		t.Fatalf("panic error = %+v, want natural panic in bad at t>=250", pe)
+	if pe.Task != "bad" || pe.Time < 250 {
+		t.Fatalf("panic error = %+v, want a panic in bad at t>=250", pe)
 	}
 	if !strings.Contains(err.Error(), "invariant violated") || pe.Stack == "" {
 		t.Fatalf("error lost panic payload or stack: %v", err)
 	}
 }
 
+// TestDeadlineExceededTypedError: a deadline below what the program
+// needs stops the run with a progress snapshot, queue depths and clocks
+// for every server, on a healthy parallel sum and on a livelocked spin
+// that only the deadline can end.
 func TestDeadlineExceededTypedError(t *testing.T) {
-	// A deadline far below the healthy runtime must stop the run with a
-	// progress snapshot: queue depths for every server and the blocked
-	// tasks' wait edges.
-	_, _, err := runWithConfig(t, cool.Config{Processors: 8, Seed: 11, Deadline: 3000})
-	var de *cool.DeadlineExceededError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %v (%T), want *cool.DeadlineExceededError", err, err)
+	sum := func(t *testing.T, cfg cool.Config) error {
+		_, _, err := runWithConfig(t, cfg)
+		return err
 	}
-	if de.Deadline != 3000 || de.Time <= de.Deadline {
-		t.Fatalf("DeadlineExceededError = %+v, want Time past Deadline 3000", de)
+	spin := func(t *testing.T, cfg cool.Config) error {
+		rt, err := cool.NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt.Run(func(ctx *cool.Ctx) {
+			ctx.WaitFor(func() {
+				ctx.Spawn("spin", func(c *cool.Ctx) {
+					for { // livelock: only the deadline can end the run
+						c.Compute(1000)
+					}
+				})
+			})
+		})
 	}
-	if len(de.QueueDepths) != 8 || len(de.Clocks) != 8 {
-		t.Fatalf("snapshot sizes = %d queues, %d clocks, want 8/8", len(de.QueueDepths), len(de.Clocks))
-	}
-	if de.LiveTasks == 0 {
-		t.Fatal("LiveTasks = 0, but the run was cut off mid-flight")
-	}
-	if !strings.Contains(err.Error(), "deadline 3000 exceeded") {
-		t.Fatalf("unhelpful message: %s", err.Error())
+	for _, tc := range []struct {
+		name string
+		cfg  cool.Config
+		run  func(*testing.T, cool.Config) error
+	}{
+		{"sum", cool.Config{Processors: 8, Seed: 11, Deadline: 3000}, sum},
+		{"spin", cool.Config{Processors: 2, Deadline: 100_000}, spin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run(t, tc.cfg)
+			var de *cool.DeadlineExceededError
+			if !errors.As(err, &de) {
+				t.Fatalf("err = %v (%T), want *cool.DeadlineExceededError", err, err)
+			}
+			if de.Deadline != tc.cfg.Deadline || de.Time <= de.Deadline {
+				t.Fatalf("DeadlineExceededError = %+v, want Time past Deadline %d", de, tc.cfg.Deadline)
+			}
+			procs := tc.cfg.Processors
+			if len(de.QueueDepths) != procs || len(de.Clocks) != procs {
+				t.Fatalf("snapshot sizes = %d queues, %d clocks, want %d/%d", len(de.QueueDepths), len(de.Clocks), procs, procs)
+			}
+			if de.LiveTasks == 0 {
+				t.Fatal("LiveTasks = 0, but the run was cut off mid-flight")
+			}
+			if want := fmt.Sprintf("deadline %d exceeded", tc.cfg.Deadline); !strings.Contains(err.Error(), want) {
+				t.Fatalf("unhelpful message: %s", err.Error())
+			}
+		})
 	}
 }
 
@@ -306,34 +349,6 @@ func TestRetryAndDeadlineConfigValidation(t *testing.T) {
 	}
 }
 
-func TestCycleLimitWatchdog(t *testing.T) {
-	rt, err := cool.NewRuntime(cool.Config{Processors: 2, CycleLimit: 100_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = rt.Run(func(ctx *cool.Ctx) {
-		ctx.WaitFor(func() {
-			ctx.Spawn("spin", func(c *cool.Ctx) {
-				for { // livelock: only the watchdog can end the run
-					c.Compute(1000)
-				}
-			})
-		})
-	})
-	var np *cool.NoProgressError
-	if !errors.As(err, &np) {
-		t.Fatalf("err = %v (%T), want *cool.NoProgressError", err, err)
-	}
-	// Time is the last consistently-simulated cycle before the limit
-	// would have been crossed.
-	if np.CycleLimit != 100_000 || np.Time == 0 || np.Time > 100_000 || np.LiveTasks < 1 {
-		t.Fatalf("watchdog error = %+v", np)
-	}
-	if len(np.Clocks) != 2 || !strings.Contains(np.Snapshot, "P0") {
-		t.Fatalf("watchdog missing clock/queue snapshot: %+v", np)
-	}
-}
-
 func TestMemoryDegradationSlowsRun(t *testing.T) {
 	cycles := func(plan *cool.FaultPlan) int64 {
 		rt, hits, err := runFaulted(t, plan, func(part *cool.F64, i int) []cool.SpawnOpt { return nil })
@@ -354,11 +369,8 @@ func TestInvalidConfigReturnsError(t *testing.T) {
 	bad := []cool.Config{
 		{Processors: 0},
 		{Processors: -4},
-		{Processors: 4, ClusterSize: -1},
-		{Processors: 4, Quantum: -5},
 		{Processors: 4, Sched: cool.SchedPolicy{QueueArraySize: -1}},
 		{Processors: 4, TraceCapacity: -1},
-		{Processors: 4, CycleLimit: -1},
 	}
 	for _, cfg := range bad {
 		if _, err := cool.NewRuntime(cfg); err == nil {

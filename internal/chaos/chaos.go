@@ -56,8 +56,8 @@ const (
 	// Leak: the run completed but ran a different number of tasks than
 	// the fault-free run — work was lost or duplicated.
 	Leak
-	// Unexpected: the run failed; no fault a campaign plans should stop
-	// a run (a deadlock, the watchdog, a panic).
+	// Unexpected: the run failed (a deadlock, a task panic, a plan
+	// NewRuntime rejects); no fault a campaign plans should stop a run.
 	Unexpected
 )
 

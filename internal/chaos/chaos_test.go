@@ -58,8 +58,9 @@ func TestCampaignsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestShrinkerFindsMinimalPlan plants one genuinely failing event (an
-// injected panic — chaos never generates those, so it is always an
+// TestShrinkerFindsMinimalPlan plants one genuinely failing event (a
+// slowdown of a processor the P=8 machine does not have — chaos never
+// generates one, and NewRuntime rejects the plan, so it is always an
 // Unexpected failure) among benign noise, and checks the shrinker
 // reduces the plan to exactly that event.
 func TestShrinkerFindsMinimalPlan(t *testing.T) {
@@ -68,11 +69,11 @@ func TestShrinkerFindsMinimalPlan(t *testing.T) {
 	c.Plan = cool.NewFaultPlan().
 		SlowProcessor(1, 0, 4, 50_000).
 		StallProcessor(2, 5_000, 5_000).
-		PanicTask("update", 0).
+		SlowProcessor(99, 0, 2, 0).
 		DegradeMemory(1, 0, 2)
 	o := NewOracle()
-	if out := o.Run(app, c); out.Verdict != Unexpected {
-		t.Fatalf("planted panic classified as %v, want unexpected", out.Verdict)
+	if out := o.Run(app, c); out.Verdict != Unexpected || !strings.Contains(out.Detail, "out of range") {
+		t.Fatalf("planted out-of-range event classified as %v (%s), want unexpected", out.Verdict, out.Detail)
 	}
 	min, out := o.Shrink(app, c)
 	if out.Verdict != Unexpected {
@@ -81,7 +82,7 @@ func TestShrinkerFindsMinimalPlan(t *testing.T) {
 	if min.Plan.Len() != 1 {
 		t.Fatalf("shrunk to %d events, want 1:\n%s", min.Plan.Len(), min.Plan.BuilderString())
 	}
-	if bs := min.Plan.BuilderString(); !strings.Contains(bs, `PanicTask("update", 0)`) {
+	if bs := min.Plan.BuilderString(); !strings.Contains(bs, "SlowProcessor(99, 0, 2, 0)") {
 		t.Fatalf("shrinker kept the wrong event:\n%s", bs)
 	}
 }

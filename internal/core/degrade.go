@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
 
 	"github.com/coolrts/cool/internal/fault"
 	"github.com/coolrts/cool/internal/sim"
@@ -129,24 +127,6 @@ func (s *Scheduler) NoteFault(now int64, proc int, what string, arg int64) {
 		s.Mon.Per[proc].FaultEvents++
 	}
 	s.Trace.Add(now, proc, trace.KindFault, what, arg)
-}
-
-// Snapshot renders the per-server queue state — the diagnostic embedded
-// in no-progress watchdog errors.
-func (s *Scheduler) Snapshot() string {
-	var b strings.Builder
-	b.WriteString("scheduler queues:")
-	total := 0
-	for i, d := range s.QueueDepths() {
-		if d < 0 {
-			fmt.Fprintf(&b, " P%d:0 dead", i)
-			continue
-		}
-		fmt.Fprintf(&b, " P%d:%d", i, d)
-		total += d
-	}
-	fmt.Fprintf(&b, " (total %d queued)", total)
-	return b.String()
 }
 
 // QueueDepths returns the number of tasks queued on each server (dead

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/coolrts/cool/internal/sim"
@@ -123,18 +122,6 @@ func TestPlacementAvoidsDeadServers(t *testing.T) {
 	// survivor to stay close to that memory.
 	if _, sv, _, _ := s.Place(Affinity{Kind: AffObject, ObjectObj: obj}, 0); !s.ServerAlive(sv) || !s.Cfg.SameCluster(sv, 3) {
 		t.Fatalf("object placement chose %d, want same-cluster survivor", sv)
-	}
-}
-
-func TestSnapshotMarksDeadServers(t *testing.T) {
-	s, _ := newSched(t, 4, DefaultPolicy())
-	s.Enqueue(mkTask(s, "w", ClassPlain, 1, -1, 0), 0)
-	s.FailServer(2, nil, 0)
-	snap := s.Snapshot()
-	for _, want := range []string{"P1:1", "P2:0 dead", "total 1 queued"} {
-		if !strings.Contains(snap, want) {
-			t.Fatalf("snapshot %q missing %q", snap, want)
-		}
 	}
 }
 

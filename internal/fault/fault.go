@@ -1,12 +1,11 @@
 // Package fault defines deterministic fault-injection plans. A Plan is
 // an explicit list of fault events — processor slowdowns, stalls,
-// permanent failures, memory-module degradation, and injected task
-// panics — that the runtime applies at fixed times. On the simulator
-// every event is pinned to simulated time (not wall clock) and plans
-// carry no hidden randomness, so a run with the same seed and the same
-// plan is exactly reproducible: fault experiments replay cycle for
-// cycle. Plans run on the simulator only; the native backend rejects
-// them.
+// permanent failures and memory-module degradation — that the runtime
+// applies at fixed times. On the simulator every event is pinned to
+// simulated time (not wall clock) and plans carry no hidden randomness,
+// so a run with the same Config and the same plan is exactly
+// reproducible: fault experiments replay cycle for cycle. Plans run on
+// the simulator only; the native backend rejects them.
 package fault
 
 import (
@@ -32,9 +31,6 @@ const (
 	// MemDegrade multiplies a cluster memory module's service latency
 	// and occupancy by Factor from time At onward.
 	MemDegrade
-	// TaskPanic makes the Nth task spawned with name Task panic when it
-	// first runs, exercising the structured failure path.
-	TaskPanic
 )
 
 // String names the kind.
@@ -48,8 +44,6 @@ func (k Kind) String() string {
 		return "fail"
 	case MemDegrade:
 		return "memdegrade"
-	case TaskPanic:
-		return "taskpanic"
 	}
 	return "?"
 }
@@ -57,13 +51,11 @@ func (k Kind) String() string {
 // Event is one scheduled fault.
 type Event struct {
 	Kind    Kind
-	At      int64  // simulated cycle the fault strikes (not used by TaskPanic)
-	Proc    int    // target processor (Slowdown, Stall, Fail)
-	Cluster int    // target memory module (MemDegrade)
-	Factor  int64  // cost multiplier >= 2 (Slowdown, MemDegrade)
-	Cycles  int64  // stall length, or slowdown duration (0 = permanent)
-	Task    string // task name (TaskPanic)
-	Nth     int    // which spawn with that name panics, 0-based (TaskPanic)
+	At      int64 // simulated cycle the fault strikes
+	Proc    int   // target processor (Slowdown, Stall, Fail)
+	Cluster int   // target memory module (MemDegrade)
+	Factor  int64 // cost multiplier >= 2 (Slowdown, MemDegrade)
+	Cycles  int64 // stall length, or slowdown duration (0 = permanent)
 }
 
 // String renders one event.
@@ -80,8 +72,6 @@ func (ev Event) String() string {
 		return fmt.Sprintf("fail P%d @%d", ev.Proc, ev.At)
 	case MemDegrade:
 		return fmt.Sprintf("memdegrade C%d x%d @%d", ev.Cluster, ev.Factor, ev.At)
-	case TaskPanic:
-		return fmt.Sprintf("panic task %q #%d", ev.Task, ev.Nth)
 	}
 	return "?"
 }
@@ -115,12 +105,6 @@ func (p *Plan) Fail(proc int, at int64) *Plan {
 // factor from time at onward.
 func (p *Plan) DegradeMemory(cluster int, at, factor int64) *Plan {
 	p.Events = append(p.Events, Event{Kind: MemDegrade, Cluster: cluster, At: at, Factor: factor})
-	return p
-}
-
-// PanicTask makes the nth task spawned with the given name panic.
-func (p *Plan) PanicTask(name string, nth int) *Plan {
-	p.Events = append(p.Events, Event{Kind: TaskPanic, Task: name, Nth: nth})
 	return p
 }
 
@@ -199,13 +183,6 @@ func (p *Plan) Validate(procs, clusters int) error {
 			if ev.Factor < 2 {
 				return fmt.Errorf("fault: event %d: degrade factor %d must be >= 2", i, ev.Factor)
 			}
-		case TaskPanic:
-			if ev.Task == "" {
-				return fmt.Errorf("fault: event %d: empty task name", i)
-			}
-			if ev.Nth < 0 {
-				return fmt.Errorf("fault: event %d: negative task index %d", i, ev.Nth)
-			}
 		default:
 			return fmt.Errorf("fault: event %d: unknown kind %d", i, ev.Kind)
 		}
@@ -216,8 +193,7 @@ func (p *Plan) Validate(procs, clusters int) error {
 	return nil
 }
 
-// Random builds a reproducible plan of n non-panic fault events
-// (slowdowns, stalls, memory degradation, and at most procs-1 permanent
+// Random builds a reproducible plan of n fault events (slowdowns, stalls, memory degradation, and at most procs-1 permanent
 // failures) for stress testing. The same seed always yields the same
 // plan, and every generated plan passes Validate: a slowdown that would
 // overlap an earlier one on its processor becomes a stall, and so does a

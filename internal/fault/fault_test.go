@@ -19,12 +19,11 @@ func TestValidateCatchesBadEvents(t *testing.T) {
 		{"negative time", (&Plan{}).Stall(0, -5, 100), "negative time"},
 		{"zero stall", (&Plan{}).Stall(0, 0, 0), "stall length"},
 		{"cluster out of range", (&Plan{}).DegradeMemory(2, 0, 4), "out of range"},
-		{"empty task name", (&Plan{}).PanicTask("", 0), "task name"},
 		{"all procs fail", (&Plan{}).Fail(0, 0).Fail(1, 0), "must survive"},
 		{"duplicate fail", (&Plan{}).Fail(0, 0).Fail(0, 500), "retired twice"},
 		{"overlapping slowdowns", (&Plan{}).Slow(0, 100, 4, 1000).Slow(0, 600, 2, 1000), "overlaps"},
 		{"permanent slowdown overlap", (&Plan{}).Slow(0, 100, 4, 0).Slow(0, 9_999_999, 2, 10), "overlaps"},
-		{"negative panic index", (&Plan{}).PanicTask("w", -1), "task index"},
+		{"unknown kind", &Plan{Events: []Event{{Kind: MemDegrade + 1}}}, "unknown kind"},
 	}
 	for _, tc := range cases {
 		err := tc.plan.Validate(2, 2)
@@ -33,7 +32,7 @@ func TestValidateCatchesBadEvents(t *testing.T) {
 		}
 	}
 	ok := (&Plan{}).Slow(1, 100, 4, 0).Stall(0, 50, 1000).Fail(1, 200).
-		DegradeMemory(0, 0, 2).PanicTask("worker", 3).
+		DegradeMemory(0, 0, 2).
 		Slow(0, 0, 2, 50).Slow(0, 50, 2, 50) // adjacent windows do not overlap
 	if err := ok.Validate(2, 2); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
@@ -56,8 +55,6 @@ func TestValidatePropertyNeverPanics(t *testing.T) {
 				Cluster: rng.Intn(7) - 2,
 				Factor:  int64(rng.Intn(8) - 2),
 				Cycles:  int64(rng.Intn(2001) - 1000),
-				Task:    []string{"", "w", "worker"}[rng.Intn(3)],
-				Nth:     rng.Intn(5) - 2,
 			})
 		}
 		err1 := p.Validate(4, 1)
@@ -83,8 +80,6 @@ func FuzzPlanValidate(f *testing.F) {
 				Proc:   int(int8(data[i+2])) % 8,
 				Factor: int64(data[i+3]%8) - 1,
 				Cycles: int64(int8(data[i+3])) * 10,
-				Task:   "w",
-				Nth:    int(int8(data[i+1])),
 			})
 		}
 		_ = p.Validate(4, 1) // must not panic
@@ -109,8 +104,8 @@ func TestRandomPlansAreDeterministicAndValid(t *testing.T) {
 
 func TestEventStrings(t *testing.T) {
 	p := (&Plan{}).Slow(3, 10, 4, 500).Slow(3, 10, 4, 0).Stall(1, 5, 99).
-		Fail(2, 7).DegradeMemory(1, 3, 8).PanicTask("w", 2)
-	for i, want := range []string{"slowdown", "slowdown", "stall", "fail", "memdegrade", "panic"} {
+		Fail(2, 7).DegradeMemory(1, 3, 8)
+	for i, want := range []string{"slowdown", "slowdown", "stall", "fail", "memdegrade"} {
 		if got := p.Events[i].String(); !strings.Contains(got, want) {
 			t.Errorf("event %d: %q missing %q", i, got, want)
 		}

@@ -5,28 +5,22 @@ import (
 	"strings"
 )
 
-// This file declares, once, what the engines report when a fault (or a
-// plain application panic) ends a task or a stop ends the run: every
-// error shape Run returns as-is through the public API, and the panic
-// value a plan plants.
+// This file declares, once, what the engines report when a task panics
+// or a stop ends the run: every error shape Run returns as-is through
+// the public API.
 
-// TaskFailure reports a task whose body panicked (or had a panic planted
-// by a fault plan): public as cool.TaskPanicError.
+// TaskFailure reports a task whose body panicked: public as
+// cool.TaskPanicError.
 type TaskFailure struct {
-	Task     string // task label passed to Spawn ("main" for the root task)
-	Proc     int    // processor the task was running on
-	Time     int64  // simulated cycle of the panic (wall-clock nanoseconds since Run, natively)
-	Value    any    // the panic value
-	Stack    string // goroutine stack at the panic
-	Injected bool   // true when planted by a fault plan
+	Task  string // task label passed to Spawn ("main" for the root task)
+	Proc  int    // processor the task was running on
+	Time  int64  // simulated cycle of the panic (wall-clock nanoseconds since Run, natively)
+	Value any    // the panic value
+	Stack string // goroutine stack at the panic
 }
 
 func (e *TaskFailure) Error() string {
-	kind := "panicked"
-	if e.Injected {
-		kind = "panicked (injected fault)"
-	}
-	return fmt.Sprintf("cool: task %q %s on P%d at cycle %d: %v", e.Task, kind, e.Proc, e.Time, e.Value)
+	return fmt.Sprintf("cool: task %q panicked on P%d at cycle %d: %v", e.Task, e.Proc, e.Time, e.Value)
 }
 
 // WaitEdge is one edge of a deadlock's wait-for graph: a blocked task
@@ -79,26 +73,6 @@ func writeWaits(b *strings.Builder, waits []WaitEdge) {
 	}
 }
 
-// NoProgress reports that the simulator's no-progress watchdog fired
-// with work still outstanding: public as cool.NoProgressError.
-type NoProgress struct {
-	CycleLimit   int64   // Config.CycleLimit, the limit that fired
-	Time         int64   // simulated cycle the watchdog fired
-	LiveTasks    int     // tasks not yet run to completion
-	BlockedTasks int     // tasks parked on synchronization
-	Clocks       []int64 // per-processor clocks at the stop
-	Snapshot     string  // scheduler queue state
-}
-
-func (e *NoProgress) Error() string {
-	s := fmt.Sprintf("cool: no progress: cycle limit %d exceeded at t=%d with %d live task(s), %d blocked",
-		e.CycleLimit, e.Time, e.LiveTasks, e.BlockedTasks)
-	if e.Snapshot != "" {
-		s += "\n  " + e.Snapshot
-	}
-	return s
-}
-
 // DeadlineExceeded reports that time passed the configured run deadline
 // with work still outstanding: public as cool.DeadlineExceededError.
 // Both engines build it; the native backend reads nanoseconds for
@@ -119,11 +93,4 @@ func (e *DeadlineExceeded) Error() string {
 		e.Deadline, e.Time, e.LiveTasks, e.BlockedTasks, e.QueueDepths)
 	writeWaits(&b, e.Waits)
 	return b.String()
-}
-
-// InjectedPanic is the panic value used for plan-injected task panics.
-type InjectedPanic struct{ Task string }
-
-func (p InjectedPanic) String() string {
-	return fmt.Sprintf("injected fault: task %q", p.Task)
 }

@@ -67,8 +67,9 @@ type Config struct {
 	// at some simulation cost.
 	Quantum int64
 
-	// Seed drives every random choice in the simulation, making runs
-	// fully reproducible.
+	// Seed is the run's seed (cool.Config.Seed overrides it when
+	// nonzero). The simulator makes no random choice, so runs are
+	// reproducible without it and no simulated decision reads it.
 	Seed int64
 }
 

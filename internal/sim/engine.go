@@ -15,8 +15,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-
-	"github.com/coolrts/cool/internal/fault"
 )
 
 // Dispatcher supplies tasks to idle processors. Dispatch may charge
@@ -71,13 +69,9 @@ type Engine struct {
 	failure   error
 
 	// Fault-injection state (see fault.go).
-	limit    int64       // no-progress watchdog (0 = off)
 	deadline int64       // run deadline in simulated cycles (0 = off)
 	snap     Snapshotter // scheduler diagnostics for the stop errors
 	onFail   func(p *Proc, running *Task, now int64)
-	// inj is the plan's planted task panics, nil when it plants none, so
-	// a fault-free spawn pays one branch.
-	inj fault.Injector
 }
 
 // New creates an engine with n processors.
@@ -99,12 +93,11 @@ func New(n int, quantum int64) *Engine {
 }
 
 // Reset re-arms the engine for another Run, in place: every processor
-// parked at clock zero with no accounting, no event, task or coroutine
-// left, and the fault injector disarmed. What configures the engine
-// stays: the dispatcher, the snapshotter, the fail handler, the
-// watchdog and the deadline. New ends with it, so a reset engine is a
-// new one. The coroutines a run created are stopped when it ends, so
-// Reset only forgets them.
+// parked at clock zero with no accounting, and no event, task or
+// coroutine left. What configures the engine stays: the dispatcher, the
+// snapshotter, the fail handler and the deadline. New ends with it, so
+// a reset engine is a new one. The coroutines a run created are stopped
+// when it ends, so Reset only forgets them.
 func (e *Engine) Reset() {
 	for i, p := range e.Procs {
 		*p = Proc{ID: i, eng: e}
@@ -123,7 +116,7 @@ func (e *Engine) Reset() {
 	e.coroFree = e.coroFree[:0]
 	e.seq, e.now = 0, 0
 	e.liveTasks, e.tasksMade = 0, 0
-	e.started, e.failure, e.inj = false, nil, nil
+	e.started, e.failure = false, nil
 }
 
 // setParked flips p's parked state, maintaining the idle bitmask that
@@ -417,10 +410,6 @@ func (e *Engine) Run() error {
 		ev := e.events.pop()
 		if e.deadline > 0 && ev.time > e.deadline && e.liveTasks > 0 {
 			e.failure = e.deadlineError(ev.time)
-			break
-		}
-		if e.limit > 0 && ev.time > e.limit && e.liveTasks > 0 {
-			e.failure = e.watchdogError()
 			break
 		}
 		e.now = ev.time

@@ -219,8 +219,8 @@ func TestTaskPanicBecomesError(t *testing.T) {
 	if !errors.As(err, &tf) {
 		t.Fatalf("err = %T, want *fault.TaskFailure", err)
 	}
-	if tf.Task != "boom" || tf.Proc != 0 || tf.Time != 77 || tf.Injected {
-		t.Fatalf("failure = %+v, want task boom on P0 at t=77, not injected", tf)
+	if tf.Task != "boom" || tf.Proc != 0 || tf.Time != 77 {
+		t.Fatalf("failure = %+v, want task boom on P0 at t=77", tf)
 	}
 }
 

@@ -11,16 +11,10 @@ import (
 // it to pin fault events to simulated time before or during a run.
 func (e *Engine) At(t int64, fn func()) { e.at(t, fn) }
 
-// SetCycleLimit arms the no-progress watchdog: once simulated time
-// passes limit, Run stops and returns a *fault.NoProgress instead of
-// continuing (or hanging). 0 disables the watchdog.
-func (e *Engine) SetCycleLimit(limit int64) { e.limit = limit }
-
 // Snapshotter is the scheduler's view of a stopped run, embedded in the
 // errors Run returns: its queue state and what each blocked task waits
 // on.
 type Snapshotter interface {
-	Snapshot() string                // queue state, for the watchdog error
 	QueueDepths() []int              // tasks queued per server, -1 for a dead one
 	WaitEdge(t *Task) fault.WaitEdge // what a blocked task waits on
 }
@@ -28,9 +22,6 @@ type Snapshotter interface {
 // SetSnapshot installs the scheduler's diagnostics. Without it the
 // errors carry no queue state and every wait edge reads "unknown".
 func (e *Engine) SetSnapshot(s Snapshotter) { e.snap = s }
-
-// SetInjector arms a plan's planted task panics. nil disarms them.
-func (e *Engine) SetInjector(in fault.Injector) { e.inj = in }
 
 // SetDeadline bounds the run to d simulated cycles: once an event past
 // the deadline would fire with work outstanding, Run stops and returns a
@@ -103,22 +94,6 @@ func (e *Engine) FailProc(p *Proc) {
 	if e.onFail != nil {
 		e.onFail(p, running, e.now)
 	}
-}
-
-// watchdogError builds the diagnostic returned when the cycle limit is
-// exceeded.
-func (e *Engine) watchdogError() *fault.NoProgress {
-	w := &fault.NoProgress{
-		CycleLimit:   e.limit,
-		Time:         e.now,
-		LiveTasks:    e.liveTasks,
-		BlockedTasks: len(e.blocked),
-		Clocks:       e.clocks(),
-	}
-	if e.snap != nil {
-		w.Snapshot = e.snap.Snapshot()
-	}
-	return w
 }
 
 // deadlineError builds the diagnostic returned when the run deadline is

@@ -111,44 +111,6 @@ func TestFailDetachesRunningTask(t *testing.T) {
 	}
 }
 
-func TestInjectedTaskPanic(t *testing.T) {
-	e, d := newTestEngine(t, 1)
-	e.SetInjector(fault.NewInjector(new(fault.Plan).PanicTask("w", 1)))
-	for i := 0; i < 3; i++ {
-		d.add(e.NewTask("w", 0, func(c *Ctx) { c.Charge(10) }))
-	}
-	err := e.Run()
-	var tf *fault.TaskFailure
-	if !errors.As(err, &tf) {
-		t.Fatalf("err = %v (%T), want *fault.TaskFailure", err, err)
-	}
-	if !tf.Injected || tf.Task != "w" {
-		t.Fatalf("failure = %+v, want injected panic in task w", tf)
-	}
-}
-
-func TestWatchdogStopsRunawayRun(t *testing.T) {
-	e, d := newTestEngine(t, 1)
-	e.SetCycleLimit(50_000)
-	e.SetSnapshot(snapStub("queues: test snapshot"))
-	d.add(e.NewTask("spin", 0, func(c *Ctx) {
-		for { // never terminates; only the watchdog can stop the run
-			c.Charge(100)
-		}
-	}))
-	err := e.Run()
-	var we *fault.NoProgress
-	if !errors.As(err, &we) {
-		t.Fatalf("err = %v (%T), want *fault.NoProgress", err, err)
-	}
-	if we.CycleLimit != 50_000 || we.LiveTasks != 1 || len(we.Clocks) != 1 {
-		t.Fatalf("watchdog = %+v", we)
-	}
-	if we.Snapshot != "queues: test snapshot" {
-		t.Fatalf("snapshot = %q", we.Snapshot)
-	}
-}
-
 func TestDeadlineStopsOverBudgetRun(t *testing.T) {
 	e, d := newTestEngine(t, 2)
 	e.SetDeadline(10_000)
@@ -223,9 +185,8 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 
 func b2(f func() []int64) []int64 { return f() }
 
-// snapStub is a Snapshotter reporting a fixed queue state.
-type snapStub string
+// snapStub is a Snapshotter with no queue state.
+type snapStub struct{}
 
-func (s snapStub) Snapshot() string              { return string(s) }
 func (snapStub) QueueDepths() []int              { return nil }
 func (snapStub) WaitEdge(t *Task) fault.WaitEdge { return fault.WaitEdge{Task: t.Name} }

@@ -52,9 +52,6 @@ func (e *Engine) NewTask(name string, readyAt int64, fn func(*Ctx)) *Task {
 func (e *Engine) InitTask(t *Task, name string, readyAt int64, fn func(*Ctx)) {
 	*t = Task{Name: name, fn: fn, created: e.tasksMade}
 	e.tasksMade++
-	if e.inj != nil && e.inj.Spawn(name) {
-		t.fn = func(*Ctx) { panic(fault.InjectedPanic{Task: name}) }
-	}
 	t.ctx = Ctx{eng: e, task: t, readyAt: readyAt}
 	e.liveTasks++
 }
@@ -105,10 +102,6 @@ func (co *coro) run() (st status, ok bool) {
 			return
 		}
 		f := &fault.TaskFailure{Task: t.Name, Value: r, Stack: string(debug.Stack())}
-		if ip, injected := r.(fault.InjectedPanic); injected {
-			f.Injected = true
-			f.Value = ip.String()
-		}
 		if p := t.ctx.proc; p != nil {
 			f.Proc = p.ID
 			f.Time = p.Clock

@@ -156,33 +156,16 @@ func TestRandomProgramsSurviveRandomFaults(t *testing.T) {
 }
 
 // TestRandomInjectedPanicsAreDeterministic plants a panic into a random
-// root task: the run must fail with a typed *cool.TaskPanicError that
-// strikes the same processor at the same simulated cycle every time.
+// root task, the nth spawn's body: the run must fail with a typed
+// *cool.TaskPanicError that strikes the same processor at the same
+// simulated cycle every time.
 func TestRandomInjectedPanicsAreDeterministic(t *testing.T) {
-	run := func(seed int64, nth int) *cool.TaskPanicError {
-		plan := cool.NewFaultPlan().PanicTask("root", nth)
-		rt, err := cool.NewRuntime(cool.Config{Processors: 8, Seed: seed, Faults: plan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = rt.Run(func(ctx *cool.Ctx) {
-			ctx.WaitFor(func() {
-				for i := 0; i < 6; i++ {
-					ctx.Spawn("root", func(c *cool.Ctx) { c.Compute(1000) })
-				}
-			})
-		})
-		var pe *cool.TaskPanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("seed %d nth %d: err = %v (%T), want *cool.TaskPanicError", seed, nth, err, err)
-		}
-		return pe
-	}
 	for _, seed := range []int64{5, 21} {
+		cfg := cool.Config{Processors: 8, Seed: seed}
 		for _, nth := range []int{0, 3, 5} {
-			a, b := run(seed, nth), run(seed, nth)
-			if a.Task != "root" || !a.Injected {
-				t.Fatalf("panic error = %+v, want injected panic in root", a)
+			a, b := runPanicking(t, cfg, "root", 6, nth), runPanicking(t, cfg, "root", 6, nth)
+			if a.Task != "root" || a.Value != plantedPanic {
+				t.Fatalf("panic error = %+v, want the planted panic in root", a)
 			}
 			if a.Proc != b.Proc || a.Time != b.Time {
 				t.Fatalf("seed %d nth %d: panic not deterministic (P%d@%d vs P%d@%d)",
@@ -193,22 +176,23 @@ func TestRandomInjectedPanicsAreDeterministic(t *testing.T) {
 }
 
 // TestNoGoroutineLeakUnderFaults mirrors the engine leak tests at the
-// public layer: repeated faulted runs — including ones ending in injected
-// panics, which kill redistributed and parked coroutines — must not
+// public layer: repeated faulted runs — including ones ending in a task
+// panic, which kills redistributed and parked coroutines — must not
 // accumulate goroutines.
 func TestNoGoroutineLeakUnderFaults(t *testing.T) {
 	baseline := goruntime.NumGoroutine()
 	for i := 0; i < 30; i++ {
 		seed := int64(i + 1)
 		plan := cool.RandomFaultPlan(seed, 8, clustersFor(8), 4)
+		panicAt := -1
 		if i%2 == 1 {
-			plan.PanicTask("rnd", i%5) // may or may not strike; both fine
+			panicAt = i % 5
 		}
 		rt, err := cool.NewRuntime(cool.Config{Processors: 8, Seed: seed, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runRandomTree(t, rt, seed)
+		runRandomTree(t, rt, seed, panicAt)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -220,20 +204,33 @@ func TestNoGoroutineLeakUnderFaults(t *testing.T) {
 	t.Fatalf("goroutines grew from %d to %d", baseline, goruntime.NumGoroutine())
 }
 
-// runRandomTree runs a small spawn tree where only a *TaskPanicError from
-// an armed injection is an acceptable failure.
-func runRandomTree(t *testing.T, rt *cool.Runtime, seed int64) {
+// runRandomTree runs a small spawn tree. The spawns are numbered in
+// the spawning code, in the simulator's deterministic spawn order, and
+// the body of spawn panicAt (-1 for none) panics at its top; the
+// *TaskPanicError it raises is the only acceptable failure.
+func runRandomTree(t *testing.T, rt *cool.Runtime, seed int64, panicAt int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	spawned := 0
+	spawn := func(ctx *cool.Ctx, body func(*cool.Ctx)) {
+		k := spawned
+		spawned++
+		ctx.Spawn("rnd", func(c *cool.Ctx) {
+			if k == panicAt {
+				panic(plantedPanic)
+			}
+			body(c)
+		})
+	}
 	err := rt.Run(func(ctx *cool.Ctx) {
 		ctx.WaitFor(func() {
 			for i := 0; i < 8; i++ {
 				n := int64(rng.Intn(3000))
-				ctx.Spawn("rnd", func(c *cool.Ctx) {
+				spawn(ctx, func(c *cool.Ctx) {
 					c.Compute(500 + n)
 					if n%3 == 0 {
 						c.WaitFor(func() {
-							c.Spawn("rnd", func(cc *cool.Ctx) { cc.Compute(n) })
+							spawn(c, func(cc *cool.Ctx) { cc.Compute(n) })
 						})
 					}
 				})
@@ -242,7 +239,7 @@ func runRandomTree(t *testing.T, rt *cool.Runtime, seed int64) {
 	})
 	if err != nil {
 		var pe *cool.TaskPanicError
-		if !errors.As(err, &pe) || !pe.Injected {
+		if !errors.As(err, &pe) || pe.Value != plantedPanic {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -3,6 +3,7 @@ package cool_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -552,13 +553,13 @@ func TestWarmJobAllocBytes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				jobs := warmJobBytes(t, rt, func() (apps.Result, error) {
+				jobs := warmJobBytes(t, rt, limit, func() (apps.Result, error) {
 					return apps.RunCatalogPrepared(rt, app, size, prep)
 				})
 				t.Logf("%s: first job %d bytes, later jobs %v", name, jobs[0], jobs[1:])
 				for i, b := range jobs[1:] {
 					if b > limit {
-						t.Errorf("%s: warm job %d allocated %d bytes, more than %d", name, i+2, b, limit)
+						t.Errorf("%s: warm job %d allocated %d bytes in %d tries, more than %d each time", name, i+2, b, allocTries, limit)
 					}
 					worst[size] = max(worst[size], b)
 				}
@@ -582,11 +583,11 @@ func checkWarmJobs(t *testing.T, name string, procs int, ceiling uint64, job fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := warmJobBytes(t, rt, func() (apps.Result, error) { return job(rt) })
+	jobs := warmJobBytes(t, rt, ceiling, func() (apps.Result, error) { return job(rt) })
 	t.Logf("%s P=%d: first job %d bytes, later jobs %v", name, procs, jobs[0], jobs[1:])
 	for i, b := range jobs[1:] {
 		if b > ceiling {
-			t.Errorf("%s P=%d: warm job %d allocated %d bytes, more than %d", name, procs, i+2, b, ceiling)
+			t.Errorf("%s P=%d: warm job %d allocated %d bytes in %d tries, more than %d each time", name, procs, i+2, b, allocTries, ceiling)
 		}
 	}
 }
@@ -628,9 +629,9 @@ func TestWarmLocusrouteJobAllocBytes(t *testing.T) {
 	}
 }
 
-// registryRunBytes runs app's catalog preset through the registry under
-// cfg and returns the bytes the run allocated.
-func registryRunBytes(t *testing.T, app, size string, cfg cool.Config) uint64 {
+// registryRun returns a func that runs app's catalog preset through
+// the registry under cfg.
+func registryRun(t *testing.T, app, size string, cfg cool.Config) func() {
 	t.Helper()
 	e, _ := apps.CatalogLookup(app)
 	a, _ := apps.Lookup(e.App)
@@ -638,13 +639,11 @@ func registryRunBytes(t *testing.T, app, size string, cfg cool.Config) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if _, err := a.RunCfg(cfg, e.Variant, n); err != nil {
-		t.Fatal(err)
+	return func() {
+		if _, err := a.RunCfg(cfg, e.Variant, n); err != nil {
+			t.Fatal(err)
+		}
 	}
-	runtime.ReadMemStats(&m1)
-	return m1.TotalAlloc - m0.TotalAlloc
 }
 
 // TestWarmSimJobAllocBytes guards the warm simulated machine: every
@@ -658,13 +657,13 @@ func TestWarmSimJobAllocBytes(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const ceiling = 64 << 10
-	cfg := cool.Config{Processors: 32}
-	first := registryRunBytes(t, "ocean", "medium", cfg)
-	for run := 2; run <= 4; run++ {
-		got := registryRunBytes(t, "ocean", "medium", cfg)
-		t.Logf("ocean/medium P=32: first run %d bytes, run %d %d", first, run, got)
+	run := registryRun(t, "ocean", "medium", cool.Config{Processors: 32})
+	first := allocBytes(math.MaxUint64, nil, run)
+	for r := 2; r <= 4; r++ {
+		got := allocBytes(ceiling, nil, run)
+		t.Logf("ocean/medium P=32: first run %d bytes, run %d %d", first, r, got)
 		if got > ceiling {
-			t.Errorf("ocean/medium P=32: registry run %d allocated %d bytes, more than %d", run, got, ceiling)
+			t.Errorf("ocean/medium P=32: registry run %d allocated %d bytes in %d tries, more than %d each time", r, got, allocTries, ceiling)
 		}
 	}
 }
@@ -682,23 +681,23 @@ func TestRegistryIdleRuntimesOutliveCollections(t *testing.T) {
 	// Seeds no other test uses, so no idle runtime of theirs matches.
 	cfg := func(i int) cool.Config { return cool.Config{Processors: 2, Seed: 9100 + int64(i)} }
 
-	registryRunBytes(t, "gauss", "small", cfg(0))
+	run := registryRun(t, "gauss", "small", cfg(0))
+	run()
 	first := rt
-	runtime.GC()
-	runtime.GC()
-	got := registryRunBytes(t, "gauss", "small", cfg(0))
+	// Every try runs after two collections.
+	got := allocBytes(64<<10, func() { runtime.GC(); runtime.GC() }, run)
 	if rt != first {
 		t.Fatal("the run after two collections built a new runtime")
 	}
 	t.Logf("gauss/small P=2 after two collections: %d bytes", got)
 	if !raceEnabled && got > 64<<10 {
-		t.Errorf("gauss/small P=2 after two collections allocated %d bytes, more than 64 KB", got)
+		t.Errorf("gauss/small P=2 after two collections allocated %d bytes in %d tries, more than 64 KB each time", got, allocTries)
 	}
 
 	for i := 1; i <= 16; i++ {
-		registryRunBytes(t, "gauss", "small", cfg(i))
+		registryRun(t, "gauss", "small", cfg(i))()
 	}
-	registryRunBytes(t, "gauss", "small", cfg(0))
+	run()
 	if rt == first {
 		t.Error("the first Config's runtime outlived 16 newer idle runtimes")
 	}
@@ -740,21 +739,51 @@ func BenchmarkSimRuntime(b *testing.B) {
 }
 
 // warmJobBytes runs job four times on rt, with a Reset after each, and
-// returns the bytes each run and Reset allocated.
-func warmJobBytes(t *testing.T, rt *cool.Runtime, job func() (apps.Result, error)) []uint64 {
+// returns the bytes each run and its Reset allocated: the first run
+// measured once, each later one by allocBytes against ceiling.
+func warmJobBytes(t *testing.T, rt *cool.Runtime, ceiling uint64, job func() (apps.Result, error)) []uint64 {
 	t.Helper()
-	bytes := make([]uint64, 4)
-	for i := range bytes {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+	run := func() {
 		if _, err := job(); err != nil {
 			t.Fatal(err)
 		}
 		if err := rt.Reset(); err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m1)
-		bytes[i] = m1.TotalAlloc - m0.TotalAlloc
+	}
+	bytes := []uint64{allocBytes(math.MaxUint64, nil, run)}
+	for len(bytes) < 4 {
+		bytes = append(bytes, allocBytes(ceiling, nil, run))
 	}
 	return bytes
+}
+
+// allocTries bounds the tries of one allocation guard's window. The
+// guards read the process-wide runtime.MemStats.TotalAlloc, so an
+// allocation outside the measured code can land in the window (a
+// Prepare that made nothing once read 5 248 B, most likely from a
+// collection starting its mark workers). A window over its ceiling is
+// measured again, and a guard fails only if every try is over; pancho's
+// TestPrepareRecycledAllocBytes keeps the same rule.
+const allocTries = 3
+
+// allocBytes returns the bytes one call of run allocates, measuring
+// again while a try reads more than ceiling, up to allocTries times, so
+// the result is over ceiling only if every try was. prepare, when not
+// nil, runs before each try, outside the window.
+func allocBytes(ceiling uint64, prepare, run func()) uint64 {
+	var b uint64
+	for try := 0; try < allocTries; try++ {
+		if prepare != nil {
+			prepare()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		if b = m1.TotalAlloc - m0.TotalAlloc; b <= ceiling {
+			break
+		}
+	}
+	return b
 }

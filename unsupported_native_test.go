@@ -9,10 +9,10 @@ import (
 )
 
 // TestConfigOptionBackendMatrix drives every Config option through
-// NewRuntime on both backends and pins the support matrix: the options
-// whose semantics require the simulated machine itself — Machine,
-// CycleLimit, Quantum — and the simulator-only fault plans (Faults) are
-// rejected natively, and each rejection names its option. Everything else, Deadline included, must construct on both
+// NewRuntime on both backends and pins the support matrix: Machine,
+// which describes the simulated machine, and the simulator-only fault
+// plans (Faults) are rejected natively, and each rejection names its
+// option. Everything else, Deadline included, must construct on both
 // backends.
 func TestConfigOptionBackendMatrix(t *testing.T) {
 	dash := machine.DASH(4)
@@ -22,15 +22,12 @@ func TestConfigOptionBackendMatrix(t *testing.T) {
 		simOnly bool // true: native must reject with this option's name
 	}{
 		{"", func(c *cool.Config) {}, false},
-		{"ClusterSize", func(c *cool.Config) { c.ClusterSize = 2 }, false},
 		{"Sched", func(c *cool.Config) { c.Sched = cool.SchedPolicy{ClusterStealingOnly: true} }, false},
 		{"Seed", func(c *cool.Config) { c.Seed = 7 }, false},
 		{"TraceCapacity", func(c *cool.Config) { c.TraceCapacity = 64 }, false},
 		{"Faults", func(c *cool.Config) { c.Faults = cool.NewFaultPlan().StallProcessor(1, 1000, 100) }, true},
 		{"Deadline", func(c *cool.Config) { c.Deadline = 10_000_000_000 }, false},
 		{"Machine", func(c *cool.Config) { c.Machine = &dash }, true},
-		{"CycleLimit", func(c *cool.Config) { c.CycleLimit = 1_000_000 }, true},
-		{"Quantum", func(c *cool.Config) { c.Quantum = 500 }, true},
 	}
 	for _, tc := range cases {
 		name := tc.option
