@@ -19,11 +19,10 @@
 // speedups are simulated-cycle ratios against the serial reference, as in
 // the paper.
 //
-// Three further modes have their own flag sets, selected by the first
-// argument: -xcheck (backend differential check, xcheck.go), -chaos
-// (seeded fault campaigns, chaos.go) and -trace (Chrome trace export,
-// tracecmd.go). Performance is judged by `bash benchmark/run.sh`, not
-// here.
+// Two further modes have their own flag sets, selected by the first
+// argument: -xcheck (the differential harness, xcheck.go) and -trace
+// (Chrome trace export, tracecmd.go). Performance is judged by
+// `bash benchmark/run.sh`, not here.
 package main
 
 import (
@@ -55,7 +54,6 @@ var modes = []struct {
 	prefix string
 	run    func(args []string) int
 }{
-	{"-chaos", chaosMain},
 	{"-xcheck", xcheckMain},
 	{"-trace", traceMain},
 }

@@ -62,17 +62,17 @@ func TestUnknownModeFlagIsRejected(t *testing.T) {
 }
 
 // TestModeDispatch: each surviving mode is reached through the table (an
-// unknown app is each mode's cheapest exit), and a bad -exp or -procs,
-// or a chaos flag that no longer exists, stops with exit 2 before any
-// work.
+// unknown app is each mode's cheapest exit, and an unknown app anywhere
+// in the list stops before any cell runs), and a bad -exp or -procs, or
+// the retired -chaos mode, stops with exit 2 before any work.
 func TestModeDispatch(t *testing.T) {
 	for _, tc := range []struct {
 		args, want string
 		code       int
 	}{
-		{"-chaos -chaos-apps nosuch", "coolbench -chaos: unknown app", 2},
-		{"-chaos -chaos-adapt", "flag provided but not defined: -chaos-adapt", 2},
-		{"-xcheck -xcheck-apps nosuch", "coolbench -xcheck:", 1},
+		{"-chaos -chaos-campaigns 50 -chaos-small", "flag provided but not defined: -chaos", 2},
+		{"-xcheck -xcheck-apps nosuch", "coolbench -xcheck: unknown app \"nosuch\"", 2},
+		{"-xcheck -xcheck-apps gauss,nosuch", "coolbench -xcheck: unknown app \"nosuch\"", 2},
 		{"-trace -trace-out /dev/null -trace-app nosuch", "coolbench -trace: unknown app", 2},
 		{"-exp nosuch", "unknown experiment", 2},
 		{"-exp gauss -procs 1,x", "bad -procs entry", 2},

@@ -110,16 +110,13 @@ type Config struct {
 	Processors int
 	// Sched selects the scheduling policy.
 	Sched SchedPolicy
-	// Seed drives all randomized decisions (0 = the machine's seed, 1 on
-	// the default DASH machine).
-	Seed int64
 	// TraceCapacity, when positive, records up to that many scheduler
 	// events (see Runtime.TraceEvents, TraceDump, TraceTimeline).
 	TraceCapacity int
 	// Machine, when non-nil, replaces the DASH machine of Processors
 	// processors with a full machine description (processor count,
 	// cluster size, interleaving quantum, latencies, cache geometry), and
-	// Processors is ignored. A nonzero Seed still applies.
+	// Processors is ignored.
 	Machine *machine.Config
 	// Faults, when non-nil, is the deterministic fault-injection plan
 	// applied to the run (see FaultPlan). Invalid plans are rejected by
@@ -191,9 +188,6 @@ func NewRuntime(c Config) (*Runtime, error) {
 			return nil, fmt.Errorf("cool: Config.Processors must be positive")
 		}
 		mc = machine.DASH(c.Processors)
-	}
-	if c.Seed != 0 {
-		mc.Seed = c.Seed
 	}
 	if c.Sched.QueueArraySize < 0 {
 		return nil, fmt.Errorf("cool: Config.Sched.QueueArraySize must not be negative")
@@ -291,9 +285,8 @@ func nativeUnsupported(c Config) error {
 // newNativeRuntime builds a runtime executing on the goroutine backend.
 // The DASH machine description supplies only the address-space geometry
 // (page size, cluster topology) used for object homes and victim order;
-// latencies and caches are unused. Config.Seed is accepted and ignored —
-// native runs are inherently timing-dependent. Config.Deadline is read
-// as wall-clock nanoseconds.
+// latencies and caches are unused. Config.Deadline is read as
+// wall-clock nanoseconds.
 func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, error) {
 	rt := &Runtime{cfg: mc, pub: c, backend: BackendNative}
 	rt.space = memsim.New(mc)

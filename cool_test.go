@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	cool "github.com/coolrts/cool"
-	"github.com/coolrts/cool/internal/machine"
 )
 
 func newRT(t *testing.T, procs int) *cool.Runtime {
@@ -565,31 +564,6 @@ func TestDeterministicRuns(t *testing.T) {
 	c2, t2 := run()
 	if c1 != c2 || t1 != t2 {
 		t.Fatalf("non-deterministic: %d vs %d cycles", c1, c2)
-	}
-}
-
-// TestSeedAppliesWithMachine: a nonzero Config.Seed is the run's seed
-// whether or not Config.Machine describes the machine, and a zero one
-// keeps the machine's own.
-func TestSeedAppliesWithMachine(t *testing.T) {
-	dash := machine.DASH(8)
-	dash.Seed = 3
-	for _, tc := range []struct {
-		cfg  cool.Config
-		want int64
-	}{
-		{cool.Config{Processors: 8}, 1},
-		{cool.Config{Processors: 8, Seed: 7}, 7},
-		{cool.Config{Machine: &dash}, 3},
-		{cool.Config{Machine: &dash, Seed: 7}, 7},
-	} {
-		rt, err := cool.NewRuntime(tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rt.MachineConfig().Seed; got != tc.want {
-			t.Errorf("Seed %d, Machine set %v: the machine's seed is %d, want %d", tc.cfg.Seed, tc.cfg.Machine != nil, got, tc.want)
-		}
 	}
 }
 

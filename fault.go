@@ -59,8 +59,8 @@ func (p *FaultPlan) DegradeMemory(cluster int, at, factor int64) *FaultPlan {
 func (p *FaultPlan) Len() int { return len(p.plan.Events) }
 
 // WithoutEvent returns a copy of the plan with event i removed — the
-// primitive the chaos driver's shrinker uses to minimize a failing
-// plan one event at a time.
+// primitive the differential harness's shrinker uses to minimize a
+// failing plan one event at a time.
 func (p *FaultPlan) WithoutEvent(i int) *FaultPlan {
 	q := &FaultPlan{}
 	q.plan.Events = append(q.plan.Events, p.plan.Events[:i]...)
@@ -69,8 +69,8 @@ func (p *FaultPlan) WithoutEvent(i int) *FaultPlan {
 }
 
 // BuilderString renders the plan as the chain of builder calls that
-// reconstructs it — the copy-pasteable repro the chaos driver prints
-// for a shrunk failing plan.
+// reconstructs it — the copy-pasteable repro the differential harness
+// prints for a shrunk failing plan.
 func (p *FaultPlan) BuilderString() string {
 	var b strings.Builder
 	b.WriteString("cool.NewFaultPlan()")
@@ -95,8 +95,8 @@ func (p *FaultPlan) BuilderString() string {
 // RandomFaultPlan builds a reproducible plan of n fault events
 // (slowdowns, stalls, memory degradation, and at most procs-1
 // permanent failures) for stress testing: the same seed always yields
-// the same plan. It is the generator behind the chaos campaign driver
-// (coolbench -chaos).
+// the same plan. It is the generator behind the differential harness's
+// fault arm (coolbench -xcheck).
 func RandomFaultPlan(seed int64, procs, clusters, n int) *FaultPlan {
 	return &FaultPlan{plan: *fault.Random(seed, procs, clusters, n)}
 }

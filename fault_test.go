@@ -14,7 +14,7 @@ import (
 // plan.
 func runFaulted(t *testing.T, plan *cool.FaultPlan, variant func(part *cool.F64, i int) []cool.SpawnOpt) (*cool.Runtime, []int, error) {
 	t.Helper()
-	return runSum(t, cool.Config{Processors: 8, Seed: 11, Faults: plan}, variant)
+	return runSum(t, cool.Config{Processors: 8, Faults: plan}, variant)
 }
 
 // runWithConfig executes runSum under an arbitrary Config, so the
@@ -230,7 +230,7 @@ func runPanicking(t *testing.T, cfg cool.Config, name string, tasks, nth int) *c
 // planted value, and strikes the same processor at the same simulated
 // cycle every time the program runs.
 func TestInjectedTaskPanicTyped(t *testing.T) {
-	cfg := cool.Config{Processors: 8, Seed: 11}
+	cfg := cool.Config{Processors: 8}
 	a, b := runPanicking(t, cfg, "worker", 32, 7), runPanicking(t, cfg, "worker", 32, 7)
 	if a.Task != "worker" || a.Value != plantedPanic {
 		t.Fatalf("panic error = %+v, want the planted panic in worker", a)
@@ -294,7 +294,7 @@ func TestDeadlineExceededTypedError(t *testing.T) {
 		cfg  cool.Config
 		run  func(*testing.T, cool.Config) error
 	}{
-		{"sum", cool.Config{Processors: 8, Seed: 11, Deadline: 3000}, sum},
+		{"sum", cool.Config{Processors: 8, Deadline: 3000}, sum},
 		{"spin", cool.Config{Processors: 2, Deadline: 100_000}, spin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -322,12 +322,12 @@ func TestDeadlineExceededTypedError(t *testing.T) {
 
 func TestUnreachedDeadlineIsBitIdentical(t *testing.T) {
 	// A generous deadline must not perturb the simulation at all.
-	rt1, hits, err := runWithConfig(t, cool.Config{Processors: 8, Seed: 11})
+	rt1, hits, err := runWithConfig(t, cool.Config{Processors: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkAllRanOnce(t, hits)
-	rt2, hits2, err := runWithConfig(t, cool.Config{Processors: 8, Seed: 11, Deadline: 1 << 40})
+	rt2, hits2, err := runWithConfig(t, cool.Config{Processors: 8, Deadline: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}

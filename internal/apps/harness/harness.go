@@ -50,8 +50,7 @@ type Program struct {
 	// Sizes maps preset names to the size integer Sized takes: "small",
 	// "medium" and "large" are the serving catalog's (small ones let a
 	// test stream hundreds of jobs through warm native runtimes in
-	// seconds), "smoke" is the differential and chaos harnesses' CI
-	// workload. Presets respect the app's divisibility rules.
+	// seconds), "smoke" is the differential harness's CI workload. Presets respect the app's divisibility rules.
 	Sizes map[string]int
 	// ScheduleTokens are the Verify tokens whose values legitimately
 	// depend on execution order and so may differ between schedules at

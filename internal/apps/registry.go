@@ -59,9 +59,9 @@ func (a App) Run(procs int, variant string, size int) (Result, error) {
 }
 
 // RunCfg executes the app with the named variant under an explicit base
-// runtime configuration — the chaos driver injects fault plans here,
-// the differential harness selects the execution backend, the ablations
-// pass a scheduling policy or a machine. The variant's scheduling knobs
+// runtime configuration — the differential harness selects the
+// execution backend, a scheduling policy or a fault plan here, the
+// ablations a scheduling policy or a machine. The variant's scheduling knobs
 // are applied on top.
 func (a App) RunCfg(cfg cool.Config, variant string, size int) (Result, error) {
 	return a.Program.Run(variant, a.Sized(size), cfg, nil, nil)

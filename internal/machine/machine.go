@@ -66,11 +66,6 @@ type Config struct {
 	// re-interleaves processors. Smaller values increase timing fidelity
 	// at some simulation cost.
 	Quantum int64
-
-	// Seed is the run's seed (cool.Config.Seed overrides it when
-	// nonzero). The simulator makes no random choice, so runs are
-	// reproducible without it and no simulated decision reads it.
-	Seed int64
 }
 
 // DASHLatencies returns the latency table quoted in the paper for the
@@ -110,7 +105,6 @@ func DASH(p int) Config {
 		L2:          CacheGeometry{Size: 256 << 10, Assoc: 4},
 		Lat:         DASHLatencies(),
 		Quantum:     4000,
-		Seed:        1,
 	}
 }
 

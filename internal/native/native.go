@@ -12,8 +12,10 @@
 // parking). A single native worker applies the identical dispatch
 // priority as the simulator's server — current task-affinity queue back
 // to back, then the non-empty list, then the plain queue — so a P=1
-// native run executes tasks in exactly the simulated order, which the
-// differential harness in internal/xcheck exploits.
+// native run executes tasks in the simulated order. The differential
+// harness in internal/xcheck sees that order only through the Verify
+// tokens, which it compares in full at P=1; no check compares the
+// dispatch order itself.
 package native
 
 import (

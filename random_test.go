@@ -26,7 +26,7 @@ func randomProgram(t *testing.T, seed int64, procs int) (int64, cool.Counters) {
 // processors slow down, stall, or die underneath it.
 func randomProgramFaulted(t *testing.T, seed int64, procs int, plan *cool.FaultPlan) (int64, cool.Counters) {
 	t.Helper()
-	rt, err := cool.NewRuntime(cool.Config{Processors: procs, Seed: seed, Faults: plan})
+	rt, err := cool.NewRuntime(cool.Config{Processors: procs, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRandomProgramsSurviveRandomFaults(t *testing.T) {
 // simulated cycle every time.
 func TestRandomInjectedPanicsAreDeterministic(t *testing.T) {
 	for _, seed := range []int64{5, 21} {
-		cfg := cool.Config{Processors: 8, Seed: seed}
+		cfg := cool.Config{Processors: 8}
 		for _, nth := range []int{0, 3, 5} {
 			a, b := runPanicking(t, cfg, "root", 6, nth), runPanicking(t, cfg, "root", 6, nth)
 			if a.Task != "root" || a.Value != plantedPanic {
@@ -188,7 +188,7 @@ func TestNoGoroutineLeakUnderFaults(t *testing.T) {
 		if i%2 == 1 {
 			panicAt = i % 5
 		}
-		rt, err := cool.NewRuntime(cool.Config{Processors: 8, Seed: seed, Faults: plan})
+		rt, err := cool.NewRuntime(cool.Config{Processors: 8, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}

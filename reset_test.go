@@ -678,8 +678,9 @@ func TestRegistryIdleRuntimesOutliveCollections(t *testing.T) {
 	var rt *cool.Runtime
 	restore := cool.CaptureRuntime(func(r *cool.Runtime) { rt = r })
 	defer restore()
-	// Seeds no other test uses, so no idle runtime of theirs matches.
-	cfg := func(i int) cool.Config { return cool.Config{Processors: 2, Seed: 9100 + int64(i)} }
+	// Deadlines no run reaches and no other test uses, so no idle
+	// runtime of theirs matches.
+	cfg := func(i int) cool.Config { return cool.Config{Processors: 2, Deadline: 1<<50 + int64(i)} }
 
 	run := registryRun(t, "gauss", "small", cfg(0))
 	run()

@@ -23,7 +23,6 @@ func TestConfigOptionBackendMatrix(t *testing.T) {
 	}{
 		{"", func(c *cool.Config) {}, false},
 		{"Sched", func(c *cool.Config) { c.Sched = cool.SchedPolicy{ClusterStealingOnly: true} }, false},
-		{"Seed", func(c *cool.Config) { c.Seed = 7 }, false},
 		{"TraceCapacity", func(c *cool.Config) { c.TraceCapacity = 64 }, false},
 		{"Faults", func(c *cool.Config) { c.Faults = cool.NewFaultPlan().StallProcessor(1, 1000, 100) }, true},
 		{"Deadline", func(c *cool.Config) { c.Deadline = 10_000_000_000 }, false},
