@@ -19,12 +19,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func coolbench(t *testing.T, args string) (stderr string, code int) {
+// coolbench runs coolbench on args and returns its exit code and its
+// stdout and stderr, interleaved.
+func coolbench(t *testing.T, args string) (out string, code int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "RUN_AS_COOLBENCH="+args)
 	var b strings.Builder
-	cmd.Stderr = &b
+	cmd.Stdout, cmd.Stderr = &b, &b
 	err := cmd.Run()
 	if ee, ok := err.(*exec.ExitError); ok {
 		return b.String(), ee.ExitCode()
@@ -63,8 +65,9 @@ func TestUnknownModeFlagIsRejected(t *testing.T) {
 
 // TestModeDispatch: each surviving mode is reached through the table (an
 // unknown app is each mode's cheapest exit, and an unknown app anywhere
-// in the list stops before any cell runs), and a bad -exp or -procs, or
-// the retired -chaos mode, stops with exit 2 before any work.
+// in the list stops before any cell runs), -trace without -trace-out
+// runs its cell and prints the speedup, and a bad -exp or -procs, or the
+// retired -chaos mode, stops with exit 2 before any work.
 func TestModeDispatch(t *testing.T) {
 	for _, tc := range []struct {
 		args, want string
@@ -74,12 +77,14 @@ func TestModeDispatch(t *testing.T) {
 		{"-xcheck -xcheck-apps nosuch", "coolbench -xcheck: unknown app \"nosuch\"", 2},
 		{"-xcheck -xcheck-apps gauss,nosuch", "coolbench -xcheck: unknown app \"nosuch\"", 2},
 		{"-trace -trace-out /dev/null -trace-app nosuch", "coolbench -trace: unknown app", 2},
+		{"-trace -trace-app gauss -trace-variant Base -trace-procs 2 -trace-size 48",
+			"gauss/Base P=2 backend=sim: 185097 cycles, speedup 0.82 over serial (151868 cycles)", 0},
 		{"-exp nosuch", "unknown experiment", 2},
 		{"-exp gauss -procs 1,x", "bad -procs entry", 2},
 	} {
-		stderr, code := coolbench(t, tc.args)
-		if code != tc.code || !strings.Contains(stderr, tc.want) {
-			t.Errorf("coolbench %s: exit %d, stderr %q; want %d and %q", tc.args, code, stderr, tc.code, tc.want)
+		out, code := coolbench(t, tc.args)
+		if code != tc.code || !strings.Contains(out, tc.want) {
+			t.Errorf("coolbench %s: exit %d, output %q; want %d and %q", tc.args, code, out, tc.code, tc.want)
 		}
 	}
 }

@@ -60,11 +60,11 @@ const (
 	// BackendNative executes on real goroutines, one worker per
 	// processor, with the same affinity-queue scheduler. Time is
 	// wall-clock nanoseconds; the memory system is the host's, so cache
-	// counters and cycle charges are not modelled. Deadline, per-task
-	// deadlines (WithDeadline) and typed task panics work natively, with
-	// cycle quantities read as wall-clock nanoseconds. Machine, which
-	// describes the simulated machine, and the simulator-only fault plans
-	// (Faults) are rejected with *UnsupportedOnNativeError.
+	// counters and cycle charges are not modelled. Deadline and typed
+	// task panics work natively, with the deadline read as wall-clock
+	// nanoseconds. Machine, which describes the simulated machine, and
+	// the simulator-only fault plans (Faults) are rejected with
+	// *UnsupportedOnNativeError.
 	BackendNative
 )
 

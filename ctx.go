@@ -102,8 +102,7 @@ func (c *Ctx) accessSim(addr, size int64, write bool) {
 type spawnOptions struct {
 	aff      core.Affinity
 	mutex    *Monitor
-	deadline int64 // absolute deadline (WithDeadline), 0 = none
-	nObj     int   // OBJECT affinity operands named so far
+	nObj     int // OBJECT affinity operands named so far
 	objBuf   [2]sizedObj
 	objSpill []sizedObj // every operand in order, once there are three or more
 }
@@ -157,7 +156,6 @@ const (
 	optObjectSized
 	optOnProcessor
 	optWithMutex
-	optWithDeadline
 )
 
 // apply folds one option into the accumulated spawn specification.
@@ -193,8 +191,6 @@ func (op SpawnOpt) apply(o *spawnOptions) {
 		o.aff.Processor = op.proc
 	case optWithMutex:
 		o.mutex = op.mutex
-	case optWithDeadline:
-		o.deadline = op.addr
 	}
 }
 
@@ -239,17 +235,6 @@ func WithMutex(m *Monitor) SpawnOpt {
 	return SpawnOpt{kind: optWithMutex, mutex: m}
 }
 
-// WithDeadline sets the task's absolute deadline in the runtime's own
-// clock — simulated cycles on the simulator, wall-clock nanoseconds
-// since Run on the native backend (both the scale Ctx.Now reads). A
-// task dispatched after its deadline is shed: it completes for every
-// liveness mechanism (its waitfor scope, Run's termination) without
-// running its body, and is counted in Counters.DeadlineMisses rather
-// than TasksRun. Both backends apply this one rule.
-func WithDeadline(at int64) SpawnOpt {
-	return SpawnOpt{kind: optWithDeadline, addr: at}
-}
-
 // Spawn creates a task executing fn. With no options the task has no
 // locality preference; affinity options steer its placement exactly as
 // the paper's affinity declarations do. The task is accounted to the
@@ -257,7 +242,8 @@ func WithDeadline(at int64) SpawnOpt {
 // spawns).
 func (c *Ctx) Spawn(name string, fn func(*Ctx), opts ...SpawnOpt) {
 	if c.nc != nil {
-		c.spawnNative(name, fn, opts)
+		a, nm := nativeOptions(c.rt, opts)
+		c.nc.SpawnPayload(name, a, nm, fn)
 		return
 	}
 	c.spawnSim(name, fn, nil, 0, opts)
@@ -302,7 +288,6 @@ func (c *Ctx) spawnSim(name string, fn func(*Ctx), fnN func(*Ctx, int), i int, o
 	td.Slot = slot
 	td.AffObj = affObj
 	td.Scope = c.scope
-	td.DeadlineAt = o.deadline
 	if td.Scope != nil {
 		rt.sched.ScopeAdd(td.Scope)
 	}
@@ -362,15 +347,6 @@ func (rt *Runtime) startSimTask(st *simTask, name string, now int64) {
 // body runs one simulated task from its record.
 func (st *simTask) body(sc *sim.Ctx) {
 	rt, td := st.rt, &st.td
-	if td.Shed {
-		// Dispatched past its deadline (counted and traced there):
-		// complete the scope without running the body.
-		if td.Scope != nil {
-			rt.sched.ScopeDone(sc, td.Scope)
-		}
-		rt.freeSimTask(st)
-		return
-	}
 	cc := &st.ctx
 	*cc = Ctx{sc: sc, rt: rt, scope: td.Scope}
 	for _, ob := range st.pre {
@@ -400,8 +376,8 @@ func (st *simTask) body(sc *sim.Ctx) {
 
 // freeSimTask recycles a record, dropping its references to the program,
 // so a record on the free list has no body and no monitor. It is the
-// last act of a task that completed or was shed: that task is off every
-// queue and is never dispatched again. No stale slice event can reach
+// last act of a task that completed: that task is off every queue and
+// is never dispatched again. No stale slice event can reach
 // the record's next task either: a slice event resumes only while
 // p.cur == &st.t, and p.cur holds the task from the yield until that
 // event fires (a failed processor's p.cur is cleared for good). Killed,
@@ -440,42 +416,29 @@ func (c *Ctx) SpawnN(name string, n int, fn func(*Ctx, int), opts func(i int) []
 }
 
 // spawnNNative lowers a SpawnN burst onto the goroutine backend: each
-// member's affinity resolution (including the multiple-object §4.1
-// heuristic) matches spawnNative's, and fn rides the whole batch as one
-// shared payload, run per member through native Config.InvokeN with the
-// member index.
+// member's options resolve as a Spawn's do, and fn rides the whole batch
+// as one shared payload, run per member through native Config.InvokeN
+// with the member index.
 func (c *Ctx) spawnNNative(name string, n int, fn func(*Ctx, int), opts func(i int) []SpawnOpt) {
-	rt := c.rt
-	get := func(i int) (core.Affinity, *native.Monitor, int64) {
-		var o spawnOptions
+	get := func(i int) (core.Affinity, *native.Monitor) {
+		var o []SpawnOpt
 		if opts != nil {
-			for _, opt := range opts(i) {
-				opt.apply(&o)
-			}
+			o = opts(i)
 		}
-		if o.nObj > 1 {
-			objs := o.objs()
-			o.aff.ObjectObj = objs[pickHome(rt, objs)].addr
-		}
-		var nm *native.Monitor
-		if o.mutex != nil {
-			nm = &o.mutex.nm
-		}
-		return o.aff, nm, o.deadline
+		return nativeOptions(c.rt, o)
 	}
 	c.nc.SpawnN(name, n, get, fn)
 }
 
-// spawnNative places and enqueues one task on the goroutine backend.
-// The affinity resolution (including the multiple-object §4.1 heuristic)
-// matches the simulator's; prefetching is a no-op natively, so the
-// non-chosen objects are simply dropped.
-func (c *Ctx) spawnNative(name string, fn func(*Ctx), opts []SpawnOpt) {
+// nativeOptions resolves one native spawn's options to its affinity and
+// monitor. The affinity resolution (including the multiple-object §4.1
+// heuristic) matches the simulator's; prefetching is a no-op natively,
+// so the non-chosen objects are simply dropped.
+func nativeOptions(rt *Runtime, opts []SpawnOpt) (core.Affinity, *native.Monitor) {
 	var o spawnOptions
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	rt := c.rt
 	if o.nObj > 1 {
 		objs := o.objs()
 		o.aff.ObjectObj = objs[pickHome(rt, objs)].addr
@@ -484,7 +447,7 @@ func (c *Ctx) spawnNative(name string, fn func(*Ctx), opts []SpawnOpt) {
 	if o.mutex != nil {
 		nm = &o.mutex.nm
 	}
-	c.nc.SpawnPayload(name, o.aff, nm, fn, o.deadline)
+	return o.aff, nm
 }
 
 // pickHome returns the index of the object whose home server holds the

@@ -61,14 +61,6 @@ type TaskDesc struct {
 	// any waitfor). Completion decrements the scope.
 	Scope *Scope
 
-	// DeadlineAt, when positive, is the absolute simulated cycle (the
-	// WithDeadline spawn option) after which the task is shed instead of
-	// run. Shed is set when its first dispatch came past that cycle: the
-	// dispatch counted it in DeadlineMisses, not TasksRun, and the spawn
-	// wrapper completes it without running its body.
-	DeadlineAt int64
-	Shed       bool
-
 	// LastProc is the processor the task last ran on; continuations are
 	// re-enqueued there.
 	LastProc int

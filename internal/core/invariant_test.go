@@ -8,6 +8,10 @@ import (
 	"github.com/coolrts/cool/internal/sim"
 )
 
+// QueuedTasks returns the number of tasks currently enqueued machine-wide,
+// maintained incrementally alongside the per-server counts.
+func (s *Scheduler) QueuedTasks() int { return s.queuedTotal }
+
 // checkInvariants validates the internal consistency of every server's
 // queue structures, the machine-wide counters derived from them, the
 // lazily-repaired least-loaded candidate, and (under whole-set stealing)

@@ -424,18 +424,11 @@ func (s *Scheduler) stealFrom(v, thief *server, thiefID int) *TaskDesc {
 func (s *Scheduler) SetSplits() int64 { return s.setSplits }
 
 // issue finalizes a dispatch decision: perfmon accounting and bookkeeping.
-// A task first dispatched past its deadline is shed, not run.
 func (s *Scheduler) issue(td *TaskDesc, p *sim.Proc) *sim.Task {
 	td.LastProc = p.ID
 	if !td.dispatched {
 		td.dispatched = true
 		ctr := &s.Mon.Per[p.ID]
-		if td.DeadlineAt > 0 && p.Clock > td.DeadlineAt {
-			td.Shed = true
-			ctr.DeadlineMisses++
-			s.Trace.Add(p.Clock, p.ID, trace.KindShed, td.T.Name, td.DeadlineAt)
-			return td.T
-		}
 		ctr.TasksRun++
 		if td.Server == p.ID {
 			ctr.TasksAtHome++
@@ -454,11 +447,4 @@ func (s *Scheduler) TraceBlock(ctx *sim.Ctx) {
 // TraceDone records task completion (called by the task wrapper).
 func (s *Scheduler) TraceDone(ctx *sim.Ctx) {
 	s.Trace.Add(ctx.Now(), ctx.Proc().ID, trace.KindDone, ctx.Task().Name, 0)
-}
-
-// QueuedTasks returns the number of tasks currently enqueued machine-wide
-// (diagnostics and tests). Maintained incrementally alongside the
-// per-server counts.
-func (s *Scheduler) QueuedTasks() int {
-	return s.queuedTotal
 }

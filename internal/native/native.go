@@ -20,7 +20,6 @@ package native
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -91,10 +90,6 @@ type task struct {
 	// Link queues the record in its worker's locked queues and carries
 	// its class, slot and set object.
 	core.Link[task]
-
-	// deadlineNS, when positive, is the absolute wall-clock deadline in
-	// nanoseconds since Run: dispatch sheds the task past it (shedTask).
-	deadlineNS int64
 
 	// ctx is the execution context handed to the task body, embedded in
 	// the pooled record so running a task allocates nothing. It is valid
@@ -296,12 +291,6 @@ func (rt *Runtime) BusyIdleNanos() (busy, idle int64) {
 // across workers (an invariant violation; must be zero under the default
 // whole-set stealing policy).
 func (rt *Runtime) SetSplits() int64 { return rt.setSplits.Load() }
-
-// QueuedTasks returns the tasks currently enqueued machine-wide.
-func (rt *Runtime) QueuedTasks() int { return int(rt.queuedTotal.Load()) }
-
-// ParkedWorkers returns the workers currently idle-parked.
-func (rt *Runtime) ParkedWorkers() int { return bits.OnesCount64(rt.parked.Load()) }
 
 // SetClusterStealingOnly flips the cluster-stealing restriction at run
 // time (the paper's dynamically manipulated runtime flag, §6.3).
@@ -554,7 +543,7 @@ func (rt *Runtime) loop(w *worker) {
 				busyMark = time.Now()
 			}
 			misses = 0
-			rt.dispatch(w, t)
+			rt.runTask(w, t)
 			continue
 		}
 		closeBurst()
@@ -566,26 +555,6 @@ func (rt *Runtime) loop(w *worker) {
 		misses++
 		rt.park(w, misses)
 	}
-}
-
-// dispatch runs one dequeued task, or sheds it when it is past its
-// deadline.
-func (rt *Runtime) dispatch(w *worker, t *task) {
-	if t.deadlineNS > 0 && rt.nowNS() > t.deadlineNS {
-		rt.shedTask(w, t)
-		return
-	}
-	rt.runTask(w, t)
-}
-
-// shedTask completes t without running its body: it was dispatched past
-// its deadline, so it counts in DeadlineMisses instead of TasksRun, and
-// its scope and the live count move as a run would, so WaitFor and Run
-// never hang on it.
-func (rt *Runtime) shedTask(w *worker, t *task) {
-	rt.cfg.Mon.Per[w.id].DeadlineMisses++
-	rt.trace(w, trace.KindShed, w.id, t.name, t.deadlineNS)
-	rt.complete(w, t)
 }
 
 // runTask executes one task to completion on w, with perfmon and trace
@@ -601,12 +570,6 @@ func (rt *Runtime) runTask(w *worker, t *task) {
 	t.ctx = Ctx{w: w, rt: rt, ctr: ctr, scope: t.scope, facade: t.ctx.facade}
 	rt.execute(&t.ctx, t)
 	rt.trace(w, trace.KindDone, w.id, t.name, 0)
-	rt.complete(w, t)
-}
-
-// complete ends a task, run or shed: it releases the task's scope,
-// recycles its record, and closes done when the last live task is gone.
-func (rt *Runtime) complete(w *worker, t *task) {
 	if t.scope != nil {
 		rt.scopeDone(t.scope)
 	}

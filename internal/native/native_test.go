@@ -14,6 +14,9 @@ import (
 	"github.com/coolrts/cool/internal/perfmon"
 )
 
+// QueuedTasks returns the tasks currently enqueued machine-wide.
+func (rt *Runtime) QueuedTasks() int { return int(rt.queuedTotal.Load()) }
+
 // testRuntime builds a runtime whose Home lookup spreads object
 // addresses across workers page by page.
 func testRuntime(t *testing.T, procs int, mut func(*Config)) (*Runtime, *perfmon.Monitor) {

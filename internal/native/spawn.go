@@ -15,12 +15,12 @@ import (
 // must not charge a task that was never enqueued — a leaked live count
 // would keep done from ever closing and hang Run instead of returning
 // the recorded failure.
-func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn func(*Ctx), payload any, idx int32, deadlineNS int64) {
+func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn func(*Ctx), payload any, idx int32) {
 	from := c.w.id
 	rt.cfg.Mon.Per[from].Spawns++
 	t := rt.newTask(c.w)
 	t.name, t.fn, t.payload, t.mon, t.idx = name, fn, payload, mon, idx
-	t.scope, t.deadlineNS = c.scope, deadlineNS
+	t.scope = c.scope
 	rt.placeTask(t, a, from) // may panic in cfg.Home; no accounting yet
 	if t.scope != nil {
 		t.scope.n.Add(1)
@@ -50,7 +50,7 @@ func (rt *Runtime) spawn(c *Ctx, name string, a core.Affinity, mon *Monitor, fn 
 // every child is a plain task on the spawner itself, one locked push per
 // target otherwise — followed by ONE wake decision for the whole burst.
 // SpawnBatches counts these batch publications.
-func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affinity, *Monitor, int64), payload any) {
+func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affinity, *Monitor), payload any) {
 	if n <= 0 {
 		return
 	}
@@ -65,8 +65,8 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 		t := rt.newTask(w)
 		t.name, t.payload, t.idx = name, payload, int32(i)
 		t.scope = c.scope
-		a, mon, dl := get(i)
-		t.mon, t.deadlineNS = mon, dl
+		a, mon := get(i)
+		t.mon = mon
 		// May panic in cfg.Home; nothing accounted yet. Set members
 		// resolve their home under the shard lock at publish time
 		// (placeSet).
@@ -159,24 +159,23 @@ func (rt *Runtime) spawnN(c *Ctx, name string, n int, get func(int) (core.Affini
 // Spawn creates and enqueues a task with the given affinity; mon, when
 // non-nil, makes it a mutex function on that monitor.
 func (c *Ctx) Spawn(name string, a core.Affinity, mon *Monitor, fn func(*Ctx)) {
-	c.rt.spawn(c, name, a, mon, fn, nil, -1, 0)
+	c.rt.spawn(c, name, a, mon, fn, nil, -1)
 }
 
 // SpawnPayload creates and enqueues a task whose body is Config.Invoke
 // applied to payload. It lets the embedding runtime avoid allocating a
 // per-spawn wrapper closure: the adapter is configured once and the
 // payload (typically the user's func value) rides through the pooled
-// task record. deadlineNS, when positive, is the absolute run-relative
-// nanosecond after which the task is shed instead of run.
-func (c *Ctx) SpawnPayload(name string, a core.Affinity, mon *Monitor, payload any, deadlineNS int64) {
-	c.rt.spawn(c, name, a, mon, nil, payload, -1, deadlineNS)
+// task record.
+func (c *Ctx) SpawnPayload(name string, a core.Affinity, mon *Monitor, payload any) {
+	c.rt.spawn(c, name, a, mon, nil, payload, -1)
 }
 
 // SpawnN creates and enqueues n sibling tasks sharing one payload; the
-// get callback supplies each member's affinity, optional monitor, and
-// deadline, and member i runs through Config.InvokeN with index i. A
+// get callback supplies each member's affinity and optional monitor, and
+// member i runs through Config.InvokeN with index i. A
 // burst spawned this way is published as one batch — one deque publish
 // and one wake decision instead of n (see spawnN).
-func (c *Ctx) SpawnN(name string, n int, get func(int) (core.Affinity, *Monitor, int64), payload any) {
+func (c *Ctx) SpawnN(name string, n int, get func(int) (core.Affinity, *Monitor), payload any) {
 	c.rt.spawnN(c, name, n, get, payload)
 }

@@ -45,7 +45,7 @@ func (rt *Runtime) waitScope(c *Ctx, sc *scope) {
 		}
 		if t := rt.take(w); t != nil {
 			misses = 0
-			rt.dispatch(w, t)
+			rt.runTask(w, t)
 			continue
 		}
 		misses++

@@ -50,10 +50,6 @@ type Counters struct {
 	// Fault injection and degradation.
 	FaultEvents   int64 // injected fault events that struck this processor
 	Redistributed int64 // tasks drained off this (failed) server to survivors
-
-	// Deadline shedding: tasks dispatched past their WithDeadline
-	// deadline, completed without running (not counted in TasksRun).
-	DeadlineMisses int64
 }
 
 // Misses returns the total cache misses serviced by any memory.
@@ -119,7 +115,6 @@ func (c *Counters) Add(o Counters) {
 	c.BroadcastWakes += o.BroadcastWakes
 	c.FaultEvents += o.FaultEvents
 	c.Redistributed += o.Redistributed
-	c.DeadlineMisses += o.DeadlineMisses
 }
 
 // Monitor holds one Counters per processor.

@@ -11,8 +11,8 @@ import (
 
 // FuzzSubmitJSON posts arbitrary bodies to POST /jobs on a service whose
 // runner does nothing. Whatever the body, the answer is 202 (queued),
-// 400 (not a submission), 429 (refused) or 503 (draining), never a
-// panic or another 5xx.
+// 400 (not a submission), 413 (too large), 429 (refused) or 503
+// (draining), never a panic or another 5xx.
 func FuzzSubmitJSON(f *testing.F) {
 	for _, body := range []string{
 		`{"app":"gauss"}`,
@@ -37,7 +37,8 @@ func FuzzSubmitJSON(f *testing.F) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
 		switch rec.Code {
-		case http.StatusAccepted, http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		default:
 			t.Fatalf("POST /jobs %q: status %d (%s)", body, rec.Code, rec.Body)
 		}

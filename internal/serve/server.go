@@ -3,8 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 )
+
+// maxRequestBytes bounds a POST /jobs body. A Request is three short
+// strings; a larger body is refused before it is decoded to the end.
+const maxRequestBytes = 64 << 10
 
 // Handler exposes the service over HTTP/JSON:
 //
@@ -16,17 +21,31 @@ import (
 // Rejections map to HTTP status codes: admission refusals and full
 // queues are 429 (back off and retry), draining is 503 (this replica
 // is going away), bad submissions are 400 — including a body naming a
-// field Request does not have. The service keeps the last 4096 jobs that
-// ended (retainedJobs); GET /jobs/{id} of a job evicted past them
-// answers 404, as for an ID it never issued.
+// field Request does not have, or holding anything but whitespace after
+// the one Request object — and a body over 64 KiB is 413. The service
+// keeps the last 4096 jobs that ended (retainedJobs); GET /jobs/{id} of
+// a job evicted past them answers 404, as for an ID it never issued.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		err := dec.Decode(&req)
+		if err == nil {
+			if _, err = dec.Token(); err == nil {
+				err = errors.New("more than one value")
+			} else if err == io.EOF {
+				err = nil
+			}
+		}
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			httpError(w, http.StatusRequestEntityTooLarge, "bad request body: "+err.Error())
+			return
+		case err != nil:
 			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}

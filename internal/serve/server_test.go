@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,5 +170,42 @@ func TestJobTableIsBounded(t *testing.T) {
 	}
 	if code := get(first.ID); code != http.StatusNotFound {
 		t.Errorf("GET an evicted job (%s): %d, want 404", first.ID, code)
+	}
+}
+
+// TestSubmitBodyIsOneBoundedObject: POST /jobs takes exactly one Request
+// of at most 64 KiB. A second value after it is 400, a body over the
+// bound is 413, and neither submits a job.
+func TestSubmitBodyIsOneBoundedObject(t *testing.T) {
+	noop := func(*cool.Runtime, *Job, *Residency) (string, error) { return "noop", nil }
+	svc, err := NewService(Config{Runtimes: 1, Procs: 1, Runner: noop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	h := Handler(svc)
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		return rec.Code
+	}
+	if code := post(`{"app":"gauss"}` + " \n\t"); code != http.StatusAccepted {
+		t.Fatalf("one object and trailing whitespace: %d, want 202", code)
+	}
+	before := svc.Report().Submitted
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"two objects", `{"app":"gauss"}{"app":"ocean"}`, http.StatusBadRequest},
+		{"trailing garbage", `{"app":"gauss"} x`, http.StatusBadRequest},
+		{"8 MiB key", `{"app":"gauss","key":"` + strings.Repeat("k", 8<<20) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		if code := post(c.body); code != c.want {
+			t.Errorf("%s: %d, want %d", c.name, code, c.want)
+		}
+	}
+	if after := svc.Report().Submitted; after != before {
+		t.Fatalf("refused bodies submitted %d jobs", after-before)
 	}
 }

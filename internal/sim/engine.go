@@ -156,16 +156,6 @@ func (e *Engine) MaxClock() int64 {
 	return m
 }
 
-// ParkedCount returns how many processors are currently idle-parked
-// (Runtime.CounterSnapshot's Parked gauge).
-func (e *Engine) ParkedCount() int {
-	n := 0
-	for _, w := range e.idleWords {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // hasEarlierEvent reports whether an event strictly before time t is
 // pending.
 func (e *Engine) hasEarlierEvent(t int64) bool {

@@ -34,9 +34,6 @@ const (
 	// KindRedistribute: a task was moved off a failed server (Proc =
 	// failed server, Arg = surviving server that received it).
 	KindRedistribute
-	// KindShed: the task was dispatched past its WithDeadline deadline
-	// and completed without running (Arg = the deadline).
-	KindShed
 )
 
 // String names the kind.
@@ -58,8 +55,6 @@ func (k Kind) String() string {
 		return "fault"
 	case KindRedistribute:
 		return "redist"
-	case KindShed:
-		return "shed"
 	}
 	return "?"
 }

@@ -3,15 +3,14 @@
 // compute. A cell is an (app, variant, size, P) point whose reference is
 // a plain simulator run; every arm runs the cell another way and one
 // check holds it to the reference: the Verify tokens (the app's
-// schedule-dependent ones excepted at P>1), the tasks run, whole
-// task-affinity sets and the deadline misses.
+// schedule-dependent ones excepted at P>1), the tasks run and whole
+// task-affinity sets.
 //
 // The arms of an app's Base and last variant are "policy" (the simulator
 // with stealing off, P>1), Options.NativeRuns plain native runs, a
 // "native armed" run whose deadline cannot fire, and on the last variant
 // one seeded fault plan per campaign, which shrinks to a 1-minimal plan
-// when it fails. One slo cell per P sheds half its tasks on both
-// backends, and each campaign seed also draws a "reset" arm: a
+// when it fails. Each campaign seed also draws a "reset" arm: a
 // simulator runtime that ran a preceding job (plain, faulted, or stopped
 // by an expired deadline) and was reset, held strictly to a new runtime
 // built from the same Config. Every failing arm prints one
@@ -27,7 +26,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	cool "github.com/coolrts/cool"
 	"github.com/coolrts/cool/internal/apps"
@@ -97,7 +95,7 @@ type Verdict int
 
 const (
 	OK         Verdict = iota
-	Mismatch           // a Verify token, a set, the deadline misses or (strict) the Report differ
+	Mismatch           // a Verify token, a set or (strict) the Report differ
 	Leak               // a different number of tasks ran: work was lost or duplicated
 	Unexpected         // the run failed where its reference did not
 )
@@ -165,9 +163,6 @@ func check(ref, got run, ignore map[string]bool, strict bool) Outcome {
 	}
 	if got.Report.SetSplits != 0 {
 		add(Mismatch, fmt.Sprintf("%d set splits", got.Report.SetSplits))
-	}
-	if g, w := got.Report.Total.DeadlineMisses, ref.Report.Total.DeadlineMisses; g != w {
-		add(Mismatch, fmt.Sprintf("%d deadline misses, reference %d", g, w))
 	}
 	if strict && !reflect.DeepEqual(got.Report, ref.Report) {
 		add(Mismatch, "Report differs from a new runtime's: "+
@@ -271,36 +266,6 @@ func drawReset(seed int64) (Cell, Arm, error) {
 	return c, a, nil
 }
 
-// slo runs the synthetic SLO program: n tasks, every other one with a
-// deadline of 1, expired at dispatch on both clock scales, the rest with
-// one neither clock reaches. Its Verify is the sum the tasks that ran
-// computed, so a shed task counted as run, or a deadline checked on one
-// backend only, shows.
-func slo(cfg cool.Config) run {
-	const n = 256
-	rt, err := cool.NewRuntime(cfg)
-	if err != nil {
-		return run{err: err.Error()}
-	}
-	var sum atomic.Int64
-	err = rt.Run(func(ctx *cool.Ctx) {
-		ctx.WaitFor(func() {
-			for i := 0; i < n; i++ {
-				deadline := int64(1 << 60)
-				if i%2 == 0 {
-					deadline = 1
-				}
-				ctx.Spawn("slo", func(*cool.Ctx) { sum.Add(int64(i*i + 1)) }, cool.WithDeadline(deadline))
-			}
-		})
-	})
-	r := result(apps.Result{Report: rt.Report(), Verify: fmt.Sprintf("sum=%d", sum.Load())}, err)
-	if m := r.Report.Total.DeadlineMisses; r.err == "" && m != n/2 {
-		r.err = fmt.Sprintf("%d deadline misses, want %d", m, n/2)
-	}
-	return r
-}
-
 // Run executes the sweep and returns an error naming every failing arm
 // (nil when all agree). An unknown app name fails with ErrUnknownApp
 // before any cell runs.
@@ -384,17 +349,6 @@ func Run(opts Options) error {
 				pass(c.String(), failed)
 			}
 		}
-	}
-	for _, p := range procs {
-		cell, failed, ref := fmt.Sprintf("slo synthetic P=%d", p), len(failures), slo(cool.Config{Processors: p})
-		o := sound(ref)
-		if o.Verdict == OK {
-			o = check(ref, slo(native.Config(Cell{Procs: p})), nil, false)
-		}
-		if o.Verdict != OK {
-			fail(cell, "native", o, list[0].Name, p, -1)
-		}
-		pass(cell, failed)
 	}
 	for s := opts.Seed; s < end; s++ {
 		c, a, err := drawReset(s)

@@ -38,7 +38,7 @@ func TestSmallSweep(t *testing.T) {
 	if err := Run(Options{Procs: []int{1, 2}, Small: true, Seed: 1, Campaigns: 2, Out: &out}); err != nil {
 		t.Fatalf("differential sweep failed:\n%s\n%v", out.String(), err)
 	}
-	for _, want := range []string{"ok   gauss", "ok   slo synthetic P=2", "reset seed=2"} {
+	for _, want := range []string{"ok   gauss", "reset seed=2"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("sweep did not cover %q:\n%s", want, out.String())
 		}
@@ -48,20 +48,6 @@ func TestSmallSweep(t *testing.T) {
 func TestUnknownApp(t *testing.T) {
 	if err := Run(Options{Apps: []string{"nope"}, Procs: []int{1}, Small: true}); err == nil {
 		t.Fatal("expected error for unknown app")
-	}
-}
-
-// TestCheckFlagsShedOnEveryArm: an arm that shed a task past a deadline
-// no app sets fails whichever arm it is.
-func TestCheckFlagsShedOnEveryArm(t *testing.T) {
-	var ref, res run
-	ref.Verify, res.Verify = "checksum=1", "checksum=1"
-	if o := check(ref, res, nil, false); o.Verdict != OK {
-		t.Fatalf("identical results flagged: %+v", o)
-	}
-	res.Report.Total.DeadlineMisses = 2
-	if o := check(ref, res, nil, false); o.Verdict != Mismatch || !strings.Contains(o.Detail, "2 deadline misses") {
-		t.Fatalf("a result with two deadline misses gave %+v", o)
 	}
 }
 

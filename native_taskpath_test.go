@@ -31,9 +31,6 @@ var taskPathRan atomic.Int64
 func taskPathLeaf(*cool.Ctx)        { taskPathRan.Add(1) }
 func taskPathMember(*cool.Ctx, int) { taskPathRan.Add(1) }
 
-// farDeadline is a WithDeadline no phase reaches.
-const farDeadline = int64(1) << 62
-
 var taskPathCases = []struct {
 	name  string
 	phase func(ctx *cool.Ctx, e *taskPathEnv)
@@ -64,11 +61,6 @@ var taskPathCases = []struct {
 	{"Spawn/WithMutex", func(ctx *cool.Ctx, e *taskPathEnv) {
 		for range phaseTasks {
 			ctx.Spawn("mutex", taskPathLeaf, cool.WithMutex(e.mon))
-		}
-	}},
-	{"Spawn/WithDeadline", func(ctx *cool.Ctx, e *taskPathEnv) {
-		for range phaseTasks {
-			ctx.Spawn("deadline", taskPathLeaf, cool.WithDeadline(farDeadline))
 		}
 	}},
 	// Two sized OBJECT operands homed apart: the simulator prefetches the

@@ -59,63 +59,6 @@ func (rt *Runtime) Report() Report {
 	return r
 }
 
-// CounterSnapshot is one machine-wide counter reading, for monitoring and
-// external policy code. The steal/wake/deadline-miss fields are
-// cumulative since the run started; Queued and Parked are instantaneous
-// gauges.
-type CounterSnapshot struct {
-	StealTries     int64
-	FailedSteals   int64
-	StealsLocal    int64
-	StealsRemote   int64
-	SetSteals      int64
-	TargetedWakes  int64
-	BroadcastWakes int64
-	LockContention int64
-	DeadlineMisses int64
-	Completed      int64 // tasks executed, or shed past their deadline, to completion
-
-	// Memory system (simulator backend; zero natively).
-	Refs         int64
-	RemoteMisses int64 // non-local misses (remote + dirty)
-
-	Queued  int64 // gauge: tasks queued machine-wide right now
-	Parked  int64 // gauge: workers idle-parked right now
-	Workers int64 // the runtime's processor count
-}
-
-// CounterSnapshot sums the per-processor counter rows into one
-// machine-wide reading and adds the backend's queue and park gauges and
-// the processor count. Call it after Run: while a native run executes,
-// each row belongs to its worker's goroutine.
-func (rt *Runtime) CounterSnapshot() CounterSnapshot {
-	var s CounterSnapshot
-	for i := range rt.mon.Per {
-		p := &rt.mon.Per[i]
-		s.StealTries += p.StealTries
-		s.FailedSteals += p.FailedSteals
-		s.StealsLocal += p.StealsLocal
-		s.StealsRemote += p.StealsRemote
-		s.SetSteals += p.SetSteals
-		s.TargetedWakes += p.TargetedWakes
-		s.BroadcastWakes += p.BroadcastWakes
-		s.LockContention += p.LockContention
-		s.DeadlineMisses += p.DeadlineMisses
-		s.Completed += p.TasksRun + p.DeadlineMisses
-		s.Refs += p.Refs
-		s.RemoteMisses += p.RemoteMisses + p.DirtyMisses
-	}
-	s.Workers = int64(rt.cfg.Processors)
-	if rt.backend == BackendNative {
-		s.Queued = int64(rt.nat.QueuedTasks())
-		s.Parked = int64(rt.nat.ParkedWorkers())
-		return s
-	}
-	s.Queued = int64(rt.sched.QueuedTasks())
-	s.Parked = int64(rt.eng.ParkedCount())
-	return s
-}
-
 // String renders a compact human-readable summary.
 func (r Report) String() string {
 	var b strings.Builder

@@ -2,8 +2,7 @@ package cool
 
 // This file is the warm-reuse surface that the serving layer
 // (internal/serve, cmd/coolserve) is built on: Reset re-arms a runtime
-// for another Run without rebuilding it, and QueuedTasks exposes the
-// live backlog signal routing policies consume.
+// for another Run without rebuilding it.
 
 // Reset returns a runtime that has finished a Run to its pre-Run state
 // so it can Run again — the warm-reuse path that makes a long-lived
@@ -20,7 +19,7 @@ package cool
 // scheduler's queues empty, and the fault plan queued again; nothing the
 // reset allocates grows with the processor count. The perfmon counters
 // are zeroed, so the next run's Report starts from a clean slate and
-// never bleeds a previous job's FaultEvents or DeadlineMisses. Either
+// never bleeds a previous job's counts (FaultEvents among them). Either
 // way a reset runtime runs the next job exactly as a fresh NewRuntime
 // with the same Config does, and the CaptureRuntime hook sees it as it
 // sees a new one.
@@ -70,15 +69,4 @@ func (rt *Runtime) Reset() error {
 		captureHook(rt)
 	}
 	return nil
-}
-
-// QueuedTasks returns the number of spawned tasks currently sitting in
-// scheduler queues — the live backlog signal least-loaded routing and
-// admission control read. Meaningful on the native backend while Run
-// executes; the single-threaded simulator always reports 0 here.
-func (rt *Runtime) QueuedTasks() int {
-	if rt.backend == BackendNative {
-		return rt.nat.QueuedTasks()
-	}
-	return 0
 }

@@ -101,7 +101,7 @@ func TestResetSimDeterministicReuse(t *testing.T) {
 
 // TestResetSimRecycledRecordsCarryNothing runs a job whose tasks leave
 // every kind of per-task state in their pooled records — a monitor, a
-// prefetch list, a shed flag, a SpawnN body and index — then, after
+// prefetch list, a SpawnN body and index — then, after
 // Reset, a plain job that takes those records back. The plain job's
 // Report must equal the same job's on a fresh runtime.
 func TestResetSimRecycledRecordsCarryNothing(t *testing.T) {
@@ -119,7 +119,6 @@ func TestResetSimRecycledRecordsCarryNothing(t *testing.T) {
 					ctx.Spawn("two", func(c *cool.Ctx) { c.Compute(10) },
 						cool.ObjectAffinitySized(objs[i%4].Base, 256),
 						cool.ObjectAffinitySized(objs[(i+1)%4].Base, 128))
-					ctx.Spawn("shed", func(c *cool.Ctx) { c.Compute(10) }, cool.WithDeadline(1))
 				}
 				ctx.SpawnN("member", 8, func(c *cool.Ctx, i int) { c.Compute(int64(10 * i)) }, nil)
 			})
@@ -158,8 +157,8 @@ func TestResetSimRecycledRecordsCarryNothing(t *testing.T) {
 	if err := jobA(rt); err != nil {
 		t.Fatalf("job A: %v", err)
 	}
-	if a := rt.Report().Total; a.DeadlineMisses != 8 || a.Prefetches == 0 {
-		t.Fatalf("job A shed %d tasks and issued %d prefetches; want 8 and some", a.DeadlineMisses, a.Prefetches)
+	if a := rt.Report().Total; a.Prefetches == 0 {
+		t.Fatal("job A issued no prefetches")
 	}
 	if err := rt.Reset(); err != nil {
 		t.Fatal(err)
@@ -199,12 +198,11 @@ func TestResetRewindsArena(t *testing.T) {
 	}
 }
 
-// TestResetCounterFidelity runs a first job whose every spawn is shed
-// (an already-expired deadline), then asserts the second, clean job on
-// the same warm runtime reports zero deadline misses and faults —
-// per-worker rows included. This is the report-fidelity
-// contract runtime reuse must keep: a job's report never bleeds a
-// predecessor's counters.
+// TestResetCounterFidelity runs a 32-task job, then a smaller one on the
+// same warm native runtime: the second job's report, total and every
+// worker's row alike, counts only its own tasks and spawns. This is the
+// report-fidelity contract runtime reuse must keep: a job's report never
+// bleeds a predecessor's counters.
 func TestResetCounterFidelity(t *testing.T) {
 	rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
 	if err != nil {
@@ -214,20 +212,15 @@ func TestResetCounterFidelity(t *testing.T) {
 	err = rt.Run(func(ctx *cool.Ctx) {
 		ctx.WaitFor(func() {
 			for i := 0; i < 32; i++ {
-				// Expired 1ns after start.
-				ctx.Spawn("doomed", func(c *cool.Ctx) { ran.Add(1) }, cool.WithDeadline(1))
+				ctx.Spawn("first", func(c *cool.Ctx) { ran.Add(1) })
 			}
 		})
 	})
 	if err != nil {
-		t.Fatalf("shed job: %v", err)
+		t.Fatalf("first job: %v", err)
 	}
-	first := rt.Report()
-	if first.Total.DeadlineMisses != 32 {
-		t.Fatalf("first job shed %d of 32 tasks; deadline rule broken", first.Total.DeadlineMisses)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("%d doomed tasks ran despite expired deadline", ran.Load())
+	if first := rt.Report().Total; ran.Load() != 32 || first.TasksRun != 33 {
+		t.Fatalf("first job: %d bodies ran, TasksRun = %d; want 32, 33", ran.Load(), first.TasksRun)
 	}
 
 	if err := rt.Reset(); err != nil {
@@ -235,17 +228,21 @@ func TestResetCounterFidelity(t *testing.T) {
 	}
 	sumJob(t, rt, 8)
 	second := rt.Report()
-	if second.Total.DeadlineMisses != 0 || second.Total.FaultEvents != 0 {
-		t.Fatalf("second job reports bled counters: DeadlineMisses=%d FaultEvents=%d",
-			second.Total.DeadlineMisses, second.Total.FaultEvents)
+	var per cool.Counters
+	for _, row := range second.Per {
+		per.Add(row)
 	}
-	for p, row := range second.Per {
-		if row.DeadlineMisses != 0 {
-			t.Fatalf("worker %d row not fresh after Reset: %+v", p, row)
+	for _, c := range []struct {
+		name     string
+		got, row int64
+		want     int64
+	}{
+		{"TasksRun", second.Total.TasksRun, per.TasksRun, 9}, // 8 chunks + main
+		{"Spawns", second.Total.Spawns, per.Spawns, 8},
+	} {
+		if c.got != c.want || c.row != c.want {
+			t.Errorf("second job %s = %d, summed over workers %d; want %d", c.name, c.got, c.row, c.want)
 		}
-	}
-	if second.Total.TasksRun != 9 { // 8 chunks + main
-		t.Fatalf("second job TasksRun = %d, want 9", second.Total.TasksRun)
 	}
 }
 
@@ -311,9 +308,8 @@ func TestDeadlineStopRefusesResetAndRebuildRuns(t *testing.T) {
 		t.Fatalf("rebuilt runtime: %v", err)
 	}
 	r := rt.Report()
-	if ran.Load() != 8 || r.Total.TasksRun != 9 || r.Total.DeadlineMisses != 0 {
-		t.Fatalf("rebuilt run: %d bodies ran, TasksRun = %d, DeadlineMisses = %d; want 8, 9, 0",
-			ran.Load(), r.Total.TasksRun, r.Total.DeadlineMisses)
+	if ran.Load() != 8 || r.Total.TasksRun != 9 {
+		t.Fatalf("rebuilt run: %d bodies ran, TasksRun = %d; want 8, 9", ran.Load(), r.Total.TasksRun)
 	}
 	if err := rt.Reset(); err != nil {
 		t.Fatalf("Reset after the rebuilt runtime's clean run: %v", err)
